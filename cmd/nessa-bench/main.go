@@ -186,6 +186,10 @@ func main() {
 			fatal(fmt.Errorf("streaming objective is %.3f of exact LazyGreedy, below the %.2f gate",
 				res.QualityRatio, bench.StreamingQualityGate))
 		}
+		if frac := res.ScanFraction(); frac > bench.StreamingScanGate {
+			fatal(fmt.Errorf("streaming sieve scanned the reservoir on %.3f of its %d rung visits, above the %.2f gate — the saturation prune has regressed",
+				frac, res.Stats.RungVisits, bench.StreamingScanGate))
+		}
 		fmt.Fprintln(os.Stderr, "wrote", path)
 		add(tab)
 	}

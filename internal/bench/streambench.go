@@ -29,6 +29,13 @@ const (
 	// subset's exact facility-location objective and exact LazyGreedy's
 	// on a DRAM-sized reference instance.
 	StreamingQualityGate = 0.9
+	// StreamingScanGate is the largest share of ladder-rung visits that
+	// may end in a reservoir scan. On this stream the saturation bound
+	// leaves 0.101 (about two contested rungs per record) where the
+	// unpruned sieve scanned 0.773, so the gate trips once the prune has
+	// lost half its effect. The counts repeat exactly run to run; this
+	// is not a wall-clock threshold.
+	StreamingScanGate = 0.15
 )
 
 // StreamingBenchSpec fixes the streaming-selection workload: a
@@ -115,6 +122,29 @@ type StreamingBenchResult struct {
 	// IdenticalSubsets: the DetRecords pass selects a bit-identical
 	// weighted subset at workers=1 and workers=all.
 	IdenticalSubsets bool `json:"identicalSubsets"`
+
+	// Previous is the throughput of the artifact this run overwrote,
+	// when that run measured the same spec: the "before" of a
+	// before/after pair, recorded by the tool rather than by hand.
+	Previous *StreamingBenchPrevious `json:"previous,omitempty"`
+}
+
+// StreamingBenchPrevious is what a regenerated artifact keeps of the
+// one it replaced.
+type StreamingBenchPrevious struct {
+	GeneratedAt       string  `json:"generatedAt"`
+	CPUs              int     `json:"cpus"`
+	WallSeconds       float64 `json:"wallSeconds"`
+	WallRecordsPerSec float64 `json:"wallRecordsPerSec"`
+}
+
+// ScanFraction is the share of ladder-rung visits that ran a reservoir
+// scan, the quantity StreamingScanGate bounds.
+func (r *StreamingBenchResult) ScanFraction() float64 {
+	if r.Stats.RungVisits == 0 {
+		return 0
+	}
+	return float64(r.Stats.RungScans) / float64(r.Stats.RungVisits)
 }
 
 // streamingPass is one full scan-and-select over a fresh device.
@@ -304,6 +334,15 @@ func WriteStreamingBench(path string, quick bool) (*StreamingBenchResult, *Table
 	if err != nil {
 		return nil, nil, err
 	}
+	if old, err := os.ReadFile(path); err == nil {
+		var prev StreamingBenchResult
+		if json.Unmarshal(old, &prev) == nil && prev.Spec == res.Spec && prev.WallRecordsPerSec > 0 {
+			res.Previous = &StreamingBenchPrevious{
+				GeneratedAt: prev.GeneratedAt, CPUs: prev.CPUs,
+				WallSeconds: prev.WallSeconds, WallRecordsPerSec: prev.WallRecordsPerSec,
+			}
+		}
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -332,9 +371,16 @@ func StreamingBenchTable(res *StreamingBenchResult) *Table {
 	t.AddRow("fraction of sequential bound", fmt.Sprintf("%.3f", res.Scan.FracOfBound))
 	t.AddRow("simulated scan time", res.Scan.IOTime.String())
 	t.AddRow("host throughput (records/s)", fmt.Sprintf("%.0f", res.WallRecordsPerSec))
+	if p := res.Previous; p != nil {
+		t.AddRow("host throughput of the replaced artifact", fmt.Sprintf("%.0f on %d CPUs (%s)",
+			p.WallRecordsPerSec, p.CPUs, p.GeneratedAt))
+	}
 	t.AddRow("selection state / on-chip budget", fmt.Sprintf("%d / %d bytes",
 		res.Stats.StateBytes, res.Stats.BudgetBytes))
 	t.AddRow("reservoir rows × classes", fmt.Sprintf("%d × %d", res.Stats.Reservoir, res.Spec.Classes))
+	t.AddRow("ladder rung visits / pruned / scanned / accepted", fmt.Sprintf("%d / %d / %d / %d",
+		res.Stats.RungVisits, res.Stats.RungPruned, res.Stats.RungScans, res.Stats.RungAccepts))
+	t.AddRow("reservoir scans per rung visit", fmt.Sprintf("%.4f (gate ≤ %.2f)", res.ScanFraction(), StreamingScanGate))
 	t.AddRow("sketch ℓ / shrinks / capture", fmt.Sprintf("%d / %d / %.3f",
 		res.Stats.SketchRows, res.Stats.SketchShrinks, res.Stats.SketchCapture))
 	t.AddRow("objective vs exact LazyGreedy", fmt.Sprintf("%.4f", res.QualityRatio))

@@ -30,6 +30,13 @@ func TestStreamingBenchArtifact(t *testing.T) {
 	if res.QualityRatio < StreamingQualityGate {
 		t.Errorf("quality ratio %.3f below the %.2f gate", res.QualityRatio, StreamingQualityGate)
 	}
+	if st := res.Stats; st.RungVisits == 0 || st.RungPruned == 0 || st.RungAccepts == 0 || st.RungAccepts > st.RungScans {
+		t.Errorf("ladder counters not populated: visits %d pruned %d scans %d accepts %d",
+			st.RungVisits, st.RungPruned, st.RungScans, st.RungAccepts)
+	}
+	if frac := res.ScanFraction(); frac > StreamingScanGate {
+		t.Errorf("%.3f of rung visits scanned the reservoir, gate is %.2f", frac, StreamingScanGate)
+	}
 	if res.Scan.Records != spec.Records {
 		t.Errorf("scanned %d records, want %d", res.Scan.Records, spec.Records)
 	}

@@ -75,6 +75,14 @@ type Stats struct {
 	ActiveLevels  int     `json:"activeLevels"`  // ladder rungs alive at finish
 	PerClassSeen  []int   `json:"perClassSeen"`
 	PerClassK     []int   `json:"perClassK"`
+
+	// Ladder work, summed over classes and records: live rungs a record
+	// was offered to, rungs the saturation bound skipped, reservoir
+	// scans run, and scans that ended in an accept.
+	RungVisits  int64 `json:"rungVisits"`
+	RungPruned  int64 `json:"rungPruned"`
+	RungScans   int64 `json:"rungScans"`
+	RungAccepts int64 `json:"rungAccepts"`
 }
 
 // Selector consumes a gradient-embedding stream in batches and selects
@@ -83,23 +91,36 @@ type Stats struct {
 // is preallocated against the on-chip budget at construction; Push
 // performs no per-record allocation in steady state. Results are
 // bit-identical for a fixed seed at any worker count: the batched
-// similarity GEMM runs on the shared pool's fixed chunk grid, and the
-// sieve state machine consumes records serially in stream order.
+// similarity GEMM runs on the shared pool's fixed chunk grid, each
+// class's sieve consumes that class's records in stream order and
+// shares no state with another class's, and the sketch consumes its
+// sampled records serially in stream order.
 type Selector struct {
 	cfg     Config
 	budgets []int
 	sieves  []*classSieve // nil where budgets[ci] == 0
+	rcap    int           // reservoir rows per class
 	sketch  *Sketch
 	seen    int
 
-	// Batch staging (device-DRAM scratch, not on-chip state).
-	rows   [][]int
-	gather []*tensor.Matrix
-	sims   []*tensor.Matrix
-	rawV   [][]float64
-	cursor []int
-	outer  []float32 // sketch-row scratch for ∇W = g·xᵀ sketches
-	pool   *parallel.Pool
+	// Batch staging (device-DRAM scratch, not on-chip state): one arena
+	// sized by batch rows and carved into per-class views. Class rows
+	// sum to batch rows, so it grows only when the batch itself does.
+	order     []int           // batch rows bucketed by class, stream order within each
+	start     []int           // class ci owns order[start[ci]:start[ci+1]]
+	gatherBuf []float32       // batch rows × Dim
+	simsBuf   []float32       // batch rows × rcap
+	rawV      []float64       // per-row singleton value Σᵢ sims[i]
+	top       []float32       // per-row largest similarity maxᵢ sims[i]
+	gather    []tensor.Matrix // per-class views into gatherBuf
+	sims      []tensor.Matrix // per-class views into simsBuf
+	emb       *tensor.Matrix  // the batch being pushed, for the class passes
+	outer     []float32       // sketch-row scratch for ∇W = g·xᵀ sketches
+	pool      *parallel.Pool
+	// sievePass and each class's transformRows, bound once so that a
+	// Push dispatches them without allocating.
+	sieveFn     func(lo, hi int)
+	transformFn []func(c, lo, hi int)
 }
 
 // NewSelector plans the selection state against the memory budget and
@@ -146,12 +167,17 @@ func NewSelector(cfg Config) (*Selector, error) {
 		cfg:     cfg,
 		budgets: budgets,
 		sieves:  make([]*classSieve, cfg.Classes),
-		rows:    make([][]int, cfg.Classes),
-		gather:  make([]*tensor.Matrix, cfg.Classes),
-		sims:    make([]*tensor.Matrix, cfg.Classes),
-		rawV:    make([][]float64, cfg.Classes),
-		cursor:  make([]int, cfg.Classes),
+		rcap:    rcap,
+		start:   make([]int, cfg.Classes+1),
+		gather:  make([]tensor.Matrix, cfg.Classes),
+		sims:    make([]tensor.Matrix, cfg.Classes),
 		pool:    parallel.Default(),
+	}
+	s.sieveFn = s.sievePass
+	s.transformFn = make([]func(c, lo, hi int), cfg.Classes)
+	for ci := range s.transformFn {
+		ci := ci
+		s.transformFn[ci] = func(_, lo, hi int) { s.transformRows(ci, lo, hi) }
 	}
 	for ci, kc := range budgets {
 		if kc == 0 {
@@ -246,17 +272,8 @@ func (s *Selector) MemoryBytes() int64 {
 // similarity matrices) currently held — proportional to the chunk
 // size, resident in device DRAM between chunks.
 func (s *Selector) ScratchBytes() int64 {
-	var b int64
-	for ci := range s.gather {
-		if s.gather[ci] != nil {
-			b += int64(cap(s.gather[ci].Data)) * 4
-		}
-		if s.sims[ci] != nil {
-			b += int64(cap(s.sims[ci].Data)) * 4
-		}
-		b += int64(cap(s.rawV[ci]))*8 + int64(cap(s.rows[ci]))*8
-	}
-	return b
+	return int64(cap(s.gatherBuf)+cap(s.simsBuf)+cap(s.top))*4 +
+		int64(cap(s.rawV)+cap(s.order)+cap(s.start))*8
 }
 
 // Budgets reports the per-class selection budgets.
@@ -285,107 +302,138 @@ func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 				s.cfg.SketchDim, s.cfg.Dim, x.Cols)
 		}
 	}
-	// Bucket rows by class; amortized zero-alloc once slices have grown.
-	for ci := range s.rows {
-		s.rows[ci] = s.rows[ci][:0]
-		s.cursor[ci] = 0
+	// Bucket rows by class with a counting sort: stream order survives
+	// within each class, and class ci's rows become rows
+	// start[ci]..start[ci+1] of every staging buffer.
+	start := s.start
+	for ci := range start {
+		start[ci] = 0
 	}
-	for r, y := range labels {
+	for _, y := range labels {
 		if y < 0 || y >= s.cfg.Classes {
 			return fmt.Errorf("streaming: label %d out of range [0,%d)", y, s.cfg.Classes)
 		}
-		s.rows[y] = append(s.rows[y], r)
+		start[y+1]++
 	}
+	for ci := 0; ci < s.cfg.Classes; ci++ {
+		start[ci+1] += start[ci]
+	}
+	if cap(s.order) < n {
+		s.order = make([]int, n)
+		s.gatherBuf = make([]float32, n*s.cfg.Dim)
+		s.simsBuf = make([]float32, n*s.rcap)
+		s.rawV = make([]float64, n)
+		s.top = make([]float32, n)
+	}
+	order := s.order[:n]
+	for r, y := range labels {
+		order[start[y]] = r
+		start[y]++
+	}
+	// The fill advanced every start[ci] to the end of class ci's rows.
+	copy(start[1:], start[:s.cfg.Classes])
+	start[0] = 0
 
-	// Reservoir warm-up, then the batched similarity GEMM against the
-	// frozen reservoir, then the per-row transform that turns dot
-	// products into clamped similarities and singleton values.
-	for ci, cs := range s.sieves {
-		if cs == nil || len(s.rows[ci]) == 0 {
-			continue
-		}
-		rows := s.rows[ci]
-		cs.prefill = 0
-		for _, r := range rows {
-			if cs.resCount == cs.rcap {
-				break
+	// One pool task per class (sievePass). A class sieve owns its ladder,
+	// reservoir, pending buffer, backup set and RNG, and reads only its
+	// own staging rows, so the tasks share nothing and the result does
+	// not depend on how the pool schedules them.
+	s.emb = emb
+	s.pool.For(s.cfg.Classes, 1, s.sieveFn)
+	s.emb = nil
+
+	// The sketch is one state shared by every class, so it consumes its
+	// sampled records serially, in global stream order.
+	if s.sketch != nil {
+		every := s.cfg.SketchEvery
+		for r := (every - s.seen%every) % every; r < n; r += every {
+			if s.sieves[labels[r]] == nil {
+				continue
 			}
-			cs.prefillReservoir(emb.Row(r))
-			cs.prefill++
-		}
-		m := len(rows)
-		s.gather[ci] = tensor.EnsureShape(s.gather[ci], m, s.cfg.Dim)
-		tensor.GatherRows(s.gather[ci], emb, rows)
-		s.sims[ci] = tensor.EnsureShape(s.sims[ci], m, cs.resCount)
-		resView := tensor.Matrix{Rows: cs.resCount, Cols: cs.dim, Data: cs.res.Data[:cs.resCount*cs.dim]}
-		tensor.MatMulTransB(s.sims[ci], s.gather[ci], &resView)
-		if cap(s.rawV[ci]) < m {
-			s.rawV[ci] = make([]float64, m)
-		}
-		s.rawV[ci] = s.rawV[ci][:m]
-		ci := ci
-		s.pool.ForChunks(m, func(_, lo, hi int) {
-			s.transformRows(ci, lo, hi)
-		})
-	}
-
-	// The serial sieve pass, in global stream order.
-	for r := 0; r < n; r++ {
-		cs := s.sieves[labels[r]]
-		if cs == nil {
-			continue
-		}
-		ci := labels[r]
-		cur := s.cursor[ci]
-		s.cursor[ci]++
-		id := s.seen + r
-		cs.seen++
-		row := s.gather[ci].Row(cur)
-		cs.push(id, row, s.sims[ci].Row(cur), s.rawV[ci][cur])
-		if cur >= cs.prefill {
-			cs.offerReservoir(row)
-		}
-		if s.sketch != nil && id%s.cfg.SketchEvery == 0 {
 			if s.outer != nil {
-				outerProduct(s.outer, row, x.Row(r))
+				outerProduct(s.outer, emb.Row(r), x.Row(r))
 				s.sketch.Update(s.outer)
 			} else {
-				s.sketch.Update(row)
+				s.sketch.Update(emb.Row(r))
 			}
-		}
-	}
-	for _, cs := range s.sieves {
-		if cs != nil {
-			cs.applyPending()
 		}
 	}
 	s.seen += n
 	return nil
 }
 
+// sievePass runs classes [lo, hi) of the current batch. Per class:
+// reservoir warm-up, the batched similarity GEMM against the frozen
+// reservoir, the per-row transform that turns dot products into
+// clamped similarities and singleton values, the class's rows through
+// its sieve and reservoir policy in stream order, and last the staged
+// reservoir replacements.
+func (s *Selector) sievePass(lo, hi int) {
+	for ci := lo; ci < hi; ci++ {
+		cs := s.sieves[ci]
+		base, end := s.start[ci], s.start[ci+1]
+		if cs == nil || base == end {
+			continue
+		}
+		rows := s.order[base:end]
+		cs.prefill = 0
+		for _, r := range rows {
+			if cs.resCount == cs.rcap {
+				break
+			}
+			cs.prefillReservoir(s.emb.Row(r))
+			cs.prefill++
+		}
+		m := end - base
+		gather, sims := &s.gather[ci], &s.sims[ci]
+		*gather = tensor.Matrix{Rows: m, Cols: cs.dim, Data: s.gatherBuf[base*cs.dim : end*cs.dim]}
+		tensor.GatherRows(gather, s.emb, rows)
+		*sims = tensor.Matrix{Rows: m, Cols: cs.resCount, Data: s.simsBuf[base*s.rcap : base*s.rcap+m*cs.resCount]}
+		resView := tensor.Matrix{Rows: cs.resCount, Cols: cs.dim, Data: cs.res.Data[:cs.resCount*cs.dim]}
+		tensor.MatMulTransB(sims, gather, &resView)
+		s.pool.ForChunks(m, s.transformFn[ci])
+		for cur, r := range rows {
+			cs.seen++
+			row := gather.Row(cur)
+			cs.push(s.seen+r, row, sims.Row(cur), s.rawV[base+cur], s.top[base+cur])
+			if cur >= cs.prefill {
+				cs.offerReservoir(row)
+			}
+		}
+		cs.applyPending()
+	}
+}
+
 // transformRows converts one chunk of GEMM dot products into clamped
 // similarities sim = max(0, c0 − ‖g‖² − ‖r‖² + 2·g·r) in place, and
-// accumulates each row's singleton value. Rows never straddle chunks,
-// so the result is identical at any worker count.
+// records each row's singleton value and largest similarity. Rows
+// never straddle chunks, so the result is identical at any worker
+// count.
 //
 //nessa:hotpath
 func (s *Selector) transformRows(ci, lo, hi int) {
 	cs := s.sieves[ci]
 	c0 := cs.c0
+	base := s.start[ci]
 	for i := lo; i < hi; i++ {
 		g := s.gather[ci].Row(i)
 		na := tensor.Dot(g, g)
 		row := s.sims[ci].Row(i)
 		var v float64
+		var top float32
 		for t, dot := range row {
 			sim := c0 - na - cs.resNorm[t] + 2*dot
 			if sim < 0 {
 				sim = 0
 			}
+			if sim > top {
+				top = sim
+			}
 			row[t] = sim
 			v += float64(sim)
 		}
-		s.rawV[ci][i] = v
+		s.rawV[base+i] = v
+		s.top[base+i] = top
 	}
 }
 
@@ -430,6 +478,10 @@ func (s *Selector) Finish() (selection.Result, Stats, error) {
 		}
 		st.PerClassSeen[ci] = cs.seen
 		st.ActiveLevels += len(cs.levels)
+		st.RungVisits += cs.rungVisits
+		st.RungPruned += cs.rungPruned
+		st.RungScans += cs.rungScans
+		st.RungAccepts += cs.rungAccepts
 		if cs.rcap > st.Reservoir {
 			st.Reservoir = cs.rcap
 		}

@@ -1,6 +1,8 @@
 package streaming
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"nessa/internal/parallel"
@@ -81,40 +83,80 @@ func TestStreamingQualityVsLazyGreedy(t *testing.T) {
 	}
 }
 
-// TestStreamingWorkerInvariance: for a fixed seed, the selected subset
-// and weights are bit-identical at 1 and 8 workers (S2).
+// TestStreamingWorkerInvariance: for a fixed seed the selection — and
+// the sketch, when it runs — is bit-identical at any worker count,
+// whatever the batch sizes and however the pool spreads the per-class
+// sieve passes (S2).
 func TestStreamingWorkerInvariance(t *testing.T) {
-	const n, d, classes, k = 1200, 6, 4, 48
+	const n, d, feat, classes, k = 1500, 6, 5, 4, 48
 	emb, labels := clusteredEmb(77, n, d, 9, classes)
-	run := func(workers int) (selection.Result, Stats) {
+	x := randRows(78, n, feat)
+	for i := range labels {
+		// Uneven classes, so the class passes differ in length.
+		if i%7 == 0 {
+			labels[i] = 0
+		}
+	}
+	type outcome struct {
+		res    selection.Result
+		rows   int
+		buf    []float32
+		total  float64
+		shrink int
+	}
+	run := func(workers int, sketch bool, batches []int) outcome {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
-		sel, err := NewSelector(Config{Classes: classes, Dim: d, K: k, Seed: 9})
+		cfg := Config{Classes: classes, Dim: d, K: k, Seed: 9, SketchEvery: -1}
+		if sketch {
+			cfg.SketchEvery, cfg.SketchRows, cfg.SketchDim = 3, 8, d*feat
+		}
+		sel, err := NewSelector(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pushAll(t, sel, emb, labels, 256)
-		res, st, err := sel.Finish()
+		for lo, b := 0, 0; lo < n; b++ {
+			hi := lo + batches[b%len(batches)]
+			if hi > n {
+				hi = n
+			}
+			ev := tensor.Matrix{Rows: hi - lo, Cols: d, Data: emb.Data[lo*d : hi*d]}
+			xv := tensor.Matrix{Rows: hi - lo, Cols: feat, Data: x.Data[lo*feat : hi*feat]}
+			if err := sel.Push(&ev, &xv, labels[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		res, _, err := sel.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, st
-	}
-	r1, _ := run(1)
-	r8, _ := run(8)
-	if len(r1.Selected) != len(r8.Selected) {
-		t.Fatalf("selected %d (1 worker) vs %d (8 workers)", len(r1.Selected), len(r8.Selected))
-	}
-	for i := range r1.Selected {
-		if r1.Selected[i] != r8.Selected[i] {
-			t.Fatalf("selected[%d] = %d vs %d across worker counts", i, r1.Selected[i], r8.Selected[i])
+		out := outcome{res: res}
+		if sk := sel.Sketch(); sk != nil {
+			out.rows, out.total, out.shrink = sk.rows, sk.total, sk.shrinks
+			out.buf = append(out.buf, sk.buf.Data[:sk.rows*sk.dim]...)
 		}
-		if r1.Weights[i] != r8.Weights[i] {
-			t.Fatalf("weights[%d] = %g vs %g across worker counts", i, r1.Weights[i], r8.Weights[i])
-		}
+		return out
 	}
-	if r1.Objective != r8.Objective {
-		t.Fatalf("objective %g vs %g across worker counts", r1.Objective, r8.Objective)
+	for _, sketch := range []bool{false, true} {
+		for _, batches := range [][]int{{256}, {1, 97, 13, 400}} {
+			want := run(1, sketch, batches)
+			if len(want.res.Selected) == 0 || (sketch && want.shrink == 0) {
+				t.Fatalf("sketch=%v batches=%v: nothing to compare (%d selected, %d shrinks)",
+					sketch, batches, len(want.res.Selected), want.shrink)
+			}
+			for _, workers := range []int{2, 3, 7} {
+				got := run(workers, sketch, batches)
+				if !slices.Equal(got.res.Selected, want.res.Selected) || !sameF32(got.res.Weights, want.res.Weights) ||
+					math.Float64bits(got.res.Objective) != math.Float64bits(want.res.Objective) {
+					t.Fatalf("sketch=%v batches=%v: selection at %d workers differs from 1 worker", sketch, batches, workers)
+				}
+				if got.rows != want.rows || got.shrink != want.shrink ||
+					math.Float64bits(got.total) != math.Float64bits(want.total) || !sameF32(got.buf, want.buf) {
+					t.Fatalf("sketch=%v batches=%v: sketch state at %d workers differs from 1 worker", sketch, batches, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -39,6 +39,14 @@ type classSieve struct {
 
 	seen int     // class records streamed so far
 	m    float64 // max singleton estimate seen, reservoir-sum units
+	// ceil is the largest similarity this class has produced: every row
+	// maximum push was handed and every coverage value applyPending
+	// rebuilt. It bounds each sims[i] and each best[i] from above as
+	// float values, whatever C0 and the embedding scale round to.
+	ceil float32
+
+	// Ladder work counters, summed into Stats by Finish.
+	rungVisits, rungPruned, rungScans, rungAccepts int64
 
 	levels []*sieveLevel // active ladder, ascending j
 	freeLv []*sieveLevel
@@ -173,14 +181,23 @@ func (cs *classSieve) updateWindow() {
 	}
 }
 
+// saturationSlack pads the saturation bound of push so it stays an
+// upper bound on the gain as the float arithmetic computes it: the
+// float32 differences and float64 sums behind gain and f drift from
+// their exact values by under 3·2⁻²⁴ of n·ceil in total for any
+// reservoir and budget below 2²⁶ rows (DESIGN.md §4.10), and 2⁻²⁰
+// covers that five times over.
+const saturationSlack = 1.0 / (1 << 20)
+
 // push consumes one class record: id is its stream position, emb its
 // gradient embedding, sims its clamped similarity row against the
-// frozen reservoir (length = resCount at batch start), and v its raw
-// singleton value Σᵢ sims[i]. Runs serially in stream order — all the
-// parallel work (GEMM, similarity transform) happened before.
+// frozen reservoir (length = resCount at batch start), v its raw
+// singleton value Σᵢ sims[i] and top its largest entry maxᵢ sims[i].
+// A class's records arrive in stream order — all the batched work
+// (GEMM, similarity transform) happened before.
 //
 //nessa:hotpath
-func (cs *classSieve) push(id int, emb []float32, sims []float32, v float64) {
+func (cs *classSieve) push(id int, emb []float32, sims []float32, v float64, top float32) {
 	// Backup buffer: keep the kc largest singletons (ties keep the
 	// earlier arrival, so reruns are bit-identical).
 	if cs.bakLen < cs.kc {
@@ -211,9 +228,19 @@ func (cs *classSieve) push(id int, emb []float32, sims []float32, v float64) {
 		cs.m = v
 		cs.updateWindow()
 	}
+	if top > cs.ceil {
+		cs.ceil = top
+	}
 
-	// The threshold ladder. gain ≤ v for every level, so v prunes the
-	// per-level reservoir scans.
+	// The threshold ladder. A rung's gain is Σᵢ max(0, sims[i]−best[i]):
+	// at most v because best ≥ 0, and at most n·ceil − f because
+	// sims[i] ≤ ceil and f = Σᵢ best[i]. A rung whose need exceeds
+	// either bound cannot accept, so its reservoir scan is skipped; the
+	// second bound is what a saturated rung — coverage already near the
+	// ceiling on every slot — fails for almost every record.
+	span := float64(len(sims)) * float64(cs.ceil)
+	slack := span * saturationSlack
+	var pruned, scans, accepts int64
 	for _, lv := range cs.levels {
 		if lv.count == cs.kc {
 			continue
@@ -227,15 +254,25 @@ func (cs *classSieve) push(id int, emb []float32, sims []float32, v float64) {
 		if v < need {
 			continue
 		}
+		if span-lv.f+slack < need {
+			pruned++
+			continue
+		}
+		scans++
+		// Branch-free: which slots improve is data the predictor cannot
+		// learn, and adding the +0 of a slot that does not improve
+		// leaves gain's bits alone. (Only a NaN similarity behaves
+		// differently from a skipped slot, and a stream that produces
+		// one has already poisoned the reservoir.)
 		var gain float64
+		best := lv.best[:len(sims)]
 		for i, s := range sims {
-			if d := s - lv.best[i]; d > 0 {
-				gain += float64(d)
-			}
+			gain += float64(max(s-best[i], 0))
 		}
 		if gain < need {
 			continue
 		}
+		accepts++
 		lv.ids[lv.count] = id
 		copy(lv.emb[lv.count*cs.dim:(lv.count+1)*cs.dim], emb)
 		lv.count++
@@ -246,6 +283,10 @@ func (cs *classSieve) push(id int, emb []float32, sims []float32, v float64) {
 			}
 		}
 	}
+	cs.rungVisits += int64(len(cs.levels))
+	cs.rungPruned += pruned
+	cs.rungScans += scans
+	cs.rungAccepts += accepts
 }
 
 // offerReservoir runs the reservoir policy for one non-prefilled class
@@ -303,6 +344,9 @@ func (cs *classSieve) applyPending() {
 				}
 			}
 			lv.best[slot] = best
+			if best > cs.ceil {
+				cs.ceil = best
+			}
 		}
 		var f float64
 		for i := 0; i < cs.resCount; i++ {

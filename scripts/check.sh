@@ -139,8 +139,11 @@ gate "determinism gate"
 # reduced stream under the full-scale gates: identical subsets at
 # workers 1 vs all (serial-vs-parallel divergence fails like
 # bench-selection), ≥ 80 % of the modeled sequential-read bound,
-# selection state within the on-chip budget, and ≥ 90 % of exact
-# LazyGreedy's objective on the reference instance.
+# selection state within the on-chip budget, ≥ 90 % of exact
+# LazyGreedy's objective on the reference instance, and reservoir scans
+# on at most 15 % of ladder-rung visits (Stats.RungScans / RungVisits,
+# a count that repeats exactly: 0.101 with the saturation bound, 0.773
+# without it — so the prune cannot silently rot).
 # bench-recovery gates the device-loss machinery: a kill-one-device
 # run with k+1 parity must keep the trajectory bit-identical, a
 # checkpointed session must resume exactly, the degraded scan must
