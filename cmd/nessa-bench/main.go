@@ -246,6 +246,10 @@ func main() {
 		if res.OverheadPct > 2 {
 			fatal(fmt.Errorf("parity clean-path overhead %.2f%% exceeds the 2%% budget", res.OverheadPct))
 		}
+		if res.CleanScanAllocBytes > bench.RecoveryCleanScanAllocGate {
+			fatal(fmt.Errorf("a steady-state clean striped scan allocates %d bytes, above the %d-byte gate — a payload has escaped the scan arena",
+				res.CleanScanAllocBytes, bench.RecoveryCleanScanAllocGate))
+		}
 		fmt.Fprintln(os.Stderr, "wrote", path)
 		add(tab)
 	}

@@ -14,8 +14,8 @@ import (
 // verdict instead of eyeballing the hints.
 //
 // Scope is deliberately the innermost loops (loop bodies containing no
-// nested loop) of annotated functions in internal/tensor and
-// internal/nn: setup code, panics, and outer blocking loops
+// nested loop) of annotated functions in internal/tensor, internal/nn
+// and internal/erasure: setup code, panics, and outer blocking loops
 // legitimately keep their checks. Only IsInBounds (indexing) facts are
 // gated; IsSliceInBounds facts come from slice expressions, which in
 // these kernels carve a row or panel per iteration and amortize their
@@ -33,12 +33,14 @@ func BCECheckAnalyzer() *Analyzer {
 	}
 }
 
-// bceScoped mirrors the fma analyzer's scope: the numeric kernel
-// packages whose inner loops carry the throughput.
+// bceScoped is the fma analyzer's scope — the numeric kernel packages
+// whose inner loops carry the throughput — plus the GF(256) kernels,
+// whose table-lookup loops run once per reconstructed byte.
 func bceScoped(module, importPath string) bool {
 	return pathIn(importPath,
 		module+"/internal/tensor",
 		module+"/internal/nn",
+		module+"/internal/erasure",
 	)
 }
 

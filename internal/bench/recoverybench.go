@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"time"
 
 	"nessa/internal/core"
 	"nessa/internal/data"
+	"nessa/internal/erasure"
 	"nessa/internal/faults"
 	"nessa/internal/smartssd"
 	"nessa/internal/trainer"
@@ -35,7 +37,18 @@ type RecoveryBenchSpec struct {
 	// KillAfterScans is the scripted whole-device kill point of the
 	// loss run: device 1 dies after that many completed scans.
 	KillAfterScans int64 `json:"killAfterScans"`
+
+	// GFStripeBytes is the stripe length of the host GF(256) throughput
+	// measurement, run on a 4+2 code (the smallest placement with a
+	// two-loss decode) whatever DataShards/ParityShards say.
+	GFStripeBytes int `json:"gfStripeBytes"`
 }
+
+// RecoveryCleanScanAllocGate bounds the bytes one steady-state clean
+// striped scan may allocate. The scan moves its payloads through the
+// cluster's arena, so what is left is slice headers; the quick spec's
+// stripes are 87 KB, so a single stray stripe copy trips it.
+const RecoveryCleanScanAllocGate = 64 << 10
 
 // DefaultRecoveryBenchSpec mirrors the fault benchmark's sizing —
 // training compute dominates the scan, the regime where the clean-path
@@ -45,9 +58,11 @@ func DefaultRecoveryBenchSpec(quick bool) RecoveryBenchSpec {
 		Classes: 10, Train: 1024, Test: 128, FeatureDim: 64,
 		BytesPerImage: 512, Epochs: 10, Reps: 5,
 		DataShards: 3, ParityShards: 1, KillAfterScans: 3,
+		GFStripeBytes: 4 << 20,
 	}
 	if quick {
 		s.Train, s.Epochs, s.Reps = 512, 8, 3
+		s.GFStripeBytes = 1 << 20
 	}
 	return s
 }
@@ -95,6 +110,37 @@ type RecoveryBenchResult struct {
 	DegradedReads      int     `json:"degradedReads"`
 	ReconstructedBytes int64   `json:"reconstructedBytes"`
 	RebuildSimMS       float64 `json:"rebuildSimMS"` // simulated rebuild wall
+
+	// Host cost of the recovery data path, against its stated bound.
+	// The GF figures are MB/s of source streamed (k·stripe bytes per
+	// lost stripe, the unit the simulated clock charges at) decoding one
+	// and two lost data stripes of a 4+2 code, best of Reps;
+	// ModelReconstructMBps is smartssd.DefaultReconstructBW, what the
+	// simulated clock assumes. The alloc figures are bytes allocated by
+	// one steady-state scan of the spec's striped cluster, clean and
+	// with one device lost. Gate: CleanScanAllocBytes ≤
+	// RecoveryCleanScanAllocGate.
+	ReconstructOneLossMBps float64 `json:"reconstructOneLossMBps"`
+	ReconstructTwoLossMBps float64 `json:"reconstructTwoLossMBps"`
+	ModelReconstructMBps   float64 `json:"modelReconstructMBps"`
+	CleanScanAllocBytes    int64   `json:"cleanScanAllocBytes"`
+	DegradedScanAllocBytes int64   `json:"degradedScanAllocBytes"`
+
+	// Previous holds the same figures from the artifact this run
+	// overwrote, when that run measured the same spec: the "before" of a
+	// before/after pair, recorded by the tool rather than by hand.
+	Previous *RecoveryBenchPrevious `json:"previous,omitempty"`
+}
+
+// RecoveryBenchPrevious is what a regenerated artifact keeps of the one
+// it replaced.
+type RecoveryBenchPrevious struct {
+	GeneratedAt            string  `json:"generatedAt"`
+	StripedMS              float64 `json:"stripedMS"`
+	ReconstructOneLossMBps float64 `json:"reconstructOneLossMBps"`
+	ReconstructTwoLossMBps float64 `json:"reconstructTwoLossMBps"`
+	CleanScanAllocBytes    int64   `json:"cleanScanAllocBytes"`
+	DegradedScanAllocBytes int64   `json:"degradedScanAllocBytes"`
 }
 
 func recoveryBenchDataSpec(spec RecoveryBenchSpec) data.Spec {
@@ -247,10 +293,90 @@ func stripedScanDelta(spec RecoveryBenchSpec, reps int) (time.Duration, error) {
 	return delta, nil
 }
 
-// RunRecoveryBench measures the device-loss recovery machinery four
-// ways: clean-path overhead of parity placement, trajectory identity
-// through a whole-device kill, checkpoint/resume exactness, and the
-// degraded scan against its modeled simulated-time bound.
+// gfDecodeMBps times the data-only decode of lost data stripes of a 4+2
+// code at the spec's stripe length, the way the cluster runs it (into
+// buffers that already exist), and returns MB/s of source streamed,
+// best of reps.
+func gfDecodeMBps(stripe, lost, reps int) (float64, error) {
+	const k, m = 4, 2
+	code, err := erasure.New(k, m)
+	if err != nil {
+		return 0, err
+	}
+	shards := make([][]byte, k+m)
+	for i := range shards {
+		shards[i] = make([]byte, stripe)
+		if i < k {
+			for j := range shards[i] {
+				shards[i][j] = byte(j*(2*i+3) + j>>8)
+			}
+		}
+	}
+	if err := code.Encode(shards); err != nil {
+		return 0, err
+	}
+	work := make([][]byte, k+m)
+	var best time.Duration
+	for r := 0; r <= reps; r++ { // the first pass warms the tables and pages
+		copy(work, shards)
+		for i := 0; i < lost; i++ {
+			work[i] = work[i][:0]
+		}
+		t0 := time.Now()
+		if err := code.ReconstructData(work); err != nil {
+			return 0, err
+		}
+		if dt := time.Since(t0); r > 0 && (best == 0 || dt < best) {
+			best = dt
+		}
+	}
+	return float64(lost*k*stripe) / 1e6 / best.Seconds(), nil
+}
+
+// scanAllocBytes reports the bytes one steady-state scan of the spec's
+// striped cluster allocates, clean or with device 1 lost. The first
+// scan in each state grows the arena and is not counted.
+func scanAllocBytes(spec RecoveryBenchSpec, degraded bool) (int64, error) {
+	name := recoveryBenchDataSpec(spec).Name
+	c, _, _, err := recoveryCluster(spec, true)
+	if err != nil {
+		return 0, err
+	}
+	c.Verify = func(b []byte) error { return data.VerifyImage(b, spec.BytesPerImage) }
+	scan := func() error {
+		_, _, _, err := c.ParallelScan(name, spec.BytesPerImage)
+		return err
+	}
+	if err := scan(); err != nil {
+		return 0, err
+	}
+	if degraded {
+		c.SetInjector(faults.NewInjector(faults.Profile{
+			Seed:  17,
+			Kills: []faults.DeviceKill{{Device: 1, AfterScans: 1}},
+		}))
+		if err := scan(); err != nil {
+			return 0, err
+		}
+	}
+	const scans = 16
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < scans; i++ {
+		if err := scan(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	return int64(m1.TotalAlloc-m0.TotalAlloc) / scans, nil
+}
+
+// RunRecoveryBench measures the device-loss recovery machinery: the
+// clean-path overhead of parity placement, trajectory identity through
+// a whole-device kill, checkpoint/resume exactness, the degraded scan
+// against its modeled simulated-time bound, and the host cost of the
+// recovery data path (GF decode throughput against the modeled rate,
+// bytes allocated per scan).
 func RunRecoveryBench(spec RecoveryBenchSpec) (*RecoveryBenchResult, error) {
 	res := &RecoveryBenchResult{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -358,6 +484,20 @@ func RunRecoveryBench(spec RecoveryBenchSpec) (*RecoveryBenchResult, error) {
 		return nil, fmt.Errorf("rebuild: %w", err)
 	}
 	res.RebuildSimMS = float64(rebuildWall.Nanoseconds()) / 1e6
+
+	res.ModelReconstructMBps = smartssd.DefaultReconstructBW / 1e6
+	if res.ReconstructOneLossMBps, err = gfDecodeMBps(spec.GFStripeBytes, 1, spec.Reps); err != nil {
+		return nil, fmt.Errorf("GF throughput: %w", err)
+	}
+	if res.ReconstructTwoLossMBps, err = gfDecodeMBps(spec.GFStripeBytes, 2, spec.Reps); err != nil {
+		return nil, fmt.Errorf("GF throughput: %w", err)
+	}
+	if res.CleanScanAllocBytes, err = scanAllocBytes(spec, false); err != nil {
+		return nil, fmt.Errorf("clean-scan allocation: %w", err)
+	}
+	if res.DegradedScanAllocBytes, err = scanAllocBytes(spec, true); err != nil {
+		return nil, fmt.Errorf("degraded-scan allocation: %w", err)
+	}
 	return res, nil
 }
 
@@ -367,6 +507,18 @@ func WriteRecoveryBench(path string, quick bool) (*RecoveryBenchResult, *Table, 
 	res, err := RunRecoveryBench(DefaultRecoveryBenchSpec(quick))
 	if err != nil {
 		return nil, nil, err
+	}
+	if old, err := os.ReadFile(path); err == nil {
+		var prev RecoveryBenchResult
+		if json.Unmarshal(old, &prev) == nil && prev.Spec == res.Spec && prev.ReconstructOneLossMBps > 0 {
+			res.Previous = &RecoveryBenchPrevious{
+				GeneratedAt: prev.GeneratedAt, StripedMS: prev.StripedMS,
+				ReconstructOneLossMBps: prev.ReconstructOneLossMBps,
+				ReconstructTwoLossMBps: prev.ReconstructTwoLossMBps,
+				CleanScanAllocBytes:    prev.CleanScanAllocBytes,
+				DegradedScanAllocBytes: prev.DegradedScanAllocBytes,
+			}
+		}
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, err
@@ -398,5 +550,13 @@ func RecoveryBenchTable(res *RecoveryBenchResult) *Table {
 	t.AddRow("devices lost / degraded reads", fmt.Sprintf("%d / %d", res.DevicesLost, res.DegradedReads))
 	t.AddRow("reconstructed bytes", fmt.Sprintf("%d", res.ReconstructedBytes))
 	t.AddRow("simulated rebuild wall", fmt.Sprintf("%.2f ms", res.RebuildSimMS))
+	t.AddRow("host GF decode, one / two lost stripes (4+2)", fmt.Sprintf("%.0f / %.0f MB/s of source; the simulated clock assumes %.0f",
+		res.ReconstructOneLossMBps, res.ReconstructTwoLossMBps, res.ModelReconstructMBps))
+	t.AddRow("allocated per steady-state scan, clean / degraded", fmt.Sprintf("%d / %d bytes (clean gate ≤ %d)",
+		res.CleanScanAllocBytes, res.DegradedScanAllocBytes, RecoveryCleanScanAllocGate))
+	if p := res.Previous; p != nil {
+		t.AddRow("the replaced artifact's GF decode / allocation", fmt.Sprintf("%.0f / %.0f MB/s; %d / %d bytes (%s)",
+			p.ReconstructOneLossMBps, p.ReconstructTwoLossMBps, p.CleanScanAllocBytes, p.DegradedScanAllocBytes, p.GeneratedAt))
+	}
 	return t
 }

@@ -107,38 +107,46 @@ func (c *Code) ParityShards() int { return c.parity }
 // Encode fills shards[data:] with parity computed from shards[:data].
 // All data+parity shards must be present and the same length.
 func (c *Code) Encode(shards [][]byte) error {
-	if err := c.checkShape(shards, true); err != nil {
+	if _, err := c.checkShape(shards, true); err != nil {
 		return err
 	}
 	for r := 0; r < c.parity; r++ {
-		row := c.matrix[c.data+r]
-		out := shards[c.data+r]
-		for i := range out {
-			out[i] = 0
-		}
-		for j := 0; j < c.data; j++ {
-			mulAddSlice(row[j], shards[j], out)
-		}
+		dotSlices(c.matrix[c.data+r], shards[:c.data], shards[c.data+r])
 	}
 	return nil
 }
 
-// Reconstruct rebuilds every missing shard (nil entries) in place,
-// allocating the replacements. It needs at least DataShards surviving
-// shards; with fewer it reports how many were lost versus tolerable.
-func (c *Code) Reconstruct(shards [][]byte) error {
-	if err := c.checkShape(shards, false); err != nil {
+// Reconstruct rebuilds every missing shard, data and parity, in place.
+// A shard is missing when its entry has length zero; a zero-length
+// entry whose capacity holds a full shard is reused as the output
+// buffer (so a caller can decode into memory it already owns), any
+// other missing entry is allocated. It needs at least DataShards
+// surviving shards; with fewer it reports how many were lost versus
+// tolerable.
+func (c *Code) Reconstruct(shards [][]byte) error { return c.reconstruct(shards, true) }
+
+// ReconstructData is Reconstruct restricted to the data shards: missing
+// parity entries are left exactly as they were (losing only parity is
+// a no-op, not an error). A degraded read wants the lost records, not
+// the parity it did not fetch, and re-encoding that parity would cost
+// as much again as the decode.
+func (c *Code) ReconstructData(shards [][]byte) error { return c.reconstruct(shards, false) }
+
+func (c *Code) reconstruct(shards [][]byte, parity bool) error {
+	size, err := c.checkShape(shards, false)
+	if err != nil {
 		return err
 	}
 	present := make([]int, 0, c.data)
-	missing := 0
-	size := -1
+	missing, missingData := 0, 0
 	for i, s := range shards {
-		if s == nil {
+		if len(s) == 0 {
 			missing++
+			if i < c.data {
+				missingData++
+			}
 			continue
 		}
-		size = len(s)
 		if len(present) < c.data {
 			present = append(present, i)
 		}
@@ -149,79 +157,126 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	if len(present) < c.data {
 		return fmt.Errorf("erasure: %d shards lost but only %d parity shards configured", missing, c.parity)
 	}
-	// Invert the submatrix of coding rows for the shards we hold:
-	// inv maps the surviving shard vector back to the data vector.
-	sub := make([][]byte, c.data)
-	for r, idx := range present {
-		sub[r] = append([]byte(nil), c.matrix[idx]...)
-	}
-	inv, err := invertMatrix(sub)
-	if err != nil {
-		return fmt.Errorf("erasure: decode matrix is singular: %w", err)
-	}
-	for j := 0; j < c.data; j++ {
-		if shards[j] != nil {
-			continue
+	if missingData > 0 {
+		// Invert the submatrix of coding rows for the shards we hold:
+		// inv maps the surviving shard vector back to the data vector.
+		sub := make([][]byte, c.data)
+		srcs := make([][]byte, c.data)
+		for r, idx := range present {
+			sub[r] = c.matrix[idx]
+			srcs[r] = shards[idx]
 		}
-		out := make([]byte, size)
-		for k, idx := range present {
-			mulAddSlice(inv[j][k], shards[idx], out)
+		inv, err := invertMatrix(sub)
+		if err != nil {
+			return fmt.Errorf("erasure: decode matrix is singular: %w", err)
 		}
-		shards[j] = out
+		for j := 0; j < c.data; j++ {
+			if len(shards[j]) == 0 {
+				shards[j] = outputFor(shards[j], size)
+				dotSlices(inv[j], srcs, shards[j])
+			}
+		}
+	}
+	if !parity {
+		return nil
 	}
 	// With all data shards in hand, missing parity is a re-encode.
-	for r := 0; r < c.parity; r++ {
-		if shards[c.data+r] != nil {
-			continue
+	for r := c.data; r < c.data+c.parity; r++ {
+		if len(shards[r]) == 0 {
+			shards[r] = outputFor(shards[r], size)
+			dotSlices(c.matrix[r], shards[:c.data], shards[r])
 		}
-		out := make([]byte, size)
-		row := c.matrix[c.data+r]
-		for j := 0; j < c.data; j++ {
-			mulAddSlice(row[j], shards[j], out)
-		}
-		shards[c.data+r] = out
 	}
 	return nil
 }
 
-func (c *Code) checkShape(shards [][]byte, full bool) error {
+// outputFor returns a size-byte output buffer for a missing shard:
+// the entry's own backing array when it is large enough, else a new one.
+func outputFor(s []byte, size int) []byte {
+	if cap(s) >= size {
+		return s[:size]
+	}
+	return make([]byte, size)
+}
+
+// checkShape validates the shard count and that every present shard
+// has one length, which it returns. With full set every entry must be
+// non-nil (Encode); otherwise zero-length entries are the missing ones.
+func (c *Code) checkShape(shards [][]byte, full bool) (int, error) {
 	if len(shards) != c.data+c.parity {
-		return fmt.Errorf("erasure: got %d shards, placement is %d+%d", len(shards), c.data, c.parity)
+		return 0, fmt.Errorf("erasure: got %d shards, placement is %d+%d", len(shards), c.data, c.parity)
 	}
 	size := -1
 	for i, s := range shards {
-		if s == nil {
-			if full {
-				return fmt.Errorf("erasure: shard %d is nil", i)
-			}
+		if full && s == nil {
+			return 0, fmt.Errorf("erasure: shard %d is nil", i)
+		}
+		if !full && len(s) == 0 {
 			continue
 		}
 		if size == -1 {
 			size = len(s)
 		} else if len(s) != size {
-			return fmt.Errorf("erasure: shard %d is %d bytes, want %d (shards must be equal length)", i, len(s), size)
+			return 0, fmt.Errorf("erasure: shard %d is %d bytes, want %d (shards must be equal length)", i, len(s), size)
 		}
 	}
 	if size == -1 {
-		return fmt.Errorf("erasure: every shard is nil")
+		return 0, fmt.Errorf("erasure: every shard is missing")
 	}
-	return nil
+	return size, nil
 }
 
-// mulAddSlice does out[i] ^= coef*in[i] over GF(256).
+// dotSlices computes out = Σₖ coef[k]·in[k] over GF(256): the one
+// kernel under Encode and both decodes. Sources are taken four at a
+// time so that out is written once per group of four instead of
+// read-modify-written once per source — with k ≤ 4 (the common
+// placements) a whole output stripe is a single store pass. Sources
+// past the last full group go through mulAddSlice. Every in[k] must be
+// at least len(out) long and none may alias out.
+//
+//nessa:hotpath
+func dotSlices(coef []byte, in [][]byte, out []byte) {
+	coef = coef[:len(in)]
+	full := len(in) &^ 3 // sources covered by whole groups of four
+	for k := 0; k < full; k += 4 {
+		t0, t1, t2, t3 := &mulTable[coef[k]], &mulTable[coef[k+1]], &mulTable[coef[k+2]], &mulTable[coef[k+3]]
+		a, b, c, d := in[k][:len(out)], in[k+1][:len(out)], in[k+2][:len(out)], in[k+3][:len(out)]
+		if k == 0 {
+			for i := range out {
+				out[i] = t0[a[i]] ^ t1[b[i]] ^ t2[c[i]] ^ t3[d[i]]
+			}
+		} else {
+			for i := range out {
+				out[i] ^= t0[a[i]] ^ t1[b[i]] ^ t2[c[i]] ^ t3[d[i]]
+			}
+		}
+	}
+	if full == 0 {
+		clear(out)
+	}
+	for k := full; k < len(in); k++ {
+		mulAddSlice(coef[k], in[k], out)
+	}
+}
+
+// mulAddSlice does out[i] ^= coef*in[i] over GF(256), one source at a
+// time: dotSlices' tail path.
+//
+//nessa:hotpath
 func mulAddSlice(coef byte, in, out []byte) {
 	if coef == 0 {
 		return
 	}
+	in = in[:len(out)]
 	if coef == 1 {
-		for i, v := range in {
-			out[i] ^= v
+		for i := range out {
+			out[i] ^= in[i]
 		}
 		return
 	}
 	mt := &mulTable[coef]
-	for i, v := range in {
-		out[i] ^= mt[v]
+	for i := range out {
+		out[i] ^= mt[in[i]]
 	}
 }
 

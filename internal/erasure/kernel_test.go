@@ -1,0 +1,147 @@
+package erasure
+
+import (
+	"bytes"
+	"testing"
+
+	"nessa/internal/tensor"
+)
+
+// refDot is the byte-at-a-time reference for dotSlices: one field
+// multiply per byte through the log/exp tables, no row tables, no
+// grouping.
+func refDot(coef []byte, in [][]byte, out []byte) {
+	for i := range out {
+		var acc byte
+		for k, c := range coef {
+			if v := in[k][i]; c != 0 && v != 0 {
+				acc ^= expTable[int(logTable[c])+int(logTable[v])]
+			}
+		}
+		out[i] = acc
+	}
+}
+
+// TestDotSlicesMatchesReference drives the fused kernel against the
+// reference for every coefficient value, every length 0…67 and 1…9
+// sources: source counts that are not multiples of four go through the
+// mulAddSlice tail, counts below four through the clear-then-tail path,
+// and out starts dirty so a missed store shows.
+func TestDotSlicesMatchesReference(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	const maxLen, maxSrc = 67, 9
+	in := randShards(rng, maxSrc, maxLen+5) // sources longer than out are legal
+	coef := make([]byte, maxSrc)
+	got, want := make([]byte, maxLen), make([]byte, maxLen)
+	for c := 0; c < 256; c++ {
+		for n := 1; n <= maxSrc; n++ {
+			// The coefficient under test rotates through every source
+			// position; the others are arbitrary, including 0 and 1.
+			for k := range coef[:n] {
+				coef[k] = byte(rng.Uint64())
+			}
+			coef[c%n] = byte(c)
+			coef[(c+1)%n] &= 1
+			for length := 0; length <= maxLen; length++ {
+				for i := range got[:length] {
+					got[i] = 0xA5
+				}
+				dotSlices(coef[:n], in[:n], got[:length])
+				refDot(coef[:n], in[:n], want[:length])
+				if !bytes.Equal(got[:length], want[:length]) {
+					t.Fatalf("coef %d, %d sources, length %d: fused kernel differs from the reference", c, n, length)
+				}
+			}
+		}
+	}
+}
+
+// encoded returns a fully encoded shard set for a (k,m) code.
+func encoded(t *testing.T, c *Code, rng *tensor.RNG, size int) [][]byte {
+	t.Helper()
+	shards := randShards(rng, c.data+c.parity, size)
+	if err := c.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	return shards
+}
+
+// TestReconstructDataMatchesReconstruct: for every loss pattern of
+// three placements the data-only decode rebuilds exactly the data
+// shards Reconstruct rebuilds, and leaves every missing parity entry
+// untouched — including when parity is all that was lost.
+func TestReconstructDataMatchesReconstruct(t *testing.T) {
+	rng := tensor.NewRNG(43)
+	for _, p := range []struct{ k, m int }{{4, 2}, {3, 1}, {5, 3}} {
+		c, err := New(p.k, p.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := p.k + p.m
+		full := encoded(t, c, rng, 131)
+		for _, lost := range loseCombos(total, p.m) {
+			ref := append([][]byte(nil), full...)
+			got := append([][]byte(nil), full...)
+			for _, i := range lost {
+				ref[i], got[i] = nil, nil
+			}
+			if err := c.Reconstruct(ref); err != nil {
+				t.Fatalf("%d+%d lost %v: Reconstruct: %v", p.k, p.m, lost, err)
+			}
+			if err := c.ReconstructData(got); err != nil {
+				t.Fatalf("%d+%d lost %v: ReconstructData: %v", p.k, p.m, lost, err)
+			}
+			for i := 0; i < p.k; i++ {
+				if !bytes.Equal(got[i], ref[i]) || !bytes.Equal(got[i], full[i]) {
+					t.Fatalf("%d+%d lost %v: data shard %d differs", p.k, p.m, lost, i)
+				}
+			}
+			for _, i := range lost {
+				if i >= p.k && got[i] != nil {
+					t.Fatalf("%d+%d lost %v: ReconstructData rebuilt parity shard %d; it must decode data only", p.k, p.m, lost, i)
+				}
+			}
+		}
+	}
+}
+
+// TestReconstructReusesCapacity pins the output-buffer convention: a
+// zero-length entry with room for a shard is decoded in place, a
+// smaller one is replaced by a fresh allocation, and a non-empty entry
+// of the wrong length is still a shape error.
+func TestReconstructReusesCapacity(t *testing.T) {
+	c, err := New(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 96
+	full := encoded(t, c, tensor.NewRNG(47), size)
+	for name, decode := range map[string]func([][]byte) error{"Reconstruct": c.Reconstruct, "ReconstructData": c.ReconstructData} {
+		roomy := make([]byte, size+8)
+		for i := range roomy {
+			roomy[i] = 0xEE // stale bytes the decode must overwrite
+		}
+		tight := make([]byte, size-1)
+		work := append([][]byte(nil), full...)
+		work[1], work[2] = roomy[:0], tight[:0]
+		if err := decode(work); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(work[1], full[1]) || !bytes.Equal(work[2], full[2]) {
+			t.Fatalf("%s: rebuilt shards differ from the originals", name)
+		}
+		if &work[1][0] != &roomy[0] {
+			t.Fatalf("%s: a zero-length entry with capacity %d was not reused for a %d-byte shard", name, cap(roomy), size)
+		}
+		if &work[2][0] == &tight[0] {
+			t.Fatalf("%s: a %d-byte-capacity entry cannot hold a %d-byte shard but was reused", name, cap(tight), size)
+		}
+
+		work = append([][]byte(nil), full...)
+		work[0] = nil
+		work[3] = make([]byte, size/2)
+		if err := decode(work); err == nil {
+			t.Fatalf("%s: a non-empty shard of the wrong length was accepted", name)
+		}
+	}
+}

@@ -22,9 +22,10 @@ type ScanConfig struct {
 	// every record.
 	Candidates []int
 
-	// ChunkRecords is the records per read chunk (default 8192). Two
-	// chunk buffers are in flight: one being read from NAND while the
-	// previous one is processed.
+	// ChunkRecords is the records per read chunk (default 8192). Up to
+	// three chunk buffers are in flight — one being processed, one
+	// queued, one being read from NAND — and are recycled for the whole
+	// pass.
 	ChunkRecords int
 
 	Verify func([]byte) error   // per-chunk payload verification (may be nil)
@@ -58,9 +59,11 @@ type ScanStats struct {
 // goroutine keeps the next chunk's NAND read in flight while the
 // current chunk is processed, mirroring the FPGA's DMA/compute
 // overlap. process runs serially in stream order, so a deterministic
-// consumer stays deterministic. Simulated time is charged by the
-// device read path; ScanStats reports how close it came to the
-// sequential bound.
+// consumer stays deterministic. buf is one of three buffers the pass
+// recycles: it is overwritten by a later chunk's read, so process must
+// not keep it (or a slice of it) past its return. Simulated time is
+// charged by the device read path; ScanStats reports how close it came
+// to the sequential bound.
 func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, hi int, base int64, buf []byte) error) (ScanStats, error) {
 	var st ScanStats
 	if cfg.RecordBytes <= 0 {
@@ -111,6 +114,30 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		err    error
 	}
 	chunks := (n + chunkRecs - 1) / chunkRecs
+	bounds := func(c int) (lo, hi int) {
+		lo = c * chunkRecs
+		hi = lo + chunkRecs
+		if hi > n {
+			hi = n
+		}
+		return lo, hi
+	}
+	// Candidate spans differ in length; size every buffer for the
+	// longest so none is ever regrown mid-pass.
+	var maxLen int64
+	for c := 0; c < chunks; c++ {
+		if _, length, _ := span(bounds(c)); length > maxLen {
+			maxLen = length
+		}
+	}
+	// free holds the chunk buffers not in flight. Three tokens: the
+	// chunk being processed, the one queued in out, and the one being
+	// read; a nil token becomes a buffer on first use, so a short pass
+	// allocates only what it needs.
+	free := make(chan []byte, 3)
+	for i := 0; i < cap(free); i++ {
+		free <- nil
+	}
 	out := make(chan chunkRead, 1)
 	start := dev.Clock.Now() // before the prefetcher's first read
 	var wg sync.WaitGroup
@@ -119,13 +146,13 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		defer wg.Done()
 		defer close(out)
 		for c := 0; c < chunks; c++ {
-			lo := c * chunkRecs
-			hi := lo + chunkRecs
-			if hi > n {
-				hi = n
-			}
+			lo, hi := bounds(c)
 			off, length, base := span(lo, hi)
-			buf, rs, err := dev.ReadResilient(cfg.Object, off, length, 1, cfg.Verify, cfg.Retry)
+			dst := <-free
+			if dst == nil {
+				dst = make([]byte, 0, maxLen)
+			}
+			buf, rs, err := dev.ReadResilientInto(dst, cfg.Object, off, length, 1, cfg.Verify, cfg.Retry)
 			out <- chunkRead{idx: c, lo: lo, hi: hi, base: base, buf: buf, stats: rs, err: err}
 			if err != nil {
 				return
@@ -135,12 +162,10 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 
 	ssdCfg := dev.SSD.Config()
 	internalBW := dev.SSD.InternalBWFor(false)
-	var procErr error
-	for cr := range out {
+	consume := func(cr chunkRead) error {
 		st.Read.Add(cr.stats)
 		if cr.err != nil {
-			procErr = fmt.Errorf("streaming: scan chunk %d: %w", cr.idx, cr.err)
-			break
+			return fmt.Errorf("streaming: scan chunk %d: %w", cr.idx, cr.err)
 		}
 		st.Chunks++
 		st.Records += cr.hi - cr.lo
@@ -152,15 +177,22 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		} else {
 			st.BoundTime += flashT
 		}
-		if procErr == nil && process != nil {
+		if process != nil {
 			if err := process(cr.idx, cr.lo, cr.hi, cr.base, cr.buf); err != nil {
-				procErr = fmt.Errorf("streaming: scan chunk %d: %w", cr.idx, err)
-				break
+				return fmt.Errorf("streaming: scan chunk %d: %w", cr.idx, err)
 			}
 		}
+		return nil
 	}
-	// Drain so the prefetcher can exit before we read the clock.
-	for range out {
+	// After a failure the remaining chunks are drained unprocessed, so
+	// the prefetcher can exit before we read the clock; every buffer
+	// still goes back to the free list or the prefetcher would starve.
+	var procErr error
+	for cr := range out {
+		if procErr == nil {
+			procErr = consume(cr)
+		}
+		free <- cr.buf
 	}
 	wg.Wait()
 	st.IOTime = dev.Clock.Now() - start

@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"nessa/internal/data"
@@ -126,3 +127,53 @@ func TestScanRecordsValidation(t *testing.T) {
 		t.Fatal("missing object accepted")
 	}
 }
+
+// TestScanRecordsRecyclesBuffers: however many chunks a pass reads —
+// with candidate spans of different lengths — it rotates at most three
+// buffers, every chunk still carries the right bytes, and a process
+// error part-way leaves the prefetcher able to finish (the drained
+// chunks' buffers go back to the free list).
+func TestScanRecordsRecyclesBuffers(t *testing.T) {
+	const n = 4000
+	dev, rs := scanDevice(t, n)
+	rec := rs.RecordBytes()
+	var cands []int
+	for i := 0; i < n; i += 1 + i%5 { // uneven gaps: chunk spans differ in length
+		cands = append(cands, i)
+	}
+	cfg := ScanConfig{Object: "ds", RecordBytes: rec, Candidates: cands, ChunkRecords: 64}
+	seen := map[*byte]bool{}
+	st, err := ScanRecords(dev, cfg, func(_, lo, hi int, base int64, buf []byte) error {
+		seen[&buf[0]] = true
+		for ci := lo; ci < hi; ci++ {
+			off := (int64(cands[ci]) - base) * rec
+			if label := int(binary.LittleEndian.Uint16(buf[off : off+2])); label != rs.Label(cands[ci]) {
+				t.Fatalf("record %d carries label %d, want %d: a recycled buffer was overwritten early", cands[ci], label, rs.Label(cands[ci]))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Chunks < 10 {
+		t.Fatalf("only %d chunks; the test needs many more chunks than buffers", st.Chunks)
+	}
+	if len(seen) > 3 {
+		t.Fatalf("%d chunks used %d distinct buffers, want at most 3", st.Chunks, len(seen))
+	}
+
+	calls := 0
+	_, err = ScanRecords(dev, cfg, func(chunk, _, _ int, _ int64, _ []byte) error {
+		calls++
+		if chunk == 2 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) || calls != 3 {
+		t.Fatalf("process error at chunk 2: err = %v after %d calls, want errStop after 3", err, calls)
+	}
+}
+
+var errStop = errors.New("stop")

@@ -50,11 +50,21 @@ type Cluster struct {
 	spares   []*Device
 	nextID   int
 	lostEver int
+
+	// arena is the scan arena: one reusable buffer per device slot,
+	// grown lazily and never shrunk. Scans, degraded reconstruction and
+	// Rebuild all move their bytes through it (see slot), so a
+	// steady-state scan allocates only slice headers, and the payloads
+	// handed to the caller are views into it.
+	arena [][]byte
 }
 
-// DefaultReconstructBW is the modeled reconstruction throughput:
-// table-driven GF(256) multiply-accumulate streams at roughly DRAM
-// copy speed on one core.
+// DefaultReconstructBW is the modeled reconstruction throughput in
+// bytes/second of source streamed: what an FPGA kernel or a host SIMD
+// (PSHUFB split-table) GF(256) decode sustains on one core. It is a
+// model of the device the paper assumes, not a measurement of this
+// repository's pure-Go kernel, which reaches about half of it
+// (bench-recovery prints the measured figure next to this one).
 const DefaultReconstructBW = 6e9
 
 // NewCluster assembles n independent SmartSSDs with unique device IDs.
@@ -152,6 +162,11 @@ func (s *ScanStats) Add(other ScanStats) {
 // latency. It also returns the per-shard payloads and the aggregated
 // recovery stats.
 //
+// The payloads are views into the cluster's scan arena, not copies:
+// they stay valid until the next ParallelScan or Rebuild on this
+// cluster, which overwrite them in place. A caller that needs the bytes
+// longer copies them out.
+//
 // Each per-shard read runs under the resilient recovery loop (retry on
 // transient faults, host-path fallback on link drops, Verify-driven
 // corruption re-reads). When ShardDeadline is set, a shard whose scan
@@ -177,7 +192,7 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 	var wall time.Duration
 	for i, d := range c.Devices {
 		scanStart := d.Clock.Now()
-		buf, err := c.scanShard(i, d, name, recordSize, c.Verify, &st)
+		buf, err := c.scanShard(i, d, name, recordSize, 0, c.Verify, &st)
 		if err != nil {
 			if errors.Is(err, faults.ErrDeviceLost) {
 				c.noteLost(i, name)
@@ -193,12 +208,34 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 	return shards, st, wall, nil
 }
 
+// slot returns device slot gi's arena buffer, emptied, with capacity
+// for at least n bytes. Slots are addressed by position in Devices, so
+// a spare swapped in by Rebuild inherits the slot of the drive it
+// replaces. Bytes past the returned slice's length are whatever the
+// slot last held; padInPlace re-zeroes them where the coding math reads
+// them.
+func (c *Cluster) slot(gi int, n int64) []byte {
+	if len(c.arena) < len(c.Devices) {
+		c.arena = append(c.arena, make([][]byte, len(c.Devices)-len(c.arena))...)
+	}
+	if int64(cap(c.arena[gi])) < n {
+		c.arena[gi] = make([]byte, 0, n)
+	}
+	return c.arena[gi][:0]
+}
+
 // scanShard runs one device's shard scan under the deadline/re-issue
-// policy, accumulating recovery stats into st.
-func (c *Cluster) scanShard(i int, d *Device, name string, recordSize int64, verify func([]byte) error, st *ScanStats) ([]byte, error) {
+// policy, accumulating recovery stats into st. The payload lands in
+// the device's arena slot, which is given at least minCap bytes of
+// capacity (a striped scan asks for the coding stripe length so a short
+// stripe can later be padded in place).
+func (c *Cluster) scanShard(i int, d *Device, name string, recordSize, minCap int64, verify func([]byte) error, st *ScanStats) ([]byte, error) {
 	size, err := d.SSD.Size(name)
 	if err != nil {
 		return nil, err
+	}
+	if size > minCap {
+		minCap = size
 	}
 	reissues := c.MaxReissue
 	if reissues <= 0 {
@@ -206,7 +243,7 @@ func (c *Cluster) scanShard(i int, d *Device, name string, recordSize int64, ver
 	}
 	for issue := 0; ; issue++ {
 		before := d.Clock.Now()
-		buf, rst, err := d.ReadResilient(name, 0, size, int(size/recordSize), verify, RetryPolicy{})
+		buf, rst, err := d.ReadResilientInto(c.slot(i, minCap), name, 0, size, int(size/recordSize), verify, RetryPolicy{})
 		st.Read.Add(rst)
 		if err != nil {
 			return nil, err

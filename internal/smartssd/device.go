@@ -123,6 +123,12 @@ func (d *Device) StoreVirtualDataset(name string, size int64, fill storage.FillF
 // the charged time is the maximum of the two plus the flash command
 // setup.
 func (d *Device) ReadToFPGA(name string, off, length int64, commands int) ([]byte, error) {
+	return d.readToFPGA(nil, name, off, length, commands)
+}
+
+// readToFPGA is ReadToFPGA landing the payload in dst when its capacity
+// suffices (storage.SSD.ReadInto's contract); nil dst allocates.
+func (d *Device) readToFPGA(dst []byte, name string, off, length int64, commands int) ([]byte, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("smartssd: p2p read [%d,+%d) of %q: %w", off, length, name, faults.ErrOutOfRange)
 	}
@@ -138,7 +144,7 @@ func (d *Device) ReadToFPGA(name string, off, length int64, commands int) ([]byt
 		d.Acct.AddTime("p2p.error", d.P2P.CommandLatency)
 		return nil, fmt.Errorf("smartssd: p2p read of %q: %w", name, faults.ErrLinkDown)
 	}
-	buf, flashT, err := d.SSD.ReadAt(name, off, length)
+	buf, flashT, err := d.SSD.ReadInto(name, off, length, dst)
 	if err != nil {
 		// A failed flash command still advances simulated time by its
 		// reported setup cost, so retry storms are visible on the clock.
@@ -158,13 +164,18 @@ func (d *Device) ReadToFPGA(name string, off, length int64, commands int) ([]byt
 // drive DMAs into host DRAM and the host DMAs into the FPGA. Flash and
 // the staged copies serialize at the 1.4 GB/s effective host bandwidth.
 func (d *Device) ReadViaHost(name string, off, length int64, commands int) ([]byte, error) {
+	return d.readViaHost(nil, name, off, length, commands)
+}
+
+// readViaHost is ReadViaHost with readToFPGA's dst contract.
+func (d *Device) readViaHost(dst []byte, name string, off, length int64, commands int) ([]byte, error) {
 	if off < 0 || length < 0 {
 		return nil, fmt.Errorf("smartssd: host read [%d,+%d) of %q: %w", off, length, name, faults.ErrOutOfRange)
 	}
 	if err := d.lostCheck(d.Host, "host.error", "host read", name); err != nil {
 		return nil, err
 	}
-	buf, flashT, err := d.SSD.ReadAt(name, off, length)
+	buf, flashT, err := d.SSD.ReadInto(name, off, length, dst)
 	if err != nil {
 		d.Clock.Advance(flashT)
 		d.Acct.AddTime("host.error", flashT)

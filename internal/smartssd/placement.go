@@ -241,7 +241,7 @@ func (c *Cluster) stripedScan(name string, recordSize int64, meta *stripeMeta) (
 			lost = append(lost, i)
 			continue
 		}
-		buf, err := c.scanShard(i, c.Devices[i], name, recordSize, c.Verify, &st)
+		buf, err := c.scanShard(i, c.Devices[i], name, recordSize, meta.stripeLen, c.Verify, &st)
 		if err == nil {
 			data[i] = buf
 			continue
@@ -254,7 +254,7 @@ func (c *Cluster) stripedScan(name string, recordSize int64, meta *stripeMeta) (
 			continue
 		}
 		// The probe cleared the device; give the stripe one more scan.
-		buf, err = c.scanShard(i, c.Devices[i], name, recordSize, c.Verify, &st)
+		buf, err = c.scanShard(i, c.Devices[i], name, recordSize, meta.stripeLen, c.Verify, &st)
 		if err != nil {
 			return nil, st, 0, fmt.Errorf("smartssd: stripe %d failed again after its probe cleared it: %w", i, err)
 		}
@@ -285,6 +285,12 @@ func (c *Cluster) stripedScan(name string, recordSize int64, meta *stripeMeta) (
 // silently corrupted in flight, so the parity pull and decode are
 // retried once before giving up. Returns the simulated GF-math time
 // (the parity reads advance their own devices' clocks directly).
+//
+// Everything happens in the scan arena: the surviving data stripes are
+// zero-padded where the scan left them, each parity pull lands in its
+// parity member's slot, and each rebuilt stripe is decoded straight
+// into the lost member's slot — only the lost data stripes are decoded,
+// never the parity that was not pulled.
 func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byte, lost []int, st *ScanStats) (time.Duration, error) {
 	k, m := meta.place.DataShards, meta.place.ParityShards
 	if len(lost) > m {
@@ -294,12 +300,18 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 	var recT time.Duration
 	var lastErr error
 	const attempts = 2
+	shards := make([][]byte, k+m)
 	for attempt := 0; attempt < attempts; attempt++ {
-		shards := make([][]byte, k+m)
+		for gi := range shards {
+			shards[gi] = nil
+		}
 		for i := 0; i < k; i++ {
 			if data[i] != nil {
-				shards[i] = padStripe(data[i], meta.stripeLen)
+				shards[i] = padInPlace(data[i], meta.stripeLen)
 			}
+		}
+		for _, i := range lost {
+			shards[i] = c.slot(i, meta.stripeLen) // decode output
 		}
 		needed := len(lost)
 		for r := 0; r < m && needed > 0; r++ {
@@ -308,7 +320,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 				continue
 			}
 			d := c.Devices[pi]
-			buf, rst, err := d.ReadResilient(name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
+			buf, rst, err := d.ReadResilientInto(c.slot(pi, meta.stripeLen), name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
 			st.Read.Add(rst)
 			if err != nil {
 				if errors.Is(err, faults.ErrDeviceLost) {
@@ -325,7 +337,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 			return recT, fmt.Errorf("smartssd: %q is short %d surviving stripes for reconstruction: %w",
 				name, needed, faults.ErrDeviceLost)
 		}
-		if err := meta.code.Reconstruct(shards); err != nil {
+		if err := meta.code.ReconstructData(shards); err != nil {
 			return recT, fmt.Errorf("smartssd: reconstructing %q: %w", name, err)
 		}
 		// Each missing stripe is a k-term GF dot product over the
@@ -333,12 +345,10 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 		dur := c.gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
 		c.acct().AddTime("recover.reconstruct", dur)
 		recT += dur
-		outs := make([][]byte, len(lost))
 		ok := true
-		for li, i := range lost {
-			outs[li] = shards[i][:meta.lenOf(i)]
-			if c.Verify != nil {
-				if err := c.Verify(outs[li]); err != nil {
+		if c.Verify != nil {
+			for _, i := range lost {
+				if err := c.Verify(shards[i][:meta.lenOf(i)]); err != nil {
 					st.Read.Corrupt++
 					lastErr = err
 					ok = false
@@ -349,11 +359,11 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 		if !ok {
 			continue // corrupted parity pull: re-read and decode again
 		}
-		for li, i := range lost {
-			data[i] = outs[li]
+		for _, i := range lost {
+			data[i] = shards[i][:meta.lenOf(i)]
 			st.DegradedReads++
-			st.ReconstructedBytes += int64(len(outs[li]))
-			c.acct().AddBytes("recover.rebuilt", int64(len(outs[li])))
+			st.ReconstructedBytes += meta.lenOf(i)
+			c.acct().AddBytes("recover.rebuilt", meta.lenOf(i))
 		}
 		return recT, nil
 	}
@@ -369,6 +379,16 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 // bandwidth — decodes the missing stripes, and writes each onto its
 // spare. Returns the rebuild's simulated duration: the slowest
 // survivor read, plus the GF-math time, plus the slowest spare write.
+//
+// Rebuild works in the scan arena (survivor reads land in their own
+// slots, each rebuilt stripe in the lost member's), so it invalidates
+// the payloads of the preceding ParallelScan.
+//
+// A spare leaves the pool only in the step that puts it into Devices:
+// if writing a rebuilt stripe to the spare fails, Rebuild returns the
+// error with that slot still lost and the spare still attached, moved
+// to the back of the pool so a retry tries any other spare first.
+// Slots rebuilt before the failure stay rebuilt.
 func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 	meta := c.stripeFor(name)
 	if meta == nil {
@@ -407,7 +427,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			verify = nil // parity stripes are not records
 		}
 		before := d.Clock.Now()
-		buf, _, err := d.ReadResilient(name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
+		buf, _, err := d.ReadResilientInto(c.slot(gi, meta.stripeLen), name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
 		if err != nil {
 			if errors.Is(err, faults.ErrDeviceLost) {
 				c.noteLost(gi, name)
@@ -418,7 +438,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		if dt := d.Clock.Now() - before; dt > readWall {
 			readWall = dt
 		}
-		shards[gi] = padStripe(buf, meta.stripeLen)
+		shards[gi] = padInPlace(buf, meta.stripeLen)
 		c.acct().AddBytes("recover.rebuild.read", length)
 		sources++
 	}
@@ -426,7 +446,18 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		return 0, fmt.Errorf("smartssd: rebuilding %q needs %d surviving stripes, found %d: %w",
 			name, k, sources, faults.ErrDeviceLost)
 	}
-	if err := meta.code.Reconstruct(shards); err != nil {
+	// Decode only what was lost, each stripe into its own slot: the
+	// data-only decode unless a parity stripe is among them. (The full
+	// decode also re-derives, into a temporary, a healthy parity stripe
+	// that was not needed as a source — the price of that rarer case.)
+	for _, gi := range lost {
+		shards[gi] = c.slot(gi, meta.stripeLen)
+	}
+	decode := meta.code.ReconstructData
+	if lost[len(lost)-1] >= k { // lost is ascending
+		decode = meta.code.Reconstruct
+	}
+	if err := decode(shards); err != nil {
 		return 0, fmt.Errorf("smartssd: rebuilding %q: %w", name, err)
 	}
 	recT := c.gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
@@ -440,9 +471,9 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			}
 		}
 		spare := c.spares[0]
-		c.spares = c.spares[1:]
 		before := spare.Clock.Now()
 		if err := spare.StoreDataset(name, payload); err != nil {
+			c.spares = append(c.spares[1:], spare)
 			return 0, fmt.Errorf("smartssd: writing rebuilt stripe %d of %q to spare device %d: %w",
 				gi, name, spare.ID, err)
 		}
@@ -450,6 +481,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			writeWall = dt
 		}
 		c.acct().AddBytes("recover.rebuilt", int64(len(payload)))
+		c.spares = c.spares[1:]
 		c.Devices[gi] = spare
 		c.health[gi] = HealthHealthy
 	}
@@ -496,8 +528,19 @@ func (c *Cluster) acct() *simtime.Accountant {
 	return c.Acct
 }
 
-// padStripe zero-pads b to n bytes for the coding math (no copy when
-// already full length).
+// padInPlace extends an arena-backed stripe to the n-byte coding length
+// and zeroes the extension. The zeroing is not optional: the slot may
+// last have held something longer (another dataset's stripe, a parity
+// stripe), and the decode reads every byte up to n.
+func padInPlace(b []byte, n int64) []byte {
+	tail := b[len(b):n]
+	clear(tail)
+	return b[:n]
+}
+
+// padStripe zero-pads b to n bytes for the coding math by copying (no
+// copy when already full length). StripeDataset's stripes are windows
+// into the caller's image, so they cannot be extended where they lie.
 func padStripe(b []byte, n int64) []byte {
 	if int64(len(b)) == n {
 		return b

@@ -94,7 +94,17 @@ func (s *ReadStats) Add(other ReadStats) {
 // classify it with errors.Is (faults.ErrTransientIO,
 // faults.ErrCorruptRecord, ...).
 func (d *Device) ReadResilient(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(name, off, length, commands, verify, pol, false)
+	return d.readResilient(nil, name, off, length, commands, verify, pol, false)
+}
+
+// ReadResilientInto is ReadResilient landing the payload in a buffer
+// the caller owns: when cap(dst) >= length the returned payload is
+// dst[:length] and nothing is allocated — every attempt, including a
+// re-read after a verify failure, overwrites the same bytes; with a
+// smaller (or nil) dst it allocates like ReadResilient. On error dst's
+// contents are unspecified.
+func (d *Device) ReadResilientInto(dst []byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
+	return d.readResilient(dst, name, off, length, commands, verify, pol, false)
 }
 
 // ReadResilientHost is ReadResilient pinned to the host-mediated path —
@@ -102,10 +112,10 @@ func (d *Device) ReadResilient(name string, off, length int64, commands int, ver
 // pipeline is unavailable. Link-down faults do not apply; flash-level
 // faults and verification retries behave identically.
 func (d *Device) ReadResilientHost(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(name, off, length, commands, verify, pol, true)
+	return d.readResilient(nil, name, off, length, commands, verify, pol, true)
 }
 
-func (d *Device) readResilient(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([]byte, ReadStats, error) {
+func (d *Device) readResilient(dst []byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([]byte, ReadStats, error) {
 	pol = pol.normalize()
 	var st ReadStats
 	var lastErr error
@@ -121,9 +131,9 @@ func (d *Device) readResilient(name string, off, length int64, commands int, ver
 		var buf []byte
 		var err error
 		if hostPath {
-			buf, err = d.ReadViaHost(name, off, length, commands)
+			buf, err = d.readViaHost(dst, name, off, length, commands)
 		} else {
-			buf, err = d.ReadToFPGA(name, off, length, commands)
+			buf, err = d.readToFPGA(dst, name, off, length, commands)
 		}
 		switch {
 		case err == nil:

@@ -164,3 +164,47 @@ func TestBackoffSchedule(t *testing.T) {
 		t.Error("zero policy does not normalize to the default")
 	}
 }
+
+// TestReadResilientIntoLandsInCallerBuffer: on every recovery path the
+// payload is the caller's buffer, and the read costs exactly what
+// ReadResilient costs — same stats, same simulated clock — on a twin
+// device under the same fault schedule.
+func TestReadResilientIntoLandsInCallerBuffer(t *testing.T) {
+	cases := []struct {
+		name string
+		prof faults.Profile
+		pol  RetryPolicy
+	}{
+		{"clean", faults.Profile{}, RetryPolicy{}},
+		{"transient retries", faults.Profile{Seed: 7, TransientRate: 0.5}, RetryPolicy{}},
+		{"corruption re-reads", faults.Profile{Seed: 6, CorruptRate: 0.6}, RetryPolicy{MaxAttempts: 8}},
+		{"host fallback", faults.Profile{Seed: 7, LinkDownRate: 1}, RetryPolicy{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, twin := newDevice(t), newDevice(t)
+			img, rec := storeImage(t, d)
+			storeImage(t, twin)
+			d.SetInjector(faults.NewInjector(tc.prof))
+			twin.SetInjector(faults.NewInjector(tc.prof))
+			dst := make([]byte, 0, len(img)+16)
+			buf, st, err := d.ReadResilientInto(dst, "ds", 0, int64(len(img)), 24, verifier(rec), tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, img) {
+				t.Fatal("payload mismatch")
+			}
+			if &buf[0] != &dst[:1][0] {
+				t.Fatal("payload is not the caller's buffer")
+			}
+			_, wantSt, err := twin.ReadResilient("ds", 0, int64(len(img)), 24, verifier(rec), tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != wantSt || d.Clock.Now() != twin.Clock.Now() {
+				t.Fatalf("Into: stats %+v clock %v; allocating read: stats %+v clock %v", st, d.Clock.Now(), wantSt, twin.Clock.Now())
+			}
+		})
+	}
+}

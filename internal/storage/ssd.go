@@ -156,11 +156,21 @@ func (s *SSD) PutVirtual(name string, size int64, fill FillFunc) error {
 }
 
 // ReadAt reads length bytes of object name starting at off, returning
-// the payload and the simulated flash access time. Addressing failures
-// wrap faults.ErrOutOfRange / faults.ErrNotFound; with an injector
-// attached, reads may also fail with faults.ErrTransientIO, return a
-// silently corrupted payload, or take a latency spike.
+// a freshly allocated payload and the simulated flash access time. It
+// is ReadInto with no destination; see there for the failure modes.
 func (s *SSD) ReadAt(name string, off, length int64) ([]byte, time.Duration, error) {
+	return s.ReadInto(name, off, length, nil)
+}
+
+// ReadInto reads length bytes of object name starting at off and
+// returns the payload and the simulated flash access time. When
+// cap(dst) >= length the payload is dst[:length] — no allocation, and
+// whatever dst held is overwritten; otherwise (nil included) a new
+// buffer is allocated. Addressing failures wrap faults.ErrOutOfRange /
+// faults.ErrNotFound; with an injector attached, reads may also fail
+// with faults.ErrTransientIO (dst untouched), return a silently
+// corrupted payload, or take a latency spike.
+func (s *SSD) ReadInto(name string, off, length int64, dst []byte) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[name]
@@ -180,7 +190,12 @@ func (s *SSD) ReadAt(name string, off, length int64) ([]byte, time.Duration, err
 		return nil, s.cfg.CommandLatency + f.Extra,
 			fmt.Errorf("storage: read %q: %w", name, faults.ErrTransientIO)
 	}
-	out := make([]byte, length)
+	var out []byte
+	if dst != nil && int64(cap(dst)) >= length {
+		out = dst[:length]
+	} else {
+		out = make([]byte, length)
+	}
 	if e.fill != nil {
 		e.fill(off, out)
 	} else {

@@ -255,3 +255,68 @@ func TestInvalidConfig(t *testing.T) {
 		t.Fatal("expected error for zero config")
 	}
 }
+
+// TestReadIntoDestination pins ReadInto's buffer contract: a dst with
+// enough capacity is the payload's backing array (whatever its length
+// and prior contents), anything smaller — nil included — yields a fresh
+// allocation, and injected corruption lands in the buffer returned.
+func TestReadIntoDestination(t *testing.T) {
+	s := newTestSSD(t)
+	payload := make([]byte, 256)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	if _, err := s.Write("obj", payload); err != nil {
+		t.Fatal(err)
+	}
+	stale := func(n, capacity int) []byte {
+		b := make([]byte, n, capacity)
+		for i := range b[:capacity] {
+			b[:capacity][i] = 0xEE
+		}
+		return b
+	}
+	cases := []struct {
+		name   string
+		dst    []byte
+		reused bool
+	}{
+		{"nil", nil, false},
+		{"empty with room", stale(0, 300), true},
+		{"longer than the read", stale(280, 300), true},
+		{"exact capacity", stale(3, 100), true},
+		{"one byte short", stale(99, 99), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, dur, err := s.ReadInto("obj", 50, 100, tc.dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, payload[50:150]) {
+				t.Fatal("payload differs from the stored bytes")
+			}
+			if _, want, _ := s.ReadAt("obj", 50, 100); dur != want {
+				t.Fatalf("ReadInto charged %v, ReadAt %v for the same read", dur, want)
+			}
+			reused := cap(tc.dst) > 0 && &got[0] == &tc.dst[:1][0]
+			if reused != tc.reused {
+				t.Fatalf("destination reused = %v, want %v (cap %d, read 100)", reused, tc.reused, cap(tc.dst))
+			}
+		})
+	}
+
+	s.SetInjector(faults.NewInjector(faults.Profile{Seed: 2, CorruptRate: 1}))
+	dst := make([]byte, 0, 256)
+	got, _, err := s.ReadInto("obj", 0, 256, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &dst[:1][0] || bytes.Equal(got, payload) {
+		t.Fatal("corruption must act on the caller's buffer")
+	}
+	s.SetInjector(faults.NewInjector(faults.Profile{Seed: 2, TransientRate: 1}))
+	if got, _, err := s.ReadInto("obj", 0, 256, dst); !errors.Is(err, faults.ErrTransientIO) || got != nil {
+		t.Fatalf("transient failure returned (%v, %v), want (nil, ErrTransientIO)", got, err)
+	}
+}

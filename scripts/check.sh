@@ -147,8 +147,11 @@ gate "determinism gate"
 # bench-recovery gates the device-loss machinery: a kill-one-device
 # run with k+1 parity must keep the trajectory bit-identical, a
 # checkpointed session must resume exactly, the degraded scan must
-# stay within the modeled reconstruction bound, and configuring
-# parity with no fault must cost under 2% on the clean path.
+# stay within the modeled reconstruction bound, configuring parity
+# with no fault must cost under 2% on the clean path, and a
+# steady-state clean striped scan may allocate at most 64 KB (112 B
+# with every payload in the cluster's scan arena; one escaped stripe
+# is ≥ 87 KB).
 "$tmpdir/nessa-bench" -quick -results "$tmpdir/results" \
 	-only bench-selection,bench-training,bench-streaming,bench-faults,bench-gemmtune,bench-recovery >/dev/null
 
