@@ -1,32 +1,27 @@
 // Command nessa-vet runs the repository's custom static-analysis
-// suite (internal/analysis): nine analyzers that machine-check the
+// suite (internal/analysis): eight analyzers that machine-check the
 // determinism, hot-path-allocation, FMA bit-identity, map-order,
-// error-hygiene, concurrency, scratch-lifetime, seed-provenance, and
-// tensor-shape contracts at the source level, plus a compiler-evidence
-// mode that verifies the hot-path contracts against what gc actually
-// emitted.
+// error-hygiene, concurrency, scratch-lifetime, and seed-provenance
+// contracts at the source level, plus a compiler-evidence mode that
+// verifies the hot-path contracts against what gc actually emitted.
 //
 // Usage:
 //
-//	nessa-vet [-run name[,name...]] [-json] [-baseline file [-write-baseline]] [packages]
-//	nessa-vet -compiler [-run ...] [-json] [-baseline file] [-ledger file [-write-ledger]] [packages]
+//	nessa-vet [-run name[,name...]] [-json] [packages]
+//	nessa-vet -compiler [-run ...] [-json] [-ledger file [-write-ledger]] [packages]
 //
 // With no package arguments (or the pattern "./...") every buildable
 // non-test package in the module is analyzed. Individual directories
 // may be named instead. The command exits 0 when the tree is clean,
 // 1 with one file:line:col diagnostic per line otherwise, and 2 on a
-// load or usage error.
+// load or usage error. -run names analyzers of the suite the other
+// flags select: a compiler-suite name without -compiler (or a
+// source-suite name with it) is a usage error, not an empty run.
 //
 // -json emits each finding as one JSON object per line (analyzer,
 // severity, file, line, col, message, and — when a //nessa:* waiver
 // directive applies to the rule — a suggestion naming it, so editors
 // can render a quick-fix) instead of the text form.
-//
-// -baseline compares findings against a recorded baseline file and
-// reports (and fails on) only findings not present in it, so CI gates
-// on regressions rather than the historical backlog. A missing
-// baseline file is treated as empty. -write-baseline records the
-// current findings into the baseline file and exits 0.
 //
 // -compiler switches to the compiler-evidence suite (escapecheck,
 // inlinegate, bcecheck, asmfma): the module is rebuilt with
@@ -58,23 +53,17 @@ import (
 )
 
 func main() {
-	runList := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
+	runList := flag.String("run", "", "comma-separated analyzer names of the selected suite to run (default: the whole suite)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
-	baselinePath := flag.String("baseline", "", "baseline file: suppress findings recorded in it")
-	writeBaseline := flag.Bool("write-baseline", false, "write current findings to -baseline and exit 0")
 	compiler := flag.Bool("compiler", false, "run the compiler-evidence suite against an instrumented build")
 	ledgerPath := flag.String("ledger", "", "with -compiler: evidence ledger file to diff per-package counts against")
 	writeLedger := flag.Bool("write-ledger", false, "with -compiler: regenerate the -ledger file from this run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nessa-vet [-compiler] [-run name[,name...]] [-json] [-baseline file [-write-baseline]] [-ledger file [-write-ledger]] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: nessa-vet [-compiler] [-run name[,name...]] [-json] [-ledger file [-write-ledger]] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "nessa-vet: -write-baseline requires -baseline")
-		os.Exit(2)
-	}
 	if (*ledgerPath != "" || *writeLedger) && !*compiler {
 		fmt.Fprintln(os.Stderr, "nessa-vet: -ledger and -write-ledger require -compiler")
 		os.Exit(2)
@@ -84,21 +73,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	analyzers := analysis.All()
-	if *compiler {
-		analyzers = analysis.CompilerAll()
-	}
 	if *list {
 		printList(os.Stdout)
 		return
 	}
-	if *runList != "" {
-		var err error
-		analyzers, err = analysis.ByName(strings.Split(*runList, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nessa-vet:", err)
-			os.Exit(2)
-		}
+	analyzers, err := selectAnalyzers(*runList, *compiler)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nessa-vet:", err)
+		os.Exit(2)
 	}
 
 	root, err := findModuleRoot()
@@ -143,23 +125,6 @@ func main() {
 		findings = analysis.Run(pkgs, analyzers)
 	}
 
-	if *writeBaseline {
-		if err := analysis.NewBaseline(findings, root).Write(*baselinePath); err != nil {
-			fmt.Fprintln(os.Stderr, "nessa-vet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "nessa-vet: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return
-	}
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nessa-vet:", err)
-			os.Exit(2)
-		}
-		findings = base.Diff(findings, root)
-	}
-
 	ledgerRegressed := false
 	if *writeLedger {
 		if err := ledger.Write(*ledgerPath); err != nil {
@@ -191,11 +156,7 @@ func main() {
 		}
 	}
 	if len(findings) > 0 {
-		what := "finding(s)"
-		if *baselinePath != "" {
-			what = "new finding(s) not in baseline"
-		}
-		fmt.Fprintf(os.Stderr, "nessa-vet: %d %s\n", len(findings), what)
+		fmt.Fprintf(os.Stderr, "nessa-vet: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 	if ledgerRegressed {
@@ -204,9 +165,43 @@ func main() {
 	}
 }
 
+// selectAnalyzers resolves -run against the suite -compiler selects;
+// an empty list means the whole suite. A name from the other suite is
+// an error: the compiler analyzers report nothing without evidence and
+// the source analyzers are not run with it, so either mix would print
+// a false "clean".
+func selectAnalyzers(runList string, compiler bool) ([]*analysis.Analyzer, error) {
+	suite := analysis.All()
+	if compiler {
+		suite = analysis.CompilerAll()
+	}
+	if runList == "" {
+		return suite, nil
+	}
+	named, err := analysis.ByName(strings.Split(runList, ","))
+	if err != nil {
+		return nil, err
+	}
+	inSuite := make(map[string]bool, len(suite))
+	for _, a := range suite {
+		inSuite[a.Name] = true
+	}
+	for _, a := range named {
+		if inSuite[a.Name] {
+			continue
+		}
+		if compiler {
+			return nil, fmt.Errorf("-run %s: a source-suite analyzer; drop -compiler to run it", a.Name)
+		}
+		return nil, fmt.Errorf("-run %s: a compiler-suite analyzer; add -compiler to run it", a.Name)
+	}
+	return named, nil
+}
+
 // printList writes every analyzer of both suites with a suite column.
 // Both are always listed, not just the suite the other flags would
-// run: -list answers "what can -run name?", and -run addresses both.
+// run: -list answers "what can -run name?", and the suite column says
+// whether the name needs -compiler.
 func printList(w io.Writer) {
 	for _, a := range analysis.All() {
 		fmt.Fprintf(w, "%-12s %-9s %s\n", a.Name, "source", a.Doc)

@@ -39,3 +39,50 @@ func TestListShowsBothSuites(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectAnalyzersPairsRunWithSuite pins the -run / -compiler
+// pairing: a name from the suite the flags did not select is a usage
+// error that says which flag is missing, never a silent empty run.
+func TestSelectAnalyzersPairsRunWithSuite(t *testing.T) {
+	cases := []struct {
+		name     string
+		run      string
+		compiler bool
+		want     []string // analyzer names on success
+		wantErr  string   // substring of the error otherwise
+	}{
+		{name: "source default is the whole source suite", want: names(analysis.All())},
+		{name: "compiler default is the whole compiler suite", compiler: true, want: names(analysis.CompilerAll())},
+		{name: "source names without -compiler", run: "fma, hotpath", want: []string{"fma", "hotpath"}},
+		{name: "compiler names with -compiler", run: "escapecheck,bcecheck", compiler: true, want: []string{"escapecheck", "bcecheck"}},
+		{name: "compiler name without -compiler", run: "escapecheck,bcecheck", wantErr: "escapecheck: a compiler-suite analyzer; add -compiler"},
+		{name: "source name with -compiler", run: "hotpath", compiler: true, wantErr: "hotpath: a source-suite analyzer; drop -compiler"},
+		{name: "mixed list", run: "hotpath,asmfma", wantErr: "asmfma: a compiler-suite analyzer; add -compiler"},
+		{name: "unknown name", run: "hotpaht", wantErr: `unknown analyzer "hotpaht"`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := selectAnalyzers(c.run, c.compiler)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("selectAnalyzers(%q, %v) error = %v, want one containing %q", c.run, c.compiler, err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := names(got); strings.Join(g, ",") != strings.Join(c.want, ",") {
+				t.Errorf("selectAnalyzers(%q, %v) = %v, want %v", c.run, c.compiler, g, c.want)
+			}
+		})
+	}
+}
+
+func names(az []*analysis.Analyzer) []string {
+	out := make([]string, len(az))
+	for i, a := range az {
+		out[i] = a.Name
+	}
+	return out
+}

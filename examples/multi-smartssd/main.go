@@ -37,9 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("parallel scan wall time: %v for %.1f MB total (%.2fx vs one drive)\n",
-		wall, float64(len(img))/1e6,
-		cluster.ScanSpeedup(int64(len(img)), train.Len()))
+	fmt.Printf("parallel scan wall time: %v for %.1f MB total\n", wall, float64(len(img))/1e6)
 
 	// Gradient embeddings from a briefly warmed-up proxy model — in
 	// the real deployment this is the quantized selection model every

@@ -1,5 +1,5 @@
 // Package analysis implements nessa-vet, the repository's custom
-// static-analysis suite. Nine analyzers machine-check the source-level
+// static-analysis suite. Eight analyzers machine-check the source-level
 // contracts the test suite otherwise only samples at runtime:
 //
 //   - determinism: no wall-clock or math/rand in device/core code
@@ -9,12 +9,10 @@
 //   - fma:         no fusable a*b±c float expressions in the kernels
 //   - errhygiene:  sentinel errors compared with errors.Is and wrapped
 //     with %w, never matched by identity or message text
-//   - concurrency: loop capture, unsynchronized shared writes, copied
-//     locks, and divergent lock-state paths
+//   - concurrency: unsynchronized shared writes and WaitGroup.Add in
+//     spawned closures, and divergent lock-state paths
 //   - scratchlife: pooled/arena scratch must not outlive its epoch
 //   - seedflow:    RNG seeds must flow from configuration
-//   - shapecheck:  tensor dimensions must agree symbolically across
-//     the tensor/nn/data APIs and //nessa:shape contracts
 //
 // A second, compiler-evidence suite (escapecheck, inlinegate,
 // bcecheck, asmfma) runs under nessa-vet -compiler against an
@@ -85,28 +83,10 @@ const (
 	// from the bcecheck compiler-evidence analyzer, with a
 	// justification for why it cannot (or need not) be eliminated.
 	DirBCEOK = "bce-ok"
-	// DirShape declares a shape contract on a function or struct field
-	// (opt-in boundary facts for the shapecheck analyzer):
-	//
-	//	//nessa:shape(features: len=nf, buf: minlen=10+4*nf)
-	//
-	// Clause targets name parameters (omitted on struct fields, where
-	// the field itself is the target); keys are rows/cols/len/minlen
-	// and dims are integer expressions over named symbols.
-	DirShape = "shape"
-	// DirShapeOK waives one shapecheck finding, with a justification
-	// for why the flagged dimensions are in fact compatible.
-	DirShapeOK = "shape-ok"
 )
 
-// Finding severities. Every rule reports SeverityError except the
-// loop-variable-capture rule, which is a contract violation but — with
-// the module at go >= 1.22 per-iteration loop variables — no longer a
-// language-level data race.
-const (
-	SeverityError = "error"
-	SeverityWarn  = "warn"
-)
+// SeverityError is the severity every rule reports.
+const SeverityError = "error"
 
 // Finding is one diagnostic: where, which analyzer, how severe, and
 // why. Suggestion names the //nessa:* waiver directive applicable at
@@ -183,7 +163,6 @@ func All() []*Analyzer {
 		ConcurrencyAnalyzer(),
 		ScratchLifeAnalyzer(),
 		SeedFlowAnalyzer(),
-		ShapeCheckAnalyzer(),
 	}
 }
 
@@ -238,12 +217,7 @@ func ByName(names []string) ([]*Analyzer, error) {
 
 // Pass is the per-package context handed to an analyzer's Run.
 type Pass struct {
-	Pkg *Package
-	// Universe lists every package of the current Run, the one under
-	// analysis included, so cross-package indexes (shapecheck's
-	// contract and summary caches) can see declarations in sibling
-	// packages of the same load.
-	Universe []*Package
+	Pkg      *Package
 	analyzer *Analyzer
 	findings *[]Finding
 	// directives maps filename -> line -> directive names present on
@@ -274,13 +248,12 @@ func (p *Pass) Metric(name string, delta int) {
 // line is out of range.
 func (p *Pass) PosAt(file string, line, col int) token.Pos {
 	var tf *token.File
-	p.Pkg.Fset.Iterate(func(f *token.File) bool {
-		if f.Name() == file {
-			tf = f
-			return false
+	for _, f := range p.Pkg.Files {
+		if ff := p.Pkg.Fset.File(f.Pos()); ff.Name() == file {
+			tf = ff
+			break
 		}
-		return true
-	})
+	}
 	if tf == nil || line < 1 || line > tf.LineCount() {
 		return token.NoPos
 	}
@@ -296,24 +269,9 @@ func (p *Pass) PosAt(file string, line, col int) token.Pos {
 	return pos
 }
 
-// Reportf records a finding at pos with SeverityError.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, SeverityError, format, args...)
-}
-
-// Warnf records a finding at pos with SeverityWarn.
-func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	p.report(pos, SeverityWarn, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, severity, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Analyzer:   p.analyzer.Name,
-		Pos:        p.Pkg.Fset.Position(pos),
-		Severity:   severity,
-		Message:    fmt.Sprintf(format, args...),
-		Suggestion: p.analyzer.Waiver,
-	})
+	p.ReportPosition(p.Pkg.Fset.Position(pos), format, args...)
 }
 
 // ReportPosition records a finding at an already-resolved file
@@ -444,7 +402,6 @@ func run(pkgs []*Package, analyzers []*Analyzer, ctx *compilerCtx) []Finding {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Pkg:        pkg,
-				Universe:   pkgs,
 				analyzer:   a,
 				findings:   &findings,
 				directives: dirs,

@@ -10,28 +10,24 @@ import (
 // The concurrency analyzer machine-checks the contracts the
 // internal/parallel pool and the repo's mutex discipline rely on:
 //
-//  1. loop-capture: a closure that executes concurrently (a go
-//     statement, an argument to a parallel.Pool method, or a task
-//     appended to a slice handed to the pool) must not capture an
-//     enclosing loop variable. Since go 1.22 loop variables are
-//     per-iteration so this is no longer a data race, but the repo
-//     keeps iteration-state capture explicit (rebind or parameter) so
-//     the code stays correct under pre-1.22 toolchains and obvious to
-//     reviewers; reported at SeverityWarn.
-//  2. shared-write: a concurrently executed closure must not write a
-//     captured variable directly — the sanctioned reduction shape is
-//     a write to a disjoint per-chunk slot (partial[c] = ...), which
-//     writes through an index and is not flagged.
-//  3. copylocks: sync.Mutex, sync.WaitGroup and friends must never be
-//     copied — by-value parameters, results, receivers, assignments
-//     from existing values, range-value copies, or call arguments.
-//  4. add-in-goroutine: sync.WaitGroup.Add must happen before the
+//  1. shared-write: a concurrently executed closure (a go statement,
+//     an argument to a parallel.Pool method, or a task appended to a
+//     slice handed to the pool) must not write a captured variable
+//     directly — the sanctioned reduction shape is a write to a
+//     disjoint per-chunk slot (partial[c] = ...), which writes through
+//     an index and is not flagged.
+//  2. add-in-goroutine: sync.WaitGroup.Add must happen before the
 //     goroutine is spawned, never inside it (the race where Wait runs
-//     before Add).
-//  5. unlock-without-lock: flow-sensitively (over the CFG), an Unlock
+//     before Add). Stock go vet has this check only from go1.25, above
+//     the module's floor.
+//  3. unlock-without-lock: flow-sensitively (over the CFG), an Unlock
 //     must not be reachable on a path with no preceding Lock of the
 //     same mutex expression. `mu.Lock(); defer mu.Unlock()` is clean:
 //     the deferred unlock is modeled at the defer site.
+//
+// Copied locks are left to stock go vet's copylocks, the first gate of
+// scripts/check.sh; loop-variable capture is not a fault at the
+// module's go >= 1.22 floor, where loop variables are per-iteration.
 //
 // //nessa:sync-ok on the flagged line (or the line above) waives one
 // finding.
@@ -41,7 +37,7 @@ func ConcurrencyAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name:   "concurrency",
 		Waiver: DirSyncOK,
-		Doc:    "loop capture and shared writes in pool/go closures, copied locks, WaitGroup.Add placement, unlock-without-lock paths",
+		Doc:    "shared writes and WaitGroup.Add in pool/go closures, unlock-without-lock paths",
 		Run:    runConcurrency,
 	}
 }
@@ -53,16 +49,12 @@ func runConcurrency(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkSignatureLocks(p, fd.Recv, fd.Type)
-			checkLockCopies(p, fd.Body)
 			cc := &concChecker{p: p}
 			cc.collectSpawned(fd.Body)
-			cc.collectLoopVars(fd.Body)
 			cc.checkSpawned()
 			checkLockState(p, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					checkSignatureLocks(p, nil, lit.Type)
 					checkLockState(p, lit.Body)
 				}
 				return true
@@ -72,19 +64,12 @@ func runConcurrency(p *Pass) {
 }
 
 // ---------------------------------------------------------------------
-// Rules 1, 2, 4: spawned closures
+// Rules 1, 2: spawned closures
 // ---------------------------------------------------------------------
 
-type loopVar struct {
-	obj  types.Object
-	body span
-}
-
 type concChecker struct {
-	p        *Pass
-	spawned  []*ast.FuncLit // closures that execute concurrently
-	deferred []*ast.FuncLit // defer func(){...}() literals
-	loopVars []loopVar
+	p       *Pass
+	spawned []*ast.FuncLit // closures that execute concurrently
 }
 
 // collectSpawned finds every function literal that executes
@@ -101,10 +86,6 @@ func (cc *concChecker) collectSpawned(body *ast.BlockStmt) {
 		case *ast.GoStmt:
 			if lit, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
 				mark[lit] = true
-			}
-		case *ast.DeferStmt:
-			if lit, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				cc.deferred = append(cc.deferred, lit)
 			}
 		case *ast.CallExpr:
 			if !isParallelPoolCall(info, n) {
@@ -170,77 +151,15 @@ func (cc *concChecker) collectSpawned(body *ast.BlockStmt) {
 	}
 }
 
-// collectLoopVars records every per-iteration variable (range key and
-// value, for-init definitions) with the span in which a closure could
-// capture it.
-func (cc *concChecker) collectLoopVars(body *ast.BlockStmt) {
-	info := cc.p.Pkg.Info
-	add := func(e ast.Expr, sp span) {
-		id, ok := unparen(e).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return
-		}
-		if obj := info.Defs[id]; obj != nil {
-			cc.loopVars = append(cc.loopVars, loopVar{obj: obj, body: sp})
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if n.Tok == token.DEFINE {
-				sp := span{n.Body.Pos(), n.Body.End()}
-				add(n.Key, sp)
-				add(n.Value, sp)
-			}
-		case *ast.ForStmt:
-			if init, ok := n.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE {
-				sp := span{n.Body.Pos(), n.Body.End()}
-				for _, lhs := range init.Lhs {
-					add(lhs, sp)
-				}
-			}
-		}
-		return true
-	})
-}
-
 func (cc *concChecker) checkSpawned() {
 	for _, lit := range cc.spawned {
-		cc.checkLoopCapture(lit, "concurrently executed closure")
 		cc.checkSharedWrites(lit)
 		cc.checkAddInside(lit)
 	}
-	for _, lit := range cc.deferred {
-		cc.checkLoopCapture(lit, "deferred closure")
-	}
-}
-
-// checkLoopCapture flags uses, inside lit, of loop variables of any
-// enclosing loop (rule 1).
-func (cc *concChecker) checkLoopCapture(lit *ast.FuncLit, how string) {
-	info := cc.p.Pkg.Info
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		for _, lv := range cc.loopVars {
-			if lv.obj == obj && lv.body.contains(lit.Pos()) {
-				if !cc.p.ExemptAt(id.Pos(), DirSyncOK) && !cc.p.ExemptAt(lit.Pos(), DirSyncOK) {
-					cc.p.Warnf(id.Pos(), "loop variable %s captured by %s; rebind it (%s := %s) or pass it as a parameter", id.Name, how, id.Name, id.Name)
-				}
-			}
-		}
-		return true
-	})
 }
 
 // checkSharedWrites flags direct writes to captured variables inside a
-// spawned closure (rule 2). Writes through an index or selector are
+// spawned closure (rule 1). Writes through an index or selector are
 // the sanctioned disjoint-slot idiom and stay silent.
 func (cc *concChecker) checkSharedWrites(lit *ast.FuncLit) {
 	info := cc.p.Pkg.Info
@@ -278,7 +197,7 @@ func (cc *concChecker) checkSharedWrites(lit *ast.FuncLit) {
 }
 
 // checkAddInside flags sync.WaitGroup.Add calls inside the spawned
-// closure (rule 4).
+// closure (rule 2).
 func (cc *concChecker) checkAddInside(lit *ast.FuncLit) {
 	info := cc.p.Pkg.Info
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -296,115 +215,7 @@ func (cc *concChecker) checkAddInside(lit *ast.FuncLit) {
 }
 
 // ---------------------------------------------------------------------
-// Rule 3: copied locks
-// ---------------------------------------------------------------------
-
-// checkSignatureLocks flags by-value lock types in receivers,
-// parameters, and results.
-func checkSignatureLocks(p *Pass, recv *ast.FieldList, ft *ast.FuncType) {
-	lists := []*ast.FieldList{recv, ft.Params, ft.Results}
-	for _, fl := range lists {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			t := p.Pkg.Info.TypeOf(field.Type)
-			if name := lockIn(t); name != "" && !p.ExemptAt(field.Pos(), DirSyncOK) {
-				p.Reportf(field.Pos(), "%s passed by value copies the lock; use a pointer", name)
-			}
-		}
-	}
-}
-
-// checkLockCopies flags assignments, range clauses, and call arguments
-// that copy a lock-containing value.
-func checkLockCopies(p *Pass, body *ast.BlockStmt) {
-	info := p.Pkg.Info
-	copyable := func(e ast.Expr) bool {
-		switch unparen(e).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-			return true
-		}
-		return false
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if !copyable(rhs) {
-					continue
-				}
-				if name := lockIn(info.TypeOf(rhs)); name != "" && !p.ExemptAt(n.Pos(), DirSyncOK) {
-					p.Reportf(rhs.Pos(), "assignment copies a value containing %s; use a pointer", name)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if name := lockIn(info.TypeOf(n.Value)); name != "" && !p.ExemptAt(n.Pos(), DirSyncOK) {
-					p.Reportf(n.Value.Pos(), "range clause copies a value containing %s; iterate by index", name)
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				if !copyable(arg) {
-					continue
-				}
-				if name := lockIn(info.TypeOf(arg)); name != "" && !p.ExemptAt(arg.Pos(), DirSyncOK) {
-					p.Reportf(arg.Pos(), "call argument copies a value containing %s; pass a pointer", name)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// lockIn returns the name of the lock type contained by value in t
-// ("sync.Mutex", "sync.WaitGroup", ...), or "" if t holds no lock.
-func lockIn(t types.Type) string {
-	return lockInRec(t, make(map[types.Type]bool))
-}
-
-func lockInRec(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync":
-				switch obj.Name() {
-				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-					return "sync." + obj.Name()
-				}
-			case "sync/atomic":
-				switch obj.Name() {
-				case "Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value":
-					return "sync/atomic." + obj.Name()
-				}
-			}
-		}
-		return lockInRec(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if name := lockInRec(t.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockInRec(t.Elem(), seen)
-	}
-	return ""
-}
-
-// ---------------------------------------------------------------------
-// Rule 5: unlock-without-lock (flow-sensitive)
+// Rule 3: unlock-without-lock (flow-sensitive)
 // ---------------------------------------------------------------------
 
 const (

@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -356,9 +356,32 @@ func TestByNameTrimsAndDeduplicates(t *testing.T) {
 	}
 }
 
+// TestByNameErrorListsValidAnalyzers pins the -run typo experience:
+// the error enumerates every valid name from both suites.
+func TestByNameErrorListsValidAnalyzers(t *testing.T) {
+	_, err := ByName([]string{"hotpaht"})
+	if err == nil {
+		t.Fatal("ByName accepted an unknown analyzer name")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, `"hotpaht"`) {
+		t.Errorf("error does not quote the unknown name: %s", msg)
+	}
+	for _, a := range All() {
+		if !strings.Contains(msg, a.Name) {
+			t.Errorf("error does not list source analyzer %s: %s", a.Name, msg)
+		}
+	}
+	for _, a := range CompilerAll() {
+		if !strings.Contains(msg, a.Name) {
+			t.Errorf("error does not list compiler analyzer %s: %s", a.Name, msg)
+		}
+	}
+}
+
 // TestRunDeterministic loads the same fixture tree twice through
 // independent loaders and requires byte-identical finding sequences —
-// the ordering contract CI diffs and baselines depend on.
+// the ordering contract CI diffs depend on.
 func TestRunDeterministic(t *testing.T) {
 	root := repoRoot(t)
 	dirs := []struct{ dir, path string }{
@@ -367,10 +390,7 @@ func TestRunDeterministic(t *testing.T) {
 		{"seedflow", "nessa/internal/fixture/seedflow"},
 	}
 	load := func() []string {
-		l, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := testLoader(t, root)
 		var pkgs []*Package
 		for _, d := range dirs {
 			pkg, err := l.LoadDir(filepath.Join(root, "internal", "analysis", "testdata", d.dir), d.path)
@@ -399,86 +419,9 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestBaselineDiff(t *testing.T) {
-	mk := func(analyzer, file string, line int, msg string) Finding {
-		return Finding{
-			Analyzer: analyzer,
-			Pos:      token.Position{Filename: file, Line: line, Column: 1},
-			Severity: SeverityError,
-			Message:  msg,
-		}
-	}
-	root := string(filepath.Separator) + "repo"
-	old := []Finding{
-		mk("seedflow", filepath.Join(root, "a.go"), 10, "hard-coded seed"),
-		mk("seedflow", filepath.Join(root, "a.go"), 20, "hard-coded seed"),
-	}
-	base := NewBaseline(old, root)
-
-	// Identical findings are absorbed, even at shifted lines.
-	shifted := []Finding{
-		mk("seedflow", filepath.Join(root, "a.go"), 13, "hard-coded seed"),
-		mk("seedflow", filepath.Join(root, "a.go"), 27, "hard-coded seed"),
-	}
-	if fresh := base.Diff(shifted, root); len(fresh) != 0 {
-		t.Errorf("line-shifted findings should be baselined, got %d fresh", len(fresh))
-	}
-
-	// A third instance of the same key exceeds the recorded count.
-	three := append(shifted, mk("seedflow", filepath.Join(root, "a.go"), 30, "hard-coded seed"))
-	if fresh := base.Diff(three, root); len(fresh) != 1 {
-		t.Errorf("count overflow must surface: want 1 fresh, got %d", len(fresh))
-	}
-
-	// New file, new analyzer, or new message → fresh.
-	for _, f := range []Finding{
-		mk("seedflow", filepath.Join(root, "b.go"), 10, "hard-coded seed"),
-		mk("scratchlife", filepath.Join(root, "a.go"), 10, "hard-coded seed"),
-		mk("seedflow", filepath.Join(root, "a.go"), 10, "other message"),
-	} {
-		if fresh := base.Diff([]Finding{f}, root); len(fresh) != 1 {
-			t.Errorf("%v should be fresh against the baseline", f)
-		}
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-
-	// A missing file is the empty baseline.
-	empty, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Entries) != 0 {
-		t.Fatalf("missing baseline should be empty, got %d entries", len(empty.Entries))
-	}
-
-	root := string(filepath.Separator) + "repo"
-	findings := []Finding{
-		{Analyzer: "concurrency", Pos: token.Position{Filename: filepath.Join(root, "x.go"), Line: 5, Column: 2}, Message: "m1"},
-		{Analyzer: "concurrency", Pos: token.Position{Filename: filepath.Join(root, "x.go"), Line: 9, Column: 2}, Message: "m1"},
-		{Analyzer: "seedflow", Pos: token.Position{Filename: filepath.Join(root, "y.go"), Line: 1, Column: 1}, Message: "m2"},
-	}
-	if err := NewBaseline(findings, root).Write(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Entries) != 2 {
-		t.Fatalf("expected 2 aggregated entries, got %d", len(loaded.Entries))
-	}
-	if fresh := loaded.Diff(findings, root); len(fresh) != 0 {
-		t.Errorf("round-tripped baseline must absorb its own findings, got %d fresh", len(fresh))
-	}
-}
-
 // TestCFGLabeledBreakExitsOuterLoop pins the successor edge of a
 // labeled break: it must leave the labeled (outer) loop entirely, not
-// just the innermost one. shapecheck's joins ride on these edges.
+// just the innermost one.
 func TestCFGLabeledBreakExitsOuterLoop(t *testing.T) {
 	pkg := loadSrc(t, `package p
 func f(n int) int {

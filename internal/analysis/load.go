@@ -55,6 +55,14 @@ type Loader struct {
 // NewLoader returns a loader for the module rooted at root. The module
 // path is read from root/go.mod.
 func NewLoader(root string) (*Loader, error) {
+	fset := token.NewFileSet()
+	return newLoader(root, fset, importer.ForCompiler(fset, "source", nil))
+}
+
+// newLoader is NewLoader over a caller-supplied file set and stdlib
+// importer (which must share that file set), so several loaders can
+// reuse one type-checked standard library.
+func newLoader(root string, fset *token.FileSet, std types.Importer) (*Loader, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -63,7 +71,6 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
 	ctxt := build.Default
 	// The loader parses every file itself; go/build is used only to
 	// evaluate build constraints, so keep its behavior hermetic.
@@ -72,7 +79,7 @@ func NewLoader(root string) (*Loader, error) {
 		Fset:   fset,
 		root:   abs,
 		module: mod,
-		std:    importer.ForCompiler(fset, "source", nil),
+		std:    std,
 		pkgs:   make(map[string]*Package),
 		ctxt:   ctxt,
 	}, nil

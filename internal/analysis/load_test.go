@@ -11,10 +11,7 @@ import (
 func tensorFilesFor(t *testing.T, arch string) map[string]bool {
 	t.Helper()
 	root := repoRoot(t)
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := testLoader(t, root)
 	l.SetGOARCH(arch)
 	pkg, err := l.LoadDir(filepath.Join(root, "internal", "tensor"), "nessa/internal/tensor")
 	if err != nil {

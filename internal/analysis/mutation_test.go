@@ -1,107 +1,32 @@
 package analysis
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // copyPkg copies the non-test Go files (and assembly) of srcDir into a
-// temp dir, passing each file through mutate.
+// temp dir, passing each file through mutate (nil copies verbatim).
 func copyPkg(t *testing.T, srcDir string, mutate func(name string, src []byte) []byte) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if !strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, ".s") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), mutate(name, data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyPackageDir(t, srcDir, dst, mutate)
 	return dst
 }
 
 // analyzerFindings loads dir under importPath and runs one analyzer.
 func analyzerFindings(t *testing.T, analyzer, dir, importPath string) []Finding {
 	t.Helper()
-	l, err := NewLoader(repoRoot(t))
+	pkg, err := testLoader(t, repoRoot(t)).LoadDir(dir, importPath)
 	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading mutated copy: %v", err)
+		t.Fatalf("loading %s: %v", dir, err)
 	}
 	az, err := ByName([]string{analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Run([]*Package{pkg}, az)
-}
-
-// TestInjectedLoopCaptureCaught is the concurrency acceptance mutation:
-// deleting the rebind line from the per-class CRAIG fan-out reverts the
-// closures to capturing the loop variables, and the analyzer must flag
-// it; the pristine tree stays silent.
-func TestInjectedLoopCaptureCaught(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package copies and repeated type checks are slow; skipped in -short mode")
-	}
-	root := repoRoot(t)
-	srcDir := filepath.Join(root, "internal", "selection")
-	const rebind = "ci, cand := ci, cand"
-
-	t.Run("stripped rebind flags the captured loop variables", func(t *testing.T) {
-		sawRebind := false
-		dir := copyPkg(t, srcDir, func(name string, src []byte) []byte {
-			if name != "craig.go" {
-				return src
-			}
-			var out []string
-			for _, line := range strings.Split(string(src), "\n") {
-				if strings.TrimSpace(line) == rebind {
-					sawRebind = true
-					continue
-				}
-				out = append(out, line)
-			}
-			return []byte(strings.Join(out, "\n"))
-		})
-		if !sawRebind {
-			t.Fatalf("craig.go no longer contains the %q rebind; update the mutation", rebind)
-		}
-		findings := analyzerFindings(t, "concurrency", dir, "nessa/internal/selection")
-		found := false
-		for _, f := range findings {
-			if strings.Contains(f.Message, "loop variable") && strings.Contains(f.Message, "captured by concurrently executed closure") {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("stripped rebind was not flagged; findings: %v", findings)
-		}
-	})
-
-	t.Run("pristine package is silent", func(t *testing.T) {
-		dir := copyPkg(t, srcDir, func(name string, src []byte) []byte { return src })
-		for _, f := range analyzerFindings(t, "concurrency", dir, "nessa/internal/selection") {
-			t.Errorf("pristine selection flagged: %s", f.String())
-		}
-	})
 }
 
 // TestInjectedScratchLeakCaught is the scratchlife acceptance mutation:
@@ -138,7 +63,7 @@ func TestInjectedScratchLeakCaught(t *testing.T) {
 	})
 
 	t.Run("pristine package is silent", func(t *testing.T) {
-		dir := copyPkg(t, srcDir, func(name string, src []byte) []byte { return src })
+		dir := copyPkg(t, srcDir, nil)
 		for _, f := range analyzerFindings(t, "scratchlife", dir, "nessa/internal/nn") {
 			t.Errorf("pristine nn flagged: %s", f.String())
 		}

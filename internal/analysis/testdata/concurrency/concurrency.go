@@ -1,5 +1,4 @@
-// Fixture for the concurrency analyzer: loop capture in spawned and
-// deferred closures, shared writes from pool tasks, copied locks,
+// Fixture for the concurrency analyzer: shared writes from pool tasks,
 // WaitGroup.Add placement, and unlock-without-lock paths — plus the
 // sanctioned idioms each rule must leave alone.
 package fixture
@@ -9,55 +8,6 @@ import (
 
 	"nessa/internal/parallel"
 )
-
-// LoopCaptureGo spawns goroutines that capture the range variable.
-func LoopCaptureGo(items []int) {
-	var wg sync.WaitGroup
-	for _, it := range items {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = it // want "loop variable it captured by concurrently executed closure"
-		}()
-	}
-	wg.Wait()
-}
-
-// LoopCaptureTasks builds a task list for the pool and captures the
-// loop index inside the queued closures.
-func LoopCaptureTasks(pool *parallel.Pool, n int) {
-	var tasks []func()
-	for i := 0; i < n; i++ {
-		tasks = append(tasks, func() {
-			_ = i // want "loop variable i captured by concurrently executed closure"
-		})
-	}
-	pool.Run(tasks)
-}
-
-// DeferredCapture defers a closure that captures the loop variable.
-func DeferredCapture(items []int) {
-	for _, it := range items {
-		defer func() {
-			_ = it // want "loop variable it captured by deferred closure"
-		}()
-	}
-}
-
-// RebindClean is the sanctioned idiom: rebinding pins one iteration's
-// value, so the closure captures the copy.
-func RebindClean(items []int) {
-	var wg sync.WaitGroup
-	for _, it := range items {
-		it := it
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = it
-		}()
-	}
-	wg.Wait()
-}
 
 // SharedSum accumulates into a captured scalar from concurrent chunks.
 func SharedSum(xs []float64) float64 {
@@ -100,52 +50,6 @@ func WaivedWrite(done func()) int {
 		done()
 	}()
 	return total
-}
-
-// guarded is a lock-bearing struct for the copylock cases.
-type guarded struct {
-	mu  sync.Mutex
-	val int
-}
-
-// CopyParam takes a WaitGroup by value — every Add/Wait pair splits
-// across two copies.
-func CopyParam(wg sync.WaitGroup) { // want "sync.WaitGroup passed by value copies the lock"
-	wg.Wait()
-}
-
-// CopyAssign copies a mutex out of a guarded struct.
-func CopyAssign(g *guarded) int {
-	m := g.mu // want "assignment copies a value containing sync.Mutex"
-	m.Lock()
-	return g.val
-}
-
-// CopyRange iterates lock-bearing values by value.
-func CopyRange(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want "range clause copies a value containing sync.Mutex"
-		total += g.val
-	}
-	return total
-}
-
-// sink receives a guarded value: the signature itself is a violation,
-// and each call site copying one in is another.
-func sink(g guarded) int { // want "sync.Mutex passed by value copies the lock"
-	return g.val
-}
-
-// CopyCall copies a lock-bearing value into a call.
-func CopyCall(g *guarded) int {
-	return sink(*g) // want "call argument copies a value containing sync.Mutex"
-}
-
-// PointerClean passes locks the sanctioned way.
-func PointerClean(g *guarded, mu *sync.Mutex) {
-	mu.Lock()
-	g.val++
-	mu.Unlock()
 }
 
 // AddInside calls WaitGroup.Add from within the goroutine it tracks —

@@ -46,7 +46,7 @@ func AblationEps() *Table {
 		Header: []string{"eps", "Objective ratio", "Wall time"},
 	}
 	k := emb.Rows * 15 / 100
-	exact, err := selection.PerClass(emb, classes, k, selection.LazyMaximizer())
+	exact, err := selection.PerClass(emb, classes, k, selection.LazyGreedy)
 	if err != nil {
 		t.AddRow("error", err.Error(), "")
 		return t
@@ -78,7 +78,7 @@ func AblationPartition() *Table {
 		Header: []string{"m", "Objective ratio", "Max chunk bytes", "Fits on chip"},
 	}
 	k := emb.Rows * 15 / 100
-	exact, err := selection.PerClass(emb, classes, k, selection.LazyMaximizer())
+	exact, err := selection.PerClass(emb, classes, k, selection.LazyGreedy)
 	if err != nil {
 		t.AddRow("error", err.Error(), "", "")
 		return t
@@ -86,7 +86,7 @@ func AblationPartition() *Table {
 	dev, _ := smartssd.New()
 	for _, m := range []int{4, 8, 16, 32, 64} {
 		res, err := selection.PerClass(emb, classes, k,
-			selection.PartitionedMaximizer(m, tensor.NewRNG(1), selection.LazyMaximizer()))
+			selection.PartitionedMaximizer(m, tensor.NewRNG(1), selection.LazyGreedy))
 		if err != nil {
 			t.AddRow(fmt.Sprintf("%d", m), "error: "+err.Error(), "", "")
 			continue

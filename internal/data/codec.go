@@ -133,8 +133,6 @@ func DecodeSample(buf []byte) (label int, features []float32, err error) {
 // feature count. The CRC is not checked — pair with VerifyRecord or
 // VerifyImage when integrity matters; streaming scans verify a whole
 // chunk at once and then decode records from it with this.
-//
-//nessa:shape(features: len=nf, buf: minlen=10+4*nf) header is recordHeader bytes, then 4 bytes per feature
 func DecodeRecordInto(buf []byte, features []float32) (int, error) {
 	if len(buf) < recordHeader {
 		return 0, fmt.Errorf("data: record too short (%d bytes)", len(buf))

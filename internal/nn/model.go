@@ -19,15 +19,10 @@ import (
 )
 
 // Dense is one fully connected layer. Weights are stored row-major as
-// (out × in) so a forward pass is X·Wᵀ + b. The //nessa:shape
-// contracts tie both tensors to one out/in pair per layer, so
-// nessa-vet's shapecheck can prove every construction site and every
-// kernel call against them.
+// (out × in) so a forward pass is X·Wᵀ + b.
 type Dense struct {
-	//nessa:shape(rows=out, cols=in)
 	W *tensor.Matrix // out × in
-	//nessa:shape(len=out)
-	B []float32 // out
+	B []float32      // out
 }
 
 // MLP is a feed-forward classifier: zero or more ReLU hidden layers

@@ -120,7 +120,7 @@ func TestPerClassRespectsClassBoundaries(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		classes[i%3] = append(classes[i%3], i)
 	}
-	res, err := PerClass(emb, classes, 15, LazyMaximizer())
+	res, err := PerClass(emb, classes, 15, LazyGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPerClassImbalancedBudgets(t *testing.T) {
 	for i := 30; i < 40; i++ {
 		classes[1] = append(classes[1], i)
 	}
-	res, err := PerClass(emb, classes, 8, LazyMaximizer())
+	res, err := PerClass(emb, classes, 8, LazyGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPerClassFewerPicksThanClasses(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		classes[i%10] = append(classes[i%10], i)
 	}
-	res, err := PerClass(emb, classes, 4, LazyMaximizer())
+	res, err := PerClass(emb, classes, 4, LazyGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestPerClassEmptyClassesSkipped(t *testing.T) {
 	emb := tensor.NewMatrix(10, 3)
 	emb.FillNormal(r, 1)
 	classes := [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {}}
-	res, err := PerClass(emb, classes, 5, LazyMaximizer())
+	res, err := PerClass(emb, classes, 5, LazyGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestPerClassEmptyClassesSkipped(t *testing.T) {
 
 func TestPerClassAllEmptyErrors(t *testing.T) {
 	emb := tensor.NewMatrix(5, 2)
-	if _, err := PerClass(emb, [][]int{{}, {}}, 3, LazyMaximizer()); err == nil {
+	if _, err := PerClass(emb, [][]int{{}, {}}, 3, LazyGreedy); err == nil {
 		t.Error("expected error for all-empty classes")
 	}
 }
@@ -243,7 +243,7 @@ func TestPartitionedSelectsK(t *testing.T) {
 		emb, cand, r := randomInstance(seed, 60, 3)
 		k := 1 + r.Intn(len(cand))
 		m := 1 + r.Intn(k)
-		res, err := Partitioned(emb, cand, k, m, r, LazyMaximizer())
+		res, err := Partitioned(emb, cand, k, m, r, LazyGreedy)
 		if err != nil {
 			return false
 		}
@@ -273,13 +273,13 @@ func TestPartitionedChunksFitOnChip(t *testing.T) {
 
 func TestPartitionedErrors(t *testing.T) {
 	emb := tensor.NewMatrix(5, 2)
-	if _, err := Partitioned(emb, []int{0, 1}, 0, 1, nil, LazyMaximizer()); err == nil {
+	if _, err := Partitioned(emb, []int{0, 1}, 0, 1, nil, LazyGreedy); err == nil {
 		t.Error("expected error for k=0")
 	}
-	if _, err := Partitioned(emb, []int{0, 1}, 2, 0, nil, LazyMaximizer()); err == nil {
+	if _, err := Partitioned(emb, []int{0, 1}, 2, 0, nil, LazyGreedy); err == nil {
 		t.Error("expected error for m=0")
 	}
-	if _, err := Partitioned(emb, nil, 2, 1, nil, LazyMaximizer()); err == nil {
+	if _, err := Partitioned(emb, nil, 2, 1, nil, LazyGreedy); err == nil {
 		t.Error("expected error for no candidates")
 	}
 }
@@ -292,7 +292,7 @@ func TestPartitionedMaximizerComposesWithPerClass(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		classes[i%4] = append(classes[i%4], i)
 	}
-	pm := PartitionedMaximizer(4, r, LazyMaximizer())
+	pm := PartitionedMaximizer(4, r, LazyGreedy)
 	res, err := PerClass(emb, classes, 24, pm)
 	if err != nil {
 		t.Fatal(err)

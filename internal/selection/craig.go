@@ -12,12 +12,8 @@ import (
 // rows of an embedding matrix.
 type Maximizer func(emb *tensor.Matrix, cand []int, k int) (Result, error)
 
-// NaiveMaximizer, LazyMaximizer, and StochasticMaximizer adapt the
-// three greedy variants to the Maximizer signature.
-func NaiveMaximizer() Maximizer { return NaiveGreedy }
-
-func LazyMaximizer() Maximizer { return LazyGreedy }
-
+// StochasticMaximizer adapts StochasticGreedy to the Maximizer
+// signature; NaiveGreedy and LazyGreedy already have it.
 func StochasticMaximizer(eps float64, rng *tensor.RNG) Maximizer {
 	return func(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 		return StochasticGreedy(emb, cand, k, eps, rng)

@@ -104,25 +104,6 @@ func TestKCentersParallelSerialEquivalence(t *testing.T) {
 	sameResult(t, "kcenters", serial, par)
 }
 
-func TestRefineParallelSerialEquivalence(t *testing.T) {
-	emb, cand := parallelInstance(1100, 6)
-	seedRes, err := LazyGreedy(emb, cand, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() (Result, error) {
-		return Refine(emb, cand, seedRes, 2, 8, tensor.NewRNG(3))
-	}
-	var serial, par Result
-	var err1, err2 error
-	withWorkers(1, func() { serial, err1 = run() })
-	withWorkers(8, func() { par, err2 = run() })
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors %v / %v", err1, err2)
-	}
-	sameResult(t, "refine", serial, par)
-}
-
 func TestGreeDiParallelSerialEquivalence(t *testing.T) {
 	emb, cand := parallelInstance(1600, 8)
 	run := func() (Result, error) {

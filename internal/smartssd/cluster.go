@@ -294,21 +294,3 @@ func (c *Cluster) MaxClock() time.Duration {
 	}
 	return m
 }
-
-// ScanSpeedup reports the ideal-parallel speed-up of scanning a
-// dataset of totalBytes across the cluster versus one device:
-// each drive streams 1/D of the data, so the wall time shrinks by
-// roughly D (command overheads keep it slightly under).
-func (c *Cluster) ScanSpeedup(totalBytes int64, records int) float64 {
-	if len(c.Devices) == 0 || records <= 0 {
-		return 0
-	}
-	link := c.Devices[0].P2P
-	single := link.Duration(totalBytes, records)
-	d := int64(len(c.Devices))
-	per := link.Duration(totalBytes/d, records/len(c.Devices))
-	if per <= 0 {
-		return 0
-	}
-	return single.Seconds() / per.Seconds()
-}

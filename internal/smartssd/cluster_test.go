@@ -275,11 +275,3 @@ func TestClusterAccounting(t *testing.T) {
 		t.Error("cluster clock did not advance")
 	}
 }
-
-func TestScanSpeedupNearDeviceCount(t *testing.T) {
-	c, _ := NewCluster(8)
-	got := c.ScanSpeedup(8*1024*1024*128, 8*128)
-	if got < 6 || got > 8.5 {
-		t.Fatalf("ideal 8-drive speed-up = %.2f, want ~8", got)
-	}
-}

@@ -45,26 +45,19 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 gate "nessa-vet"
-# The repo's own analyzers: determinism (no wall clock / math/rand in
-# device code), maporder (no order-sensitive folds over map iteration),
-# hotpath (//nessa:hotpath functions stay allocation-free), fma (no
-# fusable float multiply-adds in the kernel packages), errhygiene
-# (sentinel errors compared with errors.Is, wrapped with %w),
-# concurrency (loop capture, shared writes, copied locks, lock-state
-# paths), scratchlife (pooled/arena scratch escaping its epoch —
-# including parallel.WorkerLocal slots, whose Get results carry the
-# same taint as sync.Pool buffers), seedflow (RNG seeds must flow
-# from configuration), and shapecheck (tensor dimensions must agree
-# symbolically across the tensor/nn/data APIs and //nessa:shape
-# contracts). hotpath additionally rejects sync.Pool on annotated hot
-# paths: the GC drains pools, so steady state keeps missing and
-# allocating — worker arenas or free lists instead.
-#
-# The baseline diff gates on NEW findings only: accepted historical
-# findings live in scripts/vet-baseline.json (currently empty — the
-# tree is swept clean). To accept a finding deliberately, regenerate
-# with: nessa-vet -baseline scripts/vet-baseline.json -write-baseline ./...
-"$tmpdir/nessa-vet" -baseline scripts/vet-baseline.json ./...
+# The repo's own eight analyzers: determinism (no wall clock /
+# math/rand in device code), maporder (no order-sensitive folds over
+# map iteration), hotpath (//nessa:hotpath functions stay free of
+# allocating constructs, sync.Pool included — the GC drains pools, so
+# steady state keeps missing and allocating), fma (no fusable float
+# multiply-adds in the kernel packages), errhygiene (sentinel errors
+# compared with errors.Is, wrapped with %w), concurrency (shared
+# writes and WaitGroup.Add in pool/go closures, lock-state paths —
+# copied locks are go vet's, above), scratchlife (pooled/arena scratch
+# escaping its epoch, parallel.WorkerLocal slots included) and
+# seedflow (RNG seeds flow from configuration). Any finding fails the
+# gate; a deliberate exception is a //nessa:*-ok waiver at the site.
+"$tmpdir/nessa-vet" ./...
 
 gate "nessa-vet -compiler"
 # Machine-level verification: rebuild with gc diagnostics
@@ -83,8 +76,7 @@ gate "nessa-vet -compiler"
 # unpinned toolchain, so a bare `nessa-vet -compiler ./...` degrades
 # the same way outside this script.
 #
-# The findings gate diffs against scripts/vet-compiler-baseline.json
-# (empty — the tree is swept clean); the evidence ledger
+# Any finding fails the gate; the evidence ledger
 # results/COMPILER_evidence.json diffs per-package counts: regressions
 # (new escape waivers, kernels lost from the inline budget, bounds
 # checks creeping back) fail, improvements are auto-accepted by
@@ -94,7 +86,6 @@ goversion="$(go env GOVERSION)"
 case "$goversion" in
 go1.2[2-6] | go1.2[2-6].* | go1.2[2-6][!0-9]*)
 	compiler_out="$("$tmpdir/nessa-vet" -compiler \
-		-baseline scripts/vet-compiler-baseline.json \
 		-ledger results/COMPILER_evidence.json ./... 2>&1)" || {
 		printf '%s\n' "$compiler_out" >&2
 		exit 1
@@ -152,8 +143,18 @@ gate "determinism gate"
 # steady-state clean striped scan may allocate at most 64 KB (112 B
 # with every payload in the cluster's scan arena; one escaped stripe
 # is ≥ 87 KB).
-"$tmpdir/nessa-bench" -quick -results "$tmpdir/results" \
-	-only bench-selection,bench-training,bench-streaming,bench-faults,bench-gemmtune,bench-recovery >/dev/null
+#
+# Each artifact runs on its own so one failing gate does not hide the
+# ones after it; every failure is listed at the end.
+failed_gates=()
+for artifact in bench-selection bench-training bench-streaming bench-faults bench-gemmtune bench-recovery; do
+	"$tmpdir/nessa-bench" -quick -results "$tmpdir/results" -only "$artifact" >/dev/null ||
+		failed_gates+=("$artifact")
+done
 
 echo "-- ${gate_name}: $((SECONDS - gate_start))s"
+if ((${#failed_gates[@]})); then
+	echo "FAILED bench gates: ${failed_gates[*]}" >&2
+	exit 1
+fi
 echo "OK"
