@@ -25,7 +25,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run training artifacts at reduced scale")
-	only := flag.String("only", "", "comma-separated artifact ids (table1..4, figure1..6, section4.3, section4.4, ablations, bench-selection, bench-training, bench-streaming, bench-faults, bench-recovery, bench-gemmtune, seed-variance); empty = all")
+	only := flag.String("only", "", "comma-separated artifact ids (table1..4, figure1..6, section4.3, section4.4, ablations, bench-selection, bench-training, bench-streaming, bench-faults, bench-recovery, seed-variance); empty = all")
 	csvDir := flag.String("csv", "", "also write each artifact as CSV into this directory")
 	stride := flag.Int("stride", 5, "epoch stride for figure5 rows")
 	seeds := flag.Int("seeds", 3, "seed count for the seed-variance artifact")
@@ -191,17 +191,6 @@ func main() {
 				frac, res.Stats.RungVisits, bench.StreamingScanGate))
 		}
 		fmt.Fprintln(os.Stderr, "wrote", path)
-		add(tab)
-	}
-	if selected("bench-gemmtune") {
-		fmt.Fprintln(os.Stderr, "autotuning GEMM block sizes (MC/KC/NR sweep per kernel tier)...")
-		path := filepath.Join(*resultsDir, "GEMM_tuning.json")
-		rec, tab, err := bench.WriteGEMMTune(path, *quick)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (bit-exact mc=%d %.1f GFLOP/s; fast mc=%d kc=%d nr=%d %.1f GFLOP/s)\n",
-			path, rec.BitExact.MC, rec.BitExactGFLOPS, rec.Fast.MC, rec.Fast.KC, rec.Fast.NR, rec.FastGFLOPS)
 		add(tab)
 	}
 	if selected("bench-faults") {

@@ -7,7 +7,7 @@
 //	nessa-train [-dataset CIFAR-10] [-method nessa|craig|kcenters|random|full]
 //	            [-epochs 60] [-subset 0.4] [-seed 7] [-workers 0]
 //	            [-streaming] [-streamchunk 8192]
-//	            [-fastmath] [-tuning results/GEMM_tuning.json] [-no-device]
+//	            [-fastmath] [-no-device]
 //	            [-chaos] [-fault-seed 42] [-fault-corrupt 0] [-fault-transient 0]
 //	            [-fault-latency 0] [-fault-linkdown 0]
 //	            [-parity 3+1] [-kill 1@3] [-spare]
@@ -20,9 +20,9 @@
 // or craig. -streamchunk sets the records per scan chunk.
 //
 // -fastmath opts into the non-bit-exact AVX2/FMA kernel tier (still
-// deterministic and worker-count invariant; silently a no-op on CPUs
-// without AVX2/FMA). -tuning applies a GEMM block-size record produced
-// by nessa-bench's autotuner for the active tier.
+// deterministic and worker-count invariant; a warning and a no-op on
+// CPUs without AVX2/FMA). It sets Options.BitExact, so -method full,
+// which takes no options, always trains on the bit-exact tier.
 //
 // The -fault-* flags attach a deterministic fault injector to the
 // simulated device (requires the device, i.e. not -no-device); -chaos
@@ -34,7 +34,8 @@
 // the dataset is striped over k drives with m Reed–Solomon parity
 // stripes, and every candidate scan survives up to m whole-device
 // losses by reconstructing lost stripes from the survivors (DESIGN.md
-// §4.11). -kill d@n scripts a permanent kill of device d after its
+// §4.11); m may be 0 — plain sharding, where any loss is fatal.
+// -kill d@n scripts a permanent kill of device d after its
 // n-th completed scan; -spare attaches a hot spare and auto-rebuilds
 // onto it after the first degraded scan. -checkpoint writes the full
 // session state to a file every -checkpoint-every epochs (0 = every
@@ -61,7 +62,6 @@ func main() {
 	streaming := flag.Bool("streaming", false, "select with the single-pass streaming sieve: one sequential candidate scan in fixed on-chip memory (facility selector only)")
 	streamChunk := flag.Int("streamchunk", 0, "records per streaming scan chunk (0 = default 8192)")
 	fastmath := flag.Bool("fastmath", false, "enable the non-bit-exact AVX2/FMA kernel tier (deterministic, but diverges from the bit-exact trajectory within the documented tolerance; no-op without AVX2/FMA)")
-	tuningPath := flag.String("tuning", "", "GEMM tuning record to apply (results/GEMM_tuning.json written by nessa-bench -only bench-gemmtune)")
 	noDevice := flag.Bool("no-device", false, "skip the SmartSSD simulation / movement accounting")
 	chaos := flag.Bool("chaos", false, "inject the standard chaos fault profile (all classes active)")
 	faultSeed := flag.Uint64("fault-seed", 42, "fault injector seed")
@@ -81,22 +81,8 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown dataset %q", *dataset))
 	}
-	// Resolve the kernel tier before applying a tuning record, so the
-	// record's entry for the active tier is the one installed.
-	fastActive := nessa.SetFastMath(*fastmath)
-	if *fastmath && !fastActive {
+	if *fastmath && !nessa.FastMathSupported() {
 		fmt.Fprintln(os.Stderr, "nessa-train: -fastmath requested but AVX2/FMA is unavailable; staying on the bit-exact tier")
-	}
-	if *tuningPath != "" {
-		rec, err := nessa.LoadTuningRecord(*tuningPath)
-		if err != nil {
-			fatal(err)
-		}
-		applied, err := nessa.ApplyTuningRecord(rec)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("tuning: mc=%d kc=%d nr=%d (fast tier %v)\n", applied.MC, applied.KC, applied.NR, fastActive)
 	}
 	train, test := nessa.Generate(spec)
 	cfg := nessa.DefaultTrainConfig()

@@ -26,6 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The 4+0 placement: one record stripe per drive, no parity.
 	counts, err := cluster.ShardDataset(spec.Name, img, spec.BytesPerImage)
 	if err != nil {
 		log.Fatal(err)

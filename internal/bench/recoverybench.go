@@ -165,8 +165,8 @@ func recoveryBenchOptions(spec RecoveryBenchSpec) (trainer.Config, core.Options)
 }
 
 // recoveryCluster builds a fresh cluster holding the benchmark dataset
-// either striped with parity or plainly sharded across DataShards
-// devices.
+// on DataShards devices, with ParityShards more when striped and as the
+// k+0 placement otherwise.
 func recoveryCluster(spec RecoveryBenchSpec, striped bool) (*smartssd.Cluster, *data.Dataset, *data.Dataset, error) {
 	ds := recoveryBenchDataSpec(spec)
 	train, test := data.Generate(ds)
@@ -174,22 +174,15 @@ func recoveryCluster(spec RecoveryBenchSpec, striped bool) (*smartssd.Cluster, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	devices := spec.DataShards
+	place := smartssd.Placement{DataShards: spec.DataShards}
 	if striped {
-		devices += spec.ParityShards
+		place.ParityShards = spec.ParityShards
 	}
-	c, err := smartssd.NewCluster(devices)
+	c, err := smartssd.NewCluster(place.Total())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if striped {
-		_, err = c.StripeDataset(ds.Name, img, spec.BytesPerImage, smartssd.Placement{
-			DataShards: spec.DataShards, ParityShards: spec.ParityShards,
-		})
-	} else {
-		_, err = c.ShardDataset(ds.Name, img, spec.BytesPerImage)
-	}
-	if err != nil {
+	if _, err := c.StripeDataset(ds.Name, img, spec.BytesPerImage, place); err != nil {
 		return nil, nil, nil, err
 	}
 	return c, train, test, nil

@@ -147,8 +147,8 @@ type Options struct {
 	// Device-loss recovery (§4.11). Cluster attaches a multi-device
 	// group in place of Device: every reselection scan runs as one
 	// ParallelScan of DatasetName, and when the dataset was placed
-	// with parity (smartssd.StripeDataset) the scan survives whole-
-	// device loss by reconstructing lost stripes from the survivors.
+	// with parity (smartssd.Placement.ParityShards > 0) the scan survives
+	// whole-device loss by reconstructing lost stripes from the survivors.
 	// Mutually exclusive with Device; requires DatasetName. The
 	// streaming selector and RawScan are single-device paths and are
 	// rejected with a cluster. AutoRebuild, after a scan that reports
@@ -251,11 +251,27 @@ func (f *FaultReport) absorb(st smartssd.ReadStats) {
 	}
 }
 
+// devices lists the attached drives — the single Device, the Cluster's
+// members, or none. It is resolved at each call, so a spare that
+// Rebuild swapped into the group is seen from the next use on.
+func (o *Options) devices() []*smartssd.Device {
+	switch {
+	case o.Device != nil:
+		return []*smartssd.Device{o.Device}
+	case o.Cluster != nil:
+		return o.Cluster.Devices
+	}
+	return nil
+}
+
 // Run trains on (train, test) with the given training recipe and
 // selection options and returns the measured report.
 func Run(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*Report, error) {
 	if err := validateOptions(&opt); err != nil {
 		return nil, err
+	}
+	if err := tcfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	// Size the shared execution pool. This is a process-wide scheduling
 	// knob: results are worker-count-independent by construction, so a
@@ -322,10 +338,8 @@ func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*s
 		}
 	}
 	if opt.Injector != nil {
-		if opt.Cluster != nil {
-			opt.Cluster.SetInjector(opt.Injector)
-		} else {
-			opt.Device.SetInjector(opt.Injector)
+		for _, d := range opt.devices() {
+			d.SetInjector(opt.Injector)
 		}
 	}
 	if opt.Cluster != nil {
@@ -361,14 +375,10 @@ func (s *session) run() (*Report, error) {
 			if opt.QuantFeedback {
 				qm := quant.QuantizeModel(s.tr.Model)
 				selModel = qm.Dequantized()
-				if opt.Device != nil {
-					opt.Device.ReceiveFeedback(qm.SizeBytes())
-				} else if opt.Cluster != nil {
-					// The quantized selection model is broadcast to
-					// every drive in the group.
-					for _, d := range opt.Cluster.Devices {
-						d.ReceiveFeedback(qm.SizeBytes())
-					}
+				// The quantized selection model is broadcast to every
+				// attached drive.
+				for _, d := range opt.devices() {
+					d.ReceiveFeedback(qm.SizeBytes())
 				}
 			}
 			degraded := false
@@ -447,12 +457,10 @@ func (s *session) run() (*Report, error) {
 				s.current = res
 				s.hist.record(s.cands, losses)
 				shipped := int64(len(s.current.Selected)) * s.recBytes
-				if opt.Device != nil {
-					opt.Device.SendToGPU(shipped, len(s.current.Selected))
-				} else if opt.Cluster != nil {
-					// The subset ships to the GPU from the group's
-					// aggregation point.
-					opt.Cluster.Devices[0].SendToGPU(shipped, len(s.current.Selected))
+				// The subset ships to the GPU from member 0 — a group's
+				// aggregation point.
+				if ds := opt.devices(); len(ds) > 0 {
+					ds[0].SendToGPU(shipped, len(s.current.Selected))
 				}
 			}
 		}

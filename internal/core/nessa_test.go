@@ -292,6 +292,22 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidTrainerConfig: a bad training recipe is an
+// error from Run, not a panic out of trainer.New.
+func TestRunRejectsInvalidTrainerConfig(t *testing.T) {
+	tr, te := data.Generate(tinySpec())
+	for _, mutate := range []func(*trainer.Config){
+		func(c *trainer.Config) { c.Epochs = 0 },
+		func(c *trainer.Config) { c.BatchSize = -1 },
+	} {
+		cfg := tinyCfg()
+		mutate(&cfg)
+		if _, err := Run(tr, te, cfg, tinyOptions()); err == nil {
+			t.Errorf("config %+v: expected an error", cfg)
+		}
+	}
+}
+
 func TestReportInvariants(t *testing.T) {
 	tr, te := data.Generate(tinySpec())
 	cfg := tinyCfg()

@@ -67,17 +67,6 @@ func Explore(budget Budget, w Workload) []DesignPoint {
 	return points
 }
 
-// BestFit returns the highest-throughput explored configuration that
-// fits the budget, and whether any fits at all.
-func BestFit(budget Budget, w Workload) (DesignPoint, bool) {
-	for _, p := range Explore(budget, w) {
-		if p.Fits {
-			return p, true
-		}
-	}
-	return DesignPoint{}, false
-}
-
 // EnergyJoules reports the energy of running the workload at the given
 // power draw for duration d — the §2.2 comparison: the SmartSSD FPGA
 // filters data at ~7.5 W where a K1200 draws 45 W and an A100 250 W.

@@ -47,21 +47,6 @@ func TestBiggestConfigsBlowBudget(t *testing.T) {
 	t.Fatal("expected grid point missing")
 }
 
-func TestBestFitIsDeployableAndFast(t *testing.T) {
-	best, ok := BestFit(PaperKU15P(), refWorkload())
-	if !ok {
-		t.Fatal("no feasible design")
-	}
-	if !best.Usage.Fits(PaperKU15P()) {
-		t.Fatal("best design does not fit")
-	}
-	deployed := DefaultKernel()
-	if best.Throughput < deployed.Throughput(refWorkload()) {
-		t.Fatalf("best-fit throughput %.0f below deployed %.0f",
-			best.Throughput, deployed.Throughput(refWorkload()))
-	}
-}
-
 func TestThroughputMonotoneInPEs(t *testing.T) {
 	w := refWorkload()
 	small := DefaultKernel()
@@ -70,12 +55,6 @@ func TestThroughputMonotoneInPEs(t *testing.T) {
 	big.PEs = 1024
 	if big.Throughput(w) <= small.Throughput(w) {
 		t.Fatal("throughput should grow with PE count")
-	}
-}
-
-func TestBestFitImpossibleBudget(t *testing.T) {
-	if _, ok := BestFit(Budget{LUT: 1, FF: 1, BRAM: 1, DSP: 1}, refWorkload()); ok {
-		t.Fatal("design fit an impossible budget")
 	}
 }
 

@@ -12,7 +12,7 @@ func TestFig2MNISTMovementShare(t *testing.T) {
 	// Paper §1: MNIST (0.5 KB/image, 50 K images) spends ~5.4 % of
 	// training time on data movement on a V100.
 	g := V100()
-	m, _ := NetworkProfile("ResNet-20")
+	m, _ := networkProfile("ResNet-20")
 	b := g.Epoch(50_000, 512, m.ForwardGFLOPs)
 	share := b.MovementShare() * 100
 	if share < 4.0 || share > 7.0 {
@@ -24,7 +24,7 @@ func TestFig2ImageNet100MovementShare(t *testing.T) {
 	// Paper §1: ImageNet-100 (130 KB/image, 130 K images) spends
 	// ~40.4 % of training time on data movement.
 	g := V100()
-	m, _ := NetworkProfile("ResNet-50")
+	m, _ := networkProfile("ResNet-50")
 	spec, _ := data.Lookup("ImageNet-100")
 	b := g.Epoch(spec.Train, spec.BytesPerImage, m.ForwardGFLOPs)
 	share := b.MovementShare() * 100
@@ -35,7 +35,7 @@ func TestFig2ImageNet100MovementShare(t *testing.T) {
 
 func TestMovementShareGrowsWithImageBytes(t *testing.T) {
 	g := V100()
-	m, _ := NetworkProfile("ResNet-50")
+	m, _ := networkProfile("ResNet-50")
 	small := g.Epoch(130_000, 3*1024, m.ForwardGFLOPs).MovementShare()
 	big := g.Epoch(130_000, 129*1024, m.ForwardGFLOPs).MovementShare()
 	if big <= small {
@@ -86,12 +86,12 @@ func TestFig1CatalogChronological(t *testing.T) {
 
 func TestNetworkProfiles(t *testing.T) {
 	for _, name := range []string{"ResNet-20", "ResNet-18", "ResNet-18@64", "ResNet-50"} {
-		m, ok := NetworkProfile(name)
+		m, ok := networkProfile(name)
 		if !ok || m.ForwardGFLOPs <= 0 {
 			t.Errorf("missing or invalid profile %q", name)
 		}
 	}
-	if _, ok := NetworkProfile("LeNet"); ok {
+	if _, ok := networkProfile("LeNet"); ok {
 		t.Error("unexpected profile for unknown network")
 	}
 }

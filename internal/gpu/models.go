@@ -28,7 +28,7 @@ func Fig1Catalog() []ModelProfile {
 	}
 }
 
-// NetworkProfile maps the Table 1 target networks (at each dataset's
+// networkProfile maps the Table 1 target networks (at each dataset's
 // input resolution) to their per-image forward cost. These drive the
 // GPU-side timing of Table 2 / Figs 2 and 4.
 //
@@ -36,7 +36,7 @@ func Fig1Catalog() []ModelProfile {
 //	ResNet-18      — CIFAR-style 32×32
 //	ResNet-18@64   — TinyImageNet 64×64 (4× the pixels of 32×32)
 //	ResNet-50      — ImageNet-style 224×224
-func NetworkProfile(name string) (ModelProfile, bool) {
+func networkProfile(name string) (ModelProfile, bool) {
 	switch name {
 	case "ResNet-20":
 		return ModelProfile{Name: "ResNet-20", Year: 2015, ForwardGFLOPs: 0.041, MParams: 0.27}, true
@@ -54,7 +54,7 @@ func NetworkProfile(name string) (ModelProfile, bool) {
 // ResNet-18 to its 64×64 variant for TinyImageNet).
 func DatasetNetwork(dataset, network string) (ModelProfile, bool) {
 	if dataset == "TinyImageNet" && network == "ResNet-18" {
-		return NetworkProfile("ResNet-18@64")
+		return networkProfile("ResNet-18@64")
 	}
-	return NetworkProfile(network)
+	return networkProfile(network)
 }

@@ -106,8 +106,8 @@ func Chunks(n int) int {
 	return (n + reduceChunk - 1) / reduceChunk
 }
 
-// ChunkBounds returns the half-open range [lo, hi) of chunk c.
-func ChunkBounds(c, n int) (lo, hi int) {
+// chunkBounds returns the half-open range [lo, hi) of chunk c.
+func chunkBounds(c, n int) (lo, hi int) {
 	lo = c * reduceChunk
 	hi = lo + reduceChunk
 	if hi > n {
@@ -151,16 +151,6 @@ func releaseWorkerID(id int) {
 	ids.mu.Lock()
 	ids.free = append(ids.free, id)
 	ids.mu.Unlock()
-}
-
-// MaxWorkerID reports the number of distinct worker IDs ever handed
-// out — an upper bound for pre-sizing per-worker state. IDs are dense:
-// every ID ever seen is < MaxWorkerID().
-func MaxWorkerID() int {
-	workerIDs.mu.Lock()
-	n := workerIDs.next
-	workerIDs.mu.Unlock()
-	return n
 }
 
 // ---------------------------------------------------------------------
@@ -209,10 +199,10 @@ func (j *loopJob) work(w int) {
 		}
 		switch j.kind {
 		case jobChunks:
-			lo, hi := ChunkBounds(i, j.total)
+			lo, hi := chunkBounds(i, j.total)
 			j.chunk(i, lo, hi)
 		case jobChunksW:
-			lo, hi := ChunkBounds(i, j.total)
+			lo, hi := chunkBounds(i, j.total)
 			j.chunkW(w, i, lo, hi)
 		case jobBands:
 			lo, hi := bandBounds(i, j.grain, j.total)
@@ -369,7 +359,7 @@ func (p *Pool) ForChunks(n int, body func(c, lo, hi int)) {
 	}
 	if w <= 1 {
 		for c := 0; c < nchunks; c++ {
-			lo, hi := ChunkBounds(c, n)
+			lo, hi := chunkBounds(c, n)
 			body(c, lo, hi)
 		}
 		return
@@ -396,7 +386,7 @@ func (p *Pool) ForChunksW(n int, body func(w, c, lo, hi int)) {
 	if w <= 1 {
 		id := acquireWorkerID()
 		for c := 0; c < nchunks; c++ {
-			lo, hi := ChunkBounds(c, n)
+			lo, hi := chunkBounds(c, n)
 			body(id, c, lo, hi)
 		}
 		releaseWorkerID(id)

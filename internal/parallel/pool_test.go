@@ -127,7 +127,7 @@ func TestChunkBoundsPartitionRange(t *testing.T) {
 	n := 3*reduceChunk + 17
 	prev := 0
 	for c := 0; c < Chunks(n); c++ {
-		lo, hi := ChunkBounds(c, n)
+		lo, hi := chunkBounds(c, n)
 		if lo != prev || hi <= lo {
 			t.Fatalf("chunk %d bounds [%d,%d) not contiguous from %d", c, lo, hi, prev)
 		}

@@ -52,7 +52,9 @@ func TestWorkerIDsReusedAcrossLoops(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm the ID pool and helper set
 		p.ForChunksW(8192, func(w, c, lo, hi int) {})
 	}
-	high := MaxWorkerID()
+	// workerIDs.next is the high-water mark: every ID ever handed out
+	// is below it. No loop is running when it is read here.
+	high := workerIDs.next
 	for i := 0; i < 50; i++ {
 		p.ForChunksW(8192, func(w, c, lo, hi int) {
 			if w >= high {
@@ -60,8 +62,8 @@ func TestWorkerIDsReusedAcrossLoops(t *testing.T) {
 			}
 		})
 	}
-	if got := MaxWorkerID(); got != high {
-		t.Fatalf("MaxWorkerID grew %d -> %d across identical loops; IDs are not being recycled", high, got)
+	if got := workerIDs.next; got != high {
+		t.Fatalf("worker ID high-water mark grew %d -> %d across identical loops; IDs are not being recycled", high, got)
 	}
 }
 

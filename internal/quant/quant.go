@@ -130,20 +130,6 @@ func MaxAbsError(m *tensor.Matrix) float32 {
 	return worst
 }
 
-// CompressionRatio reports the float32→int8 transfer shrink factor for
-// a model with the given parameter count; ≈4 for large models.
-func CompressionRatio(m *nn.MLP) float64 {
-	var f32, q int64
-	for _, l := range m.Layers {
-		f32 += int64(4 * (len(l.W.Data) + len(l.B)))
-	}
-	q = QuantizeModel(m).SizeBytes()
-	if q == 0 {
-		return 0
-	}
-	return float64(f32) / float64(q)
-}
-
 // String describes the tensor for diagnostics.
 func (q *Tensor) String() string {
 	return fmt.Sprintf("quant.Tensor(%dx%d, scale=%g)", q.Rows, q.Cols, q.Scale)

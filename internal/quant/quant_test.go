@@ -105,15 +105,6 @@ func TestModelSizeBytes(t *testing.T) {
 	}
 }
 
-func TestCompressionRatioNearFour(t *testing.T) {
-	r := tensor.NewRNG(7)
-	m := nn.NewMLP(r, 128, []int{256}, 100)
-	ratio := CompressionRatio(m)
-	if ratio < 3.5 || ratio > 4.01 {
-		t.Fatalf("compression ratio = %v, want ~4", ratio)
-	}
-}
-
 func TestMaxAbsErrorWithinHalfScale(t *testing.T) {
 	r := tensor.NewRNG(8)
 	m := tensor.NewMatrix(10, 10)

@@ -1,7 +1,6 @@
 package smartssd
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -16,10 +15,11 @@ import (
 // in internal/selection), and only the merged subset crosses the host
 // interconnect.
 //
-// With StripeDataset the cluster additionally lays out Reed–Solomon
-// parity stripes so whole-device loss is survivable: ParallelScan
-// reconstructs a lost device's stripe from the survivors, and Rebuild
-// re-materializes it onto a spare (DESIGN.md §4.11).
+// StripeDataset places a dataset as k data stripes plus m Reed–Solomon
+// parity stripes (ShardDataset is the k+0 placement over every drive).
+// With m > 0 whole-device loss is survivable: ParallelScan reconstructs
+// a lost device's stripe from the survivors, and Rebuild re-materializes
+// it onto a spare (DESIGN.md §4.11).
 type Cluster struct {
 	Devices []*Device
 
@@ -101,44 +101,19 @@ func (c *Cluster) SetInjector(in *faults.Injector) {
 	}
 }
 
-// ShardDataset splits a record-aligned dataset image across the
-// devices (round-robin by contiguous stripe: device i receives records
-// [i·n/D, (i+1)·n/D)) and stores each shard under name. It returns the
-// per-device record counts. Shards have no redundancy — a lost device
-// takes its records with it; use StripeDataset for placements that
-// survive device loss.
+// ShardDataset splits a record-aligned dataset image across every
+// device with no redundancy — the k+0 placement, k = Size() — and
+// returns the per-device record counts. A lost device takes its
+// records with it; give StripeDataset parity shards for a placement
+// that survives device loss.
 func (c *Cluster) ShardDataset(name string, img []byte, recordSize int64) ([]int, error) {
-	if recordSize <= 0 {
-		return nil, fmt.Errorf("smartssd: record size %d must be positive", recordSize)
-	}
-	if int64(len(img))%recordSize != 0 {
-		return nil, fmt.Errorf("smartssd: image length %d not a multiple of record size %d", len(img), recordSize)
-	}
-	records := int(int64(len(img)) / recordSize)
-	if records < len(c.Devices) {
-		return nil, fmt.Errorf("smartssd: %d records cannot shard across %d devices without empty shards",
-			records, len(c.Devices))
-	}
-	counts := make([]int, len(c.Devices))
-	for i, d := range c.Devices {
-		lo := int64(i*records/len(c.Devices)) * recordSize
-		hi := int64((i+1)*records/len(c.Devices)) * recordSize
-		if lo == hi {
-			return nil, fmt.Errorf("smartssd: sharding %d records across %d devices leaves shard %d empty",
-				records, len(c.Devices), i)
-		}
-		if err := d.StoreDataset(name, img[lo:hi]); err != nil {
-			return nil, fmt.Errorf("smartssd: shard %d: %w", i, err)
-		}
-		counts[i] = int((hi - lo) / recordSize)
-	}
-	return counts, nil
+	return c.StripeDataset(name, img, recordSize, Placement{DataShards: len(c.Devices)})
 }
 
 // ScanStats aggregates what the recovery machinery did across one
 // cluster scan: the per-shard resilient-read stats summed, straggler
-// re-issues, and — for striped datasets — how much was served by
-// parity reconstruction instead of the lost device.
+// re-issues, and how much was served by parity reconstruction instead
+// of a lost device.
 type ScanStats struct {
 	Read               ReadStats // per-shard recovery-loop stats, summed
 	Reissues           int       // straggler re-issues across shards
@@ -154,58 +129,44 @@ func (s *ScanStats) Add(other ScanStats) {
 	s.ReconstructedBytes += other.ReconstructedBytes
 }
 
-// ParallelScan reads every device's full shard of name to its FPGA
-// over the P2P links. Each device runs on its own simulated clock, so
-// the modeled scan is parallel in simulated time even though the host
-// loop issues the reads serially; the returned wall duration is the
-// slowest device's elapsed time — the cluster's selection-scan
-// latency. It also returns the per-shard payloads and the aggregated
-// recovery stats.
+// ParallelScan reads every data stripe of name — placed by
+// StripeDataset or ShardDataset — to its device's FPGA over the P2P
+// links. Each device runs on its own simulated clock, so the modeled
+// scan is parallel in simulated time even though the host loop issues
+// the reads serially; the returned wall duration is the slowest
+// device's elapsed time — the cluster's selection-scan latency. It also
+// returns the per-stripe payloads (data only, never parity) and the
+// aggregated recovery stats.
 //
 // The payloads are views into the cluster's scan arena, not copies:
 // they stay valid until the next ParallelScan or Rebuild on this
 // cluster, which overwrite them in place. A caller that needs the bytes
 // longer copies them out.
 //
-// Each per-shard read runs under the resilient recovery loop (retry on
+// Each per-stripe read runs under the resilient recovery loop (retry on
 // transient faults, host-path fallback on link drops, Verify-driven
-// corruption re-reads). When ShardDeadline is set, a shard whose scan
+// corruption re-reads). When ShardDeadline is set, a stripe whose scan
 // — including injected stalls — exceeds the deadline is treated as a
-// straggler and re-issued up to MaxReissue times; a shard that still
+// straggler and re-issued up to MaxReissue times; a stripe that still
 // misses its deadline fails the scan with an error wrapping
 // faults.ErrShardTimeout.
 //
-// For a dataset laid out with StripeDataset, a device lost mid-scan
-// does not fail the scan: its stripe is reconstructed from the
-// surviving peers' parity (up to ParityShards concurrent losses), with
-// the extra parity traffic and GF-math time charged to the cluster's
-// "recover.*" buckets and the stats reporting the degraded reads.
+// A device lost mid-scan does not fail the scan while the placement's
+// parity covers it: its stripe is reconstructed from the surviving
+// peers' parity (up to ParityShards concurrent losses), with the extra
+// parity traffic and GF-math time charged to the cluster's "recover.*"
+// buckets and the stats reporting the degraded reads. Past that budget
+// — any loss at all under k+0 — the scan fails with an error wrapping
+// faults.ErrDeviceLost.
 func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanStats, time.Duration, error) {
-	var st ScanStats
 	if recordSize <= 0 {
-		return nil, st, 0, fmt.Errorf("smartssd: record size %d must be positive", recordSize)
+		return nil, ScanStats{}, 0, fmt.Errorf("smartssd: record size %d must be positive", recordSize)
 	}
-	if meta := c.stripeFor(name); meta != nil {
-		return c.stripedScan(name, recordSize, meta)
+	meta := c.stripes[name]
+	if meta == nil {
+		return nil, ScanStats{}, 0, fmt.Errorf("smartssd: %q was not placed on this cluster", name)
 	}
-	shards := make([][]byte, len(c.Devices))
-	var wall time.Duration
-	for i, d := range c.Devices {
-		scanStart := d.Clock.Now()
-		buf, err := c.scanShard(i, d, name, recordSize, 0, c.Verify, &st)
-		if err != nil {
-			if errors.Is(err, faults.ErrDeviceLost) {
-				c.noteLost(i, name)
-			}
-			return nil, st, 0, fmt.Errorf("smartssd: shard %d: %w", i, err)
-		}
-		shards[i] = buf
-		if total := d.Clock.Now() - scanStart; total > wall {
-			wall = total
-		}
-	}
-	c.bumpScans()
-	return shards, st, wall, nil
+	return c.stripedScan(name, recordSize, meta)
 }
 
 // slot returns device slot gi's arena buffer, emptied, with capacity
@@ -224,11 +185,11 @@ func (c *Cluster) slot(gi int, n int64) []byte {
 	return c.arena[gi][:0]
 }
 
-// scanShard runs one device's shard scan under the deadline/re-issue
+// scanShard runs one device's stripe scan under the deadline/re-issue
 // policy, accumulating recovery stats into st. The payload lands in
 // the device's arena slot, which is given at least minCap bytes of
-// capacity (a striped scan asks for the coding stripe length so a short
-// stripe can later be padded in place).
+// capacity (the coding stripe length, so a short stripe can later be
+// padded in place).
 func (c *Cluster) scanShard(i int, d *Device, name string, recordSize, minCap int64, verify func([]byte) error, st *ScanStats) ([]byte, error) {
 	size, err := d.SSD.Size(name)
 	if err != nil {

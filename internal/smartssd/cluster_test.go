@@ -3,6 +3,7 @@ package smartssd
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -273,5 +274,81 @@ func TestClusterAccounting(t *testing.T) {
 	}
 	if c.MaxClock() <= 0 {
 		t.Error("cluster clock did not advance")
+	}
+}
+
+// TestShardedScanIsThePerDeviceReadSequence pins what a k+0 placement
+// costs: nothing but its devices' reads. A ParallelScan of a sharded
+// dataset under a transient/corruption fault schedule returns the
+// payloads, stats and wall, and leaves every device clock and
+// accountant, exactly where the same resilient reads issued device by
+// device leave them — and the cluster's own accountant stays empty.
+func TestShardedScanIsThePerDeviceReadSequence(t *testing.T) {
+	spec, _ := data.Lookup("CIFAR-10")
+	spec.SimTrain, spec.SimTest = 40, 5
+	train, _ := data.Generate(spec)
+	img, _ := data.Encode(train)
+	rec := spec.BytesPerImage
+	verify := func(b []byte) error { return data.VerifyImage(b, rec) }
+	prof := faults.Profile{Seed: 9, TransientRate: 0.3, CorruptRate: 0.3}
+
+	rig := func() *Cluster {
+		c, _ := NewCluster(3)
+		if _, err := c.ShardDataset("ds", img, rec); err != nil {
+			t.Fatal(err)
+		}
+		c.Verify = verify
+		c.SetInjector(faults.NewInjector(prof))
+		return c
+	}
+	scanned, manual := rig(), rig()
+
+	shards, st, wall, err := scanned.ParallelScan("ds", rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Read.Retries == 0 {
+		t.Fatal("fault schedule fired nothing; the comparison below would be vacuous")
+	}
+	var wantSt ScanStats
+	var wantWall time.Duration
+	for i, d := range manual.Devices {
+		size, _ := d.SSD.Size("ds")
+		before := d.Clock.Now()
+		buf, rst, err := d.ReadResilientInto(nil, "ds", 0, size, int(size/rec), verify, RetryPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Injector.Stall() // the scan's per-issue stall draw on the shared schedule
+		wantSt.Read.Add(rst)
+		if dt := d.Clock.Now() - before; dt > wantWall {
+			wantWall = dt
+		}
+		if !bytes.Equal(shards[i], buf) {
+			t.Errorf("shard %d payload differs from the device's own read", i)
+		}
+		got := scanned.Devices[i]
+		if got.Clock.Now() != d.Clock.Now() {
+			t.Errorf("device %d clock = %v, want %v", i, got.Clock.Now(), d.Clock.Now())
+		}
+		if !reflect.DeepEqual(got.Acct.TimeBuckets(), d.Acct.TimeBuckets()) ||
+			!reflect.DeepEqual(got.Acct.ByteBuckets(), d.Acct.ByteBuckets()) {
+			t.Errorf("device %d accountant differs from the per-device read's", i)
+		}
+	}
+	if st != wantSt {
+		t.Errorf("scan stats = %+v, want %+v", st, wantSt)
+	}
+	if wall != wantWall {
+		t.Errorf("scan wall = %v, want %v", wall, wantWall)
+	}
+	if tb, bb := scanned.Acct.TimeBuckets(), scanned.Acct.ByteBuckets(); len(tb)+len(bb) != 0 {
+		t.Errorf("k+0 placement charged the cluster accountant: %v %v", tb, bb)
+	}
+	if _, err := scanned.Rebuild("ds"); err == nil {
+		t.Error("Rebuild accepted a placement with no parity")
+	}
+	if _, err := scanned.DegradedScanBound("ds", 1); err == nil {
+		t.Error("DegradedScanBound accepted a placement with no parity")
 	}
 }

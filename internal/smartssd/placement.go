@@ -15,10 +15,11 @@ import (
 // state machine, degraded scans that reconstruct a lost device's
 // stripe from its surviving peers, and background rebuild onto spares.
 
-// Placement configures redundant striping: a dataset is split into
-// DataShards record stripes with ParityShards parity stripes, laid out
-// on the cluster's first DataShards+ParityShards devices. Any
-// ParityShards concurrent whole-device losses are survivable.
+// Placement configures striping: a dataset is split into DataShards
+// record stripes with ParityShards parity stripes, laid out on the
+// cluster's first DataShards+ParityShards devices. Any ParityShards
+// concurrent whole-device losses are survivable; with ParityShards = 0
+// the placement is plain sharding and any loss is fatal.
 type Placement struct {
 	DataShards   int
 	ParityShards int
@@ -28,8 +29,8 @@ type Placement struct {
 func (p Placement) Total() int { return p.DataShards + p.ParityShards }
 
 func (p Placement) validate(devices int) error {
-	if p.DataShards < 1 || p.ParityShards < 1 {
-		return fmt.Errorf("smartssd: placement needs at least 1 data and 1 parity shard, got %d+%d",
+	if p.DataShards < 1 || p.ParityShards < 0 {
+		return fmt.Errorf("smartssd: placement needs at least 1 data shard and a non-negative parity count, got %d+%d",
 			p.DataShards, p.ParityShards)
 	}
 	if p.Total() > devices {
@@ -72,7 +73,7 @@ type stripeMeta struct {
 	rec       int64         // record size the stripes are aligned to
 	counts    []int         // records per data stripe
 	stripeLen int64         // padded stripe length (record multiple)
-	code      *erasure.Code // the (DataShards, ParityShards) RS code
+	code      *erasure.Code // the (DataShards, ParityShards) RS code; nil without parity
 }
 
 // lenOf reports the true stored byte length of group member gi's
@@ -85,16 +86,18 @@ func (m *stripeMeta) lenOf(gi int) int64 {
 	return m.stripeLen
 }
 
-// StripeDataset lays a record-aligned dataset image out with
-// redundancy: the records are split into p.DataShards contiguous
-// stripes on devices [0, DataShards), and p.ParityShards Reed–Solomon
-// parity stripes are computed over them (stripes zero-padded to the
-// longest stripe's length for the coding math) and stored on devices
-// [DataShards, Total()). It returns the per-data-device record counts.
+// StripeDataset lays a record-aligned dataset image out across the
+// cluster: the records are split into p.DataShards contiguous stripes
+// on devices [0, DataShards) (stripe i holds records [i·n/k, (i+1)·n/k)),
+// and p.ParityShards Reed–Solomon parity stripes are computed over them
+// (stripes zero-padded to the longest stripe's length for the coding
+// math) and stored on devices [DataShards, Total()). It returns the
+// per-data-device record counts.
 //
 // The parity encode's GF-math time is charged to the cluster
-// accountant's "stripe.encode" bucket; each stripe write is charged to
-// its device like any StoreDataset.
+// accountant's "stripe.encode" bucket — with no parity there is no
+// encode and no charge; each stripe write is charged to its device like
+// any StoreDataset.
 func (c *Cluster) StripeDataset(name string, img []byte, recordSize int64, p Placement) ([]int, error) {
 	if recordSize <= 0 {
 		return nil, fmt.Errorf("smartssd: record size %d must be positive", recordSize)
@@ -127,28 +130,33 @@ func (c *Cluster) StripeDataset(name string, img []byte, recordSize int64, p Pla
 			stripeLen = hi - lo
 		}
 	}
-	code, err := erasure.New(k, p.ParityShards)
-	if err != nil {
-		return nil, err
+	var code *erasure.Code
+	var parity [][]byte
+	if p.ParityShards > 0 {
+		var err error
+		if code, err = erasure.New(k, p.ParityShards); err != nil {
+			return nil, err
+		}
+		shards := make([][]byte, p.Total())
+		for i := 0; i < k; i++ {
+			shards[i] = padStripe(stripes[i], stripeLen)
+		}
+		for r := 0; r < p.ParityShards; r++ {
+			shards[k+r] = make([]byte, stripeLen)
+		}
+		if err := code.Encode(shards); err != nil {
+			return nil, fmt.Errorf("smartssd: encoding parity for %q: %w", name, err)
+		}
+		c.acct().AddTime("stripe.encode", c.gfTime(int64(k)*stripeLen*int64(p.ParityShards)))
+		parity = shards[k:]
 	}
-	shards := make([][]byte, p.Total())
-	for i := 0; i < k; i++ {
-		shards[i] = padStripe(stripes[i], stripeLen)
-	}
-	for r := 0; r < p.ParityShards; r++ {
-		shards[k+r] = make([]byte, stripeLen)
-	}
-	if err := code.Encode(shards); err != nil {
-		return nil, fmt.Errorf("smartssd: encoding parity for %q: %w", name, err)
-	}
-	c.acct().AddTime("stripe.encode", c.gfTime(int64(k)*stripeLen*int64(p.ParityShards)))
 	for i := 0; i < k; i++ {
 		if err := c.Devices[i].StoreDataset(name, stripes[i]); err != nil {
 			return nil, fmt.Errorf("smartssd: data stripe %d: %w", i, err)
 		}
 	}
-	for r := 0; r < p.ParityShards; r++ {
-		if err := c.Devices[k+r].StoreDataset(name, shards[k+r]); err != nil {
+	for r := range parity {
+		if err := c.Devices[k+r].StoreDataset(name, parity[r]); err != nil {
 			return nil, fmt.Errorf("smartssd: parity stripe %d: %w", r, err)
 		}
 	}
@@ -160,9 +168,16 @@ func (c *Cluster) StripeDataset(name string, img []byte, recordSize int64, p Pla
 	return counts, nil
 }
 
-// stripeFor reports the placement metadata of name, or nil for plain
-// (sharded or single-object) datasets.
-func (c *Cluster) stripeFor(name string) *stripeMeta { return c.stripes[name] }
+// parityFor reports the placement metadata of name when it was placed
+// with parity — the only placements Rebuild and DegradedScanBound have
+// anything to say about.
+func (c *Cluster) parityFor(name string) (*stripeMeta, error) {
+	meta := c.stripes[name]
+	if meta == nil || meta.place.ParityShards == 0 {
+		return nil, fmt.Errorf("smartssd: %q has no parity stripes", name)
+	}
+	return meta, nil
+}
 
 // DeviceHealth reports device i's health state.
 func (c *Cluster) DeviceHealth(i int) Health {
@@ -216,9 +231,9 @@ func (c *Cluster) noteLost(i int, name string) bool {
 	return false
 }
 
-// stripedScan is ParallelScan over a StripeDataset layout: scan the
-// data stripes, run the health machine on any device-lost failure, and
-// serve confirmed-lost stripes by parity reconstruction. Only the data
+// stripedScan is the body of ParallelScan: scan the data stripes, run
+// the health machine on any device-lost failure, and serve
+// confirmed-lost stripes by parity reconstruction. Only the data
 // stripes are returned — parity is an implementation detail of the
 // placement.
 func (c *Cluster) stripedScan(name string, recordSize int64, meta *stripeMeta) ([][]byte, ScanStats, time.Duration, error) {
@@ -390,9 +405,9 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 // to the back of the pool so a retry tries any other spare first.
 // Slots rebuilt before the failure stay rebuilt.
 func (c *Cluster) Rebuild(name string) (time.Duration, error) {
-	meta := c.stripeFor(name)
-	if meta == nil {
-		return 0, fmt.Errorf("smartssd: %q is not striped; nothing to rebuild", name)
+	meta, err := c.parityFor(name)
+	if err != nil {
+		return 0, err
 	}
 	c.ensureHealth()
 	k, m := meta.place.DataShards, meta.place.ParityShards
@@ -494,9 +509,9 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 // device over P2P, and the GF reconstruction math. bench-recovery
 // gates measured degraded overhead against this bound.
 func (c *Cluster) DegradedScanBound(name string, lostDevices int) (time.Duration, error) {
-	meta := c.stripeFor(name)
-	if meta == nil {
-		return 0, fmt.Errorf("smartssd: %q is not striped", name)
+	meta, err := c.parityFor(name)
+	if err != nil {
+		return 0, err
 	}
 	if lostDevices < 1 {
 		lostDevices = 1

@@ -78,7 +78,7 @@ func TestStripeDatasetLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := c.stripeFor("ds")
+	meta := c.stripes["ds"]
 	if meta == nil {
 		t.Fatal("no stripe metadata recorded")
 	}
@@ -101,7 +101,7 @@ func TestStripeDatasetErrors(t *testing.T) {
 	}{
 		{"zero record size", img, 0, Placement{DataShards: 2, ParityShards: 1}},
 		{"non-aligned image", img[:65], 64, Placement{DataShards: 2, ParityShards: 1}},
-		{"no parity", img, 64, Placement{DataShards: 3, ParityShards: 0}},
+		{"negative parity", img, 64, Placement{DataShards: 3, ParityShards: -1}},
 		{"no data", img, 64, Placement{DataShards: 0, ParityShards: 1}},
 		{"too many shards", img, 64, Placement{DataShards: 3, ParityShards: 1}},
 		{"fewer records than stripes", stripeImg(1, 64), 64, Placement{DataShards: 2, ParityShards: 1}},
@@ -173,7 +173,7 @@ func TestStripedScanSurvivesDeviceLoss(t *testing.T) {
 	if st.DegradedReads != 1 {
 		t.Fatalf("DegradedReads = %d, want 1", st.DegradedReads)
 	}
-	meta := c.stripeFor("ds")
+	meta := c.stripes["ds"]
 	if want := int64(meta.counts[1]) * rec; st.ReconstructedBytes != want {
 		t.Fatalf("ReconstructedBytes = %d, want %d", st.ReconstructedBytes, want)
 	}

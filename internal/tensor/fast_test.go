@@ -2,16 +2,14 @@ package tensor
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"nessa/internal/parallel"
 )
 
 // withFastTier runs f with the fast tier active, restoring the
-// bit-exact default (and the prior tuning) afterwards. Skips when the
-// host cannot run AVX2/FMA.
+// bit-exact default afterwards. Skips when the host cannot run
+// AVX2/FMA.
 func withFastTier(t *testing.T, f func()) {
 	t.Helper()
 	if !FastMathSupported() {
@@ -21,16 +19,10 @@ func withFastTier(t *testing.T, f func()) {
 		SetFastMath(false)
 		t.Skip("AVX2/FMA unavailable on this host")
 	}
-	prev := CurrentTuning()
 	if !SetFastMath(true) {
 		t.Fatal("SetFastMath(true) inactive on supported hardware")
 	}
-	defer func() {
-		SetFastMath(false)
-		if err := SetTuning(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
+	defer SetFastMath(false)
 	f()
 }
 
@@ -59,7 +51,15 @@ func maxRelErr(a, b *Matrix) float64 {
 // tier against the bit-exact reference: close within the documented
 // tolerance, never bit-required to match.
 func TestFastTierWithinTolerance(t *testing.T) {
-	n, k, m := 37, 41, 43 // awkward shapes: row tails, column tails, odd k
+	// Awkward shapes: row tails, column tails, odd k — once inside one
+	// gemmKC block and once across a block boundary with a ragged last
+	// block.
+	for _, k := range []int{41, gemmKC + 41} {
+		fastTierWithinTolerance(t, 37, k, 43)
+	}
+}
+
+func fastTierWithinTolerance(t *testing.T, n, k, m int) {
 	a := NewMatrix(n, k)
 	at := NewMatrix(k, n)
 	b := NewMatrix(k, m)
@@ -73,7 +73,7 @@ func TestFastTierWithinTolerance(t *testing.T) {
 	got := NewMatrix(n, m)
 	check := func(name string) {
 		if err := maxRelErr(ref, got); err > FastTierTolerance {
-			t.Errorf("%s: fast tier diverges by %.3g (tolerance %.3g)", name, err, FastTierTolerance)
+			t.Errorf("%s k=%d: fast tier diverges by %.3g (tolerance %.3g)", name, k, err, FastTierTolerance)
 		}
 	}
 
@@ -98,13 +98,18 @@ func TestFastTierWithinTolerance(t *testing.T) {
 
 // TestFastTierWorkerCountInvariant pins the fast tier's determinism
 // contract: not bit-exact with the default tier, but bit-identical to
-// itself across worker counts and KC-independent of banding.
+// itself across worker counts.
 func TestFastTierWorkerCountInvariant(t *testing.T) {
-	// Odd shapes so every product has row, column, and tile tails, and
-	// MC=0 (automatic banding) alongside fixed grains: automatic band
-	// boundaries move with the worker count, which is exactly where a
-	// tile/tail association mismatch shows up.
-	n, k, m := 63, 96, 41
+	// Odd shapes so every product has row, column, and tile tails:
+	// automatic band boundaries move with the worker count, which is
+	// exactly where a tile/tail association mismatch shows up. The
+	// second k spans a gemmKC block boundary.
+	for _, k := range []int{96, gemmKC + 96} {
+		fastTierWorkerCountInvariant(t, 63, k, 41)
+	}
+}
+
+func fastTierWorkerCountInvariant(t *testing.T, n, k, m int) {
 	a := NewMatrix(n, k)
 	b := NewMatrix(k, m)
 	at := NewMatrix(k, n)
@@ -125,100 +130,23 @@ func TestFastTierWorkerCountInvariant(t *testing.T) {
 	withFastTier(t, func() {
 		prevW := parallel.Default().Workers()
 		defer parallel.SetDefaultWorkers(prevW)
-		for _, tn := range []Tuning{{MC: 0, KC: 256, NR: gemmNRFast}, {MC: 8, KC: 32, NR: gemmNRFast}, {MC: 5, KC: 0, NR: gemmNRFast}} {
-			if err := SetTuning(tn); err != nil {
-				t.Fatal(err)
-			}
-			for _, op := range ops {
-				parallel.SetDefaultWorkers(1)
-				serial := NewMatrix(n, m)
-				op.run(serial)
-				for _, w := range []int{2, 3, 7} {
-					parallel.SetDefaultWorkers(w)
-					got := NewMatrix(n, m)
-					op.run(got)
-					for i := range got.Data {
-						if got.Data[i] != serial.Data[i] {
-							t.Fatalf("%s tuning %+v not worker-count invariant at workers=%d, element %d: %x vs %x",
-								op.name, tn, w, i, math.Float32bits(got.Data[i]), math.Float32bits(serial.Data[i]))
-						}
+		for _, op := range ops {
+			parallel.SetDefaultWorkers(1)
+			serial := NewMatrix(n, m)
+			op.run(serial)
+			for _, w := range []int{2, 3, 7} {
+				parallel.SetDefaultWorkers(w)
+				got := NewMatrix(n, m)
+				op.run(got)
+				for i := range got.Data {
+					if got.Data[i] != serial.Data[i] {
+						t.Fatalf("%s k=%d not worker-count invariant at workers=%d, element %d: %x vs %x",
+							op.name, k, w, i, math.Float32bits(got.Data[i]), math.Float32bits(serial.Data[i]))
 					}
 				}
 			}
 		}
 	})
-}
-
-// TestTuningValidation exercises the tuning guard rails and the
-// NR-gated fast dispatch.
-func TestTuningValidation(t *testing.T) {
-	prev := CurrentTuning()
-	defer func() {
-		if err := SetTuning(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	for _, bad := range []Tuning{{MC: -1, KC: 0, NR: 8}, {MC: 0, KC: -2, NR: 8}, {MC: 0, KC: 0, NR: 5}} {
-		if err := SetTuning(bad); err == nil {
-			t.Errorf("SetTuning(%+v) accepted an invalid tuning", bad)
-		}
-	}
-	if err := SetTuning(Tuning{MC: 16, KC: 128, NR: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if FastMathSupported() {
-		// NR=4 must veto the 8-wide dispatch even when requested.
-		if SetFastMath(true) {
-			t.Error("fast tier active despite NR=4 tuning")
-		}
-		SetFastMath(false)
-	}
-}
-
-// TestTuningRecordRoundTrip checks the persisted autotuning artifact:
-// save, load, apply for the active tier.
-func TestTuningRecordRoundTrip(t *testing.T) {
-	prev := CurrentTuning()
-	defer func() {
-		if err := SetTuning(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	rec := &TuningRecord{
-		GeneratedAt:   "2026-01-01T00:00:00Z",
-		CPUs:          4,
-		FastSupported: true,
-		BitExact:      Tuning{MC: 32, KC: 0, NR: 8},
-		Fast:          Tuning{MC: 16, KC: 192, NR: 8},
-	}
-	path := filepath.Join(t.TempDir(), "tune.json")
-	if err := SaveTuningRecord(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTuningRecord(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *rec {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, rec)
-	}
-	applied, err := ApplyTuningRecord(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != rec.BitExact || CurrentTuning() != rec.BitExact {
-		t.Fatalf("bit-exact apply installed %+v, want %+v", CurrentTuning(), rec.BitExact)
-	}
-	if _, err := LoadTuningRecord(filepath.Join(t.TempDir(), "missing.json")); !os.IsNotExist(err) {
-		t.Fatalf("missing record: got %v, want IsNotExist", err)
-	}
-	bad := &TuningRecord{BitExact: Tuning{NR: 3}, Fast: Tuning{NR: 8}}
-	if err := SaveTuningRecord(path, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTuningRecord(path); err == nil {
-		t.Fatal("LoadTuningRecord accepted an invalid NR")
-	}
 }
 
 // TestGEMMSteadyStateAllocs locks the zero-allocation dispatch in for

@@ -3,12 +3,12 @@
 // single-precision multiply and one add per term in ascending k, so
 // outputs are identical bit patterns everywhere. SetFastMath(true)
 // opts into the non-bit-exact tier: AVX2/FMA 8-wide micro-kernels that
-// fuse each multiply-add into a single rounding and may block the
-// accumulation over k (the KC tuning knob). Fast-tier results differ
+// fuse each multiply-add into a single rounding and block the
+// accumulation over k every gemmKC terms. Fast-tier results differ
 // from the bit-exact tier within a small documented tolerance (see
 // DESIGN.md §4.9) but remain fully deterministic: run-to-run AND
 // across worker counts, the association order is fixed by the data
-// layout and the tuning record alone, never by scheduling.
+// layout alone, never by scheduling.
 //
 // The switch is process-global, mirroring the worker-count knob in
 // internal/parallel: flip it between runs, never concurrently with
@@ -22,25 +22,18 @@ package tensor
 // tests and the bench-training gate both enforce it.
 const FastTierTolerance = 1e-5
 
-var (
-	// fastMathOn records the caller's request (core.Options.BitExact
-	// = false → SetFastMath(true)).
-	fastMathOn bool
-	// fastKernels is the resolved dispatch flag the kernels read: the
-	// fast tier was requested, the CPU supports AVX2+FMA (with OS
-	// AVX state enabled), and the tuning selects the 8-wide kernels.
-	fastKernels bool
-)
+// fastKernels is the dispatch flag the kernels read: the fast tier was
+// requested (core.Options.BitExact = false → SetFastMath(true)) and the
+// CPU supports AVX2+FMA (with OS AVX state enabled).
+var fastKernels bool
 
 // SetFastMath requests (or revokes) the non-bit-exact AVX2/FMA kernel
 // tier and reports whether it is now active. On hardware without
-// AVX2/FMA — or off amd64 entirely — the request is remembered but the
-// kernels silently stay on the bit-exact tier, so BitExact=false is
-// *permission* to diverge, never a requirement. Must not be called
-// concurrently with running kernels.
+// AVX2/FMA — or off amd64 entirely — the kernels silently stay on the
+// bit-exact tier, so BitExact=false is *permission* to diverge, never a
+// requirement. Must not be called concurrently with running kernels.
 func SetFastMath(on bool) bool {
-	fastMathOn = on
-	recomputeFastKernels()
+	fastKernels = on && FastMathSupported()
 	return fastKernels
 }
 
@@ -50,7 +43,3 @@ func FastMathActive() bool { return fastKernels }
 // FastMathSupported reports whether this CPU and build can run the
 // AVX2/FMA tier at all.
 func FastMathSupported() bool { return hasFMAAsm && cpuFastTierOK }
-
-func recomputeFastKernels() {
-	fastKernels = fastMathOn && FastMathSupported() && tuning.NR == gemmNRFast
-}

@@ -20,10 +20,10 @@
 //     locality comes from the panel layout (sequential streams
 //     prefetch well at any k) rather than k-blocking. The fast tier is
 //     explicitly allowed to fuse multiply-adds (FMA) and to block over
-//     k (the KC tuning knob) — its results differ from the bit-exact
+//     k (every gemmKC terms) — its results differ from the bit-exact
 //     tier within a documented tolerance but remain deterministic and
 //     worker-count invariant, because the association order is still
-//     fixed by the data layout and tuning record alone.
+//     fixed by the data layout alone.
 //   - Row tails (< 4 rows per band) use a 1-row micro-kernel; column
 //     tails (cols % NR) fall back to scalar loops with the identical
 //     accumulation order.
@@ -245,15 +245,15 @@ func (t *gemmTask) pack(lo, hi int) {
 
 // gemmGrain resolves the row-band width of a dispatch: the whole range
 // when the product is too small to parallelize (the pool then runs one
-// band inline on the calling goroutine), the tuned MC when set, or 0
-// for the pool's automatic banding.
+// band inline on the calling goroutine), otherwise 0 for the pool's
+// automatic banding.
 //
 //nessa:hotpath
 func gemmGrain(rows, inner, cols int) int {
 	if gemmSerial(rows, inner, cols) {
 		return rows
 	}
-	return tuning.MC
+	return 0
 }
 
 // gemmSerial reports whether a product with the given inner dimension
@@ -664,8 +664,8 @@ func matMulTransABand(dst, a, b *Matrix, packed []float32, acc bool, w, lo, hi i
 	}
 	// On the fast tier the band's tail rows run the same per-row
 	// blocked-FMA chain as the tiled rows: the tile/tail split moves
-	// with the band boundaries (hence with the worker count under
-	// automatic MC), so the two paths must agree bit-for-bit.
+	// with the band boundaries (hence with the worker count), so the
+	// two paths must agree bit-for-bit.
 	scalarRowEnd := iTileEnd
 	if fastKernels && np > 0 {
 		pa := workerStrip(w, gemmMR*k)

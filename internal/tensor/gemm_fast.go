@@ -1,12 +1,11 @@
 // Fast-tier GEMM cores: the 8-wide packing and compute paths selected
-// when fastKernels is set (SetFastMath(true) on a CPU with AVX2+FMA
-// and a tuning that keeps NR=8). These paths are *not* bit-exact with
-// the default tier — the micro-kernels fuse each multiply-add into a
-// single rounding and the accumulation over k may be blocked (the KC
-// tuning knob) — but they are fully deterministic and worker-count
-// invariant: bands cover whole destination rows, and within a row the
-// (jp, k-block, k) iteration order is fixed by the data layout and the
-// tuning record alone.
+// when fastKernels is set (SetFastMath(true) on a CPU with AVX2+FMA).
+// These paths are *not* bit-exact with the default tier — the
+// micro-kernels fuse each multiply-add into a single rounding and the
+// accumulation over k is blocked every gemmKC terms — but they are
+// fully deterministic and worker-count invariant: bands cover whole
+// destination rows, and within a row the (jp, k-block, k) iteration
+// order is fixed by the data layout alone.
 //
 // The sparse skip bands and all scalar tails stay on the bit-exact
 // kernels even when the fast tier is active: only the dense paneled
@@ -14,18 +13,20 @@
 // sparse-dominated products identical across tiers.
 package tensor
 
-// kcBlock resolves the fast tier's k-block depth for an inner
-// dimension of k: the tuned KC clamped to [1, k], with 0 meaning
-// unblocked.
+// gemmKC is the fast tier's k-block depth: a block's register sums are
+// folded into dst once per block, so 256 keeps one 8-wide panel block
+// at 8 KB — comfortably L1-resident across every row tile of a band.
+const gemmKC = 256
+
+// kcBlock clamps gemmKC to an inner dimension of k.
 //
 //nessa:hotpath
 //nessa:inline
 func kcBlock(k int) int {
-	kc := tuning.KC
-	if kc <= 0 || kc > k {
-		kc = k
+	if k < gemmKC {
+		return k
 	}
-	return kc
+	return gemmKC
 }
 
 // packColRange8 is the 8-wide form of packColRange:
@@ -138,9 +139,9 @@ func transACoreFast(dst, a *Matrix, packed, pa []float32, np, lo, iTileEnd int) 
 // so a row produces identical bits whether banding lands it inside a
 // 4-row tile or in a band's row tail. Without this the tile/tail split
 // (which moves with the band boundaries, which move with the worker
-// count under automatic MC) would make fast-tier results depend on the
-// worker count. col is a worker-owned strip of at least k elements that
-// receives the contiguous copy of a's column i.
+// count) would make fast-tier results depend on the worker count. col is
+// a worker-owned strip of at least k elements that receives the
+// contiguous copy of a's column i.
 //
 //nessa:hotpath
 func transARowFast(drow []float32, a *Matrix, packed, col []float32, np, i int) {

@@ -3,9 +3,9 @@
 package tensor
 
 // Off amd64 the fast tier does not exist: hasFMAAsm gates
-// FastMathSupported to false, so SetFastMath(true) is remembered but
-// never dispatches and the entry points below are unreachable. They
-// exist only so the fast-tier wrappers compile on every architecture.
+// FastMathSupported to false, so SetFastMath(true) never dispatches and
+// the entry points below are unreachable. They exist only so the
+// fast-tier wrappers compile on every architecture.
 const hasFMAAsm = false
 
 var cpuFastTierOK = false

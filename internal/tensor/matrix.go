@@ -154,13 +154,3 @@ func (m *Matrix) Scale(s float32) {
 		m.Data[i] *= s
 	}
 }
-
-// AXPY computes dst += alpha*src elementwise. Shapes must match.
-//
-//nessa:inline
-func AXPY(dst *Matrix, alpha float32, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: AXPY shape mismatch")
-	}
-	axpyRow(dst.Data, src.Data, alpha)
-}

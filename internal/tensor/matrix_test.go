@@ -184,15 +184,6 @@ func TestDotAndNorm(t *testing.T) {
 	}
 }
 
-func TestAXPY(t *testing.T) {
-	a := FromRows([][]float32{{1, 2}})
-	b := FromRows([][]float32{{10, 20}})
-	AXPY(a, 0.5, b)
-	if a.At(0, 0) != 6 || a.At(0, 1) != 12 {
-		t.Errorf("AXPY result = %v, want [6 12]", a.Data)
-	}
-}
-
 func TestFromRowsRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -100,12 +100,3 @@ func TestSoftmaxLengthPanics(t *testing.T) {
 	}()
 	Softmax(make([]float32, 2), make([]float32, 3))
 }
-
-func TestAXPYShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on shape mismatch")
-		}
-	}()
-	AXPY(NewMatrix(1, 2), 1, NewMatrix(2, 1))
-}

@@ -53,8 +53,8 @@ func TestParallelEpochSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEvalArenaMatchesSerial pins the arena conversion semantics:
-// chunked parallel evaluation and per-sample losses are bit-identical
-// to the single-worker pass.
+// chunked parallel evaluation is bit-identical to the single-worker
+// pass.
 func TestEvalArenaMatchesSerial(t *testing.T) {
 	prevW := parallel.Default().Workers()
 	defer parallel.SetDefaultWorkers(prevW)
@@ -67,17 +67,10 @@ func TestEvalArenaMatchesSerial(t *testing.T) {
 
 	parallel.SetDefaultWorkers(1)
 	accSerial := EvaluateModel(tr.Model, ds)
-	lossSerial := PerSampleLosses(tr.Model, ds)
 	for _, w := range []int{2, 5} {
 		parallel.SetDefaultWorkers(w)
 		if acc := EvaluateModel(tr.Model, ds); acc != accSerial {
 			t.Errorf("workers=%d: accuracy %v differs from serial %v", w, acc, accSerial)
-		}
-		losses := PerSampleLosses(tr.Model, ds)
-		for i := range losses {
-			if losses[i] != lossSerial[i] {
-				t.Fatalf("workers=%d: loss[%d] = %v differs from serial %v", w, i, losses[i], lossSerial[i])
-			}
 		}
 	}
 }

@@ -69,10 +69,20 @@ type epochScratch struct {
 	losses   []float32
 }
 
+// Validate reports whether cfg can drive a Trainer. Callers that take
+// a Config from outside the program check it before New, which panics
+// on an invalid one.
+func (cfg Config) Validate() error {
+	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
+		return fmt.Errorf("trainer: invalid config %+v", cfg)
+	}
+	return nil
+}
+
 // New builds a model and optimizer for the dataset's geometry.
 func New(spec data.Spec, cfg Config) *Trainer {
-	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 {
-		panic(fmt.Sprintf("trainer: invalid config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	m := nn.NewMLP(rng, spec.FeatureDim, cfg.Hidden, spec.Classes)
@@ -215,17 +225,16 @@ func (t *Trainer) Evaluate(ds *data.Dataset) float64 {
 }
 
 // evalScratch bundles the per-worker buffers of a chunked inference
-// pass: a row-view into the dataset, the forward activations, and a
-// softmax scratch. The buffers live in a parallel.WorkerLocal arena
-// keyed by the pool's worker IDs — unlike the sync.Pool they replaced,
-// the slots are never drained by the garbage collector, so a warm
-// worker evaluates with zero allocations forever.
+// pass: a row-view into the dataset and the forward activations. The
+// buffers live in a parallel.WorkerLocal arena keyed by the pool's
+// worker IDs — unlike the sync.Pool they replaced, the slots are never
+// drained by the garbage collector, so a warm worker evaluates with zero
+// allocations forever.
 //
 //nessa:arena per-worker eval scratch slot, owned by one worker ID for the duration of a chunk
 type evalScratch struct {
-	view  tensor.Matrix
-	fwd   nn.FwdScratch
-	probs []float32
+	view tensor.Matrix
+	fwd  nn.FwdScratch
 }
 
 var evalArena = parallel.NewWorkerLocal[evalScratch](nil)
@@ -241,18 +250,16 @@ func (sc *evalScratch) viewRows(x *tensor.Matrix, lo, hi int) *tensor.Matrix {
 }
 
 // evalJob is a pooled dispatch descriptor for the chunked inference
-// passes, mirroring the tensor layer's gemmTask: the operands of one
-// pass plus chunk bodies pre-bound at construction, so neither
-// EvaluateModel nor PerSampleLosses allocates a closure per call.
+// pass, mirroring the tensor layer's gemmTask: the operands of one pass
+// plus the chunk body pre-bound at construction, so EvaluateModel
+// allocates no closure per call.
 type evalJob struct {
 	m      *nn.MLP
 	x      *tensor.Matrix
 	labels []int
-	out    []float32
 	hits   atomic.Int64
 
-	run     func(w, c, lo, hi int) // bound once to (*evalJob).accuracyChunk
-	runLoss func(w, c, lo, hi int) // bound once to (*evalJob).lossChunk
+	run func(w, c, lo, hi int) // bound once to (*evalJob).accuracyChunk
 }
 
 var evalJobFree struct {
@@ -261,7 +268,7 @@ var evalJobFree struct {
 }
 
 //nessa:scratch-ok ownership transfer: every caller returns the descriptor with putEvalJob before it exits
-func getEvalJob(m *nn.MLP, x *tensor.Matrix, labels []int, out []float32) *evalJob {
+func getEvalJob(m *nn.MLP, x *tensor.Matrix, labels []int) *evalJob {
 	ef := &evalJobFree
 	ef.mu.Lock()
 	var j *evalJob
@@ -271,18 +278,17 @@ func getEvalJob(m *nn.MLP, x *tensor.Matrix, labels []int, out []float32) *evalJ
 	}
 	ef.mu.Unlock()
 	if j == nil {
-		//nessa:alloc-ok free-list miss: descriptor and its bound closures are built once and recycled forever
+		//nessa:alloc-ok free-list miss: descriptor and its bound closure are built once and recycled forever
 		j = &evalJob{}
 		j.run = j.accuracyChunk
-		j.runLoss = j.lossChunk
 	}
-	j.m, j.x, j.labels, j.out = m, x, labels, out
+	j.m, j.x, j.labels = m, x, labels
 	j.hits.Store(0)
 	return j
 }
 
 func putEvalJob(j *evalJob) {
-	j.m, j.x, j.labels, j.out = nil, nil, nil, nil
+	j.m, j.x, j.labels = nil, nil, nil
 	ef := &evalJobFree
 	ef.mu.Lock()
 	ef.list = append(ef.list, j)
@@ -306,20 +312,6 @@ func (j *evalJob) accuracyChunk(w, c, lo, hi int) {
 	j.hits.Add(int64(cnt))
 }
 
-// lossChunk writes per-sample losses for rows [lo,hi) into the job's
-// output slice through worker w's scratch slot.
-//
-//nessa:hotpath
-func (j *evalJob) lossChunk(w, c, lo, hi int) {
-	sc := evalArena.Get(w)
-	if cap(sc.probs) < j.m.Classes {
-		//nessa:alloc-ok grow-once per worker slot; steady-state chunks reuse the buffer
-		sc.probs = make([]float32, j.m.Classes)
-	}
-	logits := j.m.ForwardInto(&sc.fwd, sc.viewRows(j.x, lo, hi))
-	nn.SoftmaxCEInto(j.out[lo:hi], sc.probs, logits, j.labels[lo:hi], nil, nil)
-}
-
 // EvaluateModel reports the accuracy of any model on ds. The dataset is
 // processed in fixed-size chunks on the shared worker pool — each chunk
 // is an independent forward pass through its worker's arena slot, so
@@ -332,28 +324,11 @@ func EvaluateModel(m *nn.MLP, ds *data.Dataset) float64 {
 	if n == 0 {
 		return 0
 	}
-	j := getEvalJob(m, ds.X, ds.Labels, nil)
+	j := getEvalJob(m, ds.X, ds.Labels)
 	parallel.Default().ForChunksW(n, j.run)
 	correct := j.hits.Load()
 	putEvalJob(j)
 	return float64(correct) / float64(n)
-}
-
-// PerSampleLosses runs a forward pass of model m over ds and returns
-// each sample's cross-entropy loss — the feedback signal of §3.2.2.
-// Chunked over the shared pool like EvaluateModel; each loss is
-// bit-identical to the full-pass value. The returned slice is the only
-// allocation.
-func PerSampleLosses(m *nn.MLP, ds *data.Dataset) []float32 {
-	n := ds.Len()
-	out := make([]float32, n)
-	if n == 0 {
-		return out
-	}
-	j := getEvalJob(m, ds.X, ds.Labels, out)
-	parallel.Default().ForChunksW(n, j.runLoss)
-	putEvalJob(j)
-	return out
 }
 
 // Metrics records a training run for the convergence figures.

@@ -79,25 +79,6 @@ func TestSetEpochFollowsSchedule(t *testing.T) {
 	}
 }
 
-func TestPerSampleLossesOrdering(t *testing.T) {
-	train, te := data.Generate(tinySpec())
-	model, _ := TrainFull(train, te, tinyCfg())
-	losses := PerSampleLosses(model, train)
-	if len(losses) != train.Len() {
-		t.Fatalf("got %d losses, want %d", len(losses), train.Len())
-	}
-	// A trained model should have mostly small losses.
-	small := 0
-	for _, l := range losses {
-		if l < 0.5 {
-			small++
-		}
-	}
-	if small < train.Len()/2 {
-		t.Fatalf("only %d/%d samples have small loss after training", small, train.Len())
-	}
-}
-
 func TestEvaluateModelEmptyDataset(t *testing.T) {
 	spec := tinySpec()
 	tr := New(spec, tinyCfg())

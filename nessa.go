@@ -129,36 +129,13 @@ type Matrix = tensor.Matrix
 // NewMatrix allocates a zeroed rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix { return tensor.NewMatrix(rows, cols) }
 
-// GEMMTuning is one kernel tier's GEMM block-size setting (MC row-band
-// grain, fast-tier KC k-block depth, fast-tier NR panel width).
-type GEMMTuning = tensor.Tuning
-
-// GEMMTuningRecord is the persisted autotuning artifact written by
-// nessa-bench's GEMM autotuner (results/GEMM_tuning.json).
-type GEMMTuningRecord = tensor.TuningRecord
-
-// SetFastMath requests (or revokes) the non-bit-exact AVX2/FMA kernel
-// tier and reports whether it is now active; a no-op request on
-// unsupported hardware leaves the bit-exact tier in place. Process-wide
-// — flip between runs, never concurrently with running kernels.
-// Options.BitExact drives this automatically inside Train; call it
-// directly only to resolve the tier before ApplyTuningRecord.
-func SetFastMath(on bool) bool { return tensor.SetFastMath(on) }
-
 // FastMathSupported reports whether this CPU and build can run the
 // AVX2/FMA fast tier.
 func FastMathSupported() bool { return tensor.FastMathSupported() }
 
-// LoadTuningRecord reads a persisted GEMM autotuning record.
-func LoadTuningRecord(path string) (*GEMMTuningRecord, error) { return tensor.LoadTuningRecord(path) }
-
-// ApplyTuningRecord installs the record's setting for the currently
-// active kernel tier and returns the tuning applied. Resolve the tier
-// first (SetFastMath) so the right tier's entry is chosen.
-func ApplyTuningRecord(r *GEMMTuningRecord) (GEMMTuning, error) { return tensor.ApplyTuningRecord(r) }
-
-// Cluster is a group of SmartSSDs holding record-wise shards of a
-// dataset — the paper's §5 future-work scaling target.
+// Cluster is a group of SmartSSDs holding record-wise stripes of a
+// dataset, optionally with parity — the paper's §5 future-work scaling
+// target.
 type Cluster = smartssd.Cluster
 
 // NewCluster assembles n simulated SmartSSDs.
@@ -209,10 +186,11 @@ var (
 	ErrDeviceLost    = faults.ErrDeviceLost
 )
 
-// Placement configures erasure-coded striping for Cluster.StripeDataset
-// (§4.11): DataShards record stripes protected by ParityShards
-// Reed–Solomon parity stripes, surviving up to ParityShards whole-
-// device losses.
+// Placement configures striping for Cluster.StripeDataset (§4.11):
+// DataShards record stripes protected by ParityShards Reed–Solomon
+// parity stripes, surviving up to ParityShards whole-device losses.
+// ParityShards may be 0 — plain sharding, which Cluster.ShardDataset
+// spells for a whole cluster — and then any device loss fails the scan.
 type Placement = smartssd.Placement
 
 // ScanStats aggregates one cluster scan's read activity, including

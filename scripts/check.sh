@@ -124,8 +124,6 @@ gate "determinism gate"
 # bench-faults additionally gates the fault-tolerance machinery: the
 # resilient scan path must match the raw path bit-for-bit, cost under
 # 2% on the clean path, and complete every chaos-profile run.
-# bench-gemmtune exercises the GEMM autotuner end to end (candidate
-# sweep + record write) without installing the result.
 # bench-streaming runs the single-pass sieve/sketch pipeline over a
 # reduced stream under the full-scale gates: identical subsets at
 # workers 1 vs all (serial-vs-parallel divergence fails like
@@ -147,7 +145,7 @@ gate "determinism gate"
 # Each artifact runs on its own so one failing gate does not hide the
 # ones after it; every failure is listed at the end.
 failed_gates=()
-for artifact in bench-selection bench-training bench-streaming bench-faults bench-gemmtune bench-recovery; do
+for artifact in bench-selection bench-training bench-streaming bench-faults bench-recovery; do
 	"$tmpdir/nessa-bench" -quick -results "$tmpdir/results" -only "$artifact" >/dev/null ||
 		failed_gates+=("$artifact")
 done
