@@ -8,7 +8,10 @@
 // Analytic artifacts (figures 1, 2, 4, 6; tables 1, 4) evaluate the
 // calibrated device models instantly. Training artifacts (tables 2–3,
 // figure 5, §4.3/§4.4) run real optimization: a few minutes at full
-// scale, seconds with -quick.
+// scale, seconds with -quick. The bench-* artifacts measure this host,
+// write results/BENCH_*.json and are held to gates: the run exits 1
+// after listing every gate that failed, 2 on an artifact id it does not
+// know.
 package main
 
 import (
@@ -16,267 +19,128 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"nessa/internal/bench"
-	"nessa/internal/data"
-	"nessa/internal/tensor"
 )
 
+// ablationGroup is the -only id that selects every ablation-* artifact.
+const ablationGroup = "ablations"
+
 func main() {
-	quick := flag.Bool("quick", false, "run training artifacts at reduced scale")
-	only := flag.String("only", "", "comma-separated artifact ids (table1..4, figure1..6, section4.3, section4.4, ablations, bench-selection, bench-training, bench-streaming, bench-faults, bench-recovery, seed-variance); empty = all")
+	registry := bench.Artifacts()
+	var files []string
+	for _, a := range registry {
+		if a.File != "" {
+			files = append(files, a.File)
+		}
+	}
+	var p bench.Params
+	flag.BoolVar(&p.Quick, "quick", false, "run training artifacts at reduced scale")
+	only := flag.String("only", "", "comma-separated artifact ids ("+strings.Join(validIDs(registry), ", ")+" = every ablation-*); empty = all but seed-variance")
 	csvDir := flag.String("csv", "", "also write each artifact as CSV into this directory")
-	stride := flag.Int("stride", 5, "epoch stride for figure5 rows")
-	seeds := flag.Int("seeds", 3, "seed count for the seed-variance artifact")
-	resultsDir := flag.String("results", "results", "directory for machine-readable benchmark artifacts (BENCH_selection.json, BENCH_training.json, BENCH_faults.json)")
+	flag.IntVar(&p.Stride, "stride", 5, "epoch stride for figure5 rows")
+	flag.IntVar(&p.Seeds, "seeds", 3, "seed count for the seed-variance artifact")
+	flag.StringVar(&p.ResultsDir, "results", "results", "directory for machine-readable benchmark artifacts ("+strings.Join(files, ", ")+")")
 	flag.Parse()
 
+	selected, err := resolve(registry, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nessa-bench:", err)
+		os.Exit(2)
+	}
+	failed, blurb := 0, ""
+	for _, a := range selected {
+		if a.Blurb != "" && a.Blurb != blurb { // artifacts sharing one run announce it once
+			blurb = a.Blurb
+			fmt.Fprintln(os.Stderr, blurb)
+		}
+		tab, gates, err := a.Run(p)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", a.ID, err))
+		}
+		if a.File != "" {
+			fmt.Fprintln(os.Stderr, "wrote", filepath.Join(p.ResultsDir, a.File))
+		}
+		for _, g := range gates {
+			verdict := "gate ok"
+			if !g.OK {
+				verdict = "FAILED gate"
+				failed++
+			}
+			fmt.Fprintf(os.Stderr, "nessa-bench: %s %s: %s", verdict, a.ID, g.Name)
+			if g.Detail != "" {
+				fmt.Fprintf(os.Stderr, " — %s", g.Detail)
+			}
+			fmt.Fprintln(os.Stderr)
+		}
+		if err := emit(tab, *csvDir); err != nil {
+			fatal(err)
+		}
+	}
+	if failed > 0 {
+		fatal(fmt.Errorf("%d gate(s) failed", failed))
+	}
+}
+
+// resolve maps the -only list onto registry entries, in registry order.
+// An empty list is everything that does not wait to be asked for; an id
+// the registry does not hold is an error, not an empty run.
+func resolve(registry []bench.Artifact, only string) ([]bench.Artifact, error) {
+	valid := validIDs(registry)
 	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if id == "" {
+			continue
+		}
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown artifact id %q; valid ids: %s", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	var out []bench.Artifact
+	for _, a := range registry {
+		named := want[a.ID] || (want[ablationGroup] && strings.HasPrefix(a.ID, "ablation-"))
+		if named || (len(want) == 0 && !a.OnRequest) {
+			out = append(out, a)
 		}
 	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
+	return out, nil
+}
 
-	var tables []*bench.Table
-	add := func(t *bench.Table) { tables = append(tables, t) }
+// validIDs is everything -only accepts: the registry's ids, then the
+// ablation group.
+func validIDs(registry []bench.Artifact) []string {
+	var ids []string
+	for _, a := range registry {
+		ids = append(ids, a.ID)
+	}
+	return append(ids, ablationGroup)
+}
 
-	if selected("table1") {
-		add(bench.Table1())
+// emit renders a table to stdout and, when asked, as CSV.
+func emit(t *bench.Table, csvDir string) error {
+	if err := t.Render(os.Stdout); err != nil {
+		return err
 	}
-	if selected("figure1") {
-		add(bench.Figure1())
+	fmt.Println()
+	if csvDir == "" {
+		return nil
 	}
-	if selected("figure2") {
-		add(bench.Figure2())
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		return err
 	}
-	if selected("table4") {
-		add(bench.Table4())
+	f, err := os.Create(filepath.Join(csvDir, t.ID+".csv"))
+	if err != nil {
+		return err
 	}
-	if selected("figure6") {
-		add(bench.Figure6())
+	if err := t.CSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	if selected("figure4") {
-		add(bench.Figure4())
-	}
-
-	needRuns := selected("table2") || selected("figure5") || selected("section4.3") || selected("section4.4")
-	if needRuns {
-		fmt.Fprintln(os.Stderr, "running accuracy experiments (full + NeSSA + baselines on all datasets)...")
-		runs, err := bench.AccuracyRuns(*quick)
-		if err != nil {
-			fatal(err)
-		}
-		if selected("table2") {
-			add(bench.Table2(runs))
-		}
-		if selected("figure5") {
-			add(bench.Figure5(runs, *stride))
-		}
-		if selected("section4.3") {
-			add(bench.Section43(runs))
-		}
-		if selected("section4.4") {
-			add(bench.Section44(bench.FinalSubsetFracs(runs)))
-		}
-	}
-	if selected("table3") {
-		fmt.Fprintln(os.Stderr, "running table 3 ablation grid (CIFAR-10)...")
-		res, err := bench.RunTable3([]float64{0.10, 0.30, 0.50}, *quick)
-		if err != nil {
-			fatal(err)
-		}
-		add(bench.Table3(res))
-	}
-	if selected("table3-starved") {
-		fmt.Fprintln(os.Stderr, "running table 3 in the sample-starved regime...")
-		res, err := bench.RunTable3([]float64{0.10, 0.30, 0.50}, true)
-		if err != nil {
-			fatal(err)
-		}
-		tab := bench.Table3(res)
-		tab.ID = "table3-starved"
-		tab.Title = "CIFAR-10 ablation in the sample-starved regime (750 samples): where selection quality matters"
-		tab.Note = "reduced-scale dataset; reproduces the paper's method differentiation (see EXPERIMENTS.md)"
-		add(tab)
-	}
-	// Extension ablations (beyond the paper's artifacts): included with
-	// -only ablations, -only ablation-<name>, or by default with no
-	// -only filter.
-	ablations := []struct {
-		id   string
-		emit func() *bench.Table
-	}{
-		{"ablation-eps", bench.AblationEps},
-		{"ablation-partition", bench.AblationPartition},
-		{"ablation-bits", bench.AblationBits},
-		{"ablation-dse", bench.AblationDSE},
-		{"ablation-cluster", bench.AblationCluster},
-		{"ablation-energy", bench.AblationEnergy},
-		{"ablation-scaleout", bench.AblationScaleOut},
-	}
-	for _, a := range ablations {
-		if len(want) == 0 || want["ablations"] || want[a.id] {
-			add(a.emit())
-		}
-	}
-	if selected("bench-selection") {
-		fmt.Fprintln(os.Stderr, "measuring the parallel selection engine (workers=1 vs all cores)...")
-		path := filepath.Join(*resultsDir, "BENCH_selection.json")
-		res, tab, err := bench.WriteSelectionBench(path)
-		if err != nil {
-			fatal(err)
-		}
-		if !res.IdenticalSubsets {
-			fatal(fmt.Errorf("parallel selection diverged from serial — determinism contract broken"))
-		}
-		if res.SpeedupPerClass == nil {
-			fmt.Fprintln(os.Stderr, "nessa-bench:", res.SpeedupWarning)
-		}
-		fmt.Fprintln(os.Stderr, "wrote", path)
-		add(tab)
-	}
-	if selected("bench-training") {
-		fmt.Fprintln(os.Stderr, "measuring the training hot path (worker sweep 1/2/all cores, both kernel tiers)...")
-		path := filepath.Join(*resultsDir, "BENCH_training.json")
-		res, tab, err := bench.WriteTrainingBench(path, *quick)
-		if err != nil {
-			fatal(err)
-		}
-		if !res.IdenticalTrajectories {
-			fatal(fmt.Errorf("parallel training diverged from serial — determinism contract broken"))
-		}
-		if res.FastTierSupported && !res.FastTierDeterministic {
-			fatal(fmt.Errorf("fast-tier training diverged across worker counts — determinism contract broken"))
-		}
-		if res.FastTierSupported && res.FastVsBitExactMaxRel > tensor.FastTierTolerance {
-			fatal(fmt.Errorf("fast tier diverges from bit-exact by %.3g, beyond the documented %.0e tolerance",
-				res.FastVsBitExactMaxRel, tensor.FastTierTolerance))
-		}
-		switch {
-		case res.SpeedupEpoch == nil:
-			fmt.Fprintln(os.Stderr, "nessa-bench:", res.SpeedupWarning)
-		case *res.SpeedupEpoch < bench.TrainingSpeedupGate:
-			fatal(fmt.Errorf("epoch speedup at workers=2 is %.2fx, below the %.1fx gate", *res.SpeedupEpoch, bench.TrainingSpeedupGate))
-		}
-		fmt.Fprintln(os.Stderr, "wrote", path)
-		add(tab)
-	}
-	if selected("bench-streaming") {
-		fmt.Fprintln(os.Stderr, "measuring single-pass streaming selection (sequential NAND scan, on-chip state)...")
-		path := filepath.Join(*resultsDir, "BENCH_streaming.json")
-		res, tab, err := bench.WriteStreamingBench(path, *quick)
-		if err != nil {
-			fatal(err)
-		}
-		if !res.IdenticalSubsets {
-			fatal(fmt.Errorf("streaming selection diverged across worker counts — determinism contract broken"))
-		}
-		if res.Scan.FracOfBound < bench.StreamingBandwidthGate {
-			fatal(fmt.Errorf("streaming scan achieved %.3f of the sequential-read bound, below the %.2f gate",
-				res.Scan.FracOfBound, bench.StreamingBandwidthGate))
-		}
-		if res.Stats.StateBytes > res.Stats.BudgetBytes {
-			fatal(fmt.Errorf("streaming selection state %d bytes exceeds the %d-byte on-chip budget",
-				res.Stats.StateBytes, res.Stats.BudgetBytes))
-		}
-		if res.QualityRatio < bench.StreamingQualityGate {
-			fatal(fmt.Errorf("streaming objective is %.3f of exact LazyGreedy, below the %.2f gate",
-				res.QualityRatio, bench.StreamingQualityGate))
-		}
-		if frac := res.ScanFraction(); frac > bench.StreamingScanGate {
-			fatal(fmt.Errorf("streaming sieve scanned the reservoir on %.3f of its %d rung visits, above the %.2f gate — the saturation prune has regressed",
-				frac, res.Stats.RungVisits, bench.StreamingScanGate))
-		}
-		fmt.Fprintln(os.Stderr, "wrote", path)
-		add(tab)
-	}
-	if selected("bench-faults") {
-		fmt.Fprintln(os.Stderr, "measuring fault-tolerance overhead and chaos resilience...")
-		path := filepath.Join(*resultsDir, "BENCH_faults.json")
-		res, tab, err := bench.WriteFaultBench(path, *quick)
-		if err != nil {
-			fatal(err)
-		}
-		if res.OverheadPct > 2 {
-			fatal(fmt.Errorf("fault-tolerance clean-path overhead %.2f%% exceeds the 2%% budget", res.OverheadPct))
-		}
-		if !res.IdenticalTrajectories {
-			fatal(fmt.Errorf("resilient scan path diverged from the raw path — determinism contract broken"))
-		}
-		if !res.ChaosAllDone {
-			fatal(fmt.Errorf("a chaos-profile run failed to complete all epochs"))
-		}
-		if res.CleanFallback != 0 {
-			fatal(fmt.Errorf("clean-path run engaged degraded mode (%d fallback epochs)", res.CleanFallback))
-		}
-		fmt.Fprintln(os.Stderr, "wrote", path)
-		add(tab)
-	}
-	if selected("bench-recovery") {
-		fmt.Fprintln(os.Stderr, "measuring device-loss recovery (parity overhead, degraded scans, checkpointed resume)...")
-		path := filepath.Join(*resultsDir, "BENCH_recovery.json")
-		res, tab, err := bench.WriteRecoveryBench(path, *quick)
-		if err != nil {
-			fatal(err)
-		}
-		if !res.IdenticalTrajectories {
-			fatal(fmt.Errorf("kill-one-device run diverged from the clean trajectory — recovery contract broken"))
-		}
-		if !res.ResumeExact {
-			fatal(fmt.Errorf("checkpointed session did not resume bit-identically"))
-		}
-		if !res.DegradedWithinBound {
-			fatal(fmt.Errorf("degraded scan overhead %.1f µs exceeds the modeled reconstruction bound %.1f µs",
-				res.DegradedWallUS-res.CleanWallUS, res.BoundUS))
-		}
-		if res.OverheadPct > 2 {
-			fatal(fmt.Errorf("parity clean-path overhead %.2f%% exceeds the 2%% budget", res.OverheadPct))
-		}
-		if res.CleanScanAllocBytes > bench.RecoveryCleanScanAllocGate {
-			fatal(fmt.Errorf("a steady-state clean striped scan allocates %d bytes, above the %d-byte gate — a payload has escaped the scan arena",
-				res.CleanScanAllocBytes, bench.RecoveryCleanScanAllocGate))
-		}
-		fmt.Fprintln(os.Stderr, "wrote", path)
-		add(tab)
-	}
-	if want["seed-variance"] {
-		spec, _ := data.Lookup("CIFAR-10")
-		list := make([]uint64, *seeds)
-		for i := range list {
-			list[i] = uint64(i + 1)
-		}
-		tab, err := bench.SeedVariance(spec, *quick, list)
-		if err != nil {
-			fatal(err)
-		}
-		add(tab)
-	}
-
-	for _, t := range tables {
-		if err := t.Render(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
-			}
-			f, err := os.Create(filepath.Join(*csvDir, t.ID+".csv"))
-			if err != nil {
-				fatal(err)
-			}
-			if err := t.CSV(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}
-	}
+	return f.Close()
 }
 
 func fatal(err error) {

@@ -24,11 +24,11 @@
 // can render a quick-fix) instead of the text form.
 //
 // -compiler switches to the compiler-evidence suite (escapecheck,
-// inlinegate, bcecheck, asmfma): the module is rebuilt with
-// -gcflags='-m=2 -S -d=ssa/check_bce/debug=1' (cached after the first
+// inlinegate, bcecheck): the module is rebuilt with
+// -gcflags='-m=2 -d=ssa/check_bce/debug=1' (cached after the first
 // compile), the diagnostics are parsed into position-keyed facts, and
-// the analyzers cross-check them against the //nessa:hotpath,
-// //nessa:inline, and fast-tier contracts. Because gc's diagnostic
+// the analyzers cross-check them against the //nessa:hotpath and
+// //nessa:inline contracts. Because gc's diagnostic
 // formats are toolchain-pinned, an unvalidated toolchain makes the
 // mode skip cleanly with a warning (exit 0) rather than mis-parse.
 //

@@ -57,7 +57,7 @@ func TestSelectAnalyzersPairsRunWithSuite(t *testing.T) {
 		{name: "compiler names with -compiler", run: "escapecheck,bcecheck", compiler: true, want: []string{"escapecheck", "bcecheck"}},
 		{name: "compiler name without -compiler", run: "escapecheck,bcecheck", wantErr: "escapecheck: a compiler-suite analyzer; add -compiler"},
 		{name: "source name with -compiler", run: "hotpath", compiler: true, wantErr: "hotpath: a source-suite analyzer; drop -compiler"},
-		{name: "mixed list", run: "hotpath,asmfma", wantErr: "asmfma: a compiler-suite analyzer; add -compiler"},
+		{name: "mixed list", run: "hotpath,inlinegate", wantErr: "inlinegate: a compiler-suite analyzer; add -compiler"},
 		{name: "unknown name", run: "hotpaht", wantErr: `unknown analyzer "hotpaht"`},
 	}
 	for _, c := range cases {

@@ -15,8 +15,8 @@
 //   - seedflow:    RNG seeds must flow from configuration
 //
 // A second, compiler-evidence suite (escapecheck, inlinegate,
-// bcecheck, asmfma) runs under nessa-vet -compiler against an
-// instrumented build; see README's analyzer reference table.
+// bcecheck) runs under nessa-vet -compiler against an instrumented
+// build; see README's analyzer reference table.
 //
 // Every analyzer reports position-accurate findings and honors a
 // source-level opt-out annotation (see the directive constants below
@@ -175,7 +175,6 @@ func CompilerAll() []*Analyzer {
 		EscapeCheckAnalyzer(),
 		InlineGateAnalyzer(),
 		BCECheckAnalyzer(),
-		AsmFMAAnalyzer(),
 	}
 }
 
@@ -271,16 +270,9 @@ func (p *Pass) PosAt(file string, line, col int) token.Pos {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportPosition(p.Pkg.Fset.Position(pos), format, args...)
-}
-
-// ReportPosition records a finding at an already-resolved file
-// position — the escape hatch for facts about files the FileSet does
-// not cover (hand-written assembly scanned by asmfma).
-func (p *Pass) ReportPosition(pos token.Position, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Analyzer:   p.analyzer.Name,
-		Pos:        pos,
+		Pos:        p.Pkg.Fset.Position(pos),
 		Severity:   SeverityError,
 		Message:    fmt.Sprintf(format, args...),
 		Suggestion: p.analyzer.Waiver,

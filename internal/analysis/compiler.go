@@ -3,7 +3,7 @@
 // checks what gc actually *emits*. One instrumented build of the
 // module —
 //
-//	go build -gcflags='-m=2 -S -d=ssa/check_bce/debug=1' ./...
+//	go build -gcflags='-m=2 -d=ssa/check_bce/debug=1' ./...
 //
 // — yields three diagnostic streams on stderr, which this file parses
 // into position-keyed facts:
@@ -13,17 +13,6 @@
 //     F: cost N exceeds budget M", "inlining call to F")
 //   - surviving bounds checks ("Found IsInBounds", from the ssa
 //     check_bce debug pass)
-//   - the exact instruction mnemonics gc emitted per source line (the
-//     -S listing), of which only the fused-multiply-add family is
-//     retained
-//
-// The -S listing is used instead of `go tool objdump` on package
-// archives deliberately: objdump's linear decoder loses sync around
-// unresolved relocations in unlinked objects (verified: a
-// VFMADD231SD following an R_CALL reloc decodes as garbage), while
-// the -S listing is the compiler's own record of what it emitted.
-// Hand-written assembly files never pass through gc, so they are
-// scanned textually by the asmfma analyzer instead.
 //
 // Diagnostic formats are not a stable API, so evidence collection is
 // pinned to the toolchains it has been validated against (see
@@ -46,7 +35,7 @@ import (
 // CompilerFlags is the -gcflags value of the instrumented build. The
 // build cache stores and replays compiler diagnostics, so repeated
 // collections after the first compile only pay cache replay.
-const CompilerFlags = "-m=2 -S -d=ssa/check_bce/debug=1"
+const CompilerFlags = "-m=2 -d=ssa/check_bce/debug=1"
 
 // ErrToolchain reports that the active go toolchain is not one the
 // diagnostic parser has been validated against. Callers treat it as
@@ -59,8 +48,8 @@ var toolchainRe = regexp.MustCompile(`go1\.(\d+)`)
 
 // ToolchainSupported reports whether the gc diagnostic formats of the
 // given toolchain version are pinned by this parser. The accepted
-// range covers the formats verified stable for -m=2, the check_bce
-// debug output, and the -S listing.
+// range covers the formats verified stable for -m=2 and the check_bce
+// debug output.
 func ToolchainSupported(version string) bool {
 	m := toolchainRe.FindStringSubmatch(version)
 	if m == nil {
@@ -96,10 +85,6 @@ const (
 	// FactBoundsCheck: a bounds check survived SSA optimization at
 	// this position; Name is IsInBounds or IsSliceInBounds.
 	FactBoundsCheck
-	// FactFusedMulAdd: gc emitted a fused-multiply-add instruction
-	// (VFMADD*/VFNMADD* family) attributed to this source line; Name
-	// is the mnemonic.
-	FactFusedMulAdd
 )
 
 func (k FactKind) String() string {
@@ -114,21 +99,18 @@ func (k FactKind) String() string {
 		return "inline-call"
 	case FactBoundsCheck:
 		return "bounds-check"
-	case FactFusedMulAdd:
-		return "fused-mul-add"
 	}
 	return "unknown"
 }
 
 // Fact is one parsed compiler diagnostic, keyed by source position.
-// File is absolute and cleaned; Col is 0 when the diagnostic stream
-// only carries line granularity (the -S listing).
+// File is absolute and cleaned.
 type Fact struct {
 	Kind   FactKind
 	File   string
 	Line   int
 	Col    int
-	Name   string // subject: variable, function, callee, check kind, or mnemonic
+	Name   string // subject: variable, function, callee or check kind
 	Detail string // free-form compiler justification (cost, reason)
 }
 
@@ -247,13 +229,10 @@ func goEnvVersion(root string) (string, error) {
 	return strings.TrimSpace(string(out)), nil
 }
 
-// Diagnostic-line shapes. Position lines are `path:line:col: message`;
-// -S listing instruction lines are `\t0xOFF DEC (path:line)\tMNEMONIC\targs`.
+// Diagnostic-line shapes. Position lines are `path:line:col: message`.
 var (
 	posLineRe = regexp.MustCompile(`^(.+?):(\d+):(\d+): (.+)$`)
-	asmLineRe = regexp.MustCompile(`^\t0x[0-9a-f]+ \d+ \((.+?):(\d+)\)\t([A-Z][A-Z0-9.]*)`)
 	costRe    = regexp.MustCompile(`^can inline (.+?) with cost (\d+)`)
-	fmaMnemRe = regexp.MustCompile(`^VFN?MADD`)
 )
 
 // ParseDiagnostics parses one instrumented-build stderr stream into
@@ -299,8 +278,8 @@ func parseDiagnostics(root string, r io.Reader) ([]Fact, []string, error) {
 // error messages.
 func appendTail(tail []string, line string) []string {
 	const keep = 30
-	// Assembly listing and flow-explanation lines are useless context
-	// for a failed build; keep only plain diagnostic/error lines.
+	// Flow-explanation lines are useless context for a failed build;
+	// keep only plain diagnostic/error lines.
 	if strings.HasPrefix(line, "\t") || strings.HasPrefix(line, " ") {
 		return tail
 	}
@@ -315,17 +294,6 @@ func appendTail(tail []string, line string) []string {
 // false for lines that carry no retained fact (section headers, flow
 // explanations, uninteresting messages, files outside root).
 func parseDiagnosticLine(root, line string) (Fact, bool) {
-	if m := asmLineRe.FindStringSubmatch(line); m != nil {
-		if !fmaMnemRe.MatchString(m[3]) {
-			return Fact{}, false
-		}
-		file, ok := canonPath(root, m[1])
-		if !ok {
-			return Fact{}, false
-		}
-		ln, _ := strconv.Atoi(m[2])
-		return Fact{Kind: FactFusedMulAdd, File: file, Line: ln, Name: m[3]}, true
-	}
 	if strings.HasPrefix(line, "\t") || strings.HasPrefix(line, " ") || strings.HasPrefix(line, "#") {
 		return Fact{}, false
 	}
@@ -385,8 +353,8 @@ func parseDiagnosticLine(root, line string) (Fact, bool) {
 	return fact, true
 }
 
-// canonPath resolves a diagnostic path (absolute in the -S listing,
-// root-relative in -m output) to a cleaned absolute path, rejecting
+// canonPath resolves a diagnostic path (root-relative in -m output,
+// absolute for files outside the module) to a cleaned absolute path, rejecting
 // files outside root (stdlib sources, <autogenerated>).
 func canonPath(root, p string) (string, bool) {
 	if strings.HasPrefix(p, "<") { // <autogenerated>, <unknown line number>

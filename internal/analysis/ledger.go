@@ -28,7 +28,6 @@ const (
 	MetricHotCallsInlined = "hot_calls_inlined"    // -1: annotated callees inlined at hot sites
 	MetricHotCallsWaived  = "hot_calls_waived"     // +1: //nessa:inline-ok'd non-inlined hot sites
 	MetricBCEWaived       = "bounds_checks_waived" // +1: //nessa:bce-ok'd surviving bounds checks
-	MetricFMAFastTier     = "fma_fast_tier_sites"  // info: FMA sites inside the fast-tier file set
 )
 
 // ledgerDirections maps each metric to its regression direction.
@@ -39,7 +38,6 @@ var ledgerDirections = map[string]int{
 	MetricHotCallsInlined: -1,
 	MetricHotCallsWaived:  +1,
 	MetricBCEWaived:       +1,
-	MetricFMAFastTier:     0,
 }
 
 // PackageCounts is one package's evidence tallies, keyed by metric.

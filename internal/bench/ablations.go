@@ -34,6 +34,10 @@ func ablationEmbeddings() (*tensor.Matrix, [][]int, []float32) {
 	return emb, train.ClassIndex(), losses
 }
 
+// exactPerClass is the ablations' reference: exact lazy greedy in every
+// class.
+func exactPerClass(int) selection.Maximizer { return selection.LazyGreedy }
+
 // AblationEps sweeps the stochastic-greedy ε: the accuracy/latency
 // trade-off of the O(N) maximizer the FPGA kernel runs (§3.1).
 // Objective quality is reported relative to exact lazy greedy.
@@ -46,15 +50,16 @@ func AblationEps() *Table {
 		Header: []string{"eps", "Objective ratio", "Wall time"},
 	}
 	k := emb.Rows * 15 / 100
-	exact, err := selection.PerClass(emb, classes, k, selection.LazyGreedy)
+	exact, err := selection.PerClassWith(emb, classes, k, exactPerClass)
 	if err != nil {
 		t.AddRow("error", err.Error(), "")
 		return t
 	}
 	for _, eps := range []float64{0.01, 0.05, 0.1, 0.2, 0.5} {
 		start := time.Now()
-		res, err := selection.PerClass(emb, classes, k,
-			selection.StochasticMaximizer(eps, tensor.NewRNG(1)))
+		res, err := selection.PerClassWith(emb, classes, k, func(ci int) selection.Maximizer {
+			return selection.StochasticMaximizer(eps, selection.ClassStream(1, ci))
+		})
 		if err != nil {
 			t.AddRow(fmt.Sprintf("%.2f", eps), "error: "+err.Error(), "")
 			continue
@@ -78,15 +83,16 @@ func AblationPartition() *Table {
 		Header: []string{"m", "Objective ratio", "Max chunk bytes", "Fits on chip"},
 	}
 	k := emb.Rows * 15 / 100
-	exact, err := selection.PerClass(emb, classes, k, selection.LazyGreedy)
+	exact, err := selection.PerClassWith(emb, classes, k, exactPerClass)
 	if err != nil {
 		t.AddRow("error", err.Error(), "", "")
 		return t
 	}
 	dev, _ := smartssd.New()
 	for _, m := range []int{4, 8, 16, 32, 64} {
-		res, err := selection.PerClass(emb, classes, k,
-			selection.PartitionedMaximizer(m, tensor.NewRNG(1), selection.LazyGreedy))
+		res, err := selection.PerClassWith(emb, classes, k, func(ci int) selection.Maximizer {
+			return selection.PartitionedMaximizer(m, selection.ClassStream(1, ci), selection.LazyGreedy)
+		})
 		if err != nil {
 			t.AddRow(fmt.Sprintf("%d", m), "error: "+err.Error(), "", "")
 			continue
@@ -221,7 +227,7 @@ func AblationEnergy() *Table {
 		Header: []string{"Device", "Power (W)", "Stage+select time", "Energy (J)"},
 	}
 	// FPGA: P2P scan pipelined with the int8 forward pass.
-	fpgaT := maxDur(p2p.Duration(totalBytes, w.N), kernel.ForwardTime(w.N, w.MACsPerSample)) +
+	fpgaT := max(p2p.Duration(totalBytes, w.N), kernel.ForwardTime(w.N, w.MACsPerSample)) +
 		kernel.SelectionTime(w.N, w.K, w.Dim, 0.1)
 	t.AddRow("SmartSSD FPGA", fmt.Sprintf("%.1f", fpga.PowerWatts()),
 		fpgaT.Round(time.Millisecond).String(),

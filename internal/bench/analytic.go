@@ -169,7 +169,7 @@ func MethodEpochTimes(spec data.Spec, subsetFrac float64) []EpochTime {
 	selMACs := int64(net.ForwardGFLOPs * 1e9 / 2 * 0.05) // int8 proxy pass: 5% of target fwd MACs
 	scan := p2p.Duration(int64(n)*rec, n)
 	fwd := kernel.ForwardTime(n, selMACs)
-	sel := maxDur(scan, fwd) + kernel.SelectionTime(n, k, gradDim, 0.1)
+	sel := max(scan, fwd) + kernel.SelectionTime(n, k, gradDim, 0.1)
 	// Subset ships in 128-image DMA bursts; the quantized feedback is
 	// one small transfer.
 	nessaTransfer := gpuLink.Duration(int64(k)*rec, k/128+1) + gpuLink.Duration(300*1024, 1)
@@ -266,11 +266,4 @@ func Section44(avgSubsetFrac map[string]float64) *Table {
 	t.AddRow("AVERAGE", "", "", fmt.Sprintf("%.2fx", sumRatio/float64(count)))
 	t.AddRow("P2P vs host bandwidth", "", "", fmt.Sprintf("%.2fx", dev.SpeedupP2PvsHost()))
 	return t
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

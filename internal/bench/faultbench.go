@@ -1,13 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
 	"time"
 
+	"nessa/internal/bench/e2e"
 	"nessa/internal/core"
 	"nessa/internal/data"
 	"nessa/internal/faults"
@@ -15,12 +12,11 @@ import (
 	"nessa/internal/trainer"
 )
 
-// FaultBenchSpec fixes the workload of the fault-tolerance benchmark:
-// an end-to-end device-attached training run timed with the raw scan
-// path (the pre-fault-tolerance pipeline) versus the resilient scan
-// path (per-record CRC verify + recovery loop), plus chaos-profile
-// completion runs.
-type FaultBenchSpec struct {
+// deviceRunSpec is the workload the fault and recovery benchmarks
+// share: an end-to-end storage-attached training run sized so per-epoch
+// training compute dominates the scan, as it does at paper scale — the
+// honest regime for pricing what rides on every candidate scan.
+type deviceRunSpec struct {
 	Classes       int   `json:"classes"`
 	Train         int   `json:"train"`
 	Test          int   `json:"test"`
@@ -28,21 +24,97 @@ type FaultBenchSpec struct {
 	BytesPerImage int64 `json:"bytesPerImage"`
 	Epochs        int   `json:"epochs"`
 	Reps          int   `json:"reps"` // timing repetitions (best-of)
+}
 
+func defaultDeviceRunSpec(quick bool) deviceRunSpec {
+	s := deviceRunSpec{
+		Classes: 10, Train: 1024, Test: 128, FeatureDim: 64,
+		BytesPerImage: 512, Epochs: 10, Reps: 5,
+	}
+	if quick {
+		s.Train, s.Epochs = 512, 8
+	}
+	return s
+}
+
+// deviceRunDataset names the stored object of every such run.
+const deviceRunDataset = "devicebench"
+
+// image generates the run's dataset and the record image a device or
+// cluster stores.
+func (s deviceRunSpec) image() (train, test *data.Dataset, img []byte, err error) {
+	train, test = data.Generate(data.Spec{
+		Name: deviceRunDataset, Classes: s.Classes, Train: s.Train,
+		BytesPerImage: s.BytesPerImage,
+		SimTrain:      s.Train, SimTest: s.Test, FeatureDim: s.FeatureDim,
+		Spread: 0.15, HardFrac: 0.1, NoiseFrac: 0.02, Seed: 5,
+	})
+	img, err = data.Encode(train)
+	return train, test, img, err
+}
+
+// run executes one training run against the storage attach wires in
+// and returns the report and host wall time. The controller selects
+// every epoch (so every epoch pays a scan), runs serial workers (so the
+// timing is scheduler-noise-free) and trains wider hidden layers so
+// compute dominates as it does at paper scale; mutate, when given,
+// adjusts the options last.
+func (s deviceRunSpec) run(train, test *data.Dataset, attach, mutate func(*core.Options)) (*core.Report, time.Duration, error) {
+	cfg := trainer.Default()
+	cfg.Epochs = s.Epochs
+	cfg.Hidden = []int{128, 64}
+	opt := core.DefaultOptions()
+	opt.SelectEvery = 1
+	opt.SubsetBias = false
+	opt.DynamicSizing = false
+	opt.Workers = 1
+	opt.DatasetName = deviceRunDataset
+	attach(&opt)
+	if mutate != nil {
+		mutate(&opt)
+	}
+	t0 := time.Now()
+	rep, err := core.Run(train, test, cfg, opt)
+	return rep, time.Since(t0), err
+}
+
+// scanOverhead is the clean-path price of the machinery under test
+// (CRC verify + recovery hooks; parity placement). ScanDeltaUS is the
+// host-time cost one scan through it adds over one scan without it, from
+// an interleaved high-repetition microbenchmark (perCallDelta).
+// OverheadPct projects that delta over the run's scans (one per epoch,
+// SelectEvery=1) against the baseline end-to-end time; the microbenchmark
+// numerator keeps the gate stable where a difference of two noisy
+// end-to-end timings would not be.
+type scanOverhead struct {
+	ScanDeltaUS float64 `json:"scanDeltaUS"`
+	OverheadPct float64 `json:"overheadPct"`
+}
+
+func (s deviceRunSpec) scanOverhead(delta, base time.Duration) scanOverhead {
+	return scanOverhead{us(delta), safeRatio(ms(delta)*float64(s.Epochs), ms(base)) * 100}
+}
+
+// cleanPathOverheadGatePct bounds OverheadPct for both benchmarks.
+const cleanPathOverheadGatePct = 2
+
+func (o scanOverhead) gate(of string) Gate {
+	return Gate{Name: fmt.Sprintf("clean-path overhead of %s ≤ %d %%", of, cleanPathOverheadGatePct),
+		OK: o.OverheadPct <= cleanPathOverheadGatePct, Detail: fmt.Sprintf("%.2f %%", o.OverheadPct)}
+}
+
+// FaultBenchSpec fixes the workload of the fault-tolerance benchmark:
+// the shared run timed with the raw scan path (the pre-fault-tolerance
+// pipeline) versus the resilient scan path (per-record CRC verify +
+// recovery loop), plus chaos-profile completion runs.
+type FaultBenchSpec struct {
+	deviceRunSpec
 	ChaosSeeds []uint64 `json:"chaosSeeds"`
 }
 
-// DefaultFaultBenchSpec sizes the run so per-epoch training compute
-// dominates the scan, as it does at paper scale — the honest regime
-// for pricing the CRC verify that rides on every candidate scan.
 func DefaultFaultBenchSpec(quick bool) FaultBenchSpec {
-	s := FaultBenchSpec{
-		Classes: 10, Train: 1024, Test: 128, FeatureDim: 64,
-		BytesPerImage: 512, Epochs: 10, Reps: 5,
-		ChaosSeeds: []uint64{40, 41, 45},
-	}
+	s := FaultBenchSpec{deviceRunSpec: defaultDeviceRunSpec(quick), ChaosSeeds: []uint64{40, 41, 45}}
 	if quick {
-		s.Train, s.Epochs, s.Reps = 512, 8, 5
 		s.ChaosSeeds = s.ChaosSeeds[:2]
 	}
 	return s
@@ -72,15 +144,7 @@ type FaultBenchResult struct {
 	RawMS       float64 `json:"rawMS"`       // end-to-end best-of-Reps, RawScan path
 	ResilientMS float64 `json:"resilientMS"` // end-to-end best-of-Reps, CRC + recovery loop
 
-	// ScanDeltaUS is the added cost of one clean resilient scan over one
-	// raw scan (CRC verify + injector/stats hooks), from an interleaved
-	// high-repetition microbenchmark of the two read paths. OverheadPct
-	// projects that delta over the run's scans against the raw
-	// end-to-end time — the clean-path price of fault tolerance. The
-	// microbenchmark numerator keeps the gate stable where a difference
-	// of two noisy end-to-end timings would not be.
-	ScanDeltaUS float64 `json:"scanDeltaUS"`
-	OverheadPct float64 `json:"overheadPct"`
+	scanOverhead // one clean resilient scan over one raw scan, against RawMS
 
 	// IdenticalTrajectories is true when the raw path, the resilient
 	// path, and the resilient path with a zero-rate injector attached
@@ -92,202 +156,80 @@ type FaultBenchResult struct {
 	CleanFallback int        `json:"cleanFallback"` // fallback epochs on the clean path (must be 0)
 }
 
-// faultBenchDataSpec derives the synthetic dataset of the benchmark.
-func faultBenchDataSpec(spec FaultBenchSpec) data.Spec {
-	return data.Spec{
-		Name: "faultbench", Classes: spec.Classes, Train: spec.Train,
-		BytesPerImage: spec.BytesPerImage,
-		SimTrain:      spec.Train, SimTest: spec.Test, FeatureDim: spec.FeatureDim,
-		Spread: 0.15, HardFrac: 0.1, NoiseFrac: 0.02, Seed: 5,
+// faultDevice stores the run's dataset on a fresh device.
+func faultDevice(spec FaultBenchSpec) (dev *smartssd.Device, train, test *data.Dataset, length int64, err error) {
+	train, test, img, err := spec.image()
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
-}
-
-// faultBenchOptions builds the controller configuration: selection
-// every epoch (so every epoch pays a scan), serial workers (so the
-// timing is scheduler-noise-free), and wider hidden layers so training
-// compute dominates as it does at paper scale.
-func faultBenchOptions(spec FaultBenchSpec) (trainer.Config, core.Options) {
-	cfg := trainer.Default()
-	cfg.Epochs = spec.Epochs
-	cfg.Hidden = []int{128, 64}
-	opt := core.DefaultOptions()
-	opt.SelectEvery = 1
-	opt.SubsetBias = false
-	opt.DynamicSizing = false
-	opt.Workers = 1
-	return cfg, opt
+	if dev, err = smartssd.New(); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	return dev, train, test, int64(len(img)), dev.StoreDataset(deviceRunDataset, img)
 }
 
 // runOnce executes one device-attached training run on a fresh device
 // and returns the report and wall time.
 func runOnce(spec FaultBenchSpec, mutate func(*core.Options)) (*core.Report, time.Duration, error) {
-	ds := faultBenchDataSpec(spec)
-	train, test := data.Generate(ds)
-	dev, err := smartssd.New()
+	dev, train, test, _, err := faultDevice(spec)
 	if err != nil {
 		return nil, 0, err
 	}
-	img, err := data.Encode(train)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := dev.StoreDataset(ds.Name, img); err != nil {
-		return nil, 0, err
-	}
-	cfg, opt := faultBenchOptions(spec)
-	opt.Device = dev
-	opt.DatasetName = ds.Name
-	if mutate != nil {
-		mutate(&opt)
-	}
-	t0 := time.Now()
-	rep, err := core.Run(train, test, cfg, opt)
-	return rep, time.Since(t0), err
-}
-
-// measurePair times the raw and resilient configurations back to back,
-// interleaved rep by rep so both see the same machine conditions, and
-// returns each one's fastest run in milliseconds. An untimed warm-up
-// pair fills caches and pools first.
-func measurePair(spec FaultBenchSpec, reps int) (rawMS, resMS float64, rawRep, resRep *core.Report, err error) {
-	raw := func(o *core.Options) { o.RawScan = true }
-	if _, _, err = runOnce(spec, raw); err != nil {
-		return 0, 0, nil, nil, err
-	}
-	if _, _, err = runOnce(spec, nil); err != nil {
-		return 0, 0, nil, nil, err
-	}
-	var bestRaw, bestRes time.Duration
-	for i := 0; i < reps; i++ {
-		var dt time.Duration
-		if rawRep, dt, err = runOnce(spec, raw); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if bestRaw == 0 || dt < bestRaw {
-			bestRaw = dt
-		}
-		if resRep, dt, err = runOnce(spec, nil); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if bestRes == 0 || dt < bestRes {
-			bestRes = dt
-		}
-	}
-	return float64(bestRaw.Nanoseconds()) / 1e6, float64(bestRes.Nanoseconds()) / 1e6, rawRep, resRep, nil
+	return spec.run(train, test, func(o *core.Options) { o.Device = dev }, mutate)
 }
 
 // scanDelta measures the per-scan cost the resilience machinery adds
 // on the clean path: per-record CRC verification plus the injector and
-// stats hooks. Raw and resilient scan batches run interleaved, best of
-// reps batches each, so drift hits both sides alike.
-func scanDelta(spec FaultBenchSpec, reps int) (time.Duration, error) {
-	ds := faultBenchDataSpec(spec)
-	train, _ := data.Generate(ds)
-	dev, err := smartssd.New()
+// stats hooks.
+func scanDelta(spec FaultBenchSpec) (time.Duration, error) {
+	dev, _, _, length, err := faultDevice(spec)
 	if err != nil {
 		return 0, err
 	}
-	img, err := data.Encode(train)
-	if err != nil {
-		return 0, err
-	}
-	if err := dev.StoreDataset(ds.Name, img); err != nil {
-		return 0, err
-	}
-	rec, err := data.RecordSize(ds)
-	if err != nil {
-		return 0, err
-	}
-	length := int64(len(img))
+	rec := spec.BytesPerImage
 	n := int(length / rec)
 	verify := func(b []byte) error { return data.VerifyImage(b, rec) }
-
-	const scans = 32
-	rawBatch := func() (time.Duration, error) {
-		t0 := time.Now()
-		for i := 0; i < scans; i++ {
-			if _, err := dev.ReadToFPGA(ds.Name, 0, length, n); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0), nil
-	}
-	resBatch := func() (time.Duration, error) {
-		t0 := time.Now()
-		for i := 0; i < scans; i++ {
-			if _, _, err := dev.ReadResilient(ds.Name, 0, length, n, verify, smartssd.RetryPolicy{}); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0), nil
-	}
-	if _, err := rawBatch(); err != nil { // warm-up both paths
-		return 0, err
-	}
-	if _, err := resBatch(); err != nil {
-		return 0, err
-	}
-	var bestRaw, bestRes time.Duration
-	for i := 0; i < reps; i++ {
-		dt, err := rawBatch()
-		if err != nil {
-			return 0, err
-		}
-		if bestRaw == 0 || dt < bestRaw {
-			bestRaw = dt
-		}
-		if dt, err = resBatch(); err != nil {
-			return 0, err
-		}
-		if bestRes == 0 || dt < bestRes {
-			bestRes = dt
-		}
-	}
-	delta := (bestRes - bestRaw) / scans
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, nil
+	return perCallDelta(spec.Reps, func() error {
+		_, err := dev.ReadToFPGA(deviceRunDataset, 0, length, n)
+		return err
+	}, func() error {
+		_, _, err := dev.ReadResilient(deviceRunDataset, 0, length, n, verify, smartssd.RetryPolicy{})
+		return err
+	})
 }
 
 // RunFaultBench measures the fault-tolerance machinery three ways:
 // clean-path overhead (raw vs resilient scan, best-of-Reps), the
 // trajectory-identity guarantee, and completion under the standard
 // chaos profile.
-func RunFaultBench(spec FaultBenchSpec) (*FaultBenchResult, error) {
-	res := &FaultBenchResult{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Spec:        spec,
-	}
+func RunFaultBench(spec FaultBenchSpec) (*FaultBenchResult, []Gate, error) {
+	res := &FaultBenchResult{GeneratedAt: stamp(), Spec: spec}
 
-	rawMS, resMS, rawRep, resRep, err := measurePair(spec, spec.Reps)
+	var rawRep, resRep *core.Report
+	rawBest, resBest, err := bestOfInterleaved(spec.Reps,
+		keepReport(&rawRep, func() (*core.Report, time.Duration, error) {
+			return runOnce(spec, func(o *core.Options) { o.RawScan = true })
+		}),
+		keepReport(&resRep, func() (*core.Report, time.Duration, error) { return runOnce(spec, nil) }))
 	if err != nil {
-		return nil, fmt.Errorf("overhead measurement: %w", err)
+		return nil, nil, fmt.Errorf("overhead measurement: %w", err)
 	}
 	zeroRep, _, err := runOnce(spec, func(o *core.Options) {
 		o.Injector = faults.NewInjector(faults.Profile{Seed: 99})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("zero-rate-injector run: %w", err)
+		return nil, nil, fmt.Errorf("zero-rate-injector run: %w", err)
 	}
-
-	delta, err := scanDelta(spec, spec.Reps)
+	delta, err := scanDelta(spec)
 	if err != nil {
-		return nil, fmt.Errorf("scan-overhead measurement: %w", err)
+		return nil, nil, fmt.Errorf("scan-overhead measurement: %w", err)
 	}
 
-	res.RawMS = rawMS
-	res.ResilientMS = resMS
-	res.ScanDeltaUS = float64(delta.Nanoseconds()) / 1e3
-	// One scan per epoch (SelectEvery=1): project the per-scan delta
-	// over the run against the raw end-to-end time.
-	scanCostMS := float64(delta.Nanoseconds()) * float64(spec.Epochs) / 1e6
-	res.OverheadPct = safeRatio(scanCostMS, rawMS) * 100
-	res.IdenticalTrajectories =
-		reflect.DeepEqual(rawRep.Metrics.EpochLoss, resRep.Metrics.EpochLoss) &&
-			reflect.DeepEqual(rawRep.Metrics.EpochAcc, resRep.Metrics.EpochAcc) &&
-			reflect.DeepEqual(rawRep.Metrics.EpochLoss, zeroRep.Metrics.EpochLoss) &&
-			reflect.DeepEqual(rawRep.Metrics.EpochAcc, zeroRep.Metrics.EpochAcc)
+	res.RawMS = ms(rawBest)
+	res.ResilientMS = ms(resBest)
+	res.scanOverhead = spec.scanOverhead(delta, rawBest)
+	raw := e2e.SeriesOf(rawRep)
+	res.IdenticalTrajectories = raw.Equal(e2e.SeriesOf(resRep)) && raw.Equal(e2e.SeriesOf(zeroRep))
 	res.CleanFallback = resRep.Faults.FallbackEpochs + zeroRep.Faults.FallbackEpochs
 
 	res.ChaosAllDone = true
@@ -318,31 +260,16 @@ func RunFaultBench(spec FaultBenchSpec) (*FaultBenchResult, error) {
 		}
 		res.ChaosRuns = append(res.ChaosRuns, run)
 	}
-	return res, nil
+	return res, []Gate{
+		res.scanOverhead.gate("the resilient scan"),
+		{Name: "raw, resilient and zero-rate-injector trajectories identical", OK: res.IdenticalTrajectories},
+		{Name: "every chaos-profile run completes all epochs", OK: res.ChaosAllDone},
+		{Name: "no fallback epoch on the clean path", OK: res.CleanFallback == 0, Detail: fmt.Sprintf("%d", res.CleanFallback)},
+	}, nil
 }
 
-// WriteFaultBench runs the benchmark and writes the JSON artifact,
-// returning both the result and a renderable table.
-func WriteFaultBench(path string, quick bool) (*FaultBenchResult, *Table, error) {
-	res, err := RunFaultBench(DefaultFaultBenchSpec(quick))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return nil, nil, err
-	}
-	return res, FaultBenchTable(res), nil
-}
-
-// FaultBenchTable renders the measurement as a bench artifact.
-func FaultBenchTable(res *FaultBenchResult) *Table {
+// faultBenchTable renders the measurement as a bench artifact.
+func faultBenchTable(res *FaultBenchResult) *Table {
 	t := &Table{
 		ID:    "bench-faults",
 		Title: "Fault tolerance: clean-path overhead and chaos-profile resilience",

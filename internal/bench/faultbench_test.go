@@ -1,31 +1,31 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// The gate semantics live in cmd/nessa-bench; here we pin the artifact
-// shape and the properties the gates read, at a small spec so the test
-// stays fast.
+// failedGates reports every gate of an artifact that does not hold.
+func failedGates(t *testing.T, gates []Gate) {
+	t.Helper()
+	for _, g := range gates {
+		if !g.OK {
+			t.Errorf("gate %q failed: %s", g.Name, g.Detail)
+		}
+	}
+}
+
+// The artifact's shape and the properties its gates read, at a small
+// spec so the test stays fast. The clean-path overhead gate is a host
+// timing and is left to nessa-bench.
 func TestFaultBenchArtifact(t *testing.T) {
 	spec := DefaultFaultBenchSpec(true)
 	spec.Train, spec.Epochs, spec.Reps = 256, 4, 2
 	spec.ChaosSeeds = spec.ChaosSeeds[:1]
-	res, err := RunFaultBench(spec)
+	res, gates, err := RunFaultBench(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.IdenticalTrajectories {
-		t.Error("clean resilient path diverged from the raw path")
-	}
-	if res.CleanFallback != 0 {
-		t.Errorf("clean path engaged degraded mode %d times", res.CleanFallback)
-	}
-	if !res.ChaosAllDone {
-		t.Error("chaos run failed to complete")
+	failedGates(t, gates[1:])
+	if len(gates) != 4 {
+		t.Errorf("%d gates, want 4", len(gates))
 	}
 	for _, r := range res.ChaosRuns {
 		if !r.Completed || r.Epochs != spec.Epochs {
@@ -36,34 +36,8 @@ func TestFaultBenchArtifact(t *testing.T) {
 		t.Errorf("non-positive timings: raw %.2f resilient %.2f", res.RawMS, res.ResilientMS)
 	}
 
-	tab := FaultBenchTable(res)
+	tab := faultBenchTable(res)
 	if tab.ID != "bench-faults" || len(tab.Rows) != len(res.ChaosRuns) {
 		t.Errorf("table id %q with %d rows, want bench-faults with %d", tab.ID, len(tab.Rows), len(res.ChaosRuns))
-	}
-}
-
-func TestWriteFaultBenchRoundTrips(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes and re-runs the full quick benchmark")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_faults.json")
-	res, tab, err := WriteFaultBench(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab == nil {
-		t.Fatal("no table returned")
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back FaultBenchResult
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if back.Spec.Train != res.Spec.Train || back.OverheadPct != res.OverheadPct ||
-		len(back.ChaosRuns) != len(res.ChaosRuns) {
-		t.Error("artifact round-trip lost fields")
 	}
 }

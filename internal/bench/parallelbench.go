@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"nessa/internal/parallel"
@@ -55,10 +53,7 @@ type SelectionBenchRun struct {
 // results/BENCH_selection.json so the speed trajectory of the
 // selection engine is tracked from PR to PR.
 type SelectionBenchResult struct {
-	GeneratedAt   string `json:"generatedAt"`
-	CPUs          int    `json:"cpus"`
-	GoMaxProcs    int    `json:"gomaxprocs"`
-	EffectiveCPUs int    `json:"effectiveCPUs"` // min(cpus, gomaxprocs): the real parallelism budget
+	host
 
 	Spec SelectionBenchSpec  `json:"spec"`
 	Runs []SelectionBenchRun `json:"runs"`
@@ -79,7 +74,7 @@ type SelectionBenchResult struct {
 // and at every available core, verifying along the way that both
 // settings select the identical subset (the determinism contract of
 // internal/parallel).
-func RunSelectionBench(spec SelectionBenchSpec) (*SelectionBenchResult, error) {
+func RunSelectionBench(spec SelectionBenchSpec) (*SelectionBenchResult, []Gate, error) {
 	r := tensor.NewRNG(12345)
 	n := spec.Classes * spec.PerClass
 	emb := tensor.NewMatrix(n, spec.Dim)
@@ -108,21 +103,10 @@ func RunSelectionBench(spec SelectionBenchSpec) (*SelectionBenchResult, error) {
 		})
 	}
 
-	effective := runtime.NumCPU()
-	if gmp := runtime.GOMAXPROCS(0); gmp < effective {
-		effective = gmp
-	}
+	res := &SelectionBenchResult{host: currentHost(), Spec: spec, IdenticalSubsets: true}
 	workerSettings := []int{1, runtime.NumCPU()}
-	if runtime.NumCPU() == 1 {
+	if res.CPUs == 1 {
 		workerSettings = workerSettings[:1]
-	}
-	res := &SelectionBenchResult{
-		GeneratedAt:      time.Now().UTC().Format(time.RFC3339),
-		CPUs:             runtime.NumCPU(),
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		EffectiveCPUs:    effective,
-		Spec:             spec,
-		IdenticalSubsets: true,
 	}
 	defer parallel.SetDefaultWorkers(0)
 
@@ -133,13 +117,13 @@ func RunSelectionBench(spec SelectionBenchSpec) (*SelectionBenchResult, error) {
 		t0 := time.Now()
 		sel, err := perClass()
 		if err != nil {
-			return nil, fmt.Errorf("bench: per-class selection: %w", err)
+			return nil, nil, fmt.Errorf("bench: per-class selection: %w", err)
 		}
 		perClassMS := float64(time.Since(t0).Microseconds()) / 1e3
 
 		if baseline == nil {
 			baseline = sel.Selected
-		} else if !equalInts(baseline, sel.Selected) {
+		} else if !slices.Equal(baseline, sel.Selected) {
 			res.IdenticalSubsets = false
 		}
 
@@ -165,10 +149,10 @@ func RunSelectionBench(spec SelectionBenchSpec) (*SelectionBenchResult, error) {
 		})
 	}
 
-	if effective < 2 {
+	if res.EffectiveCPUs < 2 {
 		res.SpeedupWarning = fmt.Sprintf(
 			"effective CPUs = %d (< 2): the worker sweep ran time-sliced on one core, so selection speedup is not measurable; speedups withheld",
-			effective)
+			res.EffectiveCPUs)
 	} else {
 		first, last := res.Runs[0], res.Runs[len(res.Runs)-1]
 		pc := safeRatio(first.PerClassMS, last.PerClassMS)
@@ -178,31 +162,11 @@ func RunSelectionBench(spec SelectionBenchSpec) (*SelectionBenchResult, error) {
 		res.SpeedupGainScan = &gs
 		res.SpeedupMatMul = &mm
 	}
-	return res, nil
+	return res, []Gate{{Name: "identical subsets at workers=1 and workers=all", OK: res.IdenticalSubsets}}, nil
 }
 
-// WriteSelectionBench runs the benchmark and writes the JSON artifact,
-// returning both the result and a renderable table.
-func WriteSelectionBench(path string) (*SelectionBenchResult, *Table, error) {
-	res, err := RunSelectionBench(DefaultSelectionBenchSpec())
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return nil, nil, err
-	}
-	return res, SelectionBenchTable(res), nil
-}
-
-// SelectionBenchTable renders the measurement as a bench artifact.
-func SelectionBenchTable(res *SelectionBenchResult) *Table {
+// selectionBenchTable renders the measurement as a bench artifact.
+func selectionBenchTable(res *SelectionBenchResult) *Table {
 	t := &Table{
 		ID:    "bench-selection",
 		Title: "Parallel selection engine: per-class CRAIG step, gain scan, GEMM",
@@ -229,23 +193,4 @@ func fmtSpeedup(s *float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.2fx", *s)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func safeRatio(num, den float64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return num / den
 }

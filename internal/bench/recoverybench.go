@@ -1,20 +1,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
-	"runtime"
 	"time"
 
+	"nessa/internal/bench/e2e"
 	"nessa/internal/core"
 	"nessa/internal/data"
 	"nessa/internal/erasure"
 	"nessa/internal/faults"
 	"nessa/internal/smartssd"
-	"nessa/internal/trainer"
 )
 
 // RecoveryBenchSpec fixes the workload of the device-loss recovery
@@ -24,13 +19,7 @@ import (
 // must resume exactly, and a simulated-time degraded-scan measurement
 // against the modeled reconstruction bound.
 type RecoveryBenchSpec struct {
-	Classes       int   `json:"classes"`
-	Train         int   `json:"train"`
-	Test          int   `json:"test"`
-	FeatureDim    int   `json:"featureDim"`
-	BytesPerImage int64 `json:"bytesPerImage"`
-	Epochs        int   `json:"epochs"`
-	Reps          int   `json:"reps"` // timing repetitions (best-of)
+	deviceRunSpec
 
 	DataShards   int `json:"dataShards"`
 	ParityShards int `json:"parityShards"`
@@ -55,14 +44,12 @@ const RecoveryCleanScanAllocGate = 64 << 10
 // overhead gate is honest — with the paper-scale k+1 placement.
 func DefaultRecoveryBenchSpec(quick bool) RecoveryBenchSpec {
 	s := RecoveryBenchSpec{
-		Classes: 10, Train: 1024, Test: 128, FeatureDim: 64,
-		BytesPerImage: 512, Epochs: 10, Reps: 5,
-		DataShards: 3, ParityShards: 1, KillAfterScans: 3,
+		deviceRunSpec: defaultDeviceRunSpec(quick),
+		DataShards:    3, ParityShards: 1, KillAfterScans: 3,
 		GFStripeBytes: 4 << 20,
 	}
 	if quick {
-		s.Train, s.Epochs, s.Reps = 512, 8, 3
-		s.GFStripeBytes = 1 << 20
+		s.Reps, s.GFStripeBytes = 3, 1<<20
 	}
 	return s
 }
@@ -79,14 +66,10 @@ type RecoveryBenchResult struct {
 	PlainMS   float64 `json:"plainMS"`   // e2e best-of-Reps, unprotected sharding
 	StripedMS float64 `json:"stripedMS"` // e2e best-of-Reps, k+m parity placement
 
-	// ScanDeltaUS is the host-time cost one clean striped scan adds
-	// over one unprotected scan (placement lookup, health checks —
-	// systematic coding means no GF work on the clean path), from an
-	// interleaved microbenchmark. OverheadPct projects it over the
-	// run's scans against the plain end-to-end time: the clean-path
-	// price of configuring parity. Gate: <= 2%.
-	ScanDeltaUS float64 `json:"scanDeltaUS"`
-	OverheadPct float64 `json:"overheadPct"`
+	// One clean striped scan over one unprotected scan (placement
+	// lookup, health checks — systematic coding means no GF work on the
+	// clean path), against PlainMS. Gate.
+	scanOverhead
 
 	// IdenticalTrajectories is true when the clean striped run, the
 	// kill-one-device run, and the plain unprotected run all produce
@@ -143,34 +126,11 @@ type RecoveryBenchPrevious struct {
 	DegradedScanAllocBytes int64   `json:"degradedScanAllocBytes"`
 }
 
-func recoveryBenchDataSpec(spec RecoveryBenchSpec) data.Spec {
-	return data.Spec{
-		Name: "recoverybench", Classes: spec.Classes, Train: spec.Train,
-		BytesPerImage: spec.BytesPerImage,
-		SimTrain:      spec.Train, SimTest: spec.Test, FeatureDim: spec.FeatureDim,
-		Spread: 0.15, HardFrac: 0.1, NoiseFrac: 0.02, Seed: 5,
-	}
-}
-
-func recoveryBenchOptions(spec RecoveryBenchSpec) (trainer.Config, core.Options) {
-	cfg := trainer.Default()
-	cfg.Epochs = spec.Epochs
-	cfg.Hidden = []int{128, 64}
-	opt := core.DefaultOptions()
-	opt.SelectEvery = 1 // every epoch pays a scan
-	opt.SubsetBias = false
-	opt.DynamicSizing = false
-	opt.Workers = 1
-	return cfg, opt
-}
-
 // recoveryCluster builds a fresh cluster holding the benchmark dataset
 // on DataShards devices, with ParityShards more when striped and as the
 // k+0 placement otherwise.
 func recoveryCluster(spec RecoveryBenchSpec, striped bool) (*smartssd.Cluster, *data.Dataset, *data.Dataset, error) {
-	ds := recoveryBenchDataSpec(spec)
-	train, test := data.Generate(ds)
-	img, err := data.Encode(train)
+	train, test, img, err := spec.image()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -182,7 +142,7 @@ func recoveryCluster(spec RecoveryBenchSpec, striped bool) (*smartssd.Cluster, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := c.StripeDataset(ds.Name, img, spec.BytesPerImage, place); err != nil {
+	if _, err := c.StripeDataset(deviceRunDataset, img, spec.BytesPerImage, place); err != nil {
 		return nil, nil, nil, err
 	}
 	return c, train, test, nil
@@ -190,55 +150,17 @@ func recoveryCluster(spec RecoveryBenchSpec, striped bool) (*smartssd.Cluster, *
 
 // runClusterOnce executes one cluster-attached training run on a
 // fresh cluster and returns the report and host wall time.
-func runClusterOnce(spec RecoveryBenchSpec, striped bool, mutate func(*smartssd.Cluster, *core.Options)) (*core.Report, time.Duration, error) {
+func runClusterOnce(spec RecoveryBenchSpec, striped bool, mutate func(*core.Options)) (*core.Report, time.Duration, error) {
 	c, train, test, err := recoveryCluster(spec, striped)
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg, opt := recoveryBenchOptions(spec)
-	opt.Cluster = c
-	opt.DatasetName = recoveryBenchDataSpec(spec).Name
-	if mutate != nil {
-		mutate(c, &opt)
-	}
-	t0 := time.Now()
-	rep, err := core.Run(train, test, cfg, opt)
-	return rep, time.Since(t0), err
-}
-
-// measureClusterPair times the plain-sharded and parity-striped
-// configurations interleaved rep by rep, best of Reps each.
-func measureClusterPair(spec RecoveryBenchSpec, reps int) (plainMS, stripedMS float64, plainRep, stripedRep *core.Report, err error) {
-	if _, _, err = runClusterOnce(spec, false, nil); err != nil { // warm-up
-		return 0, 0, nil, nil, err
-	}
-	if _, _, err = runClusterOnce(spec, true, nil); err != nil {
-		return 0, 0, nil, nil, err
-	}
-	var bestPlain, bestStriped time.Duration
-	for i := 0; i < reps; i++ {
-		var dt time.Duration
-		if plainRep, dt, err = runClusterOnce(spec, false, nil); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if bestPlain == 0 || dt < bestPlain {
-			bestPlain = dt
-		}
-		if stripedRep, dt, err = runClusterOnce(spec, true, nil); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if bestStriped == 0 || dt < bestStriped {
-			bestStriped = dt
-		}
-	}
-	return float64(bestPlain.Nanoseconds()) / 1e6, float64(bestStriped.Nanoseconds()) / 1e6, plainRep, stripedRep, nil
+	return spec.run(train, test, func(o *core.Options) { o.Cluster = c }, mutate)
 }
 
 // stripedScanDelta measures the host-time cost a clean striped scan
-// adds over a plain scan of the same payload, interleaved batches,
-// best of reps.
-func stripedScanDelta(spec RecoveryBenchSpec, reps int) (time.Duration, error) {
-	name := recoveryBenchDataSpec(spec).Name
+// adds over a plain scan of the same payload.
+func stripedScanDelta(spec RecoveryBenchSpec) (time.Duration, error) {
 	plain, _, _, err := recoveryCluster(spec, false)
 	if err != nil {
 		return 0, err
@@ -247,43 +169,19 @@ func stripedScanDelta(spec RecoveryBenchSpec, reps int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	const scans = 32
-	batch := func(c *smartssd.Cluster) (time.Duration, error) {
-		t0 := time.Now()
-		for i := 0; i < scans; i++ {
-			if _, _, _, err := c.ParallelScan(name, spec.BytesPerImage); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0), nil
-	}
-	if _, err := batch(plain); err != nil { // warm-up both paths
-		return 0, err
-	}
-	if _, err := batch(striped); err != nil {
-		return 0, err
-	}
-	var bestPlain, bestStriped time.Duration
-	for i := 0; i < reps; i++ {
-		dt, err := batch(plain)
-		if err != nil {
-			return 0, err
-		}
-		if bestPlain == 0 || dt < bestPlain {
-			bestPlain = dt
-		}
-		if dt, err = batch(striped); err != nil {
-			return 0, err
-		}
-		if bestStriped == 0 || dt < bestStriped {
-			bestStriped = dt
+	scan := func(c *smartssd.Cluster) func() error {
+		return func() error {
+			_, _, _, err := c.ParallelScan(deviceRunDataset, spec.BytesPerImage)
+			return err
 		}
 	}
-	delta := (bestStriped - bestPlain) / scans
-	if delta < 0 {
-		delta = 0
-	}
-	return delta, nil
+	return perCallDelta(spec.Reps, scan(plain), scan(striped))
+}
+
+// killDevice1After scripts the whole-device loss every degraded
+// measurement uses: device 1 dies once it has completed that many scans.
+func killDevice1After(scans int64) *faults.Injector {
+	return faults.NewInjector(faults.Profile{Seed: 17, Kills: []faults.DeviceKill{{Device: 1, AfterScans: scans}}})
 }
 
 // gfDecodeMBps times the data-only decode of lost data stripes of a 4+2
@@ -330,38 +228,25 @@ func gfDecodeMBps(stripe, lost, reps int) (float64, error) {
 // striped cluster allocates, clean or with device 1 lost. The first
 // scan in each state grows the arena and is not counted.
 func scanAllocBytes(spec RecoveryBenchSpec, degraded bool) (int64, error) {
-	name := recoveryBenchDataSpec(spec).Name
 	c, _, _, err := recoveryCluster(spec, true)
 	if err != nil {
 		return 0, err
 	}
 	c.Verify = func(b []byte) error { return data.VerifyImage(b, spec.BytesPerImage) }
 	scan := func() error {
-		_, _, _, err := c.ParallelScan(name, spec.BytesPerImage)
+		_, _, _, err := c.ParallelScan(deviceRunDataset, spec.BytesPerImage)
 		return err
 	}
 	if err := scan(); err != nil {
 		return 0, err
 	}
 	if degraded {
-		c.SetInjector(faults.NewInjector(faults.Profile{
-			Seed:  17,
-			Kills: []faults.DeviceKill{{Device: 1, AfterScans: 1}},
-		}))
+		c.SetInjector(killDevice1After(1))
 		if err := scan(); err != nil {
 			return 0, err
 		}
 	}
-	const scans = 16
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < scans; i++ {
-		if err := scan(); err != nil {
-			return 0, err
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	return int64(m1.TotalAlloc-m0.TotalAlloc) / scans, nil
+	return allocBytesPerCall(16, scan)
 }
 
 // RunRecoveryBench measures the device-loss recovery machinery: the
@@ -370,53 +255,43 @@ func scanAllocBytes(spec RecoveryBenchSpec, degraded bool) (int64, error) {
 // against its modeled simulated-time bound, and the host cost of the
 // recovery data path (GF decode throughput against the modeled rate,
 // bytes allocated per scan).
-func RunRecoveryBench(spec RecoveryBenchSpec) (*RecoveryBenchResult, error) {
-	res := &RecoveryBenchResult{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Spec:        spec,
-	}
+func RunRecoveryBench(spec RecoveryBenchSpec) (*RecoveryBenchResult, []Gate, error) {
+	res := &RecoveryBenchResult{GeneratedAt: stamp(), Spec: spec}
 
-	plainMS, stripedMS, plainRep, stripedRep, err := measureClusterPair(spec, spec.Reps)
+	var plainRep, stripedRep *core.Report
+	plainBest, stripedBest, err := bestOfInterleaved(spec.Reps,
+		keepReport(&plainRep, func() (*core.Report, time.Duration, error) { return runClusterOnce(spec, false, nil) }),
+		keepReport(&stripedRep, func() (*core.Report, time.Duration, error) { return runClusterOnce(spec, true, nil) }))
 	if err != nil {
-		return nil, fmt.Errorf("overhead measurement: %w", err)
+		return nil, nil, fmt.Errorf("overhead measurement: %w", err)
 	}
-	delta, err := stripedScanDelta(spec, spec.Reps)
+	delta, err := stripedScanDelta(spec)
 	if err != nil {
-		return nil, fmt.Errorf("scan-overhead measurement: %w", err)
+		return nil, nil, fmt.Errorf("scan-overhead measurement: %w", err)
 	}
-	res.PlainMS = plainMS
-	res.StripedMS = stripedMS
-	res.ScanDeltaUS = float64(delta.Nanoseconds()) / 1e3
-	// One scan per epoch (SelectEvery=1): project the per-scan delta
-	// over the run against the plain end-to-end time.
-	scanCostMS := float64(delta.Nanoseconds()) * float64(spec.Epochs) / 1e6
-	res.OverheadPct = safeRatio(scanCostMS, plainMS) * 100
+	res.PlainMS = ms(plainBest)
+	res.StripedMS = ms(stripedBest)
+	res.scanOverhead = spec.scanOverhead(delta, plainBest)
+	clean := e2e.SeriesOf(stripedRep)
 
 	// Kill device 1 mid-run: with k+1 parity the trajectory must not
 	// move by a single bit.
-	killRep, _, err := runClusterOnce(spec, true, func(c *smartssd.Cluster, o *core.Options) {
-		o.Injector = faults.NewInjector(faults.Profile{
-			Seed:  17,
-			Kills: []faults.DeviceKill{{Device: 1, AfterScans: spec.KillAfterScans}},
-		})
+	killRep, _, err := runClusterOnce(spec, true, func(o *core.Options) {
+		o.Injector = killDevice1After(spec.KillAfterScans)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("kill-one-device run: %w", err)
+		return nil, nil, fmt.Errorf("kill-one-device run: %w", err)
 	}
 	res.DevicesLost = killRep.Recovery.DevicesLost
 	res.DegradedReads = killRep.Recovery.DegradedReads
 	res.ReconstructedBytes = killRep.Recovery.ReconstructedBytes
-	res.IdenticalTrajectories =
-		reflect.DeepEqual(stripedRep.Metrics.EpochLoss, killRep.Metrics.EpochLoss) &&
-			reflect.DeepEqual(stripedRep.Metrics.EpochAcc, killRep.Metrics.EpochAcc) &&
-			reflect.DeepEqual(stripedRep.Metrics.EpochLoss, plainRep.Metrics.EpochLoss) &&
-			reflect.DeepEqual(stripedRep.Metrics.EpochAcc, plainRep.Metrics.EpochAcc) &&
-			killRep.Recovery.DevicesLost == 1 && killRep.Recovery.DegradedReads > 0
+	res.IdenticalTrajectories = clean.Equal(e2e.SeriesOf(killRep)) && clean.Equal(e2e.SeriesOf(plainRep)) &&
+		killRep.Recovery.DevicesLost == 1 && killRep.Recovery.DegradedReads > 0
 
 	// Checkpoint halfway, resume, and demand the identical trajectory.
 	resumeAt := spec.Epochs / 2
 	var blob []byte
-	if _, _, err := runClusterOnce(spec, true, func(c *smartssd.Cluster, o *core.Options) {
+	if _, _, err := runClusterOnce(spec, true, func(o *core.Options) {
 		o.CheckpointEvery = resumeAt
 		o.CheckpointSink = func(epoch int, b []byte) error {
 			if epoch == resumeAt {
@@ -425,109 +300,93 @@ func RunRecoveryBench(spec RecoveryBenchSpec) (*RecoveryBenchResult, error) {
 			return nil
 		}
 	}); err != nil {
-		return nil, fmt.Errorf("checkpointed run: %w", err)
+		return nil, nil, fmt.Errorf("checkpointed run: %w", err)
 	}
 	if blob == nil {
-		return nil, fmt.Errorf("no checkpoint captured at epoch %d", resumeAt)
+		return nil, nil, fmt.Errorf("no checkpoint captured at epoch %d", resumeAt)
 	}
-	resumedRep, _, err := runClusterOnce(spec, true, func(c *smartssd.Cluster, o *core.Options) {
+	resumedRep, _, err := runClusterOnce(spec, true, func(o *core.Options) {
 		o.Resume = blob
 	})
 	if err != nil {
-		return nil, fmt.Errorf("resumed run: %w", err)
+		return nil, nil, fmt.Errorf("resumed run: %w", err)
 	}
-	res.ResumeExact = resumedRep.Recovery.ResumedFromEpoch == resumeAt &&
-		reflect.DeepEqual(stripedRep.Metrics.EpochLoss, resumedRep.Metrics.EpochLoss) &&
-		reflect.DeepEqual(stripedRep.Metrics.EpochAcc, resumedRep.Metrics.EpochAcc)
+	res.ResumeExact = resumedRep.Recovery.ResumedFromEpoch == resumeAt && clean.Equal(e2e.SeriesOf(resumedRep))
 
 	// Degraded scan vs the cost model, in simulated time (exact and
 	// machine-independent): clean scan, kill, degraded scan, rebuild.
-	name := recoveryBenchDataSpec(spec).Name
 	c, _, _, err := recoveryCluster(spec, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	_, _, cleanWall, err := c.ParallelScan(name, spec.BytesPerImage)
+	_, _, cleanWall, err := c.ParallelScan(deviceRunDataset, spec.BytesPerImage)
 	if err != nil {
-		return nil, fmt.Errorf("clean simulated scan: %w", err)
+		return nil, nil, fmt.Errorf("clean simulated scan: %w", err)
 	}
-	res.CleanWallUS = float64(cleanWall.Nanoseconds()) / 1e3
-	c.SetInjector(faults.NewInjector(faults.Profile{
-		Seed:  17,
-		Kills: []faults.DeviceKill{{Device: 1, AfterScans: 1}},
-	}))
-	_, _, degradedWall, err := c.ParallelScan(name, spec.BytesPerImage)
+	res.CleanWallUS = us(cleanWall)
+	c.SetInjector(killDevice1After(1))
+	_, _, degradedWall, err := c.ParallelScan(deviceRunDataset, spec.BytesPerImage)
 	if err != nil {
-		return nil, fmt.Errorf("degraded simulated scan: %w", err)
+		return nil, nil, fmt.Errorf("degraded simulated scan: %w", err)
 	}
-	res.DegradedWallUS = float64(degradedWall.Nanoseconds()) / 1e3
-	bound, err := c.DegradedScanBound(name, 1)
+	res.DegradedWallUS = us(degradedWall)
+	bound, err := c.DegradedScanBound(deviceRunDataset, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.BoundUS = float64(bound.Nanoseconds()) / 1e3
+	res.BoundUS = us(bound)
 	res.DegradedWithinBound = res.DegradedWallUS-res.CleanWallUS <= res.BoundUS
 	spare, err := smartssd.New()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.AttachSpare(spare)
-	rebuildWall, err := c.Rebuild(name)
+	rebuildWall, err := c.Rebuild(deviceRunDataset)
 	if err != nil {
-		return nil, fmt.Errorf("rebuild: %w", err)
+		return nil, nil, fmt.Errorf("rebuild: %w", err)
 	}
-	res.RebuildSimMS = float64(rebuildWall.Nanoseconds()) / 1e6
+	res.RebuildSimMS = ms(rebuildWall)
 
 	res.ModelReconstructMBps = smartssd.DefaultReconstructBW / 1e6
 	if res.ReconstructOneLossMBps, err = gfDecodeMBps(spec.GFStripeBytes, 1, spec.Reps); err != nil {
-		return nil, fmt.Errorf("GF throughput: %w", err)
+		return nil, nil, fmt.Errorf("GF throughput: %w", err)
 	}
 	if res.ReconstructTwoLossMBps, err = gfDecodeMBps(spec.GFStripeBytes, 2, spec.Reps); err != nil {
-		return nil, fmt.Errorf("GF throughput: %w", err)
+		return nil, nil, fmt.Errorf("GF throughput: %w", err)
 	}
 	if res.CleanScanAllocBytes, err = scanAllocBytes(spec, false); err != nil {
-		return nil, fmt.Errorf("clean-scan allocation: %w", err)
+		return nil, nil, fmt.Errorf("clean-scan allocation: %w", err)
 	}
 	if res.DegradedScanAllocBytes, err = scanAllocBytes(spec, true); err != nil {
-		return nil, fmt.Errorf("degraded-scan allocation: %w", err)
+		return nil, nil, fmt.Errorf("degraded-scan allocation: %w", err)
 	}
-	return res, nil
+	return res, []Gate{
+		{Name: "clean, kill-one-device and plain trajectories identical", OK: res.IdenticalTrajectories},
+		{Name: "checkpointed session resumes bit-identically", OK: res.ResumeExact},
+		{Name: "degraded scan within the modeled reconstruction bound", OK: res.DegradedWithinBound,
+			Detail: fmt.Sprintf("Δ %.1f µs against %.1f µs", res.DegradedWallUS-res.CleanWallUS, res.BoundUS)},
+		res.scanOverhead.gate("parity placement"),
+		{Name: fmt.Sprintf("steady-state clean striped scan allocates ≤ %d bytes (payloads stay in the scan arena)", RecoveryCleanScanAllocGate),
+			OK: res.CleanScanAllocBytes <= RecoveryCleanScanAllocGate, Detail: fmt.Sprintf("%d bytes", res.CleanScanAllocBytes)},
+	}, nil
 }
 
-// WriteRecoveryBench runs the benchmark and writes the JSON artifact,
-// returning both the result and a renderable table.
-func WriteRecoveryBench(path string, quick bool) (*RecoveryBenchResult, *Table, error) {
-	res, err := RunRecoveryBench(DefaultRecoveryBenchSpec(quick))
-	if err != nil {
-		return nil, nil, err
-	}
-	if old, err := os.ReadFile(path); err == nil {
-		var prev RecoveryBenchResult
-		if json.Unmarshal(old, &prev) == nil && prev.Spec == res.Spec && prev.ReconstructOneLossMBps > 0 {
-			res.Previous = &RecoveryBenchPrevious{
-				GeneratedAt: prev.GeneratedAt, StripedMS: prev.StripedMS,
-				ReconstructOneLossMBps: prev.ReconstructOneLossMBps,
-				ReconstructTwoLossMBps: prev.ReconstructTwoLossMBps,
-				CleanScanAllocBytes:    prev.CleanScanAllocBytes,
-				DegradedScanAllocBytes: prev.DegradedScanAllocBytes,
-			}
+// carryRecovery keeps the replaced artifact's figures when it measured
+// the same spec.
+func carryRecovery(res, prev *RecoveryBenchResult) {
+	if prev.Spec == res.Spec && prev.ReconstructOneLossMBps > 0 {
+		res.Previous = &RecoveryBenchPrevious{
+			GeneratedAt: prev.GeneratedAt, StripedMS: prev.StripedMS,
+			ReconstructOneLossMBps: prev.ReconstructOneLossMBps,
+			ReconstructTwoLossMBps: prev.ReconstructTwoLossMBps,
+			CleanScanAllocBytes:    prev.CleanScanAllocBytes,
+			DegradedScanAllocBytes: prev.DegradedScanAllocBytes,
 		}
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return nil, nil, err
-	}
-	return res, RecoveryBenchTable(res), nil
 }
 
-// RecoveryBenchTable renders the measurement as a bench artifact.
-func RecoveryBenchTable(res *RecoveryBenchResult) *Table {
+// recoveryBenchTable renders the measurement as a bench artifact.
+func recoveryBenchTable(res *RecoveryBenchResult) *Table {
 	t := &Table{
 		ID:    "bench-recovery",
 		Title: "Device-loss recovery: parity overhead, degraded scans, checkpointed resume",

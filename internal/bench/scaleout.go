@@ -43,7 +43,7 @@ func AblationScaleOut() *Table {
 			shardN := n / drives
 			scan := p2p.Duration(int64(shardN)*rec, shardN)
 			fwd := kernel.ForwardTime(shardN, selMACs)
-			sel := maxDur(scan, fwd) + kernel.SelectionTime(shardN, k/drives, spec.Classes, 0.1)
+			sel := max(scan, fwd) + kernel.SelectionTime(shardN, k/drives, spec.Classes, 0.1)
 
 			dp, err := gpu.NewDataParallel(g, gpus)
 			if err != nil {

@@ -26,7 +26,7 @@ func Section43(runs []DatasetRun) *Table {
 	var sumFull, sumCraig, sumKC, sumEpoch float64
 	var n int
 	for _, r := range runs {
-		target := minF(r.Full.FinalAcc, r.NeSSA.Metrics.FinalAcc) * 0.98
+		target := min(r.Full.FinalAcc, r.NeSSA.Metrics.FinalAcc) * 0.98
 		eFull := epochsOr(r.Full.EpochsToReach(target), len(r.Full.EpochAcc))
 		eNessa := epochsOr(r.NeSSA.Metrics.EpochsToReach(target), len(r.NeSSA.Metrics.EpochAcc))
 		// Baseline epoch counts are measured when the baseline runs are
@@ -101,11 +101,4 @@ func epochsOr(e, fallback int) int {
 		return fallback
 	}
 	return e
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"nessa/internal/data"
@@ -17,8 +15,7 @@ import (
 	"nessa/internal/tensor"
 )
 
-// Gates on the streaming-selection artifact, checked by nessa-bench and
-// scripts/check.sh.
+// Gates on the streaming-selection artifact.
 const (
 	// StreamingBandwidthGate is the minimum fraction of the modeled
 	// sequential-read bound the simulated scan must achieve: the
@@ -89,10 +86,7 @@ func (s StreamingBenchSpec) dataSpec() data.Spec {
 // StreamingBenchResult is the JSON artifact written to
 // results/BENCH_streaming.json.
 type StreamingBenchResult struct {
-	GeneratedAt   string `json:"generatedAt"`
-	CPUs          int    `json:"cpus"`
-	GoMaxProcs    int    `json:"gomaxprocs"`
-	EffectiveCPUs int    `json:"effectiveCPUs"`
+	host
 
 	Spec StreamingBenchSpec `json:"spec"`
 
@@ -258,16 +252,9 @@ func refEmbeddings(seed uint64, n, d, clusters int) *tensor.Matrix {
 // RunStreamingBench measures the single-pass streaming selector: one
 // sequential scan of a bigger-than-device-DRAM stream, a worker-count
 // invariance check, and an exact-quality comparison against LazyGreedy.
-func RunStreamingBench(spec StreamingBenchSpec) (*StreamingBenchResult, error) {
-	effective := runtime.NumCPU()
-	if gmp := runtime.GOMAXPROCS(0); gmp < effective {
-		effective = gmp
-	}
+func RunStreamingBench(spec StreamingBenchSpec) (*StreamingBenchResult, []Gate, error) {
 	res := &StreamingBenchResult{
-		GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
-		CPUs:            runtime.NumCPU(),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		EffectiveCPUs:   effective,
+		host:            currentHost(),
 		Spec:            spec,
 		DatasetBytes:    int64(spec.Records) * spec.RecordBytes,
 		DeviceDRAMBytes: smartssd.DefaultSpec().DRAMBytes,
@@ -275,7 +262,7 @@ func RunStreamingBench(spec StreamingBenchSpec) (*StreamingBenchResult, error) {
 
 	main, err := runStreamingPass(spec, spec.Records)
 	if err != nil {
-		return nil, fmt.Errorf("bench: streaming pass: %w", err)
+		return nil, nil, fmt.Errorf("bench: streaming pass: %w", err)
 	}
 	res.Scan = main.scan
 	res.Stats = main.stats
@@ -291,16 +278,16 @@ func RunStreamingBench(spec StreamingBenchSpec) (*StreamingBenchResult, error) {
 	parallel.SetDefaultWorkers(1)
 	one, err := runStreamingPass(spec, spec.DetRecords)
 	if err != nil {
-		return nil, fmt.Errorf("bench: workers=1 pass: %w", err)
+		return nil, nil, fmt.Errorf("bench: workers=1 pass: %w", err)
 	}
 	parallel.SetDefaultWorkers(runtime.NumCPU())
 	all, err := runStreamingPass(spec, spec.DetRecords)
 	if err != nil {
-		return nil, fmt.Errorf("bench: workers=%d pass: %w", runtime.NumCPU(), err)
+		return nil, nil, fmt.Errorf("bench: workers=%d pass: %w", runtime.NumCPU(), err)
 	}
 	parallel.SetDefaultWorkers(0)
-	res.IdenticalSubsets = equalInts(one.res.Selected, all.res.Selected) &&
-		equalFloats(one.res.Weights, all.res.Weights) &&
+	res.IdenticalSubsets = slices.Equal(one.res.Selected, all.res.Selected) &&
+		slices.Equal(one.res.Weights, all.res.Weights) &&
 		one.res.Objective == all.res.Objective
 
 	// Exact-quality reference: small enough that LazyGreedy is exact
@@ -313,51 +300,43 @@ func RunStreamingBench(spec StreamingBenchSpec) (*StreamingBenchResult, error) {
 	}
 	stream, err := streaming.Maximizer(streaming.Config{Seed: spec.Seed})(emb, cand, spec.RefK)
 	if err != nil {
-		return nil, fmt.Errorf("bench: streaming reference selection: %w", err)
+		return nil, nil, fmt.Errorf("bench: streaming reference selection: %w", err)
 	}
 	exact, err := selection.LazyGreedy(emb, cand, spec.RefK)
 	if err != nil {
-		return nil, fmt.Errorf("bench: exact reference selection: %w", err)
+		return nil, nil, fmt.Errorf("bench: exact reference selection: %w", err)
 	}
 	res.StreamObjective = selection.Objective(emb, cand, stream.Selected)
 	res.ExactObjective = selection.Objective(emb, cand, exact.Selected)
 	if res.ExactObjective > 0 {
 		res.QualityRatio = res.StreamObjective / res.ExactObjective
 	}
-	return res, nil
+	return res, []Gate{
+		{Name: "identical subsets at workers=1 and workers=all", OK: res.IdenticalSubsets},
+		{Name: fmt.Sprintf("scan ≥ %.2f of the sequential-read bound", StreamingBandwidthGate),
+			OK: res.Scan.FracOfBound >= StreamingBandwidthGate, Detail: fmt.Sprintf("%.3f", res.Scan.FracOfBound)},
+		{Name: "selection state within the on-chip budget",
+			OK: res.Stats.StateBytes <= res.Stats.BudgetBytes, Detail: fmt.Sprintf("%d of %d bytes", res.Stats.StateBytes, res.Stats.BudgetBytes)},
+		{Name: fmt.Sprintf("objective ≥ %.2f of exact LazyGreedy", StreamingQualityGate),
+			OK: res.QualityRatio >= StreamingQualityGate, Detail: fmt.Sprintf("%.3f", res.QualityRatio)},
+		{Name: fmt.Sprintf("reservoir scans on ≤ %.2f of rung visits (the saturation prune)", StreamingScanGate),
+			OK: res.ScanFraction() <= StreamingScanGate, Detail: fmt.Sprintf("%.3f of %d visits", res.ScanFraction(), res.Stats.RungVisits)},
+	}, nil
 }
 
-// WriteStreamingBench runs the benchmark and writes the JSON artifact,
-// returning both the result and a renderable table.
-func WriteStreamingBench(path string, quick bool) (*StreamingBenchResult, *Table, error) {
-	res, err := RunStreamingBench(DefaultStreamingBenchSpec(quick))
-	if err != nil {
-		return nil, nil, err
-	}
-	if old, err := os.ReadFile(path); err == nil {
-		var prev StreamingBenchResult
-		if json.Unmarshal(old, &prev) == nil && prev.Spec == res.Spec && prev.WallRecordsPerSec > 0 {
-			res.Previous = &StreamingBenchPrevious{
-				GeneratedAt: prev.GeneratedAt, CPUs: prev.CPUs,
-				WallSeconds: prev.WallSeconds, WallRecordsPerSec: prev.WallRecordsPerSec,
-			}
+// carryStreaming keeps the replaced artifact's throughput when it
+// measured the same spec.
+func carryStreaming(res, prev *StreamingBenchResult) {
+	if prev.Spec == res.Spec && prev.WallRecordsPerSec > 0 {
+		res.Previous = &StreamingBenchPrevious{
+			GeneratedAt: prev.GeneratedAt, CPUs: prev.CPUs,
+			WallSeconds: prev.WallSeconds, WallRecordsPerSec: prev.WallRecordsPerSec,
 		}
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return nil, nil, err
-	}
-	return res, StreamingBenchTable(res), nil
 }
 
-// StreamingBenchTable renders the measurement as a bench artifact.
-func StreamingBenchTable(res *StreamingBenchResult) *Table {
+// streamingBenchTable renders the measurement as a bench artifact.
+func streamingBenchTable(res *StreamingBenchResult) *Table {
 	const gb = 1 << 30
 	t := &Table{
 		ID:    "bench-streaming",
@@ -386,16 +365,4 @@ func StreamingBenchTable(res *StreamingBenchResult) *Table {
 	t.AddRow("objective vs exact LazyGreedy", fmt.Sprintf("%.4f", res.QualityRatio))
 	t.AddRow("identical subsets across workers", fmt.Sprintf("%v", res.IdenticalSubsets))
 	return t
-}
-
-func equalFloats(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"nessa/internal/data"
@@ -17,10 +15,10 @@ import (
 
 // TrainingSpeedupGate is the minimum workers=1 → workers=2 epoch
 // speedup the training hot path must deliver on a real multi-core
-// machine. nessa-bench enforces it whenever the speedup is measurable
-// (effective CPUs >= 2); below that the measurement is refused rather
-// than gated, because a 2-worker run pinned to one core measures
-// scheduling overhead, not scaling.
+// machine. It is enforced whenever the speedup is measurable (effective
+// CPUs >= 2); below that the measurement is refused rather than gated,
+// because a 2-worker run pinned to one core measures scheduling
+// overhead, not scaling.
 const TrainingSpeedupGate = 1.5
 
 // TrainingBenchSpec fixes the synthetic workload of the training
@@ -77,10 +75,7 @@ type TrainingBenchRun struct {
 // results/BENCH_training.json so the speed trajectory of the training
 // hot path is tracked from PR to PR.
 type TrainingBenchResult struct {
-	GeneratedAt   string `json:"generatedAt"`
-	CPUs          int    `json:"cpus"`
-	GoMaxProcs    int    `json:"gomaxprocs"`
-	EffectiveCPUs int    `json:"effectiveCPUs"` // min(cpus, gomaxprocs): the real parallelism budget
+	host
 
 	Spec TrainingBenchSpec  `json:"spec"`
 	Runs []TrainingBenchRun `json:"runs"` // worker sweep: 1, 2, NumCPU (deduplicated)
@@ -115,9 +110,15 @@ type TrainingBenchResult struct {
 type trainingTrajectory struct {
 	losses  []float64
 	bits    []uint32
-	acc     float64
+	acc     float64 // evaluated on the bit-exact tier only
 	elapsed time.Duration
 	allocs  float64
+}
+
+// same reports whether two runs of one tier agree on every epoch loss,
+// every final parameter bit and the evaluated accuracy.
+func (t trainingTrajectory) same(o trainingTrajectory) bool {
+	return slices.Equal(t.losses, o.losses) && slices.Equal(t.bits, o.bits) && t.acc == o.acc
 }
 
 // runTrajectory trains a fresh model for spec.Epochs at the current
@@ -187,7 +188,7 @@ func benchWorkerSweep() []int {
 // bit-exact tier's trajectories are bit-identical at every worker
 // count and that the fast tier is deterministic (bit-identical to
 // itself across worker counts) and within tolerance of bit-exact.
-func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, error) {
+func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, []Gate, error) {
 	ds := data.Spec{
 		Name: "bench", Classes: spec.Classes, Train: spec.Train,
 		SimTrain: spec.Train, SimTest: spec.Test, FeatureDim: spec.FeatureDim,
@@ -210,15 +211,8 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, error) {
 	ga.FillNormal(r, 1)
 	gb.FillNormal(r, 1)
 
-	effective := runtime.NumCPU()
-	if gmp := runtime.GOMAXPROCS(0); gmp < effective {
-		effective = gmp
-	}
 	res := &TrainingBenchResult{
-		GeneratedAt:           time.Now().UTC().Format(time.RFC3339),
-		CPUs:                  runtime.NumCPU(),
-		GoMaxProcs:            runtime.GOMAXPROCS(0),
-		EffectiveCPUs:         effective,
+		host:                  currentHost(),
 		Spec:                  spec,
 		IdenticalTrajectories: true,
 		FastTierSupported:     tensor.FastMathSupported(),
@@ -227,8 +221,8 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, error) {
 	defer parallel.SetDefaultWorkers(0)
 	defer tensor.SetFastMath(false)
 
-	var ref, fastRef *trainingTrajectory
-	for _, w := range benchWorkerSweep() {
+	var ref, fastRef trainingTrajectory // the sweep's first run of each tier
+	for i, w := range benchWorkerSweep() {
 		parallel.SetDefaultWorkers(w)
 
 		tensor.SetFastMath(false)
@@ -239,10 +233,9 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, error) {
 		evalMS := float64(time.Since(t0).Microseconds()) / 1e3
 		gflops := gemmThroughput(spec, gd, ga, gb)
 
-		if ref == nil {
-			tjCopy := tj
-			ref = &tjCopy
-		} else if !equalFloat64s(tj.losses, ref.losses) || !equalUint32s(tj.bits, ref.bits) || tj.acc != ref.acc {
+		if i == 0 {
+			ref = tj
+		} else if !tj.same(ref) {
 			res.IdenticalTrajectories = false
 		}
 
@@ -263,30 +256,24 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, error) {
 			run.FastGemmGFLOPS = gemmThroughput(spec, gd, ga, gb)
 			tensor.SetFastMath(false)
 
-			if fastRef == nil {
-				ftjCopy := ftj
-				fastRef = &ftjCopy
-			} else if !equalFloat64s(ftj.losses, fastRef.losses) || !equalUint32s(ftj.bits, fastRef.bits) {
+			if i == 0 {
+				fastRef = ftj
+			} else if !ftj.same(fastRef) {
 				res.FastTierDeterministic = false
 			}
 			for e := range ftj.losses {
-				d := math.Abs(ftj.losses[e] - tj.losses[e])
-				if m := math.Max(math.Abs(tj.losses[e]), 1); m > 0 {
-					d /= m
-				}
-				if d > res.FastVsBitExactMaxRel {
-					res.FastVsBitExactMaxRel = d
-				}
+				d := math.Abs(ftj.losses[e]-tj.losses[e]) / max(math.Abs(tj.losses[e]), 1)
+				res.FastVsBitExactMaxRel = max(res.FastVsBitExactMaxRel, d)
 			}
 		}
 
 		res.Runs = append(res.Runs, run)
 	}
 
-	if effective < 2 {
+	if res.EffectiveCPUs < 2 {
 		res.SpeedupWarning = fmt.Sprintf(
 			"effective CPUs = %d (< 2): the worker sweep ran time-sliced on one core, so epoch speedup is not measurable; speedupEpoch withheld",
-			effective)
+			res.EffectiveCPUs)
 	} else {
 		for _, run := range res.Runs {
 			if run.Workers == 2 {
@@ -294,40 +281,31 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, error) {
 				res.SpeedupEpoch = &s
 			}
 		}
-		best := math.Inf(1)
+		best := res.Runs[0].MSPerEpoch
 		for _, run := range res.Runs {
-			if run.MSPerEpoch < best {
-				best = run.MSPerEpoch
-			}
+			best = min(best, run.MSPerEpoch)
 		}
 		sb := safeRatio(res.Runs[0].MSPerEpoch, best)
 		res.SpeedupEpochBest = &sb
 	}
-	return res, nil
+
+	gates := []Gate{{Name: "bit-exact trajectories identical across the worker sweep", OK: res.IdenticalTrajectories}}
+	if res.FastTierSupported {
+		gates = append(gates,
+			Gate{Name: "fast-tier trajectories identical across the worker sweep", OK: res.FastTierDeterministic},
+			Gate{Name: fmt.Sprintf("fast tier within %.0e of the bit-exact epoch losses", tensor.FastTierTolerance),
+				OK:     res.FastVsBitExactMaxRel <= tensor.FastTierTolerance,
+				Detail: fmt.Sprintf("max relative divergence %.3g", res.FastVsBitExactMaxRel)})
+	}
+	speedup := Gate{Name: fmt.Sprintf("epoch speedup at workers=2 ≥ %.1f×", TrainingSpeedupGate), OK: true, Detail: "withheld: " + res.SpeedupWarning}
+	if s := res.SpeedupEpoch; s != nil {
+		speedup.OK, speedup.Detail = *s >= TrainingSpeedupGate, fmt.Sprintf("%.2f×", *s)
+	}
+	return res, append(gates, speedup), nil
 }
 
-// WriteTrainingBench runs the benchmark and writes the JSON artifact,
-// returning both the result and a renderable table.
-func WriteTrainingBench(path string, quick bool) (*TrainingBenchResult, *Table, error) {
-	res, err := RunTrainingBench(DefaultTrainingBenchSpec(quick))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, nil, err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return nil, nil, err
-	}
-	return res, TrainingBenchTable(res), nil
-}
-
-// TrainingBenchTable renders the measurement as a bench artifact.
-func TrainingBenchTable(res *TrainingBenchResult) *Table {
+// trainingBenchTable renders the measurement as a bench artifact.
+func trainingBenchTable(res *TrainingBenchResult) *Table {
 	t := &Table{
 		ID:    "bench-training",
 		Title: "Training hot path: weighted SGD epoch, chunked evaluation, forward GEMM",
@@ -359,28 +337,4 @@ func TrainingBenchTable(res *TrainingBenchResult) *Table {
 		t.AddRow("speedup best", fmt.Sprintf("%.2fx", *res.SpeedupEpochBest), "", "", "", "", "")
 	}
 	return t
-}
-
-func equalFloat64s(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalUint32s(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

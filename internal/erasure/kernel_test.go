@@ -145,3 +145,30 @@ func TestReconstructReusesCapacity(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelsDoNotAllocate: Encode and dotSlices are //nessa:hotpath and
+// run once per stripe on every clean scan's parity write and every
+// degraded read; a value escaping from either is one heap object per
+// call. Five sources make dotSlices take its mulAddSlice tail as well
+// as the grouped loop. ReconstructData is left out: it inverts a matrix
+// per call by design.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	rng := tensor.NewRNG(47)
+	c, err := New(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := randShards(rng, 6, 4096)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Encode (4+2) allocates %v objects per call, want 0", n)
+	}
+	in, out := randShards(rng, 5, 4096), make([]byte, 4096)
+	coef := []byte{3, 1, 0, 200, 77}
+	if n := testing.AllocsPerRun(20, func() { dotSlices(coef, in, out) }); n != 0 {
+		t.Errorf("dotSlices over 5 sources allocates %v objects per call, want 0", n)
+	}
+}

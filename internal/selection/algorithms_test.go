@@ -112,6 +112,9 @@ func TestRandomErrors(t *testing.T) {
 	}
 }
 
+// everyClass hands the same stateless maximizer to every class.
+func everyClass(m Maximizer) ClassMaximizer { return func(int) Maximizer { return m } }
+
 func TestPerClassRespectsClassBoundaries(t *testing.T) {
 	r := tensor.NewRNG(13)
 	emb := tensor.NewMatrix(60, 4)
@@ -120,7 +123,7 @@ func TestPerClassRespectsClassBoundaries(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		classes[i%3] = append(classes[i%3], i)
 	}
-	res, err := PerClass(emb, classes, 15, LazyGreedy)
+	res, err := PerClassWith(emb, classes, 15, everyClass(LazyGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestPerClassImbalancedBudgets(t *testing.T) {
 	for i := 30; i < 40; i++ {
 		classes[1] = append(classes[1], i)
 	}
-	res, err := PerClass(emb, classes, 8, LazyGreedy)
+	res, err := PerClassWith(emb, classes, 8, everyClass(LazyGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestPerClassFewerPicksThanClasses(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		classes[i%10] = append(classes[i%10], i)
 	}
-	res, err := PerClass(emb, classes, 4, LazyGreedy)
+	res, err := PerClassWith(emb, classes, 4, everyClass(LazyGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestPerClassEmptyClassesSkipped(t *testing.T) {
 	emb := tensor.NewMatrix(10, 3)
 	emb.FillNormal(r, 1)
 	classes := [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {}}
-	res, err := PerClass(emb, classes, 5, LazyGreedy)
+	res, err := PerClassWith(emb, classes, 5, everyClass(LazyGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func TestPerClassEmptyClassesSkipped(t *testing.T) {
 
 func TestPerClassAllEmptyErrors(t *testing.T) {
 	emb := tensor.NewMatrix(5, 2)
-	if _, err := PerClass(emb, [][]int{{}, {}}, 3, LazyGreedy); err == nil {
+	if _, err := PerClassWith(emb, [][]int{{}, {}}, 3, everyClass(LazyGreedy)); err == nil {
 		t.Error("expected error for all-empty classes")
 	}
 }
@@ -292,8 +295,9 @@ func TestPartitionedMaximizerComposesWithPerClass(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		classes[i%4] = append(classes[i%4], i)
 	}
-	pm := PartitionedMaximizer(4, r, LazyGreedy)
-	res, err := PerClass(emb, classes, 24, pm)
+	res, err := PerClassWith(emb, classes, 24, func(ci int) Maximizer {
+		return PartitionedMaximizer(4, ClassStream(31, ci), LazyGreedy)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,32 +34,21 @@ func ClassStream(seed uint64, ci int) *tensor.RNG {
 // fan classes out across the worker pool without sharing anything.
 type ClassMaximizer func(ci int) Maximizer
 
-// PerClass runs CRAIG-style selection: the budget k is split across
+// PerClassWith runs CRAIG-style selection: the budget k is split across
 // classes in proportion to each class's candidate count (the paper
-// computes pairwise similarities only within a class, §3.2.3), the
-// maximizer picks each class's medoids, and results merge with their
+// computes pairwise similarities only within a class, §3.2.3), each
+// class's maximizer picks its medoids, and results merge with their
 // cluster weights intact.
 //
-// The shared maximizer may be stateful (e.g. a StochasticMaximizer
-// holding one RNG), so classes run serially in class order. For the
-// parallel fan-out use PerClassWith, which gives every class its own
-// maximizer.
-func PerClass(emb *tensor.Matrix, classes [][]int, k int, maximize Maximizer) (Result, error) {
-	return perClass(emb, classes, k, func(int) Maximizer { return maximize }, false)
-}
-
-// PerClassWith is the parallel form of PerClass: forClass(ci) builds a
-// fresh maximizer per class and every class's selection dispatches to
-// the shared worker pool (classes share no state — CRAIG computes
-// similarities only within a class, making the fan-out embarrassingly
-// parallel). Results merge in ascending class order, so the output is
-// identical for any worker count provided forClass is deterministic
-// per class index.
+// forClass(ci) builds a fresh maximizer per class and every class's
+// selection dispatches to the shared worker pool (classes share no
+// state — CRAIG computes similarities only within a class, making the
+// fan-out embarrassingly parallel). A stateful maximizer (an RNG, say)
+// must therefore be built per class, seeded from ci — ClassStream.
+// Results merge in ascending class order, so the output is identical
+// for any worker count provided forClass is deterministic per class
+// index.
 func PerClassWith(emb *tensor.Matrix, classes [][]int, k int, forClass ClassMaximizer) (Result, error) {
-	return perClass(emb, classes, k, forClass, true)
-}
-
-func perClass(emb *tensor.Matrix, classes [][]int, k int, forClass ClassMaximizer, parallelOK bool) (Result, error) {
 	total := 0
 	for _, c := range classes {
 		total += len(c)
@@ -88,13 +77,7 @@ func perClass(emb *tensor.Matrix, classes [][]int, k int, forClass ClassMaximize
 			results[ci], errs[ci] = m(emb, cand, budgets[ci])
 		})
 	}
-	if parallelOK {
-		parallel.Default().Run(tasks)
-	} else {
-		for _, t := range tasks {
-			t()
-		}
-	}
+	parallel.Default().Run(tasks)
 
 	var merged Result
 	for ci := range classes {

@@ -61,14 +61,13 @@ gate "nessa-vet"
 
 gate "nessa-vet -compiler"
 # Machine-level verification: rebuild with gc diagnostics
-# (-gcflags='-m=2 -S -d=ssa/check_bce/debug=1' — cached after the first
+# (-gcflags='-m=2 -d=ssa/check_bce/debug=1' — cached after the first
 # compile) and check the hot-path contracts against what the compiler
 # actually emitted: escapecheck (//nessa:hotpath functions have no heap
 # escapes beyond //nessa:alloc-ok), inlinegate (//nessa:inline kernels
-# stay within gc's inline budget and inline at hot call sites),
+# stay within gc's inline budget and inline at hot call sites) and
 # bcecheck (no IsInBounds survives an innermost hot loop in the kernel
-# packages without //nessa:bce-ok), and asmfma (no VFMADD outside the
-# dispatch-gated fast-tier files).
+# packages without //nessa:bce-ok).
 #
 # Toolchain pin / skip path: the parsed diagnostic formats are
 # validated for go1.22–go1.26. On any other toolchain this section is
@@ -112,47 +111,33 @@ go test -run xxx -bench 'BenchmarkTrainEpoch|BenchmarkGEMMKernels' -benchtime 1x
 	./internal/trainer/ ./internal/tensor/
 
 gate "determinism gate"
-# The bench emitters recompute selection subsets and training
-# trajectories across the worker sweep (1, 2, all cores) and exit
-# non-zero on any divergence — the repo-wide reproducibility contract:
-#   - bit-exact tier: bit-identical trajectories at every worker count;
-#   - fast (AVX2/FMA) tier, where supported: bit-identical to itself
-#     across worker counts AND within the documented tolerance of the
-#     bit-exact trajectory;
-#   - epoch speedup at workers=2 must clear the gate on multi-core
-#     hosts (withheld as null, not gated, on single-CPU hosts).
-# bench-faults additionally gates the fault-tolerance machinery: the
-# resilient scan path must match the raw path bit-for-bit, cost under
-# 2% on the clean path, and complete every chaos-profile run.
-# bench-streaming runs the single-pass sieve/sketch pipeline over a
-# reduced stream under the full-scale gates: identical subsets at
-# workers 1 vs all (serial-vs-parallel divergence fails like
-# bench-selection), ≥ 80 % of the modeled sequential-read bound,
-# selection state within the on-chip budget, ≥ 90 % of exact
-# LazyGreedy's objective on the reference instance, and reservoir scans
-# on at most 15 % of ladder-rung visits (Stats.RungScans / RungVisits,
-# a count that repeats exactly: 0.101 with the saturation bound, 0.773
-# without it — so the prune cannot silently rot).
-# bench-recovery gates the device-loss machinery: a kill-one-device
-# run with k+1 parity must keep the trajectory bit-identical, a
-# checkpointed session must resume exactly, the degraded scan must
-# stay within the modeled reconstruction bound, configuring parity
-# with no fault must cost under 2% on the clean path, and a
-# steady-state clean striped scan may allocate at most 64 KB (112 B
-# with every payload in the cluster's scan arena; one escaped stripe
-# is ≥ 87 KB).
+# The five measured artifacts recompute selection subsets and training
+# trajectories across the worker sweep, the fault and device-loss runs
+# and the streaming pass, and hold each to its gates; the artifact ×
+# gate × threshold table is README.md's "Reproducing" section, which
+# mirrors the registry nessa-bench walks. nessa-bench prints one
+# "gate ok" / "FAILED gate" line per gate on stderr, exits 1 when any
+# gate of the artifact failed and 2 when it does not know the id — a
+# typo here must not read as a gate that passed.
 #
 # Each artifact runs on its own so one failing gate does not hide the
-# ones after it; every failure is listed at the end.
+# ones after it; every failed gate is listed by name at the end.
 failed_gates=()
 for artifact in bench-selection bench-training bench-streaming bench-faults bench-recovery; do
-	"$tmpdir/nessa-bench" -quick -results "$tmpdir/results" -only "$artifact" >/dev/null ||
-		failed_gates+=("$artifact")
+	status=0
+	"$tmpdir/nessa-bench" -quick -results "$tmpdir/results" -only "$artifact" \
+		>/dev/null 2>"$tmpdir/bench.err" || status=$?
+	cat "$tmpdir/bench.err" >&2
+	if ((status)); then
+		mapfile -t lines < <(grep 'FAILED gate' "$tmpdir/bench.err" || tail -n 1 "$tmpdir/bench.err")
+		failed_gates+=("${lines[@]}")
+	fi
 done
 
 echo "-- ${gate_name}: $((SECONDS - gate_start))s"
 if ((${#failed_gates[@]})); then
-	echo "FAILED bench gates: ${failed_gates[*]}" >&2
+	echo "FAILED bench gates:" >&2
+	printf '  %s\n' "${failed_gates[@]}" >&2
 	exit 1
 fi
 echo "OK"
