@@ -166,19 +166,3 @@ func accAt(series []float64, e int) string {
 	}
 	return fmt.Sprintf("%.1f", series[e]*100)
 }
-
-// EarlyConvergenceAdvantage quantifies Fig 5's claim that NeSSA "is
-// closer to convergence within the first 30 epochs": it reports, for
-// one run, NeSSA's and full training's mean accuracy over the first
-// third of training.
-func EarlyConvergenceAdvantage(r DatasetRun) (nessa, full float64) {
-	third := len(r.Full.EpochAcc) / 3
-	if third < 1 {
-		third = 1
-	}
-	for e := 0; e < third; e++ {
-		full += r.Full.EpochAcc[e]
-		nessa += r.NeSSA.Metrics.EpochAcc[e]
-	}
-	return nessa / float64(third), full / float64(third)
-}

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
 	"time"
 
 	"nessa/internal/selection"
 	"nessa/internal/trainer"
+	"nessa/internal/wire"
 )
 
 // Session checkpoints: a compact, versioned little-endian capture of
@@ -49,154 +47,82 @@ const (
 	cpNil             = 0xffffffff // sentinel count: nil current subset
 )
 
-type cpWriter struct{ buf []byte }
-
-func (w *cpWriter) u32(v uint32) {
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
-}
-
-func (w *cpWriter) u64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (w *cpWriter) f32(v float32) { w.u32(math.Float32bits(v)) }
-func (w *cpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *cpWriter) ints(xs []int) {
-	w.u32(uint32(len(xs)))
+func putInts(w *wire.Writer, xs []int) {
+	w.U32(uint32(len(xs)))
 	for _, x := range xs {
-		w.u32(uint32(x))
+		w.U32(uint32(x))
 	}
-}
-
-func (w *cpWriter) blob(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
 }
 
 // checkpoint captures the session after `epoch` completed epochs.
 func (s *session) checkpoint(epoch int) []byte {
 	model, sgd, trRNG := s.tr.Snapshot()
-	w := &cpWriter{}
-	w.u32(checkpointMagic)
-	w.u32(checkpointVersion)
-	w.u32(uint32(epoch))
-	w.u32(uint32(s.n))
-	w.f64(s.frac)
-	w.f64(s.prevLoss)
-	w.u32(uint32(s.slowEpochs))
-	w.u32(uint32(s.dropped))
-	w.u64(s.rng.State())
-	w.u64(trRNG)
-	w.ints(s.cands)
+	w := &wire.Writer{}
+	w.U32(checkpointMagic)
+	w.U32(checkpointVersion)
+	w.U32(uint32(epoch))
+	w.U32(uint32(s.n))
+	w.F64(s.frac)
+	w.F64(s.prevLoss)
+	w.U32(uint32(s.slowEpochs))
+	w.U32(uint32(s.dropped))
+	w.U64(s.rng.State())
+	w.U64(trRNG)
+	putInts(w, s.cands)
 	if s.current.Selected == nil {
-		w.u32(cpNil)
+		w.U32(cpNil)
 	} else {
-		w.ints(s.current.Selected)
-		for _, x := range s.current.Weights {
-			w.f32(x)
-		}
+		putInts(w, s.current.Selected)
+		w.F32s(s.current.Weights)
 	}
-	w.u32(uint32(s.hist.window))
+	w.U32(uint32(s.hist.window))
 	for i := 0; i < s.n; i++ {
 		if s.hist.buf[i] == nil {
-			w.u32(0)
+			w.U32(0)
 			continue
 		}
-		w.u32(1)
-		w.u32(uint32(s.hist.pos[i]))
-		w.u32(uint32(s.hist.count[i]))
-		for _, x := range s.hist.buf[i] {
-			w.f32(x)
-		}
+		w.U32(1)
+		w.U32(uint32(s.hist.pos[i]))
+		w.U32(uint32(s.hist.count[i]))
+		w.F32s(s.hist.buf[i])
 	}
 	m := &s.rep.Metrics
-	w.u32(uint32(len(m.EpochLoss)))
+	w.U32(uint32(len(m.EpochLoss)))
 	for i := range m.EpochLoss {
-		w.f64(m.EpochLoss[i])
-		w.f64(m.EpochAcc[i])
-		w.u32(uint32(m.SubsetSizes[i]))
-		w.f64(s.rep.EpochSubsetFrac[i])
+		w.F64(m.EpochLoss[i])
+		w.F64(m.EpochAcc[i])
+		w.U32(uint32(m.SubsetSizes[i]))
+		w.F64(s.rep.EpochSubsetFrac[i])
 	}
 	f := &s.rep.Faults
-	w.u32(uint32(f.ScanAttempts))
-	w.u32(uint32(f.Retries))
-	w.u32(uint32(f.TransientErrors))
-	w.u32(uint32(f.CorruptDetected))
-	w.u32(uint32(f.HostFallbacks))
-	w.u32(uint32(f.FallbackEpochs))
+	w.U32(uint32(f.ScanAttempts))
+	w.U32(uint32(f.Retries))
+	w.U32(uint32(f.TransientErrors))
+	w.U32(uint32(f.CorruptDetected))
+	w.U32(uint32(f.HostFallbacks))
+	w.U32(uint32(f.FallbackEpochs))
 	r := &s.rep.Recovery
-	w.u32(uint32(r.DevicesLost))
-	w.u32(uint32(r.DegradedReads))
-	w.u64(uint64(r.ReconstructedBytes))
-	w.u64(uint64(r.RebuildTime))
-	w.blob(model)
-	w.blob(sgd)
-	return w.buf
+	w.U32(uint32(r.DevicesLost))
+	w.U32(uint32(r.DegradedReads))
+	w.U64(uint64(r.ReconstructedBytes))
+	w.U64(uint64(r.RebuildTime))
+	w.Blob(model)
+	w.Blob(sgd)
+	return w.Buf
 }
 
-type cpReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *cpReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
+// getIndices reads c dataset indices in [0, n); c is bounded by the
+// configured n before it sizes the slice.
+func getIndices(r *wire.Reader, what string, c uint32, n int) []int {
+	if int64(c) > int64(n) {
+		r.Failf("%s count %d exceeds %d samples", what, c, n)
+		return nil
 	}
-}
-
-func (r *cpReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.buf) {
-		r.fail("checkpoint truncated at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *cpReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.fail("checkpoint truncated at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *cpReader) f32() float32 { return math.Float32frombits(r.u32()) }
-func (r *cpReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// count reads a length field and bounds it: a corrupt count must not
-// drive a giant allocation.
-func (r *cpReader) count(what string, max int) int {
-	v := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if int64(v) > int64(max) {
-		r.fail("checkpoint %s count %d exceeds bound %d", what, v, max)
-		return 0
-	}
-	return int(v)
-}
-
-// indices reads c dataset indices, each validated against [0, n).
-func (r *cpReader) indices(what string, c, n int) []int {
 	xs := make([]int, c)
 	for i := range xs {
-		v := r.u32()
+		v := r.U32()
 		if int64(v) >= int64(n) {
-			r.fail("checkpoint %s index %d out of range [0,%d)", what, v, n)
+			r.Failf("%s index %d out of range [0,%d)", what, v, n)
 			return nil
 		}
 		xs[i] = int(v)
@@ -204,104 +130,84 @@ func (r *cpReader) indices(what string, c, n int) []int {
 	return xs
 }
 
-func (r *cpReader) blob(what string) []byte {
-	c := r.count(what, len(r.buf)-r.off)
-	if r.err != nil {
-		return nil
-	}
-	b := make([]byte, c)
-	copy(b, r.buf[r.off:r.off+c])
-	r.off += c
-	return b
-}
-
 // restore rebuilds the session's mutable state from a checkpoint
-// captured under the same configuration.
+// captured under the same configuration. Every failure sticks in the
+// reader and surfaces at Done; after one the session is unusable.
 func (s *session) restore(buf []byte) error {
-	r := &cpReader{buf: buf}
-	if got := r.u32(); r.err == nil && got != checkpointMagic {
-		return fmt.Errorf("bad magic %#x", got)
+	r := wire.NewReader("checkpoint", buf)
+	r.Header(checkpointMagic, checkpointVersion)
+	epoch := int(r.U32())
+	if epoch > s.tcfg.Epochs {
+		r.Failf("epoch %d beyond configured %d epochs", epoch, s.tcfg.Epochs)
 	}
-	if got := r.u32(); r.err == nil && got != checkpointVersion {
-		return fmt.Errorf("unsupported version %d", got)
+	if n := int(r.U32()); n != s.n {
+		r.Failf("for %d samples, training set has %d", n, s.n)
 	}
-	epoch := int(r.u32())
-	if r.err == nil && epoch > s.tcfg.Epochs {
-		return fmt.Errorf("checkpoint epoch %d beyond configured %d epochs", epoch, s.tcfg.Epochs)
+	s.frac = r.F64()
+	s.prevLoss = r.F64()
+	s.slowEpochs = int(r.U32())
+	s.dropped = int(r.U32())
+	ctrlRNG := r.U64()
+	trRNG := r.U64()
+	s.cands = getIndices(r, "candidate", r.U32(), s.n)
+	if len(s.cands) == 0 {
+		r.Failf("has an empty candidate pool")
 	}
-	if n := int(r.u32()); r.err == nil && n != s.n {
-		return fmt.Errorf("checkpoint for %d samples, training set has %d", n, s.n)
-	}
-	s.frac = r.f64()
-	s.prevLoss = r.f64()
-	s.slowEpochs = int(r.u32())
-	s.dropped = int(r.u32())
-	ctrlRNG := r.u64()
-	trRNG := r.u64()
-	nc := r.count("candidate", s.n)
-	if r.err == nil && nc == 0 {
-		return fmt.Errorf("checkpoint has an empty candidate pool")
-	}
-	s.cands = r.indices("candidate", nc, s.n)
 	s.current = selection.Result{}
-	if sc := r.u32(); sc != cpNil {
-		if int64(sc) > int64(s.n) {
-			return fmt.Errorf("checkpoint subset count %d exceeds %d samples", sc, s.n)
-		}
-		s.current.Selected = r.indices("subset", int(sc), s.n)
-		s.current.Weights = make([]float32, sc)
-		for i := range s.current.Weights {
-			s.current.Weights[i] = r.f32()
-		}
+	if sc := r.U32(); sc != cpNil {
+		s.current.Selected = getIndices(r, "subset", sc, s.n)
+		s.current.Weights = make([]float32, len(s.current.Selected))
+		r.F32s(s.current.Weights)
 	}
-	window := int(r.u32())
-	if r.err == nil && window != s.hist.window {
-		return fmt.Errorf("checkpoint loss-history window %d, configured %d", window, s.hist.window)
+	window := int(r.U32())
+	if window != s.hist.window {
+		r.Failf("loss-history window %d, configured %d", window, s.hist.window)
 	}
-	for i := 0; i < s.n && r.err == nil; i++ {
-		if r.u32() == 0 {
+	// Once the reader has failed every flag reads 0, so the rest of
+	// the walk allocates nothing.
+	for i := 0; i < s.n; i++ {
+		switch present := r.U32(); present {
+		case 0:
 			continue
+		case 1:
+		default:
+			r.Failf("loss-history ring %d has presence flag %d", i, present)
 		}
-		pos, cnt := int(r.u32()), int(r.u32())
-		if r.err == nil && (pos < 0 || pos >= window || cnt < 0 || cnt > window) {
-			return fmt.Errorf("checkpoint loss-history ring %d corrupt (pos %d, count %d)", i, pos, cnt)
+		pos, cnt := int(r.U32()), int(r.U32())
+		if pos < 0 || pos >= window || cnt < 0 || cnt > window {
+			r.Failf("loss-history ring %d corrupt (pos %d, count %d)", i, pos, cnt)
 		}
 		ring := make([]float32, window)
-		for j := range ring {
-			ring[j] = r.f32()
-		}
+		r.F32s(ring)
 		s.hist.buf[i], s.hist.pos[i], s.hist.count[i] = ring, pos, cnt
 	}
-	ne := r.count("metrics", epoch)
-	if r.err == nil && ne != epoch {
-		return fmt.Errorf("checkpoint holds %d epoch records for epoch %d", ne, epoch)
+	ne := r.Count("metrics", epoch, 28)
+	if ne != epoch {
+		r.Failf("holds %d epoch records for epoch %d", ne, epoch)
 	}
 	m := &s.rep.Metrics
 	for i := 0; i < ne; i++ {
-		m.EpochLoss = append(m.EpochLoss, r.f64())
-		m.EpochAcc = append(m.EpochAcc, r.f64())
-		m.SubsetSizes = append(m.SubsetSizes, int(r.u32()))
-		s.rep.EpochSubsetFrac = append(s.rep.EpochSubsetFrac, r.f64())
+		m.EpochLoss = append(m.EpochLoss, r.F64())
+		m.EpochAcc = append(m.EpochAcc, r.F64())
+		m.SubsetSizes = append(m.SubsetSizes, int(r.U32()))
+		s.rep.EpochSubsetFrac = append(s.rep.EpochSubsetFrac, r.F64())
 	}
 	f := &s.rep.Faults
-	f.ScanAttempts = int(r.u32())
-	f.Retries = int(r.u32())
-	f.TransientErrors = int(r.u32())
-	f.CorruptDetected = int(r.u32())
-	f.HostFallbacks = int(r.u32())
-	f.FallbackEpochs = int(r.u32())
+	f.ScanAttempts = int(r.U32())
+	f.Retries = int(r.U32())
+	f.TransientErrors = int(r.U32())
+	f.CorruptDetected = int(r.U32())
+	f.HostFallbacks = int(r.U32())
+	f.FallbackEpochs = int(r.U32())
 	rec := &s.rep.Recovery
-	rec.DevicesLost = int(r.u32())
-	rec.DegradedReads = int(r.u32())
-	rec.ReconstructedBytes = int64(r.u64())
-	rec.RebuildTime = time.Duration(r.u64())
-	model := r.blob("model")
-	sgd := r.blob("optimizer")
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(buf) {
-		return fmt.Errorf("checkpoint has %d trailing bytes", len(buf)-r.off)
+	rec.DevicesLost = int(r.U32())
+	rec.DegradedReads = int(r.U32())
+	rec.ReconstructedBytes = int64(r.U64())
+	rec.RebuildTime = time.Duration(r.U64())
+	model := r.Blob("model")
+	sgd := r.Blob("optimizer")
+	if err := r.Done(); err != nil {
+		return err
 	}
 	tr, err := trainer.Restore(s.train.Spec, s.tcfg, model, sgd, trRNG)
 	if err != nil {

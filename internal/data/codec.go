@@ -59,6 +59,18 @@ func RecordSize(spec Spec) (int64, error) {
 	return spec.BytesPerImage, nil
 }
 
+// putRecord is the one writer of the layout above. rec is a whole
+// record and may hold stale bytes.
+func putRecord(rec []byte, label int, features []float32) {
+	binary.LittleEndian.PutUint16(rec[0:2], uint16(label))
+	binary.LittleEndian.PutUint32(rec[2:6], uint32(len(features)))
+	for j, v := range features {
+		binary.LittleEndian.PutUint32(rec[recordHeader+4*j:], math.Float32bits(v))
+	}
+	clear(rec[recordHeader+4*len(features):])
+	binary.LittleEndian.PutUint32(rec[crcOff:crcOff+4], recordCRC(rec))
+}
+
 // EncodeSample serializes sample i of d into a fresh record buffer.
 func EncodeSample(d *Dataset, i int) ([]byte, error) {
 	size, err := RecordSize(d.Spec)
@@ -69,13 +81,7 @@ func EncodeSample(d *Dataset, i int) ([]byte, error) {
 		return nil, fmt.Errorf("data: sample index %d out of range [0,%d)", i, d.Len())
 	}
 	buf := make([]byte, size)
-	binary.LittleEndian.PutUint16(buf[0:2], uint16(d.Labels[i]))
-	binary.LittleEndian.PutUint32(buf[2:6], uint32(d.X.Cols))
-	row := d.X.Row(i)
-	for j, v := range row {
-		binary.LittleEndian.PutUint32(buf[recordHeader+4*j:], math.Float32bits(v))
-	}
-	binary.LittleEndian.PutUint32(buf[crcOff:crcOff+4], recordCRC(buf))
+	putRecord(buf, d.Labels[i], d.X.Row(i))
 	return buf, nil
 }
 
@@ -112,6 +118,20 @@ func VerifyImage(img []byte, recordSize int64) error {
 	return nil
 }
 
+// featureCount reads a record's feature count and checks that the
+// record can hold that many before any caller sizes a slice from it
+// (a valid CRC proves nothing: it is a checksum, not a MAC).
+func featureCount(buf []byte) (int, error) {
+	if len(buf) < recordHeader {
+		return 0, fmt.Errorf("data: record too short (%d bytes)", len(buf))
+	}
+	n := int64(binary.LittleEndian.Uint32(buf[2:6]))
+	if need := recordHeader + 4*n; int64(len(buf)) < need {
+		return 0, fmt.Errorf("data: record truncated: %d features need %d bytes, have %d", n, need, len(buf))
+	}
+	return int(n), nil
+}
+
 // DecodeSample parses a record buffer into a label and feature vector,
 // verifying the record CRC first: a corrupted record fails with an
 // error wrapping faults.ErrCorruptRecord rather than silently decoding
@@ -120,12 +140,13 @@ func DecodeSample(buf []byte) (label int, features []float32, err error) {
 	if err := VerifyRecord(buf); err != nil {
 		return 0, nil, err
 	}
-	features = make([]float32, binary.LittleEndian.Uint32(buf[2:6]))
-	label, err = DecodeRecordInto(buf, features)
+	n, err := featureCount(buf)
 	if err != nil {
 		return 0, nil, err
 	}
-	return label, features, nil
+	features = make([]float32, n)
+	label, err = DecodeRecordInto(buf, features)
+	return label, features, err
 }
 
 // DecodeRecordInto parses a record's label and features into the given
@@ -134,16 +155,12 @@ func DecodeSample(buf []byte) (label int, features []float32, err error) {
 // VerifyImage when integrity matters; streaming scans verify a whole
 // chunk at once and then decode records from it with this.
 func DecodeRecordInto(buf []byte, features []float32) (int, error) {
-	if len(buf) < recordHeader {
-		return 0, fmt.Errorf("data: record too short (%d bytes)", len(buf))
+	n, err := featureCount(buf)
+	if err != nil {
+		return 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf[2:6]))
 	if n != len(features) {
 		return 0, fmt.Errorf("data: record holds %d features, caller expects %d", n, len(features))
-	}
-	if len(buf) < recordHeader+4*n {
-		return 0, fmt.Errorf("data: record truncated: %d features need %d bytes, have %d",
-			n, recordHeader+4*n, len(buf))
 	}
 	for j := range features {
 		features[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[recordHeader+4*j:]))
@@ -161,17 +178,14 @@ func Encode(d *Dataset) ([]byte, error) {
 	}
 	out := make([]byte, size*int64(d.Len()))
 	for i := 0; i < d.Len(); i++ {
-		rec, err := EncodeSample(d, i)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[int64(i)*size:], rec)
+		putRecord(out[int64(i)*size:int64(i+1)*size], d.Labels[i], d.X.Row(i))
 	}
 	return out, nil
 }
 
 // Decode parses a byte image produced by Encode back into a Dataset.
-// spec must match the encoding spec.
+// spec must match the encoding spec: a record with a bad CRC, a feature
+// count other than spec.FeatureDim or a label ≥ spec.Classes is an error.
 func Decode(spec Spec, img []byte) (*Dataset, error) {
 	size, err := RecordSize(spec)
 	if err != nil {
@@ -181,20 +195,19 @@ func Decode(spec Spec, img []byte) (*Dataset, error) {
 		return nil, fmt.Errorf("data: image length %d not a multiple of record size %d", len(img), size)
 	}
 	n := int(int64(len(img)) / size)
-	d := &Dataset{Spec: spec, Labels: make([]int, n)}
+	d := &Dataset{Spec: spec, Labels: make([]int, n), X: tensor.NewMatrix(n, spec.FeatureDim)}
 	for i := 0; i < n; i++ {
-		label, feats, err := DecodeSample(img[int64(i)*size : int64(i+1)*size])
+		rec := img[int64(i)*size : int64(i+1)*size]
+		err := VerifyRecord(rec)
+		if err == nil {
+			d.Labels[i], err = DecodeRecordInto(rec, d.X.Row(i))
+		}
+		if err == nil && d.Labels[i] >= spec.Classes {
+			err = fmt.Errorf("data: label %d, spec has %d classes", d.Labels[i], spec.Classes)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("data: sample %d: %w", i, err)
 		}
-		if d.X == nil {
-			d.X = tensor.NewMatrix(n, len(feats))
-		}
-		copy(d.X.Row(i), feats)
-		d.Labels[i] = label
-	}
-	if d.X == nil {
-		d.X = tensor.NewMatrix(0, spec.FeatureDim)
 	}
 	return d, nil
 }

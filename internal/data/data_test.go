@@ -1,7 +1,12 @@
 package data
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +170,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	if int64(len(img)) != int64(tr.Len())*spec.BytesPerImage {
 		t.Fatalf("encoded %d bytes, want %d", len(img), int64(tr.Len())*spec.BytesPerImage)
 	}
+	// The image bytes, pinned before Encode moved to writing each
+	// record in place through putRecord.
+	if got := crc32.ChecksumIEEE(img); got != 0x8e2bab50 {
+		t.Fatalf("image CRC %#08x, pinned 0x8e2bab50 — the record layout moved", got)
+	}
 	back, err := Decode(spec, img)
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +252,112 @@ func TestDecodeTruncatedRecord(t *testing.T) {
 	if _, _, err := DecodeSample(buf); err == nil {
 		t.Fatal("expected error for truncated features")
 	}
+}
+
+// reseal rewrites a record's CRC after a test edited its bytes: CRC-32C
+// is a checksum, not a MAC, so a hostile record can always carry a
+// valid one.
+func reseal(rec []byte) {
+	binary.LittleEndian.PutUint32(rec[crcOff:], recordCRC(rec))
+}
+
+// TestDecodersRejectHostileRecords covers the three record-codec
+// holes: DecodeSample sizing its slice from an unchecked count, and
+// Decode accepting a record of another width or a label the spec has
+// no class for.
+func TestDecodersRejectHostileRecords(t *testing.T) {
+	spec := Spec{Name: "hostile", Classes: 3, BytesPerImage: 64, SimTrain: 4, SimTest: 1, FeatureDim: 5, Spread: 0.5, Seed: 1}
+	tr, _ := Generate(spec)
+	img, err := Encode(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		mutate  func(rec2 []byte) // edits record 2 of the image
+		wantErr string
+	}{
+		{"count 0x3fffffff with a valid CRC", func(r []byte) { binary.LittleEndian.PutUint32(r[2:], 0x3fffffff) }, "record truncated"},
+		{"narrower record", func(r []byte) { binary.LittleEndian.PutUint32(r[2:], 4) }, "sample 2: data: record holds 4 features"},
+		{"wider record", func(r []byte) { binary.LittleEndian.PutUint32(r[2:], 6) }, "sample 2: data: record holds 6 features"},
+		{"label = classes", func(r []byte) { binary.LittleEndian.PutUint16(r, 3) }, "sample 2: data: label 3"},
+	}
+	for _, c := range cases {
+		bad := append([]byte(nil), img...)
+		rec := bad[2*spec.BytesPerImage : 3*spec.BytesPerImage]
+		c.mutate(rec)
+		reseal(rec)
+		var err error
+		got := allocatedBy(func() { _, err = Decode(spec, bad) })
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("Decode, %s: err = %v, want one containing %q", c.name, err, c.wantErr)
+		}
+		if got >= 1<<20 {
+			t.Errorf("Decode, %s: allocated %d bytes", c.name, got)
+		}
+	}
+	// DecodeSample on its own: a resealed count must fail before it
+	// sizes the feature slice (4 GiB at the parent).
+	huge := append([]byte(nil), img[:spec.BytesPerImage]...)
+	binary.LittleEndian.PutUint32(huge[2:], 0x3fffffff)
+	reseal(huge)
+	got := allocatedBy(func() { _, _, err = DecodeSample(huge) })
+	if err == nil || got >= 1<<20 {
+		t.Errorf("DecodeSample, count 0x3fffffff: err = %v after allocating %d bytes", err, got)
+	}
+}
+
+// allocatedBy reports the bytes f allocated.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeRecord: a record either fails to decode or re-encodes to
+// the same bytes; neither decoder panics or allocates more than a
+// small multiple of the input.
+func FuzzDecodeRecord(f *testing.F) {
+	spec := Spec{Name: "fuzz", Classes: 3, BytesPerImage: 64, SimTrain: 2, SimTest: 1, FeatureDim: 5, Spread: 0.5, Seed: 1}
+	tr, _ := Generate(spec)
+	rec, err := EncodeSample(tr, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec)
+	f.Add(rec[:recordHeader+7])
+	huge := append([]byte(nil), rec...)
+	binary.LittleEndian.PutUint32(huge[2:], 0x3fffffff)
+	reseal(huge)
+	f.Add(huge)
+	into := make([]float32, spec.FeatureDim)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var label int
+		var features []float32
+		var err, intoErr error
+		got := allocatedBy(func() {
+			label, features, err = DecodeSample(b)
+			_, intoErr = DecodeRecordInto(b, into)
+		})
+		if got > 16<<10+4*uint64(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
+		}
+		if err != nil {
+			return
+		}
+		if (intoErr == nil) != (len(features) == len(into)) {
+			t.Fatalf("DecodeRecordInto err = %v on a valid record of %d features", intoErr, len(features))
+		}
+		again := append([]byte(nil), b...)
+		putRecord(again, label, features)
+		// Padding is not required to be zero on the way in; header,
+		// features and the CRC over them are what must round-trip.
+		if end := recordHeader + 4*len(features); !bytes.Equal(again[:crcOff], b[:crcOff]) || !bytes.Equal(again[recordHeader:end], b[recordHeader:end]) {
+			t.Fatalf("accepted record re-encodes differently")
+		}
+	})
 }
 
 func TestCRCDetectsEveryByteFlip(t *testing.T) {

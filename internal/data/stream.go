@@ -1,9 +1,7 @@
 package data
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"nessa/internal/parallel"
 	"nessa/internal/tensor"
@@ -123,22 +121,13 @@ func (s *RecordStream) Sample(i int, features []float32) int {
 }
 
 // EncodeRecord serializes record i into rec, which must be exactly
-// RecordBytes long. The layout and CRC match EncodeSample.
+// RecordBytes long.
 func (s *RecordStream) EncodeRecord(i int, rec []byte) {
 	if int64(len(rec)) != s.size {
 		panic(fmt.Sprintf("data: record buffer is %d bytes, want %d", len(rec), s.size))
 	}
-	for j := range rec {
-		rec[j] = 0
-	}
 	features := make([]float32, s.Spec.FeatureDim)
-	label := s.Sample(i, features)
-	binary.LittleEndian.PutUint16(rec[0:2], uint16(label))
-	binary.LittleEndian.PutUint32(rec[2:6], uint32(s.Spec.FeatureDim))
-	for j, v := range features {
-		binary.LittleEndian.PutUint32(rec[recordHeader+4*j:], math.Float32bits(v))
-	}
-	binary.LittleEndian.PutUint32(rec[crcOff:crcOff+4], recordCRC(rec))
+	putRecord(rec, s.Sample(i, features), features)
 }
 
 // Fill implements storage.FillFunc over the stream's record layout:

@@ -1,11 +1,8 @@
 package nn
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"nessa/internal/tensor"
+	"nessa/internal/wire"
 )
 
 // Binary model serialization: a compact, versioned little-endian
@@ -40,107 +37,57 @@ const (
 	sgdVersion = 1
 )
 
+// putLayer writes the per-layer record both formats end in.
+func putLayer(w *wire.Writer, m *tensor.Matrix, b []float32) {
+	w.U32(uint32(m.Rows))
+	w.U32(uint32(m.Cols))
+	w.F32s(m.Data)
+	w.F32s(b)
+}
+
+// getLayer fills the tensors the caller's configuration sized and only
+// compares the file's dimensions against them: the input never sizes an
+// allocation.
+func getLayer(r *wire.Reader, i int, m *tensor.Matrix, b []float32) {
+	if rows, cols := r.U32(), r.U32(); int(rows) != m.Rows || int(cols) != m.Cols {
+		r.Failf("layer %d is %dx%d, configuration builds %dx%d", i, rows, cols, m.Rows, m.Cols)
+	}
+	r.F32s(m.Data)
+	r.F32s(b)
+}
+
 // MarshalSGD serializes the optimizer's mutable state (current LR and
 // per-layer velocity buffers).
 func MarshalSGD(s *SGD) []byte {
-	size := 16
-	for i := range s.vW {
-		size += 8 + 4*len(s.vW[i].Data) + 4*len(s.vB[i])
-	}
-	buf := make([]byte, size)
-	off := 0
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[off:], v)
-		off += 4
-	}
-	put(sgdMagic)
-	put(sgdVersion)
-	put(math.Float32bits(s.lr))
-	put(uint32(len(s.vW)))
+	var w wire.Writer
+	w.U32(sgdMagic)
+	w.U32(sgdVersion)
+	w.F32(s.lr)
+	w.U32(uint32(len(s.vW)))
 	for i, v := range s.vW {
-		put(uint32(v.Rows))
-		put(uint32(v.Cols))
-		for _, x := range v.Data {
-			put(math.Float32bits(x))
-		}
-		for _, x := range s.vB[i] {
-			put(math.Float32bits(x))
-		}
+		putLayer(&w, v, s.vB[i])
 	}
-	return buf
+	return w.Buf
 }
 
 // UnmarshalSGDInto restores state captured by MarshalSGD into s, which
-// must have been built for a model of the identical architecture.
+// must have been built for a model of the identical architecture. After
+// an error s may be partly overwritten.
 func UnmarshalSGDInto(s *SGD, buf []byte) error {
-	off := 0
-	get := func() (uint32, error) {
-		if off+4 > len(buf) {
-			return 0, fmt.Errorf("nn: optimizer buffer truncated at offset %d", off)
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, nil
-	}
-	magic, err := get()
-	if err != nil {
-		return err
-	}
-	if magic != sgdMagic {
-		return fmt.Errorf("nn: bad optimizer magic %#x", magic)
-	}
-	version, err := get()
-	if err != nil {
-		return err
-	}
-	if version != sgdVersion {
-		return fmt.Errorf("nn: unsupported optimizer version %d", version)
-	}
-	lrBits, err := get()
-	if err != nil {
-		return err
-	}
-	layers, err := get()
-	if err != nil {
-		return err
-	}
-	if int(layers) != len(s.vW) {
-		return fmt.Errorf("nn: optimizer has %d layers, checkpoint has %d", len(s.vW), layers)
-	}
-	lr := math.Float32frombits(lrBits)
+	r := wire.NewReader("nn: optimizer", buf)
+	r.Header(sgdMagic, sgdVersion)
+	lr := r.F32()
 	if !(lr > 0) {
-		return fmt.Errorf("nn: non-positive checkpointed learning rate %v", lr)
+		r.Failf("non-positive learning rate %v", lr)
 	}
-	for i := range s.vW {
-		rows, err := get()
-		if err != nil {
-			return err
-		}
-		cols, err := get()
-		if err != nil {
-			return err
-		}
-		if int(rows) != s.vW[i].Rows || int(cols) != s.vW[i].Cols {
-			return fmt.Errorf("nn: layer %d velocity is %dx%d, checkpoint has %dx%d",
-				i, s.vW[i].Rows, s.vW[i].Cols, rows, cols)
-		}
-		for k := range s.vW[i].Data {
-			v, err := get()
-			if err != nil {
-				return err
-			}
-			s.vW[i].Data[k] = math.Float32frombits(v)
-		}
-		for k := range s.vB[i] {
-			v, err := get()
-			if err != nil {
-				return err
-			}
-			s.vB[i][k] = math.Float32frombits(v)
-		}
+	if layers := r.U32(); int(layers) != len(s.vW) {
+		r.Failf("has %d layers, configuration builds %d", layers, len(s.vW))
 	}
-	if off != len(buf) {
-		return fmt.Errorf("nn: %d trailing bytes after optimizer state", len(buf)-off)
+	for i, v := range s.vW {
+		getLayer(r, i, v, s.vB[i])
+	}
+	if err := r.Done(); err != nil {
+		return err
 	}
 	s.lr = lr
 	return nil
@@ -148,112 +95,30 @@ func UnmarshalSGDInto(s *SGD, buf []byte) error {
 
 // MarshalModel serializes m.
 func MarshalModel(m *MLP) []byte {
-	size := 20
+	var w wire.Writer
+	w.U32(modelMagic)
+	w.U32(modelVersion)
+	w.U32(uint32(m.In))
+	w.U32(uint32(m.Classes))
+	w.U32(uint32(len(m.Layers)))
 	for _, l := range m.Layers {
-		size += 8 + 4*len(l.W.Data) + 4*len(l.B)
+		putLayer(&w, l.W, l.B)
 	}
-	buf := make([]byte, size)
-	off := 0
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[off:], v)
-		off += 4
-	}
-	put(modelMagic)
-	put(modelVersion)
-	put(uint32(m.In))
-	put(uint32(m.Classes))
-	put(uint32(len(m.Layers)))
-	for _, l := range m.Layers {
-		put(uint32(l.W.Rows))
-		put(uint32(l.W.Cols))
-		for _, v := range l.W.Data {
-			put(math.Float32bits(v))
-		}
-		for _, v := range l.B {
-			put(math.Float32bits(v))
-		}
-	}
-	return buf
+	return w.Buf
 }
 
-// UnmarshalModel parses a buffer produced by MarshalModel.
-func UnmarshalModel(buf []byte) (*MLP, error) {
-	off := 0
-	get := func() (uint32, error) {
-		if off+4 > len(buf) {
-			return 0, fmt.Errorf("nn: model buffer truncated at offset %d", off)
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, nil
+// UnmarshalModelInto restores weights captured by MarshalModel into m,
+// which must have been built (NewMLP) for the identical architecture.
+// After an error m may be partly overwritten.
+func UnmarshalModelInto(m *MLP, buf []byte) error {
+	r := wire.NewReader("nn: model", buf)
+	r.Header(modelMagic, modelVersion)
+	if in, classes, layers := r.U32(), r.U32(), r.U32(); int(in) != m.In || int(classes) != m.Classes || int(layers) != len(m.Layers) {
+		r.Failf("is %d→%d over %d layers, configuration builds %d→%d over %d",
+			in, classes, layers, m.In, m.Classes, len(m.Layers))
 	}
-	magic, err := get()
-	if err != nil {
-		return nil, err
+	for i, l := range m.Layers {
+		getLayer(r, i, l.W, l.B)
 	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("nn: bad model magic %#x", magic)
-	}
-	version, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if version != modelVersion {
-		return nil, fmt.Errorf("nn: unsupported model version %d", version)
-	}
-	in, err := get()
-	if err != nil {
-		return nil, err
-	}
-	classes, err := get()
-	if err != nil {
-		return nil, err
-	}
-	layers, err := get()
-	if err != nil {
-		return nil, err
-	}
-	if in == 0 || classes == 0 || layers == 0 || layers > 64 {
-		return nil, fmt.Errorf("nn: implausible model header in=%d classes=%d layers=%d", in, classes, layers)
-	}
-	m := &MLP{In: int(in), Classes: int(classes)}
-	prev := int(in)
-	for li := uint32(0); li < layers; li++ {
-		rows, err := get()
-		if err != nil {
-			return nil, err
-		}
-		cols, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if int(cols) != prev {
-			return nil, fmt.Errorf("nn: layer %d input dim %d, want %d", li, cols, prev)
-		}
-		w := tensor.NewMatrix(int(rows), int(cols))
-		for i := range w.Data {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			w.Data[i] = math.Float32frombits(v)
-		}
-		b := make([]float32, rows)
-		for i := range b {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			b[i] = math.Float32frombits(v)
-		}
-		m.Layers = append(m.Layers, &Dense{W: w, B: b})
-		prev = int(rows)
-	}
-	if prev != int(classes) {
-		return nil, fmt.Errorf("nn: final layer width %d, want %d classes", prev, classes)
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("nn: %d trailing bytes after model", len(buf)-off)
-	}
-	return m, nil
+	return r.Done()
 }

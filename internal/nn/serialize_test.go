@@ -1,6 +1,10 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,13 +14,9 @@ import (
 func TestModelRoundTrip(t *testing.T) {
 	r := tensor.NewRNG(1)
 	m := NewMLP(r, 12, []int{24, 16}, 5)
-	buf := MarshalModel(m)
-	back, err := UnmarshalModel(buf)
-	if err != nil {
+	back := NewMLP(tensor.NewRNG(99), 12, []int{24, 16}, 5)
+	if err := UnmarshalModelInto(back, MarshalModel(m)); err != nil {
 		t.Fatal(err)
-	}
-	if back.In != m.In || back.Classes != m.Classes || len(back.Layers) != len(m.Layers) {
-		t.Fatal("model shape changed in round trip")
 	}
 	for li, l := range m.Layers {
 		bl := back.Layers[li]
@@ -38,8 +38,8 @@ func TestModelRoundTripPredictionsIdentical(t *testing.T) {
 		r := tensor.NewRNG(seed)
 		hidden := []int{1 + r.Intn(16)}
 		m := NewMLP(r, 1+r.Intn(8), hidden, 2+r.Intn(5))
-		back, err := UnmarshalModel(MarshalModel(m))
-		if err != nil {
+		back := NewMLP(r, m.In, hidden, m.Classes)
+		if err := UnmarshalModelInto(back, MarshalModel(m)); err != nil {
 			return false
 		}
 		x := tensor.NewMatrix(4, m.In)
@@ -74,9 +74,13 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		{"empty", func([]byte) []byte { return nil }},
 	}
 	for _, c := range cases {
-		if _, err := UnmarshalModel(c.mutate(buf)); err == nil {
+		if err := UnmarshalModelInto(NewMLP(r, 4, []int{6}, 3), c.mutate(buf)); err == nil {
 			t.Errorf("%s: corruption accepted", c.name)
 		}
+	}
+	// Architecture mismatch: a model built for a different hidden width.
+	if err := UnmarshalModelInto(NewMLP(r, 4, []int{7}, 3), buf); err == nil {
+		t.Error("layer-shape mismatch accepted")
 	}
 }
 
@@ -108,8 +112,8 @@ func TestSGDRoundTripResumesIdentically(t *testing.T) {
 	opt.SetLR(0.02)
 
 	modelBuf, optBuf := MarshalModel(m), MarshalSGD(opt)
-	back, err := UnmarshalModel(modelBuf)
-	if err != nil {
+	back := NewMLP(tensor.NewRNG(99), 6, []int{10}, 4)
+	if err := UnmarshalModelInto(back, modelBuf); err != nil {
 		t.Fatal(err)
 	}
 	opt2 := NewSGD(back, PaperSGD())
@@ -169,7 +173,124 @@ func TestUnmarshalRejectsInconsistentDims(t *testing.T) {
 	buf := MarshalModel(m)
 	// Header says 5 classes but the single layer has 3 output rows.
 	buf[12] = 5
-	if _, err := UnmarshalModel(buf); err == nil {
+	if err := UnmarshalModelInto(m, buf); err == nil {
 		t.Fatal("class/width mismatch accepted")
 	}
+}
+
+// allocatedBy reports the bytes f allocated.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// codecRig is the fixed architecture the hostile-input table and the
+// fuzz targets decode into: 4→6→3, one optimizer step taken so the
+// velocities are non-zero.
+func codecRig() (m *MLP, opt *SGD, modelBlob, sgdBlob []byte) {
+	r := tensor.NewRNG(8)
+	m = NewMLP(r, 4, []int{6}, 3)
+	opt = NewSGD(m, PaperSGD())
+	trainStep(r, m, opt)
+	return m, opt, MarshalModel(m), MarshalSGD(opt)
+}
+
+func words(vs ...uint32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+func patched(b []byte, off int, v uint32) []byte {
+	c := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(c[off:], v)
+	return c
+}
+
+// TestDecodersSurviveHostileInput: both decoders fill tensors the
+// configuration sized, so a hostile count is a comparison that fails,
+// never an allocation. The first case is the 28-byte header that made
+// the fresh-allocating UnmarshalModel ask for 16 GiB.
+func TestDecodersSurviveHostileInput(t *testing.T) {
+	m, opt, modelBlob, sgdBlob := codecRig()
+	type hostile struct {
+		name string
+		buf  []byte
+	}
+	model := []hostile{
+		{"rows = 0x3fffffff, 28 bytes", words(modelMagic, modelVersion, 4, 3, 2, 0x3fffffff, 4)},
+		{"layers = 0xffffffff", patched(modelBlob, 16, 0xffffffff)},
+		{"in = 0xffffffff", patched(modelBlob, 8, 0xffffffff)},
+		{"layer 1 cols = 0xffffffff", patched(modelBlob, 20+8+4*(6*4+6)+4, 0xffffffff)},
+	}
+	sgd := []hostile{
+		{"rows = 0x3fffffff, 24 bytes", words(sgdMagic, sgdVersion, 0x3c23d70a, 2, 0x3fffffff, 4)},
+		{"layers = 0xffffffff", patched(sgdBlob, 12, 0xffffffff)},
+		{"lr = NaN", patched(sgdBlob, 8, 0x7fc00000)},
+	}
+	for off := 0; off < len(modelBlob); off += 4 {
+		model = append(model, hostile{fmt.Sprintf("truncated to %d bytes", off), modelBlob[:off]})
+	}
+	for off := 0; off < len(sgdBlob); off += 4 {
+		sgd = append(sgd, hostile{fmt.Sprintf("truncated to %d bytes", off), sgdBlob[:off]})
+	}
+	check := func(format string, cases []hostile, decode func([]byte) error) {
+		for _, c := range cases {
+			var err error
+			got := allocatedBy(func() { err = decode(c.buf) })
+			if err == nil {
+				t.Errorf("%s %s: accepted", format, c.name)
+			}
+			if got >= 1<<20 {
+				t.Errorf("%s %s: allocated %d bytes before failing", format, c.name, got)
+			}
+		}
+	}
+	check("model", model, func(b []byte) error { return UnmarshalModelInto(m, b) })
+	check("optimizer", sgd, func(b []byte) error { return UnmarshalSGDInto(opt, b) })
+}
+
+// The two fuzz targets share one property: the decoder returns an
+// error or the decoded state marshals back to the input byte for
+// byte; it never panics and allocates no more than a small multiple
+// of the input.
+func fuzzCodec(f *testing.F, valid []byte, hostile []byte, roundTrip func([]byte) ([]byte, error)) {
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var again []byte
+		var err error
+		if got := allocatedBy(func() { again, err = roundTrip(b) }); got > 16<<10+4*uint64(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
+		}
+		if err == nil && !bytes.Equal(again, b) {
+			t.Fatalf("accepted %d bytes that marshal back differently", len(b))
+		}
+	})
+}
+
+func FuzzUnmarshalModelInto(f *testing.F) {
+	m, _, blob, _ := codecRig()
+	fuzzCodec(f, blob, words(modelMagic, modelVersion, 4, 3, 2, 0x3fffffff, 4), func(b []byte) ([]byte, error) {
+		if err := UnmarshalModelInto(m, b); err != nil {
+			return nil, err
+		}
+		return MarshalModel(m), nil
+	})
+}
+
+func FuzzUnmarshalSGDInto(f *testing.F) {
+	_, opt, _, blob := codecRig()
+	fuzzCodec(f, blob, words(sgdMagic, sgdVersion, 0x3c23d70a, 2, 0x3fffffff, 4), func(b []byte) ([]byte, error) {
+		if err := UnmarshalSGDInto(opt, b); err != nil {
+			return nil, err
+		}
+		return MarshalSGD(opt), nil
+	})
 }

@@ -32,18 +32,56 @@ func TestQuantizeBitsRoundTripErrorBound(t *testing.T) {
 	}
 }
 
-func TestQuantizeBitsMatchesInt8AtEight(t *testing.T) {
-	r := tensor.NewRNG(3)
-	m := tensor.NewMatrix(6, 6)
-	m.FillNormal(r, 1)
-	q8 := Quantize(m)
-	qb, err := QuantizeBits(m, 8)
-	if err != nil {
-		t.Fatal(err)
+// int8Reference is the int8 quantizer this package had as a separate
+// type until it was folded into the bits = 8 case: ±127 codes held in
+// int8, one byte each on the wire plus the 4-byte scale.
+func int8Reference(m *tensor.Matrix) (scale float32, codes []int8) {
+	codes = make([]int8, len(m.Data))
+	var maxAbs float32
+	for _, v := range m.Data {
+		maxAbs = max(maxAbs, float32(math.Abs(float64(v))))
 	}
-	for i := range q8.Data {
-		if int16(q8.Data[i]) != qb.Data[i] {
-			t.Fatalf("element %d: int8=%d bits8=%d", i, q8.Data[i], qb.Data[i])
+	if maxAbs == 0 {
+		return 1, codes
+	}
+	scale = maxAbs / 127
+	inv := 1 / scale
+	for i, v := range m.Data {
+		codes[i] = int8(max(-127, min(127, math.Round(float64(v*inv)))))
+	}
+	return scale, codes
+}
+
+// TestQuantizeBitsMatchesInt8AtEight: QuantizeModel — the feedback
+// path core and the end-to-end benchmark run — equals the int8
+// reference bit for bit on random MLPs: scale, every dequantized
+// weight, every bias and the wire size.
+func TestQuantizeBitsMatchesInt8AtEight(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := tensor.NewRNG(seed)
+		m := nn.NewMLP(r, 1+r.Intn(40), []int{1 + r.Intn(64), 1 + r.Intn(32)}, 2+r.Intn(20))
+		qm := QuantizeModel(m)
+		deq := qm.Dequantized()
+		var size int64
+		for li, l := range m.Layers {
+			scale, codes := int8Reference(l.W)
+			size += int64(len(codes)) + 4 + int64(4*len(l.B))
+			if got := qm.Weights[li].Scale; got != scale {
+				t.Fatalf("seed %d layer %d: scale %v, int8 reference %v", seed, li, got, scale)
+			}
+			for i, c := range codes {
+				if got, want := deq.Layers[li].W.Data[i], float32(c)*scale; got != want {
+					t.Fatalf("seed %d layer %d weight %d: %v, int8 reference %v", seed, li, i, got, want)
+				}
+			}
+			for i, b := range l.B {
+				if deq.Layers[li].B[i] != b {
+					t.Fatalf("seed %d layer %d bias %d changed", seed, li, i)
+				}
+			}
+		}
+		if got := qm.SizeBytes(); got != size {
+			t.Fatalf("seed %d: SizeBytes %d, int8 reference %d", seed, got, size)
 		}
 	}
 }

@@ -9,13 +9,22 @@ import (
 	"nessa/internal/tensor"
 )
 
+// quantize8 is the paper's width on one tensor.
+func quantize8(m *tensor.Matrix) *Tensor {
+	q, err := QuantizeBits(m, 8)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 func TestQuantizeRoundTripErrorBound(t *testing.T) {
 	// Property: reconstruction error per element never exceeds Scale/2.
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
 		m := tensor.NewMatrix(1+r.Intn(8), 1+r.Intn(8))
 		m.FillNormal(r, 3)
-		q := Quantize(m)
+		q := quantize8(m)
 		d := q.Dequantize()
 		for i := range m.Data {
 			e := math.Abs(float64(m.Data[i] - d.Data[i]))
@@ -32,7 +41,7 @@ func TestQuantizeRoundTripErrorBound(t *testing.T) {
 
 func TestQuantizeZeroMatrix(t *testing.T) {
 	m := tensor.NewMatrix(3, 3)
-	q := Quantize(m)
+	q := quantize8(m)
 	d := q.Dequantize()
 	for _, v := range d.Data {
 		if v != 0 {
@@ -43,7 +52,7 @@ func TestQuantizeZeroMatrix(t *testing.T) {
 
 func TestQuantizeExtremesMapTo127(t *testing.T) {
 	m := tensor.FromRows([][]float32{{-2, 0, 2}})
-	q := Quantize(m)
+	q := quantize8(m)
 	if q.Data[0] != -127 || q.Data[2] != 127 {
 		t.Fatalf("extremes = %d, %d; want -127, 127", q.Data[0], q.Data[2])
 	}
@@ -59,7 +68,7 @@ func TestQuantizeSignSymmetry(t *testing.T) {
 		m.FillNormal(r, 1)
 		neg := m.Clone()
 		neg.Scale(-1)
-		qa, qb := Quantize(m), Quantize(neg)
+		qa, qb := quantize8(m), quantize8(neg)
 		for i := range qa.Data {
 			if qa.Data[i] != -qb.Data[i] {
 				return false
@@ -109,8 +118,15 @@ func TestMaxAbsErrorWithinHalfScale(t *testing.T) {
 	r := tensor.NewRNG(8)
 	m := tensor.NewMatrix(10, 10)
 	m.FillNormal(r, 2)
-	q := Quantize(m)
-	if e := MaxAbsError(m); e > q.Scale/2+1e-6 {
-		t.Fatalf("MaxAbsError = %v exceeds scale/2 = %v", e, q.Scale/2)
+	q := quantize8(m)
+	d := q.Dequantize()
+	var worst float32
+	for i := range m.Data {
+		if e := float32(math.Abs(float64(m.Data[i] - d.Data[i]))); e > worst {
+			worst = e
+		}
+	}
+	if worst > q.Scale/2+1e-6 {
+		t.Fatalf("max abs error %v exceeds scale/2 = %v", worst, q.Scale/2)
 	}
 }

@@ -252,8 +252,8 @@ func planState(cfg *Config, budgets []int) (rcap, ell int, err error) {
 
 // MemoryBytes reports the persistent selection-state bytes: every
 // buffer that must survive across the whole pass (reservoirs, ladder
-// buffers, backup sets, the sketch). Batch staging scratch is device-
-// DRAM, reported separately by ScratchBytes.
+// buffers, backup sets, the sketch). Batch staging scratch is device
+// DRAM and not counted.
 func (s *Selector) MemoryBytes() int64 {
 	var b int64
 	for _, cs := range s.sieves {
@@ -267,17 +267,6 @@ func (s *Selector) MemoryBytes() int64 {
 	}
 	return b
 }
-
-// ScratchBytes reports the per-batch staging scratch (gather and
-// similarity matrices) currently held — proportional to the chunk
-// size, resident in device DRAM between chunks.
-func (s *Selector) ScratchBytes() int64 {
-	return int64(cap(s.gatherBuf)+cap(s.simsBuf)+cap(s.top))*4 +
-		int64(cap(s.rawV)+cap(s.order)+cap(s.start))*8
-}
-
-// Budgets reports the per-class selection budgets.
-func (s *Selector) Budgets() []int { return s.budgets }
 
 // Push consumes one batch of the stream: emb holds the gradient
 // embedding of each record (n × Dim, in stream order), labels the

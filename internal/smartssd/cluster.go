@@ -36,10 +36,6 @@ type Cluster struct {
 	// Parity stripes are raw coding bytes, never records, so Verify is
 	// not applied to them.
 	Verify func([]byte) error
-	// ReconstructBW is the modeled host-side throughput of the GF(256)
-	// reconstruction math in bytes/second of source data streamed.
-	// Zero means DefaultReconstructBW.
-	ReconstructBW float64
 	// Acct accumulates cluster-level (host-side) recovery costs under
 	// the "recover.*" buckets: parity bytes pulled for reconstruction,
 	// reconstructed payload bytes, and GF-math time.
@@ -59,12 +55,12 @@ type Cluster struct {
 	arena [][]byte
 }
 
-// DefaultReconstructBW is the modeled reconstruction throughput in
-// bytes/second of source streamed: what an FPGA kernel or a host SIMD
-// (PSHUFB split-table) GF(256) decode sustains on one core. It is a
-// model of the device the paper assumes, not a measurement of this
-// repository's pure-Go kernel, which reaches about half of it
-// (bench-recovery prints the measured figure next to this one).
+// DefaultReconstructBW is the modeled throughput of the GF(256)
+// reconstruction math in bytes/second of source streamed: what an FPGA
+// kernel or a host SIMD (PSHUFB split-table) decode sustains on one
+// core. It is a model of the device the paper assumes, not a
+// measurement of this repository's pure-Go kernel, which reaches about
+// half of it (bench-recovery prints the measured figure next to it).
 const DefaultReconstructBW = 6e9
 
 // NewCluster assembles n independent SmartSSDs with unique device IDs.

@@ -147,7 +147,7 @@ func (c *Cluster) StripeDataset(name string, img []byte, recordSize int64, p Pla
 		if err := code.Encode(shards); err != nil {
 			return nil, fmt.Errorf("smartssd: encoding parity for %q: %w", name, err)
 		}
-		c.acct().AddTime("stripe.encode", c.gfTime(int64(k)*stripeLen*int64(p.ParityShards)))
+		c.acct().AddTime("stripe.encode", gfTime(int64(k)*stripeLen*int64(p.ParityShards)))
 		parity = shards[k:]
 	}
 	for i := 0; i < k; i++ {
@@ -357,7 +357,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 		}
 		// Each missing stripe is a k-term GF dot product over the
 		// stripe length: k·stripeLen source bytes streamed per rebuild.
-		dur := c.gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
+		dur := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
 		c.acct().AddTime("recover.reconstruct", dur)
 		recT += dur
 		ok := true
@@ -475,7 +475,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 	if err := decode(shards); err != nil {
 		return 0, fmt.Errorf("smartssd: rebuilding %q: %w", name, err)
 	}
-	recT := c.gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
+	recT := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
 	c.acct().AddTime("recover.reconstruct", recT)
 	var writeWall time.Duration
 	for _, gi := range lost {
@@ -520,18 +520,14 @@ func (c *Cluster) DegradedScanBound(name string, lostDevices int) (time.Duration
 	d := c.Devices[0]
 	probe := d.Host.CommandLatency + d.Host.Duration(0, 1)
 	parity := d.P2P.Duration(meta.stripeLen, int(meta.stripeLen/meta.rec))
-	gf := c.gfTime(int64(k) * meta.stripeLen * int64(lostDevices))
+	gf := gfTime(int64(k) * meta.stripeLen * int64(lostDevices))
 	return time.Duration(lostDevices)*(probe+parity) + gf, nil
 }
 
 // gfTime converts streamed GF-math source bytes into simulated time at
 // the modeled reconstruction bandwidth.
-func (c *Cluster) gfTime(bytes int64) time.Duration {
-	bw := c.ReconstructBW
-	if bw <= 0 {
-		bw = DefaultReconstructBW
-	}
-	return time.Duration(float64(bytes) / bw * float64(time.Second))
+func gfTime(bytes int64) time.Duration {
+	return time.Duration(float64(bytes) / DefaultReconstructBW * float64(time.Second))
 }
 
 // acct returns the cluster accountant, creating it for clusters built

@@ -37,9 +37,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 { return float32(r.Float64()) }
-
 // NormFloat64 returns a standard normal variate via the Box–Muller
 // transform.
 func (r *RNG) NormFloat64() float64 {

@@ -111,28 +111,13 @@ func (t *Trainer) Snapshot() (model, opt []byte, rngState uint64) {
 }
 
 // Restore rebuilds a mid-run trainer from a Snapshot. spec and cfg
-// must match the snapshotted run's — the architecture is re-derived
-// from them and the checkpointed tensors are validated against it.
+// must match the snapshotted run's — the architecture is built from
+// them and the blobs only fill it; any other shape is an error.
 func Restore(spec data.Spec, cfg Config, model, opt []byte, rngState uint64) (*Trainer, error) {
 	t := New(spec, cfg)
-	m, err := nn.UnmarshalModel(model)
-	if err != nil {
+	if err := nn.UnmarshalModelInto(t.Model, model); err != nil {
 		return nil, fmt.Errorf("trainer: restoring model: %w", err)
 	}
-	if m.In != t.Model.In || m.Classes != t.Model.Classes || len(m.Layers) != len(t.Model.Layers) {
-		return nil, fmt.Errorf("trainer: checkpointed model is %d→%d over %d layers, config builds %d→%d over %d",
-			m.In, m.Classes, len(m.Layers), t.Model.In, t.Model.Classes, len(t.Model.Layers))
-	}
-	for i, l := range m.Layers {
-		want := t.Model.Layers[i]
-		if l.W.Rows != want.W.Rows || l.W.Cols != want.W.Cols {
-			return nil, fmt.Errorf("trainer: checkpointed layer %d is %dx%d, config builds %dx%d",
-				i, l.W.Rows, l.W.Cols, want.W.Rows, want.W.Cols)
-		}
-	}
-	t.Model = m
-	t.grads = nn.NewGrads(m)
-	t.Opt = nn.NewSGD(m, cfg.SGD)
 	if err := nn.UnmarshalSGDInto(t.Opt, opt); err != nil {
 		return nil, fmt.Errorf("trainer: restoring optimizer: %w", err)
 	}

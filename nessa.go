@@ -81,7 +81,9 @@ func Generate(spec Spec) (train, test *Dataset) { return data.Generate(spec) }
 // EncodeDataset serializes a dataset into the on-SSD record layout.
 func EncodeDataset(d *Dataset) ([]byte, error) { return data.Encode(d) }
 
-// DecodeDataset parses an on-SSD byte image back into a dataset.
+// DecodeDataset parses an on-SSD byte image back into a dataset. A
+// record that fails its CRC, holds a feature count other than
+// spec.FeatureDim or a label ≥ spec.Classes is an error.
 func DecodeDataset(spec Spec, img []byte) (*Dataset, error) { return data.Decode(spec, img) }
 
 // DefaultTrainConfig returns the paper §4.1 training recipe scaled to
