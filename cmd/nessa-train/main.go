@@ -13,11 +13,11 @@
 //	            [-parity 3+1] [-kill 1@3] [-spare]
 //	            [-checkpoint ckpt.bin] [-checkpoint-every 0] [-resume ckpt.bin]
 //
-// -streaming selects each subset with the single-pass sieve/sketch
-// pipeline (one sequential scan of the candidates in fixed on-chip
-// memory, DESIGN.md §4.10) instead of the materialized per-class
-// CRAIG solve; it requires the facility selector, i.e. -method nessa
-// or craig. -streamchunk sets the records per scan chunk.
+// -streaming selects each subset with the single-pass sieve pipeline
+// (one sequential scan of the candidates in fixed on-chip memory,
+// DESIGN.md §4.10) instead of the materialized per-class CRAIG solve;
+// it requires the facility selector, i.e. -method nessa or craig.
+// -streamchunk sets the records per scan chunk.
 //
 // -fastmath opts into the non-bit-exact AVX2/FMA kernel tier (still
 // deterministic and worker-count invariant; a warning and a no-op on

@@ -86,12 +86,11 @@ func ColdPool() *[]float32 {
 	return scratchPool.Get().(*[]float32)
 }
 
-// SketchUpdate mirrors the streaming sketch's per-record kernel
-// (streaming.Sketch.Update): append a row into a preallocated buffer
-// by cursor, accumulate a scalar, and hand off to an unannotated
-// helper when the buffer fills. No findings — the eigendecomposition
-// inside the helper is amortized over 2ℓ records and not on the
-// per-record path.
+// SketchUpdate is a per-record kernel in the shape of a row sketch:
+// append a row into a preallocated buffer by cursor, and hand off to
+// an unannotated helper when the buffer fills. No findings — the work
+// inside the helper is amortized over a buffer of records and not on
+// the per-record path.
 //
 //nessa:hotpath
 func SketchUpdate(buf []float32, rows *int, row []float32) {

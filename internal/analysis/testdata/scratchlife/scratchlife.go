@@ -142,9 +142,9 @@ func SlotGrow(w int, n int) {
 	}
 }
 
-// sketchState mirrors the streaming sketch's persistent buffer set:
-// arena-owned for the whole pass, every row overwritten as the stream
-// advances past the next shrink.
+// sketchState is a row sketch's persistent buffer set: arena-owned for
+// the whole pass, every row overwritten as the stream advances past
+// the next shrink.
 //
 //nessa:arena sketch rows are rewritten in place by the next shrink
 type sketchState struct {
@@ -157,8 +157,8 @@ func LeakSketchRows(s *sketchState) []float32 {
 	return s.rows // want "returns pool/arena-backed scratch memory"
 }
 
-// SketchRowsView is the documented read-only view idiom the real
-// Sketch.Rows accessor uses.
+// SketchRowsView is the documented read-only view idiom: a view whose
+// contract is stated at the accessor.
 //
 //nessa:scratch-ok callers copy the rows out before pushing more records
 func SketchRowsView(s *sketchState) []float32 {

@@ -29,10 +29,6 @@ func TestStreamingBenchArtifact(t *testing.T) {
 	if res.DatasetBytes != int64(spec.Records)*spec.RecordBytes {
 		t.Errorf("dataset bytes %d, want %d", res.DatasetBytes, int64(spec.Records)*spec.RecordBytes)
 	}
-	if res.Stats.SketchShrinks == 0 || res.Stats.SketchCapture <= 0 {
-		t.Errorf("sketch never engaged: %d shrinks, capture %.3f",
-			res.Stats.SketchShrinks, res.Stats.SketchCapture)
-	}
 
 	tab := streamingBenchTable(res)
 	if tab.ID != "bench-streaming" || len(tab.Rows) == 0 {

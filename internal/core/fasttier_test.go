@@ -33,21 +33,27 @@ func TestFastTierTrajectoryPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		var buf [8]byte
-		put64 := func(v uint64) {
-			for i := range buf {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
-		for e := range rep.Metrics.EpochLoss {
-			put64(math.Float64bits(rep.Metrics.EpochLoss[e]))
-			put64(math.Float64bits(rep.Metrics.EpochAcc[e]))
-			put64(uint64(rep.Metrics.SubsetSizes[e]))
-		}
-		if got := h.Sum64(); got != goldenFastTrajectory {
+		if got := trajectoryHash(rep); got != goldenFastTrajectory {
 			t.Errorf("workers=%d fast-tier trajectory %#x != golden %#x — the fast tier's association order changed", w, got, uint64(goldenFastTrajectory))
 		}
 	}
+}
+
+// trajectoryHash is the FNV-1a hash of every epoch's loss, accuracy and
+// subset size.
+func trajectoryHash(rep *Report) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put64 := func(v uint64) {
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	for e := range rep.Metrics.EpochLoss {
+		put64(math.Float64bits(rep.Metrics.EpochLoss[e]))
+		put64(math.Float64bits(rep.Metrics.EpochAcc[e]))
+		put64(uint64(rep.Metrics.SubsetSizes[e]))
+	}
+	return h.Sum64()
 }

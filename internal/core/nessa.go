@@ -135,7 +135,7 @@ type Options struct {
 	RawScan bool
 
 	// Streaming switches the facility selector to the single-pass
-	// sketch/sieve pipeline (internal/selection/streaming): the
+	// sieve pipeline (internal/selection/streaming): the
 	// candidate scan is consumed chunk by chunk and the full embedding
 	// matrix is never materialized, so selection state stays within
 	// the FPGA's on-chip budget regardless of dataset size. Requires
@@ -683,7 +683,6 @@ func selectSubsetStreaming(selModel *nn.MLP, train *data.Dataset, cands []int, f
 		Dim:         classes,
 		K:           k,
 		ClassCounts: counts,
-		SketchEvery: -1, // the sketch is a bench/diagnostic artifact, not a selection input
 		Seed:        rng.Uint64(),
 	})
 	if err != nil {

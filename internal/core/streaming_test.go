@@ -79,31 +79,64 @@ func TestStreamingDeviceScan(t *testing.T) {
 	}
 }
 
+// Streaming trajectories of TestStreamingMatchesAcrossWorkers, recorded
+// at the parent of the PR that deleted the gradient sketch: the
+// trajectoryHash of the host-only and device-attached runs, and the
+// device run's p2p.read bytes and final simulated clock.
+const (
+	goldenStreamingHost   = 0x94d5817962fd79c0
+	goldenStreamingDevice = 0x4f2bcee9e1deba83
+	goldenStreamingP2P    = 9830400
+	goldenStreamingClock  = 11976920 // ns
+)
+
 // TestStreamingMatchesAcrossWorkers: the full training trajectory under
-// streaming selection is identical at 1 and 4 workers.
+// streaming selection, host-only and device-attached, is pinned at 1 and
+// 4 workers.
 func TestStreamingMatchesAcrossWorkers(t *testing.T) {
 	tr, te := data.Generate(tinySpec())
 	cfg := tinyCfg()
 	cfg.Epochs = 8
-
-	run := func(workers int) *Report {
-		opt := tinyOptions()
-		opt.DynamicSizing = false
-		opt.SubsetBias = false
-		opt.SubsetFrac = 0.2
-		opt.Streaming = true
-		opt.Workers = workers
-		rep, err := Run(tr, te, cfg, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	img, err := data.Encode(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r1, r4 := run(1), run(4)
-	for e := range r1.Metrics.EpochLoss {
-		if r1.Metrics.EpochLoss[e] != r4.Metrics.EpochLoss[e] {
-			t.Fatalf("epoch %d loss diverges across workers: %v vs %v",
-				e, r1.Metrics.EpochLoss[e], r4.Metrics.EpochLoss[e])
+	for _, device := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			opt := tinyOptions()
+			opt.DynamicSizing = false
+			opt.SubsetBias = false
+			opt.SubsetFrac = 0.2
+			opt.Streaming = true
+			opt.Workers = workers
+			want := uint64(goldenStreamingHost)
+			if device {
+				dev, err := smartssd.New()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dev.StoreDataset("tiny", img); err != nil {
+					t.Fatal(err)
+				}
+				opt.Device, opt.DatasetName, opt.StreamChunk = dev, "tiny", 100
+				want = goldenStreamingDevice
+			}
+			rep, err := Run(tr, te, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := trajectoryHash(rep); got != want {
+				t.Errorf("device=%v workers=%d: trajectory %#x != golden %#x", device, workers, got, want)
+			}
+			if !device {
+				continue
+			}
+			if got := opt.Device.Acct.Bytes("p2p.read"); got != goldenStreamingP2P {
+				t.Errorf("workers=%d: p2p.read = %d bytes, golden %d", workers, got, goldenStreamingP2P)
+			}
+			if got := opt.Device.Clock.Now(); got != goldenStreamingClock {
+				t.Errorf("workers=%d: device clock %d, golden %d", workers, got, goldenStreamingClock)
+			}
 		}
 	}
 }

@@ -133,7 +133,7 @@ func bramCount(bytes int64) int {
 // AvailableBufferBytes reports how many bytes of on-chip buffering the
 // budget b still has to give after the kernel c is placed: the free
 // BRAM blocks times the usable bytes per block. This is the memory
-// pool the streaming selection state (gradient sketch, sieve ladder,
+// pool the streaming selection state (sieve ladders, backup sets,
 // reservoirs) must fit into — the DRAM-resident embedding matrix of
 // the batch path is exactly what streaming selection exists to avoid.
 func (c KernelConfig) AvailableBufferBytes(b Budget) int64 {

@@ -33,9 +33,6 @@ func Maximizer(opts Config) selection.Maximizer {
 				cfg.C0 = 1 // degenerate all-zero embeddings
 			}
 		}
-		if cfg.SketchEvery == 0 {
-			cfg.SketchEvery = -1 // the batch contract doesn't need a sketch
-		}
 		sel, err := NewSelector(cfg)
 		if err != nil {
 			return selection.Result{}, err

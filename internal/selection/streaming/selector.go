@@ -1,3 +1,24 @@
+// Package streaming implements NeSSA selection as a single sequential
+// pass over the stored dataset, for datasets that do not fit in the
+// SmartSSD's 4 GB device DRAM — let alone host memory.
+//
+// The batch path (internal/selection) materializes every candidate's
+// gradient embedding and runs lazy greedy over the full similarity
+// structure: O(n·dim) resident state plus O(n·k) gain scans. This
+// package replaces it with two components that consume the stream
+// record by record:
+//
+//   - a sieve-streaming facility-location maximizer per class
+//     (classSieve): a geometric threshold ladder with per-threshold
+//     candidate buffers, fed by a fixed-size uniform reservoir that
+//     stands in for the full pairwise similarity structure;
+//   - a chunked sequential-scan driver (ScanRecords) that double-
+//     buffers NAND reads against sieve compute.
+//
+// The selection state is sized against internal/fpga's on-chip memory
+// model: it must fit the BRAM left over after the selection kernel is
+// placed (KernelConfig.AvailableBufferBytes), and NewSelector fails,
+// before allocating it, if it cannot.
 package streaming
 
 import (
@@ -28,11 +49,13 @@ type Config struct {
 	// statistics are needed up front. Override for other embeddings.
 	C0 float64
 
-	Reservoir   int   // per-class reservoir rows; 0 = derive from MemBudget
-	SketchRows  int   // frequent-directions ℓ; 0 = derive from MemBudget
-	SketchDim   int   // sketched vector length; 0 = Dim (set Dim·Features for ∇W sketches)
-	SketchEvery int   // sketch every n-th record; 0 = 16, negative = disable
-	MemBudget   int64 // on-chip state budget in bytes; 0 = DefaultMemoryBudget()
+	Reservoir int   // per-class reservoir rows; 0 = derive from MemBudget
+	MemBudget int64 // on-chip state budget in bytes; 0 = DefaultMemoryBudget()
+
+	// SketchEvery is ignored. It configured a gradient sketch this
+	// package no longer has and stays only because the frozen
+	// internal/bench/e2e sets it; ROADMAP item 5b deletes it.
+	SketchEvery int
 
 	Seed uint64
 }
@@ -51,12 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.C0 <= 0 {
 		c.C0 = 8
 	}
-	if c.SketchEvery == 0 {
-		c.SketchEvery = 16
-	}
-	if c.SketchDim == 0 {
-		c.SketchDim = c.Dim
-	}
 	if c.MemBudget == 0 {
 		c.MemBudget = DefaultMemoryBudget()
 	}
@@ -65,16 +82,13 @@ func (c Config) withDefaults() Config {
 
 // Stats reports what a Selector did over the stream.
 type Stats struct {
-	Records       int     `json:"records"`
-	Reservoir     int     `json:"reservoir"`  // rows per class
-	SketchRows    int     `json:"sketchRows"` // frequent-directions ℓ
-	SketchShrinks int     `json:"sketchShrinks"`
-	SketchCapture float64 `json:"sketchCapture"` // retained gradient energy fraction
-	StateBytes    int64   `json:"stateBytes"`    // persistent selection state
-	BudgetBytes   int64   `json:"budgetBytes"`   // the on-chip budget it must fit
-	ActiveLevels  int     `json:"activeLevels"`  // ladder rungs alive at finish
-	PerClassSeen  []int   `json:"perClassSeen"`
-	PerClassK     []int   `json:"perClassK"`
+	Records      int   `json:"records"`
+	Reservoir    int   `json:"reservoir"`    // rows per class
+	StateBytes   int64 `json:"stateBytes"`   // persistent selection state
+	BudgetBytes  int64 `json:"budgetBytes"`  // the on-chip budget it must fit
+	ActiveLevels int   `json:"activeLevels"` // ladder rungs alive at finish
+	PerClassSeen []int `json:"perClassSeen"`
+	PerClassK    []int `json:"perClassK"`
 
 	// Ladder work, summed over classes and records: live rungs a record
 	// was offered to, rungs the saturation bound skipped, reservoir
@@ -87,20 +101,18 @@ type Stats struct {
 
 // Selector consumes a gradient-embedding stream in batches and selects
 // a weighted coreset in one pass, in fixed memory. All persistent state
-// (reservoirs, threshold ladders, backup buffers, the gradient sketch)
-// is preallocated against the on-chip budget at construction; Push
-// performs no per-record allocation in steady state. Results are
-// bit-identical for a fixed seed at any worker count: the batched
-// similarity GEMM runs on the shared pool's fixed chunk grid, each
-// class's sieve consumes that class's records in stream order and
-// shares no state with another class's, and the sketch consumes its
-// sampled records serially in stream order.
+// (reservoirs, threshold ladders, backup buffers) is preallocated
+// against the on-chip budget at construction; Push performs no
+// per-record allocation in steady state. Results are bit-identical for
+// a fixed seed at any worker count: the batched similarity GEMM runs on
+// the shared pool's fixed chunk grid, and each class's sieve consumes
+// that class's records in stream order and shares no state with
+// another class's.
 type Selector struct {
 	cfg     Config
 	budgets []int
 	sieves  []*classSieve // nil where budgets[ci] == 0
 	rcap    int           // reservoir rows per class
-	sketch  *Sketch
 	seen    int
 
 	// Batch staging (device-DRAM scratch, not on-chip state): one arena
@@ -115,7 +127,6 @@ type Selector struct {
 	gather    []tensor.Matrix // per-class views into gatherBuf
 	sims      []tensor.Matrix // per-class views into simsBuf
 	emb       *tensor.Matrix  // the batch being pushed, for the class passes
-	outer     []float32       // sketch-row scratch for ∇W = g·xᵀ sketches
 	pool      *parallel.Pool
 	// sievePass and each class's transformRows, bound once so that a
 	// Push dispatches them without allocating.
@@ -124,43 +135,61 @@ type Selector struct {
 }
 
 // NewSelector plans the selection state against the memory budget and
-// preallocates all of it. It fails if even a minimal configuration
-// (16-row reservoirs, 8 sketch directions) cannot fit.
+// preallocates it. It fails, before allocating more than the per-class
+// budget split, if the plan cannot fit: every class must be able to hold
+// the smallest sieve (one pick, 16 reservoir rows), and the classes with
+// a budget must hold theirs with at least 16 reservoir rows each.
 func NewSelector(cfg Config) (*Selector, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Classes < 1 || cfg.Dim < 1 || cfg.K < 1 {
 		return nil, fmt.Errorf("streaming: need Classes ≥ 1, Dim ≥ 1, K ≥ 1; got %d/%d/%d",
 			cfg.Classes, cfg.Dim, cfg.K)
 	}
-	if cfg.Eps > 3 {
-		return nil, fmt.Errorf("streaming: Eps %g too coarse (max 3)", cfg.Eps)
+	if math.IsNaN(cfg.Eps) || math.IsInf(cfg.Eps, 0) || math.IsNaN(cfg.C0) || math.IsInf(cfg.C0, 0) {
+		return nil, fmt.Errorf("streaming: Eps %g and C0 %g must be finite", cfg.Eps, cfg.C0)
 	}
+	cfg = cfg.withDefaults()
+	if cfg.Eps > 3 || cfg.C0 > math.MaxFloat32 {
+		return nil, fmt.Errorf("streaming: need Eps ≤ 3 and C0 ≤ MaxFloat32; got %g/%g", cfg.Eps, cfg.C0)
+	}
+	// Bound Classes (and Dim) before any per-class slice is sized.
+	fixed1, perRow1 := classBytes(1, cfg.Dim, cfg.Eps)
+	if floor := fixed1 + minReservoir*perRow1; float64(cfg.Classes)*floor > float64(cfg.MemBudget) {
+		return nil, fmt.Errorf("streaming: %d classes × %.0f bytes of minimal sieve state exceed the on-chip budget %d",
+			cfg.Classes, floor, cfg.MemBudget)
+	}
+	if cfg.ClassCounts != nil && len(cfg.ClassCounts) != cfg.Classes {
+		return nil, fmt.Errorf("streaming: ClassCounts has %d entries, want %d", len(cfg.ClassCounts), cfg.Classes)
+	}
+	// Every pick holds at least one backup row, so a plan holds at most
+	// maxPicks of them.
+	maxPicks := int(cfg.MemBudget / (16 + 4*int64(cfg.Dim)))
 	counts := cfg.ClassCounts
 	if counts == nil {
 		counts = make([]int, cfg.Classes)
 		for i := range counts {
-			counts[i] = cfg.K + 1 // balanced and unconstraining
+			counts[i] = min(cfg.K, maxPicks) + 1 // balanced and unconstraining
 		}
-	}
-	if len(counts) != cfg.Classes {
-		return nil, fmt.Errorf("streaming: ClassCounts has %d entries, want %d", len(counts), cfg.Classes)
 	}
 	total := 0
 	for _, n := range counts {
-		if n < 0 {
-			return nil, fmt.Errorf("streaming: negative class count %d", n)
+		if n < 0 || n > math.MaxInt-total {
+			return nil, fmt.Errorf("streaming: class count %d is negative or takes the total past MaxInt", n)
 		}
 		total += n
 	}
-	k := cfg.K
-	if k > total {
-		k = total
+	k := min(cfg.K, total)
+	if k > maxPicks {
+		return nil, fmt.Errorf("streaming: K = %d cannot fit the on-chip budget %d: each pick holds a %d-byte backup row",
+			cfg.K, cfg.MemBudget, 16+4*cfg.Dim)
 	}
 	budgets := selection.SplitBudgetCounts(counts, k, total)
 
-	rcap, ell, err := planState(&cfg, budgets)
+	rcap, planned, err := planState(cfg, budgets)
 	if err != nil {
 		return nil, err
+	}
+	if planned > float64(cfg.MemBudget) {
+		return nil, fmt.Errorf("streaming: planned state %.0f bytes exceeds on-chip budget %d", planned, cfg.MemBudget)
 	}
 
 	s := &Selector{
@@ -176,7 +205,6 @@ func NewSelector(cfg Config) (*Selector, error) {
 	s.sieveFn = s.sievePass
 	s.transformFn = make([]func(c, lo, hi int), cfg.Classes)
 	for ci := range s.transformFn {
-		ci := ci
 		s.transformFn[ci] = func(_, lo, hi int) { s.transformRows(ci, lo, hi) }
 	}
 	for ci, kc := range budgets {
@@ -186,74 +214,58 @@ func NewSelector(cfg Config) (*Selector, error) {
 		s.sieves[ci] = newClassSieve(ci, kc, cfg.Dim, rcap, maxLadderLevels(kc, cfg.Eps),
 			cfg.Eps, float32(cfg.C0), selection.ClassStream(cfg.Seed, ci))
 	}
-	if cfg.SketchEvery > 0 {
-		s.sketch, err = NewSketch(ell, cfg.SketchDim)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.SketchDim != cfg.Dim {
-			s.outer = make([]float32, cfg.SketchDim)
-		}
-	}
-	if got := s.MemoryBytes(); got > cfg.MemBudget {
-		return nil, fmt.Errorf("streaming: planned state %d bytes exceeds on-chip budget %d", got, cfg.MemBudget)
-	}
 	return s, nil
 }
 
-// planState picks the reservoir size and sketch width that fit the
-// byte budget, mirroring the memoryBytes accounting of the structures
-// it plans for. Explicit Config values are honored (and validated).
-func planState(cfg *Config, budgets []int) (rcap, ell int, err error) {
-	// Sketch share first: it is class-independent.
-	sketchBytes := func(l int) int64 {
-		if cfg.SketchEvery < 0 {
-			return 0
-		}
-		n := int64(2 * l)
-		d := int64(cfg.SketchDim)
-		return n*d*4*2 /*buf+tmp*/ + n*n*4 /*g32*/ + n*n*8*2 /*gram+vecs*/ + n*8*3 /*vals+ord+coef*/
-	}
-	ell = cfg.SketchRows
-	if ell == 0 {
-		ell = 64
-		for ell > 8 && sketchBytes(ell) > cfg.MemBudget/4 {
-			ell /= 2
-		}
-	}
-	// Per-class costs: fixed (levels, backup) and per-reservoir-row.
-	var fixed, perR int64
+// minReservoir is the planner's floor on reservoir rows per class: below
+// it the reservoir estimate stops being an estimate (DESIGN.md §4.10).
+const minReservoir = 16
+
+// classBytes splits the state classSieve.memoryBytes reports for a class
+// with budget kc into its fixed part (ladder rungs, backup set) and the
+// cost of each reservoir row (the row, its pending copy, norm, pending
+// slot and mark, and one coverage entry per rung). float64, so that a
+// hostile Config cannot overflow it; every count that fits a budget is
+// exact.
+func classBytes(kc, dim int, eps float64) (fixed, perRow float64) {
+	ml, k, d := float64(maxLadderLevels(kc, eps)), float64(kc), float64(dim)
+	return ml*k*(8+4*d) + k*(16+4*d), 8*d + 13 + 4*ml
+}
+
+// planState picks the per-class reservoir rows and returns them with the
+// state bytes they plan, which equal MemoryBytes once the sieves exist.
+// The rule: each class with a budget is charged its fixed bytes, and the
+// reservoir takes what is left of 95 % of the budget, capped at 512 rows
+// per class. An explicit Config.Reservoir is honored as given.
+func planState(cfg Config, budgets []int) (rcap int, planned float64, err error) {
+	var fixed, perRow float64
 	for _, kc := range budgets {
-		if kc == 0 {
-			continue
+		if kc > 0 {
+			f, r := classBytes(kc, cfg.Dim, cfg.Eps)
+			fixed += f
+			perRow += r
 		}
-		ml := int64(maxLadderLevels(kc, cfg.Eps))
-		kc64, d := int64(kc), int64(cfg.Dim)
-		fixed += ml*kc64*(8+4*d) + kc64*(8+8+4*d)                                            // level ids+embs, backup
-		perR += 4*d /*res*/ + 4*d /*pend*/ + 4 /*norm*/ + 8 /*pendSlot*/ + 1 /*mark*/ + 4*ml /*bests*/
 	}
-	if perR == 0 {
+	if perRow == 0 {
 		return 0, 0, fmt.Errorf("streaming: every class budget is zero")
 	}
-	avail := cfg.MemBudget*95/100 - fixed - sketchBytes(ell)
 	rcap = cfg.Reservoir
 	if rcap == 0 {
-		rcap = int(avail / perR)
-		if rcap > 512 {
-			rcap = 512
-		}
+		// 95 % of the budget without overflowing int64.
+		avail := float64(cfg.MemBudget/100*95+cfg.MemBudget%100*95/100) - fixed
+		rcap = int(max(min(avail/perRow, 512), 0))
 	}
-	if rcap < 16 {
-		return 0, 0, fmt.Errorf("streaming: on-chip budget %d bytes cannot hold the minimal selection state (fixed %d + sketch %d + 16·%d per-row bytes)",
-			cfg.MemBudget, fixed, sketchBytes(ell), perR)
+	if rcap < minReservoir {
+		return 0, 0, fmt.Errorf("streaming: on-chip budget %d bytes cannot hold the minimal selection state (fixed %.0f + %d·%.0f per-row bytes)",
+			cfg.MemBudget, fixed, minReservoir, perRow)
 	}
-	return rcap, ell, nil
+	return rcap, fixed + float64(rcap)*perRow, nil
 }
 
 // MemoryBytes reports the persistent selection-state bytes: every
 // buffer that must survive across the whole pass (reservoirs, ladder
-// buffers, backup sets, the sketch). Batch staging scratch is device
-// DRAM and not counted.
+// buffers, backup sets). Batch staging scratch is device DRAM and not
+// counted.
 func (s *Selector) MemoryBytes() int64 {
 	var b int64
 	for _, cs := range s.sieves {
@@ -261,19 +273,15 @@ func (s *Selector) MemoryBytes() int64 {
 			b += cs.memoryBytes()
 		}
 	}
-	if s.sketch != nil {
-		b += s.sketch.MemoryBytes()
-		b += int64(cap(s.outer)) * 4
-	}
 	return b
 }
 
 // Push consumes one batch of the stream: emb holds the gradient
 // embedding of each record (n × Dim, in stream order), labels the
-// class of each. x, when the selector sketches ∇W = g·xᵀ (SketchDim =
-// Dim·Features), must hold the matching feature rows; otherwise it may
-// be nil. Batches may vary in size; records are identified by their
-// global stream position.
+// class of each. Batches may vary in size; records are identified by
+// their global stream position. x is ignored: it fed a gradient sketch
+// this package no longer has and stays only because the frozen
+// internal/bench/e2e passes it; ROADMAP item 5b deletes it.
 func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 	n := emb.Rows
 	if len(labels) != n {
@@ -281,15 +289,6 @@ func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 	}
 	if emb.Cols != s.cfg.Dim {
 		return fmt.Errorf("streaming: embedding dim %d, want %d", emb.Cols, s.cfg.Dim)
-	}
-	if s.sketch != nil && s.outer != nil {
-		if x == nil || x.Rows != n {
-			return fmt.Errorf("streaming: ∇W sketch needs feature rows for every record")
-		}
-		if s.cfg.Dim*x.Cols != s.cfg.SketchDim {
-			return fmt.Errorf("streaming: SketchDim %d != Dim %d × Features %d",
-				s.cfg.SketchDim, s.cfg.Dim, x.Cols)
-		}
 	}
 	// Bucket rows by class with a counting sort: stream order survives
 	// within each class, and class ci's rows become rows
@@ -330,23 +329,6 @@ func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 	s.emb = emb
 	s.pool.For(s.cfg.Classes, 1, s.sieveFn)
 	s.emb = nil
-
-	// The sketch is one state shared by every class, so it consumes its
-	// sampled records serially, in global stream order.
-	if s.sketch != nil {
-		every := s.cfg.SketchEvery
-		for r := (every - s.seen%every) % every; r < n; r += every {
-			if s.sieves[labels[r]] == nil {
-				continue
-			}
-			if s.outer != nil {
-				outerProduct(s.outer, emb.Row(r), x.Row(r))
-				s.sketch.Update(s.outer)
-			} else {
-				s.sketch.Update(emb.Row(r))
-			}
-		}
-	}
 	s.seen += n
 	return nil
 }
@@ -426,19 +408,6 @@ func (s *Selector) transformRows(ci, lo, hi int) {
 	}
 }
 
-// outerProduct writes the flattened last-layer weight gradient
-// ∇W = g·xᵀ into dst (len(g)·len(x) entries, row-major).
-//
-//nessa:hotpath
-func outerProduct(dst, g, x []float32) {
-	for i, gi := range g {
-		row := dst[i*len(x) : (i+1)*len(x)]
-		for j, xj := range x {
-			row[j] = gi * xj
-		}
-	}
-}
-
 // Finish closes the stream and returns the selection: for each class,
 // lazy greedy over the union of every ladder rung's buffer and the
 // backup set, evaluated against the class reservoir, topped up to the
@@ -479,17 +448,8 @@ func (s *Selector) Finish() (selection.Result, Stats, error) {
 		res.Weights = append(res.Weights, weights...)
 		res.Objective += f
 	}
-	if s.sketch != nil {
-		st.SketchRows = s.sketch.Ell()
-		st.SketchShrinks = s.sketch.Shrinks()
-		st.SketchCapture = s.sketch.CaptureFraction()
-	}
 	return res, st, nil
 }
-
-// Sketch exposes the gradient sketch (nil when disabled) for
-// diagnostics and the quality-vs-memory ablation.
-func (s *Selector) Sketch() *Sketch { return s.sketch }
 
 // finish runs the per-class post-pass: deduplicate the candidate pool
 // (ladder buffers ∪ backup), lazy greedy against the reservoir, then

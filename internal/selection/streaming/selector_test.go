@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -31,6 +32,16 @@ func clusteredEmb(seed uint64, n, d, nClusters, classes int) (*tensor.Matrix, []
 		labels[i] = i % classes
 	}
 	return emb, labels
+}
+
+// randRows fills an n × d matrix from a seeded RNG.
+func randRows(seed uint64, n, d int) *tensor.Matrix {
+	rng := tensor.NewRNG(seed)
+	m := tensor.NewMatrix(n, d)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat32()
+	}
+	return m
 }
 
 func pushAll(t *testing.T, sel *Selector, emb *tensor.Matrix, labels []int, chunk int) {
@@ -83,35 +94,22 @@ func TestStreamingQualityVsLazyGreedy(t *testing.T) {
 	}
 }
 
-// TestStreamingWorkerInvariance: for a fixed seed the selection — and
-// the sketch, when it runs — is bit-identical at any worker count,
-// whatever the batch sizes and however the pool spreads the per-class
-// sieve passes (S2).
+// TestStreamingWorkerInvariance: for a fixed seed the selection is
+// bit-identical at any worker count, whatever the batch sizes and
+// however the pool spreads the per-class sieve passes (S2).
 func TestStreamingWorkerInvariance(t *testing.T) {
-	const n, d, feat, classes, k = 1500, 6, 5, 4, 48
+	const n, d, classes, k = 1500, 6, 4, 48
 	emb, labels := clusteredEmb(77, n, d, 9, classes)
-	x := randRows(78, n, feat)
 	for i := range labels {
 		// Uneven classes, so the class passes differ in length.
 		if i%7 == 0 {
 			labels[i] = 0
 		}
 	}
-	type outcome struct {
-		res    selection.Result
-		rows   int
-		buf    []float32
-		total  float64
-		shrink int
-	}
-	run := func(workers int, sketch bool, batches []int) outcome {
+	run := func(workers int, batches []int) selection.Result {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
-		cfg := Config{Classes: classes, Dim: d, K: k, Seed: 9, SketchEvery: -1}
-		if sketch {
-			cfg.SketchEvery, cfg.SketchRows, cfg.SketchDim = 3, 8, d*feat
-		}
-		sel, err := NewSelector(cfg)
+		sel, err := NewSelector(Config{Classes: classes, Dim: d, K: k, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +119,7 @@ func TestStreamingWorkerInvariance(t *testing.T) {
 				hi = n
 			}
 			ev := tensor.Matrix{Rows: hi - lo, Cols: d, Data: emb.Data[lo*d : hi*d]}
-			xv := tensor.Matrix{Rows: hi - lo, Cols: feat, Data: x.Data[lo*feat : hi*feat]}
-			if err := sel.Push(&ev, &xv, labels[lo:hi]); err != nil {
+			if err := sel.Push(&ev, nil, labels[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
@@ -131,30 +128,18 @@ func TestStreamingWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := outcome{res: res}
-		if sk := sel.Sketch(); sk != nil {
-			out.rows, out.total, out.shrink = sk.rows, sk.total, sk.shrinks
-			out.buf = append(out.buf, sk.buf.Data[:sk.rows*sk.dim]...)
-		}
-		return out
+		return res
 	}
-	for _, sketch := range []bool{false, true} {
-		for _, batches := range [][]int{{256}, {1, 97, 13, 400}} {
-			want := run(1, sketch, batches)
-			if len(want.res.Selected) == 0 || (sketch && want.shrink == 0) {
-				t.Fatalf("sketch=%v batches=%v: nothing to compare (%d selected, %d shrinks)",
-					sketch, batches, len(want.res.Selected), want.shrink)
-			}
-			for _, workers := range []int{2, 3, 7} {
-				got := run(workers, sketch, batches)
-				if !slices.Equal(got.res.Selected, want.res.Selected) || !sameF32(got.res.Weights, want.res.Weights) ||
-					math.Float64bits(got.res.Objective) != math.Float64bits(want.res.Objective) {
-					t.Fatalf("sketch=%v batches=%v: selection at %d workers differs from 1 worker", sketch, batches, workers)
-				}
-				if got.rows != want.rows || got.shrink != want.shrink ||
-					math.Float64bits(got.total) != math.Float64bits(want.total) || !sameF32(got.buf, want.buf) {
-					t.Fatalf("sketch=%v batches=%v: sketch state at %d workers differs from 1 worker", sketch, batches, workers)
-				}
+	for _, batches := range [][]int{{256}, {1, 97, 13, 400}} {
+		want := run(1, batches)
+		if len(want.Selected) == 0 {
+			t.Fatalf("batches=%v: nothing selected", batches)
+		}
+		for _, workers := range []int{2, 3, 7} {
+			got := run(workers, batches)
+			if !slices.Equal(got.Selected, want.Selected) || !sameF32(got.Weights, want.Weights) ||
+				math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+				t.Fatalf("batches=%v: selection at %d workers differs from 1 worker", batches, workers)
 			}
 		}
 	}
@@ -282,18 +267,107 @@ func TestStreamingFinishIdempotent(t *testing.T) {
 }
 
 // TestStreamingMemoryBudget: the planned state must fit the on-chip
-// budget, and an impossible budget must fail loudly at construction.
+// budget and equal what the selector then allocates, and an impossible
+// budget must fail loudly at construction.
 func TestStreamingMemoryBudget(t *testing.T) {
-	sel, err := NewSelector(Config{Classes: 10, Dim: 10, K: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, budget := sel.MemoryBytes(), DefaultMemoryBudget(); got > budget {
-		t.Fatalf("state %d bytes exceeds on-chip budget %d", got, budget)
+	for _, cfg := range []Config{
+		{Classes: 10, Dim: 10, K: 500, Seed: 1},
+		{Classes: 3, Dim: 7, K: 12, ClassCounts: []int{400, 0, 400}, Reservoir: 48},
+		{Classes: 5, Dim: 4, K: 3, Eps: 3},
+		{Classes: 2, Dim: 32, K: 64, MemBudget: 1 << 22},
+	} {
+		sel, err := NewSelector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, budget := sel.MemoryBytes(), sel.cfg.MemBudget; got > budget {
+			t.Fatalf("%+v: state %d bytes exceeds on-chip budget %d", cfg, got, budget)
+		}
+		if _, planned, _ := planState(sel.cfg, sel.budgets); planned != float64(sel.MemoryBytes()) {
+			t.Fatalf("%+v: planned %.0f bytes, allocated %d", cfg, planned, sel.MemoryBytes())
+		}
 	}
 	if _, err := NewSelector(Config{Classes: 10, Dim: 10, K: 500, MemBudget: 4096, Seed: 1}); err == nil {
 		t.Fatal("a 4 KB budget should be rejected")
 	}
+}
+
+// TestNewSelectorSurvivesHostileConfigs walks every numeric Config field
+// through zero, negative, huge and (for floats) non-finite values: each
+// case returns an error or a selector within budget, never panics, and
+// allocates under 1 MB when it errors.
+func TestNewSelectorSurvivesHostileConfigs(t *testing.T) {
+	base := Config{Classes: 4, Dim: 8, K: 40, Seed: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := map[string]func(*Config){
+		"Classes=0":                   func(c *Config) { c.Classes = 0 },
+		"Classes=-1":                  func(c *Config) { c.Classes = -1 },
+		"Classes=1<<40":               func(c *Config) { c.Classes = 1 << 40 },
+		"Classes=MaxInt":              func(c *Config) { c.Classes = math.MaxInt },
+		"Dim=0":                       func(c *Config) { c.Dim = 0 },
+		"Dim=-1":                      func(c *Config) { c.Dim = -1 },
+		"Dim=1<<20":                   func(c *Config) { c.Dim = 1 << 20 },
+		"Dim=MaxInt":                  func(c *Config) { c.Dim = math.MaxInt },
+		"K=0":                         func(c *Config) { c.K = 0 },
+		"K=-1":                        func(c *Config) { c.K = -1 },
+		"K=1<<16, Reservoir=16":       func(c *Config) { c.Classes, c.K, c.Reservoir = 1, 1<<16, 16 },
+		"K=MaxInt":                    func(c *Config) { c.K = math.MaxInt },
+		"K=MaxInt, counts given":      func(c *Config) { c.K, c.ClassCounts = math.MaxInt, []int{10, 10, 10, 10} },
+		"K=MaxInt, a count MaxInt":    func(c *Config) { c.K, c.ClassCounts = math.MaxInt, []int{math.MaxInt, 0, 0, 0} },
+		"Reservoir=0":                 func(c *Config) { c.Reservoir = 0 },
+		"Reservoir=-1":                func(c *Config) { c.Reservoir = -1 },
+		"Reservoir=1<<20":             func(c *Config) { c.Reservoir = 1 << 20 },
+		"Reservoir=MaxInt":            func(c *Config) { c.Reservoir = math.MaxInt },
+		"MemBudget=0":                 func(c *Config) { c.MemBudget = 0 },
+		"MemBudget=-1":                func(c *Config) { c.MemBudget = -1 },
+		"MemBudget=MaxInt64":          func(c *Config) { c.MemBudget = math.MaxInt64 },
+		"Eps=0":                       func(c *Config) { c.Eps = 0 },
+		"Eps=-1":                      func(c *Config) { c.Eps = -1 },
+		"Eps=MaxFloat64":              func(c *Config) { c.Eps = math.MaxFloat64 },
+		"Eps=1e-300":                  func(c *Config) { c.Eps = 1e-300 },
+		"Eps=NaN":                     func(c *Config) { c.Eps = nan },
+		"Eps=+Inf":                    func(c *Config) { c.Eps = inf },
+		"Eps=-Inf":                    func(c *Config) { c.Eps = -inf },
+		"C0=0":                        func(c *Config) { c.C0 = 0 },
+		"C0=-1":                       func(c *Config) { c.C0 = -1 },
+		"C0=MaxFloat64":               func(c *Config) { c.C0 = math.MaxFloat64 },
+		"C0=NaN":                      func(c *Config) { c.C0 = nan },
+		"C0=+Inf":                     func(c *Config) { c.C0 = inf },
+		"C0=-Inf":                     func(c *Config) { c.C0 = -inf },
+		"ClassCounts all 0":           func(c *Config) { c.ClassCounts = []int{0, 0, 0, 0} },
+		"ClassCounts -1":              func(c *Config) { c.ClassCounts = []int{-1, 5, 5, 5} },
+		"ClassCounts MaxInt":          func(c *Config) { c.ClassCounts = []int{math.MaxInt, 0, 0, 0} },
+		"ClassCounts sum past MaxInt": func(c *Config) { c.ClassCounts = []int{math.MaxInt, 1, 0, 0} },
+		"ClassCounts short":           func(c *Config) { c.ClassCounts = []int{5} },
+	}
+	for name, mutate := range cases {
+		cfg := base
+		mutate(&cfg)
+		var sel *Selector
+		var err error
+		got := allocatedBy(func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: panic: %v", name, p)
+				}
+			}()
+			sel, err = NewSelector(cfg)
+		})
+		switch {
+		case err != nil && got >= 1<<20:
+			t.Errorf("%s: allocated %d bytes before failing: %v", name, got, err)
+		case err == nil && sel.MemoryBytes() > sel.cfg.MemBudget:
+			t.Errorf("%s: state %d bytes exceeds budget %d", name, sel.MemoryBytes(), sel.cfg.MemBudget)
+		}
+	}
+}
+
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestStreamingPushAllocs: the steady-state per-record path must not

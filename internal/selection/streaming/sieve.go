@@ -124,13 +124,11 @@ func (cs *classSieve) memoryBytes() int64 {
 // maxLadderLevels bounds the active window size of the threshold
 // ladder for budget kc and ratio ε: thresholds live in [m, 2·kc·m], so
 // at most ln(2kc)/ln(1+ε) rungs are alive at once (plus slack for the
-// ceiling arithmetic at both ends).
+// ceiling arithmetic at both ends). A near-zero ε is clamped to a
+// ladder no budget holds rather than overflowing int.
 func maxLadderLevels(kc int, eps float64) int {
-	n := int(math.Ceil(math.Log(2*float64(kc))/math.Log1p(eps))) + 3
-	if n < 4 {
-		n = 4
-	}
-	return n
+	n := math.Ceil(math.Log(2*float64(kc))/math.Log1p(eps)) + 3
+	return int(min(max(n, 4), 1<<40))
 }
 
 // window computes the live exponent range [jLo, jHi] for the current

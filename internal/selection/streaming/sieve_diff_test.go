@@ -73,8 +73,7 @@ func refPush(cs *classSieve, id int, emb []float32, sims []float32, v float64) {
 	}
 }
 
-// refBatch is the exhaustive counterpart of Selector.Push (sketch
-// aside): per-class similarity matrices allocated fresh, one serial
+// refBatch is the exhaustive counterpart of Selector.Push: per-class similarity matrices allocated fresh, one serial
 // sieve pass in global stream order through refPush, then every
 // class's staged reservoir replacements.
 func refBatch(s *Selector, emb *tensor.Matrix, labels []int) {
@@ -337,13 +336,11 @@ func TestSievePruneMatchesExhaustive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.SketchEvery = -1
-			prod, err := NewSelector(cfg)
+			prod, err := NewSelector(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewSelector(cfg)
+			ref, err := NewSelector(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,7 +135,10 @@ gate "determinism gate"
 # trajectories across the worker sweep, the fault and device-loss runs
 # and the streaming pass, and hold each to its gates; the artifact ×
 # gate × threshold table is README.md's "Reproducing" section, which
-# mirrors the registry nessa-bench walks. nessa-bench prints one
+# mirrors the registry nessa-bench walks. Throughput and speedup numbers
+# (bench-training's workers=2 epoch speedup among them: 0.65–1.27× on a
+# 2-CPU host, where its 1.5× gate was always red) are ungated trend
+# numbers in the artifacts. nessa-bench prints one
 # "gate ok" / "FAILED gate" line per gate on stderr, exits 1 when any
 # gate of the artifact failed and 2 when it does not know the id — a
 # typo here must not read as a gate that passed.
