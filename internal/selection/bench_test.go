@@ -72,6 +72,33 @@ func BenchmarkPartitionedSelection300(b *testing.B) {
 	}
 }
 
+// BenchmarkPartitionedStochastic measures one class's partitioned
+// stochastic-greedy selection at the class shapes of two end-to-end
+// workloads: nessa_default's 40-row chunks and cluster_loss's 160-row
+// chunks, both on the similarity tile.
+func BenchmarkPartitionedStochastic(b *testing.B) {
+	for _, shape := range []struct {
+		name         string
+		n, dim, k, m int
+	}{
+		{"nessa_default", 6000, 10, 2400, 16},
+		{"cluster_loss", 4000, 10, 400, 16},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			emb, cand := benchInstance(shape.n, shape.dim)
+			rng := tensor.NewRNG(5)
+			sel := PartitionedMaximizer(shape.m, rng, StochasticMaximizer(0.1, rng))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sel(emb, cand, shape.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGreeDi4Shards(b *testing.B) {
 	emb, cand := benchInstance(600, 10)
 	r := tensor.NewRNG(4)

@@ -84,7 +84,7 @@ func GreeDi(emb *tensor.Matrix, cand []int, k, shards int, rng *tensor.RNG, inne
 
 	// Reassign weights over the FULL candidate set (round-2 weights
 	// only cover the pooled medoids).
-	f := newFacility(emb, cand)
+	f := newDirectFacility(emb, cand)
 	pos := make(map[int]int, len(final.Selected)) // global idx -> selected slot
 	localSel := make([]int, 0, len(final.Selected))
 	for si, g := range final.Selected {

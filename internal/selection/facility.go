@@ -21,13 +21,15 @@
 // on the shared worker pool of internal/parallel. The pool's fixed
 // chunk grid keeps objectives bit-identical across worker counts, so
 // selections are reproducible on any machine; parallel.SetDefaultWorkers(1)
-// forces fully serial execution.
+// forces fully serial execution. An instance of one chunk (a partition
+// chunk, a small class) scans its precomputed similarity tile instead.
 package selection
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sync"
 
 	"nessa/internal/parallel"
 	"nessa/internal/tensor"
@@ -55,9 +57,92 @@ type facility struct {
 	norms []float32 // norms[i] = ‖emb.Row(cand[i])‖²
 	c0    float32
 	pool  *parallel.Pool
+
+	// tile, when non-nil, holds every pairwise similarity of the
+	// instance row-major: tile[a*n+b] = sim(a, b), n = len(cand). It
+	// lives in buf, a tileFree buffer that release hands back.
+	tile []float32
+	buf  *[]float32
 }
 
+// directOnly forces every facility onto the direct path, which computes
+// each similarity with tensor.Dot where it is used. Tests set it to
+// hold the tiled path to that reference.
+var directOnly bool
+
+// newFacility builds the instance the maximizers run on. When the
+// candidates fit one chunk of the pool's fixed grid (n ≤ 512) it also
+// builds the similarity tile: the n×n similarities (at most 1 MiB) are
+// the chunk's whole selection working set, computed once here instead
+// of once per gain, absorb and assignment. Each tile entry is the
+// float32 sim computes, so the tiled and direct paths select the same
+// subsets with bit-identical weights and objectives. The caller hands
+// the tile back with release once finish has run.
 func newFacility(emb *tensor.Matrix, cand []int) *facility {
+	f := newDirectFacility(emb, cand)
+	n, dim := len(cand), emb.Cols
+	if parallel.Chunks(n) != 1 || directOnly {
+		return f
+	}
+	f.buf = getTileBuf(n*n + n*dim)
+	f.tile = (*f.buf)[:n*n]
+	pack := (*f.buf)[n*n:]
+	for i, gi := range cand {
+		copy(pack[i*dim:(i+1)*dim], emb.Row(gi))
+	}
+	buildTile(f.tile, pack, f.norms, dim, f.c0)
+	return f
+}
+
+// release returns the tile's storage to the free list. The facility
+// must not be used afterwards.
+func (f *facility) release() {
+	if f.buf != nil {
+		putTileBuf(f.buf)
+		f.buf, f.tile = nil, nil
+	}
+}
+
+// tileFree recycles tile storage across facility instances, as
+// tensor's panelFree recycles GEMM panels. A partitioned selection
+// builds one tile per chunk; with the free list every chunk after the
+// first reuses a buffer an earlier one released. Unlike a sync.Pool the
+// list is never drained by the garbage collector.
+var tileFree struct {
+	mu   sync.Mutex
+	list []*[]float32
+}
+
+func getTileBuf(n int) *[]float32 {
+	tf := &tileFree
+	tf.mu.Lock()
+	var s *[]float32
+	if ln := len(tf.list); ln > 0 {
+		s = tf.list[ln-1]
+		tf.list = tf.list[:ln-1]
+	}
+	tf.mu.Unlock()
+	if s == nil {
+		s = new([]float32)
+	}
+	if cap(*s) < n {
+		*s = make([]float32, n)
+	}
+	*s = (*s)[:n]
+	return s
+}
+
+func putTileBuf(s *[]float32) {
+	tf := &tileFree
+	tf.mu.Lock()
+	tf.list = append(tf.list, s)
+	tf.mu.Unlock()
+}
+
+// newDirectFacility builds an instance without a tile. Objective and
+// GreeDi's reassignment use it: they touch n·|S| similarities, fewer
+// than a tile holds.
+func newDirectFacility(emb *tensor.Matrix, cand []int) *facility {
 	f := &facility{
 		emb:   emb,
 		cand:  cand,
@@ -85,29 +170,100 @@ func newFacility(emb *tensor.Matrix, cand []int) *facility {
 // distance expands to ‖ga‖² + ‖gb‖² − 2·ga·gb, so only the dot product
 // touches the embedding dimension.
 func (f *facility) sim(a, b int) float32 {
-	d := f.norms[a] + f.norms[b] - 2*tensor.Dot(f.emb.Row(f.cand[a]), f.emb.Row(f.cand[b]))
-	s := f.c0 - d
+	return simOf(f.c0, f.norms[a], f.norms[b], tensor.Dot(f.emb.Row(f.cand[a]), f.emb.Row(f.cand[b])))
+}
+
+// simOf is the similarity c0 − ‖ga − gb‖² from the two cached squared
+// norms and the dot product d = ga·gb, clamped at 0 against float
+// round-off below the bound. Both paths compute every similarity
+// through it, so they round identically.
+//
+//nessa:inline
+func simOf(c0, na, nb, d float32) float32 {
+	s := c0 - (na + nb - 2*d)
 	if s < 0 {
-		// Guard against float round-off below the bound.
 		s = 0
 	}
 	return s
 }
 
+// buildTile fills tile (n×n, n = len(norms)) with the similarity of
+// every pair of the n rows packed in pack, dim components each. It
+// computes the upper triangle four output columns per pass, one
+// accumulator per column, adding the products in ascending k in
+// tensor.Dot's no-FMA form, and mirrors it into the lower triangle.
+// Each entry is therefore bit-identical to sim: the products and the
+// norm sum commute, and the order of k is Dot's.
+//
+//nessa:hotpath
+func buildTile(tile, pack, norms []float32, dim int, c0 float32) {
+	n := len(norms)
+	for i := 0; i < n; i++ {
+		a := pack[i*dim : (i+1)*dim]
+		row := tile[i*n : (i+1)*n]
+		ni := norms[i]
+		j := i
+		for ; j+4 <= n; j += 4 {
+			b0 := pack[j*dim:][:len(a)]
+			b1 := pack[(j+1)*dim:][:len(a)]
+			b2 := pack[(j+2)*dim:][:len(a)]
+			b3 := pack[(j+3)*dim:][:len(a)]
+			var s0, s1, s2, s3 float32
+			for k, x := range a {
+				t0 := x * b0[k]
+				t1 := x * b1[k]
+				t2 := x * b2[k]
+				t3 := x * b3[k]
+				s0 += t0
+				s1 += t1
+				s2 += t2
+				s3 += t3
+			}
+			row[j] = simOf(c0, ni, norms[j], s0)
+			row[j+1] = simOf(c0, ni, norms[j+1], s1)
+			row[j+2] = simOf(c0, ni, norms[j+2], s2)
+			row[j+3] = simOf(c0, ni, norms[j+3], s3)
+		}
+		for ; j < n; j++ {
+			b := pack[j*dim:][:len(a)]
+			var s float32
+			for k, x := range a {
+				t := x * b[k]
+				s += t
+			}
+			row[j] = simOf(c0, ni, norms[j], s)
+		}
+	}
+	for i := 1; i < n; i++ {
+		row := tile[i*n : i*n+i]
+		for j := range row {
+			row[j] = tile[j*n+i]
+		}
+	}
+}
+
+// tileRow returns candidate j's similarities to every candidate.
+func (f *facility) tileRow(j int) []float32 {
+	n := len(f.cand)
+	return f.tile[j*n : (j+1)*n]
+}
+
 // gain computes the marginal objective gain of adding candidate j given
 // the current per-candidate best similarities. The candidate scan runs
 // chunked on the pool; partial sums reduce in fixed chunk order, so the
-// gain is bit-identical for any worker count.
+// gain is bit-identical for any worker count. A tiled instance is one
+// chunk, which the pool sums serially in ascending i: tileGain is that
+// sum over the tile row.
 func (f *facility) gain(j int, best []float32) float64 {
+	if f.tile != nil {
+		return tileGain(f.tileRow(j), best)
+	}
 	gj := f.emb.Row(f.cand[j])
 	nj := f.norms[j]
 	return f.pool.SumChunks(len(f.cand), func(lo, hi int) float64 {
 		var g float64
 		for i := lo; i < hi; i++ {
-			s := f.c0 - (f.norms[i] + nj - 2*tensor.Dot(f.emb.Row(f.cand[i]), gj))
-			if s < 0 {
-				s = 0
-			}
+			s := simOf(f.c0, f.norms[i], nj, tensor.Dot(f.emb.Row(f.cand[i]), gj))
 			if b := best[i]; s > b {
 				g += float64(s - b)
 			}
@@ -116,18 +272,33 @@ func (f *facility) gain(j int, best []float32) float64 {
 	})
 }
 
+// tileGain is gain's candidate scan over one tile row.
+//
+//nessa:hotpath
+func tileGain(row, best []float32) float64 {
+	best = best[:len(row)]
+	var g float64
+	for i, s := range row {
+		if b := best[i]; s > b {
+			g += float64(s - b)
+		}
+	}
+	return g
+}
+
 // absorb updates best after selecting candidate j. Chunks write
 // disjoint ranges of best, and each slot's value depends only on (i, j),
 // so the update is deterministic under any scheduling.
 func (f *facility) absorb(j int, best []float32) {
+	if f.tile != nil {
+		tileAbsorb(f.tileRow(j), best)
+		return
+	}
 	gj := f.emb.Row(f.cand[j])
 	nj := f.norms[j]
 	f.pool.ForChunks(len(f.cand), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s := f.c0 - (f.norms[i] + nj - 2*tensor.Dot(f.emb.Row(f.cand[i]), gj))
-			if s < 0 {
-				s = 0
-			}
+			s := simOf(f.c0, f.norms[i], nj, tensor.Dot(f.emb.Row(f.cand[i]), gj))
 			if s > best[i] {
 				best[i] = s
 			}
@@ -135,10 +306,36 @@ func (f *facility) absorb(j int, best []float32) {
 	})
 }
 
+// tileAbsorb is absorb's update over one tile row.
+//
+//nessa:hotpath
+func tileAbsorb(row, best []float32) {
+	best = best[:len(row)]
+	for i, s := range row {
+		if s > best[i] {
+			best[i] = s
+		}
+	}
+}
+
+// nearest returns the position in selected of the medoid most similar
+// to the candidate whose tile row is row; ties keep the earlier pick.
+//
+//nessa:hotpath
+func nearest(row []float32, selected []int) int {
+	bestSi, bestS := 0, float32(-1)
+	for si, j := range selected {
+		if s := row[j]; s > bestS {
+			bestS, bestSi = s, si
+		}
+	}
+	return bestSi
+}
+
 // finish assigns every candidate to its most similar medoid and
 // produces the Result with cluster-size weights. Assignment is
-// parallel; the weight tally stays serial (float32 counting is exact,
-// but the tally is O(n) and not worth a reduction).
+// parallel on the direct path; the weight tally stays serial (float32
+// counting is exact, but the tally is O(n) and not worth a reduction).
 func (f *facility) finish(selected []int, objective float64) Result {
 	res := Result{
 		Selected:  make([]int, len(selected)),
@@ -152,17 +349,23 @@ func (f *facility) finish(selected []int, objective float64) Result {
 		return res
 	}
 	assign := make([]int32, len(f.cand))
-	f.pool.ForChunks(len(f.cand), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bestSi, bestS := 0, float32(-1)
-			for si, j := range selected {
-				if s := f.sim(i, j); s > bestS {
-					bestS, bestSi = s, si
-				}
-			}
-			assign[i] = int32(bestSi)
+	if f.tile != nil {
+		for i := range assign {
+			assign[i] = int32(nearest(f.tileRow(i), selected))
 		}
-	})
+	} else {
+		f.pool.ForChunks(len(f.cand), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				bestSi, bestS := 0, float32(-1)
+				for si, j := range selected {
+					if s := f.sim(i, j); s > bestS {
+						bestS, bestSi = s, si
+					}
+				}
+				assign[i] = int32(bestSi)
+			}
+		})
+	}
 	for _, a := range assign {
 		res.Weights[a]++
 	}
@@ -196,6 +399,7 @@ func NaiveGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 		return Result{}, err
 	}
 	f := newFacility(emb, cand)
+	defer f.release()
 	best := make([]float32, len(cand))
 	chosen := make([]bool, len(cand))
 	var selected []int
@@ -248,6 +452,7 @@ func LazyGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 		return Result{}, err
 	}
 	f := newFacility(emb, cand)
+	defer f.release()
 	best := make([]float32, len(cand))
 
 	h := make(gainHeap, 0, len(cand))
@@ -300,6 +505,7 @@ func StochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps float64, rng *t
 		rng = tensor.NewRNG(1)
 	}
 	f := newFacility(emb, cand)
+	defer f.release()
 	n := len(cand)
 	best := make([]float32, n)
 	chosen := make([]bool, n)
@@ -354,7 +560,7 @@ func StochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps float64, rng *t
 // explicit selected set (global indices) over the candidates. Used by
 // tests to verify maximizer quality.
 func Objective(emb *tensor.Matrix, cand, selected []int) float64 {
-	f := newFacility(emb, cand)
+	f := newDirectFacility(emb, cand)
 	pos := make(map[int]bool, len(selected))
 	for _, s := range selected {
 		pos[s] = true

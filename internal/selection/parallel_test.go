@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,27 +50,31 @@ func sameResult(t *testing.T, name string, serial, par Result) {
 }
 
 func TestMaximizersParallelSerialEquivalence(t *testing.T) {
-	emb, cand := parallelInstance(1300, 12)
-	k := 60
-	cases := []struct {
-		name string
-		run  func() (Result, error)
-	}{
-		{"naive", func() (Result, error) { return NaiveGreedy(emb, cand, k) }},
-		{"lazy", func() (Result, error) { return LazyGreedy(emb, cand, k) }},
-		{"stochastic", func() (Result, error) {
-			return StochasticGreedy(emb, cand, k, 0.1, tensor.NewRNG(5))
-		}},
-	}
-	for _, tc := range cases {
-		var serial, par Result
-		var err1, err2 error
-		withWorkers(1, func() { serial, err1 = tc.run() })
-		withWorkers(8, func() { par, err2 = tc.run() })
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: errors %v / %v", tc.name, err1, err2)
+	// 40, 160 and 512 candidates run on the similarity tile, 1300 on
+	// the chunked direct path.
+	for _, n := range []int{40, 160, 512, 1300} {
+		emb, cand := parallelInstance(n, 12)
+		k := min(60, n/2)
+		cases := []struct {
+			name string
+			run  func() (Result, error)
+		}{
+			{"naive", func() (Result, error) { return NaiveGreedy(emb, cand, k) }},
+			{"lazy", func() (Result, error) { return LazyGreedy(emb, cand, k) }},
+			{"stochastic", func() (Result, error) {
+				return StochasticGreedy(emb, cand, k, 0.1, tensor.NewRNG(5))
+			}},
 		}
-		sameResult(t, tc.name, serial, par)
+		for _, tc := range cases {
+			var serial, par Result
+			var err1, err2 error
+			withWorkers(1, func() { serial, err1 = tc.run() })
+			withWorkers(8, func() { par, err2 = tc.run() })
+			if err1 != nil || err2 != nil {
+				t.Fatalf("n=%d %s: errors %v / %v", n, tc.name, err1, err2)
+			}
+			sameResult(t, fmt.Sprintf("n=%d %s", n, tc.name), serial, par)
+		}
 	}
 }
 
