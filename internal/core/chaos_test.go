@@ -78,25 +78,26 @@ func TestChaosRunDeterministic(t *testing.T) {
 }
 
 // TestNoFaultTrajectoryBitIdentical pins the determinism guarantee of
-// §4.6: the resilient scan path with no injector, with a zero-rate
-// injector, and the raw pre-fault-tolerance path (RawScan) all produce
-// exactly the same training trajectory. The recovery machinery is free
-// on the clean path in the only sense that matters for reproducing the
-// paper: it cannot perturb results.
+// §4.6: the resilient scan path with no injector (the matrix's clean
+// device cell), with a zero-rate injector, and the raw
+// pre-fault-tolerance path (RawScan, on a device and on a cluster) all
+// produce exactly the same training trajectory. The recovery machinery is free on the clean path
+// in the only sense that matters for reproducing the paper: it cannot
+// perturb results.
 func TestNoFaultTrajectoryBitIdentical(t *testing.T) {
 	run := func(mutate func(*Options)) *Report {
 		tr, te, dev := faultRig(t)
-		opt := tinyOptions()
+		opt := matrixOptions("batch", 1)
 		opt.Device = dev
 		opt.DatasetName = "ds"
 		mutate(&opt)
-		rep, err := Run(tr, te, tinyCfg(), opt)
+		rep, err := Run(tr, te, matrixCfg("batch"), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	resilient := run(func(*Options) {})
+	resilient := runCell(t, "batch/device/w1/clean").rep
 	zeroRate := run(func(o *Options) { o.Injector = faults.NewInjector(faults.Profile{Seed: 99}) })
 	raw := run(func(o *Options) { o.RawScan = true })
 
@@ -108,7 +109,15 @@ func TestNoFaultTrajectoryBitIdentical(t *testing.T) {
 		!reflect.DeepEqual(resilient.Metrics.EpochAcc, zeroRate.Metrics.EpochAcc) {
 		t.Fatal("zero-rate injector perturbed the trajectory")
 	}
-	if f := resilient.Faults; f.Retries != 0 || f.FallbackEpochs != 0 || f.CorruptDetected != 0 {
-		t.Fatalf("clean run recorded recovery activity: %+v", f)
+	checkCondition(t, "batch/device/w1/clean", resilient)
+
+	// A raw cluster scan skips the stripes' CRC verify, nothing else.
+	tr, te, c := clusterRig(t, 4, 2)
+	opt := matrixOptions("batch", 1)
+	opt.Cluster, opt.DatasetName, opt.RawScan = c, "ds", true
+	rawCluster, err := Run(tr, te, matrixCfg("batch"), opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameTrajectory(t, "raw vs resilient cluster", runCell(t, "batch/cluster/w1/clean").rep, rawCluster)
 }

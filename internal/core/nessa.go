@@ -110,51 +110,55 @@ type Options struct {
 	// §4.9. On hardware without AVX2/FMA the flag is a no-op.
 	BitExact bool
 
-	// Optional storage integration: when Device is non-nil every
-	// selection read, subset transfer, and feedback transfer is charged
-	// to the device's clock and accountant. DatasetName must identify a
-	// stored dataset image on the device.
+	// Storage (§4.4). With Device or Cluster set, the selector's input
+	// is the candidate records scanned from the image stored under
+	// DatasetName — CRC-checked, and reconstructed from parity on a
+	// cluster that lost a member — not train's rows; a record whose
+	// label or feature count disagrees with train fails the run. Every
+	// read, subset transfer and feedback transfer is charged to the
+	// drives. Device is one drive: a batch reselection gathers exactly
+	// the candidate records in one read, a streaming one scans them in
+	// chunks.
 	Device      *smartssd.Device
 	DatasetName string
 
-	// Fault tolerance (§4.6). Injector, when non-nil, is attached to
-	// Device before the run and perturbs storage operations with its
-	// seeded fault schedule; it requires Device. Retry bounds the
-	// recovery loop around each candidate scan (zero value means
-	// smartssd.DefaultRetryPolicy). When a scan still fails with a
+	// Fault tolerance (§4.6). Injector, when non-nil, is attached to the
+	// drives and perturbs storage operations with its seeded fault
+	// schedule; it requires Device or Cluster. Retry bounds the recovery
+	// loop around each Device scan (zero value means
+	// smartssd.DefaultRetryPolicy); a Cluster scan retries each stripe
+	// under the default policy. When a Device scan still fails with a
 	// degradable fault after retries, the epoch falls back to weighted-
-	// random selection over a host-path read so the job completes;
-	// permanent faults (addressing, capacity, missing data) abort.
+	// random selection over a host-path read of the chosen records so
+	// the job completes; permanent faults (addressing, capacity, missing
+	// data) abort.
 	Injector *faults.Injector
 	Retry    smartssd.RetryPolicy
 
-	// RawScan bypasses the resilient read and per-record CRC verify on
-	// the scan path, reading exactly as the pre-fault-tolerance
-	// pipeline did. Benchmark-only: it exists so bench-faults can
-	// price the clean-path overhead of the recovery machinery.
+	// RawScan reads as the pre-fault-tolerance pipeline did: no scan
+	// runs the per-record CRC verify, and each Device scan read is
+	// issued once. Benchmark-only: it exists so bench-faults can price
+	// the clean-path overhead of the recovery machinery.
 	RawScan bool
 
 	// Streaming switches the facility selector to the single-pass
-	// sieve pipeline (internal/selection/streaming): the
-	// candidate scan is consumed chunk by chunk and the full embedding
-	// matrix is never materialized, so selection state stays within
-	// the FPGA's on-chip budget regardless of dataset size. Requires
-	// SelectorFacility. StreamChunk is the records per scan chunk
-	// (0 = 8192).
+	// sieve pipeline (internal/selection/streaming): the candidate scan
+	// is consumed chunk by chunk and the full embedding matrix is never
+	// materialized, so selection state stays within the FPGA's on-chip
+	// budget regardless of dataset size. Requires SelectorFacility and
+	// no Cluster. StreamChunk is the records per scan and embed chunk of
+	// either selector (0 = 8192).
 	Streaming   bool
 	StreamChunk int
 
 	// Device-loss recovery (§4.11). Cluster attaches a multi-device
-	// group in place of Device: every reselection scan runs as one
-	// ParallelScan of DatasetName, and when the dataset was placed
-	// with parity (smartssd.Placement.ParityShards > 0) the scan survives
-	// whole-device loss by reconstructing lost stripes from the survivors.
-	// Mutually exclusive with Device; requires DatasetName. The
-	// streaming selector and RawScan are single-device paths and are
-	// rejected with a cluster. AutoRebuild, after a scan that reports
-	// degraded reads while a spare is attached, rebuilds the lost
-	// shard onto the spare before the next epoch and charges the wall
-	// time to Report.Recovery.RebuildTime.
+	// group in place of Device: every reselection decodes the candidates
+	// from one ParallelScan of DatasetName, which survives whole-device
+	// loss by reconstructing lost stripes from parity when the dataset
+	// was placed with smartssd.Placement.ParityShards > 0. AutoRebuild,
+	// after a scan that reports degraded reads while a spare is
+	// attached, rebuilds the lost shard onto the spare before the next
+	// epoch and charges the wall time to Report.Recovery.RebuildTime.
 	Cluster     *smartssd.Cluster
 	AutoRebuild bool
 
@@ -251,19 +255,6 @@ func (f *FaultReport) absorb(st smartssd.ReadStats) {
 	}
 }
 
-// devices lists the attached drives — the single Device, the Cluster's
-// members, or none. It is resolved at each call, so a spare that
-// Rebuild swapped into the group is seen from the next use on.
-func (o *Options) devices() []*smartssd.Device {
-	switch {
-	case o.Device != nil:
-		return []*smartssd.Device{o.Device}
-	case o.Cluster != nil:
-		return o.Cluster.Devices
-	}
-	return nil
-}
-
 // Run trains on (train, test) with the given training recipe and
 // selection options and returns the measured report.
 func Run(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*Report, error) {
@@ -297,10 +288,10 @@ type session struct {
 	tcfg        trainer.Config
 	opt         Options
 
-	n        int
-	recBytes int64
-	rng      *tensor.RNG // controller RNG: selection seeds and fallbacks
-	tr       *trainer.Trainer
+	n   int
+	rng *tensor.RNG // controller RNG: selection seeds and fallbacks
+	tr  *trainer.Trainer
+	src recordSource
 
 	epoch      int // next epoch to execute
 	cands      []int
@@ -311,8 +302,19 @@ type session struct {
 	dropped    int
 	current    selection.Result
 
-	rep       *Report
-	lostStart int // cluster losses that predate this run
+	rep *Report
+
+	// The embed loop's buffers. The candidate pool only shrinks, so
+	// newSession sizes them once: feats holds one chunk of decoded
+	// features, emb the pool's gradient embeddings (one chunk's when
+	// streaming), labels and losses one entry per candidate.
+	feats   tensor.Matrix
+	emb     tensor.Matrix
+	embView tensor.Matrix
+	labels  []int
+	losses  []float32
+	probs   []float32
+	fwd     nn.FwdScratch
 }
 
 func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*session, error) {
@@ -320,35 +322,21 @@ func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*s
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
+	src, err := newSource(&opt, train.Spec)
+	if err != nil {
+		return nil, err
+	}
 	s := &session{
 		train: train, test: test, tcfg: tcfg, opt: opt,
 		n:        n,
 		rng:      tensor.NewRNG(opt.Seed),
+		src:      src,
 		hist:     newLossHistory(n, opt.BiasWindow),
 		frac:     opt.SubsetFrac,
 		prevLoss: -1,
 		rep:      &Report{},
 	}
 	s.rep.Recovery.ResumedFromEpoch = -1
-	if opt.Device != nil || opt.Cluster != nil {
-		var err error
-		s.recBytes, err = data.RecordSize(train.Spec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opt.Injector != nil {
-		for _, d := range opt.devices() {
-			d.SetInjector(opt.Injector)
-		}
-	}
-	if opt.Cluster != nil {
-		// Per-record CRC verification on every scanned (and
-		// reconstructed) stripe, same contract as the single-device
-		// resilient read path.
-		opt.Cluster.Verify = verifyRecords(s.recBytes)
-		s.lostStart = opt.Cluster.LostCount()
-	}
 	if opt.Resume != nil {
 		if err := s.restore(opt.Resume); err != nil {
 			return nil, fmt.Errorf("core: resume: %w", err)
@@ -356,11 +344,19 @@ func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*s
 		s.rep.Recovery.ResumedFromEpoch = s.epoch
 	} else {
 		s.tr = trainer.New(train.Spec, tcfg)
-		s.cands = make([]int, n)
-		for i := range s.cands {
-			s.cands[i] = i
-		}
+		s.cands = positions(n)
 	}
+	pool, classes := len(s.cands), train.Spec.Classes
+	chunk := s.chunk()
+	s.feats = *tensor.NewMatrix(chunk, train.X.Cols)
+	rows := pool
+	if opt.Streaming {
+		rows = chunk
+	}
+	s.emb = *tensor.NewMatrix(rows, classes)
+	s.labels = make([]int, pool)
+	s.losses = make([]float32, pool)
+	s.probs = make([]float32, classes)
 	return s, nil
 }
 
@@ -375,94 +371,24 @@ func (s *session) run() (*Report, error) {
 			if opt.QuantFeedback {
 				qm := quant.QuantizeModel(s.tr.Model)
 				selModel = qm.Dequantized()
-				// The quantized selection model is broadcast to every
-				// attached drive.
-				for _, d := range opt.devices() {
-					d.ReceiveFeedback(qm.SizeBytes())
-				}
+				s.src.feedback(qm.SizeBytes())
 			}
-			degraded := false
-			var res selection.Result
-			var losses []float32
-			if opt.Streaming {
-				// Single-pass selection: the chunked scan charges its own
-				// I/O, so there is no monolithic candidate read.
-				var err error
-				res, losses, err = selectSubsetStreaming(selModel, s.train, s.cands, s.frac, opt, s.rng, s.recBytes, &rep.Faults)
-				if err != nil {
-					if opt.Device == nil || !faults.IsDegradable(err) {
-						return nil, fmt.Errorf("core: streaming selection: %w", err)
-					}
-					degraded = true
-				}
-			} else if opt.Device != nil {
-				// Near-storage scan of the remaining candidates.
-				length := int64(len(s.cands)) * s.recBytes
-				if opt.RawScan {
-					if _, err := opt.Device.ReadToFPGA(opt.DatasetName, 0, length, len(s.cands)); err != nil {
-						return nil, fmt.Errorf("core: candidate scan: %w", err)
-					}
-				} else {
-					_, st, err := opt.Device.ReadResilient(opt.DatasetName, 0, length, len(s.cands),
-						verifyRecords(s.recBytes), opt.Retry)
-					rep.Faults.absorb(st)
-					if err != nil {
-						if !faults.IsDegradable(err) {
-							return nil, fmt.Errorf("core: candidate scan: %w", err)
-						}
-						// The near-storage pipeline is unavailable this
-						// epoch even after retries; degrade rather than
-						// abort the whole job.
-						degraded = true
-					}
-				}
-			} else if opt.Cluster != nil {
-				// Striped scan across the group. Per-shard retry and
-				// parity reconstruction have already absorbed every fault
-				// the placement can mask, so a residual error is fatal:
-				// more devices are gone than the parity budget covers.
-				_, st, _, err := opt.Cluster.ParallelScan(opt.DatasetName, s.recBytes)
-				rep.Faults.absorb(st.Read)
-				rep.Faults.Retries += st.Reissues
-				rep.Recovery.DegradedReads += st.DegradedReads
-				rep.Recovery.ReconstructedBytes += st.ReconstructedBytes
-				if err != nil {
-					return nil, fmt.Errorf("core: cluster candidate scan: %w", err)
-				}
-				if st.DegradedReads > 0 && opt.AutoRebuild && opt.Cluster.Spares() > 0 {
-					dur, err := opt.Cluster.Rebuild(opt.DatasetName)
-					if err != nil {
-						return nil, fmt.Errorf("core: rebuild after degraded scan: %w", err)
-					}
-					rep.Recovery.RebuildTime += dur
-				}
+			res, degraded, err := s.selectSubset(selModel)
+			if err != nil {
+				return nil, err
 			}
 			if degraded {
-				res, err := fallbackSubset(s.train, s.cands, s.frac, opt, s.rng, s.recBytes, &rep.Faults)
-				if err != nil {
+				if res, err = s.fallbackSubset(); err != nil {
 					return nil, err
 				}
-				s.current = res
 				rep.Faults.FallbackEpochs++
 				// No selection pass ran, so there are no fresh losses to
 				// feed the subset-biasing history this epoch.
 			} else {
-				if !opt.Streaming {
-					var err error
-					res, losses, err = selectSubset(selModel, s.train, s.cands, s.frac, opt, s.rng)
-					if err != nil {
-						return nil, err
-					}
-				}
-				s.current = res
-				s.hist.record(s.cands, losses)
-				shipped := int64(len(s.current.Selected)) * s.recBytes
-				// The subset ships to the GPU from member 0 — a group's
-				// aggregation point.
-				if ds := opt.devices(); len(ds) > 0 {
-					ds[0].SendToGPU(shipped, len(s.current.Selected))
-				}
+				s.hist.record(s.cands, s.losses[:len(s.cands)])
+				s.src.ship(len(res.Selected))
 			}
+			s.current = res
 		}
 
 		subset := s.train.Subset(s.current.Selected)
@@ -545,9 +471,7 @@ func (s *session) run() (*Report, error) {
 	if opt.Injector != nil {
 		rep.Faults.Injected = opt.Injector.Counts()
 	}
-	if opt.Cluster != nil {
-		rep.Recovery.DevicesLost += opt.Cluster.LostCount() - s.lostStart
-	}
+	rep.Recovery.DevicesLost += s.src.lost()
 	return rep, nil
 }
 
@@ -558,87 +482,164 @@ func verifyRecords(recordSize int64) func([]byte) error {
 
 // subsetK sizes the subset: frac of the full set, clamped to [1, pool].
 func subsetK(frac float64, n, pool int) int {
-	k := int(frac * float64(n))
-	if k < 1 {
-		k = 1
+	return min(max(int(frac*float64(n)), 1), pool)
+}
+
+// chunk is the embed loop's chunk for the current pool: StreamChunk
+// records (0 = 8192), capped at the pool.
+func (s *session) chunk() int {
+	chunk := s.opt.StreamChunk
+	if chunk <= 0 {
+		chunk = 8192
 	}
-	if k > pool {
-		k = pool
-	}
-	return k
+	return min(chunk, len(s.cands))
 }
 
 // fallbackSubset implements degraded-mode selection (§4.6): when the
 // near-storage scan is unavailable even after retries, pick a weighted-
 // random subset (the unbiased n/k-weighted baseline — no fresh loss or
 // gradient information exists without a scan) and fetch exactly those
-// records over the resilient host path. A failure here is fatal: both
-// the near-storage and conventional paths are down.
-func fallbackSubset(train *data.Dataset, cands []int, frac float64, opt Options, rng *tensor.RNG, recBytes int64, fr *FaultReport) (selection.Result, error) {
-	k := subsetK(frac, train.Len(), len(cands))
-	local := make([]int, len(cands))
-	for i := range local {
-		local[i] = i
-	}
-	res, err := selection.Random(local, k, rng)
+// records over the resilient host path.
+func (s *session) fallbackSubset() (selection.Result, error) {
+	res, err := selection.Random(positions(len(s.cands)), subsetK(s.frac, s.n, len(s.cands)), s.rng)
 	if err != nil {
 		return selection.Result{}, fmt.Errorf("core: fallback selection: %w", err)
 	}
-	for i, s := range res.Selected {
-		res.Selected[i] = cands[s]
+	for i, p := range res.Selected {
+		res.Selected[i] = s.cands[p]
 	}
-	length := int64(len(res.Selected)) * recBytes
-	_, st, err := opt.Device.ReadResilientHost(opt.DatasetName, 0, length, len(res.Selected),
-		verifyRecords(recBytes), opt.Retry)
-	fr.absorb(st)
-	if err != nil {
-		return selection.Result{}, fmt.Errorf("core: degraded-mode host read: %w", err)
+	if err := s.src.fallback(res.Selected, &s.rep.Faults); err != nil {
+		return selection.Result{}, err
 	}
-	opt.Device.SendToGPU(length, len(res.Selected))
 	return res, nil
 }
 
-// selectSubset runs one near-storage selection pass: a forward of the
-// selection model over the candidates, gradient-embedding extraction,
-// and the configured selector. It returns the selection and the
-// candidates' current losses (the §3.2.2 feedback signal).
-func selectSubset(selModel *nn.MLP, train *data.Dataset, cands []int, frac float64, opt Options, rng *tensor.RNG) (selection.Result, []float32, error) {
-	candSet := train.Subset(cands)
-	logits := selModel.Forward(candSet.X)
-	losses := nn.SoftmaxCE(logits, candSet.Labels, nil, nil)
-	localEmb := nn.GradEmbeddings(logits, candSet.Labels)
+// embedChunk is the selection pass's one embed loop body: candidates
+// [lo, hi) are decoded from their records (gathered from train when at
+// is nil), run through the selection model, and their losses and
+// last-layer gradient embeddings land in s.losses[lo:hi] and emb.
+//
+//nessa:hotpath
+func (s *session) embedChunk(m *nn.MLP, at func(int) []byte, lo, hi int, emb *tensor.Matrix) error {
+	feats := &s.feats
+	feats.Rows = hi - lo
+	feats.Data = feats.Data[:feats.Rows*feats.Cols]
+	labels := s.labels[lo:hi]
+	if at == nil {
+		tensor.GatherRows(feats, s.train.X, s.cands[lo:hi])
+		for i, c := range s.cands[lo:hi] {
+			labels[i] = s.train.Labels[c]
+		}
+	} else if err := s.decodeChunk(feats, labels, at, lo); err != nil {
+		return err
+	}
+	logits := m.ForwardInto(&s.fwd, feats)
+	nn.SoftmaxCEInto(s.losses[lo:hi], s.probs, logits, labels, nil, nil)
+	nn.GradEmbeddingsInto(emb, logits, labels)
+	return nil
+}
 
-	k := subsetK(frac, train.Len(), len(cands))
+// decodeChunk decodes the records of candidates [lo, lo+len(labels))
+// into feats and labels. The scan has already CRC-checked them; a
+// record that holds the wrong feature count, or a label other than the
+// dataset's for that candidate, is an error.
+//
+//nessa:hotpath
+func (s *session) decodeChunk(feats *tensor.Matrix, labels []int, at func(int) []byte, lo int) error {
+	for i := range labels {
+		c := s.cands[lo+i]
+		y, err := data.DecodeRecordInto(at(lo+i), feats.Row(i))
+		if want := s.train.Labels[c]; err != nil || y != want {
+			return recordError(c, err, y, want)
+		}
+		labels[i] = y
+	}
+	return nil
+}
 
-	// Selection runs on local candidate positions; map back after.
-	local := make([]int, len(cands))
-	for i := range local {
-		local[i] = i
+// recordError stays out of line so decodeChunk never boxes operands.
+//
+//go:noinline
+func recordError(c int, err error, got, want int) error {
+	if err != nil {
+		return fmt.Errorf("core: stored record %d: %w", c, err)
+	}
+	return fmt.Errorf("core: stored record %d holds label %d, the dataset's is %d", c, got, want)
+}
+
+// rowsOf points s.embView at rows [lo, hi) of s.emb.
+func (s *session) rowsOf(lo, hi int) *tensor.Matrix {
+	v := &s.embView
+	v.Rows, v.Cols = hi-lo, s.emb.Cols
+	v.Data = s.emb.Data[lo*v.Cols : hi*v.Cols]
+	return v
+}
+
+// selectSubset runs one near-storage selection pass over the candidate
+// pool: the embed loop over the records the source hands back, then
+// the configured selector — or, when streaming, the single-pass sieve
+// fed chunk by chunk, so the pool's embedding matrix never exists. The
+// pass's losses (the §3.2.2 feedback signal) land in s.losses.
+// degraded reports a scan the pass could not complete; the epoch then
+// falls back.
+func (s *session) selectSubset(m *nn.MLP) (selection.Result, bool, error) {
+	pool := len(s.cands)
+	k := subsetK(s.frac, s.n, pool)
+	var sieve *streaming.Selector
+	if s.opt.Streaming {
+		// The dataset's label metadata sizes the sieve's classes.
+		counts := make([]int, s.train.Spec.Classes)
+		for _, c := range s.cands {
+			counts[s.train.Labels[c]]++
+		}
+		var err error
+		sieve, err = streaming.NewSelector(streaming.Config{
+			Classes: len(counts), Dim: len(counts), K: k, ClassCounts: counts, Seed: s.rng.Uint64(),
+		})
+		if err != nil {
+			return selection.Result{}, false, err
+		}
+	}
+	degraded, err := s.src.scan(s.cands, s.chunk(), sieve != nil, func(lo, hi int, at func(int) []byte) error {
+		if sieve == nil {
+			return s.embedChunk(m, at, lo, hi, s.rowsOf(lo, hi))
+		}
+		emb := s.rowsOf(0, hi-lo)
+		if err := s.embedChunk(m, at, lo, hi, emb); err != nil {
+			return err
+		}
+		return sieve.Push(emb, nil, s.labels[lo:hi])
+	}, s.rep)
+	if err != nil || degraded {
+		return selection.Result{}, degraded, err
 	}
 
+	// Selection runs on local candidate positions; map back after.
+	local := positions(pool)
 	var res selection.Result
-	var err error
-	switch opt.Selector {
-	case SelectorFacility:
-		classes := make([][]int, train.Spec.Classes)
-		for i, y := range candSet.Labels {
+	switch {
+	case sieve != nil:
+		res, _, err = sieve.Finish()
+	case s.opt.Selector == SelectorFacility:
+		classes := make([][]int, s.train.Spec.Classes)
+		for i, y := range s.labels[:pool] {
 			classes[y] = append(classes[y], i)
 		}
 		// One base seed per selection pass (drawn serially from the run
 		// RNG), then an independent stream per class, so the per-class
 		// fan-out is both race-free and deterministic for any worker
 		// count.
-		base := rng.Uint64()
-		res, err = selection.PerClassWith(localEmb, classes, k, func(ci int) selection.Maximizer {
+		base := s.rng.Uint64()
+		res, err = selection.PerClassWith(s.rowsOf(0, pool), classes, k, func(ci int) selection.Maximizer {
 			crng := selection.ClassStream(base, ci)
-			inner := selection.StochasticMaximizer(opt.Eps, crng)
-			if opt.Partition {
-				inner = selection.PartitionedMaximizer(opt.PartitionM, crng, inner)
+			inner := selection.StochasticMaximizer(s.opt.Eps, crng)
+			if s.opt.Partition {
+				inner = selection.PartitionedMaximizer(s.opt.PartitionM, crng, inner)
 			}
 			return inner
 		})
-	case SelectorKCenters:
-		res, err = selection.KCenters(localEmb, local, k)
+	case s.opt.Selector == SelectorKCenters:
+		res, err = selection.KCenters(s.rowsOf(0, pool), local, k)
 		if err == nil {
 			// Sener & Savarese train the k-centers subset unweighted
 			// (active-learning style): no medoid reweighting corrects
@@ -648,110 +649,29 @@ func selectSubset(selModel *nn.MLP, train *data.Dataset, cands []int, frac float
 				res.Weights[i] = 1
 			}
 		}
-	case SelectorRandom:
-		res, err = selection.Random(local, k, rng)
-	case SelectorTopLoss:
-		res, err = selection.TopLoss(losses, local, k)
+	case s.opt.Selector == SelectorRandom:
+		res, err = selection.Random(local, k, s.rng)
+	case s.opt.Selector == SelectorTopLoss:
+		res, err = selection.TopLoss(s.losses[:pool], local, k)
 	default:
-		err = fmt.Errorf("core: unknown selector %q", opt.Selector)
+		err = fmt.Errorf("core: unknown selector %q", s.opt.Selector)
 	}
 	if err != nil {
-		return selection.Result{}, nil, err
+		return selection.Result{}, false, err
 	}
-	for i, s := range res.Selected {
-		res.Selected[i] = cands[s]
+	for i, p := range res.Selected {
+		res.Selected[i] = s.cands[p]
 	}
-	return res, losses, nil
+	return res, false, nil
 }
 
-// selectSubsetStreaming runs one single-pass selection epoch: the
-// candidate records stream through the selection model in chunks
-// (double-buffered against NAND reads when a device is attached), each
-// chunk's gradient embeddings feed the sieve, and the full embedding
-// matrix never exists. Losses for the §3.2.2 feedback signal are
-// captured per chunk into one O(n)-float slice — the only per-
-// candidate state the pass keeps.
-func selectSubsetStreaming(selModel *nn.MLP, train *data.Dataset, cands []int, frac float64, opt Options, rng *tensor.RNG, recBytes int64, fr *FaultReport) (selection.Result, []float32, error) {
-	k := subsetK(frac, train.Len(), len(cands))
-	classes := train.Spec.Classes
-	counts := make([]int, classes)
-	for _, c := range cands {
-		counts[train.Labels[c]]++
+// positions returns 0, 1, …, n-1.
+func positions(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
 	}
-	sel, err := streaming.NewSelector(streaming.Config{
-		Classes:     classes,
-		Dim:         classes,
-		K:           k,
-		ClassCounts: counts,
-		Seed:        rng.Uint64(),
-	})
-	if err != nil {
-		return selection.Result{}, nil, err
-	}
-	chunk := opt.StreamChunk
-	if chunk <= 0 {
-		chunk = 8192
-	}
-	if chunk > len(cands) {
-		chunk = len(cands)
-	}
-	losses := make([]float32, len(cands))
-	feats := tensor.NewMatrix(chunk, train.X.Cols)
-	emb := tensor.NewMatrix(chunk, classes)
-	labels := make([]int, chunk)
-	var scratch nn.FwdScratch
-	probs := make([]float32, classes)
-	process := func(lo, hi int) error {
-		m := hi - lo
-		fview := tensor.Matrix{Rows: m, Cols: feats.Cols, Data: feats.Data[:m*feats.Cols]}
-		tensor.GatherRows(&fview, train.X, cands[lo:hi])
-		for i := lo; i < hi; i++ {
-			labels[i-lo] = train.Labels[cands[i]]
-		}
-		logits := selModel.ForwardInto(&scratch, &fview)
-		nn.SoftmaxCEInto(losses[lo:hi], probs, logits, labels[:m], nil, nil)
-		eview := tensor.Matrix{Rows: m, Cols: classes, Data: emb.Data[:m*classes]}
-		nn.GradEmbeddingsInto(&eview, logits, labels[:m])
-		return sel.Push(&eview, nil, labels[:m])
-	}
-	if opt.Device != nil {
-		scan := streaming.ScanConfig{
-			Object:       opt.DatasetName,
-			RecordBytes:  recBytes,
-			Candidates:   cands,
-			ChunkRecords: chunk,
-			Retry:        opt.Retry,
-		}
-		if !opt.RawScan {
-			scan.Verify = verifyRecords(recBytes)
-		}
-		st, err := streaming.ScanRecords(opt.Device, scan, func(_, lo, hi int, _ int64, _ []byte) error {
-			return process(lo, hi)
-		})
-		fr.absorb(st.Read)
-		if err != nil {
-			return selection.Result{}, nil, err
-		}
-	} else {
-		for lo := 0; lo < len(cands); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			if err := process(lo, hi); err != nil {
-				return selection.Result{}, nil, err
-			}
-		}
-	}
-	res, _, err := sel.Finish()
-	if err != nil {
-		return selection.Result{}, nil, err
-	}
-	// Stream position p was candidate-list index p.
-	for i, p := range res.Selected {
-		res.Selected[i] = cands[p]
-	}
-	return res, losses, nil
+	return p
 }
 
 func validateOptions(opt *Options) error {
@@ -794,24 +714,14 @@ func validateOptions(opt *Options) error {
 	if opt.Workers == 0 {
 		opt.Workers = runtime.NumCPU()
 	}
-	if opt.Device != nil && opt.DatasetName == "" {
-		return fmt.Errorf("core: device attached without a dataset name")
-	}
-	if opt.Cluster != nil {
-		if opt.Device != nil {
-			return fmt.Errorf("core: Device and Cluster are mutually exclusive")
-		}
-		if opt.DatasetName == "" {
-			return fmt.Errorf("core: cluster attached without a dataset name")
-		}
-		if opt.Streaming {
-			return fmt.Errorf("core: streaming selection is a single-device path; not supported with a cluster")
-		}
-		if opt.RawScan {
-			return fmt.Errorf("core: raw scan is a single-device path; not supported with a cluster")
-		}
-	}
-	if opt.Injector != nil && opt.Device == nil && opt.Cluster == nil {
+	switch storage := opt.Device != nil || opt.Cluster != nil; {
+	case opt.Device != nil && opt.Cluster != nil:
+		return fmt.Errorf("core: Device and Cluster are mutually exclusive")
+	case storage && opt.DatasetName == "":
+		return fmt.Errorf("core: device or cluster attached without a dataset name")
+	case opt.Cluster != nil && opt.Streaming:
+		return fmt.Errorf("core: streaming selection is a single-device path; not supported with a cluster")
+	case opt.Injector != nil && !storage:
 		return fmt.Errorf("core: fault injector attached without a device or cluster")
 	}
 	if opt.CheckpointEvery < 0 {

@@ -62,60 +62,25 @@ func assertSameTrajectory(t *testing.T, label string, a, b *Report) {
 	}
 }
 
+// TestClusterRunMatchesDevicelessRun: parity configured but no fault —
+// the striped scan must not disturb the trajectory, and nothing may be
+// reconstructed (checkCondition's clean case).
 func TestClusterRunMatchesDevicelessRun(t *testing.T) {
-	tr, te := data.Generate(tinySpec())
-	plain, err := Run(tr, te, tinyCfg(), tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, c := clusterRig(t, 3, 1)
-	rep, err := Run(tr, te, tinyCfg(), clusterOptions(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Parity configured but no fault: the clean path must not disturb
-	// the trajectory, and nothing may be reconstructed.
-	assertSameTrajectory(t, "cluster vs deviceless", plain, rep)
-	if rep.Recovery.DegradedReads != 0 || rep.Recovery.DevicesLost != 0 {
-		t.Fatalf("clean cluster run reported recovery activity: %+v", rep.Recovery)
-	}
-	if rep.Recovery.ResumedFromEpoch != -1 {
-		t.Fatalf("fresh run ResumedFromEpoch = %d, want -1", rep.Recovery.ResumedFromEpoch)
-	}
-	if rep.Faults.ScanAttempts == 0 {
-		t.Fatal("cluster scans recorded no read attempts")
-	}
+	plain := runCell(t, "batch/none/w1/clean")
+	rep := runCell(t, "batch/cluster/w1/clean")
+	assertSameTrajectory(t, "cluster vs deviceless", plain.rep, rep.rep)
+	checkCondition(t, "batch/cluster/w1/clean", rep.rep)
 }
 
+// TestKillOneDeviceMidRunBitIdentical: device 1 of the 4+2 placement
+// dies permanently after its third completed scan — mid-reselection-
+// schedule, well inside the run — and parity reconstruction keeps the
+// trajectory bit-identical to the clean run.
 func TestKillOneDeviceMidRunBitIdentical(t *testing.T) {
-	tr, te, c := clusterRig(t, 3, 1)
-	clean, err := Run(tr, te, tinyCfg(), clusterOptions(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same placement, but device 1 dies permanently after its third
-	// completed scan — mid-reselection-schedule, well inside the run.
-	_, _, killed := clusterRig(t, 3, 1)
-	opt := clusterOptions(killed)
-	opt.Injector = faults.NewInjector(faults.Profile{
-		Seed:  9,
-		Kills: []faults.DeviceKill{{Device: 1, AfterScans: 3}},
-	})
-	rep, err := Run(tr, te, tinyCfg(), opt)
-	if err != nil {
-		t.Fatalf("run with one lost device failed: %v", err)
-	}
-	assertSameTrajectory(t, "killed vs clean", clean, rep)
-	if rep.Recovery.DevicesLost != 1 {
-		t.Fatalf("DevicesLost = %d, want 1", rep.Recovery.DevicesLost)
-	}
-	if rep.Recovery.DegradedReads == 0 || rep.Recovery.ReconstructedBytes == 0 {
-		t.Fatalf("loss absorbed without reconstruction: %+v", rep.Recovery)
-	}
-	if rep.Recovery.RebuildTime != 0 {
-		t.Fatalf("no spare attached, yet RebuildTime = %v", rep.Recovery.RebuildTime)
-	}
+	clean := runCell(t, "batch/cluster/w1/clean")
+	killed := runCell(t, "batch/cluster/w1/kill")
+	assertSameTrajectory(t, "killed vs clean", clean.rep, killed.rep)
+	checkCondition(t, "batch/cluster/w1/kill", killed.rep)
 }
 
 func TestAutoRebuildStopsDegradedReads(t *testing.T) {
@@ -167,48 +132,23 @@ func TestDoubleLossBeyondParityIsFatal(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeBitIdentical: the matrix's clean cell checkpoints
+// every batchResumeAt epochs and its resume cell restarts from the
+// mid-run blob. Checkpointing is observation only, and the resumed
+// session replays epochs [batchResumeAt, Epochs) exactly: the whole
+// trajectory — carried prefix plus recomputed suffix — is bit-identical
+// to the uninterrupted run.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	tr, te := data.Generate(tinySpec())
-	cfg := tinyCfg()
-
-	full, err := Run(tr, te, cfg, tinyOptions())
+	cfg := matrixCfg("batch")
+	full, err := Run(tr, te, cfg, matrixOptions("batch", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Same run, checkpointing every 5 epochs; keep the mid-run blob.
-	const resumeAt = 15
-	var blob []byte
-	opt := tinyOptions()
-	opt.CheckpointEvery = 5
-	opt.CheckpointSink = func(epoch int, b []byte) error {
-		if epoch == resumeAt {
-			blob = append([]byte(nil), b...)
-		}
-		return nil
-	}
-	chk, err := Run(tr, te, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Checkpointing is observation only: the trajectory is untouched.
-	assertSameTrajectory(t, "checkpointing vs plain", full, chk)
-	if blob == nil {
-		t.Fatalf("no checkpoint captured at epoch %d", resumeAt)
-	}
-
-	resumed := tinyOptions()
-	resumed.Resume = blob
-	rep, err := Run(tr, te, cfg, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Recovery.ResumedFromEpoch != resumeAt {
-		t.Fatalf("ResumedFromEpoch = %d, want %d", rep.Recovery.ResumedFromEpoch, resumeAt)
-	}
-	// The resumed session replays epochs [resumeAt, Epochs) exactly:
-	// the whole trajectory — carried prefix plus recomputed suffix —
-	// is bit-identical to the uninterrupted run.
+	chk := runCell(t, "batch/none/w1/clean")
+	assertSameTrajectory(t, "checkpointing vs plain", full, chk.rep)
+	rep := runCell(t, "batch/none/w1/resume").rep
+	checkCondition(t, "batch/none/w1/resume", rep)
 	assertSameTrajectory(t, "resumed vs uninterrupted", full, rep)
 	if len(rep.Metrics.EpochLoss) != cfg.Epochs {
 		t.Fatalf("resumed report holds %d epochs, want %d", len(rep.Metrics.EpochLoss), cfg.Epochs)

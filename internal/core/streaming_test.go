@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"nessa/internal/data"
@@ -91,52 +92,33 @@ const (
 )
 
 // TestStreamingMatchesAcrossWorkers: the full training trajectory under
-// streaming selection, host-only and device-attached, is pinned at 1 and
-// 4 workers.
+// streaming selection is pinned host-only at 1 and 4 workers and
+// device-attached at the invariant matrix's 1 and 2 (whose streaming
+// option set is this test's).
 func TestStreamingMatchesAcrossWorkers(t *testing.T) {
 	tr, te := data.Generate(tinySpec())
-	cfg := tinyCfg()
-	cfg.Epochs = 8
-	img, err := data.Encode(tr)
-	if err != nil {
-		t.Fatal(err)
+	cfg := matrixCfg("streaming")
+	for _, workers := range []int{1, 4} {
+		opt := matrixOptions("streaming", workers)
+		opt.StreamChunk = 0
+		rep, err := Run(tr, te, cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := trajectoryHash(rep); got != goldenStreamingHost {
+			t.Errorf("host workers=%d: trajectory %#x != golden %#x", workers, got, uint64(goldenStreamingHost))
+		}
 	}
-	for _, device := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			opt := tinyOptions()
-			opt.DynamicSizing = false
-			opt.SubsetBias = false
-			opt.SubsetFrac = 0.2
-			opt.Streaming = true
-			opt.Workers = workers
-			want := uint64(goldenStreamingHost)
-			if device {
-				dev, err := smartssd.New()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := dev.StoreDataset("tiny", img); err != nil {
-					t.Fatal(err)
-				}
-				opt.Device, opt.DatasetName, opt.StreamChunk = dev, "tiny", 100
-				want = goldenStreamingDevice
-			}
-			rep, err := Run(tr, te, cfg, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := trajectoryHash(rep); got != want {
-				t.Errorf("device=%v workers=%d: trajectory %#x != golden %#x", device, workers, got, want)
-			}
-			if !device {
-				continue
-			}
-			if got := opt.Device.Acct.Bytes("p2p.read"); got != goldenStreamingP2P {
-				t.Errorf("workers=%d: p2p.read = %d bytes, golden %d", workers, got, goldenStreamingP2P)
-			}
-			if got := opt.Device.Clock.Now(); got != goldenStreamingClock {
-				t.Errorf("workers=%d: device clock %d, golden %d", workers, got, goldenStreamingClock)
-			}
+	for _, workers := range []int{1, 2} {
+		c := runCell(t, fmt.Sprintf("streaming/device/w%d/clean", workers))
+		if got := trajectoryHash(c.rep); got != goldenStreamingDevice {
+			t.Errorf("device workers=%d: trajectory %#x != golden %#x", workers, got, uint64(goldenStreamingDevice))
+		}
+		if got := c.devs[0].Acct.Bytes("p2p.read"); got != goldenStreamingP2P {
+			t.Errorf("workers=%d: p2p.read = %d bytes, golden %d", workers, got, goldenStreamingP2P)
+		}
+		if got := c.devs[0].Clock.Now(); got != goldenStreamingClock {
+			t.Errorf("workers=%d: device clock %d, golden %d", workers, got, goldenStreamingClock)
 		}
 	}
 }

@@ -99,17 +99,6 @@ func BenchmarkPartitionedStochastic(b *testing.B) {
 	}
 }
 
-func BenchmarkGreeDi4Shards(b *testing.B) {
-	emb, cand := benchInstance(600, 10)
-	r := tensor.NewRNG(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := GreeDi(emb, cand, 90, 4, r, LazyGreedy); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFacilityGain measures one full gain scan (the innermost hot
 // loop of every greedy maximizer) over a candidate pool large enough to
 // span many reduction chunks, at 1 worker vs all cores.

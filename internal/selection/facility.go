@@ -139,9 +139,8 @@ func putTileBuf(s *[]float32) {
 	tf.mu.Unlock()
 }
 
-// newDirectFacility builds an instance without a tile. Objective and
-// GreeDi's reassignment use it: they touch n·|S| similarities, fewer
-// than a tile holds.
+// newDirectFacility builds an instance without a tile. Objective uses
+// it: it touches n·|S| similarities, fewer than a tile holds.
 func newDirectFacility(emb *tensor.Matrix, cand []int) *facility {
 	f := &facility{
 		emb:   emb,

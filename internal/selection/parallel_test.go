@@ -109,22 +109,6 @@ func TestKCentersParallelSerialEquivalence(t *testing.T) {
 	sameResult(t, "kcenters", serial, par)
 }
 
-func TestGreeDiParallelSerialEquivalence(t *testing.T) {
-	emb, cand := parallelInstance(1600, 8)
-	run := func() (Result, error) {
-		// LazyGreedy is stateless, so shards may share it safely.
-		return GreeDi(emb, cand, 30, 4, tensor.NewRNG(11), LazyGreedy)
-	}
-	var serial, par Result
-	var err1, err2 error
-	withWorkers(1, func() { serial, err1 = run() })
-	withWorkers(8, func() { par, err2 = run() })
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors %v / %v", err1, err2)
-	}
-	sameResult(t, "greedi", serial, par)
-}
-
 func TestStochasticGreedySamplesWithoutReplacement(t *testing.T) {
 	// With eps small enough that the per-round sample covers the whole
 	// pool, sampling without replacement must evaluate every remaining

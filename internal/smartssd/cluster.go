@@ -10,10 +10,9 @@ import (
 
 // Cluster models the paper's stated future work (§5): scaling NeSSA
 // over multiple SmartSSDs feeding a shared GPU pool. The dataset is
-// sharded record-wise across drives; each FPGA scans and selects over
-// its local shard (pairing naturally with the GreeDi two-round merge
-// in internal/selection), and only the merged subset crosses the host
-// interconnect.
+// sharded record-wise across drives; each FPGA scans its local shard,
+// the controller selects over the scanned records (core.Options.Cluster),
+// and only the selected subset crosses the host interconnect.
 //
 // StripeDataset places a dataset as k data stripes plus m Reed–Solomon
 // parity stripes (ShardDataset is the k+0 placement over every drive).

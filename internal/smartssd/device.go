@@ -123,69 +123,56 @@ func (d *Device) StoreVirtualDataset(name string, size int64, fill storage.FillF
 // the charged time is the maximum of the two plus the flash command
 // setup.
 func (d *Device) ReadToFPGA(name string, off, length int64, commands int) ([]byte, error) {
-	return d.readToFPGA(nil, name, off, length, commands)
+	return d.read(nil, name, off, length, oneRecord, commands, false)
 }
 
-// readToFPGA is ReadToFPGA landing the payload in dst when its capacity
-// suffices (storage.SSD.ReadInto's contract); nil dst allocates.
-func (d *Device) readToFPGA(dst []byte, name string, off, length int64, commands int) ([]byte, error) {
-	if off < 0 || length < 0 {
-		return nil, fmt.Errorf("smartssd: p2p read [%d,+%d) of %q: %w", off, length, name, faults.ErrOutOfRange)
+// oneRecord is the record list of a contiguous read: [off, off+length)
+// is record 0 at stride length. Never written.
+var oneRecord = []int{0}
+
+// read fetches records recs — each stride bytes at off + rec·stride,
+// gathered by one flash command (storage.SSD.ReadRecordsInto, whose dst
+// contract it takes) — over the P2P link into FPGA DRAM or, with host
+// set, over the conventional path: the drive DMAs into host DRAM and
+// the host into the FPGA, so flash and the staged copies serialize at
+// the 1.4 GB/s effective host bandwidth instead of pipelining.
+func (d *Device) read(dst []byte, name string, off, stride int64, recs []int, commands int, host bool) ([]byte, error) {
+	link, op, errBucket, readBucket := d.P2P, "p2p read", "p2p.error", "p2p.read"
+	if host {
+		link, op, errBucket, readBucket = d.Host, "host read", "host.error", "host.read"
 	}
-	if length > d.Spec.DRAMBytes {
+	if off < 0 || stride < 0 {
+		return nil, fmt.Errorf("smartssd: %s [%d,+%d) of %q: %w", op, off, stride, name, faults.ErrOutOfRange)
+	}
+	length := stride * int64(len(recs))
+	if !host && length > d.Spec.DRAMBytes {
 		return nil, fmt.Errorf("smartssd: transfer of %d bytes exceeds FPGA DRAM (%d)", length, d.Spec.DRAMBytes)
 	}
-	if err := d.lostCheck(d.P2P, "p2p.error", "p2p read", name); err != nil {
+	if err := d.lostCheck(link, errBucket, op, name); err != nil {
 		return nil, err
 	}
-	if d.Injector.LinkDown() {
+	if !host && d.Injector.LinkDown() {
 		// The DMA setup is spent before the link failure is observed.
 		d.Clock.Advance(d.P2P.CommandLatency)
 		d.Acct.AddTime("p2p.error", d.P2P.CommandLatency)
 		return nil, fmt.Errorf("smartssd: p2p read of %q: %w", name, faults.ErrLinkDown)
 	}
-	buf, flashT, err := d.SSD.ReadInto(name, off, length, dst)
+	buf, flashT, err := d.SSD.ReadRecordsInto(name, off, stride, recs, dst)
 	if err != nil {
 		// A failed flash command still advances simulated time by its
 		// reported setup cost, so retry storms are visible on the clock.
 		d.Clock.Advance(flashT)
-		d.Acct.AddTime("p2p.error", flashT)
+		d.Acct.AddTime(errBucket, flashT)
 		return nil, err
 	}
-	linkT := d.P2P.Duration(length, commands)
-	dur := maxDur(flashT, linkT)
+	linkT := link.Duration(length, commands)
+	dur := flashT + linkT
+	if !host {
+		dur = maxDur(flashT, linkT)
+	}
 	d.Clock.Advance(dur)
-	d.Acct.AddTime("p2p.read", dur)
-	d.Acct.AddBytes("p2p.read", length)
-	return buf, nil
-}
-
-// ReadViaHost performs the same read over the conventional path: the
-// drive DMAs into host DRAM and the host DMAs into the FPGA. Flash and
-// the staged copies serialize at the 1.4 GB/s effective host bandwidth.
-func (d *Device) ReadViaHost(name string, off, length int64, commands int) ([]byte, error) {
-	return d.readViaHost(nil, name, off, length, commands)
-}
-
-// readViaHost is ReadViaHost with readToFPGA's dst contract.
-func (d *Device) readViaHost(dst []byte, name string, off, length int64, commands int) ([]byte, error) {
-	if off < 0 || length < 0 {
-		return nil, fmt.Errorf("smartssd: host read [%d,+%d) of %q: %w", off, length, name, faults.ErrOutOfRange)
-	}
-	if err := d.lostCheck(d.Host, "host.error", "host read", name); err != nil {
-		return nil, err
-	}
-	buf, flashT, err := d.SSD.ReadInto(name, off, length, dst)
-	if err != nil {
-		d.Clock.Advance(flashT)
-		d.Acct.AddTime("host.error", flashT)
-		return nil, err
-	}
-	linkT := d.Host.Duration(length, commands)
-	dur := flashT + linkT // no P2P pipelining on the staged path
-	d.Clock.Advance(dur)
-	d.Acct.AddTime("host.read", dur)
-	d.Acct.AddBytes("host.read", length)
+	d.Acct.AddTime(readBucket, dur)
+	d.Acct.AddBytes(readBucket, length)
 	return buf, nil
 }
 

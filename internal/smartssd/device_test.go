@@ -84,7 +84,7 @@ func TestP2PFasterThanHostPath(t *testing.T) {
 	}
 	p2pT := d.Clock.Now() - t0
 	t1 := d.Clock.Now()
-	if _, err := d.ReadViaHost("ds", 0, int64(len(img)), 128); err != nil {
+	if err := hostRead(d, "ds", int64(len(img)), 128); err != nil {
 		t.Fatal(err)
 	}
 	hostT := d.Clock.Now() - t1
@@ -146,7 +146,7 @@ func TestAccountingByPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.ReadToFPGA("ds", 0, 1024*1024, 16)
-	d.ReadViaHost("ds", 0, 512*1024, 8)
+	hostRead(d, "ds", 512*1024, 8)
 	d.SendToGPU(256*1024, 4)
 	d.ReceiveFeedback(64 * 1024)
 
@@ -210,4 +210,15 @@ func TestGPULinkFastEnoughToNotDominate(t *testing.T) {
 	if dur > 100*time.Millisecond {
 		t.Fatalf("subset transfer took %v, unreasonably slow", dur)
 	}
+}
+
+// hostRead reads [0, length) over the host path, unverified and issued
+// once, as commands equal records.
+func hostRead(d *Device, name string, length int64, commands int) error {
+	recs := make([]int, commands)
+	for i := range recs {
+		recs[i] = i
+	}
+	_, _, err := d.ReadResilientHost(nil, name, recs, length/int64(commands), nil, RetryPolicy{MaxAttempts: 1})
+	return err
 }

@@ -220,7 +220,7 @@ func (c *Cluster) noteLost(i int, name string) bool {
 	}
 	c.health[i] = HealthSuspect
 	d := c.Devices[i]
-	if _, err := d.ReadViaHost(name, 0, 0, 1); err != nil {
+	if _, err := d.read(nil, name, 0, 0, oneRecord, 1, true); err != nil {
 		if errors.Is(err, faults.ErrDeviceLost) {
 			c.health[i] = HealthLost
 			c.lostEver++

@@ -94,7 +94,7 @@ func (s *ReadStats) Add(other ReadStats) {
 // classify it with errors.Is (faults.ErrTransientIO,
 // faults.ErrCorruptRecord, ...).
 func (d *Device) ReadResilient(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(nil, name, off, length, commands, verify, pol, false)
+	return d.readResilient(nil, name, off, length, oneRecord, commands, verify, pol, false)
 }
 
 // ReadResilientInto is ReadResilient landing the payload in a buffer
@@ -104,18 +104,29 @@ func (d *Device) ReadResilient(name string, off, length int64, commands int, ver
 // smaller (or nil) dst it allocates like ReadResilient. On error dst's
 // contents are unspecified.
 func (d *Device) ReadResilientInto(dst []byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(dst, name, off, length, commands, verify, pol, false)
+	return d.readResilient(dst, name, off, length, oneRecord, commands, verify, pol, false)
 }
 
-// ReadResilientHost is ReadResilient pinned to the host-mediated path —
-// the degraded-mode read the controller uses when the near-storage
-// pipeline is unavailable. Link-down faults do not apply; flash-level
-// faults and verification retries behave identically.
-func (d *Device) ReadResilientHost(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(nil, name, off, length, commands, verify, pol, true)
+// ReadRecordsInto is ReadResilientInto over a record list: records recs
+// of a stride-byte record image land in dst in list order, gathered by
+// one flash command per attempt and charged as one read of
+// len(recs)·stride bytes issued as len(recs) transfer commands — what a
+// contiguous read of as many records costs. A retry policy of one
+// attempt with a nil verify is the raw P2P read of those records.
+func (d *Device) ReadRecordsInto(dst []byte, name string, recs []int, stride int64, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
+	return d.readResilient(dst, name, 0, stride, recs, len(recs), verify, pol, false)
 }
 
-func (d *Device) readResilient(dst []byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([]byte, ReadStats, error) {
+// ReadResilientHost is ReadRecordsInto pinned to the host-mediated path
+// — the degraded-mode read the controller uses to fetch a fallback
+// subset when the near-storage pipeline is unavailable. Link-down faults
+// do not apply; flash-level faults and verification retries behave
+// identically.
+func (d *Device) ReadResilientHost(dst []byte, name string, recs []int, stride int64, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
+	return d.readResilient(dst, name, 0, stride, recs, len(recs), verify, pol, true)
+}
+
+func (d *Device) readResilient(dst []byte, name string, off, stride int64, recs []int, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([]byte, ReadStats, error) {
 	pol = pol.normalize()
 	var st ReadStats
 	var lastErr error
@@ -128,13 +139,7 @@ func (d *Device) readResilient(dst []byte, name string, off, length int64, comma
 			}
 		}
 		st.Attempts++
-		var buf []byte
-		var err error
-		if hostPath {
-			buf, err = d.readViaHost(dst, name, off, length, commands)
-		} else {
-			buf, err = d.readToFPGA(dst, name, off, length, commands)
-		}
+		buf, err := d.read(dst, name, off, stride, recs, commands, hostPath)
 		switch {
 		case err == nil:
 			if verify != nil {
@@ -158,6 +163,6 @@ func (d *Device) readResilient(dst []byte, name string, off, length int64, comma
 			return nil, st, err // permanent: out of range, not found, DRAM
 		}
 	}
-	return nil, st, fmt.Errorf("smartssd: read [%d,+%d) of %q failed after %d attempts: %w",
-		off, length, name, st.Attempts, lastErr)
+	return nil, st, fmt.Errorf("smartssd: read of %d×%d bytes at %d of %q failed after %d attempts: %w",
+		len(recs), stride, off, name, st.Attempts, lastErr)
 }

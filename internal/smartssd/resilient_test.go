@@ -134,7 +134,7 @@ func TestReadResilientPermanentErrorNotRetried(t *testing.T) {
 	if _, _, err := d.ReadResilient("ds", -1, 64, 1, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
 		t.Fatalf("negative offset error = %v, want ErrOutOfRange", err)
 	}
-	if _, err := d.ReadViaHost("ds", 0, -5, 1); !errors.Is(err, faults.ErrOutOfRange) {
+	if _, _, err := d.ReadResilientHost(nil, "ds", []int{0}, -5, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
 		t.Fatalf("host-path negative length error = %v, want ErrOutOfRange", err)
 	}
 }
@@ -143,7 +143,11 @@ func TestReadResilientHostIgnoresLinkDown(t *testing.T) {
 	d := newDevice(t)
 	img, rec := storeImage(t, d)
 	d.SetInjector(faults.NewInjector(faults.Profile{Seed: 9, LinkDownRate: 1}))
-	buf, st, err := d.ReadResilientHost("ds", 0, int64(len(img)), 24, verifier(rec), RetryPolicy{})
+	all := make([]int, 24)
+	for i := range all {
+		all[i] = i
+	}
+	buf, st, err := d.ReadResilientHost(nil, "ds", all, rec, verifier(rec), RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,5 +210,60 @@ func TestReadResilientIntoLandsInCallerBuffer(t *testing.T) {
 				t.Fatalf("Into: stats %+v clock %v; allocating read: stats %+v clock %v", st, d.Clock.Now(), wantSt, twin.Clock.Now())
 			}
 		})
+	}
+}
+
+// TestReadRecordsIntoCostsTheContiguousRead: a gathered read of a
+// scattered record list returns exactly those records in list order,
+// and on every recovery path costs what a contiguous read of as many
+// records costs — same stats, same simulated clock, same P2P bytes — on
+// a twin device under the same fault schedule.
+func TestReadRecordsIntoCostsTheContiguousRead(t *testing.T) {
+	recs := []int{17, 3, 4, 22, 0, 9}
+	cases := []struct {
+		name string
+		prof faults.Profile
+		pol  RetryPolicy
+	}{
+		{"clean", faults.Profile{}, RetryPolicy{}},
+		{"transient retries", faults.Profile{Seed: 7, TransientRate: 0.5}, RetryPolicy{}},
+		{"corruption re-reads", faults.Profile{Seed: 6, CorruptRate: 0.6}, RetryPolicy{MaxAttempts: 8}},
+		{"host fallback", faults.Profile{Seed: 7, LinkDownRate: 1}, RetryPolicy{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, twin := newDevice(t), newDevice(t)
+			img, rec := storeImage(t, d)
+			storeImage(t, twin)
+			d.SetInjector(faults.NewInjector(tc.prof))
+			twin.SetInjector(faults.NewInjector(tc.prof))
+			dst := make([]byte, 0, int64(len(recs))*rec)
+			buf, st, err := d.ReadRecordsInto(dst, "ds", recs, rec, verifier(rec), tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &buf[0] != &dst[:1][0] {
+				t.Fatal("payload is not the caller's buffer")
+			}
+			for i, r := range recs {
+				if !bytes.Equal(buf[int64(i)*rec:int64(i+1)*rec], img[int64(r)*rec:int64(r+1)*rec]) {
+					t.Fatalf("payload record %d is not stored record %d", i, r)
+				}
+			}
+			_, wantSt, err := twin.ReadResilient("ds", 0, int64(len(recs))*rec, len(recs), verifier(rec), tc.pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != wantSt || d.Clock.Now() != twin.Clock.Now() || d.Acct.Bytes("p2p.read") != twin.Acct.Bytes("p2p.read") {
+				t.Fatalf("gathered: stats %+v clock %v; contiguous: stats %+v clock %v", st, d.Clock.Now(), wantSt, twin.Clock.Now())
+			}
+		})
+	}
+	d := newDevice(t)
+	_, rec := storeImage(t, d)
+	for _, bad := range [][]int{{-1}, {24}, {0, 1 << 62}} {
+		if _, _, err := d.ReadRecordsInto(nil, "ds", bad, rec, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
+			t.Errorf("records %v: err = %v, want wrapped faults.ErrOutOfRange", bad, err)
+		}
 	}
 }

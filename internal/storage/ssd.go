@@ -156,32 +156,46 @@ func (s *SSD) PutVirtual(name string, size int64, fill FillFunc) error {
 }
 
 // ReadAt reads length bytes of object name starting at off, returning
-// a freshly allocated payload and the simulated flash access time. It
-// is ReadInto with no destination; see there for the failure modes.
+// a freshly allocated payload and the simulated flash access time: the
+// one-record ReadRecordsInto with no destination.
 func (s *SSD) ReadAt(name string, off, length int64) ([]byte, time.Duration, error) {
-	return s.ReadInto(name, off, length, nil)
+	return s.ReadRecordsInto(name, off, length, oneRecord, nil)
 }
 
-// ReadInto reads length bytes of object name starting at off and
-// returns the payload and the simulated flash access time. When
-// cap(dst) >= length the payload is dst[:length] — no allocation, and
-// whatever dst held is overwritten; otherwise (nil included) a new
-// buffer is allocated. Addressing failures wrap faults.ErrOutOfRange /
-// faults.ErrNotFound; with an injector attached, reads may also fail
-// with faults.ErrTransientIO (dst untouched), return a silently
-// corrupted payload, or take a latency spike.
-func (s *SSD) ReadInto(name string, off, length int64, dst []byte) ([]byte, time.Duration, error) {
+// oneRecord is the record list of a contiguous read. Never written.
+var oneRecord = []int{0}
+
+// ReadRecordsInto is one flash command: record recs[i] of object name —
+// the stride bytes at off + recs[i]·stride — lands at [i·stride,
+// (i+1)·stride) of the payload, and the payload and the simulated flash
+// access time are returned. A contiguous read of [off, off+length) is
+// the one record {0} at stride length. When cap(dst) is at least the
+// payload's len(recs)·stride bytes the payload is dst[:len] — no
+// allocation, and whatever dst held is overwritten; otherwise (nil
+// included) a new buffer is allocated. The cost is one command latency
+// plus the payload's streaming time, whatever the list. Addressing
+// failures wrap faults.ErrOutOfRange / faults.ErrNotFound; with an
+// injector attached, the command may also fail with
+// faults.ErrTransientIO (dst untouched), return a payload with one
+// silently flipped bit, or take a latency spike.
+func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, dst []byte) ([]byte, time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[name]
 	if !ok {
 		return nil, 0, fmt.Errorf("storage: object %q: %w", name, faults.ErrNotFound)
 	}
-	// Bounds are checked overflow-safely: off+length is never formed
-	// before both operands are known non-negative and in range.
-	if off < 0 || length < 0 || off > e.size || length > e.size-off {
+	// Bounds are checked overflow-safely: an address is never formed
+	// before its operands are known non-negative and in range.
+	if off < 0 || stride < 0 || off > e.size {
 		return nil, 0, fmt.Errorf("storage: read [%d,+%d) of %q (%d bytes): %w",
-			off, length, name, e.size, faults.ErrOutOfRange)
+			off, stride, name, e.size, faults.ErrOutOfRange)
+	}
+	for _, r := range recs {
+		if r < 0 || stride > 0 && int64(r) > (e.size-off)/stride || stride > e.size-off-int64(r)*stride {
+			return nil, 0, fmt.Errorf("storage: read [%d,+%d) of %q (%d bytes): %w",
+				off+int64(r)*stride, stride, name, e.size, faults.ErrOutOfRange)
+		}
 	}
 	f := s.inj.FlashRead()
 	if f.Transient {
@@ -190,16 +204,21 @@ func (s *SSD) ReadInto(name string, off, length int64, dst []byte) ([]byte, time
 		return nil, s.cfg.CommandLatency + f.Extra,
 			fmt.Errorf("storage: read %q: %w", name, faults.ErrTransientIO)
 	}
+	length := stride * int64(len(recs))
 	var out []byte
 	if dst != nil && int64(cap(dst)) >= length {
 		out = dst[:length]
 	} else {
 		out = make([]byte, length)
 	}
-	if e.fill != nil {
-		e.fill(off, out)
-	} else {
-		copy(out, e.data[off:off+length])
+	for i, r := range recs {
+		at := off + int64(r)*stride
+		seg := out[int64(i)*stride : int64(i+1)*stride]
+		if e.fill != nil {
+			e.fill(at, seg)
+		} else {
+			copy(seg, e.data[at:at+stride])
+		}
 	}
 	if f.Corrupt {
 		s.inj.CorruptPayload(out) // silent: detection is the codec's CRC

@@ -265,7 +265,7 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestReadIntoDestination pins ReadInto's buffer contract: a dst with
+// TestReadIntoDestination pins ReadRecordsInto's buffer contract: a dst with
 // enough capacity is the payload's backing array (whatever its length
 // and prior contents), anything smaller — nil included — yields a fresh
 // allocation, and injected corruption lands in the buffer returned.
@@ -298,7 +298,7 @@ func TestReadIntoDestination(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, dur, err := s.ReadInto("obj", 50, 100, tc.dst)
+			got, dur, err := s.ReadRecordsInto("obj", 50, 100, oneRecord, tc.dst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func TestReadIntoDestination(t *testing.T) {
 				t.Fatal("payload differs from the stored bytes")
 			}
 			if _, want, _ := s.ReadAt("obj", 50, 100); dur != want {
-				t.Fatalf("ReadInto charged %v, ReadAt %v for the same read", dur, want)
+				t.Fatalf("ReadRecordsInto charged %v, ReadAt %v for the same read", dur, want)
 			}
 			reused := cap(tc.dst) > 0 && &got[0] == &tc.dst[:1][0]
 			if reused != tc.reused {
@@ -317,7 +317,7 @@ func TestReadIntoDestination(t *testing.T) {
 
 	s.SetInjector(faults.NewInjector(faults.Profile{Seed: 2, CorruptRate: 1}))
 	dst := make([]byte, 0, 256)
-	got, _, err := s.ReadInto("obj", 0, 256, dst)
+	got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestReadIntoDestination(t *testing.T) {
 		t.Fatal("corruption must act on the caller's buffer")
 	}
 	s.SetInjector(faults.NewInjector(faults.Profile{Seed: 2, TransientRate: 1}))
-	if got, _, err := s.ReadInto("obj", 0, 256, dst); !errors.Is(err, faults.ErrTransientIO) || got != nil {
+	if got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, dst); !errors.Is(err, faults.ErrTransientIO) || got != nil {
 		t.Fatalf("transient failure returned (%v, %v), want (nil, ErrTransientIO)", got, err)
 	}
 }

@@ -143,14 +143,6 @@ type Cluster = smartssd.Cluster
 // NewCluster assembles n simulated SmartSSDs.
 func NewCluster(n int) (*Cluster, error) { return smartssd.NewCluster(n) }
 
-// SelectCoresetDistributed selects k medoids with the GreeDi two-round
-// distributed greedy (Mirzasoleiman et al. 2013): shard-local greedy in
-// parallel, then a merge round — the selection strategy for a
-// multi-SmartSSD deployment.
-func SelectCoresetDistributed(embeddings *Matrix, cand []int, k, shards int, seed uint64) (SelectionResult, error) {
-	return selection.GreeDi(embeddings, cand, k, shards, tensor.NewRNG(seed), selection.LazyGreedy)
-}
-
 // CoresetObjective evaluates the facility-location objective of an
 // explicit selection over the candidates (paper Eq. 5) — useful for
 // comparing selection strategies.

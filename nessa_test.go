@@ -83,6 +83,9 @@ func TestPublicAPISelectCoreset(t *testing.T) {
 	}
 }
 
+// TestPublicAPIDistributedSelection drives the facade's multi-drive
+// surface: proxy embeddings for the whole set and one sharded scan
+// across a 4-drive cluster.
 func TestPublicAPIDistributedSelection(t *testing.T) {
 	spec, _ := nessa.LookupDataset("MNIST")
 	spec.SimTrain, spec.SimTest = 400, 100
@@ -92,22 +95,6 @@ func TestPublicAPIDistributedSelection(t *testing.T) {
 	emb := nessa.ProxyEmbeddings(train, cfg, 2)
 	if emb.Rows != train.Len() || emb.Cols != spec.Classes {
 		t.Fatalf("embeddings shape %dx%d, want %dx%d", emb.Rows, emb.Cols, train.Len(), spec.Classes)
-	}
-
-	all := make([]int, train.Len())
-	for i := range all {
-		all[i] = i
-	}
-	dist, err := nessa.SelectCoresetDistributed(emb, all, 40, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist.Selected) != 40 {
-		t.Fatalf("distributed selection size = %d, want 40", len(dist.Selected))
-	}
-	obj := nessa.CoresetObjective(emb, all, dist.Selected)
-	if obj <= 0 {
-		t.Fatalf("objective = %v, want positive", obj)
 	}
 
 	cluster, err := nessa.NewCluster(4)

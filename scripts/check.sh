@@ -2,8 +2,8 @@
 # check.sh — the repo's CI gate: vet, build, and the full test suite
 # under the race detector. The race run matters here: the selection
 # engine fans work out across the internal/parallel pool (facility
-# kernels, per-class CRAIG, GreeDi shards, blocked GEMM), and every one
-# of those paths must stay data-race-free.
+# kernels, per-class CRAIG, blocked GEMM), and every one of those paths
+# must stay data-race-free.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
