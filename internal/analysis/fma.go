@@ -11,7 +11,7 @@ import (
 // multiplication and addition that occur within a single expression
 // into one FMA instruction, which rounds once instead of twice —
 // producing different low bits than the two-rounding sequence. The
-// repository's amd64 SSE kernels and the portable Go kernels must be
+// repository's bit-exact AVX kernels and the portable Go kernels must be
 // bit-identical (that equality is the cross-architecture
 // reproducibility contract from the zero-allocation training PR), so
 // kernel code must materialize the product into an explicit temporary:

@@ -188,7 +188,7 @@ func TestRepoVetClean(t *testing.T) {
 // must keep their //nessa:hotpath annotation: losing one silently
 // removes the analyzer's allocation coverage for that kernel.
 var pinnedHotPaths = map[string][]string{
-	"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransA", "MatMulTransAAcc", "gemmMicro4x4", "gemmMicroP4x4", "axpyRow", "Dot", "Softmax"},
+	"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransA", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "Softmax"},
 	"internal/nn":      {"Forward", "ForwardInto", "Backward", "SoftmaxCEInto"},
 	"internal/trainer": {"TrainEpoch"},
 }

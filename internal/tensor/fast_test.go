@@ -150,8 +150,9 @@ func fastTierWorkerCountInvariant(t *testing.T, n, k, m int) {
 }
 
 // TestGEMMSteadyStateAllocs locks the zero-allocation dispatch in for
-// the tensor layer itself: once panels, tasks, worker IDs, and strips
-// are warm, parallel GEMM calls allocate nothing.
+// the tensor layer itself: once panels, tasks, worker IDs, and skip
+// lists are warm, parallel GEMM calls allocate nothing, on the dense
+// and the sparse path.
 func TestGEMMSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -168,12 +169,17 @@ func TestGEMMSteadyStateAllocs(t *testing.T) {
 	fillDeterministic(at, 1)
 	fillDeterministic(b, 2)
 	fillDeterministic(bt, 2)
+	as, ats := a.Clone(), at.Clone()
+	sparsify(as)
+	sparsify(ats)
 	dst := NewMatrix(n, m)
 	loops := map[string]func(){
-		"MatMul":          func() { MatMul(dst, a, b) },
-		"MatMulTransB":    func() { MatMulTransB(dst, a, bt) },
-		"MatMulTransA":    func() { MatMulTransA(dst, at, b) },
-		"MatMulTransAAcc": func() { MatMulTransAAcc(dst, at, b) },
+		"MatMul":              func() { MatMul(dst, a, b) },
+		"MatMulTransB":        func() { MatMulTransB(dst, a, bt) },
+		"MatMulTransA":        func() { MatMulTransA(dst, at, b) },
+		"MatMulTransAAcc":     func() { MatMulTransAAcc(dst, at, b) },
+		"MatMul/sparse":       func() { MatMul(dst, as, b) },
+		"MatMulTransA/sparse": func() { MatMulTransA(dst, ats, b) },
 	}
 	for name, loop := range loops {
 		for i := 0; i < 3; i++ {

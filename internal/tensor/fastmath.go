@@ -1,14 +1,16 @@
 // The fast-math switch. The default tier is *bit-exact*: every kernel
-// — portable Go, SSE assembly, any worker count — performs one IEEE-754
-// single-precision multiply and one add per term in ascending k, so
-// outputs are identical bit patterns everywhere. SetFastMath(true)
-// opts into the non-bit-exact tier: AVX2/FMA 8-wide micro-kernels that
-// fuse each multiply-add into a single rounding and block the
-// accumulation over k every gemmKC terms. Fast-tier results differ
-// from the bit-exact tier within a small documented tolerance (see
-// DESIGN.md §4.9) but remain fully deterministic: run-to-run AND
-// across worker counts, the association order is fixed by the data
-// layout alone, never by scheduling.
+// — the AVX assembly, the portable Go kernels a CPU without AVX runs,
+// any worker count — performs one IEEE-754 single-precision multiply
+// and one add per term in ascending k, so outputs are identical bit
+// patterns everywhere. SetFastMath(true) opts into the non-bit-exact
+// tier: the same micro-kernel shapes on the same 8-wide panels, with
+// each multiply-add fused into a single rounding (AVX2/FMA) and the
+// accumulation over k folded into dst every gemmKC terms. The tiers
+// differ in nothing else. Fast-tier results differ from the bit-exact
+// tier within a small documented tolerance (see DESIGN.md §4.9) but
+// remain fully deterministic: run-to-run AND across worker counts, the
+// association order is fixed by the data layout alone, never by
+// scheduling.
 //
 // The switch is process-global, mirroring the worker-count knob in
 // internal/parallel: flip it between runs, never concurrently with
@@ -42,4 +44,4 @@ func FastMathActive() bool { return fastKernels }
 
 // FastMathSupported reports whether this CPU and build can run the
 // AVX2/FMA tier at all.
-func FastMathSupported() bool { return hasFMAAsm && cpuFastTierOK }
+func FastMathSupported() bool { return cpuFastTierOK }

@@ -2,43 +2,53 @@
 // behind the deterministic row-band parallel dispatch.
 //
 // All three layouts (MatMul, MatMulTransA, MatMulTransB) share one
-// structure:
+// structure and one tile loop (denseBand):
 //
-//   - The B-side operand is packed once per call into k-interleaved
-//     *panels* (persistent pooled scratch, zero steady-state
+//   - The B-side operand is packed once per call into k-interleaved,
+//     8-wide *panels* (persistent pooled scratch, zero steady-state
 //     allocation), so the innermost loop reads one sequential stream
-//     instead of several strided ones. Panels are 4-wide on the
-//     bit-exact tier and 8-wide on the AVX2/FMA fast tier.
-//   - Destination rows are computed by a register micro-kernel (4×4
-//     bit-exact, 4×8 fast tier). Each dst element owns exactly one
-//     accumulator that adds products in ascending k — the same
+//     instead of several strided ones. Both tiers and every build use
+//     the same panels; the last panel is padded when the column count
+//     is not a multiple of 8.
+//   - The A side is never packed: a kernel reads its four A rows
+//     through a row stride and a k stride, which also covers the
+//     columns of MatMulTransA's transposed operand.
+//   - Destination rows are computed by register micro-kernels: 4×16
+//     (two adjacent panels, eight accumulators), 4×8 for an odd last
+//     panel, 1×8 for the < 4 rows a band leaves over. Each dst element
+//     owns exactly one accumulator that starts at +0, adds its
+//     products in ascending k and is folded into dst once — the same
 //     association order as the naive serial loop — so bit-exact
 //     outputs are identical for any worker count and any band split.
-//   - On the bit-exact tier the accumulator chain over k is never
-//     split: a strip-wise partial-sum scheme would re-associate the
-//     floating-point sums and break bitwise reproducibility, so cache
-//     locality comes from the panel layout (sequential streams
-//     prefetch well at any k) rather than k-blocking. The fast tier is
-//     explicitly allowed to fuse multiply-adds (FMA) and to block over
-//     k (every gemmKC terms) — its results differ from the bit-exact
-//     tier within a documented tolerance but remain deterministic and
-//     worker-count invariant, because the association order is still
-//     fixed by the data layout alone.
-//   - Row tails (< 4 rows per band) use a 1-row micro-kernel; column
-//     tails (cols % NR) fall back to scalar loops with the identical
-//     accumulation order.
+//   - The tiers differ only in the term instruction and the k block.
+//     The bit-exact tier rounds every product before its add (AVX
+//     VMULPS+VADDPS, or the portable Go kernels on CPUs without AVX)
+//     and never splits the chain over k: a strip-wise partial-sum
+//     scheme would re-associate the sums and break bitwise
+//     reproducibility, so cache locality comes from the panel layout
+//     (sequential streams prefetch well at any k) rather than
+//     k-blocking. The fast tier fuses each multiply-add (FMA) and
+//     folds into dst every gemmKC terms — results differ from the
+//     bit-exact tier within a documented tolerance but remain
+//     deterministic and worker-count invariant, because the
+//     association order is still fixed by the data layout alone.
+//   - The padded last panel (the < 8 column tail) runs the bit-exact
+//     kernel over the whole k on both tiers, through a scratch tile
+//     of which only the real columns are copied back.
 //   - MatMul and MatMulTransA additionally carry a *sparsity-adaptive*
 //     path: when the A-side operand has a meaningful fraction of exact
-//     zeros — which ReLU-masked gradient matrices always do — an
-//     axpy-style band that skips zero A elements beats the dense
-//     micro-kernel, because every skipped element removes real
-//     multiply-adds while the accumulation order of the surviving terms
-//     is unchanged. The path choice depends only on the operand data,
-//     never on the worker count, so results remain reproducible across
-//     worker counts. (Skipping an exact-zero term can flip the sign of
-//     an exact-zero output or drop a NaN/Inf propagation; training data
-//     is finite and sign-of-zero is invisible to ==, so the contract
-//     holds wherever it is observed.)
+//     zeros — which ReLU-masked gradient matrices always do — a band
+//     that skips zero A elements beats the dense micro-kernels,
+//     because every skipped element removes real multiply-adds while
+//     the accumulation order of the surviving terms is unchanged. The
+//     skip kernel lists a row's nonzero terms once, then holds each
+//     32-column dst chunk in registers across all of them, folding
+//     term by term. The path choice depends only on the operand data,
+//     never on the worker count or the CPU, so results remain
+//     reproducible everywhere. (Skipping an exact-zero term can flip
+//     the sign of an exact-zero output or drop a NaN/Inf propagation;
+//     training data is finite and sign-of-zero is invisible to ==, so
+//     the contract holds wherever it is observed.)
 //
 // # Zero-allocation dispatch
 //
@@ -47,9 +57,9 @@
 // only who computes it. A dispatch allocates nothing in steady state:
 // the per-call band descriptors (gemmTask) come from a free list and
 // carry closures pre-bound at construction, B panels come from a
-// persistent buffer free list, and the per-band A strips of
-// MatMulTransA live in a parallel.WorkerLocal arena keyed by the
-// worker ID the pool hands each band.
+// persistent buffer free list, and the skip kernels' nonzero lists
+// live in a parallel.WorkerLocal arena keyed by the worker ID the pool
+// hands each band.
 package tensor
 
 import (
@@ -60,15 +70,17 @@ import (
 )
 
 const (
-	// gemmMR × gemmNR is the bit-exact register micro-tile. 4×4 needs
-	// 16 float32 accumulators — what the amd64/arm64 register files
-	// hold without spilling — and cuts A/B load traffic 4× versus the
-	// naive loop.
+	// gemmMR is the register micro-tile height: four dst rows.
 	gemmMR = 4
-	gemmNR = 4
-	// gemmNRFast is the fast-tier panel width: one 8-lane YMM vector
-	// per dst row in the AVX2/FMA micro-kernels.
-	gemmNRFast = 8
+	// panelW is the packed panel width on both tiers: one 8-lane YMM
+	// vector per dst row. The 4×16 kernels cover two adjacent panels —
+	// eight independent accumulators, enough to hide the add latency.
+	panelW = 8
+	// gemmKC is the fast tier's k-block depth: a block's register sums
+	// are folded into dst once per block, so 256 keeps one panel block
+	// at 8 KB — comfortably L1-resident across every row tile of a
+	// band.
+	gemmKC = 256
 )
 
 // gemmParallelFlops is the approximate multiply-add count below which
@@ -79,18 +91,21 @@ const (
 // loop, so results are bit-identical for any worker count.
 const gemmParallelFlops = 64 * 1024
 
-// gemmNRActive reports the panel width of the active kernel tier.
+// tierKC is the k-block depth of the active tier for an inner
+// dimension of k: gemmKC on the fast tier, all of k on the bit-exact
+// tier, whose add chains are never split.
 //
 //nessa:hotpath
-func gemmNRActive() int {
-	if fastKernels {
-		return gemmNRFast
+//nessa:inline
+func tierKC(k int) int {
+	if fastKernels && k > gemmKC {
+		return gemmKC
 	}
-	return gemmNR
+	return k
 }
 
 // ---------------------------------------------------------------------
-// Persistent scratch: panel buffers, strip arenas, task descriptors
+// Persistent scratch: panel buffers, skip lists, task descriptors
 // ---------------------------------------------------------------------
 
 // panelFree recycles B-panel packing buffers. Unlike a sync.Pool it is
@@ -134,21 +149,27 @@ func putPanel(s *[]float32) {
 	pf.mu.Unlock()
 }
 
-// stripArena holds the per-worker A-side packing strips of
-// MatMulTransA: each band packs 4 A columns at a time into its own
-// worker's strip, so concurrent bands never share a buffer and a warm
-// worker never allocates.
-var stripArena = parallel.NewWorkerLocal[[]float32](nil)
+// skipList is one worker's nonzero list for the skip kernel: val[t]
+// is a nonzero A element and off[t] the byte offset of the B row it
+// multiplies.
+type skipList struct {
+	off []int
+	val []float32
+}
+
+// skipArena holds the per-worker skip lists, so concurrent bands never
+// share one and a warm worker never allocates.
+var skipArena = parallel.NewWorkerLocal[skipList](nil)
 
 //nessa:hotpath
-//nessa:scratch-ok bounded view: the strip is consumed inside the caller's band and never outlives the dispatch
-func workerStrip(w, n int) []float32 {
-	s := stripArena.Get(w)
-	if cap(*s) < n {
-		//nessa:alloc-ok grow-once per worker slot; steady-state bands reuse the strip
-		*s = make([]float32, n)
+//nessa:scratch-ok bounded view: the list is consumed inside the caller's band and never outlives the dispatch
+func workerSkipList(w, n int) ([]int, []float32) {
+	s := skipArena.Get(w)
+	if cap(s.off) < n {
+		s.off = make([]int, n)
+		s.val = make([]float32, n)
 	}
-	return (*s)[:n]
+	return s.off[:n], s.val[:n]
 }
 
 // gemmTask is a pooled band-dispatch descriptor: the operands of one
@@ -156,6 +177,7 @@ func workerStrip(w, n int) []float32 {
 // so handing the pool a band body never allocates a per-call closure.
 type gemmTask struct {
 	kind   uint8
+	trans  bool // a is the transposed operand of MatMulTransA
 	acc    bool
 	dst    *Matrix
 	a      *Matrix
@@ -167,11 +189,8 @@ type gemmTask struct {
 }
 
 const (
-	tkMatMul uint8 = iota
-	tkMatMulSkip
-	tkTransB
-	tkTransA
-	tkTransASkip
+	tkDense uint8 = iota
+	tkSkip
 	tkPackCol
 	tkPackRow
 )
@@ -183,7 +202,7 @@ var gemmTaskFree struct {
 
 //nessa:hotpath
 //nessa:scratch-ok ownership transfer: every caller returns the descriptor with putGemmTask before it exits
-func getGemmTask(kind uint8, dst, a, b *Matrix, packed []float32, acc bool) *gemmTask {
+func getGemmTask(kind uint8, dst, a, b *Matrix, packed []float32, trans, acc bool) *gemmTask {
 	gf := &gemmTaskFree
 	gf.mu.Lock()
 	var t *gemmTask
@@ -198,7 +217,7 @@ func getGemmTask(kind uint8, dst, a, b *Matrix, packed []float32, acc bool) *gem
 		//nessa:alloc-ok method values allocate once per descriptor lifetime and are recycled with it
 		t.run, t.runPack = t.band, t.pack
 	}
-	t.kind, t.dst, t.a, t.b, t.packed, t.acc = kind, dst, a, b, packed, acc
+	t.kind, t.dst, t.a, t.b, t.packed, t.trans, t.acc = kind, dst, a, b, packed, trans, acc
 	return t
 }
 
@@ -213,21 +232,15 @@ func putGemmTask(t *gemmTask) {
 }
 
 // band runs one row band of the descriptor's GEMM. w is the worker ID
-// owning this band's scratch strips.
+// owning this band's scratch.
 //
 //nessa:hotpath
 func (t *gemmTask) band(w, lo, hi int) {
 	switch t.kind {
-	case tkMatMul:
-		matMulBand(t.dst, t.a, t.b, t.packed, lo, hi)
-	case tkMatMulSkip:
-		matMulSkipBand(t.dst, t.a, t.b, lo, hi)
-	case tkTransB:
-		matMulTransBBand(t.dst, t.a, t.b, t.packed, lo, hi)
-	case tkTransA:
-		matMulTransABand(t.dst, t.a, t.b, t.packed, t.acc, w, lo, hi)
-	case tkTransASkip:
-		matMulTransASkipBand(t.dst, t.a, t.b, t.acc, lo, hi)
+	case tkDense:
+		denseBand(t.dst, t.a, t.packed, t.trans, t.acc, lo, hi)
+	case tkSkip:
+		skipBand(t.dst, t.a, t.b, t.trans, t.acc, w, lo, hi)
 	}
 }
 
@@ -270,8 +283,10 @@ func gemmSerial(rows, inner, cols int) bool {
 // gemmSparseA reports whether at least 1/8 of a's elements are exact
 // zeros, the break-even point past which the skip bands beat the dense
 // micro-kernels. The counting pass is O(|a|) reads against O(|a|·m)
-// multiply-adds saved, and the verdict depends only on the data, so the
-// same inputs take the same path at every worker count.
+// multiply-adds saved, and the verdict depends only on the data — not
+// on the worker count or the CPU's instruction set — so the same
+// inputs take the same path, and give the same bits (signs of zero
+// included), on every host.
 //
 //nessa:hotpath
 func gemmSparseA(a *Matrix) bool {
@@ -294,31 +309,7 @@ func MatMul(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch: (%dx%d)·(%dx%d) -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	n, k, m := a.Rows, a.Cols, b.Cols
-	if n == 0 || m == 0 {
-		return
-	}
-	if k > 0 && gemmSparseA(a) {
-		t := getGemmTask(tkMatMulSkip, dst, a, b, nil, false)
-		parallel.Default().ForW(n, gemmGrain(n, k, m), t.run)
-		putGemmTask(t)
-		return
-	}
-	nr := gemmNRActive()
-	np := m / nr
-	var packed []float32
-	var buf *[]float32
-	if np > 0 && k > 0 {
-		buf = getPanel(np * nr * k)
-		packed = *buf
-		packColPanels(packed, b, np)
-	}
-	t := getGemmTask(tkMatMul, dst, a, b, packed, false)
-	parallel.Default().ForW(n, gemmGrain(n, k, m), t.run)
-	putGemmTask(t)
-	if buf != nil {
-		putPanel(buf)
-	}
+	gemm(dst, a, b, tkPackCol, false, false)
 }
 
 // MatMulTransB computes dst = a·bᵀ where a is (n×k) and b is (m×k).
@@ -331,25 +322,7 @@ func MatMulTransB(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch: (%dx%d)·(%dx%d)ᵀ -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	n, k, m := a.Rows, a.Cols, b.Rows
-	if n == 0 || m == 0 {
-		return
-	}
-	nr := gemmNRActive()
-	np := m / nr
-	var packed []float32
-	var buf *[]float32
-	if np > 0 && k > 0 {
-		buf = getPanel(np * nr * k)
-		packed = *buf
-		packRowPanels(packed, b, np)
-	}
-	t := getGemmTask(tkTransB, dst, a, b, packed, false)
-	parallel.Default().ForW(n, gemmGrain(n, k, m), t.run)
-	putGemmTask(t)
-	if buf != nil {
-		putPanel(buf)
-	}
+	gemm(dst, a, b, tkPackRow, false, false)
 }
 
 // MatMulTransA computes dst = aᵀ·b where a is (k×n) and b is (k×m).
@@ -367,10 +340,12 @@ func MatMulTransA(dst, a, b *Matrix) {
 // uses to add weight gradients directly into a freshly zeroed gradient
 // tensor with no temporary and no extra pass. When dst is zero the
 // result is bit-identical to MatMulTransA. For nonzero dst the terms
-// still arrive in ascending k, but whether they are folded into dst
-// one by one or summed first and added once differs between the tiled
-// and skip paths — path choice depends only on operand data, so the
-// output remains deterministic and worker-count invariant either way.
+// still arrive in ascending k; the dense path sums them first and adds
+// the sum once (once per gemmKC block on the fast tier), the skip path
+// folds them in one by one. Every row of dst takes the same path
+// whatever band it lands in, and the path choice depends only on
+// operand data, so the output is deterministic and worker-count
+// invariant either way.
 //
 //nessa:hotpath
 func MatMulTransAAcc(dst, a, b *Matrix) {
@@ -383,26 +358,38 @@ func matMulTransAInto(dst, a, b *Matrix, acc bool) {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch: (%dx%d)ᵀ·(%dx%d) -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	n, k, m := a.Cols, a.Rows, b.Cols
+	gemm(dst, a, b, tkPackCol, true, acc)
+}
+
+// gemm dispatches one shape-checked product. pack names how b is read:
+// tkPackCol packs b's columns (MatMul, MatMulTransA), tkPackRow its
+// rows (MatMulTransB). A product of the first kind whose a is sparse
+// runs the skip bands, which read b's rows in place; every other one
+// packs the B panels and runs the dense bands.
+//
+//nessa:hotpath
+func gemm(dst, a, b *Matrix, pack uint8, trans, acc bool) {
+	n, m := dst.Rows, dst.Cols
+	k := b.Rows
+	if pack == tkPackRow {
+		k = b.Cols
+	}
 	if n == 0 || m == 0 {
 		return
 	}
-	if k > 0 && gemmSparseA(a) {
-		t := getGemmTask(tkTransASkip, dst, a, b, nil, acc)
-		parallel.Default().ForW(n, gemmGrain(n, k, m), t.run)
-		putGemmTask(t)
-		return
-	}
-	nr := gemmNRActive()
-	np := m / nr
+	kind := tkDense
 	var packed []float32
 	var buf *[]float32
-	if np > 0 && k > 0 {
-		buf = getPanel(np * nr * k)
+	switch {
+	case pack == tkPackCol && k > 0 && gemmSparseA(a):
+		kind = tkSkip
+	case k > 0:
+		np := (m + panelW - 1) / panelW
+		buf = getPanel(np * panelW * k)
 		packed = *buf
-		packColPanels(packed, b, np)
+		packPanels(packed, b, pack, np)
 	}
-	t := getGemmTask(tkTransA, dst, a, b, packed, acc)
+	t := getGemmTask(kind, dst, a, b, packed, trans, acc)
 	parallel.Default().ForW(n, gemmGrain(n, k, m), t.run)
 	putGemmTask(t)
 	if buf != nil {
@@ -410,99 +397,70 @@ func matMulTransAInto(dst, a, b *Matrix, acc bool) {
 	}
 }
 
-// packColPanels packs b's first np·NR columns into NR-wide
-// k-interleaved panels: out[(jp·k + kk)·NR + c] = b[kk][jp·NR+c].
-// Panels are disjoint, so packing parallelizes trivially for large
-// operands.
+// packPanels packs b into np 8-wide k-interleaved panels:
+// out[(jp·k + kk)·8 + c] is element (kk, jp·8+c) of b (tkPackCol) or
+// of bᵀ (tkPackRow). Lanes past the last real column are padding no
+// result reads. Panels are disjoint, so packing parallelizes trivially
+// for large operands.
 //
 //nessa:hotpath
-func packColPanels(out []float32, b *Matrix, np int) {
-	if np*b.Rows*gemmNRActive() >= gemmParallelFlops && parallel.Default().Workers() > 1 {
-		t := getGemmTask(tkPackCol, nil, nil, b, out, false)
+func packPanels(out []float32, b *Matrix, pack uint8, np int) {
+	if len(out) >= gemmParallelFlops && parallel.Default().Workers() > 1 {
+		t := getGemmTask(pack, nil, nil, b, out, false, false)
 		parallel.Default().For(np, 1, t.runPack)
 		putGemmTask(t)
 		return
 	}
-	packColRange(out, b, 0, np)
+	if pack == tkPackRow {
+		packRowRange(out, b, 0, np)
+	} else {
+		packColRange(out, b, 0, np)
+	}
 }
 
+// packColRange packs panels [lo,hi) of b's columns, zero-padding the
+// last one.
+//
 //nessa:hotpath
 func packColRange(out []float32, b *Matrix, lo, hi int) {
-	if fastKernels {
-		packColRange8(out, b, lo, hi)
-		return
-	}
 	k := b.Rows
 	for jp := lo; jp < hi; jp++ {
-		j0 := jp * gemmNR
-		o := jp * k * gemmNR
+		j0 := jp * panelW
+		o := jp * k * panelW
 		for kk := 0; kk < k; kk++ {
-			row := b.Row(kk)[j0 : j0+gemmNR]
-			// Constant-length destination window: one slice check,
-			// zero per-element index checks.
-			d := out[o:][:gemmNR]
-			d[0] = row[0]
-			d[1] = row[1]
-			d[2] = row[2]
-			d[3] = row[3]
-			o += gemmNR
+			d := out[o:][:panelW]
+			clear(d[copy(d, b.Row(kk)[j0:]):])
+			o += panelW
 		}
 	}
 }
 
-// packRowPanels packs b's first np·NR rows (the columns of bᵀ) into
-// the same panel layout: out[(jp·k + kk)·NR + c] = b[jp·NR+c][kk].
+// packRowRange packs panels [lo,hi) of b's rows (the columns of bᵀ).
+// The padding lanes of a short last panel repeat its last real row.
 //
 //nessa:hotpath
-func packRowPanels(out []float32, b *Matrix, np int) {
-	if np*b.Cols*gemmNRActive() >= gemmParallelFlops && parallel.Default().Workers() > 1 {
-		t := getGemmTask(tkPackRow, nil, nil, b, out, false)
-		parallel.Default().For(np, 1, t.runPack)
-		putGemmTask(t)
-		return
-	}
-	packRowRange(out, b, 0, np)
-}
-
-//nessa:hotpath
 func packRowRange(out []float32, b *Matrix, lo, hi int) {
-	if fastKernels {
-		packRowRange8(out, b, lo, hi)
-		return
-	}
-	k := b.Cols
+	k, last := b.Cols, b.Rows-1
 	for jp := lo; jp < hi; jp++ {
-		j0 := jp * gemmNR
-		// The [:k] re-slices pin each row's length to the loop bound
-		// and the [:gemmNR] window pins the destination's, so every
-		// check below is discharged by the prover.
-		r0, r1, r2, r3 := b.Row(j0)[:k], b.Row(j0 + 1)[:k], b.Row(j0 + 2)[:k], b.Row(j0 + 3)[:k]
-		o := jp * k * gemmNR
+		j0 := jp * panelW
+		// Named rows re-sliced to [:k] (the kk loop bound) and a
+		// constant-length destination window keep the inner loop free
+		// of per-element bounds checks.
+		r0, r1, r2, r3 := b.Row(j0)[:k], b.Row(min(j0+1, last))[:k], b.Row(min(j0+2, last))[:k], b.Row(min(j0+3, last))[:k]
+		r4, r5, r6, r7 := b.Row(min(j0+4, last))[:k], b.Row(min(j0+5, last))[:k], b.Row(min(j0+6, last))[:k], b.Row(min(j0+7, last))[:k]
+		o := jp * k * panelW
 		for kk := 0; kk < k; kk++ {
-			d := out[o:][:gemmNR]
+			d := out[o:][:panelW]
 			d[0] = r0[kk]
 			d[1] = r1[kk]
 			d[2] = r2[kk]
 			d[3] = r3[kk]
-			o += gemmNR
+			d[4] = r4[kk]
+			d[5] = r5[kk]
+			d[6] = r6[kk]
+			d[7] = r7[kk]
+			o += panelW
 		}
-	}
-}
-
-// packAPanel packs gemmMR columns of a (starting at i0) over rows
-// [k0,k1) into a 4-interleaved strip: pa[(kk−k0)·4 + r] = a[kk][i0+r].
-//
-//nessa:hotpath
-func packAPanel(pa []float32, a *Matrix, i0, k0, k1 int) {
-	o := 0
-	for kk := k0; kk < k1; kk++ {
-		row := a.Row(kk)[i0 : i0+gemmMR]
-		d := pa[o:][:gemmMR]
-		d[0] = row[0]
-		d[1] = row[1]
-		d[2] = row[2]
-		d[3] = row[3]
-		o += gemmMR
 	}
 }
 
@@ -511,191 +469,110 @@ func packAPanel(pa []float32, a *Matrix, i0, k0, k1 int) {
 //nessa:hotpath
 //nessa:inline
 func zeroRows(dst *Matrix, lo, hi int) {
-	z := dst.Data[lo*dst.Cols : hi*dst.Cols]
-	for i := range z {
-		z[i] = 0
-	}
+	clear(dst.Data[lo*dst.Cols : hi*dst.Cols])
 }
 
-// gemmPanelCore computes the paneled columns [0, np·NR) of dst rows
-// [lo,hi) for a dot-product GEMM whose A rows are natural matrix rows.
-// dst rows must be pre-zeroed; the micro-kernels accumulate.
+// denseBand computes dst rows [lo,hi) of a·b (or aᵀ·b when trans) from
+// the packed B panels; dst += the product when acc, else dst = it.
+// Row i's A values are a.Data[i·rs + kk·ks]: natural rows for MatMul
+// and MatMulTransB, the columns of a for MatMulTransA. Every row runs
+// the same chain whether it lands in a 4-row tile or in the band's row
+// tail, and band boundaries move with the worker count — so the output
+// cannot depend on it.
 //
 //nessa:hotpath
-func gemmPanelCore(dst, a *Matrix, packed []float32, np, lo, hi int) {
-	if fastKernels {
-		gemmPanelCoreFast(dst, a, packed, np, lo, hi)
+func denseBand(dst, a *Matrix, packed []float32, trans, acc bool, lo, hi int) {
+	k, rs, ks := a.Cols, a.Cols, 1
+	if trans {
+		k, rs, ks = a.Rows, 1, a.Cols
+	}
+	m := dst.Cols
+	if !acc {
+		zeroRows(dst, lo, hi)
+	}
+	if k == 0 {
 		return
 	}
-	k := a.Cols
-	for jp := 0; jp < np; jp++ {
-		panel := packed[jp*k*gemmNR : (jp+1)*k*gemmNR]
-		j0 := jp * gemmNR
-		i := lo
-		for ; i+gemmMR <= hi; i += gemmMR {
-			gemmMicro4x4(dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3), j0,
-				a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3), panel)
-		}
-		for ; i < hi; i++ {
-			gemmMicro1x4(dst.Row(i), j0, a.Row(i), panel)
-		}
-	}
-}
-
-// matMulBand computes dst rows [lo,hi) of dst = a·b.
-//
-//nessa:hotpath
-func matMulBand(dst, a, b *Matrix, packed []float32, lo, hi int) {
-	k, m := a.Cols, b.Cols
-	np := m / gemmNRActive()
-	zeroRows(dst, lo, hi)
-	gemmPanelCore(dst, a, packed, np, lo, hi)
-	for j := np * gemmNRActive(); j < m; j++ {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			var sum float32
-			for kk := 0; kk < k; kk++ {
-				// Round each product before the add so the compiler
-				// cannot fuse it into an FMA (bit-identity contract).
-				//nessa:bce-ok column tail (< NR columns): the stride-m walk down b.Data defeats the prover
-				t := arow[kk] * b.Data[kk*m+j]
-				sum += t
+	full := m / panelW
+	kc, fma := tierKC(k), fastKernels
+	for jp := 0; jp < full; jp += 2 {
+		j0 := jp * panelW
+		two := jp+1 < full
+		for k0 := 0; k0 < k; k0 += kc {
+			k1 := min(k0+kc, k)
+			p0 := packed[(jp*k+k0)*panelW : (jp*k+k1)*panelW]
+			p1 := p0
+			if two {
+				p1 = packed[((jp+1)*k+k0)*panelW : ((jp+1)*k+k1)*panelW]
 			}
-			dst.Row(i)[j] = sum
-		}
-	}
-}
-
-// matMulTransBBand computes dst rows [lo,hi) of dst = a·bᵀ.
-//
-//nessa:hotpath
-func matMulTransBBand(dst, a, b *Matrix, packed []float32, lo, hi int) {
-	m := b.Rows
-	np := m / gemmNRActive()
-	zeroRows(dst, lo, hi)
-	gemmPanelCore(dst, a, packed, np, lo, hi)
-	for j := np * gemmNRActive(); j < m; j++ {
-		brow := b.Row(j)
-		for i := lo; i < hi; i++ {
-			//nessa:bce-ok one store per k-length Dot; j is a column-tail index the prover cannot bound
-			dst.Row(i)[j] = Dot(a.Row(i), brow)
-		}
-	}
-}
-
-// matMulSkipBand computes dst rows [lo,hi) of dst = a·b for a sparse
-// A operand, skipping zero A elements. b rows are read contiguously
-// and each dst element accumulates in ascending k — the identical
-// term order as the dense path, minus the zero products.
-//
-//nessa:hotpath
-func matMulSkipBand(dst, a, b *Matrix, lo, hi int) {
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		// [:k] ties the row length to the kk loop bound for the prover.
-		arow := a.Row(i)[:k]
-		drow := dst.Row(i)
-		for j := range drow {
-			drow[j] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
+			i := lo
+			for ; i+gemmMR <= hi; i += gemmMR {
+				d, av := dst.Data[i*m+j0:], a.Data[i*rs+k0*ks:]
+				if two {
+					micro4x16(d, m, av, rs, ks, p0, p1, fma)
+				} else {
+					micro4x8(d, m, av, rs, ks, p0, fma)
+				}
 			}
-			axpyRow(drow, b.Row(kk), av)
-		}
-	}
-}
-
-// matMulTransASkipBand computes dst rows [lo,hi) of dst = aᵀ·b (or
-// dst += aᵀ·b when acc) for a sparse A operand — the ReLU-masked delta
-// of backprop, where typically half the elements are exact zeros. The
-// k-outer loop reads a and b rows sequentially; dst rows of the band
-// stay cache-resident. Every dst element accumulates in ascending k.
-//
-//nessa:hotpath
-func matMulTransASkipBand(dst, a, b *Matrix, acc bool, lo, hi int) {
-	k := a.Rows
-	if !acc {
-		zeroRows(dst, lo, hi)
-	}
-	for kk := 0; kk < k; kk++ {
-		brow := b.Row(kk)
-		// Ranging over the band's window of the row keeps the sparse
-		// scan check-free where an indexed arow[i] read would not be.
-		for io, av := range a.Row(kk)[lo:hi] {
-			if av == 0 {
-				continue
-			}
-			axpyRow(dst.Row(lo+io), brow, av)
-		}
-	}
-}
-
-// matMulTransABand computes dst rows [lo,hi) of dst = aᵀ·b (or
-// dst += aᵀ·b when acc). dst rows are columns of a, so the A side is
-// packed per 4-row tile into the band worker's strip arena.
-//
-//nessa:hotpath
-func matMulTransABand(dst, a, b *Matrix, packed []float32, acc bool, w, lo, hi int) {
-	nr := gemmNRActive()
-	k, m := a.Rows, b.Cols
-	np := m / nr
-	if !acc {
-		zeroRows(dst, lo, hi)
-	}
-	iTileEnd := lo + (hi-lo)/gemmMR*gemmMR
-
-	if np > 0 && iTileEnd > lo {
-		pa := workerStrip(w, gemmMR*k)
-		if fastKernels {
-			transACoreFast(dst, a, packed, pa, np, lo, iTileEnd)
-		} else {
-			for i := lo; i < iTileEnd; i += gemmMR {
-				packAPanel(pa, a, i, 0, k)
-				for jp := 0; jp < np; jp++ {
-					panel := packed[jp*k*gemmNR : (jp+1)*k*gemmNR]
-					gemmMicroP4x4(dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3),
-						jp*gemmNR, pa, panel)
+			for ; i < hi; i++ {
+				d, av := dst.Data[i*m+j0:], a.Data[i*rs+k0*ks:]
+				micro1x8(d, av, ks, p0, fma)
+				if two {
+					micro1x8(d[panelW:], av, ks, p1, fma)
 				}
 			}
 		}
 	}
-	// On the fast tier the band's tail rows run the same per-row
-	// blocked-FMA chain as the tiled rows: the tile/tail split moves
-	// with the band boundaries (hence with the worker count), so the
-	// two paths must agree bit-for-bit.
-	scalarRowEnd := iTileEnd
-	if fastKernels && np > 0 {
-		pa := workerStrip(w, gemmMR*k)
-		for i := iTileEnd; i < hi; i++ {
-			transARowFast(dst.Row(i), a, packed, pa[:k], np, i)
-		}
-		scalarRowEnd = hi
+	if jt := full * panelW; jt < m {
+		tailPanel(dst, a.Data, rs, ks, packed[full*k*panelW:(full+1)*k*panelW], jt, lo, hi)
 	}
-	// Column tail for the rows whose paneled columns are already
-	// computed. += so the acc form composes; the non-acc form
-	// pre-zeroed the band.
-	for j := np * nr; j < m; j++ {
-		for i := lo; i < scalarRowEnd; i++ {
-			var sum float32
-			for kk := 0; kk < k; kk++ {
-				// Round each product before the add (no FMA).
-				//nessa:bce-ok column tail (< NR columns): stride-walks down both Data arrays defeat the prover
-				t := a.Data[kk*a.Cols+i] * b.Data[kk*m+j]
-				sum += t
-			}
-			dst.Row(i)[j] += sum
+}
+
+// tailPanel computes dst columns [jt, m) — fewer than 8 — of rows
+// [lo,hi) from the padded last panel pt, through an 8-wide scratch
+// tile: the kernel runs on the tile and only the real columns are
+// copied back. It runs the bit-exact kernel over the whole k on both
+// tiers, so a column tail's chain is the bit-exact one everywhere.
+//
+//nessa:hotpath
+func tailPanel(dst *Matrix, a []float32, rs, ks int, pt []float32, jt, lo, hi int) {
+	m := dst.Cols
+	var tile [gemmMR * panelW]float32
+	i := lo
+	for ; i+gemmMR <= hi; i += gemmMR {
+		for r := 0; r < gemmMR; r++ {
+			copy(tile[r*panelW:(r+1)*panelW], dst.Data[(i+r)*m+jt:(i+r+1)*m])
+		}
+		micro4x8(tile[:], panelW, a[i*rs:], rs, ks, pt, false)
+		for r := 0; r < gemmMR; r++ {
+			copy(dst.Data[(i+r)*m+jt:(i+r+1)*m], tile[r*panelW:(r+1)*panelW])
 		}
 	}
-	// Row tail (bit-exact tier, or a panel-less product): full width,
-	// vectorized axpy per k step.
-	for i := scalarRowEnd; i < hi; i++ {
+	for ; i < hi; i++ {
+		copy(tile[:panelW], dst.Data[i*m+jt:(i+1)*m])
+		micro1x8(tile[:panelW], a[i*rs:], ks, pt, false)
+		copy(dst.Data[i*m+jt:(i+1)*m], tile[:panelW])
+	}
+}
+
+// skipBand computes dst rows [lo,hi) of a·b (or aᵀ·b when trans) for a
+// sparse A operand, skipping zero A elements; dst += the product when
+// acc. Every dst element accumulates its surviving terms in ascending
+// k — the identical term order as the dense path, minus the zero
+// products.
+//
+//nessa:hotpath
+func skipBand(dst, a, b *Matrix, trans, acc bool, w, lo, hi int) {
+	ld, stride := a.Cols, 1
+	if trans {
+		ld, stride = 1, a.Cols
+	}
+	off, val := workerSkipList(w, b.Rows)
+	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
-		for kk := 0; kk < k; kk++ {
-			//nessa:bce-ok one strided scalar load per m-wide axpy; stride a.Cols defeats the prover
-			axpyRow(drow, b.Row(kk), a.Data[kk*a.Cols+i])
+		if !acc {
+			clear(drow)
 		}
+		skipRow(drow, a.Data[i*ld:], stride, b, off, val)
 	}
 }

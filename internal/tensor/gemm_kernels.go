@@ -1,230 +1,179 @@
-// Portable micro-kernel implementations. On amd64 the SSE versions in
-// gemm_amd64.s take over; these remain the reference semantics — the
-// vector kernels compute the identical per-element operation chains
-// (one IEEE-754 single-precision multiply and add per term, ascending
-// k), so both produce bit-identical output.
+// Micro-kernel dispatch and the portable Go kernels.
+//
+// Every dense kernel computes a tile of dst from A values and packed
+// 8-wide B panels (see gemm.go). A is addressed through two strides —
+// rs between the tile's A rows, ks between consecutive k — so natural
+// rows (rs = lda, ks = 1) and the columns of a transposed operand
+// (rs = 1, ks = lda) run the same kernels. Each wrapper picks the
+// instruction set: the fast tier's FMA assembly when asked, else the
+// bit-exact AVX assembly when the CPU has it, else the portable Go
+// below. The Go kernels are the reference semantics: the AVX kernels
+// compute the identical per-element operation chain (one IEEE-754
+// single-precision multiply and one add per term, ascending k, from
+// +0, folded into dst once), so both produce bit-identical output.
 package tensor
 
-// gemmMicro4x4 dispatches the 4×4 micro-kernel: SSE on amd64, the
-// portable loop below elsewhere. The slicing bounds-checks every
-// pointer handed to assembly once per call.
+// useAVX routes the bit-exact kernels through the AVX assembly. It is
+// cpuAVXOK in every build; tests clear it to force the portable
+// kernels, which must agree bit for bit.
+var useAVX = cpuAVXOK
+
+// micro4x16 accumulates the 4×16 dst tile at d (rows ldd apart) with
+// the products of four A rows against two adjacent panels p0 and p1
+// over len(p0)/8 terms. fma selects the fast tier's fused kernels. The
+// slicing bounds-checks every pointer handed to assembly once per
+// call.
 //
 //nessa:hotpath
-func gemmMicro4x4(d0, d1, d2, d3 []float32, j0 int, a0, a1, a2, a3, p []float32) {
-	if !useAsmKernels {
-		goMicro4x4(d0, d1, d2, d3, j0, a0, a1, a2, a3, p)
-		return
-	}
-	kn := len(a0)
+func micro4x16(d []float32, ldd int, a []float32, rs, ks int, p0, p1 []float32, fma bool) {
+	kn := len(p0) / panelW
 	if kn == 0 {
 		return
 	}
-	dv0 := d0[j0 : j0+gemmNR]
-	dv1 := d1[j0 : j0+gemmNR]
-	dv2 := d2[j0 : j0+gemmNR]
-	dv3 := d3[j0 : j0+gemmNR]
-	av1 := a1[:kn]
-	av2 := a2[:kn]
-	av3 := a3[:kn]
-	pv := p[:gemmNR*kn]
-	sseMicro4x4(&dv0[0], &dv1[0], &dv2[0], &dv3[0],
-		&a0[0], &av1[0], &av2[0], &av3[0], &pv[0], kn)
+	d = d[:3*ldd+2*panelW]
+	a = a[:3*rs+(kn-1)*ks+1]
+	p1 = p1[:len(p0)]
+	switch {
+	case fma:
+		fmaMicro4x16(&d[0], ldd, &a[0], rs, ks, &p0[0], &p1[0], kn)
+	case useAVX:
+		avxMicro4x16(&d[0], ldd, &a[0], rs, ks, &p0[0], &p1[0], kn)
+	default:
+		goMicro4x8(d, ldd, a, rs, ks, p0)
+		goMicro4x8(d[panelW:], ldd, a, rs, ks, p1)
+	}
 }
 
-// gemmMicro1x4 dispatches the row-tail micro-kernel.
+// micro4x8 is micro4x16 on one panel.
 //
 //nessa:hotpath
-func gemmMicro1x4(d []float32, j0 int, a, p []float32) {
-	if !useAsmKernels {
-		goMicro1x4(d, j0, a, p)
-		return
-	}
-	kn := len(a)
+func micro4x8(d []float32, ldd int, a []float32, rs, ks int, p []float32, fma bool) {
+	kn := len(p) / panelW
 	if kn == 0 {
 		return
 	}
-	dv := d[j0 : j0+gemmNR]
-	pv := p[:gemmNR*kn]
-	sseMicro1x4(&dv[0], &a[0], &pv[0], kn)
+	d = d[:3*ldd+panelW]
+	a = a[:3*rs+(kn-1)*ks+1]
+	switch {
+	case fma:
+		fmaMicro4x8(&d[0], ldd, &a[0], rs, ks, &p[0], kn)
+	case useAVX:
+		avxMicro4x8(&d[0], ldd, &a[0], rs, ks, &p[0], kn)
+	default:
+		goMicro4x8(d, ldd, a, rs, ks, p)
+	}
 }
 
-// gemmMicroP4x4 dispatches the both-sides-packed micro-kernel.
+// micro1x8 is the row-tail kernel: one A row against one panel.
 //
 //nessa:hotpath
-func gemmMicroP4x4(d0, d1, d2, d3 []float32, j0 int, pa, p []float32) {
-	if !useAsmKernels {
-		goMicroP4x4(d0, d1, d2, d3, j0, pa, p)
-		return
-	}
-	kn := len(pa) / gemmNR
+func micro1x8(d, a []float32, ks int, p []float32, fma bool) {
+	kn := len(p) / panelW
 	if kn == 0 {
 		return
 	}
-	dv0 := d0[j0 : j0+gemmNR]
-	dv1 := d1[j0 : j0+gemmNR]
-	dv2 := d2[j0 : j0+gemmNR]
-	dv3 := d3[j0 : j0+gemmNR]
-	pav := pa[:gemmNR*kn]
-	pv := p[:gemmNR*kn]
-	sseMicroP4x4(&dv0[0], &dv1[0], &dv2[0], &dv3[0], &pav[0], &pv[0], kn)
+	d = d[:panelW]
+	a = a[:(kn-1)*ks+1]
+	switch {
+	case fma:
+		fmaMicro1x8(&d[0], &a[0], ks, &p[0], kn)
+	case useAVX:
+		avxMicro1x8(&d[0], &a[0], ks, &p[0], kn)
+	default:
+		goMicro1x8(d, a, ks, p)
+	}
 }
 
-// axpyRow adds alpha·src into dst element-wise — the inner loop of the
-// sparse skip bands. The SSE form processes four lanes per step, but
-// each element still sees exactly one multiply then one add, so the
-// result matches the scalar loop bit for bit.
+// skipRow folds d += src[kk·stride]·b.Row(kk) for every nonzero
+// src element, term by term in ascending kk — the sparse skip bands'
+// chain on both tiers. The AVX form lists the nonzeros once into off
+// and val (the band worker's skip list, room for b.Rows terms), then holds each 32-column chunk of d in
+// registers across all of them; the portable form is one axpy per
+// nonzero term.
+//
+//nessa:hotpath
+func skipRow(d, src []float32, stride int, b *Matrix, off []int, val []float32) {
+	k, m := b.Rows, b.Cols
+	src = src[:(k-1)*stride+1]
+	d = d[:m]
+	if !useAVX {
+		for kk := 0; kk < k; kk++ {
+			//nessa:bce-ok one strided scalar load per m-wide axpy; stride defeats the prover
+			if av := src[kk*stride]; av != 0 {
+				axpyRow(d, b.Row(kk), av)
+			}
+		}
+		return
+	}
+	off, val = off[:k], val[:k]
+	nnz := avxGatherNZ(&src[0], k, stride, &off[0], &val[0], 4*m)
+	if nnz == 0 {
+		return
+	}
+	bd := b.Data[:k*m]
+	avxSkipRow(&d[0], m, &bd[0], &off[0], &val[0], nnz)
+}
+
+// axpyRow adds alpha·src into dst element-wise, one rounded multiply
+// then one add per element.
 //
 //nessa:hotpath
 func axpyRow(dst, src []float32, alpha float32) {
 	if len(src) != len(dst) {
 		panic("tensor: axpyRow length mismatch")
 	}
-	if useAsmKernels && len(dst) > 0 {
-		sseAxpy(&dst[0], &src[0], alpha, len(dst))
-		return
-	}
 	for j, v := range src {
-		// Round the product before the add (no FMA; see goMicro4x4).
+		// Round the product before the add (no FMA; see goMicro1x8).
 		t := alpha * v
 		dst[j] += t
 	}
 }
 
-// goMicro4x4 accumulates the 4×4 destination tile at columns
-// [j0,j0+4) of rows d0..d3 with the products of four A rows against
-// one packed panel. Every accumulator adds in ascending k.
+// goMicro4x8 is the portable 4×8 kernel: four rows of goMicro1x8 on
+// the same panel.
 //
 //nessa:hotpath
-func goMicro4x4(d0, d1, d2, d3 []float32, j0 int, a0, a1, a2, a3, p []float32) {
-	kn := len(a0)
+func goMicro4x8(d []float32, ldd int, a []float32, rs, ks int, p []float32) {
+	for r := 0; r < gemmMR; r++ {
+		goMicro1x8(d[r*ldd:], a[r*rs:], ks, p)
+	}
+}
+
+// goMicro1x8 accumulates the 8 dst elements d[0:8] with the products
+// of one A row (a[kk·ks]) against one packed panel. Every accumulator
+// starts at +0, adds in ascending k, and is folded into dst once.
+//
+//nessa:hotpath
+func goMicro1x8(d, a []float32, ks int, p []float32) {
+	kn := len(p) / panelW
 	if kn == 0 {
 		return
 	}
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	a0 = a0[:kn:kn]
-	a1 = a1[:kn:kn]
-	a2 = a2[:kn:kn]
-	a3 = a3[:kn:kn]
-	p = p[: gemmNR*kn : gemmNR*kn]
+	var c0, c1, c2, c3, c4, c5, c6, c7 float32
+	p = p[:panelW*kn]
 	for k := 0; k < kn; k++ {
-		// One slice check in place of four index checks: pb has
-		// constant length gemmNR, so pb[0..3] are provably in bounds.
-		pb := p[k*gemmNR:][:gemmNR]
-		bv0, bv1, bv2, bv3 := pb[0], pb[1], pb[2], pb[3]
-		av0, av1, av2, av3 := a0[k], a1[k], a2[k], a3[k]
+		// One slice check in place of eight index checks: pb has
+		// constant length panelW, so pb[0..7] are provably in bounds.
+		pb := p[k*panelW:][:panelW]
+		//nessa:bce-ok one strided A load per eight multiply-adds; stride ks defeats the prover
+		av := a[k*ks]
 		// The products are materialized into temporaries before the
 		// adds: the spec lets `c += a*b` fuse into one FMA (a single
 		// rounding), while an assignment forces the product to round
-		// to float32 first — exactly what the SSE kernels do, keeping
+		// to float32 first — exactly what the AVX kernels do, keeping
 		// the two paths bit-identical on every architecture.
-		m0, m1, m2, m3 := av0*bv0, av0*bv1, av0*bv2, av0*bv3
-		c00, c01, c02, c03 = c00+m0, c01+m1, c02+m2, c03+m3
-		m0, m1, m2, m3 = av1*bv0, av1*bv1, av1*bv2, av1*bv3
-		c10, c11, c12, c13 = c10+m0, c11+m1, c12+m2, c13+m3
-		m0, m1, m2, m3 = av2*bv0, av2*bv1, av2*bv2, av2*bv3
-		c20, c21, c22, c23 = c20+m0, c21+m1, c22+m2, c23+m3
-		m0, m1, m2, m3 = av3*bv0, av3*bv1, av3*bv2, av3*bv3
-		c30, c31, c32, c33 = c30+m0, c31+m1, c32+m2, c33+m3
-	}
-	d0 = d0[j0 : j0+gemmNR]
-	d0[0] += c00
-	d0[1] += c01
-	d0[2] += c02
-	d0[3] += c03
-	d1 = d1[j0 : j0+gemmNR]
-	d1[0] += c10
-	d1[1] += c11
-	d1[2] += c12
-	d1[3] += c13
-	d2 = d2[j0 : j0+gemmNR]
-	d2[0] += c20
-	d2[1] += c21
-	d2[2] += c22
-	d2[3] += c23
-	d3 = d3[j0 : j0+gemmNR]
-	d3[0] += c30
-	d3[1] += c31
-	d3[2] += c32
-	d3[3] += c33
-}
-
-// goMicro1x4 is the row-tail variant: one A row against one panel.
-//
-//nessa:hotpath
-func goMicro1x4(d []float32, j0 int, a, p []float32) {
-	kn := len(a)
-	if kn == 0 {
-		return
-	}
-	var c0, c1, c2, c3 float32
-	a = a[:kn:kn]
-	p = p[: gemmNR*kn : gemmNR*kn]
-	for k := 0; k < kn; k++ {
-		pb := p[k*gemmNR:][:gemmNR]
-		av := a[k]
-		// Explicit product temporaries: see goMicro4x4.
 		m0, m1, m2, m3 := av*pb[0], av*pb[1], av*pb[2], av*pb[3]
 		c0, c1, c2, c3 = c0+m0, c1+m1, c2+m2, c3+m3
+		m4, m5, m6, m7 := av*pb[4], av*pb[5], av*pb[6], av*pb[7]
+		c4, c5, c6, c7 = c4+m4, c5+m5, c6+m6, c7+m7
 	}
-	d = d[j0 : j0+gemmNR]
+	d = d[:panelW]
 	d[0] += c0
 	d[1] += c1
 	d[2] += c2
 	d[3] += c3
-}
-
-// goMicroP4x4 is the both-sides-packed variant used by MatMulTransA:
-// pa holds four A columns and p four B columns, both 4-interleaved
-// over the same k range.
-//
-//nessa:hotpath
-func goMicroP4x4(d0, d1, d2, d3 []float32, j0 int, pa, p []float32) {
-	kn := len(pa) / gemmNR
-	if kn == 0 {
-		return
-	}
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	pa = pa[: gemmNR*kn : gemmNR*kn]
-	p = p[: gemmNR*kn : gemmNR*kn]
-	for k := 0; k < kn; k++ {
-		pav := pa[k*gemmNR:][:gemmNR]
-		pb := p[k*gemmNR:][:gemmNR]
-		av0, av1, av2, av3 := pav[0], pav[1], pav[2], pav[3]
-		bv0, bv1, bv2, bv3 := pb[0], pb[1], pb[2], pb[3]
-		// Explicit product temporaries: see goMicro4x4.
-		m0, m1, m2, m3 := av0*bv0, av0*bv1, av0*bv2, av0*bv3
-		c00, c01, c02, c03 = c00+m0, c01+m1, c02+m2, c03+m3
-		m0, m1, m2, m3 = av1*bv0, av1*bv1, av1*bv2, av1*bv3
-		c10, c11, c12, c13 = c10+m0, c11+m1, c12+m2, c13+m3
-		m0, m1, m2, m3 = av2*bv0, av2*bv1, av2*bv2, av2*bv3
-		c20, c21, c22, c23 = c20+m0, c21+m1, c22+m2, c23+m3
-		m0, m1, m2, m3 = av3*bv0, av3*bv1, av3*bv2, av3*bv3
-		c30, c31, c32, c33 = c30+m0, c31+m1, c32+m2, c33+m3
-	}
-	d0 = d0[j0 : j0+gemmNR]
-	d0[0] += c00
-	d0[1] += c01
-	d0[2] += c02
-	d0[3] += c03
-	d1 = d1[j0 : j0+gemmNR]
-	d1[0] += c10
-	d1[1] += c11
-	d1[2] += c12
-	d1[3] += c13
-	d2 = d2[j0 : j0+gemmNR]
-	d2[0] += c20
-	d2[1] += c21
-	d2[2] += c22
-	d2[3] += c23
-	d3 = d3[j0 : j0+gemmNR]
-	d3[0] += c30
-	d3[1] += c31
-	d3[2] += c32
-	d3[3] += c33
+	d[4] += c4
+	d[5] += c5
+	d[6] += c6
+	d[7] += c7
 }

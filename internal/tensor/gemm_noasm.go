@@ -2,25 +2,44 @@
 
 package tensor
 
-// useAsmKernels is false off amd64: the portable Go micro-kernels in
-// gemm_kernels.go run everywhere and define the reference semantics.
-const useAsmKernels = false
+// Off amd64 there are no vector kernels: cpuAVXOK and cpuFastTierOK
+// are false, so useAVX starts false, SetFastMath(true) never
+// dispatches, and the portable Go kernels in gemm_kernels.go run
+// everywhere. The entry points below are unreachable; they exist only
+// so the dispatch wrappers compile on every architecture.
+const (
+	cpuAVXOK      = false
+	cpuFastTierOK = false
+)
 
-// The SSE entry points exist only so the dispatch wrappers compile;
-// the constant above makes every call site dead code.
-
-func sseMicro4x4(d0, d1, d2, d3, a0, a1, a2, a3, p *float32, kn int) {
-	panic("tensor: SSE kernel called on non-amd64")
+func avxMicro4x16(d *float32, ldd int, a *float32, rs, ks int, p0, p1 *float32, kn int) {
+	panic("tensor: AVX kernel called on non-amd64")
 }
 
-func sseMicro1x4(d, a, p *float32, kn int) {
-	panic("tensor: SSE kernel called on non-amd64")
+func avxMicro4x8(d *float32, ldd int, a *float32, rs, ks int, p *float32, kn int) {
+	panic("tensor: AVX kernel called on non-amd64")
 }
 
-func sseMicroP4x4(d0, d1, d2, d3, pa, p *float32, kn int) {
-	panic("tensor: SSE kernel called on non-amd64")
+func avxMicro1x8(d, a *float32, ks int, p *float32, kn int) {
+	panic("tensor: AVX kernel called on non-amd64")
 }
 
-func sseAxpy(dst, src *float32, alpha float32, n int) {
-	panic("tensor: SSE kernel called on non-amd64")
+func avxGatherNZ(src *float32, n, stride int, off *int, val *float32, rowBytes int) int {
+	panic("tensor: AVX kernel called on non-amd64")
+}
+
+func avxSkipRow(d *float32, m int, b *float32, off *int, val *float32, nnz int) {
+	panic("tensor: AVX kernel called on non-amd64")
+}
+
+func fmaMicro4x16(d *float32, ldd int, a *float32, rs, ks int, p0, p1 *float32, kn int) {
+	panic("tensor: FMA kernel called on non-amd64")
+}
+
+func fmaMicro4x8(d *float32, ldd int, a *float32, rs, ks int, p *float32, kn int) {
+	panic("tensor: FMA kernel called on non-amd64")
+}
+
+func fmaMicro1x8(d, a *float32, ks int, p *float32, kn int) {
+	panic("tensor: FMA kernel called on non-amd64")
 }

@@ -44,41 +44,73 @@ func refMatMulTransA(dst, a, b *Matrix) {
 	}
 }
 
+// kernelSets names the bit-exact kernel sets this host can run: the
+// portable Go kernels everywhere, the AVX assembly where the CPU has
+// it. withKernels runs f on one of them and restores the default.
+func kernelSets() []bool {
+	if cpuAVXOK {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+func withKernels(avx bool, f func()) {
+	defer func(prev bool) { useAVX = prev }(useAVX)
+	useAVX = avx
+	f()
+}
+
+func kernelSetName(avx bool) string {
+	if avx {
+		return "avx"
+	}
+	return "portable"
+}
+
 // TestBlockedGEMMMatchesReference sweeps shapes around every tail
-// boundary of the 4×4 micro-kernels (rows%4, cols%4, tiny k, k just
-// past the gemmKC cache strip) and checks all three blocked kernels
-// against the naive ascending-k reference, bit for bit.
+// boundary of the 4×16 / 4×8 micro-kernels and the 8-wide panels
+// (rows%4, cols%8 and cols%16, a padded last panel, tiny k, k past
+// gemmKC) and checks all three blocked kernels against the naive
+// ascending-k reference, bit for bit, on every kernel set the host
+// runs.
 func TestBlockedGEMMMatchesReference(t *testing.T) {
 	r := NewRNG(99)
 	shapes := []struct{ n, k, m int }{
 		{1, 1, 1}, {1, 3, 5}, {2, 2, 2}, {3, 7, 3}, {4, 4, 4},
 		{5, 9, 6}, {7, 16, 9}, {8, 8, 8}, {13, 31, 17}, {16, 64, 12},
 		{33, 5, 33}, {64, 2, 3}, {3, 600, 7}, {9, 2051, 10},
+		{15, 23, 15}, {16, 16, 16}, {17, 40, 17}, {31, 9, 31}, {33, 70, 33},
+		{100, 19, 100}, {6, 257, 257}, {257, 11, 24},
 	}
-	for _, s := range shapes {
-		a := NewMatrix(s.n, s.k)
-		b := NewMatrix(s.k, s.m)
-		bt := NewMatrix(s.m, s.k)
-		at := NewMatrix(s.k, s.n)
-		a.FillNormal(r, 1)
-		b.FillNormal(r, 1)
-		bt.FillNormal(r, 1)
-		at.FillNormal(r, 1)
+	for _, avx := range kernelSets() {
+		withKernels(avx, func() {
+			for _, s := range shapes {
+				a := NewMatrix(s.n, s.k)
+				b := NewMatrix(s.k, s.m)
+				bt := NewMatrix(s.m, s.k)
+				at := NewMatrix(s.k, s.n)
+				a.FillNormal(r, 1)
+				b.FillNormal(r, 1)
+				bt.FillNormal(r, 1)
+				at.FillNormal(r, 1)
 
-		got := NewMatrix(s.n, s.m)
-		want := NewMatrix(s.n, s.m)
+				got := NewMatrix(s.n, s.m)
+				want := NewMatrix(s.n, s.m)
+				name := kernelSetName(avx)
 
-		MatMul(got, a, b)
-		refMatMul(want, a, b)
-		compare(t, "MatMul", s.n, s.k, s.m, got, want)
+				MatMul(got, a, b)
+				refMatMul(want, a, b)
+				compare(t, name+"/MatMul", s.n, s.k, s.m, got, want)
 
-		MatMulTransB(got, a, bt)
-		refMatMulTransB(want, a, bt)
-		compare(t, "MatMulTransB", s.n, s.k, s.m, got, want)
+				MatMulTransB(got, a, bt)
+				refMatMulTransB(want, a, bt)
+				compare(t, name+"/MatMulTransB", s.n, s.k, s.m, got, want)
 
-		MatMulTransA(got, at, b)
-		refMatMulTransA(want, at, b)
-		compare(t, "MatMulTransA", s.n, s.k, s.m, got, want)
+				MatMulTransA(got, at, b)
+				refMatMulTransA(want, at, b)
+				compare(t, name+"/MatMulTransA", s.n, s.k, s.m, got, want)
+			}
+		})
 	}
 }
 
@@ -214,44 +246,80 @@ func TestMatMulTransAAccDense(t *testing.T) {
 }
 
 // TestSparseGEMMWorkerCountInvariant pins the skip bands to the same
-// any-worker-count bitwise contract as the dense kernels. The path
-// choice itself depends only on operand data, never the worker count.
+// any-worker-count bitwise contract as the dense kernels, on row and
+// column counts around the 16-column tile and the skip kernel's
+// 32-column register chunk. The path choice itself depends only on
+// operand data, never the worker count.
 func TestSparseGEMMWorkerCountInvariant(t *testing.T) {
-	r := NewRNG(29)
-	a := NewMatrix(131, 67)
-	at := NewMatrix(67, 131)
-	b := NewMatrix(67, 93)
-	bm := NewMatrix(131, 93)
-	a.FillNormal(r, 1)
-	at.FillNormal(r, 1)
-	b.FillNormal(r, 1)
-	bm.FillNormal(r, 1)
-	sparsify(a)
-	sparsify(at)
-
 	defer parallel.SetDefaultWorkers(0)
-	kernels := []struct {
-		name string
-		run  func(dst *Matrix)
-		rows int
-	}{
-		{"MatMul", func(d *Matrix) { MatMul(d, a, b) }, a.Rows},
-		{"MatMulTransA", func(d *Matrix) { MatMulTransA(d, at, b) }, at.Cols},
-	}
-	for _, kc := range kernels {
-		parallel.SetDefaultWorkers(1)
-		serial := NewMatrix(kc.rows, b.Cols)
-		kc.run(serial)
-		for _, w := range []int{2, 3, 8} {
-			parallel.SetDefaultWorkers(w)
-			par := NewMatrix(kc.rows, b.Cols)
-			kc.run(par)
-			for i := range serial.Data {
-				if serial.Data[i] != par.Data[i] {
-					t.Fatalf("%s sparse workers=%d: element %d differs: %v vs %v",
-						kc.name, w, i, serial.Data[i], par.Data[i])
+	for _, m := range []int{15, 16, 17, 31, 33, 93, 100, 257} {
+		r := NewRNG(29)
+		a := NewMatrix(131, 67)
+		at := NewMatrix(67, 131)
+		b := NewMatrix(67, m)
+		a.FillNormal(r, 1)
+		at.FillNormal(r, 1)
+		b.FillNormal(r, 1)
+		sparsify(a)
+		sparsify(at)
+
+		kernels := []struct {
+			name string
+			run  func(dst *Matrix)
+			rows int
+		}{
+			{"MatMul", func(d *Matrix) { MatMul(d, a, b) }, a.Rows},
+			{"MatMulTransA", func(d *Matrix) { MatMulTransA(d, at, b) }, at.Cols},
+		}
+		for _, kc := range kernels {
+			parallel.SetDefaultWorkers(1)
+			serial := NewMatrix(kc.rows, b.Cols)
+			kc.run(serial)
+			for _, w := range []int{2, 3, 8} {
+				parallel.SetDefaultWorkers(w)
+				par := NewMatrix(kc.rows, b.Cols)
+				kc.run(par)
+				for i := range serial.Data {
+					if serial.Data[i] != par.Data[i] {
+						t.Fatalf("%s sparse m=%d workers=%d: element %d differs: %v vs %v",
+							kc.name, m, w, i, serial.Data[i], par.Data[i])
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestMatMulTransAAccWorkerCountInvariant pins the accumulating
+// product into a *nonzero* dst to one result at every worker count.
+// Band boundaries move with the worker count, so a dst row lands in a
+// 4-row tile at one count and in a band's row tail at another: both
+// must sum the row's terms first and fold the sum into dst once.
+func TestMatMulTransAAccWorkerCountInvariant(t *testing.T) {
+	r := NewRNG(41)
+	a := NewMatrix(300, 203)
+	b := NewMatrix(300, 37)
+	dst0 := NewMatrix(203, 37)
+	a.FillNormal(r, 1)
+	b.FillNormal(r, 1)
+	dst0.FillNormal(r, 1)
+
+	defer parallel.SetDefaultWorkers(0)
+	parallel.SetDefaultWorkers(1)
+	serial := dst0.Clone()
+	MatMulTransAAcc(serial, a, b)
+	for _, w := range []int{2, 3, 5, 8} {
+		parallel.SetDefaultWorkers(w)
+		got := dst0.Clone()
+		MatMulTransAAcc(got, a, b)
+		differ := 0
+		for i := range got.Data {
+			if got.Data[i] != serial.Data[i] {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("workers=%d: %d of %d elements differ from workers=1", w, differ, len(got.Data))
 		}
 	}
 }

@@ -104,13 +104,16 @@ esac
 gate "go test -race"
 go test -race ./...
 
-gate "decoder fuzzing"
+gate "fuzzing"
 # Every decoder of bytes from outside the program — the NSCP
 # checkpoint, the model and optimizer blobs inside it, the on-SSD
 # record — runs its fuzz target for 3 s from the committed corpus
 # (testdata/fuzz/<target>/). The property is the same for all four:
 # error or byte-exact round trip, never a panic, never an allocation
-# beyond a small multiple of the input. `go test -fuzz` takes one
+# beyond a small multiple of the input. The GEMM target differentially
+# fuzzes the vector kernels against the portable Go kernels on ragged
+# shapes: bit for bit on the bit-exact tier, within FastTierTolerance
+# on the fast tier. `go test -fuzz` takes one
 # target per invocation. A crasher fails the gate and go test writes
 # its input under testdata/fuzz/, where it belongs in the commit that
 # fixes it. -fuzzminimizetime 1x: the default spends up to a minute
@@ -119,7 +122,8 @@ for target in \
 	"FuzzRestore ./internal/core" \
 	"FuzzUnmarshalModelInto ./internal/nn" \
 	"FuzzUnmarshalSGDInto ./internal/nn" \
-	"FuzzDecodeRecord ./internal/data"; do
+	"FuzzDecodeRecord ./internal/data" \
+	"FuzzGEMMMatchesPortable ./internal/tensor"; do
 	read -r name pkg <<<"$target"
 	go test -run '^$' -fuzz "^${name}\$" -fuzztime 3s -fuzzminimizetime 1x "$pkg"
 done
