@@ -16,7 +16,8 @@
 // -streaming selects each subset with the single-pass sieve pipeline
 // (one sequential scan of the candidates in fixed on-chip memory,
 // DESIGN.md §4.10) instead of the materialized per-class CRAIG solve;
-// it requires the facility selector, i.e. -method nessa or craig.
+// it requires the facility selector, i.e. -method nessa or craig, and
+// runs on the host, the device or a -parity cluster alike.
 // -streamchunk sets the records per scan chunk.
 //
 // -fastmath opts into the non-bit-exact AVX2/FMA kernel tier (still

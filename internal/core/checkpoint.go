@@ -32,8 +32,9 @@ import (
 //	cands    uint32 count + count*uint32
 //	selected uint32 count (cpNil = no current subset) + count*uint32
 //	         + count*float32 weights
-//	history  uint32 window, then per sample: uint32 present flag,
-//	         [uint32 pos, uint32 count, window*float32]
+//	history  uint32 window, then per sample: uint32 present flag (1 iff
+//	         the sample has a recorded loss), [uint32 pos, uint32 count
+//	         (≥ 1), window*float32]
 //	metrics  uint32 epochs, then per epoch: float64 loss, float64 acc,
 //	         uint32 subset size, float64 subset frac
 //	faults   6*uint32 counters
@@ -77,14 +78,14 @@ func (s *session) checkpoint(epoch int) []byte {
 	}
 	w.U32(uint32(s.hist.window))
 	for i := 0; i < s.n; i++ {
-		if s.hist.buf[i] == nil {
+		if s.hist.count[i] == 0 {
 			w.U32(0)
 			continue
 		}
 		w.U32(1)
 		w.U32(uint32(s.hist.pos[i]))
 		w.U32(uint32(s.hist.count[i]))
-		w.F32s(s.hist.buf[i])
+		w.F32s(s.hist.ring(i))
 	}
 	m := &s.rep.Metrics
 	w.U32(uint32(len(m.EpochLoss)))
@@ -174,12 +175,12 @@ func (s *session) restore(buf []byte) error {
 			r.Failf("loss-history ring %d has presence flag %d", i, present)
 		}
 		pos, cnt := int(r.U32()), int(r.U32())
-		if pos < 0 || pos >= window || cnt < 0 || cnt > window {
+		if pos < 0 || pos >= window || cnt < 1 || cnt > window {
 			r.Failf("loss-history ring %d corrupt (pos %d, count %d)", i, pos, cnt)
+			break
 		}
-		ring := make([]float32, window)
-		r.F32s(ring)
-		s.hist.buf[i], s.hist.pos[i], s.hist.count[i] = ring, pos, cnt
+		r.F32s(s.hist.ring(i))
+		s.hist.pos[i], s.hist.count[i] = pos, cnt
 	}
 	ne := r.Count("metrics", epoch, 28)
 	if ne != epoch {

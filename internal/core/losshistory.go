@@ -7,31 +7,32 @@ package core
 // samples from the training set every twenty epochs."
 type lossHistory struct {
 	window int
-	buf    [][]float32 // per-sample ring of recent losses
+	buf    []float32 // n rings of window losses: sample idx owns buf[idx*window:][:window]
 	pos    []int
-	count  []int
+	count  []int // a sample has a recorded loss exactly when count > 0
 }
 
 func newLossHistory(n, window int) *lossHistory {
 	if window <= 0 {
 		window = 1
 	}
-	h := &lossHistory{
+	return &lossHistory{
 		window: window,
-		buf:    make([][]float32, n),
+		buf:    make([]float32, n*window),
 		pos:    make([]int, n),
 		count:  make([]int, n),
 	}
-	return h
+}
+
+// ring returns sample idx's ring of recent losses.
+func (h *lossHistory) ring(idx int) []float32 {
+	return h.buf[idx*h.window : (idx+1)*h.window]
 }
 
 // record stores one observed loss per listed sample.
 func (h *lossHistory) record(indices []int, losses []float32) {
 	for i, idx := range indices {
-		if h.buf[idx] == nil {
-			h.buf[idx] = make([]float32, h.window)
-		}
-		h.buf[idx][h.pos[idx]] = losses[i]
+		h.buf[idx*h.window+h.pos[idx]] = losses[i]
 		h.pos[idx] = (h.pos[idx] + 1) % h.window
 		if h.count[idx] < h.window {
 			h.count[idx]++
@@ -47,8 +48,8 @@ func (h *lossHistory) mean(idx int) (float32, bool) {
 		return 0, false
 	}
 	var sum float32
-	for i := 0; i < c; i++ {
-		sum += h.buf[idx][i]
+	for _, l := range h.ring(idx)[:c] {
+		sum += l
 	}
 	return sum / float32(c), true
 }

@@ -14,15 +14,15 @@ import (
 
 // The invariant matrix pins core.Run across every way a reselection can
 // get its records: source ∈ {none, one device, a 4+2 striped cluster},
-// batch or streaming selection (streaming on none and device only),
-// workers ∈ {1, 2}, and condition ∈ {clean, a transient + corrupt fault
-// schedule, one cluster member killed mid-run, resumed from a mid-run
-// checkpoint}. Each cell is the FNV-1a hash of its trajectory series,
+// batch or streaming selection, workers ∈ {1, 2}, and condition ∈
+// {clean, a transient + corrupt fault schedule, one cluster member
+// killed mid-run, resumed from a mid-run checkpoint}. Each cell is the FNV-1a hash of its trajectory series,
 // the final simulated clock of every attached drive, and the bytes the
 // P2P links carried. The goldens below were recorded at the commit
-// before the selector started consuming scanned bytes, so a refactor of
-// the data path that moves any series, charge or injector draw fails
-// here.
+// before the selector started consuming scanned bytes (the streaming ×
+// cluster cells at the commit that first allowed the combination, before
+// the session reused its buffers), so a refactor of the data path that
+// moves any series, charge or injector draw fails here.
 type cellGolden struct {
 	series uint64 // trajectoryHash
 	clocks uint64 // FNV-1a of the final device clocks, in member order
@@ -30,34 +30,42 @@ type cellGolden struct {
 }
 
 var matrixGolden = map[string]cellGolden{
-	"batch/none/w1/clean":        {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
-	"batch/none/w1/resume":       {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
-	"batch/none/w2/clean":        {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
-	"batch/none/w2/resume":       {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
-	"batch/device/w1/clean":      {0x612815bbc98f06df, 0x2d4f25147559eec1, 27238400},
-	"batch/device/w1/resume":     {0x612815bbc98f06df, 0xa88df6da13e04d55, 11212800},
-	"batch/device/w1/faults":     {0xff12d0c014c92567, 0x5b482b5cced5e2c6, 30228480},
-	"batch/device/w2/clean":      {0x612815bbc98f06df, 0x2d4f25147559eec1, 27238400},
-	"batch/device/w2/resume":     {0x612815bbc98f06df, 0xa88df6da13e04d55, 11212800},
-	"batch/device/w2/faults":     {0xff12d0c014c92567, 0x5b482b5cced5e2c6, 30228480},
-	"batch/cluster/w1/clean":     {0x612815bbc98f06df, 0x376b5fc7658390de, 36864000},
-	"batch/cluster/w1/resume":    {0x612815bbc98f06df, 0xced9087ab0ea61a8, 18432000},
-	"batch/cluster/w1/faults":    {0x612815bbc98f06df, 0xb3d82a46329b7ad3, 40243200},
-	"batch/cluster/w1/kill":      {0x612815bbc98f06df, 0x5e75436bffa499c8, 36864000},
-	"batch/cluster/w2/clean":     {0x612815bbc98f06df, 0x376b5fc7658390de, 36864000},
-	"batch/cluster/w2/resume":    {0x612815bbc98f06df, 0xced9087ab0ea61a8, 18432000},
-	"batch/cluster/w2/faults":    {0x612815bbc98f06df, 0xb3d82a46329b7ad3, 40243200},
-	"batch/cluster/w2/kill":      {0x612815bbc98f06df, 0x5e75436bffa499c8, 36864000},
-	"streaming/none/w1/clean":    {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
-	"streaming/none/w1/resume":   {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
-	"streaming/none/w2/clean":    {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
-	"streaming/none/w2/resume":   {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
-	"streaming/device/w1/clean":  {0x4f2bcee9e1deba83, 0xf40daef57ed082b5, 9830400},
-	"streaming/device/w1/resume": {0x4f2bcee9e1deba83, 0xdf2eb2ebb01d6031, 4915200},
-	"streaming/device/w1/faults": {0xdba74331a88d69c3, 0x5f756422564b6d85, 10240000},
-	"streaming/device/w2/clean":  {0x4f2bcee9e1deba83, 0xf40daef57ed082b5, 9830400},
-	"streaming/device/w2/resume": {0x4f2bcee9e1deba83, 0xdf2eb2ebb01d6031, 4915200},
-	"streaming/device/w2/faults": {0xdba74331a88d69c3, 0x5f756422564b6d85, 10240000},
+	"batch/none/w1/clean":         {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
+	"batch/none/w1/resume":        {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
+	"batch/none/w2/clean":         {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
+	"batch/none/w2/resume":        {0x612815bbc98f06df, 0xcbf29ce484222325, 0},
+	"batch/device/w1/clean":       {0x612815bbc98f06df, 0x2d4f25147559eec1, 27238400},
+	"batch/device/w1/resume":      {0x612815bbc98f06df, 0xa88df6da13e04d55, 11212800},
+	"batch/device/w1/faults":      {0xff12d0c014c92567, 0x5b482b5cced5e2c6, 30228480},
+	"batch/device/w2/clean":       {0x612815bbc98f06df, 0x2d4f25147559eec1, 27238400},
+	"batch/device/w2/resume":      {0x612815bbc98f06df, 0xa88df6da13e04d55, 11212800},
+	"batch/device/w2/faults":      {0xff12d0c014c92567, 0x5b482b5cced5e2c6, 30228480},
+	"batch/cluster/w1/clean":      {0x612815bbc98f06df, 0x376b5fc7658390de, 36864000},
+	"batch/cluster/w1/resume":     {0x612815bbc98f06df, 0xced9087ab0ea61a8, 18432000},
+	"batch/cluster/w1/faults":     {0x612815bbc98f06df, 0xb3d82a46329b7ad3, 40243200},
+	"batch/cluster/w1/kill":       {0x612815bbc98f06df, 0x5e75436bffa499c8, 36864000},
+	"batch/cluster/w2/clean":      {0x612815bbc98f06df, 0x376b5fc7658390de, 36864000},
+	"batch/cluster/w2/resume":     {0x612815bbc98f06df, 0xced9087ab0ea61a8, 18432000},
+	"batch/cluster/w2/faults":     {0x612815bbc98f06df, 0xb3d82a46329b7ad3, 40243200},
+	"batch/cluster/w2/kill":       {0x612815bbc98f06df, 0x5e75436bffa499c8, 36864000},
+	"streaming/none/w1/clean":     {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
+	"streaming/none/w1/resume":    {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
+	"streaming/none/w2/clean":     {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
+	"streaming/none/w2/resume":    {0x4f2bcee9e1deba83, 0xcbf29ce484222325, 0},
+	"streaming/device/w1/clean":   {0x4f2bcee9e1deba83, 0xf40daef57ed082b5, 9830400},
+	"streaming/device/w1/resume":  {0x4f2bcee9e1deba83, 0xdf2eb2ebb01d6031, 4915200},
+	"streaming/device/w1/faults":  {0xdba74331a88d69c3, 0x5f756422564b6d85, 10240000},
+	"streaming/device/w2/clean":   {0x4f2bcee9e1deba83, 0xf40daef57ed082b5, 9830400},
+	"streaming/device/w2/resume":  {0x4f2bcee9e1deba83, 0xdf2eb2ebb01d6031, 4915200},
+	"streaming/device/w2/faults":  {0xdba74331a88d69c3, 0x5f756422564b6d85, 10240000},
+	"streaming/cluster/w1/clean":  {0x4f2bcee9e1deba83, 0x70d99481840f109a, 9830400},
+	"streaming/cluster/w1/resume": {0x4f2bcee9e1deba83, 0x28d31a6203798e2b, 4915200},
+	"streaming/cluster/w1/faults": {0x4f2bcee9e1deba83, 0xeb45a1a824bf1d7a, 11366400},
+	"streaming/cluster/w1/kill":   {0x4f2bcee9e1deba83, 0xdd4868c78f80a418, 9830400},
+	"streaming/cluster/w2/clean":  {0x4f2bcee9e1deba83, 0x70d99481840f109a, 9830400},
+	"streaming/cluster/w2/resume": {0x4f2bcee9e1deba83, 0x28d31a6203798e2b, 4915200},
+	"streaming/cluster/w2/faults": {0x4f2bcee9e1deba83, 0xeb45a1a824bf1d7a, 11366400},
+	"streaming/cluster/w2/kill":   {0x4f2bcee9e1deba83, 0xdd4868c78f80a418, 9830400},
 }
 
 // cell is one run of the matrix.
@@ -189,9 +197,6 @@ func matrixCells() []string {
 	var cells []string
 	for _, mode := range []string{"batch", "streaming"} {
 		for _, src := range []string{"none", "device", "cluster"} {
-			if mode == "streaming" && src == "cluster" {
-				continue // rejected by validateOptions
-			}
 			conds := []string{"clean", "resume"}
 			switch src {
 			case "device":

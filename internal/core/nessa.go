@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"nessa/internal/data"
@@ -145,9 +146,9 @@ type Options struct {
 	// sieve pipeline (internal/selection/streaming): the candidate scan
 	// is consumed chunk by chunk and the full embedding matrix is never
 	// materialized, so selection state stays within the FPGA's on-chip
-	// budget regardless of dataset size. Requires SelectorFacility and
-	// no Cluster. StreamChunk is the records per scan and embed chunk of
-	// either selector (0 = 8192).
+	// budget regardless of dataset size. Requires SelectorFacility.
+	// StreamChunk is the records per scan and embed chunk of either
+	// selector (0 = 8192).
 	Streaming   bool
 	StreamChunk int
 
@@ -315,6 +316,22 @@ type session struct {
 	losses  []float32
 	probs   []float32
 	fwd     nn.FwdScratch
+
+	// The selection pass's storage, sized by the first reselection and
+	// reused by every later one (DESIGN.md §4.13 tabulates it): the
+	// quantized and dequantized selection model, the local candidate
+	// positions, the per-class lists (batch) or counts (streaming), one
+	// maximizer scratch and RNG per class, the merged result, and the
+	// streaming selector.
+	qm       *quant.Model
+	selModel *nn.MLP
+	pos      []int
+	classes  [][]int
+	counts   []int
+	scratch  []*selection.Scratch
+	crng     []tensor.RNG
+	picked   selection.Result
+	sieve    *streaming.Selector
 }
 
 func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*session, error) {
@@ -357,6 +374,7 @@ func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*s
 	s.labels = make([]int, pool)
 	s.losses = make([]float32, pool)
 	s.probs = make([]float32, classes)
+	s.pos = positions(pool)
 	return s, nil
 }
 
@@ -369,9 +387,10 @@ func (s *session) run() (*Report, error) {
 		if reselect {
 			selModel := s.tr.Model
 			if opt.QuantFeedback {
-				qm := quant.QuantizeModel(s.tr.Model)
-				selModel = qm.Dequantized()
-				s.src.feedback(qm.SizeBytes())
+				s.qm = quant.QuantizeModelInto(s.qm, s.tr.Model)
+				s.selModel = s.qm.DequantizedInto(s.selModel)
+				selModel = s.selModel
+				s.src.feedback(s.qm.SizeBytes())
 			}
 			res, degraded, err := s.selectSubset(selModel)
 			if err != nil {
@@ -391,13 +410,13 @@ func (s *session) run() (*Report, error) {
 			s.current = res
 		}
 
-		subset := s.train.Subset(s.current.Selected)
-		loss := s.tr.TrainEpoch(subset.X, subset.Labels, s.current.Weights)
+		loss := s.tr.TrainRows(s.train.X, s.train.Labels, s.current.Selected, s.current.Weights)
+		size := len(s.current.Selected)
 
 		rep.Metrics.EpochLoss = append(rep.Metrics.EpochLoss, loss)
 		rep.Metrics.EpochAcc = append(rep.Metrics.EpochAcc, s.tr.Evaluate(s.test))
-		rep.Metrics.SubsetSizes = append(rep.Metrics.SubsetSizes, subset.Len())
-		rep.EpochSubsetFrac = append(rep.EpochSubsetFrac, float64(subset.Len())/float64(s.n))
+		rep.Metrics.SubsetSizes = append(rep.Metrics.SubsetSizes, size)
+		rep.EpochSubsetFrac = append(rep.EpochSubsetFrac, float64(size)/float64(s.n))
 
 		// Subset biasing (§3.2.2): every BiasEvery epochs drop samples
 		// whose recent losses mark them as learned.
@@ -501,7 +520,7 @@ func (s *session) chunk() int {
 // gradient information exists without a scan) and fetch exactly those
 // records over the resilient host path.
 func (s *session) fallbackSubset() (selection.Result, error) {
-	res, err := selection.Random(positions(len(s.cands)), subsetK(s.frac, s.n, len(s.cands)), s.rng)
+	res, err := selection.Random(s.pos[:len(s.cands)], subsetK(s.frac, s.n, len(s.cands)), s.rng)
 	if err != nil {
 		return selection.Result{}, fmt.Errorf("core: fallback selection: %w", err)
 	}
@@ -588,17 +607,24 @@ func (s *session) selectSubset(m *nn.MLP) (selection.Result, bool, error) {
 	var sieve *streaming.Selector
 	if s.opt.Streaming {
 		// The dataset's label metadata sizes the sieve's classes.
-		counts := make([]int, s.train.Spec.Classes)
+		s.counts = slices.Grow(s.counts[:0], s.train.Spec.Classes)[:s.train.Spec.Classes]
+		clear(s.counts)
 		for _, c := range s.cands {
-			counts[s.train.Labels[c]]++
+			s.counts[s.train.Labels[c]]++
 		}
-		var err error
-		sieve, err = streaming.NewSelector(streaming.Config{
-			Classes: len(counts), Dim: len(counts), K: k, ClassCounts: counts, Seed: s.rng.Uint64(),
-		})
-		if err != nil {
+		cfg := streaming.Config{
+			Classes: len(s.counts), Dim: len(s.counts), K: k, ClassCounts: s.counts, Seed: s.rng.Uint64(),
+		}
+		if s.sieve == nil {
+			sel, err := streaming.NewSelector(cfg)
+			if err != nil {
+				return selection.Result{}, false, err
+			}
+			s.sieve = sel
+		} else if err := s.sieve.Reset(cfg); err != nil {
 			return selection.Result{}, false, err
 		}
+		sieve = s.sieve
 	}
 	degraded, err := s.src.scan(s.cands, s.chunk(), sieve != nil, func(lo, hi int, at func(int) []byte) error {
 		if sieve == nil {
@@ -615,29 +641,13 @@ func (s *session) selectSubset(m *nn.MLP) (selection.Result, bool, error) {
 	}
 
 	// Selection runs on local candidate positions; map back after.
-	local := positions(pool)
+	local := s.pos[:pool]
 	var res selection.Result
 	switch {
 	case sieve != nil:
 		res, _, err = sieve.Finish()
 	case s.opt.Selector == SelectorFacility:
-		classes := make([][]int, s.train.Spec.Classes)
-		for i, y := range s.labels[:pool] {
-			classes[y] = append(classes[y], i)
-		}
-		// One base seed per selection pass (drawn serially from the run
-		// RNG), then an independent stream per class, so the per-class
-		// fan-out is both race-free and deterministic for any worker
-		// count.
-		base := s.rng.Uint64()
-		res, err = selection.PerClassWith(s.rowsOf(0, pool), classes, k, func(ci int) selection.Maximizer {
-			crng := selection.ClassStream(base, ci)
-			inner := selection.StochasticMaximizer(s.opt.Eps, crng)
-			if s.opt.Partition {
-				inner = selection.PartitionedMaximizer(s.opt.PartitionM, crng, inner)
-			}
-			return inner
-		})
+		res, err = s.perClassFacility(k)
 	case s.opt.Selector == SelectorKCenters:
 		res, err = selection.KCenters(s.rowsOf(0, pool), local, k)
 		if err == nil {
@@ -663,6 +673,42 @@ func (s *session) selectSubset(m *nn.MLP) (selection.Result, bool, error) {
 		res.Selected[i] = s.cands[p]
 	}
 	return res, false, nil
+}
+
+// perClassFacility runs the per-class facility-location selection of a
+// batch pass over the pool's embeddings, into s.picked: each class's
+// stochastic greedy — partitioned when configured — on that class's
+// scratch and RNG.
+func (s *session) perClassFacility(k int) (selection.Result, error) {
+	classes := s.train.Spec.Classes
+	if s.scratch == nil {
+		s.classes = make([][]int, classes)
+		s.scratch = make([]*selection.Scratch, classes)
+		for ci := range s.scratch {
+			s.scratch[ci] = new(selection.Scratch)
+		}
+		s.crng = make([]tensor.RNG, classes)
+	}
+	for ci := range s.classes {
+		s.classes[ci] = s.classes[ci][:0]
+	}
+	for i, y := range s.labels[:len(s.cands)] {
+		s.classes[y] = append(s.classes[y], i)
+	}
+	// One base seed per selection pass (drawn serially from the run
+	// RNG), then an independent stream per class, so the per-class
+	// fan-out is both race-free and deterministic for any worker count.
+	base := s.rng.Uint64()
+	err := selection.PerClassInto(&s.picked, s.rowsOf(0, len(s.cands)), s.classes, k, func(ci int) selection.Maximizer {
+		crng, sc := &s.crng[ci], s.scratch[ci]
+		crng.SetState(selection.ClassStream(base, ci).State())
+		inner := sc.StochasticMaximizer(s.opt.Eps, crng)
+		if s.opt.Partition {
+			inner = sc.PartitionedMaximizer(s.opt.PartitionM, crng, inner)
+		}
+		return inner
+	})
+	return s.picked, err
 }
 
 // positions returns 0, 1, …, n-1.
@@ -719,8 +765,6 @@ func validateOptions(opt *Options) error {
 		return fmt.Errorf("core: Device and Cluster are mutually exclusive")
 	case storage && opt.DatasetName == "":
 		return fmt.Errorf("core: device or cluster attached without a dataset name")
-	case opt.Cluster != nil && opt.Streaming:
-		return fmt.Errorf("core: streaming selection is a single-device path; not supported with a cluster")
 	case opt.Injector != nil && !storage:
 		return fmt.Errorf("core: fault injector attached without a device or cluster")
 	}

@@ -90,7 +90,8 @@ func (memorySource) lost() int                          { return 0 }
 // storageSource serves reselections from the dataset image stored on
 // one drive (dev) or striped across a cluster. buf is the landing
 // buffer of the gathered device reads: the pool only shrinks, so the
-// first reselection sizes it for good.
+// first reselection sizes it for good. scanBufs are the chunk buffers
+// of the streaming device scan, sized by the first pass.
 type storageSource struct {
 	dev       *smartssd.Device
 	cluster   *smartssd.Cluster
@@ -101,6 +102,7 @@ type storageSource struct {
 	rebuild   bool // AutoRebuild
 	lostStart int  // cluster losses that predate the session
 	buf       []byte
+	scanBufs  streaming.ScanBuffers
 }
 
 // devices is resolved at each call, so a spare that Rebuild swapped
@@ -139,7 +141,7 @@ func (s *storageSource) scan(cands []int, chunk int, stream bool, visit visitFun
 		var st streaming.ScanStats
 		st, err = streaming.ScanRecords(s.dev, streaming.ScanConfig{
 			Object: s.name, RecordBytes: s.rec, Candidates: cands,
-			ChunkRecords: chunk, Verify: s.verify, Retry: s.retry,
+			ChunkRecords: chunk, Verify: s.verify, Retry: s.retry, Buffers: &s.scanBufs,
 		}, func(_, lo, hi int, base int64, buf []byte) error {
 			return visit(lo, hi, func(i int) []byte {
 				off := (int64(cands[i]) - base) * s.rec

@@ -11,6 +11,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nessa/internal/nn"
 	"nessa/internal/tensor"
@@ -28,10 +29,29 @@ type Tensor struct {
 // QuantizeBits converts m to signed fixed point at the given width, the
 // largest-magnitude element mapping to the largest code (±127 at 8 bits).
 func QuantizeBits(m *tensor.Matrix, bits int) (*Tensor, error) {
-	if bits < 2 || bits > 16 {
-		return nil, fmt.Errorf("quant: bit width %d out of [2,16]", bits)
+	if err := checkBits(bits); err != nil {
+		return nil, err
 	}
-	q := &Tensor{Rows: m.Rows, Cols: m.Cols, Bits: bits, Data: make([]int16, len(m.Data))}
+	return quantizeInto(nil, m, bits), nil
+}
+
+func checkBits(bits int) error {
+	if bits < 2 || bits > 16 {
+		return fmt.Errorf("quant: bit width %d out of [2,16]", bits)
+	}
+	return nil
+}
+
+// quantizeInto is QuantizeBits into q's storage (nil allocates), for a
+// width already checked to lie in [2,16].
+func quantizeInto(q *Tensor, m *tensor.Matrix, bits int) *Tensor {
+	if q == nil {
+		q = &Tensor{}
+	}
+	if cap(q.Data) < len(m.Data) {
+		q.Data = make([]int16, len(m.Data))
+	}
+	q.Rows, q.Cols, q.Bits, q.Data = m.Rows, m.Cols, bits, q.Data[:len(m.Data)]
 	limit := float64(int32(1)<<(bits-1) - 1)
 	var maxAbs float32
 	for _, v := range m.Data {
@@ -45,7 +65,8 @@ func QuantizeBits(m *tensor.Matrix, bits int) (*Tensor, error) {
 	}
 	if maxAbs == 0 {
 		q.Scale = 1
-		return q, nil
+		clear(q.Data)
+		return q
 	}
 	q.Scale = maxAbs / float32(limit)
 	inv := 1 / q.Scale
@@ -58,16 +79,22 @@ func QuantizeBits(m *tensor.Matrix, bits int) (*Tensor, error) {
 		}
 		q.Data[i] = int16(r)
 	}
-	return q, nil
+	return q
 }
 
 // Dequantize expands q back to float32.
 func (q *Tensor) Dequantize() *tensor.Matrix {
-	m := tensor.NewMatrix(q.Rows, q.Cols)
+	return q.dequantizeInto(nil)
+}
+
+// dequantizeInto expands q into dst, reusing dst's storage when it is
+// large enough (nil allocates), and returns the matrix it filled.
+func (q *Tensor) dequantizeInto(dst *tensor.Matrix) *tensor.Matrix {
+	dst = tensor.EnsureShape(dst, q.Rows, q.Cols)
 	for i, v := range q.Data {
-		m.Data[i] = float32(v) * q.Scale
+		dst.Data[i] = float32(v) * q.Scale
 	}
-	return m
+	return dst
 }
 
 // SizeBytes reports the packed wire size that crosses the host link in
@@ -87,23 +114,34 @@ type Model struct {
 
 // QuantizeModelBits snapshots m at the given bit width.
 func QuantizeModelBits(m *nn.MLP, bits int) (*Model, error) {
-	qm := &Model{In: m.In, Classes: m.Classes}
-	for _, l := range m.Layers {
-		w, err := QuantizeBits(l.W, bits)
-		if err != nil {
-			return nil, err
-		}
-		qm.Weights = append(qm.Weights, w)
-		qm.Biases = append(qm.Biases, append([]float32(nil), l.B...))
+	if err := checkBits(bits); err != nil {
+		return nil, err
 	}
-	return qm, nil
+	return quantizeModelInto(nil, m, bits), nil
 }
 
 // QuantizeModel snapshots m at the paper's 8 bits.
 func QuantizeModel(m *nn.MLP) *Model {
-	qm, err := QuantizeModelBits(m, 8)
-	if err != nil {
-		panic(err) // 8 is inside [2,16]
+	return quantizeModelInto(nil, m, 8)
+}
+
+// QuantizeModelInto is QuantizeModel into qm's storage: a snapshot of
+// the same architecture reuses every tensor, so refreshing the
+// selection model each epoch allocates nothing. nil allocates.
+func QuantizeModelInto(qm *Model, m *nn.MLP) *Model {
+	return quantizeModelInto(qm, m, 8)
+}
+
+func quantizeModelInto(qm *Model, m *nn.MLP, bits int) *Model {
+	if qm == nil {
+		qm = &Model{}
+	}
+	qm.In, qm.Classes = m.In, m.Classes
+	qm.Weights = slices.Grow(qm.Weights[:0], len(m.Layers))[:len(m.Layers)]
+	qm.Biases = slices.Grow(qm.Biases[:0], len(m.Layers))[:len(m.Layers)]
+	for i, l := range m.Layers {
+		qm.Weights[i] = quantizeInto(qm.Weights[i], l.W, bits)
+		qm.Biases[i] = append(qm.Biases[i][:0], l.B...)
 	}
 	return qm
 }
@@ -122,12 +160,25 @@ func (qm *Model) SizeBytes() int64 {
 // This is the model the FPGA selection kernel evaluates: numerically it
 // carries the rounding error, exactly like running int8 MACs.
 func (qm *Model) Dequantized() *nn.MLP {
-	m := &nn.MLP{In: qm.In, Classes: qm.Classes}
+	return qm.DequantizedInto(nil)
+}
+
+// DequantizedInto is Dequantized into m's layers: a model of the same
+// architecture reuses every weight matrix and bias. nil allocates.
+func (qm *Model) DequantizedInto(m *nn.MLP) *nn.MLP {
+	if m == nil {
+		m = &nn.MLP{}
+	}
+	m.In, m.Classes = qm.In, qm.Classes
+	m.Layers = slices.Grow(m.Layers[:0], len(qm.Weights))[:len(qm.Weights)]
 	for i, w := range qm.Weights {
-		m.Layers = append(m.Layers, &nn.Dense{
-			W: w.Dequantize(),
-			B: append([]float32(nil), qm.Biases[i]...),
-		})
+		l := m.Layers[i]
+		if l == nil {
+			l = &nn.Dense{}
+			m.Layers[i] = l
+		}
+		l.W = w.dequantizeInto(l.W)
+		l.B = append(l.B[:0], qm.Biases[i]...)
 	}
 	return m
 }

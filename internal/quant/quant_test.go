@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -128,5 +129,38 @@ func TestMaxAbsErrorWithinHalfScale(t *testing.T) {
 	}
 	if worst > q.Scale/2+1e-6 {
 		t.Fatalf("max abs error %v exceeds scale/2 = %v", worst, q.Scale/2)
+	}
+}
+
+// TestQuantizeIntoSteadyStateAllocs: refreshing a selection model in
+// place — QuantizeModelInto then DequantizedInto over the previous
+// snapshot — gives exactly the fresh snapshot's tensors, including a
+// layer that quantizes to all zeros, and allocates nothing once warm.
+func TestQuantizeIntoSteadyStateAllocs(t *testing.T) {
+	r := tensor.NewRNG(5)
+	m := nn.NewMLP(r, 12, []int{16}, 4)
+	qm := QuantizeModelInto(nil, m)
+	sel := qm.DequantizedInto(nil)
+	for step := 0; step < 3; step++ {
+		m.Layers[0].W.FillNormal(r, 1)
+		if step == 2 {
+			clear(m.Layers[1].W.Data) // a scale-1, all-zero layer over a nonzero one
+		}
+		qm = QuantizeModelInto(qm, m)
+		sel = qm.DequantizedInto(sel)
+		want := QuantizeModel(m).Dequantized()
+		for i, l := range want.Layers {
+			got := sel.Layers[i]
+			if !slices.Equal(got.W.Data, l.W.Data) || !slices.Equal(got.B, l.B) {
+				t.Fatalf("step %d layer %d: in-place snapshot differs from a fresh one", step, i)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		qm = QuantizeModelInto(qm, m)
+		sel = qm.DequantizedInto(sel)
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm in-place refresh made %.0f allocations, want 0", allocs)
 	}
 }

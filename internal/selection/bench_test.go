@@ -112,7 +112,7 @@ func BenchmarkFacilityGain(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			parallel.SetDefaultWorkers(w)
 			defer parallel.SetDefaultWorkers(0)
-			f := newFacility(emb, cand)
+			f := newFacility(new(Scratch), emb, cand)
 			best := make([]float32, len(cand))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

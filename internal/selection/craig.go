@@ -49,15 +49,27 @@ type ClassMaximizer func(ci int) Maximizer
 // for any worker count provided forClass is deterministic per class
 // index.
 func PerClassWith(emb *tensor.Matrix, classes [][]int, k int, forClass ClassMaximizer) (Result, error) {
+	var res Result
+	if err := PerClassInto(&res, emb, classes, k, forClass); err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// PerClassInto is PerClassWith merging into dst's arrays, which it
+// reuses when they have the capacity. Paired with a Scratch per class
+// (Scratch.StochasticMaximizer, Scratch.PartitionedMaximizer) a repeated
+// selection reuses all of its storage.
+func PerClassInto(dst *Result, emb *tensor.Matrix, classes [][]int, k int, forClass ClassMaximizer) error {
 	total := 0
 	for _, c := range classes {
 		total += len(c)
 	}
 	if total == 0 {
-		return Result{}, fmt.Errorf("selection: no candidates in any class")
+		return fmt.Errorf("selection: no candidates in any class")
 	}
 	if k <= 0 {
-		return Result{}, fmt.Errorf("selection: k must be positive, got %d", k)
+		return fmt.Errorf("selection: k must be positive, got %d", k)
 	}
 	if k > total {
 		k = total
@@ -66,30 +78,25 @@ func PerClassWith(emb *tensor.Matrix, classes [][]int, k int, forClass ClassMaxi
 
 	results := make([]Result, len(classes))
 	errs := make([]error, len(classes))
-	var tasks []func()
-	for ci, cand := range classes {
-		if len(cand) == 0 || budgets[ci] == 0 {
-			continue
+	parallel.Default().For(len(classes), 1, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			if cand := classes[ci]; len(cand) > 0 && budgets[ci] > 0 {
+				results[ci], errs[ci] = forClass(ci)(emb, cand, budgets[ci])
+			}
 		}
-		ci, cand := ci, cand
-		tasks = append(tasks, func() {
-			m := forClass(ci)
-			results[ci], errs[ci] = m(emb, cand, budgets[ci])
-		})
-	}
-	parallel.Default().Run(tasks)
+	})
 
-	var merged Result
+	dst.Selected, dst.Weights, dst.Objective = dst.Selected[:0], dst.Weights[:0], 0
 	for ci := range classes {
 		if errs[ci] != nil {
-			return Result{}, fmt.Errorf("selection: class %d: %w", ci, errs[ci])
+			return fmt.Errorf("selection: class %d: %w", ci, errs[ci])
 		}
 		r := results[ci]
-		merged.Selected = append(merged.Selected, r.Selected...)
-		merged.Weights = append(merged.Weights, r.Weights...)
-		merged.Objective += r.Objective
+		dst.Selected = append(dst.Selected, r.Selected...)
+		dst.Weights = append(dst.Weights, r.Weights...)
+		dst.Objective += r.Objective
 	}
-	return merged, nil
+	return nil
 }
 
 // splitBudget apportions k across classes proportionally to their

@@ -29,6 +29,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"nessa/internal/parallel"
@@ -59,10 +60,90 @@ type facility struct {
 	pool  *parallel.Pool
 
 	// tile, when non-nil, holds every pairwise similarity of the
-	// instance row-major: tile[a*n+b] = sim(a, b), n = len(cand). It
-	// lives in buf, a tileFree buffer that release hands back.
+	// instance row-major: tile[a*n+b] = sim(a, b), n = len(cand).
 	tile []float32
-	buf  *[]float32
+}
+
+// Scratch is the reusable storage of facility-location selection: one
+// instance's temporaries (norms, similarity tile, best, chosen,
+// remaining, the picks and their assignment), the partition shuffle,
+// and the result arrays. A Result returned through a Scratch aliases it
+// and stays valid until the scratch's next selection of the same kind,
+// so a caller that keeps one Scratch per concurrent selection reuses
+// every buffer once the first pass has sized it. The zero value is
+// ready to use; a Scratch serves one goroutine at a time.
+type Scratch struct {
+	fac       facility
+	norms     []float32
+	tile      []float32 // the n×n tile, then the n packed candidate rows
+	best      []float32
+	chosen    []bool
+	remaining []int
+	picks     []int // candidate positions the maximizer selected
+	assign    []int32
+	leaf      Result // a maximizer's result
+	shuffled  []int  // Partitioned's random split of the candidates
+	merged    Result // Partitioned's result
+}
+
+// grow returns s with length n, reusing its storage when it has the
+// capacity. The contents are whatever the storage held.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// zeroed is grow with every element cleared.
+func zeroed[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
+}
+
+// scratchFree recycles the Scratch of the package's allocating entry
+// points, as tensor's panelFree recycles GEMM panels: a selection that
+// is not handed a Scratch draws one here and returns it, so every call
+// after the first reuses the buffers an earlier one released (a
+// partitioned selection builds one tile per chunk). Unlike a sync.Pool
+// the list is never drained by the garbage collector.
+var scratchFree struct {
+	mu   sync.Mutex
+	list []*Scratch
+}
+
+func getScratch() *Scratch {
+	sf := &scratchFree
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	if ln := len(sf.list); ln > 0 {
+		sc := sf.list[ln-1]
+		sf.list = sf.list[:ln-1]
+		return sc
+	}
+	return new(Scratch)
+}
+
+func putScratch(sc *Scratch) {
+	sf := &scratchFree
+	sf.mu.Lock()
+	sf.list = append(sf.list, sc)
+	sf.mu.Unlock()
+}
+
+// withScratch runs sel on a free-list Scratch and returns a copy of its
+// result that owns its arrays, for the entry points whose callers keep
+// the Result.
+func withScratch(sel func(sc *Scratch) (Result, error)) (Result, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	res, err := sel(sc)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Selected:  append([]int(nil), res.Selected...),
+		Weights:   append([]float32(nil), res.Weights...),
+		Objective: res.Objective,
+	}, nil
 }
 
 // directOnly forces every facility onto the direct path, which computes
@@ -70,23 +151,22 @@ type facility struct {
 // hold the tiled path to that reference.
 var directOnly bool
 
-// newFacility builds the instance the maximizers run on. When the
-// candidates fit one chunk of the pool's fixed grid (n ≤ 512) it also
-// builds the similarity tile: the n×n similarities (at most 1 MiB) are
-// the chunk's whole selection working set, computed once here instead
-// of once per gain, absorb and assignment. Each tile entry is the
-// float32 sim computes, so the tiled and direct paths select the same
-// subsets with bit-identical weights and objectives. The caller hands
-// the tile back with release once finish has run.
-func newFacility(emb *tensor.Matrix, cand []int) *facility {
-	f := newDirectFacility(emb, cand)
+// newFacility builds, in sc, the instance the maximizers run on. When
+// the candidates fit one chunk of the pool's fixed grid (n ≤ 512) it
+// also builds the similarity tile: the n×n similarities (at most 1 MiB)
+// are the chunk's whole selection working set, computed once here
+// instead of once per gain, absorb and assignment. Each tile entry is
+// the float32 sim computes, so the tiled and direct paths select the
+// same subsets with bit-identical weights and objectives.
+func newFacility(sc *Scratch, emb *tensor.Matrix, cand []int) *facility {
+	f := newDirectFacility(sc, emb, cand)
 	n, dim := len(cand), emb.Cols
 	if parallel.Chunks(n) != 1 || directOnly {
 		return f
 	}
-	f.buf = getTileBuf(n*n + n*dim)
-	f.tile = (*f.buf)[:n*n]
-	pack := (*f.buf)[n*n:]
+	sc.tile = grow(sc.tile, n*n+n*dim)
+	f.tile = sc.tile[:n*n]
+	pack := sc.tile[n*n:]
 	for i, gi := range cand {
 		copy(pack[i*dim:(i+1)*dim], emb.Row(gi))
 	}
@@ -94,60 +174,17 @@ func newFacility(emb *tensor.Matrix, cand []int) *facility {
 	return f
 }
 
-// release returns the tile's storage to the free list. The facility
-// must not be used afterwards.
-func (f *facility) release() {
-	if f.buf != nil {
-		putTileBuf(f.buf)
-		f.buf, f.tile = nil, nil
-	}
-}
-
-// tileFree recycles tile storage across facility instances, as
-// tensor's panelFree recycles GEMM panels. A partitioned selection
-// builds one tile per chunk; with the free list every chunk after the
-// first reuses a buffer an earlier one released. Unlike a sync.Pool the
-// list is never drained by the garbage collector.
-var tileFree struct {
-	mu   sync.Mutex
-	list []*[]float32
-}
-
-func getTileBuf(n int) *[]float32 {
-	tf := &tileFree
-	tf.mu.Lock()
-	var s *[]float32
-	if ln := len(tf.list); ln > 0 {
-		s = tf.list[ln-1]
-		tf.list = tf.list[:ln-1]
-	}
-	tf.mu.Unlock()
-	if s == nil {
-		s = new([]float32)
-	}
-	if cap(*s) < n {
-		*s = make([]float32, n)
-	}
-	*s = (*s)[:n]
-	return s
-}
-
-func putTileBuf(s *[]float32) {
-	tf := &tileFree
-	tf.mu.Lock()
-	tf.list = append(tf.list, s)
-	tf.mu.Unlock()
-}
-
-// newDirectFacility builds an instance without a tile. Objective uses
-// it: it touches n·|S| similarities, fewer than a tile holds.
-func newDirectFacility(emb *tensor.Matrix, cand []int) *facility {
-	f := &facility{
+// newDirectFacility builds an instance without a tile in sc. Objective
+// uses it: it touches n·|S| similarities, fewer than a tile holds.
+func newDirectFacility(sc *Scratch, emb *tensor.Matrix, cand []int) *facility {
+	sc.norms = grow(sc.norms, len(cand))
+	sc.fac = facility{
 		emb:   emb,
 		cand:  cand,
-		norms: make([]float32, len(cand)),
+		norms: sc.norms,
 		pool:  parallel.Default(),
 	}
+	f := &sc.fac
 	var maxSq float32
 	for i, gi := range cand {
 		row := emb.Row(gi)
@@ -332,22 +369,22 @@ func nearest(row []float32, selected []int) int {
 }
 
 // finish assigns every candidate to its most similar medoid and
-// produces the Result with cluster-size weights. Assignment is
-// parallel on the direct path; the weight tally stays serial (float32
-// counting is exact, but the tally is O(n) and not worth a reduction).
-func (f *facility) finish(selected []int, objective float64) Result {
-	res := Result{
-		Selected:  make([]int, len(selected)),
-		Weights:   make([]float32, len(selected)),
-		Objective: objective,
-	}
+// produces the Result with cluster-size weights, in sc's result arrays.
+// Assignment is parallel on the direct path; the weight tally stays
+// serial (float32 counting is exact, but the tally is O(n) and not worth
+// a reduction).
+func (f *facility) finish(sc *Scratch, selected []int, objective float64) Result {
+	sc.leaf.Selected = grow(sc.leaf.Selected, len(selected))
+	sc.leaf.Weights = zeroed(sc.leaf.Weights, len(selected))
+	res := Result{Selected: sc.leaf.Selected, Weights: sc.leaf.Weights, Objective: objective}
 	for si, j := range selected {
 		res.Selected[si] = f.cand[j]
 	}
 	if len(selected) == 0 {
 		return res
 	}
-	assign := make([]int32, len(f.cand))
+	sc.assign = grow(sc.assign, len(f.cand))
+	assign := sc.assign
 	if f.tile != nil {
 		for i := range assign {
 			assign[i] = int32(nearest(f.tileRow(i), selected))
@@ -397,11 +434,17 @@ func NaiveGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	f := newFacility(emb, cand)
-	defer f.release()
-	best := make([]float32, len(cand))
-	chosen := make([]bool, len(cand))
-	var selected []int
+	return withScratch(func(sc *Scratch) (Result, error) {
+		return naiveGreedy(sc, emb, cand, k), nil
+	})
+}
+
+func naiveGreedy(sc *Scratch, emb *tensor.Matrix, cand []int, k int) Result {
+	f := newFacility(sc, emb, cand)
+	sc.best = zeroed(sc.best, len(cand))
+	sc.chosen = zeroed(sc.chosen, len(cand))
+	best, chosen := sc.best, sc.chosen
+	selected := sc.picks[:0]
 	var objective float64
 	for len(selected) < k {
 		bestJ, bestG := -1, -1.0
@@ -421,7 +464,8 @@ func NaiveGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 		objective += bestG
 		f.absorb(bestJ, best)
 	}
-	return f.finish(selected, objective), nil
+	sc.picks = selected
+	return f.finish(sc, selected, objective)
 }
 
 // gainItem is one lazy-greedy heap entry: a candidate with a possibly
@@ -450,9 +494,15 @@ func LazyGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	f := newFacility(emb, cand)
-	defer f.release()
-	best := make([]float32, len(cand))
+	return withScratch(func(sc *Scratch) (Result, error) {
+		return lazyGreedy(sc, emb, cand, k), nil
+	})
+}
+
+func lazyGreedy(sc *Scratch, emb *tensor.Matrix, cand []int, k int) Result {
+	f := newFacility(sc, emb, cand)
+	sc.best = zeroed(sc.best, len(cand))
+	best := sc.best
 
 	h := make(gainHeap, 0, len(cand))
 	for j := range cand {
@@ -478,7 +528,7 @@ func LazyGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 		f.absorb(top.j, best)
 		round++
 	}
-	return f.finish(selected, objective), nil
+	return f.finish(sc, selected, objective)
 }
 
 // StochasticGreedy maximizes the facility-location objective with the
@@ -492,6 +542,20 @@ func LazyGreedy(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 // waste gain evaluations and under-sample the ⌈n/k·ln(1/ε)⌉ distinct
 // candidates the guarantee assumes.
 func StochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps float64, rng *tensor.RNG) (Result, error) {
+	return withScratch(func(sc *Scratch) (Result, error) {
+		return sc.stochasticGreedy(emb, cand, k, eps, rng)
+	})
+}
+
+// StochasticMaximizer is the package's StochasticMaximizer on sc: the
+// selections it runs keep their temporaries and result in sc.
+func (sc *Scratch) StochasticMaximizer(eps float64, rng *tensor.RNG) Maximizer {
+	return func(emb *tensor.Matrix, cand []int, k int) (Result, error) {
+		return sc.stochasticGreedy(emb, cand, k, eps, rng)
+	}
+}
+
+func (sc *Scratch) stochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps float64, rng *tensor.RNG) (Result, error) {
 	k, err := validate(emb, cand, k)
 	if err != nil {
 		return Result{}, err
@@ -503,20 +567,21 @@ func StochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps float64, rng *t
 		//nessa:seed-ok documented deterministic fallback for a nil RNG; callers wanting replay pass a seeded stream
 		rng = tensor.NewRNG(1)
 	}
-	f := newFacility(emb, cand)
-	defer f.release()
+	f := newFacility(sc, emb, cand)
 	n := len(cand)
-	best := make([]float32, n)
-	chosen := make([]bool, n)
+	sc.best = zeroed(sc.best, n)
+	sc.chosen = zeroed(sc.chosen, n)
+	best, chosen := sc.best, sc.chosen
 
 	sample := int(float64(n) / float64(k) * math.Log(1/eps))
 	if sample < 1 {
 		sample = 1
 	}
 
-	var selected []int
+	selected := sc.picks[:0]
 	var objective float64
-	remaining := make([]int, n)
+	sc.remaining = grow(sc.remaining, n)
+	remaining := sc.remaining
 	for i := range remaining {
 		remaining[i] = i
 	}
@@ -552,14 +617,17 @@ func StochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps float64, rng *t
 		}
 		remaining = w
 	}
-	return f.finish(selected, objective), nil
+	sc.picks = selected
+	return f.finish(sc, selected, objective), nil
 }
 
 // Objective evaluates the facility-location objective F(S) for an
 // explicit selected set (global indices) over the candidates. Used by
 // tests to verify maximizer quality.
 func Objective(emb *tensor.Matrix, cand, selected []int) float64 {
-	f := newDirectFacility(emb, cand)
+	sc := getScratch()
+	defer putScratch(sc)
+	f := newDirectFacility(sc, emb, cand)
 	pos := make(map[int]bool, len(selected))
 	for _, s := range selected {
 		pos[s] = true

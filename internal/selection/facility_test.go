@@ -83,7 +83,7 @@ func TestGreedyGainsDiminish(t *testing.T) {
 	// Submodularity: the marginal gains logged by greedy are
 	// non-increasing across rounds.
 	emb, cand, _ := randomInstance(7, 30, 3)
-	f := newFacility(emb, cand)
+	f := newFacility(new(Scratch), emb, cand)
 	best := make([]float32, len(cand))
 	chosen := make([]bool, len(cand))
 	prevGain := math.Inf(1)

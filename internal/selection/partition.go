@@ -16,6 +16,21 @@ import (
 // size). Weights still sum to the candidate count because each chunk's
 // medoid weights cover exactly that chunk.
 func Partitioned(emb *tensor.Matrix, cand []int, k, m int, rng *tensor.RNG, maximize Maximizer) (Result, error) {
+	return withScratch(func(sc *Scratch) (Result, error) {
+		return sc.partitioned(emb, cand, k, m, rng, maximize)
+	})
+}
+
+// PartitionedMaximizer is the package's PartitionedMaximizer on sc: the
+// partition shuffle and the merged result live in sc. inner may be one
+// of sc's own maximizers, whose buffers are disjoint from these.
+func (sc *Scratch) PartitionedMaximizer(m int, rng *tensor.RNG, inner Maximizer) Maximizer {
+	return func(emb *tensor.Matrix, cand []int, k int) (Result, error) {
+		return sc.partitioned(emb, cand, k, m, rng, inner)
+	}
+}
+
+func (sc *Scratch) partitioned(emb *tensor.Matrix, cand []int, k, m int, rng *tensor.RNG, maximize Maximizer) (Result, error) {
 	if k <= 0 || m <= 0 {
 		return Result{}, fmt.Errorf("selection: k (%d) and m (%d) must be positive", k, m)
 	}
@@ -34,14 +49,15 @@ func Partitioned(emb *tensor.Matrix, cand []int, k, m int, rng *tensor.RNG, maxi
 	}
 
 	// Random partition.
-	shuffled := append([]int(nil), cand...)
+	sc.shuffled = append(sc.shuffled[:0], cand...)
+	shuffled := sc.shuffled
 	rng.Shuffle(shuffled)
 	chunks := (k + m - 1) / m
 	if chunks > len(shuffled) {
 		chunks = len(shuffled)
 	}
 
-	var merged Result
+	merged := Result{Selected: sc.merged.Selected[:0], Weights: sc.merged.Weights[:0]}
 	remaining := k
 	for c := 0; c < chunks && remaining > 0; c++ {
 		lo := c * len(shuffled) / chunks
@@ -63,6 +79,7 @@ func Partitioned(emb *tensor.Matrix, cand []int, k, m int, rng *tensor.RNG, maxi
 		merged.Objective += r.Objective
 		remaining -= len(r.Selected)
 	}
+	sc.merged = merged
 	return merged, nil
 }
 

@@ -28,9 +28,18 @@ type ScanConfig struct {
 	// pass.
 	ChunkRecords int
 
+	// Buffers, when non-nil, holds those three chunk buffers across
+	// passes: a pass grows a buffer shorter than its longest span and
+	// leaves it there for the next. nil gives each pass its own.
+	Buffers *ScanBuffers
+
 	Verify func([]byte) error   // per-chunk payload verification (may be nil)
 	Retry  smartssd.RetryPolicy // zero value = DefaultRetryPolicy
 }
+
+// ScanBuffers are the chunk buffers of a scan, owned by the caller so
+// that repeated passes reuse them (ScanConfig.Buffers).
+type ScanBuffers [3][]byte
 
 // ScanStats reports what one pass did and how close its simulated I/O
 // time came to the device's sequential-read bound.
@@ -109,6 +118,7 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		idx    int
 		lo, hi int
 		base   int64
+		slot   int // the ScanBuffers entry buf lives in
 		buf    []byte
 		stats  smartssd.ReadStats
 		err    error
@@ -130,13 +140,18 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 			maxLen = length
 		}
 	}
-	// free holds the chunk buffers not in flight. Three tokens: the
-	// chunk being processed, the one queued in out, and the one being
-	// read; a nil token becomes a buffer on first use, so a short pass
-	// allocates only what it needs.
-	free := make(chan []byte, 3)
-	for i := 0; i < cap(free); i++ {
-		free <- nil
+	// free holds the slots of the buffers not in flight. Three tokens:
+	// the chunk being processed, the one queued in out, and the one
+	// being read. A slot's buffer is grown on first use when it is too
+	// short, so a short pass allocates only what it needs. Only the
+	// prefetcher touches bufs until the pass ends.
+	bufs := cfg.Buffers
+	if bufs == nil {
+		bufs = new(ScanBuffers)
+	}
+	free := make(chan int, len(bufs))
+	for slot := range bufs {
+		free <- slot
 	}
 	out := make(chan chunkRead, 1)
 	start := dev.Clock.Now() // before the prefetcher's first read
@@ -148,12 +163,12 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		for c := 0; c < chunks; c++ {
 			lo, hi := bounds(c)
 			off, length, base := span(lo, hi)
-			dst := <-free
-			if dst == nil {
-				dst = make([]byte, 0, maxLen)
+			slot := <-free
+			if int64(cap(bufs[slot])) < maxLen {
+				bufs[slot] = make([]byte, 0, maxLen)
 			}
-			buf, rs, err := dev.ReadResilientInto(dst, cfg.Object, off, length, 1, cfg.Verify, cfg.Retry)
-			out <- chunkRead{idx: c, lo: lo, hi: hi, base: base, buf: buf, stats: rs, err: err}
+			buf, rs, err := dev.ReadResilientInto(bufs[slot][:0], cfg.Object, off, length, 1, cfg.Verify, cfg.Retry)
+			out <- chunkRead{idx: c, lo: lo, hi: hi, base: base, slot: slot, buf: buf, stats: rs, err: err}
 			if err != nil {
 				return
 			}
@@ -192,7 +207,7 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		if procErr == nil {
 			procErr = consume(cr)
 		}
-		free <- cr.buf
+		free <- cr.slot
 	}
 	wg.Wait()
 	st.IOTime = dev.Clock.Now() - start

@@ -3,6 +3,7 @@ package streaming
 import (
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"nessa/internal/data"
@@ -177,3 +178,80 @@ func TestScanRecordsRecyclesBuffers(t *testing.T) {
 }
 
 var errStop = errors.New("stop")
+
+// TestScanRecordsReusesCallerBuffers: with ScanConfig.Buffers a second
+// pass reads into the first pass's buffers and allocates none, a later
+// pass with longer spans grows them, and every pass reports the stats
+// and hands process the payloads of a pass with no caller buffers.
+func TestScanRecordsReusesCallerBuffers(t *testing.T) {
+	const n = 6000
+	_, rs := scanDevice(t, n)
+	rec := rs.RecordBytes()
+	// A stored image, not the virtual one: synthesizing records on read
+	// allocates on its own.
+	img := make([]byte, rs.Size())
+	rs.Fill(0, img)
+	dev, err := smartssd.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.StoreDataset("ds", img); err != nil {
+		t.Fatal(err)
+	}
+	every := func(step int) []int {
+		var cands []int
+		for i := 0; i < n; i += step {
+			cands = append(cands, i)
+		}
+		return cands
+	}
+	// pass scans cands and returns its stats with a digest of every
+	// payload byte process saw, in order.
+	pass := func(cands []int, bufs *ScanBuffers) (ScanStats, uint64) {
+		t.Helper()
+		h := fnv.New64a()
+		st, err := ScanRecords(dev, ScanConfig{
+			Object: "ds", RecordBytes: rec, Candidates: cands, ChunkRecords: 256, Buffers: bufs,
+		}, func(_, lo, hi int, base int64, buf []byte) error {
+			for ci := lo; ci < hi; ci++ {
+				off := (int64(cands[ci]) - base) * rec
+				h.Write(buf[off : off+rec])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, h.Sum64()
+	}
+	var bufs ScanBuffers
+	dense, sparse := every(2), every(5)
+	for i, cands := range [][]int{dense, dense, sparse} {
+		wantSt, wantSum := pass(cands, nil)
+		before := bufs
+		var st ScanStats
+		var sum uint64
+		got := allocatedBy(func() { st, sum = pass(cands, &bufs) })
+		if st != wantSt || sum != wantSum {
+			t.Fatalf("pass %d: stats %+v digest %#x with caller buffers, %+v %#x without", i, st, sum, wantSt, wantSum)
+		}
+		longest := int64(255*5+1) * rec // a sparse chunk's span
+		switch i {
+		case 1:
+			if got > uint64(cap(bufs[0]))/4 {
+				t.Fatalf("second pass allocated %d bytes; its %d-byte buffers were there to reuse", got, cap(bufs[0]))
+			}
+			for j := range bufs {
+				if &bufs[j][:1][0] != &before[j][:1][0] {
+					t.Fatalf("second pass replaced buffer %d", j)
+				}
+			}
+		case 2:
+			for j := range bufs {
+				if int64(cap(bufs[j])) < longest {
+					t.Fatalf("buffer %d holds %d bytes after a pass with %d-byte spans", j, cap(bufs[j]), longest)
+				}
+			}
+		}
+	}
+}

@@ -24,6 +24,7 @@ package streaming
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nessa/internal/fpga"
 	"nessa/internal/parallel"
@@ -140,25 +141,70 @@ type Selector struct {
 // the smallest sieve (one pick, 16 reservoir rows), and the classes with
 // a budget must hold theirs with at least 16 reservoir rows each.
 func NewSelector(cfg Config) (*Selector, error) {
+	s := &Selector{pool: parallel.Default()}
+	s.sieveFn = s.sievePass
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset starts a new stream under cfg, planning it exactly as
+// NewSelector does and failing, before it touches any state, on the
+// configs NewSelector rejects; after an error the selector still holds
+// its previous stream. On success the selector is the one NewSelector(cfg)
+// builds — Finish returns the same selection bit for bit — but its
+// sieves and batch staging reuse the storage of the streams before it,
+// growing only where the new plan is larger.
+func (s *Selector) Reset(cfg Config) error {
+	cfg, budgets, rcap, err := plan(cfg)
+	if err != nil {
+		return err
+	}
+	s.cfg, s.budgets, s.rcap, s.seen = cfg, budgets, rcap, 0
+	s.start = grow(s.start, cfg.Classes+1)
+	s.gather = grow(s.gather, cfg.Classes)
+	s.sims = grow(s.sims, cfg.Classes)
+	for ci := len(s.transformFn); ci < cfg.Classes; ci++ {
+		s.transformFn = append(s.transformFn, func(_, lo, hi int) { s.transformRows(ci, lo, hi) })
+	}
+	s.sieves = grow(s.sieves, cfg.Classes)
+	for ci, kc := range budgets {
+		if kc == 0 {
+			s.sieves[ci] = nil
+			continue
+		}
+		if s.sieves[ci] == nil {
+			s.sieves[ci] = &classSieve{}
+		}
+		s.sieves[ci].reset(ci, kc, cfg.Dim, rcap, maxLadderLevels(kc, cfg.Eps),
+			cfg.Eps, float32(cfg.C0), selection.ClassStream(cfg.Seed, ci))
+	}
+	return nil
+}
+
+// plan validates cfg, fills its defaults, and splits its budget into the
+// per-class picks and reservoir rows a Selector holds.
+func plan(cfg Config) (_ Config, budgets []int, rcap int, err error) {
 	if cfg.Classes < 1 || cfg.Dim < 1 || cfg.K < 1 {
-		return nil, fmt.Errorf("streaming: need Classes ≥ 1, Dim ≥ 1, K ≥ 1; got %d/%d/%d",
+		return cfg, nil, 0, fmt.Errorf("streaming: need Classes ≥ 1, Dim ≥ 1, K ≥ 1; got %d/%d/%d",
 			cfg.Classes, cfg.Dim, cfg.K)
 	}
 	if math.IsNaN(cfg.Eps) || math.IsInf(cfg.Eps, 0) || math.IsNaN(cfg.C0) || math.IsInf(cfg.C0, 0) {
-		return nil, fmt.Errorf("streaming: Eps %g and C0 %g must be finite", cfg.Eps, cfg.C0)
+		return cfg, nil, 0, fmt.Errorf("streaming: Eps %g and C0 %g must be finite", cfg.Eps, cfg.C0)
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Eps > 3 || cfg.C0 > math.MaxFloat32 {
-		return nil, fmt.Errorf("streaming: need Eps ≤ 3 and C0 ≤ MaxFloat32; got %g/%g", cfg.Eps, cfg.C0)
+		return cfg, nil, 0, fmt.Errorf("streaming: need Eps ≤ 3 and C0 ≤ MaxFloat32; got %g/%g", cfg.Eps, cfg.C0)
 	}
 	// Bound Classes (and Dim) before any per-class slice is sized.
 	fixed1, perRow1 := classBytes(1, cfg.Dim, cfg.Eps)
 	if floor := fixed1 + minReservoir*perRow1; float64(cfg.Classes)*floor > float64(cfg.MemBudget) {
-		return nil, fmt.Errorf("streaming: %d classes × %.0f bytes of minimal sieve state exceed the on-chip budget %d",
+		return cfg, nil, 0, fmt.Errorf("streaming: %d classes × %.0f bytes of minimal sieve state exceed the on-chip budget %d",
 			cfg.Classes, floor, cfg.MemBudget)
 	}
 	if cfg.ClassCounts != nil && len(cfg.ClassCounts) != cfg.Classes {
-		return nil, fmt.Errorf("streaming: ClassCounts has %d entries, want %d", len(cfg.ClassCounts), cfg.Classes)
+		return cfg, nil, 0, fmt.Errorf("streaming: ClassCounts has %d entries, want %d", len(cfg.ClassCounts), cfg.Classes)
 	}
 	// Every pick holds at least one backup row, so a plan holds at most
 	// maxPicks of them.
@@ -173,48 +219,31 @@ func NewSelector(cfg Config) (*Selector, error) {
 	total := 0
 	for _, n := range counts {
 		if n < 0 || n > math.MaxInt-total {
-			return nil, fmt.Errorf("streaming: class count %d is negative or takes the total past MaxInt", n)
+			return cfg, nil, 0, fmt.Errorf("streaming: class count %d is negative or takes the total past MaxInt", n)
 		}
 		total += n
 	}
 	k := min(cfg.K, total)
 	if k > maxPicks {
-		return nil, fmt.Errorf("streaming: K = %d cannot fit the on-chip budget %d: each pick holds a %d-byte backup row",
+		return cfg, nil, 0, fmt.Errorf("streaming: K = %d cannot fit the on-chip budget %d: each pick holds a %d-byte backup row",
 			cfg.K, cfg.MemBudget, 16+4*cfg.Dim)
 	}
-	budgets := selection.SplitBudgetCounts(counts, k, total)
+	budgets = selection.SplitBudgetCounts(counts, k, total)
 
 	rcap, planned, err := planState(cfg, budgets)
 	if err != nil {
-		return nil, err
+		return cfg, nil, 0, err
 	}
 	if planned > float64(cfg.MemBudget) {
-		return nil, fmt.Errorf("streaming: planned state %.0f bytes exceeds on-chip budget %d", planned, cfg.MemBudget)
+		return cfg, nil, 0, fmt.Errorf("streaming: planned state %.0f bytes exceeds on-chip budget %d", planned, cfg.MemBudget)
 	}
+	return cfg, budgets, rcap, nil
+}
 
-	s := &Selector{
-		cfg:     cfg,
-		budgets: budgets,
-		sieves:  make([]*classSieve, cfg.Classes),
-		rcap:    rcap,
-		start:   make([]int, cfg.Classes+1),
-		gather:  make([]tensor.Matrix, cfg.Classes),
-		sims:    make([]tensor.Matrix, cfg.Classes),
-		pool:    parallel.Default(),
-	}
-	s.sieveFn = s.sievePass
-	s.transformFn = make([]func(c, lo, hi int), cfg.Classes)
-	for ci := range s.transformFn {
-		s.transformFn[ci] = func(_, lo, hi int) { s.transformRows(ci, lo, hi) }
-	}
-	for ci, kc := range budgets {
-		if kc == 0 {
-			continue
-		}
-		s.sieves[ci] = newClassSieve(ci, kc, cfg.Dim, rcap, maxLadderLevels(kc, cfg.Eps),
-			cfg.Eps, float32(cfg.C0), selection.ClassStream(cfg.Seed, ci))
-	}
-	return s, nil
+// grow returns s with length n, reusing its storage when it has the
+// capacity. The contents are whatever the storage held.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // minReservoir is the planner's floor on reservoir rows per class: below
@@ -306,14 +335,14 @@ func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 	for ci := 0; ci < s.cfg.Classes; ci++ {
 		start[ci+1] += start[ci]
 	}
-	if cap(s.order) < n {
-		s.order = make([]int, n)
-		s.gatherBuf = make([]float32, n*s.cfg.Dim)
-		s.simsBuf = make([]float32, n*s.rcap)
-		s.rawV = make([]float64, n)
-		s.top = make([]float32, n)
-	}
-	order := s.order[:n]
+	// Staging grows with the batch, and with Dim and the reservoir rows
+	// of a Reset; it is never shrunk.
+	s.order = grow(s.order, n)
+	s.gatherBuf = grow(s.gatherBuf, n*s.cfg.Dim)
+	s.simsBuf = grow(s.simsBuf, n*s.rcap)
+	s.rawV = grow(s.rawV, n)
+	s.top = grow(s.top, n)
+	order := s.order
 	for r, y := range labels {
 		order[start[y]] = r
 		start[y]++
@@ -360,8 +389,8 @@ func (s *Selector) sievePass(lo, hi int) {
 		*gather = tensor.Matrix{Rows: m, Cols: cs.dim, Data: s.gatherBuf[base*cs.dim : end*cs.dim]}
 		tensor.GatherRows(gather, s.emb, rows)
 		*sims = tensor.Matrix{Rows: m, Cols: cs.resCount, Data: s.simsBuf[base*s.rcap : base*s.rcap+m*cs.resCount]}
-		resView := tensor.Matrix{Rows: cs.resCount, Cols: cs.dim, Data: cs.res.Data[:cs.resCount*cs.dim]}
-		tensor.MatMulTransB(sims, gather, &resView)
+		cs.resView = tensor.Matrix{Rows: cs.resCount, Cols: cs.dim, Data: cs.res.Data[:cs.resCount*cs.dim]}
+		tensor.MatMulTransB(sims, gather, &cs.resView)
 		s.pool.ForChunks(m, s.transformFn[ci])
 		for cur, r := range rows {
 			cs.seen++
@@ -459,16 +488,17 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 	if cs.seen == 0 || cs.resCount == 0 || cs.kc == 0 {
 		return nil, nil, 0
 	}
-	type ref struct {
-		id  int
-		emb []float32
+	fs := &cs.fin
+	pool := fs.pool[:0]
+	if fs.dedup == nil {
+		fs.dedup = make(map[int]bool, cs.kc*(len(cs.levels)+1))
 	}
-	var pool []ref
-	dedup := make(map[int]bool, cs.kc*(len(cs.levels)+1))
+	dedup := fs.dedup
+	clear(dedup)
 	add := func(id int, emb []float32) {
 		if !dedup[id] {
 			dedup[id] = true
-			pool = append(pool, ref{id, emb})
+			pool = append(pool, poolRef{id, emb})
 		}
 	}
 	for _, lv := range cs.levels {
@@ -479,14 +509,18 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 	for t := 0; t < cs.bakLen; t++ {
 		add(cs.bakIDs[t], cs.bakEmb[t*cs.dim:(t+1)*cs.dim])
 	}
+	fs.pool = pool
 	k := cs.kc
 	if k > len(pool) {
 		k = len(pool)
 	}
-	cover := make([]float32, cs.resCount)
-	ub := make([]float64, len(pool))
-	chosen := make([]bool, len(pool))
-	poolNorm := make([]float32, len(pool))
+	fs.cover = grow(fs.cover, cs.resCount)
+	clear(fs.cover)
+	fs.ub = grow(fs.ub, len(pool))
+	fs.chosen = grow(fs.chosen, len(pool))
+	clear(fs.chosen)
+	fs.poolNorm = grow(fs.poolNorm, len(pool))
+	cover, ub, chosen, poolNorm := fs.cover, fs.ub, fs.chosen, fs.poolNorm
 	for p := range pool {
 		ub[p] = math.Inf(1)
 		poolNorm[p] = tensor.Dot(pool[p].emb, pool[p].emb)
@@ -503,7 +537,7 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 		return g
 	}
 	ids = make([]int, 0, k)
-	sel := make([]int, 0, k) // pool indices of the selection
+	sel := fs.sel[:0] // pool indices of the selection
 	for round := 0; round < k; round++ {
 		bestP, bestG := -1, -1.0
 		for p := range pool {
@@ -530,6 +564,7 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 			}
 		}
 	}
+	fs.sel = sel
 	// Reservoir-share weights: each slot votes for its best medoid,
 	// each vote carries seen/resCount stream records.
 	weights = make([]float32, len(ids))

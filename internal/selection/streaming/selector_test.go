@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -340,11 +341,23 @@ func TestNewSelectorSurvivesHostileConfigs(t *testing.T) {
 		"ClassCounts sum past MaxInt": func(c *Config) { c.ClassCounts = []int{math.MaxInt, 1, 0, 0} },
 		"ClassCounts short":           func(c *Config) { c.ClassCounts = []int{5} },
 	}
+	// Each case also resets a live selector, which must fail exactly
+	// where NewSelector does, as cheaply, and keep its stream.
+	live, err := NewSelector(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, labels := clusteredEmb(3, 200, base.Dim, 4, base.Classes)
+	pushAll(t, live, emb, labels, 100)
+	stream, _, err := live.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, mutate := range cases {
 		cfg := base
 		mutate(&cfg)
 		var sel *Selector
-		var err error
+		var err, resetErr error
 		got := allocatedBy(func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -358,6 +371,22 @@ func TestNewSelectorSurvivesHostileConfigs(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes before failing: %v", name, got, err)
 		case err == nil && sel.MemoryBytes() > sel.cfg.MemBudget:
 			t.Errorf("%s: state %d bytes exceeds budget %d", name, sel.MemoryBytes(), sel.cfg.MemBudget)
+		}
+		if err != nil {
+			got = allocatedBy(func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s: Reset panic: %v", name, p)
+					}
+				}()
+				resetErr = live.Reset(cfg)
+			})
+			if resetErr == nil || got >= 1<<20 {
+				t.Errorf("%s: Reset returned %v after allocating %d bytes; NewSelector failed with %v", name, resetErr, got, err)
+			}
+			if res, _, err := live.Finish(); err != nil || !sameSelection(res, stream) {
+				t.Errorf("%s: a failed Reset changed the live selector's stream", name)
+			}
 		}
 	}
 }
@@ -417,5 +446,110 @@ func TestStreamingRejectsBadInput(t *testing.T) {
 	}
 	if _, _, err := sel.Finish(); err == nil {
 		t.Fatal("Finish on an empty stream should fail")
+	}
+}
+
+// streamResult pushes emb through sel in 150-row batches and returns
+// its selection and stats.
+func streamResult(t *testing.T, sel *Selector, emb *tensor.Matrix, labels []int) (selection.Result, Stats) {
+	t.Helper()
+	pushAll(t, sel, emb, labels, 150)
+	res, st, err := sel.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
+}
+
+// sameSelection reports whether two selections agree bit for bit.
+func sameSelection(a, b selection.Result) bool {
+	if !slices.Equal(a.Selected, b.Selected) || len(a.Weights) != len(b.Weights) ||
+		math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
+		return false
+	}
+	for i := range a.Weights {
+		if math.Float32bits(a.Weights[i]) != math.Float32bits(b.Weights[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResetMatchesNewSelector: one selector Reset through a sequence of
+// configs — K shrinking and growing, ClassCounts moving, a new seed and
+// reservoir, more classes — finishes every stream with exactly the
+// selection and stats of a fresh NewSelector under the same config.
+func TestResetMatchesNewSelector(t *testing.T) {
+	const n, d, classes = 900, 6, 3
+	emb, labels := clusteredEmb(131, n, d, 8, classes)
+	counts := []int{300, 300, 300}
+	cfgs := []Config{
+		{Classes: classes, Dim: d, K: 30, ClassCounts: counts, Seed: 5},
+		{Classes: classes, Dim: d, K: 12, ClassCounts: counts, Seed: 5},
+		{Classes: classes, Dim: d, K: 45, ClassCounts: []int{600, 200, 100}, Seed: 6},
+		{Classes: classes, Dim: d, K: 45, ClassCounts: []int{0, 500, 400}, Seed: 6, Reservoir: 64},
+		{Classes: classes + 2, Dim: d, K: 20, Seed: 7},
+		{Classes: classes, Dim: d, K: 30, ClassCounts: counts, Seed: 5},
+	}
+	var sel *Selector
+	for i, cfg := range cfgs {
+		fresh, err := NewSelector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSt := streamResult(t, fresh, emb, labels)
+		if sel == nil {
+			sel = fresh
+			continue
+		}
+		if err := sel.Reset(cfg); err != nil {
+			t.Fatalf("config %d: Reset: %v", i, err)
+		}
+		got, gotSt := streamResult(t, sel, emb, labels)
+		if !sameSelection(got, want) {
+			t.Fatalf("config %d: Reset selector chose %v, a fresh one %v", i, got.Selected, want.Selected)
+		}
+		if !reflect.DeepEqual(gotSt, wantSt) {
+			t.Fatalf("config %d: Reset selector stats %+v, a fresh one's %+v", i, gotSt, wantSt)
+		}
+	}
+}
+
+// TestResetRejectsHostileConfigs: a Reset that fails leaves the selector
+// holding its stream — Finish still returns what it did — and a later
+// valid Reset runs a stream as a fresh selector would.
+func TestResetRejectsHostileConfigs(t *testing.T) {
+	const n, d, classes = 600, 6, 3
+	emb, labels := clusteredEmb(137, n, d, 6, classes)
+	cfg := Config{Classes: classes, Dim: d, K: 24, Seed: 9}
+	sel, err := NewSelector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := streamResult(t, sel, emb, labels)
+	for _, bad := range []Config{
+		{Classes: 0, Dim: d, K: 24},
+		{Classes: classes, Dim: d, K: 24, ClassCounts: []int{5}},
+		{Classes: classes, Dim: d, K: 500, MemBudget: 4096},
+		{Classes: classes, Dim: d, K: 24, Eps: math.NaN()},
+	} {
+		if err := sel.Reset(bad); err == nil {
+			t.Fatalf("Reset(%+v) succeeded", bad)
+		}
+		after, _, err := sel.Finish()
+		if err != nil || !sameSelection(after, before) {
+			t.Fatalf("after a failed Reset(%+v): Finish = %v, %v; want the stream's %v", bad, after.Selected, err, before.Selected)
+		}
+	}
+	fresh, err := NewSelector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := streamResult(t, fresh, emb, labels)
+	if err := sel.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := streamResult(t, sel, emb, labels); !sameSelection(got, want) {
+		t.Fatalf("Reset after failures chose %v, a fresh selector %v", got.Selected, want.Selected)
 	}
 }

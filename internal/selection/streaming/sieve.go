@@ -26,7 +26,7 @@ type sieveLevel struct {
 // similarity structure, a staged-replacement buffer that keeps the
 // reservoir frozen within a batch (so GEMM-computed similarities stay
 // consistent), and a top-singleton backup buffer used to top the final
-// set up to the budget. Every buffer is preallocated in newClassSieve;
+// set up to the budget. Every buffer is preallocated in reset;
 // the per-record path allocates nothing.
 type classSieve struct {
 	class int
@@ -50,11 +50,13 @@ type classSieve struct {
 
 	levels []*sieveLevel // active ladder, ascending j
 	freeLv []*sieveLevel
+	lvAll  []*sieveLevel // every level struct the sieve owns, active or free
 
 	// Uniform reservoir over the class stream.
 	res      *tensor.Matrix // R × dim
 	resNorm  []float32      // ‖row‖² per slot
 	resCount int
+	resView  tensor.Matrix // the reservoir's filled rows, for a batch's GEMM
 	rng      *tensor.RNG
 
 	// Replacements staged during a batch, applied at batch end.
@@ -72,52 +74,84 @@ type classSieve struct {
 	bakMin  int // index of the smallest bakVals entry when full
 
 	prefill int // rows of the current batch consumed by reservoir prefill
+
+	fin finishScratch
 }
 
-func newClassSieve(class, kc, dim, rcap, maxLevels int, eps float64, c0 float32, rng *tensor.RNG) *classSieve {
-	cs := &classSieve{
-		class:    class,
-		kc:       kc,
-		dim:      dim,
-		rcap:     rcap,
-		c0:       c0,
-		eps:      eps,
+// finishScratch is finish's working storage, kept so that a selector
+// reused across passes finishes without allocating anything but its
+// result.
+type finishScratch struct {
+	pool     []poolRef
+	dedup    map[int]bool
+	cover    []float32
+	ub       []float64
+	chosen   []bool
+	poolNorm []float32
+	sel      []int
+}
+
+// poolRef is one finish candidate: a stream position and its embedding.
+type poolRef struct {
+	id  int
+	emb []float32
+}
+
+// reset plans cs for a new class stream — budget kc, dim-wide rows,
+// rcap reservoir rows, a ladder of at most maxLevels rungs — as if it
+// were new, reusing every buffer that is large enough. Only the
+// contents of the reservoir rows, the backup set and the level buffers
+// survive, and the sieve writes each of those before it reads it.
+func (cs *classSieve) reset(class, kc, dim, rcap, maxLevels int, eps float64, c0 float32, rng *tensor.RNG) {
+	*cs = classSieve{
+		class: class, kc: kc, dim: dim, rcap: rcap, c0: c0, eps: eps,
 		logE:     math.Log1p(eps),
-		levels:   make([]*sieveLevel, 0, maxLevels),
-		freeLv:   make([]*sieveLevel, 0, maxLevels),
-		res:      tensor.NewMatrix(rcap, dim),
-		resNorm:  make([]float32, rcap),
 		rng:      rng,
-		pend:     tensor.NewMatrix(rcap, dim),
-		pendMark: make([]bool, rcap),
-		pendSlot: make([]int, rcap),
-		bakIDs:   make([]int, kc),
-		bakVals:  make([]float64, kc),
-		bakEmb:   make([]float32, kc*dim),
+		res:      reuseMatrix(cs.res, rcap, dim),
+		resNorm:  grow(cs.resNorm, rcap),
+		pend:     reuseMatrix(cs.pend, rcap, dim),
+		pendMark: grow(cs.pendMark, rcap),
+		pendSlot: grow(cs.pendSlot, rcap),
+		bakIDs:   grow(cs.bakIDs, kc),
+		bakVals:  grow(cs.bakVals, kc),
+		bakEmb:   grow(cs.bakEmb, kc*dim),
+		levels:   grow(cs.levels, maxLevels)[:0:maxLevels],
+		freeLv:   grow(cs.freeLv, maxLevels)[:0:maxLevels],
+		lvAll:    cs.lvAll,
+		fin:      cs.fin,
 	}
-	for i := 0; i < maxLevels; i++ {
-		cs.freeLv = append(cs.freeLv, &sieveLevel{
-			ids:  make([]int, kc),
-			emb:  make([]float32, kc*dim),
-			best: make([]float32, rcap),
-		})
+	clear(cs.pendMark)
+	for len(cs.lvAll) < maxLevels {
+		cs.lvAll = append(cs.lvAll, &sieveLevel{})
 	}
-	return cs
+	for _, lv := range cs.lvAll[:maxLevels] {
+		lv.ids = grow(lv.ids, kc)
+		lv.emb = grow(lv.emb, kc*dim)
+		lv.best = grow(lv.best, rcap)
+		cs.freeLv = append(cs.freeLv, lv)
+	}
 }
 
-// memoryBytes reports the resident selection-state bytes of this class.
-func (cs *classSieve) memoryBytes() int64 {
-	b := int64(cap(cs.res.Data)+cap(cs.pend.Data)) * 4
-	b += int64(cap(cs.resNorm)) * 4
-	b += int64(cap(cs.pendSlot)) * 8
-	b += int64(cap(cs.pendMark))
-	b += int64(cap(cs.bakIDs))*8 + int64(cap(cs.bakVals))*8 + int64(cap(cs.bakEmb))*4
-	levels := cap(cs.levels)
-	if c := cap(cs.freeLv); c > levels {
-		levels = c
+// reuseMatrix returns m reshaped to rows × cols, reusing its storage
+// when it is large enough.
+func reuseMatrix(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil {
+		return tensor.NewMatrix(rows, cols)
 	}
-	// Every level struct, active or free, was allocated up front.
-	b += int64(levels) * (int64(cs.kc)*(8+4*int64(cs.dim)) + int64(cs.rcap)*4)
+	m.Rows, m.Cols, m.Data = rows, cols, grow(m.Data, rows*cols)
+	return m
+}
+
+// memoryBytes reports the resident selection-state bytes of this class:
+// the buffers its plan sized, whatever larger storage a reset reused.
+func (cs *classSieve) memoryBytes() int64 {
+	b := int64(len(cs.res.Data)+len(cs.pend.Data)) * 4
+	b += int64(len(cs.resNorm)) * 4
+	b += int64(len(cs.pendSlot)) * 8
+	b += int64(len(cs.pendMark))
+	b += int64(len(cs.bakIDs))*8 + int64(len(cs.bakVals))*8 + int64(len(cs.bakEmb))*4
+	// Every level struct, active or free, was sized by the plan.
+	b += int64(cap(cs.levels)) * (int64(cs.kc)*(8+4*int64(cs.dim)) + int64(cs.rcap)*4)
 	return b
 }
 

@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"nessa/internal/data"
@@ -99,5 +100,41 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	epoch() // warm the scratch buffers
 	if avg := testing.AllocsPerRun(10, epoch); avg > 8 {
 		t.Fatalf("steady-state TrainEpoch allocates %.1f times, want ~0", avg)
+	}
+}
+
+// TestTrainRowsSteadyStateAllocs: training through a row list of x is
+// training on the copied-out subset, bit for bit — losses and weights
+// over several epochs — and once warm an epoch allocates nothing, with
+// no subset to build.
+func TestTrainRowsSteadyStateAllocs(t *testing.T) {
+	tr, _ := data.Generate(tinySpec())
+	var rows []int
+	for i := 0; i < tr.Len(); i += 1 + i%4 {
+		rows = append(rows, i)
+	}
+	weights := make([]float32, len(rows))
+	for i := range weights {
+		weights[i] = 1 + float32(i%3)
+	}
+	sub := tr.Subset(rows)
+	a, b := New(tr.Spec, tinyCfg()), New(tr.Spec, tinyCfg())
+	for e := 0; e < 3; e++ {
+		la := a.TrainEpoch(sub.X, sub.Labels, weights)
+		lb := b.TrainRows(tr.X, tr.Labels, rows, weights)
+		if math.Float64bits(la) != math.Float64bits(lb) {
+			t.Fatalf("epoch %d: TrainRows loss %v, TrainEpoch on the subset %v", e, lb, la)
+		}
+	}
+	for i, l := range a.Model.Layers {
+		if !slices.Equal(l.W.Data, b.Model.Layers[i].W.Data) {
+			t.Fatalf("layer %d weights differ between TrainRows and TrainEpoch on the subset", i)
+		}
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if avg := testing.AllocsPerRun(10, func() { b.TrainRows(tr.X, tr.Labels, rows, weights) }); avg > 8 {
+		t.Fatalf("steady-state TrainRows allocates %.1f times, want ~0", avg)
 	}
 }

@@ -52,16 +52,18 @@ type Trainer struct {
 	scratch epochScratch
 }
 
-// epochScratch holds the per-batch working buffers of TrainEpoch,
+// epochScratch holds the per-batch working buffers of TrainRows,
 // hoisted out of the batch loop so a steady-state epoch allocates
-// nothing: the shuffled permutation, the gathered batch (inputs,
-// labels, weights), the logit gradients, and the per-sample losses.
+// nothing: the shuffled permutation, the batch's rows of x, the
+// gathered batch (inputs, labels, weights), the logit gradients, and
+// the per-sample losses.
 // Buffers are sized for the full batch and re-sliced for the short
 // tail batch, keeping their capacity across epochs.
 //
 //nessa:arena per-epoch training scratch, overwritten every batch
 type epochScratch struct {
 	perm     []int
+	brows    []int
 	bx       *tensor.Matrix
 	blabels  []int
 	bweights []float32
@@ -131,7 +133,24 @@ func Restore(spec data.Spec, cfg Config, model, opt []byte, rngState uint64) (*T
 //
 //nessa:hotpath
 func (t *Trainer) TrainEpoch(x *tensor.Matrix, labels []int, weights []float32) float64 {
+	return t.TrainRows(x, labels, nil, weights)
+}
+
+// TrainRows runs one epoch of weighted mini-batch SGD over a row list
+// of x: sample i is row rows[i] with label labels[rows[i]] and weight
+// weights[i] (weights may be nil for uniform). A nil rows trains on
+// every row of x. The batch is gathered straight from x, so a subset
+// trains without being copied out first; the shuffle draws the same
+// RNG stream as a copy of those rows would, so the trajectory is the
+// one TrainEpoch takes on the copy, bit for bit. Returns the weighted
+// mean training loss.
+//
+//nessa:hotpath
+func (t *Trainer) TrainRows(x *tensor.Matrix, labels, rows []int, weights []float32) float64 {
 	n := x.Rows
+	if rows != nil {
+		n = len(rows)
+	}
 	if n == 0 {
 		return 0
 	}
@@ -152,6 +171,7 @@ func (t *Trainer) TrainEpoch(x *tensor.Matrix, labels []int, weights []float32) 
 		maxBn = n
 	}
 	if cap(s.blabels) < maxBn {
+		s.brows = make([]int, maxBn)
 		s.blabels = make([]int, maxBn)
 		s.bweights = make([]float32, maxBn)
 		s.losses = make([]float32, maxBn)
@@ -170,17 +190,26 @@ func (t *Trainer) TrainEpoch(x *tensor.Matrix, labels []int, weights []float32) 
 		// own weighted mean gradient exactly as the paper's recipe
 		// prescribes — batch size never skews sample weighting.
 		idx := perm[start:end]
+		brows := idx
+		if rows != nil {
+			brows = s.brows[:bn]
+			for i, p := range idx {
+				brows[i] = rows[p]
+			}
+		}
 		s.bx = tensor.EnsureShape(s.bx, bn, x.Cols)
-		tensor.GatherRows(s.bx, x, idx)
+		tensor.GatherRows(s.bx, x, brows)
 		blabels := s.blabels[:bn]
 		var bweights []float32
 		if weights != nil {
 			bweights = s.bweights[:bn]
 		}
-		for i, src := range idx {
-			blabels[i] = labels[src]
-			if weights != nil {
-				bweights[i] = weights[src]
+		for i, r := range brows {
+			blabels[i] = labels[r]
+		}
+		if weights != nil {
+			for i, p := range idx {
+				bweights[i] = weights[p]
 			}
 		}
 		logits := t.Model.Forward(s.bx)

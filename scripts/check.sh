@@ -104,6 +104,13 @@ esac
 gate "go test -race"
 go test -race ./...
 
+gate "allocation assertions"
+# The race run skips every raceEnabled-guarded allocation assertion
+# (trainer, tensor, selection, smartssd, parallel, nn, core): the
+# detector's instrumentation allocates on its own. This non-race pass
+# over the tests named *Alloc* is where those assertions execute.
+go test -count=1 -run 'Alloc' ./...
+
 gate "fuzzing"
 # Every decoder of bytes from outside the program — the NSCP
 # checkpoint, the model and optimizer blobs inside it, the on-SSD
