@@ -13,7 +13,7 @@ import (
 func SharedSum(xs []float64) float64 {
 	pool := parallel.Default()
 	sum := 0.0
-	pool.ForChunks(len(xs), func(c, lo, hi int) {
+	pool.ForChunks(len(xs), func(_, c, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum += xs[i] // want "write to captured variable sum inside concurrently executed closure may race"
 		}
@@ -26,7 +26,7 @@ func SharedSum(xs []float64) float64 {
 func SlotSum(xs []float64) float64 {
 	pool := parallel.Default()
 	partial := make([]float64, parallel.Chunks(len(xs)))
-	pool.ForChunks(len(xs), func(c, lo, hi int) {
+	pool.ForChunks(len(xs), func(_, c, lo, hi int) {
 		s := 0.0
 		for i := lo; i < hi; i++ {
 			s += xs[i]

@@ -159,7 +159,7 @@ func (s *RecordStream) CountLabels() []int {
 	pool := parallel.Default()
 	chunks := parallel.Chunks(s.N)
 	partial := make([]int, chunks*s.Spec.Classes)
-	pool.ForChunks(s.N, func(c, lo, hi int) {
+	pool.ForChunks(s.N, func(_, c, lo, hi int) {
 		row := partial[c*s.Spec.Classes : (c+1)*s.Spec.Classes]
 		for i := lo; i < hi; i++ {
 			row[s.Label(i)]++

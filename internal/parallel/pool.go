@@ -13,32 +13,33 @@
 //     on goroutine scheduling), and partial results are combined in
 //     ascending chunk order.
 //  2. Zero steady-state allocation. Loop execution reuses persistent
-//     helper goroutines (parked on per-helper channels), pooled job
-//     descriptors, and a free list of worker IDs, so a dispatch
-//     allocates nothing once warm. Callers that also need allocation-
-//     free bodies pre-bind their closures to pooled state and key
-//     per-worker scratch off the WorkerLocal arena type.
+//     helper goroutines (parked on per-helper channels), job
+//     descriptors from a FreeList, and a free list of worker IDs, so a
+//     dispatch allocates nothing once warm. Callers that also need
+//     allocation-free bodies pre-bind their closures to recycled state
+//     and key per-worker scratch off the WorkerLocal arena type.
 //  3. Zero-cost serial mode. With one worker every loop runs inline on
-//     the calling goroutine — no channels, no goroutines, no atomics —
-//     so Workers=1 reproduces a purely serial execution.
+//     the calling goroutine — no channels, no goroutines — so
+//     Workers=1 reproduces a purely serial execution.
 //  4. Nestability. PerClass dispatches classes to the pool while each
 //     class's facility kernel also uses the pool. A dispatcher only
 //     hands work to helpers that are already idle and otherwise runs
 //     the loop itself, so nesting can never deadlock: the inner loop
 //     always makes progress on the calling goroutine.
 //
-// # Worker identity
+// # One loop body
 //
-// The W-suffixed loop variants (ForChunksW, ForW) pass each body a
-// small dense worker ID that is unique among all *concurrently
-// executing* loop participants — including participants of nested
-// loops — and is recycled through a LIFO free list when a participant
-// finishes. Consecutive loops therefore see the same few IDs over and
-// over, which keeps WorkerLocal scratch arenas warm, while a nested
-// loop's participants always draw IDs disjoint from every enclosing
-// loop's. IDs say nothing about *which* chunk a worker runs (that is
-// scheduling, which must never affect results); they exist solely so
-// bodies can own per-worker scratch without locking.
+// Both loops, ForChunks and For, run bodies of one shape,
+// func(w, i, lo, hi int): item i (a chunk or a band) covers [lo, hi),
+// and w is a small dense worker ID that is unique among all
+// *concurrently executing* loop participants — including participants
+// of nested loops — and is recycled through a LIFO free list when a
+// participant finishes. Consecutive loops therefore see the same few
+// IDs over and over, which keeps WorkerLocal scratch arenas warm, while
+// a nested loop's participants always draw IDs disjoint from every
+// enclosing loop's. IDs say nothing about *which* item a worker runs
+// (that is scheduling, which must never affect results); they exist
+// solely so bodies can own per-worker scratch without locking.
 //
 // The pool mirrors the paper's FPGA compute units: the selection kernel
 // of §3.1 evaluates candidate distances on parallel lanes and merges
@@ -47,6 +48,7 @@
 package parallel
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -85,12 +87,14 @@ func Default() *Pool { return defaultPool }
 // SetDefaultWorkers resizes the shared pool (0 → runtime.NumCPU()).
 func SetDefaultWorkers(n int) { defaultPool.SetWorkers(n) }
 
-// SetWorkers resizes the pool (0 or negative → runtime.NumCPU()).
+// SetWorkers resizes the pool (0 or negative → runtime.NumCPU()). A
+// count beyond the int32 range saturates: no loop can use more
+// participants than it has items, and far fewer helpers exist.
 func (p *Pool) SetWorkers(n int) {
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
-	p.workers.Store(int32(n))
+	p.workers.Store(int32(min(n, math.MaxInt32)))
 }
 
 // Workers reports the current worker cap.
@@ -106,25 +110,23 @@ func Chunks(n int) int {
 	return (n + reduceChunk - 1) / reduceChunk
 }
 
-// chunkBounds returns the half-open range [lo, hi) of chunk c.
-func chunkBounds(c, n int) (lo, hi int) {
-	lo = c * reduceChunk
-	hi = lo + reduceChunk
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+// bandBounds returns the half-open range [lo, hi) of item i when [0, n)
+// is cut into grain-wide items; chunk c of the fixed grid is
+// bandBounds(c, reduceChunk, n).
+func bandBounds(i, grain, n int) (lo, hi int) {
+	lo = i * grain
+	return lo, min(lo+grain, n)
 }
 
 // ---------------------------------------------------------------------
 // Worker identity
 // ---------------------------------------------------------------------
 
-// workerIDs hands out the dense per-participant IDs of the W-variant
-// loops. The free list is LIFO so the IDs a finished loop releases are
-// the first ones the next loop acquires — per-worker scratch keyed on
-// the ID stays warm across loops. Only concurrent participants (which
-// includes nesting) push the high-water mark up.
+// workerIDs hands out the dense per-participant IDs. The free list is
+// LIFO so the IDs a finished loop releases are the first ones the next
+// loop acquires — per-worker scratch keyed on the ID stays warm across
+// loops. Only concurrent participants (which includes nesting) push
+// the high-water mark up.
 var workerIDs struct {
 	mu   sync.Mutex
 	free []int
@@ -157,102 +159,35 @@ func releaseWorkerID(id int) {
 // Job descriptors and persistent helpers
 // ---------------------------------------------------------------------
 
-type jobKind uint8
-
-const (
-	jobChunks jobKind = iota
-	jobChunksW
-	jobBands
-	jobBandsW
-	jobTasks
-)
-
-// loopJob describes one dispatched loop. Jobs are recycled through a
-// free list, so steady-state dispatch allocates nothing; every
-// reference-carrying field is cleared on release.
+// loopJob describes one dispatched loop: n items, each grain wide, over
+// [0, total). Jobs are recycled through jobs, so steady-state dispatch
+// allocates nothing; the body is cleared on release.
 type loopJob struct {
-	kind  jobKind
-	n     int // item count: chunks, bands, or tasks
-	total int // original range length for bound computation
-	grain int // band width for jobBands/jobBandsW
-
-	chunk  func(c, lo, hi int)
-	chunkW func(w, c, lo, hi int)
-	band   func(lo, hi int)
-	bandW  func(w, lo, hi int)
-	tasks  []func()
+	n     int
+	total int
+	grain int
+	body  func(w, i, lo, hi int)
 
 	next atomic.Int64
 	wg   sync.WaitGroup
 }
 
-// needsID reports whether bodies of this job receive a worker ID.
-func (j *loopJob) needsID() bool { return j.kind == jobChunksW || j.kind == jobBandsW }
-
-// work drains the job's item counter on the calling goroutine. w is
-// the participant's worker ID (ignored by the ID-less kinds).
-func (j *loopJob) work(w int) {
+// work drains the job's item counter on the calling goroutine under a
+// freshly acquired worker ID.
+func (j *loopJob) work() {
+	w := acquireWorkerID()
 	for {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.n {
-			return
+			break
 		}
-		switch j.kind {
-		case jobChunks:
-			lo, hi := chunkBounds(i, j.total)
-			j.chunk(i, lo, hi)
-		case jobChunksW:
-			lo, hi := chunkBounds(i, j.total)
-			j.chunkW(w, i, lo, hi)
-		case jobBands:
-			lo, hi := bandBounds(i, j.grain, j.total)
-			j.band(lo, hi)
-		case jobBandsW:
-			lo, hi := bandBounds(i, j.grain, j.total)
-			j.bandW(w, lo, hi)
-		case jobTasks:
-			j.tasks[i]()
-		}
+		lo, hi := bandBounds(i, j.grain, j.total)
+		j.body(w, i, lo, hi)
 	}
+	releaseWorkerID(w)
 }
 
-func bandBounds(b, grain, n int) (lo, hi int) {
-	lo = b * grain
-	hi = lo + grain
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-var jobFree struct {
-	mu   sync.Mutex
-	list []*loopJob
-}
-
-func getJob() *loopJob {
-	jf := &jobFree
-	jf.mu.Lock()
-	var j *loopJob
-	if n := len(jf.list); n > 0 {
-		j = jf.list[n-1]
-		jf.list = jf.list[:n-1]
-	}
-	jf.mu.Unlock()
-	if j == nil {
-		j = &loopJob{}
-	}
-	return j
-}
-
-func putJob(j *loopJob) {
-	j.chunk, j.chunkW, j.band, j.bandW, j.tasks = nil, nil, nil, nil, nil
-	j.next.Store(0)
-	jf := &jobFree
-	jf.mu.Lock()
-	jf.list = append(jf.list, j)
-	jf.mu.Unlock()
-}
+var jobs FreeList[loopJob]
 
 // helper is one persistent worker goroutine, parked on its own
 // channel. Helpers are shared process-wide across all Pools: a helper
@@ -281,9 +216,6 @@ var helperPool struct {
 // participant. Sends never block: only parked helpers are engaged and
 // their channels hold one job.
 func engageHelpers(j *loopJob, want int) {
-	if want <= 0 {
-		return
-	}
 	hp := &helperPool
 	hp.mu.Lock()
 	for e := 0; e < want; e++ {
@@ -304,17 +236,11 @@ func engageHelpers(j *loopJob, want int) {
 	hp.mu.Unlock()
 }
 
-// loop is a helper's life: receive a job, drain it under a freshly
-// acquired worker ID, sign off, park again.
+// loop is a helper's life: receive a job, drain it, sign off, park
+// again.
 func (h *helper) loop() {
 	for j := range h.ch {
-		if j.needsID() {
-			w := acquireWorkerID()
-			j.work(w)
-			releaseWorkerID(w)
-		} else {
-			j.work(-1)
-		}
+		j.work()
 		j.wg.Done() // last touch: the dispatcher may recycle j now
 		hp := &helperPool
 		hp.mu.Lock()
@@ -323,78 +249,49 @@ func (h *helper) loop() {
 	}
 }
 
-// runJob fans j out to w-1 idle helpers, participates in the loop on
-// the calling goroutine, waits for every engaged helper, and recycles
-// the descriptor.
-func (p *Pool) runJob(j *loopJob, w int) {
-	engageHelpers(j, w-1)
-	if j.needsID() {
-		id := acquireWorkerID()
-		j.work(id)
-		releaseWorkerID(id)
-	} else {
-		j.work(-1)
+// dispatch runs the n items of [0, total) cut grain wide on w > 1
+// participants: it fans the job out to w-1 idle helpers, works the
+// loop on the calling goroutine, waits for every engaged helper, and
+// recycles the descriptor.
+func dispatch(w, n, grain, total int, body func(w, i, lo, hi int)) {
+	j := jobs.Get()
+	if j == nil {
+		j = new(loopJob)
 	}
+	j.n, j.grain, j.total, j.body = n, grain, total, body
+	engageHelpers(j, w-1)
+	j.work()
 	j.wg.Wait()
-	putJob(j)
+	j.body = nil
+	j.next.Store(0)
+	jobs.Put(j)
 }
 
 // ---------------------------------------------------------------------
 // Loop API
 // ---------------------------------------------------------------------
 
-// ForChunks runs body(c, lo, hi) for every chunk of the fixed grid over
-// [0, n), on up to Workers participants. Each chunk executes exactly
+// ForChunks runs body(w, c, lo, hi) for every chunk c of the fixed grid
+// over [0, n), on up to Workers participants; w is the participant's
+// worker ID (see the package comment). Each chunk executes exactly
 // once; chunks touched by different participants are disjoint, so
 // bodies writing to per-index or per-chunk slots need no locking.
 // Bodies must not assume any execution order.
-func (p *Pool) ForChunks(n int, body func(c, lo, hi int)) {
+func (p *Pool) ForChunks(n int, body func(w, c, lo, hi int)) {
 	nchunks := Chunks(n)
 	if nchunks == 0 {
 		return
 	}
-	w := p.Workers()
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		for c := 0; c < nchunks; c++ {
-			lo, hi := chunkBounds(c, n)
-			body(c, lo, hi)
-		}
+	if w := min(p.Workers(), nchunks); w > 1 {
+		dispatch(w, nchunks, reduceChunk, n, body)
 		return
 	}
-	j := getJob()
-	j.kind, j.n, j.total, j.chunk = jobChunks, nchunks, n, body
-	p.runJob(j, w)
-}
-
-// ForChunksW is ForChunks with worker identity: body additionally
-// receives the participant's worker ID (see the package comment),
-// stable for the duration of the loop and safe to key WorkerLocal
-// scratch on. The ID carries no information about which chunks a
-// participant runs — results must never depend on it.
-func (p *Pool) ForChunksW(n int, body func(w, c, lo, hi int)) {
-	nchunks := Chunks(n)
-	if nchunks == 0 {
-		return
+	id := acquireWorkerID()
+	for c := 0; c < nchunks; c++ {
+		lo, hi := bandBounds(c, reduceChunk, n)
+		body(id, c, lo, hi)
 	}
-	w := p.Workers()
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		id := acquireWorkerID()
-		for c := 0; c < nchunks; c++ {
-			lo, hi := chunkBounds(c, n)
-			body(id, c, lo, hi)
-		}
-		releaseWorkerID(id)
-		return
-	}
-	j := getJob()
-	j.kind, j.n, j.total, j.chunkW = jobChunksW, nchunks, n, body
-	p.runJob(j, w)
+	releaseWorkerID(id)
 }
 
 // SumChunks evaluates body over every chunk of the fixed grid and
@@ -410,7 +307,7 @@ func (p *Pool) SumChunks(n int, body func(lo, hi int) float64) float64 {
 		return body(0, n)
 	}
 	partial := make([]float64, nchunks)
-	p.ForChunks(n, func(c, lo, hi int) {
+	p.ForChunks(n, func(_, c, lo, hi int) {
 		partial[c] = body(lo, hi)
 	})
 	var sum float64
@@ -420,87 +317,28 @@ func (p *Pool) SumChunks(n int, body func(lo, hi int) float64) float64 {
 	return sum
 }
 
-// For runs body over [0, n) split into contiguous grain-sized bands on
-// up to Workers participants. Unlike ForChunks the banding MAY depend
-// on the worker count, so For is only for bodies whose results are
-// independent of how the range is split — e.g. loops writing each
-// index exactly once. grain <= 0 picks a band size automatically.
-// With one worker (or a single band) body(0, n) runs inline.
-func (p *Pool) For(n, grain int, body func(lo, hi int)) {
-	w, bands, grain := p.bandPlan(n, grain)
+// For runs body(w, b, lo, hi) over [0, n) split into contiguous
+// grain-sized bands b on up to Workers participants. Unlike ForChunks
+// the banding MAY depend on the worker count, so For is only for
+// bodies whose results are independent of how the range is split —
+// e.g. loops writing each index exactly once. grain <= 0 picks a band
+// size automatically. With one worker (or a single band) body(w, 0, 0,
+// n) runs inline.
+func (p *Pool) For(n, grain int, body func(w, b, lo, hi int)) {
 	if n <= 0 {
-		return
-	}
-	if w <= 1 || bands <= 1 {
-		body(0, n)
-		return
-	}
-	j := getJob()
-	j.kind, j.n, j.total, j.grain, j.band = jobBands, bands, n, grain, body
-	p.runJob(j, w)
-}
-
-// ForW is For with worker identity, mirroring ForChunksW: body
-// receives the participant's worker ID ahead of its band bounds. The
-// single-band inline path still acquires an ID, so bodies can key
-// scratch on it unconditionally.
-func (p *Pool) ForW(n, grain int, body func(w, lo, hi int)) {
-	w, bands, grain := p.bandPlan(n, grain)
-	if n <= 0 {
-		return
-	}
-	if w <= 1 || bands <= 1 {
-		id := acquireWorkerID()
-		body(id, 0, n)
-		releaseWorkerID(id)
-		return
-	}
-	j := getJob()
-	j.kind, j.n, j.total, j.grain, j.bandW = jobBandsW, bands, n, grain, body
-	p.runJob(j, w)
-}
-
-// bandPlan resolves the participant count, band count, and band width
-// of a For/ForW dispatch.
-func (p *Pool) bandPlan(n, grain int) (w, bands, g int) {
-	if n <= 0 {
-		return 0, 0, 1
-	}
-	w = p.Workers()
-	if grain <= 0 {
-		// Aim for a few bands per worker to absorb imbalance.
-		grain = n / (w * 4)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	bands = (n + grain - 1) / grain
-	if w > bands {
-		w = bands
-	}
-	return w, bands, grain
-}
-
-// Run executes every task, at most Workers at a time. Task index order
-// of completion is unspecified; with one worker tasks run inline in
-// slice order. Tasks writing results should write to distinct slots of
-// a caller-owned slice so the merge order is the caller's.
-func (p *Pool) Run(tasks []func()) {
-	n := len(tasks)
-	if n == 0 {
 		return
 	}
 	w := p.Workers()
-	if w > n {
-		w = n
+	if grain <= 0 {
+		// Aim for a few bands per worker to absorb imbalance.
+		grain = max(n/w/4, 1)
 	}
-	if w <= 1 {
-		for _, t := range tasks {
-			t()
-		}
+	bands := (n + grain - 1) / grain
+	if w = min(w, bands); w > 1 {
+		dispatch(w, bands, grain, n, body)
 		return
 	}
-	j := getJob()
-	j.kind, j.n, j.total, j.tasks = jobTasks, n, n, tasks
-	p.runJob(j, w)
+	id := acquireWorkerID()
+	body(id, 0, 0, n)
+	releaseWorkerID(id)
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,7 +12,7 @@ func TestForChunksCoversEveryIndexOnce(t *testing.T) {
 		for _, w := range []int{1, 2, 7} {
 			p := New(w)
 			hits := make([]int32, n)
-			p.ForChunks(n, func(c, lo, hi int) {
+			p.ForChunks(n, func(_, c, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -56,7 +57,7 @@ func TestForCoversRange(t *testing.T) {
 		for _, w := range []int{1, 3, 8} {
 			p := New(w)
 			hits := make([]int32, n)
-			p.For(n, 0, func(lo, hi int) {
+			p.For(n, 0, func(_, _, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -70,20 +71,21 @@ func TestForCoversRange(t *testing.T) {
 	}
 }
 
-func TestRunExecutesAllTasks(t *testing.T) {
+// TestForGrainOneRunsEveryItemOnce is the per-item fan-out PerClassWith
+// and the streaming sieve use: grain 1 makes every index its own band.
+func TestForGrainOneRunsEveryItemOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 5} {
 		p := New(w)
 		n := 40
 		done := make([]int32, n)
-		tasks := make([]func(), n)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() { atomic.AddInt32(&done[i], 1) }
-		}
-		p.Run(tasks)
+		p.For(n, 1, func(_, _, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&done[i], 1)
+			}
+		})
 		for i, d := range done {
 			if d != 1 {
-				t.Fatalf("w=%d: task %d ran %d times", w, i, d)
+				t.Fatalf("w=%d: item %d ran %d times", w, i, d)
 			}
 		}
 	}
@@ -92,17 +94,45 @@ func TestRunExecutesAllTasks(t *testing.T) {
 func TestNestedPoolUseDoesNotDeadlock(t *testing.T) {
 	p := New(4)
 	var total atomic.Int64
-	outer := make([]func(), 8)
-	for i := range outer {
-		outer[i] = func() {
-			p.For(100, 0, func(lo, hi int) {
+	p.For(8, 1, func(_, _, lo, hi int) {
+		for range hi - lo {
+			p.For(100, 0, func(_, _, lo, hi int) {
+				total.Add(int64(hi - lo))
+			})
+			p.ForChunks(3*reduceChunk, func(_, _, lo, hi int) {
 				total.Add(int64(hi - lo))
 			})
 		}
+	})
+	if want := int64(8 * (100 + 3*reduceChunk)); total.Load() != want {
+		t.Fatalf("nested total = %d, want %d", total.Load(), want)
 	}
-	p.Run(outer)
-	if total.Load() != 800 {
-		t.Fatalf("nested total = %d, want 800", total.Load())
+}
+
+// TestSetWorkersSaturates pins the worker cap of counts past the int32
+// range: the cap stays positive (it once wrapped to 0 or below, and
+// For's automatic grain divided by it), and both loops still visit
+// every index exactly once.
+func TestSetWorkersSaturates(t *testing.T) {
+	for _, n := range []int{1 << 31, 1 << 32, 1<<32 + 2, math.MaxInt} {
+		p := New(n)
+		if p.Workers() < 1 {
+			t.Fatalf("New(%d).Workers() = %d, want >= 1", n, p.Workers())
+		}
+		const size = 3*reduceChunk + 5
+		hits := make([]int32, size)
+		visit := func(_, _, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		}
+		p.For(size, 0, visit)
+		p.ForChunks(size, visit)
+		for i, h := range hits {
+			if h != 2 {
+				t.Fatalf("New(%d): index %d visited %d times, want once per loop", n, i, h)
+			}
+		}
 	}
 }
 
@@ -127,7 +157,7 @@ func TestChunkBoundsPartitionRange(t *testing.T) {
 	n := 3*reduceChunk + 17
 	prev := 0
 	for c := 0; c < Chunks(n); c++ {
-		lo, hi := chunkBounds(c, n)
+		lo, hi := bandBounds(c, reduceChunk, n)
 		if lo != prev || hi <= lo {
 			t.Fatalf("chunk %d bounds [%d,%d) not contiguous from %d", c, lo, hi, prev)
 		}

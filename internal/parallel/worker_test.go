@@ -27,11 +27,11 @@ func TestWorkerIDsUniqueAmongConcurrentParticipants(t *testing.T) {
 	release := func(w int) { claimed[w].Store(0) }
 
 	for iter := 0; iter < 20; iter++ {
-		p.ForW(64, 4, func(w, lo, hi int) {
+		p.For(64, 4, func(w, _, lo, hi int) {
 			claim(w)
 			// Nested dispatch from inside a participant: the inner
 			// loop's IDs must be disjoint from every outer holder's.
-			p.ForChunksW(2048, func(iw, c, ilo, ihi int) {
+			p.ForChunks(2048, func(iw, c, ilo, ihi int) {
 				if iw == w {
 					t.Errorf("nested participant reused enclosing worker ID %d", w)
 				}
@@ -50,13 +50,13 @@ func TestWorkerIDsUniqueAmongConcurrentParticipants(t *testing.T) {
 func TestWorkerIDsReusedAcrossLoops(t *testing.T) {
 	p := New(4)
 	for i := 0; i < 3; i++ { // warm the ID pool and helper set
-		p.ForChunksW(8192, func(w, c, lo, hi int) {})
+		p.ForChunks(8192, func(w, c, lo, hi int) {})
 	}
 	// workerIDs.next is the high-water mark: every ID ever handed out
 	// is below it. No loop is running when it is read here.
 	high := workerIDs.next
 	for i := 0; i < 50; i++ {
-		p.ForChunksW(8192, func(w, c, lo, hi int) {
+		p.ForChunks(8192, func(w, c, lo, hi int) {
 			if w >= high {
 				t.Errorf("loop %d minted fresh worker ID %d instead of reusing (< %d)", i, w, high)
 			}
@@ -149,7 +149,7 @@ func TestSetWorkersMidStream(t *testing.T) {
 		for i := range counts {
 			counts[i].Store(0)
 		}
-		p.ForChunksW(n, func(w, c, lo, hi int) {
+		p.ForChunks(n, func(w, c, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				counts[i].Add(1)
 			}
@@ -165,27 +165,30 @@ func TestSetWorkersMidStream(t *testing.T) {
 }
 
 // TestDispatchSteadyStateAllocs locks in the zero-allocation dispatch:
-// once the helper set, job free list, and worker IDs are warm, a
-// parallel loop with a pre-bound body allocates nothing — the property
-// the training epoch's 0 allocs/epoch budget rests on.
+// once the helper set, job free list, and worker IDs are warm, a loop
+// with a pre-bound body allocates nothing — through the chunk grid, a
+// multi-band For, and a single-band For that runs inline — the
+// property the training epoch's 0 allocs/epoch budget rests on.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	p := New(4)
 	sink := make([]int64, Chunks(1<<15))
-	body := func(w, c, lo, hi int) { sink[c] = int64(hi - lo) }
-	loop := func() { p.ForChunksW(1<<15, body) }
-	for i := 0; i < 3; i++ {
-		loop() // spawn helpers, fill the job and ID free lists
-	}
-	if avg := testing.AllocsPerRun(100, loop); avg > 0 {
-		t.Fatalf("steady-state ForChunksW allocates %.2f times per dispatch, want 0", avg)
-	}
-	bodyB := func(w, lo, hi int) { sink[0] = int64(hi - lo) }
-	loopB := func() { p.ForW(1<<15, 512, bodyB) }
-	loopB()
-	if avg := testing.AllocsPerRun(100, loopB); avg > 0 {
-		t.Fatalf("steady-state ForW allocates %.2f times per dispatch, want 0", avg)
+	body := func(w, i, lo, hi int) { sink[i%len(sink)] = int64(hi - lo) }
+	for _, tc := range []struct {
+		name string
+		loop func()
+	}{
+		{"ForChunks", func() { p.ForChunks(1<<15, body) }},
+		{"For multi-band", func() { p.For(1<<15, 512, body) }},
+		{"For single-band", func() { p.For(1<<15, 1<<15, body) }},
+	} {
+		for i := 0; i < 3; i++ {
+			tc.loop() // spawn helpers, fill the job and ID free lists
+		}
+		if avg := testing.AllocsPerRun(100, tc.loop); avg > 0 {
+			t.Errorf("steady-state %s allocates %.2f times per dispatch, want 0", tc.name, avg)
+		}
 	}
 }

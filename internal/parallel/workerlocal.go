@@ -6,8 +6,8 @@ import (
 )
 
 // WorkerLocal is a table of lazily created per-worker state slots,
-// keyed by the worker IDs the W-variant loops (ForChunksW, ForW) hand
-// their bodies. Because a worker ID is never shared by two concurrent
+// keyed by the worker IDs the loops (ForChunks, For) hand their
+// bodies. Because a worker ID is never shared by two concurrent
 // loop participants, Get(w) returns memory the calling participant
 // owns exclusively for the duration of the loop — per-worker scratch
 // without locks — and because IDs are recycled LIFO across loops, the

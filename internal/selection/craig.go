@@ -78,7 +78,7 @@ func PerClassInto(dst *Result, emb *tensor.Matrix, classes [][]int, k int, forCl
 
 	results := make([]Result, len(classes))
 	errs := make([]error, len(classes))
-	parallel.Default().For(len(classes), 1, func(lo, hi int) {
+	parallel.Default().For(len(classes), 1, func(_, _, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			if cand := classes[ci]; len(cand) > 0 && budgets[ci] > 0 {
 				results[ci], errs[ci] = forClass(ci)(emb, cand, budgets[ci])

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"nessa/internal/parallel"
 	"nessa/internal/tensor"
@@ -99,34 +98,18 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// scratchFree recycles the Scratch of the package's allocating entry
-// points, as tensor's panelFree recycles GEMM panels: a selection that
-// is not handed a Scratch draws one here and returns it, so every call
-// after the first reuses the buffers an earlier one released (a
-// partitioned selection builds one tile per chunk). Unlike a sync.Pool
-// the list is never drained by the garbage collector.
-var scratchFree struct {
-	mu   sync.Mutex
-	list []*Scratch
-}
+// scratches recycles the Scratch of the package's allocating entry
+// points, as tensor recycles GEMM panels: a selection that is not handed
+// a Scratch draws one here and returns it, so every call after the
+// first reuses the buffers an earlier one released (a partitioned
+// selection builds one tile per chunk).
+var scratches parallel.FreeList[Scratch]
 
 func getScratch() *Scratch {
-	sf := &scratchFree
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if ln := len(sf.list); ln > 0 {
-		sc := sf.list[ln-1]
-		sf.list = sf.list[:ln-1]
+	if sc := scratches.Get(); sc != nil {
 		return sc
 	}
 	return new(Scratch)
-}
-
-func putScratch(sc *Scratch) {
-	sf := &scratchFree
-	sf.mu.Lock()
-	sf.list = append(sf.list, sc)
-	sf.mu.Unlock()
 }
 
 // withScratch runs sel on a free-list Scratch and returns a copy of its
@@ -134,7 +117,7 @@ func putScratch(sc *Scratch) {
 // the Result.
 func withScratch(sel func(sc *Scratch) (Result, error)) (Result, error) {
 	sc := getScratch()
-	defer putScratch(sc)
+	defer scratches.Put(sc)
 	res, err := sel(sc)
 	if err != nil {
 		return Result{}, err
@@ -332,7 +315,7 @@ func (f *facility) absorb(j int, best []float32) {
 	}
 	gj := f.emb.Row(f.cand[j])
 	nj := f.norms[j]
-	f.pool.ForChunks(len(f.cand), func(_, lo, hi int) {
+	f.pool.ForChunks(len(f.cand), func(_, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := simOf(f.c0, f.norms[i], nj, tensor.Dot(f.emb.Row(f.cand[i]), gj))
 			if s > best[i] {
@@ -390,7 +373,7 @@ func (f *facility) finish(sc *Scratch, selected []int, objective float64) Result
 			assign[i] = int32(nearest(f.tileRow(i), selected))
 		}
 	} else {
-		f.pool.ForChunks(len(f.cand), func(_, lo, hi int) {
+		f.pool.ForChunks(len(f.cand), func(_, _, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				bestSi, bestS := 0, float32(-1)
 				for si, j := range selected {
@@ -626,7 +609,7 @@ func (sc *Scratch) stochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps f
 // tests to verify maximizer quality.
 func Objective(emb *tensor.Matrix, cand, selected []int) float64 {
 	sc := getScratch()
-	defer putScratch(sc)
+	defer scratches.Put(sc)
 	f := newDirectFacility(sc, emb, cand)
 	pos := make(map[int]bool, len(selected))
 	for _, s := range selected {

@@ -36,7 +36,7 @@ func KCenters(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 		si := len(selected)
 		selected = append(selected, j)
 		cj := emb.Row(cand[j])
-		pool.ForChunks(n, func(_, lo, hi int) {
+		pool.ForChunks(n, func(_, _, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if d := tensor.SqDist(emb.Row(cand[i]), cj); d < minDist[i] {
 					minDist[i] = d
@@ -53,7 +53,7 @@ func KCenters(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 	chunkD := make([]float32, nchunks)
 	chunkI := make([]int, nchunks)
 	farthest := func() (int, float32) {
-		pool.ForChunks(n, func(c, lo, hi int) {
+		pool.ForChunks(n, func(_, c, lo, hi int) {
 			fi, fd := -1, float32(-1)
 			for i := lo; i < hi; i++ {
 				if d := minDist[i]; d > fd {

@@ -131,8 +131,8 @@ type Selector struct {
 	pool      *parallel.Pool
 	// sievePass and each class's transformRows, bound once so that a
 	// Push dispatches them without allocating.
-	sieveFn     func(lo, hi int)
-	transformFn []func(c, lo, hi int)
+	sieveFn     func(w, i, lo, hi int)
+	transformFn []func(w, c, lo, hi int)
 }
 
 // NewSelector plans the selection state against the memory budget and
@@ -166,7 +166,7 @@ func (s *Selector) Reset(cfg Config) error {
 	s.gather = grow(s.gather, cfg.Classes)
 	s.sims = grow(s.sims, cfg.Classes)
 	for ci := len(s.transformFn); ci < cfg.Classes; ci++ {
-		s.transformFn = append(s.transformFn, func(_, lo, hi int) { s.transformRows(ci, lo, hi) })
+		s.transformFn = append(s.transformFn, func(_, _, lo, hi int) { s.transformRows(ci, lo, hi) })
 	}
 	s.sieves = grow(s.sieves, cfg.Classes)
 	for ci, kc := range budgets {
@@ -368,7 +368,7 @@ func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 // clamped similarities and singleton values, the class's rows through
 // its sieve and reservoir policy in stream order, and last the staged
 // reservoir replacements.
-func (s *Selector) sievePass(lo, hi int) {
+func (s *Selector) sievePass(_, _, lo, hi int) {
 	for ci := lo; ci < hi; ci++ {
 		cs := s.sieves[ci]
 		base, end := s.start[ci], s.start[ci+1]

@@ -55,16 +55,15 @@
 // Parallel dispatch bands over destination rows: each output row is
 // written by one band, and banding never changes what a band computes,
 // only who computes it. A dispatch allocates nothing in steady state:
-// the per-call band descriptors (gemmTask) come from a free list and
-// carry closures pre-bound at construction, B panels come from a
-// persistent buffer free list, and the skip kernels' nonzero lists
+// the per-call descriptors (gemmTask) come from a parallel.FreeList and
+// carry their body pre-bound at construction, B panels come from a
+// second FreeList, and the skip kernels' nonzero lists
 // live in a parallel.WorkerLocal arena keyed by the worker ID the pool
 // hands each band.
 package tensor
 
 import (
 	"fmt"
-	"sync"
 
 	"nessa/internal/parallel"
 )
@@ -108,26 +107,15 @@ func tierKC(k int) int {
 // Persistent scratch: panel buffers, skip lists, task descriptors
 // ---------------------------------------------------------------------
 
-// panelFree recycles B-panel packing buffers. Unlike a sync.Pool it is
-// never drained by the garbage collector, so once every holder has
-// grown to the largest panel a workload packs, steady-state GEMM calls
-// allocate nothing at all.
-var panelFree struct {
-	mu   sync.Mutex
-	list []*[]float32
-}
+// panels recycles B-panel packing buffers. The list is never drained
+// by the garbage collector, so once every holder has grown to the
+// largest panel a workload packs, steady-state GEMM calls allocate
+// nothing at all.
+var panels parallel.FreeList[[]float32]
 
 //nessa:hotpath
-//nessa:scratch-ok ownership transfer: every caller returns the buffer with putPanel before it exits
 func getPanel(n int) *[]float32 {
-	pf := &panelFree
-	pf.mu.Lock()
-	var s *[]float32
-	if ln := len(pf.list); ln > 0 {
-		s = pf.list[ln-1]
-		pf.list = pf.list[:ln-1]
-	}
-	pf.mu.Unlock()
+	s := panels.Get()
 	if s == nil {
 		//nessa:alloc-ok free-list miss: first concurrent holder at this depth allocates; steady state reuses
 		s = new([]float32)
@@ -138,15 +126,6 @@ func getPanel(n int) *[]float32 {
 	}
 	*s = (*s)[:n]
 	return s
-}
-
-//nessa:hotpath
-func putPanel(s *[]float32) {
-	pf := &panelFree
-	pf.mu.Lock()
-	//nessa:alloc-ok amortized: the list caps at the peak concurrent holder count and never grows past it
-	pf.list = append(pf.list, s)
-	pf.mu.Unlock()
 }
 
 // skipList is one worker's nonzero list for the skip kernel: val[t]
@@ -172,9 +151,10 @@ func workerSkipList(w, n int) ([]int, []float32) {
 	return s.off[:n], s.val[:n]
 }
 
-// gemmTask is a pooled band-dispatch descriptor: the operands of one
-// GEMM call plus closures pre-bound to the descriptor at construction,
-// so handing the pool a band body never allocates a per-call closure.
+// gemmTask is a recycled dispatch descriptor: the operands of one GEMM
+// call plus its body pre-bound to the descriptor at construction, so
+// handing the pool a band or pack body never allocates a per-call
+// closure.
 type gemmTask struct {
 	kind   uint8
 	trans  bool // a is the transposed operand of MatMulTransA
@@ -184,8 +164,7 @@ type gemmTask struct {
 	b      *Matrix
 	packed []float32
 
-	run     func(w, lo, hi int) // bound once to (*gemmTask).band
-	runPack func(lo, hi int)    // bound once to (*gemmTask).pack
+	run func(w, i, lo, hi int) // bound once to (*gemmTask).band
 }
 
 const (
@@ -195,27 +174,16 @@ const (
 	tkPackRow
 )
 
-var gemmTaskFree struct {
-	mu   sync.Mutex
-	list []*gemmTask
-}
+var gemmTasks parallel.FreeList[gemmTask]
 
 //nessa:hotpath
-//nessa:scratch-ok ownership transfer: every caller returns the descriptor with putGemmTask before it exits
 func getGemmTask(kind uint8, dst, a, b *Matrix, packed []float32, trans, acc bool) *gemmTask {
-	gf := &gemmTaskFree
-	gf.mu.Lock()
-	var t *gemmTask
-	if ln := len(gf.list); ln > 0 {
-		t = gf.list[ln-1]
-		gf.list = gf.list[:ln-1]
-	}
-	gf.mu.Unlock()
+	t := gemmTasks.Get()
 	if t == nil {
-		//nessa:alloc-ok free-list miss: descriptor and its two bound closures are built once and recycled forever
+		//nessa:alloc-ok free-list miss: descriptor and its bound closure are built once and recycled forever
 		t = &gemmTask{}
-		//nessa:alloc-ok method values allocate once per descriptor lifetime and are recycled with it
-		t.run, t.runPack = t.band, t.pack
+		//nessa:alloc-ok method value allocates once per descriptor lifetime and is recycled with it
+		t.run = t.band
 	}
 	t.kind, t.dst, t.a, t.b, t.packed, t.trans, t.acc = kind, dst, a, b, packed, trans, acc
 	return t
@@ -224,31 +192,20 @@ func getGemmTask(kind uint8, dst, a, b *Matrix, packed []float32, trans, acc boo
 //nessa:hotpath
 func putGemmTask(t *gemmTask) {
 	t.dst, t.a, t.b, t.packed = nil, nil, nil, nil
-	gf := &gemmTaskFree
-	gf.mu.Lock()
-	//nessa:alloc-ok amortized: the list caps at the peak concurrent descriptor count and never grows past it
-	gf.list = append(gf.list, t)
-	gf.mu.Unlock()
+	gemmTasks.Put(t)
 }
 
-// band runs one row band of the descriptor's GEMM. w is the worker ID
-// owning this band's scratch.
+// band runs one item of the descriptor's dispatch: a row band of the
+// product for the dense and skip kinds, a panel range for the pack
+// kinds. w is the worker ID owning this band's scratch.
 //
 //nessa:hotpath
-func (t *gemmTask) band(w, lo, hi int) {
+func (t *gemmTask) band(w, _, lo, hi int) {
 	switch t.kind {
 	case tkDense:
 		denseBand(t.dst, t.a, t.packed, t.trans, t.acc, lo, hi)
 	case tkSkip:
 		skipBand(t.dst, t.a, t.b, t.trans, t.acc, w, lo, hi)
-	}
-}
-
-// pack runs one panel range of the descriptor's packing fan-out.
-//
-//nessa:hotpath
-func (t *gemmTask) pack(lo, hi int) {
-	switch t.kind {
 	case tkPackCol:
 		packColRange(t.packed, t.b, lo, hi)
 	case tkPackRow:
@@ -390,10 +347,10 @@ func gemm(dst, a, b *Matrix, pack uint8, trans, acc bool) {
 		packPanels(packed, b, pack, np)
 	}
 	t := getGemmTask(kind, dst, a, b, packed, trans, acc)
-	parallel.Default().ForW(n, gemmGrain(n, k, m), t.run)
+	parallel.Default().For(n, gemmGrain(n, k, m), t.run)
 	putGemmTask(t)
 	if buf != nil {
-		putPanel(buf)
+		panels.Put(buf)
 	}
 }
 
@@ -407,7 +364,7 @@ func gemm(dst, a, b *Matrix, pack uint8, trans, acc bool) {
 func packPanels(out []float32, b *Matrix, pack uint8, np int) {
 	if len(out) >= gemmParallelFlops && parallel.Default().Workers() > 1 {
 		t := getGemmTask(pack, nil, nil, b, out, false, false)
-		parallel.Default().For(np, 1, t.runPack)
+		parallel.Default().For(np, 1, t.run)
 		putGemmTask(t)
 		return
 	}

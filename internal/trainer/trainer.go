@@ -7,7 +7,6 @@ package trainer
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nessa/internal/data"
@@ -263,7 +262,7 @@ func (sc *evalScratch) viewRows(x *tensor.Matrix, lo, hi int) *tensor.Matrix {
 	return &sc.view
 }
 
-// evalJob is a pooled dispatch descriptor for the chunked inference
+// evalJob is a recycled dispatch descriptor for the chunked inference
 // pass, mirroring the tensor layer's gemmTask: the operands of one pass
 // plus the chunk body pre-bound at construction, so EvaluateModel
 // allocates no closure per call.
@@ -276,38 +275,7 @@ type evalJob struct {
 	run func(w, c, lo, hi int) // bound once to (*evalJob).accuracyChunk
 }
 
-var evalJobFree struct {
-	mu   sync.Mutex
-	list []*evalJob
-}
-
-//nessa:scratch-ok ownership transfer: every caller returns the descriptor with putEvalJob before it exits
-func getEvalJob(m *nn.MLP, x *tensor.Matrix, labels []int) *evalJob {
-	ef := &evalJobFree
-	ef.mu.Lock()
-	var j *evalJob
-	if ln := len(ef.list); ln > 0 {
-		j = ef.list[ln-1]
-		ef.list = ef.list[:ln-1]
-	}
-	ef.mu.Unlock()
-	if j == nil {
-		//nessa:alloc-ok free-list miss: descriptor and its bound closure are built once and recycled forever
-		j = &evalJob{}
-		j.run = j.accuracyChunk
-	}
-	j.m, j.x, j.labels = m, x, labels
-	j.hits.Store(0)
-	return j
-}
-
-func putEvalJob(j *evalJob) {
-	j.m, j.x, j.labels = nil, nil, nil
-	ef := &evalJobFree
-	ef.mu.Lock()
-	ef.list = append(ef.list, j)
-	ef.mu.Unlock()
-}
+var evalJobs parallel.FreeList[evalJob]
 
 // accuracyChunk counts correct predictions over rows [lo,hi) through
 // worker w's scratch slot. The count is folded with an atomic integer
@@ -338,10 +306,17 @@ func EvaluateModel(m *nn.MLP, ds *data.Dataset) float64 {
 	if n == 0 {
 		return 0
 	}
-	j := getEvalJob(m, ds.X, ds.Labels)
-	parallel.Default().ForChunksW(n, j.run)
+	j := evalJobs.Get()
+	if j == nil {
+		j = &evalJob{}
+		j.run = j.accuracyChunk
+	}
+	j.m, j.x, j.labels = m, ds.X, ds.Labels
+	j.hits.Store(0)
+	parallel.Default().ForChunks(n, j.run)
 	correct := j.hits.Load()
-	putEvalJob(j)
+	j.m, j.x, j.labels = nil, nil, nil
+	evalJobs.Put(j)
 	return float64(correct) / float64(n)
 }
 
