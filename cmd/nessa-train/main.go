@@ -7,7 +7,7 @@
 //	nessa-train [-dataset CIFAR-10] [-method nessa|craig|kcenters|random|full]
 //	            [-epochs 60] [-subset 0.4] [-seed 7] [-workers 0]
 //	            [-streaming] [-streamchunk 8192]
-//	            [-fastmath] [-no-device]
+//	            [-no-device]
 //	            [-chaos] [-fault-seed 42] [-fault-corrupt 0] [-fault-transient 0]
 //	            [-fault-latency 0] [-fault-linkdown 0]
 //	            [-parity 3+1] [-kill 1@3] [-spare]
@@ -19,11 +19,6 @@
 // it requires the facility selector, i.e. -method nessa or craig, and
 // runs on the host, the device or a -parity cluster alike.
 // -streamchunk sets the records per scan chunk.
-//
-// -fastmath opts into the non-bit-exact AVX2/FMA kernel tier (still
-// deterministic and worker-count invariant; a warning and a no-op on
-// CPUs without AVX2/FMA). It sets Options.BitExact, so -method full,
-// which takes no options, always trains on the bit-exact tier.
 //
 // The -fault-* flags attach a deterministic fault injector to the
 // simulated device (requires the device, i.e. not -no-device); -chaos
@@ -62,7 +57,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for selection, training GEMMs, and evaluation (0 = all cores, 1 = serial; results are identical either way)")
 	streaming := flag.Bool("streaming", false, "select with the single-pass streaming sieve: one sequential candidate scan in fixed on-chip memory (facility selector only)")
 	streamChunk := flag.Int("streamchunk", 0, "records per streaming scan chunk (0 = default 8192)")
-	fastmath := flag.Bool("fastmath", false, "enable the non-bit-exact AVX2/FMA kernel tier (deterministic, but diverges from the bit-exact trajectory within the documented tolerance; no-op without AVX2/FMA)")
 	noDevice := flag.Bool("no-device", false, "skip the SmartSSD simulation / movement accounting")
 	chaos := flag.Bool("chaos", false, "inject the standard chaos fault profile (all classes active)")
 	faultSeed := flag.Uint64("fault-seed", 42, "fault injector seed")
@@ -82,9 +76,6 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown dataset %q", *dataset))
 	}
-	if *fastmath && !nessa.FastMathSupported() {
-		fmt.Fprintln(os.Stderr, "nessa-train: -fastmath requested but AVX2/FMA is unavailable; staying on the bit-exact tier")
-	}
 	train, test := nessa.Generate(spec)
 	cfg := nessa.DefaultTrainConfig()
 	if *epochs > 0 {
@@ -102,7 +93,6 @@ func main() {
 	opt := nessa.DefaultOptions()
 	opt.Seed = *seed
 	opt.Workers = *workers
-	opt.BitExact = !*fastmath
 	switch *method {
 	case "nessa":
 	case "craig":

@@ -91,7 +91,7 @@ func Artifacts() []Artifact {
 		plain("ablation-scaleout", AblationScaleOut),
 		measured("bench-selection", "measuring the parallel selection engine (workers=1 vs all cores)...", "BENCH_selection.json",
 			func(bool) SelectionBenchSpec { return DefaultSelectionBenchSpec() }, RunSelectionBench, nil, selectionBenchTable),
-		measured("bench-training", "measuring the training hot path (worker sweep 1/2/all cores, both kernel tiers)...", "BENCH_training.json",
+		measured("bench-training", "measuring the training hot path (worker sweep 1/2/all cores)...", "BENCH_training.json",
 			DefaultTrainingBenchSpec, RunTrainingBench, nil, trainingBenchTable),
 		measured("bench-streaming", "measuring single-pass streaming selection (sequential NAND scan, on-chip state)...", "BENCH_streaming.json",
 			DefaultStreamingBenchSpec, RunStreamingBench, carryStreaming, streamingBenchTable),

@@ -47,9 +47,7 @@ func DefaultTrainingBenchSpec(quick bool) TrainingBenchSpec {
 	return s
 }
 
-// TrainingBenchRun is one worker setting's measurement. The bit-exact
-// tier's numbers are always present; the fast-tier columns are zero
-// when the host cannot run AVX2/FMA.
+// TrainingBenchRun is one worker setting's measurement.
 type TrainingBenchRun struct {
 	Workers        int     `json:"workers"`
 	GoMaxProcs     int     `json:"gomaxprocs"` // recorded per run: the OS-thread budget the run actually had
@@ -57,10 +55,7 @@ type TrainingBenchRun struct {
 	MSPerEpoch     float64 `json:"msPerEpoch"`
 	AllocsPerEpoch float64 `json:"allocsPerEpoch"` // runtime.MemStats Mallocs delta
 	EvalMS         float64 `json:"evalMS"`         // chunked EvaluateModel pass
-	GemmGFLOPS     float64 `json:"gemmGFLOPS"`     // bit-exact forward-kernel throughput
-
-	FastMSPerEpoch float64 `json:"fastMSPerEpoch,omitempty"` // AVX2/FMA tier epoch time
-	FastGemmGFLOPS float64 `json:"fastGemmGFLOPS,omitempty"` // AVX2/FMA tier kernel throughput
+	GemmGFLOPS     float64 `json:"gemmGFLOPS"`     // forward-kernel throughput
 }
 
 // TrainingBenchResult is the JSON artifact written to
@@ -87,35 +82,26 @@ type TrainingBenchResult struct {
 	// every epoch loss, every final parameter bit, and the evaluated
 	// accuracy agree across the whole worker sweep.
 	IdenticalTrajectories bool `json:"identicalTrajectories"`
-
-	// Fast-tier reporting, kept strictly separate from the bit-exact
-	// numbers: whether the host can run it, whether its trajectories
-	// are bit-identical across worker counts (they must be — the tier
-	// is reassociated, not nondeterministic), and the largest relative
-	// epoch-loss divergence from the bit-exact tier actually observed.
-	FastTierSupported     bool    `json:"fastTierSupported"`
-	FastTierDeterministic bool    `json:"fastTierDeterministic"`
-	FastVsBitExactMaxRel  float64 `json:"fastVsBitExactMaxRel,omitempty"`
 }
 
-// trainingTrajectory is one tier+worker setting's measured trajectory
-// and timings.
+// trainingTrajectory is one worker setting's measured trajectory and
+// timings.
 type trainingTrajectory struct {
 	losses  []float64
 	bits    []uint32
-	acc     float64 // evaluated on the bit-exact tier only
+	acc     float64
 	elapsed time.Duration
 	allocs  float64
 }
 
-// same reports whether two runs of one tier agree on every epoch loss,
+// same reports whether two runs agree on every epoch loss,
 // every final parameter bit and the evaluated accuracy.
 func (t trainingTrajectory) same(o trainingTrajectory) bool {
 	return slices.Equal(t.losses, o.losses) && slices.Equal(t.bits, o.bits) && t.acc == o.acc
 }
 
 // runTrajectory trains a fresh model for spec.Epochs at the current
-// worker/tier setting, returning the trajectory, steady-state timing
+// worker setting, returning the trajectory, steady-state timing
 // (one warm-up epoch fills every arena and free list first), and the
 // trained model for the eval-pass measurement.
 func runTrajectory(ds data.Spec, cfg trainer.Config, spec TrainingBenchSpec, train *data.Dataset, weights []float32) (trainingTrajectory, *trainer.Trainer) {
@@ -152,7 +138,7 @@ func runTrajectory(ds data.Spec, cfg trainer.Config, spec TrainingBenchSpec, tra
 	}, tt
 }
 
-// gemmThroughput times the forward kernel at the current worker/tier
+// gemmThroughput times the forward kernel at the current worker
 // setting and reports GFLOP/s.
 func gemmThroughput(spec TrainingBenchSpec, gd, ga, gb *tensor.Matrix) float64 {
 	tensor.MatMulTransB(gd, ga, gb) // warm the panel free list
@@ -177,10 +163,8 @@ func benchWorkerSweep() []int {
 }
 
 // RunTrainingBench measures the training hot path across the worker
-// sweep on both kernel tiers, verifying along the way that the
-// bit-exact tier's trajectories are bit-identical at every worker
-// count and that the fast tier is deterministic (bit-identical to
-// itself across worker counts) and within tolerance of bit-exact.
+// sweep, verifying along the way that the trajectories are
+// bit-identical at every worker count.
 func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, []Gate, error) {
 	ds := data.Spec{
 		Name: "bench", Classes: spec.Classes, Train: spec.Train,
@@ -208,17 +192,13 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, []Gate, err
 		host:                  currentHost(),
 		Spec:                  spec,
 		IdenticalTrajectories: true,
-		FastTierSupported:     tensor.FastMathSupported(),
-		FastTierDeterministic: true,
 	}
 	defer parallel.SetDefaultWorkers(0)
-	defer tensor.SetFastMath(false)
 
-	var ref, fastRef trainingTrajectory // the sweep's first run of each tier
+	var ref trainingTrajectory // the sweep's first run
 	for i, w := range benchWorkerSweep() {
 		parallel.SetDefaultWorkers(w)
 
-		tensor.SetFastMath(false)
 		tj, tt := runTrajectory(ds, cfg, spec, train, weights)
 		trainer.EvaluateModel(tt.Model, test) // warm eval arenas
 		t0 := time.Now()
@@ -232,7 +212,7 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, []Gate, err
 			res.IdenticalTrajectories = false
 		}
 
-		run := TrainingBenchRun{
+		res.Runs = append(res.Runs, TrainingBenchRun{
 			Workers:        w,
 			GoMaxProcs:     runtime.GOMAXPROCS(0),
 			NsPerEpoch:     tj.elapsed.Nanoseconds() / int64(spec.Epochs),
@@ -240,27 +220,7 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, []Gate, err
 			AllocsPerEpoch: tj.allocs,
 			EvalMS:         evalMS,
 			GemmGFLOPS:     gflops,
-		}
-
-		if res.FastTierSupported {
-			tensor.SetFastMath(true)
-			ftj, _ := runTrajectory(ds, cfg, spec, train, weights)
-			run.FastMSPerEpoch = float64(ftj.elapsed.Nanoseconds()) / float64(spec.Epochs) / 1e6
-			run.FastGemmGFLOPS = gemmThroughput(spec, gd, ga, gb)
-			tensor.SetFastMath(false)
-
-			if i == 0 {
-				fastRef = ftj
-			} else if !ftj.same(fastRef) {
-				res.FastTierDeterministic = false
-			}
-			for e := range ftj.losses {
-				d := math.Abs(ftj.losses[e]-tj.losses[e]) / max(math.Abs(tj.losses[e]), 1)
-				res.FastVsBitExactMaxRel = max(res.FastVsBitExactMaxRel, d)
-			}
-		}
-
-		res.Runs = append(res.Runs, run)
+		})
 	}
 
 	if res.EffectiveCPUs < 2 {
@@ -282,15 +242,7 @@ func RunTrainingBench(spec TrainingBenchSpec) (*TrainingBenchResult, []Gate, err
 		res.SpeedupEpochBest = &sb
 	}
 
-	gates := []Gate{{Name: "bit-exact trajectories identical across the worker sweep", OK: res.IdenticalTrajectories}}
-	if res.FastTierSupported {
-		gates = append(gates,
-			Gate{Name: "fast-tier trajectories identical across the worker sweep", OK: res.FastTierDeterministic},
-			Gate{Name: fmt.Sprintf("fast tier within %.0e of the bit-exact epoch losses", tensor.FastTierTolerance),
-				OK:     res.FastVsBitExactMaxRel <= tensor.FastTierTolerance,
-				Detail: fmt.Sprintf("max relative divergence %.3g", res.FastVsBitExactMaxRel)})
-	}
-	return res, gates, nil
+	return res, []Gate{{Name: "bit-exact trajectories identical across the worker sweep", OK: res.IdenticalTrajectories}}, nil
 }
 
 // trainingBenchTable renders the measurement as a bench artifact.
@@ -298,32 +250,26 @@ func trainingBenchTable(res *TrainingBenchResult) *Table {
 	t := &Table{
 		ID:    "bench-training",
 		Title: "Training hot path: weighted SGD epoch, chunked evaluation, forward GEMM",
-		Note: fmt.Sprintf("%d samples × %d features, batch %d, %d epochs on %d CPUs (GOMAXPROCS %d); bit-identical trajectories across worker counts: %v; fast tier: supported=%v deterministic=%v max rel vs bit-exact %.2g",
+		Note: fmt.Sprintf("%d samples × %d features, batch %d, %d epochs on %d CPUs (GOMAXPROCS %d); bit-identical trajectories across worker counts: %v",
 			res.Spec.Train, res.Spec.FeatureDim, res.Spec.BatchSize, res.Spec.Epochs, res.CPUs, res.GoMaxProcs,
-			res.IdenticalTrajectories, res.FastTierSupported, res.FastTierDeterministic, res.FastVsBitExactMaxRel),
-		Header: []string{"Workers", "Epoch (ms)", "Allocs/epoch", "Eval (ms)", "GEMM (GFLOP/s)", "FMA epoch (ms)", "FMA GEMM (GFLOP/s)"},
+			res.IdenticalTrajectories),
+		Header: []string{"Workers", "Epoch (ms)", "Allocs/epoch", "Eval (ms)", "GEMM (GFLOP/s)"},
 	}
 	for _, run := range res.Runs {
-		fastEpoch, fastGemm := "-", "-"
-		if res.FastTierSupported {
-			fastEpoch = fmt.Sprintf("%.2f", run.FastMSPerEpoch)
-			fastGemm = fmt.Sprintf("%.1f", run.FastGemmGFLOPS)
-		}
 		t.AddRow(fmt.Sprintf("%d", run.Workers),
 			fmt.Sprintf("%.2f", run.MSPerEpoch),
 			fmt.Sprintf("%.1f", run.AllocsPerEpoch),
 			fmt.Sprintf("%.2f", run.EvalMS),
-			fmt.Sprintf("%.1f", run.GemmGFLOPS),
-			fastEpoch, fastGemm)
+			fmt.Sprintf("%.1f", run.GemmGFLOPS))
 	}
 	switch {
 	case res.SpeedupEpoch != nil:
-		t.AddRow("speedup @2", fmt.Sprintf("%.2fx", *res.SpeedupEpoch), "", "", "", "", "")
+		t.AddRow("speedup @2", fmt.Sprintf("%.2fx", *res.SpeedupEpoch), "", "", "")
 	default:
-		t.AddRow("speedup @2", "null (single-CPU host)", "", "", "", "", "")
+		t.AddRow("speedup @2", "null (single-CPU host)", "", "", "")
 	}
 	if res.SpeedupEpochBest != nil {
-		t.AddRow("speedup best", fmt.Sprintf("%.2fx", *res.SpeedupEpochBest), "", "", "", "", "")
+		t.AddRow("speedup best", fmt.Sprintf("%.2fx", *res.SpeedupEpochBest), "", "", "")
 	}
 	return t
 }

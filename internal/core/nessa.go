@@ -101,14 +101,10 @@ type Options struct {
 	// worker count.
 	Workers int
 
-	// BitExact selects the kernel tier. True (the default) keeps every
-	// result — training trajectories, selections, evaluations — bitwise
-	// identical across worker counts, machines, and PRs: one IEEE-754
-	// multiply and one add per term, never fused. False permits the
-	// AVX2/FMA fast tier in internal/tensor: still deterministic and
-	// worker-count invariant, but its fused roundings diverge from the
-	// bit-exact trajectory within the tolerance documented in DESIGN.md
-	// §4.9. On hardware without AVX2/FMA the flag is a no-op.
+	// BitExact is ignored: internal/tensor has one kernel tier, and
+	// every run is bit-exact (DESIGN.md §4.9). It selected a fused
+	// AVX2/FMA kernel tier that no longer exists and stays only because
+	// the frozen internal/bench/e2e sets it; ROADMAP item 9b deletes it.
 	BitExact bool
 
 	// Storage (§4.4). With Device or Cluster set, the selector's input
@@ -198,7 +194,6 @@ func DefaultOptions() Options {
 		Eps:            0.1,
 		Seed:           7,
 		Workers:        runtime.NumCPU(),
-		BitExact:       true,
 	}
 }
 
@@ -269,10 +264,6 @@ func Run(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*Report, 
 	// knob: results are worker-count-independent by construction, so a
 	// concurrent run with a different setting only affects timing.
 	parallel.SetDefaultWorkers(opt.Workers)
-	// Kernel-tier knob, same contract as the worker count: process-wide,
-	// flipped between runs. With BitExact the fast tier is off and the
-	// request below is a no-op that re-asserts the default.
-	tensor.SetFastMath(!opt.BitExact)
 	s, err := newSession(train, test, tcfg, opt)
 	if err != nil {
 		return nil, err

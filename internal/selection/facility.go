@@ -459,14 +459,19 @@ type gainItem struct {
 	tick int
 }
 
-// gainHeap is a max-heap on g.
+// gainHeap is a max-heap on g that breaks equal gains toward the lower
+// position, the candidate NaiveGreedy's ascending strict-> scan keeps.
+// A current top then beats every stale bound in the same order, so the
+// two maximizers pick the same candidate every round.
 type gainHeap []gainItem
 
-func (h gainHeap) Len() int           { return len(h) }
-func (h gainHeap) Less(a, b int) bool { return h[a].g > h[b].g }
-func (h gainHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-func (h *gainHeap) Push(x any)        { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() any          { old := *h; n := len(old) - 1; it := old[n]; *h = old[:n]; return it }
+func (h gainHeap) Len() int { return len(h) }
+func (h gainHeap) Less(a, b int) bool {
+	return h[a].g > h[b].g || h[a].g == h[b].g && h[a].j < h[b].j
+}
+func (h gainHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *gainHeap) Push(x any)   { *h = append(*h, x.(gainItem)) }
+func (h *gainHeap) Pop() any     { old := *h; n := len(old) - 1; it := old[n]; *h = old[:n]; return it }
 
 // LazyGreedy maximizes the facility-location objective with Minoux's
 // accelerated greedy: marginal gains only shrink as the set grows

@@ -7,9 +7,9 @@
 //   - The B-side operand is packed once per call into k-interleaved,
 //     8-wide *panels* (persistent pooled scratch, zero steady-state
 //     allocation), so the innermost loop reads one sequential stream
-//     instead of several strided ones. Both tiers and every build use
-//     the same panels; the last panel is padded when the column count
-//     is not a multiple of 8.
+//     instead of several strided ones. Every build uses the same
+//     panels; the last panel is padded when the column count is not a
+//     multiple of 8.
 //   - The A side is never packed: a kernel reads its four A rows
 //     through a row stride and a k stride, which also covers the
 //     columns of MatMulTransA's transposed operand.
@@ -20,21 +20,16 @@
 //     products in ascending k and is folded into dst once — the same
 //     association order as the naive serial loop — so bit-exact
 //     outputs are identical for any worker count and any band split.
-//   - The tiers differ only in the term instruction and the k block.
-//     The bit-exact tier rounds every product before its add (AVX
+//   - Every kernel rounds each product before its add (AVX
 //     VMULPS+VADDPS, or the portable Go kernels on CPUs without AVX)
 //     and never splits the chain over k: a strip-wise partial-sum
 //     scheme would re-associate the sums and break bitwise
 //     reproducibility, so cache locality comes from the panel layout
 //     (sequential streams prefetch well at any k) rather than
-//     k-blocking. The fast tier fuses each multiply-add (FMA) and
-//     folds into dst every gemmKC terms — results differ from the
-//     bit-exact tier within a documented tolerance but remain
-//     deterministic and worker-count invariant, because the
-//     association order is still fixed by the data layout alone.
-//   - The padded last panel (the < 8 column tail) runs the bit-exact
-//     kernel over the whole k on both tiers, through a scratch tile
-//     of which only the real columns are copied back.
+//     k-blocking.
+//   - The padded last panel (the < 8 column tail) runs the same
+//     kernels through a scratch tile of which only the real columns
+//     are copied back.
 //   - MatMul and MatMulTransA additionally carry a *sparsity-adaptive*
 //     path: when the A-side operand has a meaningful fraction of exact
 //     zeros — which ReLU-masked gradient matrices always do — a band
@@ -71,15 +66,10 @@ import (
 const (
 	// gemmMR is the register micro-tile height: four dst rows.
 	gemmMR = 4
-	// panelW is the packed panel width on both tiers: one 8-lane YMM
-	// vector per dst row. The 4×16 kernels cover two adjacent panels —
-	// eight independent accumulators, enough to hide the add latency.
+	// panelW is the packed panel width: one 8-lane YMM vector per dst
+	// row. The 4×16 kernels cover two adjacent panels — eight
+	// independent accumulators, enough to hide the add latency.
 	panelW = 8
-	// gemmKC is the fast tier's k-block depth: a block's register sums
-	// are folded into dst once per block, so 256 keeps one panel block
-	// at 8 KB — comfortably L1-resident across every row tile of a
-	// band.
-	gemmKC = 256
 )
 
 // gemmParallelFlops is the approximate multiply-add count below which
@@ -89,19 +79,6 @@ const (
 // element accumulates in the same ascending-k order as the serial
 // loop, so results are bit-identical for any worker count.
 const gemmParallelFlops = 64 * 1024
-
-// tierKC is the k-block depth of the active tier for an inner
-// dimension of k: gemmKC on the fast tier, all of k on the bit-exact
-// tier, whose add chains are never split.
-//
-//nessa:hotpath
-//nessa:inline
-func tierKC(k int) int {
-	if fastKernels && k > gemmKC {
-		return gemmKC
-	}
-	return k
-}
 
 // ---------------------------------------------------------------------
 // Persistent scratch: panel buffers, skip lists, task descriptors
@@ -298,7 +275,7 @@ func MatMulTransA(dst, a, b *Matrix) {
 // tensor with no temporary and no extra pass. When dst is zero the
 // result is bit-identical to MatMulTransA. For nonzero dst the terms
 // still arrive in ascending k; the dense path sums them first and adds
-// the sum once (once per gemmKC block on the fast tier), the skip path
+// the sum once, the skip path
 // folds them in one by one. Every row of dst takes the same path
 // whatever band it lands in, and the path choice depends only on
 // operand data, so the output is deterministic and worker-count
@@ -451,32 +428,28 @@ func denseBand(dst, a *Matrix, packed []float32, trans, acc bool, lo, hi int) {
 		return
 	}
 	full := m / panelW
-	kc, fma := tierKC(k), fastKernels
 	for jp := 0; jp < full; jp += 2 {
 		j0 := jp * panelW
 		two := jp+1 < full
-		for k0 := 0; k0 < k; k0 += kc {
-			k1 := min(k0+kc, k)
-			p0 := packed[(jp*k+k0)*panelW : (jp*k+k1)*panelW]
-			p1 := p0
+		p0 := packed[jp*k*panelW : (jp+1)*k*panelW]
+		p1 := p0
+		if two {
+			p1 = packed[(jp+1)*k*panelW : (jp+2)*k*panelW]
+		}
+		i := lo
+		for ; i+gemmMR <= hi; i += gemmMR {
+			d, av := dst.Data[i*m+j0:], a.Data[i*rs:]
 			if two {
-				p1 = packed[((jp+1)*k+k0)*panelW : ((jp+1)*k+k1)*panelW]
+				micro4x16(d, m, av, rs, ks, p0, p1)
+			} else {
+				micro4x8(d, m, av, rs, ks, p0)
 			}
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				d, av := dst.Data[i*m+j0:], a.Data[i*rs+k0*ks:]
-				if two {
-					micro4x16(d, m, av, rs, ks, p0, p1, fma)
-				} else {
-					micro4x8(d, m, av, rs, ks, p0, fma)
-				}
-			}
-			for ; i < hi; i++ {
-				d, av := dst.Data[i*m+j0:], a.Data[i*rs+k0*ks:]
-				micro1x8(d, av, ks, p0, fma)
-				if two {
-					micro1x8(d[panelW:], av, ks, p1, fma)
-				}
+		}
+		for ; i < hi; i++ {
+			d, av := dst.Data[i*m+j0:], a.Data[i*rs:]
+			micro1x8(d, av, ks, p0)
+			if two {
+				micro1x8(d[panelW:], av, ks, p1)
 			}
 		}
 	}
@@ -488,8 +461,8 @@ func denseBand(dst, a *Matrix, packed []float32, trans, acc bool, lo, hi int) {
 // tailPanel computes dst columns [jt, m) — fewer than 8 — of rows
 // [lo,hi) from the padded last panel pt, through an 8-wide scratch
 // tile: the kernel runs on the tile and only the real columns are
-// copied back. It runs the bit-exact kernel over the whole k on both
-// tiers, so a column tail's chain is the bit-exact one everywhere.
+// copied back, so a column tail runs the same chain as every other
+// column.
 //
 //nessa:hotpath
 func tailPanel(dst *Matrix, a []float32, rs, ks int, pt []float32, jt, lo, hi int) {
@@ -500,14 +473,14 @@ func tailPanel(dst *Matrix, a []float32, rs, ks int, pt []float32, jt, lo, hi in
 		for r := 0; r < gemmMR; r++ {
 			copy(tile[r*panelW:(r+1)*panelW], dst.Data[(i+r)*m+jt:(i+r+1)*m])
 		}
-		micro4x8(tile[:], panelW, a[i*rs:], rs, ks, pt, false)
+		micro4x8(tile[:], panelW, a[i*rs:], rs, ks, pt)
 		for r := 0; r < gemmMR; r++ {
 			copy(dst.Data[(i+r)*m+jt:(i+r+1)*m], tile[r*panelW:(r+1)*panelW])
 		}
 	}
 	for ; i < hi; i++ {
 		copy(tile[:panelW], dst.Data[i*m+jt:(i+1)*m])
-		micro1x8(tile[:panelW], a[i*rs:], ks, pt, false)
+		micro1x8(tile[:panelW], a[i*rs:], ks, pt)
 		copy(dst.Data[i*m+jt:(i+1)*m], tile[:panelW])
 	}
 }

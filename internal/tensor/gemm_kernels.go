@@ -5,27 +5,25 @@
 // rs between the tile's A rows, ks between consecutive k — so natural
 // rows (rs = lda, ks = 1) and the columns of a transposed operand
 // (rs = 1, ks = lda) run the same kernels. Each wrapper picks the
-// instruction set: the fast tier's FMA assembly when asked, else the
-// bit-exact AVX assembly when the CPU has it, else the portable Go
-// below. The Go kernels are the reference semantics: the AVX kernels
+// instruction set: the AVX assembly when the CPU has it, else the
+// portable Go below. The Go kernels are the reference semantics: the AVX kernels
 // compute the identical per-element operation chain (one IEEE-754
 // single-precision multiply and one add per term, ascending k, from
 // +0, folded into dst once), so both produce bit-identical output.
 package tensor
 
-// useAVX routes the bit-exact kernels through the AVX assembly. It is
+// useAVX routes the kernels through the AVX assembly. It is
 // cpuAVXOK in every build; tests clear it to force the portable
 // kernels, which must agree bit for bit.
 var useAVX = cpuAVXOK
 
 // micro4x16 accumulates the 4×16 dst tile at d (rows ldd apart) with
 // the products of four A rows against two adjacent panels p0 and p1
-// over len(p0)/8 terms. fma selects the fast tier's fused kernels. The
-// slicing bounds-checks every pointer handed to assembly once per
-// call.
+// over len(p0)/8 terms. The slicing bounds-checks every pointer handed
+// to assembly once per call.
 //
 //nessa:hotpath
-func micro4x16(d []float32, ldd int, a []float32, rs, ks int, p0, p1 []float32, fma bool) {
+func micro4x16(d []float32, ldd int, a []float32, rs, ks int, p0, p1 []float32) {
 	kn := len(p0) / panelW
 	if kn == 0 {
 		return
@@ -33,60 +31,51 @@ func micro4x16(d []float32, ldd int, a []float32, rs, ks int, p0, p1 []float32, 
 	d = d[:3*ldd+2*panelW]
 	a = a[:3*rs+(kn-1)*ks+1]
 	p1 = p1[:len(p0)]
-	switch {
-	case fma:
-		fmaMicro4x16(&d[0], ldd, &a[0], rs, ks, &p0[0], &p1[0], kn)
-	case useAVX:
+	if useAVX {
 		avxMicro4x16(&d[0], ldd, &a[0], rs, ks, &p0[0], &p1[0], kn)
-	default:
-		goMicro4x8(d, ldd, a, rs, ks, p0)
-		goMicro4x8(d[panelW:], ldd, a, rs, ks, p1)
+		return
 	}
+	goMicro4x8(d, ldd, a, rs, ks, p0)
+	goMicro4x8(d[panelW:], ldd, a, rs, ks, p1)
 }
 
 // micro4x8 is micro4x16 on one panel.
 //
 //nessa:hotpath
-func micro4x8(d []float32, ldd int, a []float32, rs, ks int, p []float32, fma bool) {
+func micro4x8(d []float32, ldd int, a []float32, rs, ks int, p []float32) {
 	kn := len(p) / panelW
 	if kn == 0 {
 		return
 	}
 	d = d[:3*ldd+panelW]
 	a = a[:3*rs+(kn-1)*ks+1]
-	switch {
-	case fma:
-		fmaMicro4x8(&d[0], ldd, &a[0], rs, ks, &p[0], kn)
-	case useAVX:
+	if useAVX {
 		avxMicro4x8(&d[0], ldd, &a[0], rs, ks, &p[0], kn)
-	default:
-		goMicro4x8(d, ldd, a, rs, ks, p)
+		return
 	}
+	goMicro4x8(d, ldd, a, rs, ks, p)
 }
 
 // micro1x8 is the row-tail kernel: one A row against one panel.
 //
 //nessa:hotpath
-func micro1x8(d, a []float32, ks int, p []float32, fma bool) {
+func micro1x8(d, a []float32, ks int, p []float32) {
 	kn := len(p) / panelW
 	if kn == 0 {
 		return
 	}
 	d = d[:panelW]
 	a = a[:(kn-1)*ks+1]
-	switch {
-	case fma:
-		fmaMicro1x8(&d[0], &a[0], ks, &p[0], kn)
-	case useAVX:
+	if useAVX {
 		avxMicro1x8(&d[0], &a[0], ks, &p[0], kn)
-	default:
-		goMicro1x8(d, a, ks, p)
+		return
 	}
+	goMicro1x8(d, a, ks, p)
 }
 
 // skipRow folds d += src[kk·stride]·b.Row(kk) for every nonzero
 // src element, term by term in ascending kk — the sparse skip bands'
-// chain on both tiers. The AVX form lists the nonzeros once into off
+// chain. The AVX form lists the nonzeros once into off
 // and val (the band worker's skip list, room for b.Rows terms), then holds each 32-column chunk of d in
 // registers across all of them; the portable form is one axpy per
 // nonzero term.

@@ -69,8 +69,8 @@ func kernelSetName(avx bool) string {
 
 // TestBlockedGEMMMatchesReference sweeps shapes around every tail
 // boundary of the 4×16 / 4×8 micro-kernels and the 8-wide panels
-// (rows%4, cols%8 and cols%16, a padded last panel, tiny k, k past
-// gemmKC) and checks all three blocked kernels against the naive
+// (rows%4, cols%8 and cols%16, a padded last panel, tiny k, long k)
+// and checks all three blocked kernels against the naive
 // ascending-k reference, bit for bit, on every kernel set the host
 // runs.
 func TestBlockedGEMMMatchesReference(t *testing.T) {

@@ -131,10 +131,6 @@ type Matrix = tensor.Matrix
 // NewMatrix allocates a zeroed rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix { return tensor.NewMatrix(rows, cols) }
 
-// FastMathSupported reports whether this CPU and build can run the
-// AVX2/FMA fast tier.
-func FastMathSupported() bool { return tensor.FastMathSupported() }
-
 // Cluster is a group of SmartSSDs holding record-wise stripes of a
 // dataset, optionally with parity — the paper's §5 future-work scaling
 // target.

@@ -25,6 +25,9 @@ gate() {
 
 gate "go vet"
 go vet ./...
+# The non-amd64 build: the portable-only kernel dispatch and the
+# gemm_noasm.go stubs compile nowhere else.
+GOARCH=arm64 go vet ./...
 
 gate "go build"
 go build ./...
@@ -118,10 +121,8 @@ gate "fuzzing"
 # (testdata/fuzz/<target>/). The property is the same for all four:
 # error or byte-exact round trip, never a panic, never an allocation
 # beyond a small multiple of the input. The GEMM target differentially
-# fuzzes the vector kernels against the portable Go kernels on ragged
-# shapes: bit for bit on the bit-exact tier, within FastTierTolerance
-# on the fast tier. `go test -fuzz` takes one
-# target per invocation. A crasher fails the gate and go test writes
+# fuzzes the AVX kernels against the portable Go kernels on ragged
+# shapes, bit for bit. `go test -fuzz` takes one target per invocation. A crasher fails the gate and go test writes
 # its input under testdata/fuzz/, where it belongs in the commit that
 # fixes it. -fuzzminimizetime 1x: the default spends up to a minute
 # minimizing each coverage-expanding input, i.e. all of a 3 s budget.
