@@ -9,9 +9,10 @@
 //   - fma:         no fusable a*b±c float expressions in the kernels
 //   - errhygiene:  sentinel errors compared with errors.Is and wrapped
 //     with %w, never matched by identity or message text
-//   - concurrency: unsynchronized shared writes and WaitGroup.Add in
-//     spawned closures, and divergent lock-state paths
-//   - scratchlife: pooled/arena scratch must not outlive its epoch
+//   - concurrency: WaitGroup.Add inside a go statement's closure, and
+//     Unlock on a path with no Lock
+//   - scratchlife: arena and worker-local scratch must not outlive its
+//     epoch
 //   - seedflow:    RNG seeds must flow from configuration
 //
 // A second, compiler-evidence suite (escapecheck, inlinegate,
@@ -55,10 +56,10 @@ const (
 	DirFMAOK = "fma-ok"
 	// DirErrOK exempts one error-handling site from errhygiene.
 	DirErrOK = "err-ok"
-	// DirArena marks a type or struct field whose memory is pooled or
+	// DirArena marks a type or struct field whose memory is
 	// epoch-scoped scratch (opt-in seed for the scratchlife analyzer):
-	// values read from it are valid only until the owning pool Put or
-	// the next epoch, and must not outlive that boundary.
+	// values read from it are valid only until the next epoch
+	// overwrites them, and must not outlive that boundary.
 	DirArena = "arena"
 	// DirScratchOK waives one scratchlife escape: either a function
 	// documented to hand out scratch-backed memory (ownership transfer
@@ -69,8 +70,8 @@ const (
 	// not flow from a configured seed (e.g. a documented deterministic
 	// fallback for a nil RNG argument).
 	DirSeedOK = "seed-ok"
-	// DirSyncOK exempts one concurrency finding (e.g. a shared write
-	// the caller serializes by other means).
+	// DirSyncOK exempts one concurrency finding (e.g. an Add inside a
+	// goroutine whose Wait is ordered after it by other means).
 	DirSyncOK = "sync-ok"
 	// DirInline marks a leaf kernel that must stay within gc's inline
 	// budget and actually inline at hot call sites (opt-in for the

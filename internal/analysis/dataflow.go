@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -15,25 +14,16 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// Iterative dataflow over the CFG of one function. Two classic
-// problems are provided — reaching definitions (forward) and live
-// variables (backward) — plus the generic worklist solver they share,
-// which the concurrency analyzer reuses for its lock-state lattice.
+// Iterative forward dataflow over the CFG of one function: the generic
+// worklist solver, and reaching definitions built on it. The
+// concurrency analyzer's lock-state lattice and scratchlife's taint
+// state reuse the solver.
 
-// Direction selects forward or backward propagation.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// FlowSpec describes one dataflow problem over states of type S.
-// Merge joins src into dst and reports whether dst changed; Transfer
-// maps a block's in-state (its own copy) to its out-state.
+// FlowSpec describes one forward dataflow problem over states of type
+// S. Merge joins src into dst and reports whether dst changed;
+// Transfer maps a block's in-state (its own copy) to its out-state.
 type FlowSpec[S any] struct {
-	Dir      Direction
-	Boundary func() S // state entering Entry (forward) / Exit (backward)
+	Boundary func() S // state entering Entry
 	Bottom   func() S // initial state elsewhere
 	Copy     func(S) S
 	Merge    func(dst, src S) bool
@@ -41,8 +31,7 @@ type FlowSpec[S any] struct {
 }
 
 // Solve runs the worklist algorithm to fixpoint and returns the
-// in-state of every block (state before the block executes in the
-// direction of flow).
+// in-state of every block (state before the block executes).
 func Solve[S any](g *CFG, spec FlowSpec[S]) map[*Block]S {
 	in := make(map[*Block]S, len(g.Blocks))
 	out := make(map[*Block]S, len(g.Blocks))
@@ -50,16 +39,7 @@ func Solve[S any](g *CFG, spec FlowSpec[S]) map[*Block]S {
 		in[b] = spec.Bottom()
 		out[b] = spec.Bottom()
 	}
-	boundary := g.Entry
-	if spec.Dir == Backward {
-		boundary = g.Exit
-	}
-	in[boundary] = spec.Boundary()
-
-	preds := func(b *Block) []*Block { return b.Preds }
-	if spec.Dir == Backward {
-		preds = func(b *Block) []*Block { return b.Succs }
-	}
+	in[g.Entry] = spec.Boundary()
 
 	work := make([]*Block, len(g.Blocks))
 	copy(work, g.Blocks)
@@ -73,17 +53,13 @@ func Solve[S any](g *CFG, spec FlowSpec[S]) map[*Block]S {
 		inWork[b.Index] = false
 
 		state := in[b]
-		for _, p := range preds(b) {
+		for _, p := range b.Preds {
 			spec.Merge(state, out[p])
 		}
 		in[b] = state
 		newOut := spec.Transfer(b, spec.Copy(state))
 		if spec.Merge(out[b], newOut) {
-			next := b.Succs
-			if spec.Dir == Backward {
-				next = b.Preds
-			}
-			for _, s := range next {
+			for _, s := range b.Succs {
 				if !inWork[s.Index] {
 					inWork[s.Index] = true
 					work = append(work, s)
@@ -124,7 +100,6 @@ type ReachingDefs struct {
 // act as boundary definitions with a nil RHS.
 func BuildReachingDefs(g *CFG, info *types.Info, params []types.Object) *ReachingDefs {
 	spec := FlowSpec[defSet]{
-		Dir: Forward,
 		Boundary: func() defSet {
 			s := make(defSet)
 			for _, p := range params {
@@ -258,132 +233,4 @@ func applyDefs(n ast.Node, info *types.Info, state defSet) {
 			}
 		}
 	}
-}
-
-// ---------------------------------------------------------------------
-// Liveness
-// ---------------------------------------------------------------------
-
-type liveSet map[types.Object]bool
-
-// Liveness holds, per block, the variables live on exit (the in-state
-// of the backward problem).
-type Liveness struct {
-	info    *types.Info
-	liveOut map[*Block]liveSet
-}
-
-// BuildLiveness solves live variables for one function body.
-func BuildLiveness(g *CFG, info *types.Info) *Liveness {
-	spec := FlowSpec[liveSet]{
-		Dir:      Backward,
-		Boundary: func() liveSet { return make(liveSet) },
-		Bottom:   func() liveSet { return make(liveSet) },
-		Copy: func(s liveSet) liveSet {
-			out := make(liveSet, len(s))
-			for o := range s {
-				out[o] = true
-			}
-			return out
-		},
-		Merge: func(dst, src liveSet) bool {
-			changed := false
-			for o := range src {
-				if !dst[o] {
-					dst[o] = true
-					changed = true
-				}
-			}
-			return changed
-		},
-		Transfer: func(b *Block, out liveSet) liveSet {
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				applyLiveness(b.Nodes[i], info, out)
-			}
-			return out
-		},
-	}
-	return &Liveness{info: info, liveOut: Solve(g, spec)}
-}
-
-// LiveAfter reports whether obj is live immediately after block b's
-// idx-th node.
-func (lv *Liveness) LiveAfter(b *Block, idx int, obj types.Object) bool {
-	state := make(liveSet, len(lv.liveOut[b]))
-	for o := range lv.liveOut[b] {
-		state[o] = true
-	}
-	for i := len(b.Nodes) - 1; i > idx; i-- {
-		applyLiveness(b.Nodes[i], lv.info, state)
-	}
-	return state[obj]
-}
-
-// applyLiveness updates the live set backward across one node:
-// kill whole-variable definitions, then generate uses.
-func applyLiveness(n ast.Node, info *types.Info, live liveSet) {
-	written := make(map[types.Object]bool)
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range n.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
-				if obj := objOf(info, id); obj != nil {
-					written[obj] = true
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		for _, e := range []ast.Expr{n.Key, n.Value} {
-			if e == nil {
-				continue
-			}
-			if id, ok := unparen(e).(*ast.Ident); ok {
-				if obj := objOf(info, id); obj != nil {
-					written[obj] = true
-				}
-			}
-		}
-	}
-	for obj := range written {
-		delete(live, obj)
-	}
-	for obj := range usedObjects(n, info) {
-		live[obj] = true
-	}
-}
-
-// usedObjects collects the variable objects read by node n. Plain
-// identifier assignment targets are excluded (they are writes); bases
-// of selector/index targets count as reads. Function literals read
-// every free variable they mention. For a RangeStmt only the ranged
-// expression counts — the body lives in other CFG blocks.
-func usedObjects(n ast.Node, info *types.Info) map[types.Object]bool {
-	used := make(map[types.Object]bool)
-	if rs, ok := n.(*ast.RangeStmt); ok {
-		n = rs.X
-	}
-	skip := make(map[*ast.Ident]bool)
-	if as, ok := n.(*ast.AssignStmt); ok {
-		for _, lhs := range as.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
-				// x = ... writes x; x += ... also reads it.
-				if as.Tok == token.ASSIGN || as.Tok == token.DEFINE {
-					skip[id] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(n, func(c ast.Node) bool {
-		id, ok := c.(*ast.Ident)
-		if !ok || skip[id] {
-			return true
-		}
-		if obj := objOf(info, id); obj != nil {
-			if _, isVar := obj.(*types.Var); isVar {
-				used[obj] = true
-			}
-		}
-		return true
-	})
-	return used
 }

@@ -257,35 +257,6 @@ func f() int {
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	pkg := loadSrc(t, `package p
-func f(p int) int {
-	a := p
-	b := a + 1
-	if p > 0 {
-		return b
-	}
-	return 0
-}
-`)
-	fd := funcBody(t, pkg, "f")
-	g := BuildCFG(fd.Body)
-	lv := BuildLiveness(g, pkg.Info)
-	a := objNamed(t, pkg, "a")
-
-	ba, ia := nodeOf(g, assignTo("a"))
-	bb, ib := nodeOf(g, assignTo("b"))
-	if ba == nil || bb == nil {
-		t.Fatal("assignment nodes not found")
-	}
-	if !lv.LiveAfter(ba, ia, a) {
-		t.Error("a must be live after a := p (read by b := a + 1)")
-	}
-	if lv.LiveAfter(bb, ib, a) {
-		t.Error("a must be dead after its last read")
-	}
-}
-
 func TestCallGraphFixpoint(t *testing.T) {
 	pkg := loadSrc(t, `package p
 func a() int { return b() }

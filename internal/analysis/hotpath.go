@@ -126,7 +126,7 @@ func checkHotPathBody(p *Pass, fn *ast.FuncDecl) {
 				allocFlag(n.Pos(), "append (may grow the backing array)")
 			default:
 				if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if isSyncPoolMethod(p.Pkg.Info, n, "Get") || isSyncPoolMethod(p.Pkg.Info, n, "Put") {
+					if m := syncMethod(p.Pkg.Info, n); m == "Pool.Get" || m == "Pool.Put" {
 						// sync.Pool is wrong on the steady-state path twice
 						// over: Get allocates on a miss, and the GC drains
 						// the pool between epochs so misses recur forever.

@@ -69,3 +69,40 @@ func TestInjectedScratchLeakCaught(t *testing.T) {
 		}
 	})
 }
+
+// TestInjectedUnlockWithoutLockCaught is the concurrency acceptance
+// mutation: WorkerLocal.Range taking its lock only when a slot table
+// exists leaves an Unlock reachable without a Lock. go test, go test
+// -race and go vet all pass that mutation; the analyzer must flag it
+// and nothing else, and the pristine package stays silent.
+func TestInjectedUnlockWithoutLockCaught(t *testing.T) {
+	if testing.Short() {
+		t.Skip("package copies and repeated type checks are slow; skipped in -short mode")
+	}
+	srcDir := filepath.Join(repoRoot(t), "internal", "parallel")
+	const locked = "\tl.mu.Lock()\n\tp := l.slots.Load()\n\tl.mu.Unlock()\n"
+	const mutated = "\tp := l.slots.Load()\n\tif p != nil {\n\t\tl.mu.Lock()\n\t\tp = l.slots.Load()\n\t}\n\tl.mu.Unlock()\n"
+
+	t.Run("conditional lock is flagged", func(t *testing.T) {
+		dir := copyPkg(t, srcDir, func(name string, src []byte) []byte {
+			if name != "workerlocal.go" {
+				return src
+			}
+			if !strings.Contains(string(src), locked) {
+				t.Fatalf("WorkerLocal.Range no longer holds the mutated shape:\n%s", locked)
+			}
+			return []byte(strings.Replace(string(src), locked, mutated, 1))
+		})
+		findings := analyzerFindings(t, "concurrency", dir, "nessa/internal/parallel")
+		if len(findings) != 1 || !strings.Contains(findings[0].Message, "l.mu.Unlock may run without a preceding Lock") {
+			t.Fatalf("want exactly the injected unlock-without-lock finding, got %v", findings)
+		}
+	})
+
+	t.Run("pristine package is silent", func(t *testing.T) {
+		dir := copyPkg(t, srcDir, nil)
+		for _, f := range analyzerFindings(t, "concurrency", dir, "nessa/internal/parallel") {
+			t.Errorf("pristine parallel flagged: %s", f.String())
+		}
+	})
+}

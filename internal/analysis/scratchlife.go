@@ -6,27 +6,24 @@ import (
 	"go/types"
 )
 
-// The scratchlife analyzer tracks pooled and epoch-scoped scratch
-// memory — sync.Pool buffers and the arena types/fields annotated
-// //nessa:arena — flow-sensitively through each function and flags the
-// four escape shapes that would let scratch outlive its epoch:
+// The scratchlife analyzer tracks epoch-scoped scratch memory — the
+// arena types and fields annotated //nessa:arena and the per-worker
+// slots of parallel.WorkerLocal — flow-sensitively through each
+// function and flags the three escape shapes that would let scratch
+// outlive its epoch:
 //
-//   - use-after-put: any read of a pooled value (or an alias of it)
-//     after the sync.Pool.Put that recycles it
 //   - return: a function returning scratch-backed memory
 //   - store: scratch stored into a field of a non-scratch value or a
 //     package-level variable
 //   - send: scratch sent on a channel
 //
-// Taint starts at sync.Pool.Get results, at calls to functions whose
-// summary says they return pooled memory (computed to fixpoint over
-// the package call graph — e.g. tensor's gemmBuf), at reads of
-// //nessa:arena fields, and at parameters of //nessa:arena types. It
-// propagates through assignments, slicing, dereference, address-of,
-// composite literals, and calls that receive a tainted argument and
-// return a pointer-bearing type. Scalar results (float32, int, bool)
-// never carry taint, so copying *data out of* scratch is always clean,
-// as are stores into a base that is itself scratch (arena-to-arena).
+// Taint starts at reads of //nessa:arena fields, at parameters of
+// //nessa:arena types, and at WorkerLocal.Get results. It propagates
+// through assignments, slicing, dereference, address-of, composite
+// literals, and calls that receive a tainted argument and return a
+// pointer-bearing type. Scalar results (float32, int, bool) never carry
+// taint, so copying *data out of* scratch is always clean, as are
+// stores into a base that is itself scratch (arena-to-arena).
 //
 // //nessa:scratch-ok in a function's doc comment waives every return
 // in that function (the documented ownership-transfer / bounded-view
@@ -38,7 +35,7 @@ func ScratchLifeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name:   "scratchlife",
 		Waiver: DirScratchOK,
-		Doc:    "pooled/arena scratch memory escaping its epoch: use-after-Put, returns, stores, channel sends",
+		Doc:    "arena and worker-local scratch memory escaping its epoch: returns, stores, channel sends",
 		Run:    runScratchLife,
 	}
 }
@@ -50,7 +47,6 @@ func runScratchLife(p *Pass) {
 		arenaFields: make(map[types.Object]bool),
 	}
 	ctx.collectArenas()
-	ctx.returnsPooled = ctx.buildPoolSummaries()
 
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -58,10 +54,10 @@ func runScratchLife(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			st := newScratchState()
+			st := make(taintSet)
 			for _, obj := range funcParams(p.Pkg.Info, fd) {
 				if ctx.isArenaType(obj.Type()) {
-					st.tainted[obj] = true
+					st[obj] = true
 				}
 			}
 			ctx.analyzeBody(fd.Body, st, HasDirective(fd.Doc, DirScratchOK))
@@ -70,10 +66,9 @@ func runScratchLife(p *Pass) {
 }
 
 type scratchCtx struct {
-	p             *Pass
-	arenaTypes    map[*types.TypeName]bool
-	arenaFields   map[types.Object]bool
-	returnsPooled map[*types.Func]bool
+	p           *Pass
+	arenaTypes  map[*types.TypeName]bool
+	arenaFields map[types.Object]bool
 }
 
 // collectArenas indexes the //nessa:arena annotations: named types and
@@ -128,191 +123,78 @@ func (c *scratchCtx) isArenaType(t types.Type) bool {
 	return ok && c.arenaTypes[named.Obj()]
 }
 
-// buildPoolSummaries computes, to fixpoint over the package call
-// graph, which declared functions return sync.Pool-backed memory
-// (directly or via a callee with the property). The scan inside each
-// function is flow-insensitive: a local becomes pooled if any
-// assignment binds it to a pooled source.
-func (c *scratchCtx) buildPoolSummaries() map[*types.Func]bool {
-	info := c.p.Pkg.Info
-	cg := BuildCallGraph(c.p.Pkg)
-	return cg.Fixpoint(func(fn *types.Func, decl *ast.FuncDecl, cur map[*types.Func]bool) bool {
-		pooled := make(map[types.Object]bool)
-		var isPooledExpr func(e ast.Expr) bool
-		isPooledExpr = func(e ast.Expr) bool {
-			switch e := unparen(e).(type) {
-			case *ast.Ident:
-				obj := objOf(info, e)
-				return obj != nil && pooled[obj]
-			case *ast.CallExpr:
-				if isPoolGet(info, e) {
-					return true
-				}
-				callee := StaticCallee(info, e)
-				return callee != nil && cur[callee]
-			case *ast.TypeAssertExpr:
-				return isPooledExpr(e.X)
-			case *ast.StarExpr:
-				return isPooledExpr(e.X)
-			case *ast.UnaryExpr:
-				return e.Op == token.AND && isPooledExpr(e.X)
-			case *ast.IndexExpr:
-				return isPooledExpr(e.X)
-			case *ast.SliceExpr:
-				return isPooledExpr(e.X)
-			}
-			return false
-		}
-		for changed := true; changed; {
-			changed = false
-			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for i, lhs := range as.Lhs {
-					if i >= len(as.Rhs) {
-						break
-					}
-					id, ok := unparen(lhs).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := objOf(info, id)
-					if obj == nil || pooled[obj] {
-						continue
-					}
-					if isPooledExpr(as.Rhs[i]) {
-						pooled[obj] = true
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-		returns := false
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return true
-			}
-			for _, res := range ret.Results {
-				if isPooledExpr(res) {
-					returns = true
-				}
-			}
-			return true
-		})
-		return returns
-	})
-}
-
 // ---------------------------------------------------------------------
 // Per-function flow analysis
 // ---------------------------------------------------------------------
 
-type scratchState struct {
-	tainted  map[types.Object]bool
-	released map[types.Object]bool
-}
+// taintSet holds the locals bound to scratch-backed memory.
+type taintSet map[types.Object]bool
 
-func newScratchState() *scratchState {
-	return &scratchState{
-		tainted:  make(map[types.Object]bool),
-		released: make(map[types.Object]bool),
-	}
-}
-
-func (s *scratchState) clone() *scratchState {
-	out := newScratchState()
-	for o := range s.tainted {
-		out.tainted[o] = true
-	}
-	for o := range s.released {
-		out.released[o] = true
+func (s taintSet) clone() taintSet {
+	out := make(taintSet, len(s))
+	for o := range s {
+		out[o] = true
 	}
 	return out
 }
 
-func (s *scratchState) merge(src *scratchState) bool {
+func (s taintSet) merge(src taintSet) bool {
 	changed := false
-	for o := range src.tainted {
-		if !s.tainted[o] {
-			s.tainted[o] = true
-			changed = true
-		}
-	}
-	for o := range src.released {
-		if !s.released[o] {
-			s.released[o] = true
+	for o := range src {
+		if !s[o] {
+			s[o] = true
 			changed = true
 		}
 	}
 	return changed
 }
 
-// analyzeBody runs the taint/release dataflow over one function (or
-// function literal) body and reports escapes. docWaived marks a body
-// whose doc comment carries //nessa:scratch-ok, waiving return
-// findings wholesale.
-func (c *scratchCtx) analyzeBody(body *ast.BlockStmt, entry *scratchState, docWaived bool) {
+// analyzeBody runs the taint dataflow over one function (or function
+// literal) body and reports escapes. docWaived marks a body whose doc
+// comment carries //nessa:scratch-ok, waiving return findings
+// wholesale.
+func (c *scratchCtx) analyzeBody(body *ast.BlockStmt, entry taintSet, docWaived bool) {
 	g := BuildCFG(body)
-	aliases := c.buildAliases(body, entry)
-
-	spec := FlowSpec[*scratchState]{
-		Dir:      Forward,
-		Boundary: func() *scratchState { return entry.clone() },
-		Bottom:   newScratchState,
-		Copy:     func(s *scratchState) *scratchState { return s.clone() },
-		Merge:    func(dst, src *scratchState) bool { return dst.merge(src) },
-		Transfer: func(b *Block, in *scratchState) *scratchState {
+	spec := FlowSpec[taintSet]{
+		Boundary: entry.clone,
+		Bottom:   func() taintSet { return make(taintSet) },
+		Copy:     taintSet.clone,
+		Merge:    taintSet.merge,
+		Transfer: func(b *Block, in taintSet) taintSet {
 			for _, n := range b.Nodes {
-				c.applyScratch(n, in, aliases, nil)
+				c.applyScratch(n, in, nil)
 			}
 			return in
 		},
 	}
 	in := Solve(g, spec)
-
-	// Liveness gates the use-after-put reporting: once every released
-	// object is dead, the replay skips the per-node identifier scan.
-	live := BuildLiveness(g, c.p.Pkg.Info)
-
+	rep := &reportCtx{docWaived: docWaived}
 	for _, b := range g.Blocks {
 		state := in[b].clone()
-		for i, n := range b.Nodes {
-			c.applyScratch(n, state, aliases, &reportCtx{
-				docWaived: docWaived,
-				live:      live, block: b, idx: i,
-			})
+		for _, n := range b.Nodes {
+			c.applyScratch(n, state, rep)
 		}
 	}
 }
 
 type reportCtx struct {
 	docWaived bool
-	live      *Liveness
-	block     *Block
-	idx       int
 }
 
-// applyScratch interprets one CFG node: updates taint/release state
-// and, when rep is non-nil (the replay pass), reports escapes.
-// Function literals are analyzed recursively at their occurrence with
-// a snapshot of the current state.
-func (c *scratchCtx) applyScratch(n ast.Node, st *scratchState, aliases *unionFind, rep *reportCtx) {
+// applyScratch interprets one CFG node: updates taint state and, when
+// rep is non-nil (the replay pass), reports escapes. Function literals
+// are analyzed recursively at their occurrence with a snapshot of the
+// current state.
+func (c *scratchCtx) applyScratch(n ast.Node, st taintSet, rep *reportCtx) {
 	info := c.p.Pkg.Info
 
 	if rep != nil {
-		// Use-after-put: any read of a released object.
-		c.checkReleasedUses(n, st, rep)
-		// Recurse into function literals with the state at this point.
 		ast.Inspect(n, func(x ast.Node) bool {
 			if lit, ok := x.(*ast.FuncLit); ok {
 				sub := st.clone()
 				for _, obj := range litParams(info, lit) {
 					if c.isArenaType(obj.Type()) {
-						sub.tainted[obj] = true
+						sub[obj] = true
 					}
 				}
 				c.analyzeBody(lit.Body, sub, false)
@@ -324,7 +206,7 @@ func (c *scratchCtx) applyScratch(n ast.Node, st *scratchState, aliases *unionFi
 
 	switch n := n.(type) {
 	case *ast.AssignStmt:
-		c.applyAssign(n, st, aliases, rep)
+		c.applyAssign(n, st, rep)
 	case *ast.DeclStmt:
 		if gd, ok := n.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -333,7 +215,7 @@ func (c *scratchCtx) applyScratch(n ast.Node, st *scratchState, aliases *unionFi
 						if i < len(vs.Values) {
 							obj := info.Defs[name]
 							if obj != nil && c.exprTainted(vs.Values[i], st) && pointerish(obj.Type()) {
-								st.tainted[obj] = true
+								st[obj] = true
 							}
 						}
 					}
@@ -344,7 +226,7 @@ func (c *scratchCtx) applyScratch(n ast.Node, st *scratchState, aliases *unionFi
 		if n.Tok == token.DEFINE && n.Value != nil && c.exprTainted(n.X, st) {
 			if id, ok := unparen(n.Value).(*ast.Ident); ok && id.Name != "_" {
 				if obj := info.Defs[id]; obj != nil && pointerish(obj.Type()) {
-					st.tainted[obj] = true
+					st[obj] = true
 				}
 			}
 		}
@@ -366,16 +248,12 @@ func (c *scratchCtx) applyScratch(n ast.Node, st *scratchState, aliases *unionFi
 				c.p.Reportf(n.Value.Pos(), "scratch memory escapes through a channel send")
 			}
 		}
-	case *ast.ExprStmt:
-		c.applyPut(unparen(n.X), st, aliases)
-	case *ast.DeferStmt:
-		c.applyPut(n.Call, st, aliases)
 	}
 }
 
 // applyAssign handles taint propagation and store-escape reporting for
 // one assignment.
-func (c *scratchCtx) applyAssign(as *ast.AssignStmt, st *scratchState, aliases *unionFind, rep *reportCtx) {
+func (c *scratchCtx) applyAssign(as *ast.AssignStmt, st taintSet, rep *reportCtx) {
 	info := c.p.Pkg.Info
 	multi := len(as.Lhs) > 1 && len(as.Rhs) == 1
 	for i, lhs := range as.Lhs {
@@ -405,14 +283,10 @@ func (c *scratchCtx) applyAssign(as *ast.AssignStmt, st *scratchState, aliases *
 				continue
 			}
 			if rhsTainted && pointerish(obj.Type()) {
-				st.tainted[obj] = true
-				if root := rootObject(info, rhs); root != nil {
-					aliases.union(obj, root)
-				}
+				st[obj] = true
 			} else {
 				// Whole-variable overwrite with clean data.
-				delete(st.tainted, obj)
-				delete(st.released, obj)
+				delete(st, obj)
 			}
 		case *ast.SelectorExpr:
 			if rep != nil && rhsTainted && !c.exprTainted(lhs.X, st) && !c.arenaFields[info.Uses[lhs.Sel]] &&
@@ -430,69 +304,14 @@ func (c *scratchCtx) applyAssign(as *ast.AssignStmt, st *scratchState, aliases *
 	}
 }
 
-// applyPut marks the alias group of x released at `pool.Put(x)`.
-func (c *scratchCtx) applyPut(e ast.Expr, st *scratchState, aliases *unionFind) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok || !isPoolPut(c.p.Pkg.Info, call) || len(call.Args) != 1 {
-		return
-	}
-	root := rootObject(c.p.Pkg.Info, call.Args[0])
-	if root == nil {
-		return
-	}
-	for _, obj := range aliases.group(root) {
-		if st.tainted[obj] || obj == root {
-			st.released[obj] = true
-		}
-	}
-}
-
-// checkReleasedUses reports reads of released objects within node n.
-// The argument of the releasing Put itself is never flagged: releases
-// apply after the Put's node is processed, so its argument is still
-// unreleased when its own node is scanned. Liveness prunes the scan:
-// a node before which no released object is live cannot contain a
-// flagged use.
-func (c *scratchCtx) checkReleasedUses(n ast.Node, st *scratchState, rep *reportCtx) {
-	if len(st.released) == 0 {
-		return
-	}
-	anyLive := false
-	for obj := range st.released {
-		if rep.live.LiveAfter(rep.block, rep.idx-1, obj) {
-			anyLive = true
-			break
-		}
-	}
-	if !anyLive {
-		return
-	}
-	info := c.p.Pkg.Info
-	ast.Inspect(n, func(x ast.Node) bool {
-		id, ok := x.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil || !st.released[obj] {
-			return true
-		}
-		if c.p.ExemptAt(id.Pos(), DirScratchOK) {
-			return true
-		}
-		c.p.Reportf(id.Pos(), "use of pool-backed scratch %s after it was returned with Put", id.Name)
-		return true
-	})
-}
-
 // exprTainted reports whether e evaluates to scratch-backed memory
 // under state st.
-func (c *scratchCtx) exprTainted(e ast.Expr, st *scratchState) bool {
+func (c *scratchCtx) exprTainted(e ast.Expr, st taintSet) bool {
 	info := c.p.Pkg.Info
 	switch e := unparen(e).(type) {
 	case *ast.Ident:
 		obj := objOf(info, e)
-		return obj != nil && st.tainted[obj]
+		return obj != nil && st[obj]
 	case *ast.SelectorExpr:
 		if c.arenaFields[info.Uses[e.Sel]] {
 			return true
@@ -522,10 +341,7 @@ func (c *scratchCtx) exprTainted(e ast.Expr, st *scratchState) bool {
 		}
 		return false
 	case *ast.CallExpr:
-		if isPoolGet(info, e) {
-			return true
-		}
-		if callee := StaticCallee(info, e); callee != nil && c.returnsPooled[callee] {
+		if isWorkerLocalGet(info, e) {
 			return true
 		}
 		if !pointerish(info.TypeOf(e)) {
@@ -542,36 +358,6 @@ func (c *scratchCtx) exprTainted(e ast.Expr, st *scratchState) bool {
 		return false
 	}
 	return false
-}
-
-// buildAliases pre-computes, flow-insensitively, which locals can
-// share a backing store: direct binds x := y, x := *y, x := &y,
-// x := y[...] join x and y's groups.
-func (c *scratchCtx) buildAliases(body *ast.BlockStmt, entry *scratchState) *unionFind {
-	info := c.p.Pkg.Info
-	uf := newUnionFind()
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if i >= len(as.Rhs) {
-				break
-			}
-			id, ok := unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			l := objOf(info, id)
-			r := rootObject(info, as.Rhs[i])
-			if l != nil && r != nil {
-				uf.union(l, r)
-			}
-		}
-		return true
-	})
-	return uf
 }
 
 // rootObject returns the variable at the root of a chain of deref /
@@ -603,18 +389,12 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 // Helpers
 // ---------------------------------------------------------------------
 
-func isPoolGet(info *types.Info, call *ast.CallExpr) bool {
-	return isSyncPoolMethod(info, call, "Get") || isWorkerLocalGet(info, call)
-}
-func isPoolPut(info *types.Info, call *ast.CallExpr) bool { return isSyncPoolMethod(info, call, "Put") }
-
 // isWorkerLocalGet matches (*WorkerLocal[T]).Get — the worker-scoped
 // arena accessor (parallel.WorkerLocal in the real tree). A slot is
 // reused by the next loop that runs on the same worker, so memory
-// reached through Get carries the same epoch-scoped lifetime as a
-// sync.Pool buffer. There is no Put: slots are never released, so only
-// the taint rules (return / store / send) apply. Matching by receiver
-// type name keeps the rule reachable from self-contained fixtures.
+// reached through Get carries the same epoch-scoped lifetime as an
+// arena field. Matching by receiver type name keeps the rule reachable
+// from self-contained fixtures.
 func isWorkerLocalGet(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Get" {
@@ -634,27 +414,6 @@ func isWorkerLocalGet(info *types.Info, call *ast.CallExpr) bool {
 	}
 	named, ok := rt.(*types.Named)
 	return ok && named.Obj().Name() == "WorkerLocal"
-}
-
-func isSyncPoolMethod(info *types.Info, call *ast.CallExpr, name string) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if ptr, ok := rt.(*types.Pointer); ok {
-		rt = ptr.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	return ok && named.Obj().Name() == "Pool"
 }
 
 // pointerish reports whether values of type t can carry a reference to
@@ -724,43 +483,6 @@ func litParams(info *types.Info, lit *ast.FuncLit) []types.Object {
 			if obj := info.Defs[name]; obj != nil {
 				out = append(out, obj)
 			}
-		}
-	}
-	return out
-}
-
-// unionFind is a tiny union-find over types.Object.
-type unionFind struct {
-	parent map[types.Object]types.Object
-}
-
-func newUnionFind() *unionFind {
-	return &unionFind{parent: make(map[types.Object]types.Object)}
-}
-
-func (u *unionFind) find(o types.Object) types.Object {
-	p, ok := u.parent[o]
-	if !ok || p == o {
-		u.parent[o] = o
-		return o
-	}
-	r := u.find(p)
-	u.parent[o] = r
-	return r
-}
-
-func (u *unionFind) union(a, b types.Object) {
-	u.parent[u.find(a)] = u.find(b)
-}
-
-// group returns every object sharing o's set (including o).
-func (u *unionFind) group(o types.Object) []types.Object {
-	root := u.find(o)
-	var out []types.Object
-	for obj := range u.parent {
-		if u.find(obj) == root {
-			//nessa:sorted-iteration the group feeds set-semantic release marking; order never observed
-			out = append(out, obj)
 		}
 	}
 	return out

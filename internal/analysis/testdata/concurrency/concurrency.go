@@ -1,6 +1,6 @@
-// Fixture for the concurrency analyzer: shared writes from pool tasks,
-// WaitGroup.Add placement, and unlock-without-lock paths — plus the
-// sanctioned idioms each rule must leave alone.
+// Fixture for the concurrency analyzer: WaitGroup.Add placement and
+// unlock-without-lock paths — plus the sanctioned idioms each rule must
+// leave alone.
 package fixture
 
 import (
@@ -8,49 +8,6 @@ import (
 
 	"nessa/internal/parallel"
 )
-
-// SharedSum accumulates into a captured scalar from concurrent chunks.
-func SharedSum(xs []float64) float64 {
-	pool := parallel.Default()
-	sum := 0.0
-	pool.ForChunks(len(xs), func(_, c, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum += xs[i] // want "write to captured variable sum inside concurrently executed closure may race"
-		}
-	})
-	return sum
-}
-
-// SlotSum is the sanctioned reduction: each chunk writes its own
-// disjoint slot, merged after the barrier.
-func SlotSum(xs []float64) float64 {
-	pool := parallel.Default()
-	partial := make([]float64, parallel.Chunks(len(xs)))
-	pool.ForChunks(len(xs), func(_, c, lo, hi int) {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += xs[i]
-		}
-		partial[c] = s
-	})
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
-// WaivedWrite documents a single-writer invariant with the sync-ok
-// escape hatch: the only write happens before done is signalled.
-func WaivedWrite(done func()) int {
-	total := 0
-	go func() {
-		//nessa:sync-ok single writer; the reader joins via done before reading
-		total = 1
-		done()
-	}()
-	return total
-}
 
 // AddInside calls WaitGroup.Add from within the goroutine it tracks —
 // Wait can run before Add does.
@@ -63,6 +20,32 @@ func AddInside(n int) {
 		}()
 	}
 	wg.Wait()
+}
+
+// PoolAdd calls Add inside a pool body. The pool joins every body
+// before ForChunks returns, so the Add cannot overtake the Wait after
+// the loop: not a spawn, not flagged.
+func PoolAdd(xs []float64) {
+	var wg sync.WaitGroup
+	parallel.Default().ForChunks(len(xs), func(_, _, lo, hi int) {
+		wg.Add(hi - lo)
+	})
+	for range xs {
+		wg.Done()
+	}
+	wg.Wait()
+}
+
+// WaivedAdd documents a counted handshake with the sync-ok escape
+// hatch: the caller's Wait starts only after ready is closed, and the
+// goroutine closes it after its Add.
+func WaivedAdd(wg *sync.WaitGroup, ready chan struct{}) {
+	go func() {
+		//nessa:sync-ok the caller waits on ready before calling wg.Wait
+		wg.Add(1)
+		close(ready)
+		wg.Done()
+	}()
 }
 
 // UnlockMaybe unlocks on a path where the lock was never taken.

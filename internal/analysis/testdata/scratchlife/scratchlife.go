@@ -1,53 +1,8 @@
-// Fixture for the scratchlife analyzer: pooled and arena-backed
-// scratch escaping its epoch through returns, stores, channel sends,
-// and use-after-Put — next to the documented ownership-transfer and
-// bounded-view idioms that must stay silent.
+// Fixture for the scratchlife analyzer: arena-backed and worker-local
+// scratch escaping its epoch through returns, stores and channel sends
+// — next to the documented bounded-view and copy-out idioms that must
+// stay silent.
 package fixture
-
-import "sync"
-
-var bufPool = sync.Pool{New: func() any { b := make([]float32, 256); return &b }}
-
-// grab is the documented ownership-transfer helper: every caller
-// returns the buffer with bufPool.Put before it exits. The summary
-// pass still marks its results pooled, so call sites carry taint.
-//
-//nessa:scratch-ok ownership transfer: callers Put the buffer back
-func grab() *[]float32 {
-	return bufPool.Get().(*[]float32)
-}
-
-// LeakReturn hands pooled scratch to the caller with no contract.
-func LeakReturn() *[]float32 {
-	buf := grab()
-	return buf // want "returns pool/arena-backed scratch memory"
-}
-
-// UseAfterPut reads the buffer through an alias after recycling it.
-func UseAfterPut() float32 {
-	buf := grab()
-	b := *buf
-	b[0] = 1
-	bufPool.Put(buf)
-	return b[0] // want "use of pool-backed scratch b after it was returned with Put"
-}
-
-// CleanUse copies the value out of the scratch before recycling; a
-// scalar never carries taint.
-func CleanUse() float32 {
-	buf := grab()
-	v := (*buf)[0]
-	bufPool.Put(buf)
-	return v
-}
-
-// Reuse re-reads after Put under an explicit, justified waiver.
-func Reuse() float32 {
-	buf := grab()
-	bufPool.Put(buf)
-	//nessa:scratch-ok single-threaded re-read before any concurrent Get can reuse the buffer
-	return (*buf)[0]
-}
 
 // scratch is an epoch-scoped arena: its memory is overwritten by the
 // next pass.
@@ -82,10 +37,10 @@ func StashContainer(s *scratch, k int) {
 	rowCache[k] = s.buf // want "scratch memory stored in package-level container outlives its epoch"
 }
 
-// Publish sends pooled scratch to another goroutine.
-func Publish(ch chan []float32) {
-	buf := grab()
-	ch <- *buf // want "scratch memory escapes through a channel send"
+// Publish sends arena memory to another goroutine.
+func Publish(ch chan []float32, s *scratch) {
+	buf := s.buf
+	ch <- buf // want "scratch memory escapes through a channel send"
 }
 
 // View is the documented bounded-view idiom: the doc-level waiver
@@ -105,8 +60,8 @@ func CopyOut(s *scratch) []float32 {
 }
 
 // WorkerLocal mirrors parallel.WorkerLocal: per-worker slots reused by
-// the next loop on the same worker. Get is a pooled-taint source by
-// receiver type name, so the fixture needs no import.
+// the next loop on the same worker. Get is a taint source by receiver
+// type name, so the fixture needs no import.
 type WorkerLocal[T any] struct{ slots []*T }
 
 func (l *WorkerLocal[T]) Get(w int) *T { return l.slots[w] }

@@ -1,10 +1,60 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"nessa/internal/parallel"
 )
+
+// moduleAllocBytes reports the bytes f allocated on stacks that run
+// the module's non-test code, on any goroutine: it profiles every
+// allocation (MemProfileRate = 1) and diffs the heap profile across f.
+// Unlike allocatedBy's TotalAlloc delta, it leaves out the runtime's
+// own allocations in the window — an OS thread spawned by a
+// stop-the-world restart is 5,248 B, more than a steady epoch's whole
+// bound — and those of the measuring calls.
+func moduleAllocBytes(f func()) uint64 {
+	prev := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	defer func() { runtime.MemProfileRate = prev }()
+	before := moduleAllocProfile()
+	f()
+	var got uint64
+	for stk, b := range moduleAllocProfile() {
+		got += b - before[stk]
+	}
+	return got
+}
+
+// moduleAllocProfile publishes the heap profile (runtime.GC) and
+// returns the cumulative bytes allocated per stack that holds a frame
+// of the module's non-test code.
+func moduleAllocProfile() map[[32]uintptr]uint64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	out := make(map[[32]uintptr]uint64)
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			fr, more := frames.Next()
+			if strings.HasPrefix(fr.Function, "nessa/") && !strings.HasSuffix(fr.File, "_test.go") {
+				out[r.Stack0] += uint64(r.AllocBytes)
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return out
+}
 
 // steadyEpochBytes runs a matrix-scale session of mode on one device
 // for warm epochs, then returns the bytes one more reselection epoch
@@ -33,7 +83,7 @@ func steadyEpochBytes(t *testing.T, mode string) uint64 {
 		t.Fatal(err)
 	}
 	s.epoch, s.tcfg.Epochs = warm, warm+1
-	got := allocatedBy(func() { _, err = s.run() })
+	got := moduleAllocBytes(func() { _, err = s.run() })
 	if err != nil {
 		t.Fatal(err)
 	}

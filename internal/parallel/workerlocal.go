@@ -20,8 +20,8 @@ import (
 // body that fetched them: the next loop may hand the same ID — and
 // therefore the same slot — to a different goroutine. The scratchlife
 // analyzer enforces this ownership contract the same way it does for
-// sync.Pool: a WorkerLocal-backed value that escapes its epoch
-// (returned, stored, or sent) is flagged.
+// //nessa:arena fields: a WorkerLocal-backed value that escapes its
+// epoch (returned, stored, or sent) is flagged.
 type WorkerLocal[T any] struct {
 	newFn func() *T
 	mu    sync.Mutex

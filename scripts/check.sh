@@ -54,12 +54,13 @@ gate "nessa-vet"
 # allocating constructs, sync.Pool included — the GC drains pools, so
 # steady state keeps missing and allocating), fma (no fusable float
 # multiply-adds in the kernel packages), errhygiene (sentinel errors
-# compared with errors.Is, wrapped with %w), concurrency (shared
-# writes and WaitGroup.Add in pool/go closures, lock-state paths —
-# copied locks are go vet's, above), scratchlife (pooled/arena scratch
-# escaping its epoch, parallel.WorkerLocal slots included) and
-# seedflow (RNG seeds flow from configuration). Any finding fails the
-# gate; a deliberate exception is a //nessa:*-ok waiver at the site.
+# compared with errors.Is, wrapped with %w), concurrency
+# (WaitGroup.Add inside a go statement's closure, Unlock on a path with
+# no Lock — captured-variable writes are the race gate's, below, and
+# copied locks go vet's, above), scratchlife (//nessa:arena and
+# parallel.WorkerLocal scratch escaping its epoch) and seedflow (RNG
+# seeds flow from configuration). Any finding fails the gate; a
+# deliberate exception is a //nessa:*-ok waiver at the site.
 "$tmpdir/nessa-vet" ./...
 
 gate "nessa-vet -compiler"
@@ -105,6 +106,12 @@ go1.2[2-6] | go1.2[2-6].* | go1.2[2-6][!0-9]*)
 esac
 
 gate "go test -race"
+# The check for writes to captured variables from concurrent closures
+# (a go statement or a parallel.Pool body); nessa-vet has no such rule.
+# Its coverage of the pool does not depend on the host's CPU count:
+# the parallel-equivalence tests (internal/selection/parallel_test.go,
+# TestMaximizersParallelSerialEquivalence and
+# TestObjectiveParallelSerialEquivalence among them) pin 8 workers.
 go test -race ./...
 
 gate "allocation assertions"
