@@ -1,8 +1,8 @@
 // Command nessa-vet runs the repository's custom static-analysis
-// suite (internal/analysis): eight analyzers that machine-check the
+// suite (internal/analysis): seven analyzers that machine-check the
 // determinism, hot-path-allocation, FMA bit-identity, map-order,
-// error-hygiene, concurrency, scratch-lifetime, and seed-provenance
-// contracts at the source level, plus a compiler-evidence mode that
+// error-hygiene, concurrency, and scratch-lifetime contracts at the
+// source level, plus a compiler-evidence mode that
 // verifies the hot-path contracts against what gc actually emitted.
 //
 // Usage:

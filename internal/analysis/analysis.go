@@ -1,5 +1,5 @@
 // Package analysis implements nessa-vet, the repository's custom
-// static-analysis suite. Eight analyzers machine-check the source-level
+// static-analysis suite. Seven analyzers machine-check the source-level
 // contracts the test suite otherwise only samples at runtime:
 //
 //   - determinism: no wall-clock or math/rand in device/core code
@@ -13,7 +13,6 @@
 //     Unlock on a path with no Lock
 //   - scratchlife: arena and worker-local scratch must not outlive its
 //     epoch
-//   - seedflow:    RNG seeds must flow from configuration
 //
 // A second, compiler-evidence suite (escapecheck, inlinegate,
 // bcecheck) runs under nessa-vet -compiler against an instrumented
@@ -66,10 +65,6 @@ const (
 	// to a caller that returns it, or a view with a documented
 	// lifetime), or a single flagged line.
 	DirScratchOK = "scratch-ok"
-	// DirSeedOK exempts one RNG/injector construction whose seed does
-	// not flow from a configured seed (e.g. a documented deterministic
-	// fallback for a nil RNG argument).
-	DirSeedOK = "seed-ok"
 	// DirSyncOK exempts one concurrency finding (e.g. an Add inside a
 	// goroutine whose Wait is ordered after it by other means).
 	DirSyncOK = "sync-ok"
@@ -163,7 +158,6 @@ func All() []*Analyzer {
 		ErrHygieneAnalyzer(),
 		ConcurrencyAnalyzer(),
 		ScratchLifeAnalyzer(),
-		SeedFlowAnalyzer(),
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // Control-flow graph construction. BuildCFG lowers one function body
 // into basic blocks connected by successor/predecessor edges, the
 // substrate for the dataflow analyses in dataflow.go and the
-// flow-sensitive analyzers (concurrency, scratchlife, seedflow).
+// flow-sensitive analyzers (concurrency, scratchlife).
 //
 // Design notes:
 //

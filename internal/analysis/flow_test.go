@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,145 +167,6 @@ func f(c bool) int {
 	}
 }
 
-// nodeOf finds the block and index of the first node satisfying match.
-func nodeOf(g *CFG, match func(ast.Node) bool) (*Block, int) {
-	for _, b := range g.Blocks {
-		for i, n := range b.Nodes {
-			if match(n) {
-				return b, i
-			}
-		}
-	}
-	return nil, 0
-}
-
-// assignTo matches an assignment whose first target is the named
-// identifier.
-func assignTo(name string) func(ast.Node) bool {
-	return func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) == 0 {
-			return false
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		return ok && id.Name == name
-	}
-}
-
-func objNamed(t *testing.T, pkg *Package, name string) types.Object {
-	t.Helper()
-	for id, obj := range pkg.Info.Defs {
-		if obj != nil && id.Name == name {
-			if _, ok := obj.(*types.Var); ok {
-				return obj
-			}
-		}
-	}
-	t.Fatalf("no variable %s defined in package", name)
-	return nil
-}
-
-func TestReachingDefsJoin(t *testing.T) {
-	pkg := loadSrc(t, `package p
-func f(p int) int {
-	x := 1
-	if p > 0 {
-		x = 2
-	}
-	return x
-}
-`)
-	fd := funcBody(t, pkg, "f")
-	g := BuildCFG(fd.Body)
-	rd := BuildReachingDefs(g, pkg.Info, nil)
-	x := objNamed(t, pkg, "x")
-	b, idx := nodeOf(g, func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok })
-	if b == nil {
-		t.Fatal("return node not found")
-	}
-	sites := rd.At(b, idx, x)
-	if len(sites) != 2 {
-		t.Fatalf("expected 2 reaching definitions of x at the return (x := 1 and x = 2), got %d", len(sites))
-	}
-	for _, s := range sites {
-		if s.RHS == nil {
-			t.Error("definition site lost its RHS expression")
-		}
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	pkg := loadSrc(t, `package p
-func f() int {
-	x := 1
-	x = 2
-	return x
-}
-`)
-	fd := funcBody(t, pkg, "f")
-	g := BuildCFG(fd.Body)
-	rd := BuildReachingDefs(g, pkg.Info, nil)
-	x := objNamed(t, pkg, "x")
-	b, idx := nodeOf(g, func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok })
-	sites := rd.At(b, idx, x)
-	if len(sites) != 1 {
-		t.Fatalf("straight-line overwrite must kill: expected 1 reaching def, got %d", len(sites))
-	}
-	if lit, ok := sites[0].RHS.(*ast.BasicLit); !ok || lit.Value != "2" {
-		t.Errorf("surviving definition is not x = 2: %v", sites[0].RHS)
-	}
-}
-
-func TestCallGraphFixpoint(t *testing.T) {
-	pkg := loadSrc(t, `package p
-func a() int { return b() }
-func b() int { return c() }
-func c() int { return 1 }
-func loner() int { return other() }
-func other() int { return loner() }
-`)
-	cg := BuildCallGraph(pkg)
-	if len(cg.Decls) != 5 {
-		t.Fatalf("expected 5 declared functions, got %d", len(cg.Decls))
-	}
-	// Property: "returns a literal, or calls only functions with the
-	// property". c holds it directly; b and a inherit it through the
-	// fixpoint; the loner/other cycle never bootstraps.
-	res := cg.Fixpoint(func(fn *types.Func, decl *ast.FuncDecl, cur map[*types.Func]bool) bool {
-		ok := false
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			ret, isRet := n.(*ast.ReturnStmt)
-			if !isRet || len(ret.Results) == 0 {
-				return true
-			}
-			switch r := ret.Results[0].(type) {
-			case *ast.BasicLit:
-				ok = true
-			case *ast.CallExpr:
-				if callee := StaticCallee(pkg.Info, r); callee != nil && cur[callee] {
-					ok = true
-				}
-			}
-			return true
-		})
-		return ok
-	})
-	got := make(map[string]bool)
-	for fn, v := range res {
-		got[fn.Name()] = v
-	}
-	for _, name := range []string{"a", "b", "c"} {
-		if !got[name] {
-			t.Errorf("%s should reach the fixpoint property", name)
-		}
-	}
-	for _, name := range []string{"loner", "other"} {
-		if got[name] {
-			t.Errorf("%s is a bare cycle and must stay false", name)
-		}
-	}
-}
-
 func TestByNameTrimsAndDeduplicates(t *testing.T) {
 	az, err := ByName([]string{" fma", " hotpath ", "hotpath", ""})
 	if err != nil {
@@ -358,7 +218,6 @@ func TestRunDeterministic(t *testing.T) {
 	dirs := []struct{ dir, path string }{
 		{"concurrency", "nessa/internal/fixture/concurrency"},
 		{"scratchlife", "nessa/internal/fixture/scratchlife"},
-		{"seedflow", "nessa/internal/fixture/seedflow"},
 	}
 	load := func() []string {
 		l := testLoader(t, root)

@@ -301,9 +301,3 @@ func TestConcurrencyFixture(t *testing.T) {
 func TestScratchLifeFixture(t *testing.T) {
 	runFixture(t, "scratchlife", "scratchlife", "nessa/internal/fixture/scratchlife")
 }
-
-func TestSeedFlowFixture(t *testing.T) {
-	// Library-scoped import path: bench, cmd, and examples are exempt
-	// wholesale, so the fixture must not load under those prefixes.
-	runFixture(t, "seedflow", "seedflow", "nessa/internal/fixture/seedflow")
-}

@@ -552,7 +552,7 @@ func (sc *Scratch) stochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps f
 		eps = 0.1
 	}
 	if rng == nil {
-		//nessa:seed-ok documented deterministic fallback for a nil RNG; callers wanting replay pass a seeded stream
+		// A fixed stream keeps a nil-RNG call deterministic; replaying callers pass a seeded one.
 		rng = tensor.NewRNG(1)
 	}
 	f := newFacility(sc, emb, cand)

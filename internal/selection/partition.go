@@ -44,7 +44,7 @@ func (sc *Scratch) partitioned(emb *tensor.Matrix, cand []int, k, m int, rng *te
 		m = k
 	}
 	if rng == nil {
-		//nessa:seed-ok documented deterministic fallback for a nil RNG; callers wanting replay pass a seeded stream
+		// A fixed stream keeps a nil-RNG call deterministic; replaying callers pass a seeded one.
 		rng = tensor.NewRNG(1)
 	}
 

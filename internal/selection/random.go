@@ -21,7 +21,7 @@ func Random(cand []int, k int, rng *tensor.RNG) (Result, error) {
 		k = len(cand)
 	}
 	if rng == nil {
-		//nessa:seed-ok documented deterministic fallback for a nil RNG; callers wanting replay pass a seeded stream
+		// A fixed stream keeps a nil-RNG call deterministic; replaying callers pass a seeded one.
 		rng = tensor.NewRNG(1)
 	}
 	perm := rng.Perm(len(cand))

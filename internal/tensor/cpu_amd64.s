@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // CPU feature probes for the fast-tier dispatch decision.
 
 #include "textflag.h"

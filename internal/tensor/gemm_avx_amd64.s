@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 // Bit-exact AVX micro-kernels behind the dispatch wrappers in
 // gemm_kernels.go.
 //

@@ -48,7 +48,7 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 gate "nessa-vet"
-# The repo's own eight analyzers: determinism (no wall clock /
+# The repo's own seven analyzers: determinism (no wall clock /
 # math/rand in device code), maporder (no order-sensitive folds over
 # map iteration), hotpath (//nessa:hotpath functions stay free of
 # allocating constructs, sync.Pool included — the GC drains pools, so
@@ -57,10 +57,11 @@ gate "nessa-vet"
 # compared with errors.Is, wrapped with %w), concurrency
 # (WaitGroup.Add inside a go statement's closure, Unlock on a path with
 # no Lock — captured-variable writes are the race gate's, below, and
-# copied locks go vet's, above), scratchlife (//nessa:arena and
-# parallel.WorkerLocal scratch escaping its epoch) and seedflow (RNG
-# seeds flow from configuration). Any finding fails the gate; a
-# deliberate exception is a //nessa:*-ok waiver at the site.
+# copied locks go vet's, above) and scratchlife (//nessa:arena and
+# parallel.WorkerLocal scratch escaping its epoch). Seeds reaching
+# their streams are core.TestSeedReachesEveryStream's. Any finding
+# fails the gate; a deliberate exception is a //nessa:*-ok waiver at
+# the site.
 "$tmpdir/nessa-vet" ./...
 
 gate "nessa-vet -compiler"
@@ -120,6 +121,15 @@ gate "allocation assertions"
 # detector's instrumentation allocates on its own. This non-race pass
 # over the tests named *Alloc* is where those assertions execute.
 go test -count=1 -run 'Alloc' ./...
+
+gate "portable kernels (purego)"
+# The purego tag drops the amd64 assembly, so the golden trajectories,
+# the selection equivalence tests and the e2e pins run on the portable
+# Go kernels that every other architecture uses. It does not stand in
+# for nessa-vet's fma analyzer: gc fuses float multiply-adds only on
+# arm64-class targets, never on amd64.
+go test -tags purego ./internal/core ./internal/trainer ./internal/selection/... \
+	./internal/bench/e2e ./internal/tensor
 
 gate "fuzzing"
 # Every decoder of bytes from outside the program — the NSCP
