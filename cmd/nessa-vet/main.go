@@ -8,7 +8,7 @@
 // Usage:
 //
 //	nessa-vet [-run name[,name...]] [-json] [packages]
-//	nessa-vet -compiler [-run ...] [-json] [-ledger file [-write-ledger]] [packages]
+//	nessa-vet -compiler [-run ...] [-json] [packages]
 //
 // With no package arguments (or the pattern "./...") every buildable
 // non-test package in the module is analyzed. Individual directories
@@ -23,20 +23,14 @@
 // directive applies to the rule — a suggestion naming it, so editors
 // can render a quick-fix) instead of the text form.
 //
-// -compiler switches to the compiler-evidence suite (escapecheck,
-// inlinegate, bcecheck): the module is rebuilt with
+// -compiler switches to the compiler-evidence suite (inlinegate,
+// bcecheck): the module is rebuilt with
 // -gcflags='-m=2 -d=ssa/check_bce/debug=1' (cached after the first
 // compile), the diagnostics are parsed into position-keyed facts, and
 // the analyzers cross-check them against the //nessa:hotpath and
 // //nessa:inline contracts. Because gc's diagnostic
 // formats are toolchain-pinned, an unvalidated toolchain makes the
 // mode skip cleanly with a warning (exit 0) rather than mis-parse.
-//
-// -ledger, valid only with -compiler, diffs the per-package evidence
-// counts against a committed ledger file: regressions (new escape
-// waivers, kernels lost from the inline budget, bounds checks creeping
-// back) exit 1, improvements are logged and accepted. -write-ledger
-// regenerates the file.
 package main
 
 import (
@@ -57,21 +51,11 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
 	compiler := flag.Bool("compiler", false, "run the compiler-evidence suite against an instrumented build")
-	ledgerPath := flag.String("ledger", "", "with -compiler: evidence ledger file to diff per-package counts against")
-	writeLedger := flag.Bool("write-ledger", false, "with -compiler: regenerate the -ledger file from this run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nessa-vet [-compiler] [-run name[,name...]] [-json] [-ledger file [-write-ledger]] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: nessa-vet [-compiler] [-run name[,name...]] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if (*ledgerPath != "" || *writeLedger) && !*compiler {
-		fmt.Fprintln(os.Stderr, "nessa-vet: -ledger and -write-ledger require -compiler")
-		os.Exit(2)
-	}
-	if *writeLedger && *ledgerPath == "" {
-		fmt.Fprintln(os.Stderr, "nessa-vet: -write-ledger requires -ledger")
-		os.Exit(2)
-	}
 
 	if *list {
 		printList(os.Stdout)
@@ -118,34 +102,10 @@ func main() {
 	}
 
 	var findings []analysis.Finding
-	var ledger *analysis.Ledger
 	if *compiler {
-		findings, ledger = analysis.RunCompiler(pkgs, analyzers, evidence)
+		findings = analysis.RunCompiler(pkgs, analyzers, evidence)
 	} else {
 		findings = analysis.Run(pkgs, analyzers)
-	}
-
-	ledgerRegressed := false
-	if *writeLedger {
-		if err := ledger.Write(*ledgerPath); err != nil {
-			fmt.Fprintln(os.Stderr, "nessa-vet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "nessa-vet: wrote evidence ledger to %s\n", *ledgerPath)
-	} else if *ledgerPath != "" {
-		committed, err := analysis.LoadLedger(*ledgerPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nessa-vet:", err)
-			os.Exit(2)
-		}
-		regressions, improvements := analysis.CompareLedgers(committed, ledger)
-		for _, s := range improvements {
-			fmt.Fprintf(os.Stderr, "nessa-vet: ledger improved: %s (run -write-ledger to accept)\n", s)
-		}
-		for _, s := range regressions {
-			fmt.Fprintf(os.Stderr, "nessa-vet: ledger regression: %s\n", s)
-		}
-		ledgerRegressed = len(regressions) > 0
 	}
 
 	for _, f := range findings {
@@ -157,10 +117,6 @@ func main() {
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "nessa-vet: %d finding(s)\n", len(findings))
-		os.Exit(1)
-	}
-	if ledgerRegressed {
-		fmt.Fprintf(os.Stderr, "nessa-vet: evidence ledger regressed against %s\n", *ledgerPath)
 		os.Exit(1)
 	}
 }

@@ -14,9 +14,9 @@
 //   - scratchlife: arena and worker-local scratch must not outlive its
 //     epoch
 //
-// A second, compiler-evidence suite (escapecheck, inlinegate,
-// bcecheck) runs under nessa-vet -compiler against an instrumented
-// build; see README's analyzer reference table.
+// A second, compiler-evidence suite (inlinegate, bcecheck) runs under
+// nessa-vet -compiler against an instrumented build; see README's
+// analyzer reference table.
 //
 // Every analyzer reports position-accurate findings and honors a
 // source-level opt-out annotation (see the directive constants below
@@ -101,8 +101,7 @@ func (f Finding) String() string {
 }
 
 // JSONFinding is the wire form of a Finding emitted by nessa-vet
-// -json: one object per line. It round-trips losslessly with
-// ToJSON/FromJSON.
+// -json: one object per line.
 type JSONFinding struct {
 	Analyzer   string `json:"analyzer"`
 	Severity   string `json:"severity"`
@@ -123,17 +122,6 @@ func ToJSON(f Finding) JSONFinding {
 		Col:        f.Pos.Column,
 		Message:    f.Message,
 		Suggestion: f.Suggestion,
-	}
-}
-
-// FromJSON converts a wire-form finding back to a Finding.
-func FromJSON(j JSONFinding) Finding {
-	return Finding{
-		Analyzer:   j.Analyzer,
-		Severity:   j.Severity,
-		Pos:        token.Position{Filename: j.File, Line: j.Line, Column: j.Col},
-		Message:    j.Message,
-		Suggestion: j.Suggestion,
 	}
 }
 
@@ -167,7 +155,6 @@ func All() []*Analyzer {
 // they are inert without an instrumented build.
 func CompilerAll() []*Analyzer {
 	return []*Analyzer{
-		EscapeCheckAnalyzer(),
 		InlineGateAnalyzer(),
 		BCECheckAnalyzer(),
 	}
@@ -221,18 +208,6 @@ type Pass struct {
 	// nessa-vet -compiler run; nil for source-level passes. The
 	// compiler-evidence analyzers report nothing when it is nil.
 	Evidence *Evidence
-	// ledger accumulates per-package evidence tallies during a
-	// compiler run; nil otherwise.
-	ledger *Ledger
-}
-
-// Metric bumps a ledger tally for the current package. A no-op when
-// no ledger is attached (source-level passes, fixture tests that do
-// not care about counts).
-func (p *Pass) Metric(name string, delta int) {
-	if p.ledger != nil {
-		p.ledger.Add(p.Pkg.ImportPath, name, delta)
-	}
 }
 
 // PosAt translates an evidence fact position (absolute file, 1-based
@@ -355,11 +330,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 
 // RunCompiler executes compiler-evidence analyzers over the packages
 // with the parsed facts of an instrumented build attached, returning
-// the findings plus the per-package evidence ledger. Before the
-// analyzers run, every //nessa:inline declaration across the loaded
-// packages is indexed into the evidence so inlinegate's call-site rule
-// resolves annotated callees across package boundaries.
-func RunCompiler(pkgs []*Package, analyzers []*Analyzer, ev *Evidence) ([]Finding, *Ledger) {
+// the findings sorted by position. Before the analyzers run, every
+// //nessa:inline declaration across the loaded packages is indexed
+// into the evidence so inlinegate's call-site rule resolves annotated
+// callees across package boundaries.
+func RunCompiler(pkgs []*Package, analyzers []*Analyzer, ev *Evidence) []Finding {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -372,17 +347,10 @@ func RunCompiler(pkgs []*Package, analyzers []*Analyzer, ev *Evidence) ([]Findin
 			}
 		}
 	}
-	ledger := NewLedger(ev.GoVersion)
-	findings := run(pkgs, analyzers, &compilerCtx{ev: ev, ledger: ledger})
-	return findings, ledger
+	return run(pkgs, analyzers, ev)
 }
 
-type compilerCtx struct {
-	ev     *Evidence
-	ledger *Ledger
-}
-
-func run(pkgs []*Package, analyzers []*Analyzer, ctx *compilerCtx) []Finding {
+func run(pkgs []*Package, analyzers []*Analyzer, ev *Evidence) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
 		dirs := buildDirectives(pkg)
@@ -392,10 +360,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, ctx *compilerCtx) []Finding {
 				analyzer:   a,
 				findings:   &findings,
 				directives: dirs,
-			}
-			if ctx != nil {
-				pass.Evidence = ctx.ev
-				pass.ledger = ctx.ledger
+				Evidence:   ev,
 			}
 			a.Run(pass)
 		}

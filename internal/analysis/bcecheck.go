@@ -115,7 +115,6 @@ func checkInnerLoopBCE(p *Pass, fn *ast.FuncDecl) {
 			continue
 		}
 		if p.ExemptAt(pos, DirBCEOK) {
-			p.Metric(MetricBCEWaived, 1)
 			continue
 		}
 		p.Reportf(pos, "ssa/check_bce: %s survives in an innermost loop of //nessa:hotpath function %s — the hot kernel pays a bounds check per element (hoist the proof with a full-slice re-slice, or annotate //nessa:bce-ok with a justification)",

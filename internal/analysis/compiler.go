@@ -5,10 +5,9 @@
 //
 //	go build -gcflags='-m=2 -d=ssa/check_bce/debug=1' ./...
 //
-// — yields three diagnostic streams on stderr, which this file parses
+// — yields two diagnostic streams on stderr, which this file parses
 // into position-keyed facts:
 //
-//   - escape analysis ("moved to heap: x", "make(...) escapes to heap")
 //   - inlining decisions ("can inline F with cost N", "cannot inline
 //     F: cost N exceeds budget M", "inlining call to F")
 //   - surviving bounds checks ("Found IsInBounds", from the ssa
@@ -66,15 +65,9 @@ func ToolchainSupported(version string) bool {
 type FactKind int
 
 const (
-	// FactEscape: a value at this position was heap-allocated by
-	// escape analysis ("moved to heap: x", "<expr> escapes to heap").
-	// String-constant escapes are dropped at parse time: a constant
-	// string converted to an interface (a panic argument, typically)
-	// points at static data and never allocates.
-	FactEscape FactKind = iota
 	// FactCanInline: the function declared at this position is
 	// inlinable; Detail carries "cost N".
-	FactCanInline
+	FactCanInline FactKind = iota
 	// FactCannotInline: the function declared at this position is not
 	// inlinable; Detail carries gc's reason (e.g. "cost 105 exceeds
 	// budget 80").
@@ -89,8 +82,6 @@ const (
 
 func (k FactKind) String() string {
 	switch k {
-	case FactEscape:
-		return "escape"
 	case FactCanInline:
 		return "can-inline"
 	case FactCannotInline:
@@ -117,10 +108,7 @@ type Fact struct {
 // Evidence is the parsed result of one instrumented build: every
 // retained fact, indexed by absolute file path.
 type Evidence struct {
-	// GoVersion is the toolchain that produced the diagnostics
-	// (e.g. "go1.24.0").
-	GoVersion string
-	files     map[string][]Fact
+	files map[string][]Fact
 	// inlineDecls maps file -> line -> function name for every
 	// //nessa:inline declaration seen by RunCompiler, so the
 	// call-site rule resolves annotated callees across packages.
@@ -143,9 +131,6 @@ func (e *Evidence) Span(file string, lo, hi int) []Fact {
 	}
 	return out
 }
-
-// Files returns the number of distinct files with recorded facts.
-func (e *Evidence) Files() int { return len(e.files) }
 
 // markInline records a //nessa:inline declaration for cross-package
 // call-site resolution.
@@ -209,7 +194,7 @@ func collectEvidence(root, version string) (*Evidence, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	ev := &Evidence{GoVersion: version, files: make(map[string][]Fact)}
+	ev := &Evidence{files: make(map[string][]Fact)}
 	for _, f := range facts {
 		ev.files[f.File] = append(ev.files[f.File], f)
 	}
@@ -235,23 +220,10 @@ var (
 	costRe    = regexp.MustCompile(`^can inline (.+?) with cost (\d+)`)
 )
 
-// ParseDiagnostics parses one instrumented-build stderr stream into
-// facts, dropping anything attributed to files outside root. Exposed
-// for tests; CollectEvidence is the production entry point.
-func ParseDiagnostics(root string, lines []string) []Fact {
-	var (
-		facts []Fact
-		seen  = make(map[Fact]bool)
-	)
-	for _, line := range lines {
-		if f, ok := parseDiagnosticLine(root, line); ok && !seen[f] {
-			seen[f] = true
-			facts = append(facts, f)
-		}
-	}
-	return facts
-}
-
+// parseDiagnostics parses one instrumented-build stderr stream into
+// deduplicated facts, dropping anything attributed to files outside
+// root. It also returns the stream's last plain lines, the context of
+// a build-failure error.
 func parseDiagnostics(root string, r io.Reader) ([]Fact, []string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -310,20 +282,6 @@ func parseDiagnosticLine(root, line string) (Fact, bool) {
 	msg := m[4]
 	fact := Fact{File: file, Line: ln, Col: col}
 	switch {
-	case strings.HasPrefix(msg, "moved to heap: "):
-		fact.Kind = FactEscape
-		fact.Name = strings.TrimPrefix(msg, "moved to heap: ")
-		fact.Detail = "moved to heap"
-	case strings.HasSuffix(msg, " escapes to heap") || strings.HasSuffix(msg, " escapes to heap:"):
-		subject := strings.TrimSuffix(strings.TrimSuffix(msg, ":"), " escapes to heap")
-		// A constant string escaping (a panic argument, typically)
-		// points at static data — no runtime allocation, no fact.
-		if strings.HasPrefix(subject, `"`) {
-			return Fact{}, false
-		}
-		fact.Kind = FactEscape
-		fact.Name = subject
-		fact.Detail = "escapes to heap"
 	case strings.HasPrefix(msg, "inlining call to "):
 		fact.Kind = FactInlineCall
 		fact.Name = strings.TrimPrefix(msg, "inlining call to ")
@@ -368,20 +326,4 @@ func canonPath(root, p string) (string, bool) {
 		return "", false
 	}
 	return p, true
-}
-
-// InlineCost extracts the numeric cost from a can-inline fact's Detail
-// ("cost 79"), or from a cannot-inline reason ("cost 105 exceeds
-// budget 80"). Returns -1 when no cost is present (e.g. "no function
-// body").
-func InlineCost(f Fact) int {
-	fields := strings.Fields(f.Detail)
-	for i, w := range fields {
-		if w == "cost" && i+1 < len(fields) {
-			if n, err := strconv.Atoi(strings.TrimSuffix(fields[i+1], ":")); err == nil {
-				return n
-			}
-		}
-	}
-	return -1
 }

@@ -68,9 +68,7 @@ func anyContains(spans []span, pos token.Pos) bool {
 // hotExemptSpans computes the two automatically exempt position
 // classes of a hotpath function body: panic arguments (the failure
 // path never runs hot) and bodies of ifs whose condition calls len or
-// cap (the amortized warm-up growth idiom). Shared by the source-level
-// hotpath analyzer and the compiler-evidence escapecheck analyzer so
-// both excuse exactly the same sites.
+// cap (the amortized warm-up growth idiom).
 func hotExemptSpans(p *Pass, fn *ast.FuncDecl) (panicSpans, guardSpans []span) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -61,7 +61,6 @@ func checkInlinable(p *Pass, fn *ast.FuncDecl) {
 	for _, fact := range p.Evidence.Span(pos.Filename, pos.Line, pos.Line) {
 		switch fact.Kind {
 		case FactCanInline:
-			p.Metric(MetricInlinable, 1)
 			return
 		case FactCannotInline:
 			f := fact
@@ -95,12 +94,7 @@ func checkHotCallSites(p *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		callPos := p.Pkg.Fset.Position(call.Pos())
-		if inlinedAt(p.Evidence, callPos.Filename, callPos.Line, name) {
-			p.Metric(MetricHotCallsInlined, 1)
-			return true
-		}
-		if p.ExemptAt(call.Pos(), DirInlineOK) {
-			p.Metric(MetricHotCallsWaived, 1)
+		if inlinedAt(p.Evidence, callPos.Filename, callPos.Line, name) || p.ExemptAt(call.Pos(), DirInlineOK) {
 			return true
 		}
 		p.Reportf(call.Pos(), "call to //nessa:inline function %s was not inlined in //nessa:hotpath function %s — the hot loop pays a call per iteration (annotate //nessa:inline-ok with a justification if this site is cold or dispatch-amortized)",

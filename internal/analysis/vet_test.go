@@ -184,43 +184,60 @@ func TestRepoVetClean(t *testing.T) {
 	}
 }
 
-// pinnedHotPaths are the PR2 steady-state training entry points that
-// must keep their //nessa:hotpath annotation: losing one silently
-// removes the analyzer's allocation coverage for that kernel.
-var pinnedHotPaths = map[string][]string{
-	"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransA", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "Softmax"},
-	"internal/nn":      {"Forward", "ForwardInto", "Backward", "SoftmaxCEInto"},
-	"internal/trainer": {"TrainEpoch"},
+// pinnedAnnotations lists, per directive and package, the functions
+// that must keep their annotation. Losing one silently removes an
+// analyzer's coverage: //nessa:hotpath is hotpath's and bcecheck's
+// opt-in on the steady-state training entry points, //nessa:inline
+// inlinegate's on the leaf kernels of the GEMM and similarity loops.
+var pinnedAnnotations = map[string]map[string][]string{
+	DirHotpath: {
+		"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransA", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "Softmax"},
+		"internal/nn":      {"Forward", "ForwardInto", "Backward", "SoftmaxCEInto"},
+		"internal/trainer": {"TrainEpoch"},
+	},
+	DirInline: {
+		"internal/tensor":    {"Dot", "Row", "At", "zeroRows"},
+		"internal/selection": {"simOf"},
+	},
 }
 
 func TestHotPathAnnotationsPinned(t *testing.T) {
 	root := repoRoot(t)
-	for rel, fns := range pinnedHotPaths {
-		annotated := make(map[string]bool)
-		fset := token.NewFileSet()
-		pkgDir := filepath.Join(root, rel)
-		entries, err := os.ReadDir(pkgDir)
+	for dir, pkgs := range pinnedAnnotations {
+		for rel, fns := range pkgs {
+			checkAnnotated(t, root, dir, rel, fns)
+		}
+	}
+}
+
+// checkAnnotated fails t for each named function of the package at
+// root/rel whose doc comment lacks the //nessa:dir directive.
+func checkAnnotated(t *testing.T, root, dir, rel string, fns []string) {
+	t.Helper()
+	annotated := make(map[string]bool)
+	fset := token.NewFileSet()
+	pkgDir := filepath.Join(root, rel)
+	entries, err := os.ReadDir(pkgDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(pkgDir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(pkgDir, e.Name()), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range f.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && HasDirective(fn.Doc, DirHotpath) {
-					annotated[fn.Name.Name] = true
-				}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && HasDirective(fn.Doc, dir) {
+				annotated[fn.Name.Name] = true
 			}
 		}
-		for _, name := range fns {
-			if !annotated[name] {
-				t.Errorf("%s: %s has lost its //nessa:hotpath annotation", rel, name)
-			}
+	}
+	for _, name := range fns {
+		if !annotated[name] {
+			t.Errorf("%s: %s has lost its //nessa:%s annotation", rel, name, dir)
 		}
 	}
 }
@@ -228,7 +245,7 @@ func TestHotPathAnnotationsPinned(t *testing.T) {
 // TestInjectedAllocationCaught is the hotpath acceptance mutation: an
 // unguarded append onto a retained slice in the MatMul driver, on a
 // scratch copy of internal/tensor. Only the source analyzer can see it
-// — growslice leaves no escape fact for escapecheck, and doubling
+// — growslice leaves no escape fact in gc's diagnostics, and doubling
 // growth averages to zero in the AllocsPerRun tests — so hotpath must
 // flag it; strip the annotation from the same copy and the finding
 // must disappear.

@@ -334,12 +334,16 @@ func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*s
 	if err != nil {
 		return nil, err
 	}
+	// A sample records at most one loss per epoch, so a window longer
+	// than the run never fills and marks nothing: Epochs+1 slots behave
+	// the same without sizing the ring by the option.
+	window := min(opt.BiasWindow, tcfg.Epochs+1)
 	s := &session{
 		train: train, test: test, tcfg: tcfg, opt: opt,
 		n:        n,
 		rng:      tensor.NewRNG(opt.Seed),
 		src:      src,
-		hist:     newLossHistory(n, opt.BiasWindow),
+		hist:     newLossHistory(n, window),
 		frac:     opt.SubsetFrac,
 		prevLoss: -1,
 		rep:      &Report{},
@@ -712,7 +716,7 @@ func positions(n int) []int {
 }
 
 func validateOptions(opt *Options) error {
-	if opt.SubsetFrac <= 0 || opt.SubsetFrac > 1 {
+	if !(0 < opt.SubsetFrac && opt.SubsetFrac <= 1) {
 		return fmt.Errorf("core: subset fraction %v out of (0,1]", opt.SubsetFrac)
 	}
 	if opt.SelectEvery <= 0 {
@@ -728,10 +732,10 @@ func validateOptions(opt *Options) error {
 		return fmt.Errorf("core: partitioning needs positive m, got %d", opt.PartitionM)
 	}
 	if opt.DynamicSizing {
-		if opt.ShrinkFactor <= 0 || opt.ShrinkFactor >= 1 {
+		if !(0 < opt.ShrinkFactor && opt.ShrinkFactor < 1) {
 			return fmt.Errorf("core: shrink factor %v out of (0,1)", opt.ShrinkFactor)
 		}
-		if opt.MinSubsetFrac <= 0 || opt.MinSubsetFrac > opt.SubsetFrac {
+		if !(0 < opt.MinSubsetFrac && opt.MinSubsetFrac <= opt.SubsetFrac) {
 			return fmt.Errorf("core: min subset fraction %v invalid for initial %v",
 				opt.MinSubsetFrac, opt.SubsetFrac)
 		}

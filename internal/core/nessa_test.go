@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"nessa/internal/data"
@@ -282,12 +284,45 @@ func TestOptionValidation(t *testing.T) {
 		func(o *Options) { o.ShrinkFactor = 1.2 },
 		func(o *Options) { o.MinSubsetFrac = 0.9 }, // above initial 0.4
 		func(o *Options) { o.Selector = "bogus" },
+		// NaN fails every comparison, so each range check must be
+		// written to reject it rather than to accept it.
+		func(o *Options) { o.SubsetFrac = math.NaN() },
+		func(o *Options) { o.ShrinkFactor = math.NaN() },
+		func(o *Options) { o.MinSubsetFrac = math.NaN() },
 	}
 	for i, mutate := range cases {
 		opt := tinyOptions()
 		mutate(&opt)
 		if _, err := Run(tr, te, cfg, opt); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+}
+
+// TestHugeBiasWindowRuns: a loss-history window longer than the run
+// never fills, so any such window behaves like Epochs+1, and a window
+// of 1<<40 must not size the ring by the option.
+func TestHugeBiasWindowRuns(t *testing.T) {
+	tr, te := data.Generate(tinySpec())
+	cfg := tinyCfg()
+	cfg.Epochs = 6
+	var ref *Report
+	for _, window := range []int{cfg.Epochs + 1, 100, 1 << 40} {
+		opt := tinyOptions()
+		opt.BiasWindow = window
+		opt.BiasEvery = 2
+		rep, err := Run(tr, te, cfg, opt)
+		if err != nil {
+			t.Fatalf("window %d: %v", window, err)
+		}
+		if ref == nil {
+			ref = rep
+			continue
+		}
+		if !slices.Equal(rep.Metrics.EpochLoss, ref.Metrics.EpochLoss) ||
+			!slices.Equal(rep.Metrics.SubsetSizes, ref.Metrics.SubsetSizes) ||
+			!slices.Equal(rep.EpochSubsetFrac, ref.EpochSubsetFrac) {
+			t.Errorf("window %d: series differ from window %d", window, cfg.Epochs+1)
 		}
 	}
 }

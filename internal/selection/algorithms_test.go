@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -314,6 +315,26 @@ func TestPartitionedMaximizerComposesWithPerClass(t *testing.T) {
 	}
 	if math.Abs(float64(sum)-80) > 1e-3 {
 		t.Fatalf("weights sum = %v, want 80", sum)
+	}
+}
+
+// TestStochasticGreedyOutOfRangeEps: an ε outside (0,1) — NaN
+// included, which fails every comparison — falls back to 0.1 instead of
+// sizing the (n/k)·ln(1/ε) sample from a meaningless logarithm.
+func TestStochasticGreedyOutOfRangeEps(t *testing.T) {
+	emb, cand, _ := randomInstance(77, 30, 3)
+	want, err := StochasticGreedy(emb, cand, 5, 0.1, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{math.NaN(), 0, -1, 2} {
+		got, err := StochasticGreedy(emb, cand, 5, eps, tensor.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Selected, want.Selected) {
+			t.Errorf("eps %v selected %v, eps 0.1 selected %v", eps, got.Selected, want.Selected)
+		}
 	}
 }
 

@@ -548,7 +548,7 @@ func (sc *Scratch) stochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps f
 	if err != nil {
 		return Result{}, err
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(0 < eps && eps < 1) {
 		eps = 0.1
 	}
 	if rng == nil {
