@@ -160,8 +160,15 @@ func (s *session) restore(buf []byte) error {
 		s.current.Weights = make([]float32, len(s.current.Selected))
 		r.F32s(s.current.Weights)
 	}
+	// A run too short to fill its window clamps it to Epochs+1 slots,
+	// so a checkpoint may carry another window than this session's. A
+	// ring that never wrapped holds its losses in slots [0, count) in
+	// any window, so such a checkpoint restores when every ring fits
+	// this window unwrapped (pos == count); anything else is a
+	// different configuration.
 	window := int(r.U32())
-	if window != s.hist.window {
+	resized := window != s.hist.window
+	if resized && window < 1 {
 		r.Failf("loss-history window %d, configured %d", window, s.hist.window)
 	}
 	// Once the reader has failed every flag reads 0, so the rest of
@@ -179,7 +186,16 @@ func (s *session) restore(buf []byte) error {
 			r.Failf("loss-history ring %d corrupt (pos %d, count %d)", i, pos, cnt)
 			break
 		}
-		r.F32s(s.hist.ring(i))
+		if !resized {
+			r.F32s(s.hist.ring(i))
+		} else if cnt <= s.hist.window && pos == cnt {
+			r.F32s(s.hist.ring(i)[:cnt])
+			r.Skip(4 * (window - cnt))
+			pos %= s.hist.window
+		} else {
+			r.Failf("loss-history window %d, configured %d", window, s.hist.window)
+			break
+		}
 		s.hist.pos[i], s.hist.count[i] = pos, cnt
 	}
 	ne := r.Count("metrics", epoch, 28)

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"nessa/internal/data"
@@ -173,4 +174,105 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restored session re-checkpoints to %d different bytes (input %d)", len(again), len(b))
 		}
 	})
+}
+
+// rewindow returns blob with its loss-history rings re-laid at `to`
+// slots each — zero slots appended, or trailing ones dropped, which must
+// be unwritten — and the offset of the first stored ring's pos field.
+func rewindow(t *testing.T, blob []byte, n, to int) (out []byte, firstRing int) {
+	t.Helper()
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
+	// Field offsets, walked from the layout comment in checkpoint.go.
+	const candOff = 56
+	subsetOff := candOff + 4 + 4*u32(candOff)
+	histOff := subsetOff + 4 + 8*u32(subsetOff)
+	from := u32(histOff)
+	out = binary.LittleEndian.AppendUint32(append([]byte(nil), blob[:histOff]...), uint32(to))
+	off := histOff + 4
+	for i := 0; i < n; i++ {
+		present := u32(off)
+		out = append(out, blob[off:off+4]...)
+		off += 4
+		if present == 0 {
+			continue
+		}
+		if firstRing == 0 {
+			firstRing = len(out)
+		}
+		out = append(out, blob[off:off+8+4*min(from, to)]...)
+		for j := from; j < to; j++ {
+			out = append(out, 0, 0, 0, 0)
+		}
+		for j := to; j < from; j++ {
+			if u32(off+8+4*j) != 0 {
+				t.Fatalf("ring %d: dropping written slot %d", i, j)
+			}
+		}
+		off += 8 + 4*from
+	}
+	return append(out, blob[off:]...), firstRing
+}
+
+// TestResumeAcrossWindowClamp: the loss-history window is
+// min(BiasWindow, Epochs+1), so runs that differ only in Epochs store
+// different windows. A checkpoint whose rings never wrapped restores
+// under either window, and the restored session re-checkpoints to the
+// bytes its own run would have written; a ring that does not fit the
+// narrower window is still refused.
+func TestResumeAcrossWindowClamp(t *testing.T) {
+	tr, te := data.Generate(tinySpec())
+	cfg := pinCfg() // 3 epochs: window min(5, 4) = 4
+	opt := tinyOptions()
+	opt.BiasWindow = 5
+	var narrow []byte
+	opt.CheckpointSink = func(epoch int, b []byte) error {
+		if epoch == 2 {
+			narrow = append([]byte(nil), b...)
+		}
+		return nil
+	}
+	if _, err := Run(tr, te, cfg, opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.CheckpointSink = nil
+	if err := validateOptions(&opt); err != nil {
+		t.Fatal(err)
+	}
+	restore := func(buf []byte, cfg trainer.Config) ([]byte, error) {
+		opt := opt
+		opt.Resume = buf
+		s, err := newSession(tr, te, cfg, opt)
+		if err != nil {
+			return nil, err
+		}
+		return s.checkpoint(s.epoch), nil
+	}
+	wide, ring := rewindow(t, narrow, tr.Len(), 5)
+	if ring == 0 {
+		t.Fatal("the epoch-2 checkpoint stores no loss-history ring")
+	}
+
+	got, err := restore(wide, cfg)
+	if err != nil {
+		t.Fatalf("5-slot checkpoint into a 4-slot session: %v", err)
+	}
+	if !bytes.Equal(got, narrow) {
+		t.Errorf("5-slot checkpoint restored into a 4-slot session re-checkpoints to different bytes")
+	}
+	longer := cfg
+	longer.Epochs = 4 // window min(5, 5) = 5
+	got, err = restore(narrow, longer)
+	if err != nil {
+		t.Fatalf("4-slot checkpoint into a 5-slot session: %v", err)
+	}
+	if !bytes.Equal(got, wide) {
+		t.Errorf("4-slot checkpoint restored into a 5-slot session re-checkpoints to different bytes")
+	}
+
+	full := append([]byte(nil), wide...)
+	binary.LittleEndian.PutUint32(full[ring:], 0)   // pos
+	binary.LittleEndian.PutUint32(full[ring+4:], 5) // count: 5 losses cannot fit 4 slots
+	if _, err := restore(full, cfg); err == nil || !strings.Contains(err.Error(), "loss-history window 5, configured 4") {
+		t.Errorf("a 5-loss ring restored into a 4-slot session: err = %v", err)
+	}
 }

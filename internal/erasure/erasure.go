@@ -8,27 +8,36 @@
 // ParityShards shards — data or parity, in any combination — can be
 // lost and reconstructed exactly from the survivors.
 //
-// Everything here is pure Go over the standard library: GF(256)
-// arithmetic uses log/exp tables generated from the AES/QR polynomial
-// x^8+x^4+x^3+x^2+1 (0x11d), and the coding matrix is the classic
-// systematic Vandermonde construction (V · V_top⁻¹), whose every
+// GF(256) arithmetic uses log/exp tables generated from the AES/QR
+// polynomial x^8+x^4+x^3+x^2+1 (0x11d), and the coding matrix is the
+// classic systematic Vandermonde construction (V · V_top⁻¹), whose every
 // DataShards×DataShards submatrix is invertible. The construction is
 // a pure function of (DataShards, ParityShards): two clusters with
 // the same placement always agree on parity bytes, which is what
-// makes degraded scans bit-identical across runs.
+// makes degraded scans bit-identical across runs. The bulk kernel runs
+// on AVX2 where the CPU has it (gf_amd64.s) and on portable Go
+// row-table loops everywhere else; both produce the same bytes.
 package erasure
 
-import "fmt"
+import (
+	"fmt"
+
+	"nessa/internal/cpu"
+)
 
 // gfPoly is the irreducible polynomial generating GF(2^8).
 const gfPoly = 0x11d
 
 // expTable[i] = g^i for the generator g=2; doubled so products of two
 // logs index without a mod. logTable inverts it (logTable[0] unused).
+// mulTable[c] is c's full multiplication row, the portable kernel's
+// lookup; nibbleTable[c] holds the same products split by nibble,
+// c·0…c·15 then c·0x00…c·0xf0, the vector kernel's two PSHUFB tables.
 var (
-	expTable [510]byte
-	logTable [256]byte
-	mulTable [256][256]byte
+	expTable    [510]byte
+	logTable    [256]byte
+	mulTable    [256][256]byte
+	nibbleTable [256][32]byte
 )
 
 func init() {
@@ -48,7 +57,19 @@ func init() {
 			mulTable[a][b] = expTable[la+int(logTable[b])]
 		}
 	}
+	for c := range nibbleTable {
+		for x := 0; x < 16; x++ {
+			nibbleTable[c][x] = mulTable[c][x]
+			nibbleTable[c][16+x] = mulTable[c][x<<4]
+		}
+	}
 }
+
+// useAVX2 routes dotSlices and mulAddSlice through the split-nibble
+// kernels in gf_amd64.s: AVX2 in hardware and an OS that saves the YMM
+// state. It is cpu.AVX2 in every build; tests clear it to force the
+// portable row-table loops.
+var useAVX2 = cpu.AVX2
 
 func gfMul(a, b byte) byte { return mulTable[a][b] }
 
@@ -234,20 +255,38 @@ func (c *Code) checkShape(shards [][]byte, full bool) (int, error) {
 // past the last full group go through mulAddSlice. Every in[k] must be
 // at least len(out) long and none may alias out.
 //
+// With useAVX2 the whole 32-byte blocks of out go through the
+// split-nibble kernels (gf_amd64.s) and the row-table loop covers only
+// the sub-32-byte tail; without it the loop covers all of out. Both
+// compute the same bytes: GF(256) arithmetic is exact.
+//
 //nessa:hotpath
 func dotSlices(coef []byte, in [][]byte, out []byte) {
 	coef = coef[:len(in)]
 	full := len(in) &^ 3 // sources covered by whole groups of four
+	lo := 0              // bytes of out the vector kernel covers
+	if useAVX2 {
+		lo = len(out) &^ 31
+	}
 	for k := 0; k < full; k += 4 {
-		t0, t1, t2, t3 := &mulTable[coef[k]], &mulTable[coef[k+1]], &mulTable[coef[k+2]], &mulTable[coef[k+3]]
 		a, b, c, d := in[k][:len(out)], in[k+1][:len(out)], in[k+2][:len(out)], in[k+3][:len(out)]
+		if lo > 0 {
+			n0, n1, n2, n3 := &nibbleTable[coef[k]], &nibbleTable[coef[k+1]], &nibbleTable[coef[k+2]], &nibbleTable[coef[k+3]]
+			if k == 0 {
+				gfDot4AVX2(n0, n1, n2, n3, &a[0], &b[0], &c[0], &d[0], &out[0], lo)
+			} else {
+				gfDot4XorAVX2(n0, n1, n2, n3, &a[0], &b[0], &c[0], &d[0], &out[0], lo)
+			}
+		}
+		t0, t1, t2, t3 := &mulTable[coef[k]], &mulTable[coef[k+1]], &mulTable[coef[k+2]], &mulTable[coef[k+3]]
+		a, b, c, d, o := a[lo:], b[lo:], c[lo:], d[lo:], out[lo:]
 		if k == 0 {
-			for i := range out {
-				out[i] = t0[a[i]] ^ t1[b[i]] ^ t2[c[i]] ^ t3[d[i]]
+			for i := range o {
+				o[i] = t0[a[i]] ^ t1[b[i]] ^ t2[c[i]] ^ t3[d[i]]
 			}
 		} else {
-			for i := range out {
-				out[i] ^= t0[a[i]] ^ t1[b[i]] ^ t2[c[i]] ^ t3[d[i]]
+			for i := range o {
+				o[i] ^= t0[a[i]] ^ t1[b[i]] ^ t2[c[i]] ^ t3[d[i]]
 			}
 		}
 	}
@@ -260,7 +299,7 @@ func dotSlices(coef []byte, in [][]byte, out []byte) {
 }
 
 // mulAddSlice does out[i] ^= coef*in[i] over GF(256), one source at a
-// time: dotSlices' tail path.
+// time: dotSlices' tail path, on the same vector/portable split.
 //
 //nessa:hotpath
 func mulAddSlice(coef byte, in, out []byte) {
@@ -268,6 +307,14 @@ func mulAddSlice(coef byte, in, out []byte) {
 		return
 	}
 	in = in[:len(out)]
+	lo := 0 // bytes of out the vector kernel covers
+	if useAVX2 {
+		lo = len(out) &^ 31
+	}
+	if lo > 0 {
+		gfMulXorAVX2(&nibbleTable[coef], &in[0], &out[0], lo)
+	}
+	in, out = in[lo:], out[lo:]
 	if coef == 1 {
 		for i := range out {
 			out[i] ^= in[i]

@@ -56,6 +56,64 @@ func TestDotSlicesMatchesReference(t *testing.T) {
 	}
 }
 
+// withPortable runs f with the vector kernels switched off, so the
+// row-table loops compute all of out.
+func withPortable(f func()) {
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	useAVX2 = false
+	f()
+}
+
+// TestDotSlicesVectorBlocks reaches the vector loop's full range:
+// lengths 32·j−1, 32·j and 32·j+1 for j ≤ 32 (the store and
+// xor-accumulate kernels over 1…32 blocks, the sub-32-byte tail on
+// either side of a block edge), on out and sources starting at every
+// offset 0…31 of their buffers, with 1…9 sources (groups of four, the
+// one-source tail, and both). Every result must equal the portable
+// loops', and at offset 0 the byte-at-a-time reference. Without AVX2
+// the first comparison is the portable path against itself and the
+// second still binds.
+func TestDotSlicesVectorBlocks(t *testing.T) {
+	rng := tensor.NewRNG(53)
+	const maxSrc, maxLen = 9, 32*32 + 1
+	base := randShards(rng, maxSrc, maxLen+64)
+	outBuf, want := make([]byte, maxLen+32), make([]byte, maxLen)
+	in, coef := make([][]byte, maxSrc), make([]byte, maxSrc)
+	for n := 1; n <= maxSrc; n++ {
+		for off := 0; off < 32; off++ {
+			for k := range coef[:n] {
+				coef[k] = byte(rng.Uint64())
+				in[k] = base[k][(off+7*k)%32:]
+			}
+			coef[off%n] &= 1 // a 0 or 1 coefficient in every draw
+			for j := 0; j <= 32; j++ {
+				for _, length := range []int{32*j - 1, 32 * j, 32*j + 1} {
+					if length < 0 {
+						continue
+					}
+					out := outBuf[off : off+length]
+					for i := range out {
+						out[i] = 0xA5
+					}
+					dotSlices(coef[:n], in[:n], out)
+					w := want[:length]
+					if off == 0 {
+						refDot(coef[:n], in[:n], w)
+					} else {
+						for i := range w {
+							w[i] = 0x5A
+						}
+						withPortable(func() { dotSlices(coef[:n], in[:n], w) })
+					}
+					if !bytes.Equal(out, w) {
+						t.Fatalf("%d sources, offset %d, length %d: vector path differs from the portable kernel", n, off, length)
+					}
+				}
+			}
+		}
+	}
+}
+
 // encoded returns a fully encoded shard set for a (k,m) code.
 func encoded(t *testing.T, c *Code, rng *tensor.RNG, size int) [][]byte {
 	t.Helper()

@@ -101,6 +101,9 @@ func TestScanArenaLifetimeAndTailZeroing(t *testing.T) {
 	if c.Devices[long] != spare || c.DeviceHealth(long) != HealthHealthy {
 		t.Fatalf("rebuild did not swap the spare into slot %d", long)
 	}
+	// The rebuilt stripe was decoded into the arena, which the next
+	// scan overwrites: the spare must hold a copy of it, not the slot.
+	dirtyArena(c)
 	if got, _, err := spare.SSD.ReadAt("ds", 0, int64(len(want[long]))); err != nil || !bytes.Equal(got, want[long]) {
 		t.Fatalf("the spare does not hold stripe %d (err %v)", long, err)
 	}

@@ -92,7 +92,8 @@ func (d *Device) lostCheck(link LinkModel, bucket, op, name string) error {
 	return fmt.Errorf("smartssd: %s of %q on device %d: %w", op, name, d.ID, faults.ErrDeviceLost)
 }
 
-// StoreDataset writes a dataset image to the drive under name.
+// StoreDataset writes a dataset image to the drive under name. The
+// drive keeps img (see storage.SSD.Write): do not modify it afterwards.
 func (d *Device) StoreDataset(name string, img []byte) error {
 	if err := d.lostCheck(d.Host, "ssd.error", "write", name); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package smartssd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -92,7 +93,8 @@ func (m *stripeMeta) lenOf(gi int) int64 {
 // and p.ParityShards Reed–Solomon parity stripes are computed over them
 // (stripes zero-padded to the longest stripe's length for the coding
 // math) and stored on devices [DataShards, Total()). It returns the
-// per-data-device record counts.
+// per-data-device record counts. The data stripes are views into img,
+// which the devices keep: do not modify img afterwards.
 //
 // The parity encode's GF-math time is charged to the cluster
 // accountant's "stripe.encode" bucket — with no parity there is no
@@ -487,7 +489,9 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		}
 		spare := c.spares[0]
 		before := spare.Clock.Now()
-		if err := spare.StoreDataset(name, payload); err != nil {
+		// payload is a view into the scan arena, which the next scan
+		// overwrites: the spare keeps a copy.
+		if err := spare.StoreDataset(name, bytes.Clone(payload)); err != nil {
 			c.spares = append(c.spares[1:], spare)
 			return 0, fmt.Errorf("smartssd: writing rebuilt stripe %d of %q to spare device %d: %w",
 				gi, name, spare.ID, err)

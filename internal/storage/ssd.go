@@ -111,13 +111,17 @@ func (s *SSD) alignUp(n int64) int64 {
 }
 
 // Write stores data under name and returns the simulated time the
-// write took. Rewriting an existing name replaces its contents (and
-// reuses its extent if the new data fits).
+// write took. The drive keeps data itself, not a copy: the caller must
+// not modify it afterwards, and the drive never writes into it. (A
+// copy would leave the caller's image, often tens of MB, as garbage
+// whose free span the next allocations fragment, so peak RSS would
+// depend on GC timing.) Rewriting an existing name replaces its
+// contents (and reuses its extent if the new data fits).
 func (s *SSD) Write(name string, data []byte) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.objects[name]; ok && int64(len(data)) <= s.alignUp(e.size) {
-		e.data = append(e.data[:0], data...)
+		e.data = data
 		e.fill = nil
 		e.size = int64(len(data))
 		return s.transferTime(int64(len(data)), true), nil
@@ -126,7 +130,7 @@ func (s *SSD) Write(name string, data []byte) (time.Duration, error) {
 	if s.nextOff+size > s.cfg.Capacity {
 		return 0, fmt.Errorf("storage: device full: need %d bytes, %d free", size, s.cfg.Capacity-s.nextOff)
 	}
-	e := &extent{name: name, off: s.nextOff, size: int64(len(data)), data: append([]byte(nil), data...)}
+	e := &extent{name: name, off: s.nextOff, size: int64(len(data)), data: data}
 	s.objects[name] = e
 	s.nextOff += size
 	return s.transferTime(int64(len(data)), true), nil

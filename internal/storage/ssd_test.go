@@ -164,6 +164,23 @@ func TestRewriteReusesExtent(t *testing.T) {
 	}
 }
 
+// The drive keeps the slice a Write hands it and never writes into it:
+// a rewrite in place swaps the slice, so the first writer's bytes stay
+// as they were.
+func TestWriteKeepsCallerSlice(t *testing.T) {
+	s := newTestSSD(t)
+	first := bytes.Repeat([]byte{7}, 1000)
+	s.Write("obj", first)
+	s.Write("obj", bytes.Repeat([]byte{9}, 500))
+	if !bytes.Equal(first, bytes.Repeat([]byte{7}, 1000)) {
+		t.Fatal("rewrite wrote into the first writer's slice")
+	}
+	got, _, err := s.ReadAt("obj", 0, 500)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{9}, 500)) {
+		t.Fatalf("rewrite read %v, %v", got[:4], err)
+	}
+}
+
 func TestPageAlignment(t *testing.T) {
 	s := newTestSSD(t)
 	s.Write("a", []byte{1})

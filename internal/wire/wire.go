@@ -96,6 +96,9 @@ func (r *Reader) F32s(dst []float32) {
 	}
 }
 
+// Skip consumes n ≥ 0 bytes the decoder has no use for.
+func (r *Reader) Skip(n int) { r.next(n) }
+
 // Count reads a length field bounded by max and by the bytes that remain
 // at size bytes per element: a corrupt count never sizes an allocation.
 func (r *Reader) Count(what string, max, size int) int {

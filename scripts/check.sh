@@ -99,11 +99,12 @@ go test -count=1 -run 'Alloc' ./...
 gate "portable kernels (purego)"
 # The purego tag drops the amd64 assembly, so the golden trajectories,
 # the selection equivalence tests and the e2e pins run on the portable
-# Go kernels that every other architecture uses. It does not stand in
+# Go kernels that every other architecture uses, and the erasure and
+# cluster tests run on the row-table GF(256) loops. It does not stand in
 # for nessa-vet's fma analyzer: gc fuses float multiply-adds only on
 # arm64-class targets, never on amd64.
 go test -tags purego ./internal/core ./internal/trainer ./internal/selection/... \
-	./internal/bench/e2e ./internal/tensor
+	./internal/bench/e2e ./internal/tensor ./internal/erasure ./internal/smartssd
 
 gate "fuzzing"
 # Every decoder of bytes from outside the program — the NSCP
@@ -113,16 +114,20 @@ gate "fuzzing"
 # error or byte-exact round trip, never a panic, never an allocation
 # beyond a small multiple of the input. The GEMM target differentially
 # fuzzes the AVX kernels against the portable Go kernels on ragged
-# shapes, bit for bit. `go test -fuzz` takes one target per invocation. A crasher fails the gate and go test writes
-# its input under testdata/fuzz/, where it belongs in the commit that
-# fixes it. -fuzzminimizetime 1x: the default spends up to a minute
+# shapes, bit for bit; the erasure target does the same for the AVX2
+# GF(256) kernel and round-trips Reconstruct / ReconstructData over
+# random placements, lengths, offsets and loss patterns. `go test
+# -fuzz` takes one target per invocation. A crasher fails the gate and
+# go test writes its input under testdata/fuzz/, where it belongs in
+# the commit that fixes it. -fuzzminimizetime 1x: the default spends up to a minute
 # minimizing each coverage-expanding input, i.e. all of a 3 s budget.
 for target in \
 	"FuzzRestore ./internal/core" \
 	"FuzzUnmarshalModelInto ./internal/nn" \
 	"FuzzUnmarshalSGDInto ./internal/nn" \
 	"FuzzDecodeRecord ./internal/data" \
-	"FuzzGEMMMatchesPortable ./internal/tensor"; do
+	"FuzzGEMMMatchesPortable ./internal/tensor" \
+	"FuzzReconstructMatchesPortable ./internal/erasure"; do
 	read -r name pkg <<<"$target"
 	go test -run '^$' -fuzz "^${name}\$" -fuzztime 3s -fuzzminimizetime 1x "$pkg"
 done
