@@ -138,10 +138,16 @@ func TestResumeSurvivesHostileCheckpoints(t *testing.T) {
 }
 
 // FuzzRestore: a checkpoint either fails to restore or restores into a
-// session whose own checkpoint is the input, byte for byte; it never
-// panics and never allocates more than the session's fixed cost plus a
-// small multiple of the input. The session is a 48-sample one so the
-// corpus stays small.
+// session that has reached a fixed point: its own checkpoint restores
+// and re-checkpoints to the same bytes. An input stored in the
+// session's loss-history window is that fixed point already and
+// re-checkpoints to itself byte for byte; one stored in another window
+// (a run with another Epochs, TestResumeAcrossWindowClamp) comes back
+// re-laid in this session's window; the committed corpus's
+// other-window entry is the seed session's checkpoint re-laid at 5
+// slots, rewindow's output. Restoring never panics and never
+// allocates more than the session's fixed cost plus a small multiple of
+// the input. The session is a 48-sample one so the corpus stays small.
 func FuzzRestore(f *testing.F) {
 	spec := tinySpec()
 	spec.SimTrain, spec.SimTest, spec.FeatureDim = 48, 16, 4
@@ -159,21 +165,47 @@ func FuzzRestore(f *testing.F) {
 	if err := validateOptions(&opt); err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
+	restore := func(b []byte) (s *session, err error) {
 		opt := opt
 		opt.Resume = b
+		return newSession(tr, te, cfg, opt)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
 		var s *session
 		var err error
-		if got := allocatedBy(func() { s, err = newSession(tr, te, cfg, opt) }); got > 64<<10+16*uint64(len(b)) {
+		if got := allocatedBy(func() { s, err = restore(b) }); got > 64<<10+16*uint64(len(b)) {
 			t.Fatalf("restoring %d bytes allocated %d", len(b), got)
 		}
 		if err != nil {
 			return
 		}
-		if again := s.checkpoint(s.epoch); !bytes.Equal(again, b) {
-			t.Fatalf("restored session re-checkpoints to %d different bytes (input %d)", len(again), len(b))
+		again := s.checkpoint(s.epoch)
+		if window := historyWindow(b); window == s.hist.window && !bytes.Equal(again, b) {
+			t.Fatalf("restored session re-checkpoints to %d different bytes (input %d, window %d)", len(again), len(b), window)
+		}
+		s, err = restore(again)
+		if err != nil {
+			t.Fatalf("a restored session's own checkpoint does not restore: %v", err)
+		}
+		if twice := s.checkpoint(s.epoch); !bytes.Equal(twice, again) {
+			t.Fatalf("restore-and-checkpoint is not a fixed point after one round (%d bytes, then %d)", len(again), len(twice))
 		}
 	})
+}
+
+// historyOff returns the offset of blob's loss-history window field,
+// walked from the layout comment in checkpoint.go. blob must be a
+// checkpoint that restores.
+func historyOff(blob []byte) int {
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
+	const candOff = 56
+	subsetOff := candOff + 4 + 4*u32(candOff)
+	return subsetOff + 4 + 8*u32(subsetOff)
+}
+
+// historyWindow returns the loss-history window blob stores.
+func historyWindow(blob []byte) int {
+	return int(binary.LittleEndian.Uint32(blob[historyOff(blob):]))
 }
 
 // rewindow returns blob with its loss-history rings re-laid at `to`
@@ -182,10 +214,7 @@ func FuzzRestore(f *testing.F) {
 func rewindow(t *testing.T, blob []byte, n, to int) (out []byte, firstRing int) {
 	t.Helper()
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(blob[off:])) }
-	// Field offsets, walked from the layout comment in checkpoint.go.
-	const candOff = 56
-	subsetOff := candOff + 4 + 4*u32(candOff)
-	histOff := subsetOff + 4 + 8*u32(subsetOff)
+	histOff := historyOff(blob)
 	from := u32(histOff)
 	out = binary.LittleEndian.AppendUint32(append([]byte(nil), blob[:histOff]...), uint32(to))
 	off := histOff + 4

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -127,26 +126,29 @@ func TestStoredImageMismatchIsAnError(t *testing.T) {
 
 // TestReselectionAllocatesNoScanBuffer: on a batch device run the
 // session lands every gathered scan in one buffer, so a second
-// reselection allocates nothing that grows with |cands|·recBytes.
+// reselection allocates nothing that grows with |cands|·recBytes. Both
+// runs are measured with moduleAllocBytes, which counts only stacks
+// through module code: a TotalAlloc delta also counts the runtime's
+// thread spawns, and one landing in the 1-epoch run made the difference
+// negative, wrapping it to about 1.8e19.
 func TestReselectionAllocatesNoScanBuffer(t *testing.T) {
 	tr, te := data.Generate(tinySpec())
-	alloc := func(epochs int) uint64 {
+	alloc := func(epochs int) int64 {
 		dev := storeOn(t, tr)
 		opt := matrixOptions("batch", 1)
 		opt.Device, opt.DatasetName = dev, "ds"
 		cfg := matrixCfg("batch")
 		cfg.Epochs = epochs
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := Run(tr, te, cfg, opt); err != nil {
+		var err error
+		got := moduleAllocBytes(func() { _, err = Run(tr, te, cfg, opt) })
+		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+		return int64(got)
 	}
 	alloc(2) // warm every lazily sized buffer outside the session
 	second := alloc(2) - alloc(1)
-	scan := uint64(tr.Len()) * uint64(tr.Spec.BytesPerImage)
+	scan := int64(tr.Len()) * int64(tr.Spec.BytesPerImage)
 	t.Logf("second reselection epoch: %d bytes allocated; one candidate scan: %d", second, scan)
 	if second >= scan/2 {
 		t.Fatalf("the second reselection epoch allocated %d bytes; one candidate scan is %d", second, scan)

@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 
+	"nessa/internal/cpu"
 	"nessa/internal/fpga"
 	"nessa/internal/parallel"
 	"nessa/internal/selection"
@@ -133,6 +134,9 @@ type Selector struct {
 	// Push dispatches them without allocating.
 	sieveFn     func(w, i, lo, hi int)
 	transformFn []func(w, c, lo, hi int)
+
+	results  []classResult // per class: its share of the last Finish
+	finishFn func(w, i, lo, hi int)
 }
 
 // NewSelector plans the selection state against the memory budget and
@@ -142,7 +146,7 @@ type Selector struct {
 // a budget must hold theirs with at least 16 reservoir rows each.
 func NewSelector(cfg Config) (*Selector, error) {
 	s := &Selector{pool: parallel.Default()}
-	s.sieveFn = s.sievePass
+	s.sieveFn, s.finishFn = s.sievePass, s.finishPass
 	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
@@ -404,37 +408,86 @@ func (s *Selector) sievePass(_, _, lo, hi int) {
 	}
 }
 
-// transformRows converts one chunk of GEMM dot products into clamped
-// similarities sim = max(0, c0 − ‖g‖² − ‖r‖² + 2·g·r) in place, and
-// records each row's singleton value and largest similarity. Rows
-// never straddle chunks, so the result is identical at any worker
+// transformRows runs transform over one chunk of class ci's batch rows.
+// Rows never straddle chunks, so the result is identical at any worker
 // count.
 //
 //nessa:hotpath
 func (s *Selector) transformRows(ci, lo, hi int) {
 	cs := s.sieves[ci]
-	c0 := cs.c0
-	base := s.start[ci]
-	for i := lo; i < hi; i++ {
-		g := s.gather[ci].Row(i)
-		na := tensor.Dot(g, g)
-		row := s.sims[ci].Row(i)
-		var v float64
-		var top float32
-		for t, dot := range row {
-			sim := c0 - na - cs.resNorm[t] + 2*dot
-			if sim < 0 {
-				sim = 0
-			}
-			if sim > top {
-				top = sim
-			}
-			row[t] = sim
-			v += float64(sim)
-		}
-		s.rawV[base+i] = v
-		s.top[base+i] = top
+	base, g, sims := s.start[ci], &s.gather[ci], &s.sims[ci]
+	transform(sims.Data[lo*sims.Cols:hi*sims.Cols], g.Data[lo*g.Cols:hi*g.Cols], cs.resNorm[:sims.Cols], cs.c0,
+		s.rawV[base+lo:base+hi], s.top[base+lo:base+hi])
+}
+
+// useAVX2 routes transform's whole 4-row groups through the row-lane
+// kernel in transform_amd64.s: AVX2 in hardware and an OS that saves
+// the YMM state. It is cpu.AVX2 in every build; tests clear it to force
+// the portable loop.
+var useAVX2 = cpu.AVX2
+
+// transform converts len(rawV) rows of GEMM dot products against the
+// reservoir (sims, len(resNorm) columns each) into clamped similarities
+// sim = max(0, c0 − ‖g‖² − ‖r‖² + 2·g·r) in place, and records each
+// row's singleton value Σₜ sim in rawV and its largest similarity in
+// top; emb holds the rows' embeddings, ‖g‖² their Dot with themselves.
+//
+// With useAVX2, whole groups of four rows run the vector kernel over
+// their whole 8-column blocks, and transformTail finishes their last
+// < 8 columns; without it, and for the < 4 rows left over, transformTail
+// covers whole rows. The kernel keeps one float64 lane per row and adds
+// a row's similarities to it in ascending t, as transformTail does, so
+// both paths give the same bits (DESIGN.md §4.10).
+//
+//nessa:hotpath
+func transform(sims, emb, resNorm []float32, c0 float32, rawV []float64, top []float32) {
+	rows, cols := len(rawV), len(resNorm)
+	if rows == 0 {
+		return
 	}
+	dim := len(emb) / rows
+	r := 0
+	if vec := cols &^ 7; useAVX2 && vec > 0 {
+		var c [4]float32
+		var v [4]float64
+		var tp [4]float32
+		for ; r+4 <= rows; r += 4 {
+			for j := range c {
+				g := emb[(r+j)*dim : (r+j+1)*dim]
+				c[j] = c0 - tensor.Dot(g, g)
+			}
+			transform4AVX2(&sims[r*cols], cols, &resNorm[0], vec, &c, &v, &tp)
+			for j := range c {
+				row := sims[(r+j)*cols : (r+j+1)*cols]
+				rawV[r+j], top[r+j] = transformTail(row[vec:], resNorm[vec:], c[j], v[j], tp[j])
+			}
+		}
+	}
+	for ; r < rows; r++ {
+		g := emb[r*dim : (r+1)*dim]
+		rawV[r], top[r] = transformTail(sims[r*cols:(r+1)*cols], resNorm, c0-tensor.Dot(g, g), 0, 0)
+	}
+}
+
+// transformTail is transform's portable loop: it carries one row's sum
+// v and maximum top over the columns of row, given the row's
+// c0 − ‖g‖².
+//
+//nessa:hotpath
+func transformTail(row, resNorm []float32, c0na float32, v float64, top float32) (float64, float32) {
+	resNorm = resNorm[:len(row)]
+	for t, dot := range row {
+		sim := c0na - resNorm[t] + 2*dot
+		if sim < 0 {
+			sim = 0
+		}
+		if sim > top {
+			top = sim
+		}
+		row[t] = sim
+		v += float64(sim)
+	}
+	return v, top
 }
 
 // Finish closes the stream and returns the selection: for each class,
@@ -447,6 +500,11 @@ func (s *Selector) transformRows(ci, lo, hi int) {
 // subsets with selection.Objective, not estimates with exact values.
 // Finish does not consume the state: it may be called repeatedly, and
 // more batches may be pushed in between.
+//
+// The classes finish as pool tasks (finishPass), each into its own
+// results slot; the slots are then concatenated and the objective
+// summed in class order, so the result does not depend on the worker
+// count.
 func (s *Selector) Finish() (selection.Result, Stats, error) {
 	st := Stats{
 		Records:      s.seen,
@@ -458,7 +516,9 @@ func (s *Selector) Finish() (selection.Result, Stats, error) {
 	if s.seen == 0 {
 		return selection.Result{}, st, fmt.Errorf("streaming: no records pushed")
 	}
-	var res selection.Result
+	s.results = grow(s.results, s.cfg.Classes)
+	s.pool.For(s.cfg.Classes, 1, s.finishFn)
+	picks := 0
 	for ci, cs := range s.sieves {
 		if cs == nil {
 			continue
@@ -472,23 +532,92 @@ func (s *Selector) Finish() (selection.Result, Stats, error) {
 		if cs.rcap > st.Reservoir {
 			st.Reservoir = cs.rcap
 		}
-		ids, weights, f := cs.finish()
-		res.Selected = append(res.Selected, ids...)
-		res.Weights = append(res.Weights, weights...)
-		res.Objective += f
+		picks += len(s.results[ci].ids)
+	}
+	res := selection.Result{Selected: make([]int, 0, picks), Weights: make([]float32, 0, picks)}
+	for ci, cs := range s.sieves {
+		if cs == nil {
+			continue
+		}
+		r := &s.results[ci]
+		res.Selected = append(res.Selected, r.ids...)
+		res.Weights = append(res.Weights, r.weights...)
+		res.Objective += r.f
 	}
 	return res, st, nil
 }
 
-// finish runs the per-class post-pass: deduplicate the candidate pool
-// (ladder buffers ∪ backup), lazy greedy against the reservoir, then
-// reservoir-share weights. Purely serial and read-only on the
-// streaming state, so repeated calls agree bit for bit.
-func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
-	if cs.seen == 0 || cs.resCount == 0 || cs.kc == 0 {
-		return nil, nil, 0
+// finishPass finishes classes [lo, hi) into their results slots, on the
+// calling worker's finish scratch.
+func (s *Selector) finishPass(w, _, lo, hi int) {
+	fs := finishArena.Get(w)
+	for ci := lo; ci < hi; ci++ {
+		if cs := s.sieves[ci]; cs != nil {
+			cs.finish(fs, &s.results[ci])
+		}
 	}
-	fs := &cs.fin
+}
+
+// classResult is one class's share of a Finish: its picks in pick
+// order, their weights, and its scaled objective estimate.
+type classResult struct {
+	ids     []int
+	weights []float32
+	f       float64
+}
+
+// finishScratch is one worker's finish storage. It lives in finishArena,
+// keyed by the pool's worker IDs, so that every selector in the process
+// finishes on the same few slots and a warm one allocates nothing but
+// the selection it returns. It is device-DRAM staging, not on-chip
+// state: MemoryBytes does not count it.
+type finishScratch struct {
+	pool     []poolRef
+	dedup    map[int]bool
+	cover    []float32
+	ub       []float64
+	chosen   []bool
+	poolNorm []float32
+	sel      []int
+	emb      []float32 // pool × dim: the candidates, gathered for the GEMM
+	sims     []float32 // pool × reservoir similarities, or one row on demand
+	bestS    []float32 // per reservoir slot: the weight vote's best similarity
+	bestJ    []int     // and the pick that holds it
+}
+
+var finishArena = parallel.NewWorkerLocal[finishScratch](nil)
+
+// poolRef is one finish candidate: a stream position and its embedding.
+type poolRef struct {
+	id  int
+	emb []float32
+}
+
+// finishBlockMax caps the pool × reservoir similarity block finish
+// materializes, in float32 entries (4 MB). The e2e and bench shapes sit
+// far below it (≤ 1,250 × 436); a larger pool, which only ladders filled
+// under a wide custom plan produce, computes each similarity row when
+// it is read instead. Both give the same bits. A variable so that tests
+// can force the on-demand rows.
+var finishBlockMax = 1 << 20
+
+// finish runs the per-class post-pass into out: deduplicate the
+// candidate pool (ladder buffers ∪ backup), lazy greedy against the
+// reservoir, then reservoir-share weights. It is read-only on the
+// streaming state, so repeated calls agree bit for bit.
+//
+// Every similarity the pass reads is sim(p, i) = max(0, c0 − ‖rᵢ‖² −
+// ‖eₚ‖² + 2·eₚ·rᵢ) between candidate p and reservoir row i. The pass
+// computes them once, as one pool × reservoir MatMulTransB whose
+// elements each run tensor.Dot's chain (one float32 product then add
+// per term, ascending k, from +0), then transforms them in place with
+// simPairN's association; the rounds of lazy greedy, the cover
+// updates and the weight vote read rows of that block.
+func (cs *classSieve) finish(fs *finishScratch, out *classResult) {
+	out.ids, out.weights, out.f = out.ids[:0], out.weights[:0], 0
+	if cs.seen == 0 || cs.resCount == 0 || cs.kc == 0 {
+		return
+	}
 	pool := fs.pool[:0]
 	if fs.dedup == nil {
 		fs.dedup = make(map[int]bool, cs.kc*(len(cs.levels)+1))
@@ -510,11 +639,10 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 		add(cs.bakIDs[t], cs.bakEmb[t*cs.dim:(t+1)*cs.dim])
 	}
 	fs.pool = pool
-	k := cs.kc
-	if k > len(pool) {
-		k = len(pool)
-	}
-	fs.cover = grow(fs.cover, cs.resCount)
+	k := min(cs.kc, len(pool))
+	n, dim := cs.resCount, cs.dim
+	res := cs.res.Data[:n*dim]
+	fs.cover = grow(fs.cover, n)
 	clear(fs.cover)
 	fs.ub = grow(fs.ub, len(pool))
 	fs.chosen = grow(fs.chosen, len(pool))
@@ -525,18 +653,41 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 		ub[p] = math.Inf(1)
 		poolNorm[p] = tensor.Dot(pool[p].emb, pool[p].emb)
 	}
-	gain := func(p int) float64 {
-		var g float64
-		e, ne := pool[p].emb, poolNorm[p]
-		for i := 0; i < cs.resCount; i++ {
-			sim := cs.simPairN(cs.res.Data[i*cs.dim:(i+1)*cs.dim], cs.resNorm[i], e, ne)
-			if d := sim - cover[i]; d > 0 {
-				g += float64(d)
+	block := len(pool)*n <= finishBlockMax
+	if block {
+		fs.emb = grow(fs.emb, len(pool)*dim)
+		for p := range pool {
+			copy(fs.emb[p*dim:(p+1)*dim], pool[p].emb)
+		}
+		fs.sims = grow(fs.sims, len(pool)*n)
+		sims := tensor.Matrix{Rows: len(pool), Cols: n, Data: fs.sims}
+		tensor.MatMulTransB(&sims,
+			&tensor.Matrix{Rows: len(pool), Cols: dim, Data: fs.emb},
+			&tensor.Matrix{Rows: n, Cols: dim, Data: res})
+		for p := range pool {
+			row := sims.Row(p)
+			for i, dot := range row {
+				row[i] = cs.clampSim(cs.resNorm[i], poolNorm[p], dot)
 			}
 		}
-		return g
+	} else {
+		fs.sims = grow(fs.sims, n)
 	}
-	ids = make([]int, 0, k)
+	// simRow returns candidate p's similarities to the reservoir rows:
+	// a row of the block, or, past finishBlockMax, computed into the one
+	// row buffer, valid until the next call.
+	simRow := func(p int) []float32 {
+		if block {
+			return fs.sims[p*n : (p+1)*n]
+		}
+		row := fs.sims[:n]
+		for i := range row {
+			row[i] = cs.simPairN(res[i*dim:(i+1)*dim], cs.resNorm[i], pool[p].emb, poolNorm[p])
+		}
+		return row
+	}
+
+	ids := out.ids
 	sel := fs.sel[:0] // pool indices of the selection
 	for round := 0; round < k; round++ {
 		bestP, bestG := -1, -1.0
@@ -544,7 +695,12 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 			if chosen[p] || ub[p] <= bestG {
 				continue
 			}
-			g := gain(p)
+			var g float64
+			for i, sim := range simRow(p) {
+				if d := sim - cover[i]; d > 0 {
+					g += float64(d)
+				}
+			}
 			ub[p] = g
 			if g > bestG {
 				bestG, bestP = g, p
@@ -556,38 +712,36 @@ func (cs *classSieve) finish() (ids []int, weights []float32, fEst float64) {
 		chosen[bestP] = true
 		ids = append(ids, pool[bestP].id)
 		sel = append(sel, bestP)
-		fEst += bestG
-		e, ne := pool[bestP].emb, poolNorm[bestP]
-		for i := 0; i < cs.resCount; i++ {
-			if sim := cs.simPairN(cs.res.Data[i*cs.dim:(i+1)*cs.dim], cs.resNorm[i], e, ne); sim > cover[i] {
+		out.f += bestG
+		for i, sim := range simRow(bestP) {
+			if sim > cover[i] {
 				cover[i] = sim
 			}
 		}
 	}
 	fs.sel = sel
-	// Reservoir-share weights: each slot votes for its best medoid,
-	// each vote carries seen/resCount stream records.
-	weights = make([]float32, len(ids))
-	scale := float32(cs.seen) / float32(cs.resCount)
-	for i := 0; i < cs.resCount; i++ {
-		bestJ, bestS := 0, float32(-1)
-		for j, p := range sel {
-			if sim := cs.simPairN(cs.res.Data[i*cs.dim:(i+1)*cs.dim], cs.resNorm[i], pool[p].emb, poolNorm[p]); sim > bestS {
-				bestS, bestJ = sim, j
+	out.ids = ids
+	// Reservoir-share weights: each slot votes for its best medoid (the
+	// first pick to reach its largest similarity), each vote carries
+	// seen/resCount stream records.
+	fs.bestS = grow(fs.bestS, n)
+	fs.bestJ = grow(fs.bestJ, n)
+	bestS, bestJ := fs.bestS, fs.bestJ
+	for i := range bestS {
+		bestS[i], bestJ[i] = -1, 0
+	}
+	for j, p := range sel {
+		for i, sim := range simRow(p) {
+			if sim > bestS[i] {
+				bestS[i], bestJ[i] = sim, j
 			}
 		}
-		weights[bestJ] += scale
 	}
-	fEst *= float64(scale)
-	return ids, weights, fEst
-}
-
-// simPairN is simPair with the second operand's norm precomputed.
-func (cs *classSieve) simPairN(a []float32, na float32, b []float32, nb float32) float32 {
-	dot := tensor.Dot(a, b)
-	s := cs.c0 - na - nb + 2*dot
-	if s < 0 {
-		return 0
+	out.weights = grow(out.weights, len(ids))
+	clear(out.weights)
+	scale := float32(cs.seen) / float32(cs.resCount)
+	for _, j := range bestJ {
+		out.weights[j] += scale
 	}
-	return s
+	out.f *= float64(scale)
 }

@@ -267,6 +267,34 @@ func TestStreamingFinishIdempotent(t *testing.T) {
 	}
 }
 
+// TestFinishRowsOnDemandMatchBlock: a pool past finishBlockMax computes
+// each similarity row when it is read instead of as one GEMM block; the
+// selection, weights and objective must keep every bit.
+func TestFinishRowsOnDemandMatchBlock(t *testing.T) {
+	const n, d, classes, k = 3000, 6, 3, 60
+	emb, labels := clusteredEmb(93, n, d, 11, classes)
+	sel, err := NewSelector(Config{Classes: classes, Dim: d, K: k, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushAll(t, sel, emb, labels, 256)
+	want, _, err := sel.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(prev int) { finishBlockMax = prev }(finishBlockMax)
+	finishBlockMax = 0
+	got, _, err := sel.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Selected) == 0 || !slices.Equal(got.Selected, want.Selected) || !sameF32(got.Weights, want.Weights) ||
+		math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("on-demand rows select %v (objective %v), the block %v (objective %v)",
+			got.Selected, got.Objective, want.Selected, want.Objective)
+	}
+}
+
 // TestStreamingMemoryBudget: the planned state must fit the on-chip
 // budget and equal what the selector then allocates, and an impossible
 // budget must fail loudly at construction.

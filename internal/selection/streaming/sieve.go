@@ -75,26 +75,7 @@ type classSieve struct {
 
 	prefill int // rows of the current batch consumed by reservoir prefill
 
-	fin finishScratch
-}
-
-// finishScratch is finish's working storage, kept so that a selector
-// reused across passes finishes without allocating anything but its
-// result.
-type finishScratch struct {
-	pool     []poolRef
-	dedup    map[int]bool
-	cover    []float32
-	ub       []float64
-	chosen   []bool
-	poolNorm []float32
-	sel      []int
-}
-
-// poolRef is one finish candidate: a stream position and its embedding.
-type poolRef struct {
-	id  int
-	emb []float32
+	lvNorm []float32 // cap kc: applyPending's norms of one rung's buffered rows
 }
 
 // reset plans cs for a new class stream — budget kc, dim-wide rows,
@@ -118,7 +99,7 @@ func (cs *classSieve) reset(class, kc, dim, rcap, maxLevels int, eps float64, c0
 		levels:   grow(cs.levels, maxLevels)[:0:maxLevels],
 		freeLv:   grow(cs.freeLv, maxLevels)[:0:maxLevels],
 		lvAll:    cs.lvAll,
-		fin:      cs.fin,
+		lvNorm:   grow(cs.lvNorm, kc),
 	}
 	clear(cs.pendMark)
 	for len(cs.lvAll) < maxLevels {
@@ -354,6 +335,8 @@ func (cs *classSieve) prefillReservoir(emb []float32) {
 // rebuilds every level's coverage of the touched slots (and its f,
 // which is their sum). Replacements are rare after warm-up — the
 // expected total over the stream is R·ln(n/R) — so this stays cheap.
+// Each rung's buffered-row norms are computed once per call, not once
+// per touched slot.
 func (cs *classSieve) applyPending() {
 	if cs.pendLen == 0 {
 		return
@@ -366,12 +349,17 @@ func (cs *classSieve) applyPending() {
 		cs.pendMark[slot] = false
 	}
 	for _, lv := range cs.levels {
+		norms := cs.lvNorm[:lv.count]
+		for t := range norms {
+			e := lv.emb[t*cs.dim : (t+1)*cs.dim]
+			norms[t] = tensor.Dot(e, e)
+		}
 		for s := 0; s < cs.pendLen; s++ {
 			slot := cs.pendSlot[s]
 			row := cs.res.Data[slot*cs.dim : (slot+1)*cs.dim]
 			var best float32
-			for t := 0; t < lv.count; t++ {
-				if sim := cs.simPair(row, cs.resNorm[slot], lv.emb[t*cs.dim:(t+1)*cs.dim]); sim > best {
+			for t, nb := range norms {
+				if sim := cs.simPairN(row, cs.resNorm[slot], lv.emb[t*cs.dim:(t+1)*cs.dim], nb); sim > best {
 					best = sim
 				}
 			}
@@ -389,12 +377,17 @@ func (cs *classSieve) applyPending() {
 	cs.pendLen = 0
 }
 
-// simPair computes the clamped facility-location similarity
-// max(0, c0 − ‖a−b‖²) between a reservoir row and a buffered
-// embedding, matching the batched GEMM transform's formula.
-func (cs *classSieve) simPair(a []float32, na float32, b []float32) float32 {
-	nb := tensor.Dot(b, b)
-	dot := tensor.Dot(a, b)
+// simPairN computes the clamped facility-location similarity
+// max(0, c0 − ‖a−b‖²) between a reservoir row a and a candidate b, given
+// both squared norms, matching the batched GEMM transform's formula.
+func (cs *classSieve) simPairN(a []float32, na float32, b []float32, nb float32) float32 {
+	return cs.clampSim(na, nb, tensor.Dot(a, b))
+}
+
+// clampSim is max(0, c0 − na − nb + 2·dot) in that association: the one
+// place finish's GEMM block and simPairN turn a dot product into a
+// similarity, so the two agree bit for bit.
+func (cs *classSieve) clampSim(na, nb, dot float32) float32 {
 	s := cs.c0 - na - nb + 2*dot
 	if s < 0 {
 		return 0

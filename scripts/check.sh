@@ -116,7 +116,9 @@ gate "fuzzing"
 # fuzzes the AVX kernels against the portable Go kernels on ragged
 # shapes, bit for bit; the erasure target does the same for the AVX2
 # GF(256) kernel and round-trips Reconstruct / ReconstructData over
-# random placements, lengths, offsets and loss patterns. `go test
+# random placements, lengths, offsets and loss patterns; the streaming
+# target holds the AVX2 similarity transform to the portable loop on
+# ragged row and column counts and NaN, ±Inf and ±0 values. `go test
 # -fuzz` takes one target per invocation. A crasher fails the gate and
 # go test writes its input under testdata/fuzz/, where it belongs in
 # the commit that fixes it. -fuzzminimizetime 1x: the default spends up to a minute
@@ -127,7 +129,8 @@ for target in \
 	"FuzzUnmarshalSGDInto ./internal/nn" \
 	"FuzzDecodeRecord ./internal/data" \
 	"FuzzGEMMMatchesPortable ./internal/tensor" \
-	"FuzzReconstructMatchesPortable ./internal/erasure"; do
+	"FuzzReconstructMatchesPortable ./internal/erasure" \
+	"FuzzTransformMatchesPortable ./internal/selection/streaming"; do
 	read -r name pkg <<<"$target"
 	go test -run '^$' -fuzz "^${name}\$" -fuzztime 3s -fuzzminimizetime 1x "$pkg"
 done
@@ -135,8 +138,8 @@ done
 gate "benchmarks (short mode)"
 # One pass over the hot-path benchmarks so a perf-destroying change
 # shows up in CI logs even when every test still passes.
-go test -run xxx -bench 'BenchmarkTrainEpoch|BenchmarkGEMMKernels' -benchtime 1x \
-	./internal/trainer/ ./internal/tensor/
+go test -run xxx -bench 'BenchmarkTrainEpoch|BenchmarkGEMMKernels|BenchmarkSelectorPush|BenchmarkSelectorFinish' \
+	-benchtime 1x ./internal/trainer/ ./internal/tensor/ ./internal/selection/streaming/
 
 gate "determinism gate"
 # The five measured artifacts recompute selection subsets and training
