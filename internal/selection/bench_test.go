@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"fmt"
 	"testing"
 
 	"nessa/internal/parallel"
@@ -92,6 +93,29 @@ func BenchmarkPartitionedStochastic(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sel(emb, cand, shape.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStochasticGreedyChunk measures one partition chunk's
+// stochastic-greedy selection on a warm Scratch at the chunk shapes of
+// two end-to-end workloads: nessa_default's 40 rows (SubsetFrac 0.4)
+// and cluster_loss's 160 (SubsetFrac 0.1), each picking m = 16 of
+// dim-10 rows at ε = 0.1 — tile build, gain scans and assignment.
+func BenchmarkStochasticGreedyChunk(b *testing.B) {
+	for _, n := range []int{40, 160} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			emb, cand := benchInstance(n, 10)
+			sc := new(Scratch)
+			rng := tensor.NewRNG(5)
+			sel := sc.StochasticMaximizer(0.1, rng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sel(emb, cand, 16); err != nil {
 					b.Fatal(err)
 				}
 			}

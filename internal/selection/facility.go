@@ -22,7 +22,13 @@
 // chunk grid keeps objectives bit-identical across worker counts, so
 // selections are reproducible on any machine; parallel.SetDefaultWorkers(1)
 // forces fully serial execution. An instance of one chunk (a partition
-// chunk, a small class) scans its precomputed similarity tile instead.
+// chunk, a small class) scans its precomputed similarity tile instead:
+// one GEMM of the packed rows plus a vector epilogue builds the tile,
+// and stochastic greedy scores its drawn candidates four rows per AVX2
+// pass, one float64 lane each (gain_amd64.s). The vector kernels give
+// the portable loops' bits, so the tiled path, the direct path and
+// every build select the same subsets (DESIGN.md §4.10, the row-lane
+// rule).
 package selection
 
 import (
@@ -31,6 +37,7 @@ import (
 	"math"
 	"slices"
 
+	"nessa/internal/cpu"
 	"nessa/internal/parallel"
 	"nessa/internal/tensor"
 )
@@ -75,6 +82,9 @@ type Scratch struct {
 	fac       facility
 	norms     []float32
 	tile      []float32 // the n×n tile, then the n packed candidate rows
+	tileM     tensor.Matrix
+	packM     tensor.Matrix // the tile GEMM's operands, over tile
+	gains     []float64     // a stochastic-greedy round's drawn gains
 	best      []float32
 	chosen    []bool
 	remaining []int
@@ -140,7 +150,8 @@ var directOnly bool
 // are the chunk's whole selection working set, computed once here
 // instead of once per gain, absorb and assignment. Each tile entry is
 // the float32 sim computes, so the tiled and direct paths select the
-// same subsets with bit-identical weights and objectives.
+// same subsets with bit-identical weights and objectives. The GEMM's
+// operand headers live in sc, so a warm build allocates nothing.
 func newFacility(sc *Scratch, emb *tensor.Matrix, cand []int) *facility {
 	f := newDirectFacility(sc, emb, cand)
 	n, dim := len(cand), emb.Cols
@@ -153,7 +164,9 @@ func newFacility(sc *Scratch, emb *tensor.Matrix, cand []int) *facility {
 	for i, gi := range cand {
 		copy(pack[i*dim:(i+1)*dim], emb.Row(gi))
 	}
-	buildTile(f.tile, pack, f.norms, dim, f.c0)
+	sc.tileM = tensor.Matrix{Rows: n, Cols: n, Data: f.tile}
+	sc.packM = tensor.Matrix{Rows: n, Cols: dim, Data: pack}
+	buildTile(&sc.tileM, &sc.packM, f.norms, f.c0)
 	return f
 }
 
@@ -195,68 +208,60 @@ func (f *facility) sim(a, b int) float32 {
 // simOf is the similarity c0 − ‖ga − gb‖² from the two cached squared
 // norms and the dot product d = ga·gb, clamped at 0 against float
 // round-off below the bound. Both paths compute every similarity
-// through it, so they round identically.
+// through it, so they round identically. The conversion rounds 2·d
+// before the subtraction, which a target with fused multiply-adds would
+// otherwise fold into one.
 //
 //nessa:inline
 func simOf(c0, na, nb, d float32) float32 {
-	s := c0 - (na + nb - 2*d)
+	s := c0 - (na + nb - float32(2*d))
 	if s < 0 {
 		s = 0
 	}
 	return s
 }
 
-// buildTile fills tile (n×n, n = len(norms)) with the similarity of
-// every pair of the n rows packed in pack, dim components each. It
-// computes the upper triangle four output columns per pass, one
-// accumulator per column, adding the products in ascending k in
-// tensor.Dot's no-FMA form, and mirrors it into the lower triangle.
-// Each entry is therefore bit-identical to sim: the products and the
-// norm sum commute, and the order of k is Dot's.
+// useAVX2 routes the tile's gain scan and similarity epilogue through
+// the kernels in gain_amd64.s: AVX2 in hardware and an OS that saves the
+// YMM state. It is cpu.AVX2 in every build; tests clear it to force the
+// portable loops.
+var useAVX2 = cpu.AVX2
+
+// buildTile fills tile (n×n) with the similarity of every pair of the
+// n rows of pack: one MatMulTransB(tile, pack, pack), then simOf over
+// the block in place. Each GEMM element is one float32 chain from +0
+// over ascending k, each product rounded before its add (DESIGN.md
+// §4.9 rule 1) — tensor.Dot's loop, and the same chain for (a, b) and
+// (b, a), since the products commute — so every entry is bit-identical
+// to sim.
 //
 //nessa:hotpath
-func buildTile(tile, pack, norms []float32, dim int, c0 float32) {
+func buildTile(tile, pack *tensor.Matrix, norms []float32, c0 float32) {
+	tensor.MatMulTransB(tile, pack, pack)
+	simTile(tile.Data, norms, c0)
+}
+
+// simTile turns the n×n dot products in tile (n = len(norms)) into
+// similarities in place: entry (a, b) becomes simOf(c0, norms[a],
+// norms[b], dot). With useAVX2 each row's whole 8-column blocks run
+// simRowAVX2, which keeps simOf's association and clamp, and simOf
+// finishes the last < 8 columns.
+//
+//nessa:hotpath
+func simTile(tile, norms []float32, c0 float32) {
 	n := len(norms)
-	for i := 0; i < n; i++ {
-		a := pack[i*dim : (i+1)*dim]
-		row := tile[i*n : (i+1)*n]
-		ni := norms[i]
-		j := i
-		for ; j+4 <= n; j += 4 {
-			b0 := pack[j*dim:][:len(a)]
-			b1 := pack[(j+1)*dim:][:len(a)]
-			b2 := pack[(j+2)*dim:][:len(a)]
-			b3 := pack[(j+3)*dim:][:len(a)]
-			var s0, s1, s2, s3 float32
-			for k, x := range a {
-				t0 := x * b0[k]
-				t1 := x * b1[k]
-				t2 := x * b2[k]
-				t3 := x * b3[k]
-				s0 += t0
-				s1 += t1
-				s2 += t2
-				s3 += t3
-			}
-			row[j] = simOf(c0, ni, norms[j], s0)
-			row[j+1] = simOf(c0, ni, norms[j+1], s1)
-			row[j+2] = simOf(c0, ni, norms[j+2], s2)
-			row[j+3] = simOf(c0, ni, norms[j+3], s3)
-		}
-		for ; j < n; j++ {
-			b := pack[j*dim:][:len(a)]
-			var s float32
-			for k, x := range a {
-				t := x * b[k]
-				s += t
-			}
-			row[j] = simOf(c0, ni, norms[j], s)
-		}
+	vec := 0
+	if useAVX2 {
+		vec = n &^ 7
 	}
-	for i := 1; i < n; i++ {
-		row := tile[i*n : i*n+i]
-		for j := range row {
-			row[j] = tile[j*n+i]
+	for a, na := range norms {
+		row := tile[a*n : (a+1)*n]
+		if vec > 0 {
+			simRowAVX2(&row[0], &norms[0], vec, na, c0)
+		}
+		tail := norms[vec:]
+		for b, d := range row[vec:][:len(tail)] {
+			row[vec+b] = simOf(c0, na, tail[b], d)
 		}
 	}
 }
@@ -275,7 +280,7 @@ func (f *facility) tileRow(j int) []float32 {
 // sum over the tile row.
 func (f *facility) gain(j int, best []float32) float64 {
 	if f.tile != nil {
-		return tileGain(f.tileRow(j), best)
+		return tileGain(f.tileRow(j), best, 0)
 	}
 	gj := f.emb.Row(f.cand[j])
 	nj := f.norms[j]
@@ -291,12 +296,46 @@ func (f *facility) gain(j int, best []float32) float64 {
 	})
 }
 
-// tileGain is gain's candidate scan over one tile row.
+// gains sets out[t] to the gain of candidate drawn[t], bit for bit
+// what gain returns. On a tiled instance with useAVX2 the drawn rows go
+// through gain4AVX2 four at a time — a last group of fewer is padded by
+// repeating a live row, whose extra lanes are dropped — over the rows'
+// whole 8-column blocks, and tileGain carries each lane's sum over the
+// last < 8 columns. Each lane adds its row's terms in ascending i, as
+// tileGain does.
 //
 //nessa:hotpath
-func tileGain(row, best []float32) float64 {
+func (f *facility) gains(drawn []int, best []float32, out []float64) {
+	out = out[:len(drawn)]
+	n := len(f.cand)
+	vec := n &^ 7
+	if f.tile == nil || !useAVX2 || vec == 0 {
+		for t, j := range drawn {
+			out[t] = f.gain(j, best)
+		}
+		return
+	}
+	best = best[:n]
+	var rows [4][]float32
+	var g [4]float64
+	for t := 0; t < len(drawn); t += 4 {
+		live := min(4, len(drawn)-t)
+		for c := range rows {
+			rows[c] = f.tileRow(drawn[t+min(c, live-1)])
+		}
+		gain4AVX2(&rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &best[0], vec, &g)
+		for c := 0; c < live; c++ {
+			out[t+c] = tileGain(rows[c][vec:], best[vec:], g[c])
+		}
+	}
+}
+
+// tileGain is gain's candidate scan over one tile row, added to g in
+// ascending i.
+//
+//nessa:hotpath
+func tileGain(row, best []float32, g float64) float64 {
 	best = best[:len(row)]
-	var g float64
 	for i, s := range row {
 		if b := best[i]; s > b {
 			g += float64(s - b)
@@ -573,20 +612,27 @@ func (sc *Scratch) stochasticGreedy(emb *tensor.Matrix, cand []int, k int, eps f
 	for i := range remaining {
 		remaining[i] = i
 	}
+	sc.gains = grow(sc.gains, min(sample, n))
 	for len(selected) < k && len(remaining) > 0 {
-		bestJ, bestG := -1, -1.0
 		draws := sample
 		if draws > len(remaining) {
 			draws = len(remaining)
 		}
 		// Partial Fisher–Yates: after t swaps, remaining[:t+1] holds
-		// t+1 distinct uniform draws from the remaining pool.
+		// t+1 distinct uniform draws from the remaining pool, in draw
+		// order. Gains never feed the RNG, so scoring the draws as one
+		// batch afterwards leaves every draw where it was.
 		for t := 0; t < draws; t++ {
 			swap := t + rng.Intn(len(remaining)-t)
 			remaining[t], remaining[swap] = remaining[swap], remaining[t]
-			j := remaining[t]
-			if g := f.gain(j, best); g > bestG {
-				bestG, bestJ = g, j
+		}
+		drawn := remaining[:draws]
+		gains := sc.gains[:draws]
+		f.gains(drawn, best, gains)
+		bestJ, bestG := -1, -1.0
+		for t, g := range gains {
+			if g > bestG {
+				bestG, bestJ = g, drawn[t]
 			}
 		}
 		if bestJ < 0 {

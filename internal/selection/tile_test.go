@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nessa/internal/cpu"
 	"nessa/internal/tensor"
 )
 
@@ -129,4 +130,119 @@ func TestPartitionedReusesTileStorage(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("warm partitioned selection allocated %d B, want ≤ %d B (tile storage is allocated per chunk)", got, bound)
 	}
+}
+
+// buildTileRef is the tile builder the GEMM replaced, kept as the
+// reference buildTile is held to: it computes the upper triangle four
+// output columns per pass, one float32 accumulator per column adding
+// the rounded products in ascending k from +0, applies simOf, and
+// mirrors the triangle into the lower one.
+func buildTileRef(tile, pack, norms []float32, dim int, c0 float32) {
+	n := len(norms)
+	for i := 0; i < n; i++ {
+		a := pack[i*dim : (i+1)*dim]
+		row := tile[i*n : (i+1)*n]
+		ni := norms[i]
+		j := i
+		for ; j+4 <= n; j += 4 {
+			b0 := pack[j*dim:][:len(a)]
+			b1 := pack[(j+1)*dim:][:len(a)]
+			b2 := pack[(j+2)*dim:][:len(a)]
+			b3 := pack[(j+3)*dim:][:len(a)]
+			var s0, s1, s2, s3 float32
+			for k, x := range a {
+				s0 += float32(x * b0[k])
+				s1 += float32(x * b1[k])
+				s2 += float32(x * b2[k])
+				s3 += float32(x * b3[k])
+			}
+			row[j] = simOf(c0, ni, norms[j], s0)
+			row[j+1] = simOf(c0, ni, norms[j+1], s1)
+			row[j+2] = simOf(c0, ni, norms[j+2], s2)
+			row[j+3] = simOf(c0, ni, norms[j+3], s3)
+		}
+		for ; j < n; j++ {
+			b := pack[j*dim:][:len(a)]
+			var s float32
+			for k, x := range a {
+				s += float32(x * b[k])
+			}
+			row[j] = simOf(c0, ni, norms[j], s)
+		}
+	}
+	for i := 1; i < n; i++ {
+		row := tile[i*n : i*n+i]
+		for j := range row {
+			row[j] = tile[j*n+i]
+		}
+	}
+}
+
+// TestTileMatchesScalarReference holds buildTile — one MatMulTransB
+// plus the simOf epilogue — to buildTileRef bit for bit, NaN payloads
+// aside (sameBits), for n 1–70 and dim 1–33: on rows with NaN, ±Inf,
+// ±0, denormals and overflowing values, with norms that are the rows'
+// own or hostile too and a c0 of either sign, and on all-zero rows
+// (c0 = 1), under the AVX2 epilogue and with useAVX2 cleared.
+func TestTileMatchesScalarReference(t *testing.T) {
+	dimStep := 1
+	if raceEnabled {
+		dimStep = 8
+	}
+	for _, avx := range []bool{false, true} {
+		if avx && !cpu.AVX2 {
+			continue
+		}
+		prev := useAVX2
+		useAVX2 = avx
+		for n := 1; n <= 70; n++ {
+			for dim := 1; dim <= 33; dim += dimStep {
+				rng := tensor.NewRNG(uint64(100*n + dim))
+				for _, kind := range []string{"hostile", "zero"} {
+					pack := tensor.NewMatrix(n, dim)
+					norms := make([]float32, n)
+					c0 := float32(1)
+					if kind == "hostile" {
+						for i := range pack.Data {
+							pack.Data[i] = hostileF32(rng, 15, 1)
+						}
+						for i := range norms {
+							if rng.Intn(4) == 0 {
+								norms[i] = hostileF32(rng, 3, 4)
+							} else {
+								norms[i] = tensor.Dot(pack.Row(i), pack.Row(i))
+							}
+						}
+						c0 = hostileF32(rng, 7, 64)
+					}
+					want := make([]float32, n*n)
+					buildTileRef(want, pack.Data, norms, dim, c0)
+					got := tensor.NewMatrix(n, n)
+					for i := range got.Data {
+						got.Data[i] = float32(math.NaN())
+					}
+					buildTile(got, pack, norms, c0)
+					for i, w := range want {
+						g := got.Data[i]
+						if !sameBits(g, w) {
+							useAVX2 = prev
+							t.Fatalf("avx=%v %s n=%d dim=%d c0=%v: tile[%d][%d] = %v (%#x), scalar %v (%#x)",
+								avx, kind, n, dim, c0, i/n, i%n, g, math.Float32bits(g), w, math.Float32bits(w))
+						}
+					}
+				}
+			}
+		}
+		useAVX2 = prev
+	}
+}
+
+// sameBits reports whether two similarities agree bit for bit, or are
+// both NaN. A NaN's payload is the one thing the tile builders may
+// differ in: x86 passes on the first operand's NaN when both are NaN,
+// and the GEMM and the scalar loop order a product's operands, and gc
+// a commutative add's, differently. No comparison a maximizer makes can
+// see a payload.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
 }

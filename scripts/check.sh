@@ -118,7 +118,10 @@ gate "fuzzing"
 # GF(256) kernel and round-trips Reconstruct / ReconstructData over
 # random placements, lengths, offsets and loss patterns; the streaming
 # target holds the AVX2 similarity transform to the portable loop on
-# ragged row and column counts and NaN, ±Inf and ±0 values. `go test
+# ragged row and column counts and NaN, ±Inf and ±0 values, and the
+# facility-gain target holds the four-candidate AVX2 gain scan to the
+# per-row loop on ragged draw and column counts with the same values,
+# denormals and repeated draws. `go test
 # -fuzz` takes one target per invocation. A crasher fails the gate and
 # go test writes its input under testdata/fuzz/, where it belongs in
 # the commit that fixes it. -fuzzminimizetime 1x: the default spends up to a minute
@@ -130,7 +133,8 @@ for target in \
 	"FuzzDecodeRecord ./internal/data" \
 	"FuzzGEMMMatchesPortable ./internal/tensor" \
 	"FuzzReconstructMatchesPortable ./internal/erasure" \
-	"FuzzTransformMatchesPortable ./internal/selection/streaming"; do
+	"FuzzTransformMatchesPortable ./internal/selection/streaming" \
+	"FuzzGainMatchesPortable ./internal/selection"; do
 	read -r name pkg <<<"$target"
 	go test -run '^$' -fuzz "^${name}\$" -fuzztime 3s -fuzzminimizetime 1x "$pkg"
 done
