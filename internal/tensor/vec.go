@@ -12,11 +12,11 @@ func Dot(a, b []float32) float32 {
 	}
 	var s float32
 	for i := range a {
-		// Round each product before the add: `s += a*b` is a single
-		// expression the compiler may fuse into an FMA, which would
-		// break the amd64-vs-portable bit-identity contract.
-		t := a[i] * b[i]
-		s += t
+		// Round each product before the add: `s += a*b`, and also
+		// `t := a*b; s += t`, may be fused into an FMA, which would
+		// break the amd64-vs-portable bit-identity contract; only the
+		// explicit conversion forbids it.
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
@@ -32,8 +32,7 @@ func SqDist(a, b []float32) float32 {
 	for i := range a {
 		d := a[i] - b[i]
 		// Round the square before the add (no FMA; see Dot).
-		dd := d * d
-		s += dd
+		s += float32(d * d)
 	}
 	return s
 }
@@ -43,8 +42,7 @@ func Norm(v []float32) float32 {
 	var s float64
 	for _, x := range v {
 		// Round the square before the add (no FMA; see Dot).
-		xx := float64(x) * float64(x)
-		s += xx
+		s += float64(float64(x) * float64(x))
 	}
 	return float32(math.Sqrt(s))
 }
