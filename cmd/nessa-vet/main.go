@@ -1,8 +1,8 @@
 // Command nessa-vet runs the repository's custom static-analysis
-// suite (internal/analysis): seven analyzers that machine-check the
-// determinism, hot-path-allocation, FMA bit-identity, map-order,
-// error-hygiene, concurrency, and scratch-lifetime contracts at the
-// source level, plus a compiler-evidence mode that
+// suite (internal/analysis): six analyzers that machine-check the
+// determinism, hot-path-allocation, map-order, error-hygiene,
+// concurrency, and scratch-lifetime contracts at the source level,
+// plus a compiler-evidence mode that
 // verifies the hot-path contracts against what gc actually emitted.
 //
 // Usage:

@@ -53,7 +53,7 @@ func TestSelectAnalyzersPairsRunWithSuite(t *testing.T) {
 	}{
 		{name: "source default is the whole source suite", want: names(analysis.All())},
 		{name: "compiler default is the whole compiler suite", compiler: true, want: names(analysis.CompilerAll())},
-		{name: "source names without -compiler", run: "fma, hotpath", want: []string{"fma", "hotpath"}},
+		{name: "source names without -compiler", run: "maporder, hotpath", want: []string{"maporder", "hotpath"}},
 		{name: "compiler names with -compiler", run: "bcecheck,inlinegate", compiler: true, want: []string{"bcecheck", "inlinegate"}},
 		{name: "compiler name without -compiler", run: "bcecheck,inlinegate", wantErr: "bcecheck: a compiler-suite analyzer; add -compiler"},
 		{name: "source name with -compiler", run: "hotpath", compiler: true, wantErr: "hotpath: a source-suite analyzer; drop -compiler"},

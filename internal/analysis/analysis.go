@@ -1,12 +1,11 @@
 // Package analysis implements nessa-vet, the repository's custom
-// static-analysis suite. Seven analyzers machine-check the source-level
+// static-analysis suite. Six analyzers machine-check the source-level
 // contracts the test suite otherwise only samples at runtime:
 //
 //   - determinism: no wall-clock or math/rand in device/core code
 //   - maporder:    no order-sensitive accumulation over map iteration
 //   - hotpath:     no allocating or formatting constructs in functions
 //     annotated //nessa:hotpath
-//   - fma:         no fusable a*b±c float expressions in the kernels
 //   - errhygiene:  sentinel errors compared with errors.Is and wrapped
 //     with %w, never matched by identity or message text
 //   - concurrency: WaitGroup.Add inside a go statement's closure, and
@@ -50,9 +49,6 @@ const (
 	// DirWallclock exempts one wall-clock or math/rand use from the
 	// determinism analyzer.
 	DirWallclock = "wallclock"
-	// DirFMAOK exempts one fusable float expression from the fma
-	// analyzer.
-	DirFMAOK = "fma-ok"
 	// DirErrOK exempts one error-handling site from errhygiene.
 	DirErrOK = "err-ok"
 	// DirArena marks a type or struct field whose memory is
@@ -142,7 +138,6 @@ func All() []*Analyzer {
 		DeterminismAnalyzer(),
 		MapOrderAnalyzer(),
 		HotPathAnalyzer(),
-		FMAAnalyzer(),
 		ErrHygieneAnalyzer(),
 		ConcurrencyAnalyzer(),
 		ScratchLifeAnalyzer(),
@@ -163,7 +158,7 @@ func CompilerAll() []*Analyzer {
 // ByName returns the named analyzers, or an error naming the first
 // unknown one. Both the source-level and compiler-evidence suites are
 // addressable. Names are trimmed of surrounding whitespace (so
-// "fma, hotpath" works) and deduplicated in first-occurrence order;
+// "maporder, hotpath" works) and deduplicated in first-occurrence order;
 // empty segments are ignored.
 func ByName(names []string) ([]*Analyzer, error) {
 	index := make(map[string]*Analyzer)

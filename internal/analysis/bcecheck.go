@@ -33,9 +33,9 @@ func BCECheckAnalyzer() *Analyzer {
 	}
 }
 
-// bceScoped is the fma analyzer's scope — the numeric kernel packages
-// whose inner loops carry the throughput — plus the GF(256) kernels,
-// whose table-lookup loops run once per reconstructed byte.
+// bceScoped is the numeric kernel packages, whose inner loops carry
+// the throughput, plus the GF(256) kernels, whose table-lookup loops
+// run once per reconstructed byte.
 func bceScoped(module, importPath string) bool {
 	return pathIn(importPath,
 		module+"/internal/tensor",

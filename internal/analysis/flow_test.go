@@ -168,7 +168,7 @@ func f(c bool) int {
 }
 
 func TestByNameTrimsAndDeduplicates(t *testing.T) {
-	az, err := ByName([]string{" fma", " hotpath ", "hotpath", ""})
+	az, err := ByName([]string{" maporder", " hotpath ", "hotpath", ""})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestByNameTrimsAndDeduplicates(t *testing.T) {
 		for _, a := range az {
 			names = append(names, a.Name)
 		}
-		t.Fatalf("expected [fma hotpath], got %v", names)
+		t.Fatalf("expected [maporder hotpath], got %v", names)
 	}
-	if az[0].Name != "fma" || az[1].Name != "hotpath" {
+	if az[0].Name != "maporder" || az[1].Name != "hotpath" {
 		t.Errorf("wrong analyzers: %s, %s", az[0].Name, az[1].Name)
 	}
-	if _, err := ByName([]string{"fma", "nosuch"}); err == nil {
+	if _, err := ByName([]string{"maporder", "nosuch"}); err == nil {
 		t.Error("unknown analyzer name must error")
 	}
 }

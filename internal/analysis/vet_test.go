@@ -151,12 +151,6 @@ func TestHotPathFixture(t *testing.T) {
 	runFixture(t, "hotpath", "hotpath", "nessa/internal/fixture/hotpath")
 }
 
-func TestFMAFixture(t *testing.T) {
-	// The fma rules only fire inside the kernel packages, so the
-	// fixture is loaded as if it lived under internal/tensor.
-	runFixture(t, "fma", "fma", "nessa/internal/tensor/fixture")
-}
-
 func TestErrHygieneFixture(t *testing.T) {
 	// errhygiene scopes to the sentinel-error packages.
 	runFixture(t, "errhygiene", "errhygiene", "nessa/internal/storage/fixture")

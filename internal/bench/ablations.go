@@ -233,7 +233,7 @@ func AblationEnergy() *Table {
 		fpgaT.Round(time.Millisecond).String(),
 		fmt.Sprintf("%.2f", fpga.EnergyJoules(fpga.PowerWatts(), fpgaT)))
 
-	flops := float64(w.N) * float64(w.MACsPerSample) * 2
+	flops := float64(float64(w.N)*float64(w.MACsPerSample)) * 2
 	for _, g := range []gpu.GPU{gpu.K1200(), gpu.A100()} {
 		compute := time.Duration(flops / g.SustainedFLOPS * float64(time.Second))
 		stage := host.Duration(totalBytes, w.N)

@@ -47,7 +47,7 @@ func Figure2() *Table {
 		spec, _ := data.Lookup(name)
 		net, _ := gpu.DatasetNetwork(spec.Name, spec.Network)
 		b := g.Epoch(spec.Train, spec.BytesPerImage, net.ForwardGFLOPs)
-		move := b.MovementShare() * 100
+		move := float64(b.MovementShare() * 100)
 		t.AddRow(spec.Name,
 			fmt.Sprintf("%d", spec.BytesPerImage),
 			net.Name,
@@ -254,7 +254,7 @@ func Section44(avgSubsetFrac map[string]float64) *Table {
 		}
 		fullBytes := float64(spec.PaperBytes())
 		feedback := 300.0 * 1024 // quantized target-model weights
-		nessaBytes := fullBytes*frac + feedback
+		nessaBytes := float64(fullBytes*frac) + feedback
 		ratio := fullBytes / nessaBytes
 		sumRatio += ratio
 		count++

@@ -24,14 +24,16 @@ func NewStat(xs []float64) Stat {
 	for _, x := range xs {
 		s.Mean += x
 	}
-	s.Mean /= float64(s.N)
+	// A division by a constant power of two is a product to gc, which
+	// it may fuse into the subtract below; the conversion forbids it.
+	s.Mean = float64(s.Mean / float64(s.N))
 	if s.N < 2 {
 		return s
 	}
 	var ss float64
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	s.Std = math.Sqrt(ss / float64(s.N-1))
 	return s

@@ -238,7 +238,7 @@ func refEmbeddings(seed uint64, n, d, clusters int) *tensor.Matrix {
 		c := centers.Row(rng.Intn(clusters))
 		row := emb.Row(i)
 		for j := range row {
-			row[j] = c[j] + rng.NormFloat32()*0.3
+			row[j] = c[j] + float32(rng.NormFloat32()*0.3)
 		}
 	}
 	return emb

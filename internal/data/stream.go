@@ -111,11 +111,11 @@ func (s *RecordStream) Sample(i int, features []float32) int {
 	if hardOther >= 0 {
 		orow := s.mix.center(hardOther, 0)
 		for j := range features {
-			features[j] = 0.55*features[j] + 0.45*orow[j]
+			features[j] = float32(0.55*features[j]) + float32(0.45*orow[j])
 		}
 	}
 	for j := range features {
-		features[j] += rng.NormFloat32() * float32(s.Spec.Spread)
+		features[j] += float32(rng.NormFloat32() * float32(s.Spec.Spread))
 	}
 	return label
 }

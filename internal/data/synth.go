@@ -81,7 +81,7 @@ func newMixture(rng *tensor.RNG, spec Spec) *mixture {
 				}
 				orow := base.Row(other)
 				for d := range row {
-					row[d] = (1-beta)*row[d] + beta*orow[d]
+					row[d] = float32((1-beta)*row[d]) + float32(beta*orow[d])
 				}
 			}
 			// A small random offset keeps sub-modes of different
@@ -93,7 +93,7 @@ func newMixture(rng *tensor.RNG, spec Spec) *mixture {
 			if n := tensor.Norm(off); n > 0 {
 				scale := float32(0.25*spec.ModeSpread) / n
 				for d := range row {
-					row[d] += off[d] * scale
+					row[d] += float32(off[d] * scale)
 				}
 			}
 			if rn := tensor.Norm(row); rn > 0 {
@@ -180,11 +180,11 @@ func sample(rng *tensor.RNG, spec Spec, mix *mixture, n int) *Dataset {
 			}
 			orow := mix.center(other, 0)
 			for j := range row {
-				row[j] = 0.55*row[j] + 0.45*orow[j]
+				row[j] = float32(0.55*row[j]) + float32(0.45*orow[j])
 			}
 		}
 		for j := range row {
-			row[j] += rng.NormFloat32() * float32(spec.Spread)
+			row[j] += float32(rng.NormFloat32() * float32(spec.Spread))
 		}
 		if rng.Float64() < spec.NoiseFrac && spec.Classes > 1 {
 			flip := rng.Intn(spec.Classes)

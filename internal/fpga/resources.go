@@ -212,7 +212,7 @@ func logInv(eps float64) float64 {
 		sum += term / float64(i)
 		term *= y2
 	}
-	return 2*sum + k*0.6931471805599453
+	return float64(2*sum) + float64(k*0.6931471805599453)
 }
 
 func (c KernelConfig) cycles(n float64) time.Duration {

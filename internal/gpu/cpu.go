@@ -54,8 +54,8 @@ func CRAIGSelectionFLOPs(n, k, gradDim int, targetFwdGFLOPs float64) float64 {
 	if n <= 0 || k <= 0 {
 		return 0
 	}
-	fwd := float64(n) * targetFwdGFLOPs * 1e9 * proxyFwdFrac
-	dist := float64(n) * stochasticGreedyFactor * 3 * float64(gradDim)
+	fwd := float64(float64(n) * targetFwdGFLOPs * 1e9 * proxyFwdFrac)
+	dist := float64(float64(n) * stochasticGreedyFactor * 3 * float64(gradDim))
 	return fwd + dist
 }
 
@@ -72,7 +72,7 @@ func KCentersSelectionFLOPs(n, k, featDim int, targetFwdGFLOPs float64) float64 
 	if n <= 0 || k <= 0 {
 		return 0
 	}
-	fwd := float64(n) * targetFwdGFLOPs * 1e9 * proxyFwdFrac
-	dist := float64(n) * float64(k) * 3 * float64(featDim)
+	fwd := float64(float64(n) * targetFwdGFLOPs * 1e9 * proxyFwdFrac)
+	dist := float64(float64(n) * float64(k) * 3 * float64(featDim))
 	return fwd + dist
 }

@@ -183,8 +183,8 @@ func TestSGDReducesLossOnToyProblem(t *testing.T) {
 		cls := i % 2
 		labels[i] = cls
 		off := float32(2*cls) - 1 // -1 or +1
-		x.Set(i, 0, off*2+r.NormFloat32()*0.3)
-		x.Set(i, 1, off*2+r.NormFloat32()*0.3)
+		x.Set(i, 0, float32(off*2)+float32(r.NormFloat32()*0.3))
+		x.Set(i, 1, float32(off*2)+float32(r.NormFloat32()*0.3))
 	}
 	m := NewMLP(r, 2, []int{8}, 2)
 	opt := NewSGD(m, SGDConfig{LR: 0.1, Momentum: 0.9, WeightDecay: 1e-4})

@@ -68,31 +68,23 @@ func (s *SGD) Step(m *MLP, g *Grads) {
 		v := s.vW[i]
 		gw := g.W[i]
 		for k := range l.W.Data {
-			// Every product is rounded into a temporary before the
-			// adjacent add/subtract: `a*b - c*d` is a single expression
-			// the spec lets the compiler fuse into an FMA, which would
-			// make update trajectories architecture-dependent. The
-			// temporaries compute the identical bits on amd64, where no
-			// fusion happened anyway.
-			decay := wd * l.W.Data[k]
-			grad := gw.Data[k] + decay
-			lg := s.lr * grad
-			vm := mu * v.Data[k]
-			vNew := vm - lg
+			// Each float32(x*y) rounds a product before the add or
+			// subtract that takes it. The spec lets gc fuse a product
+			// into a later add, across statements too, and only an
+			// explicit conversion forbids it; fused, the update would
+			// differ between architectures.
+			lg := float32(s.lr * (gw.Data[k] + float32(wd*l.W.Data[k])))
+			vNew := float32(mu*v.Data[k]) - lg
 			v.Data[k] = vNew
-			look := mu * vNew // Nesterov look-ahead reuses the updated velocity
-			l.W.Data[k] += look - lg
+			l.W.Data[k] += float32(mu*vNew) - lg // Nesterov look-ahead reuses the updated velocity
 		}
 		vb := s.vB[i]
 		gb := g.B[i]
 		for k := range l.B {
-			grad := gb[k] // no weight decay on biases, standard practice
-			lg := s.lr * grad
-			vm := mu * vb[k]
-			vNew := vm - lg
+			lg := float32(s.lr * gb[k]) // no weight decay on biases, standard practice
+			vNew := float32(mu*vb[k]) - lg
 			vb[k] = vNew
-			look := mu * vNew
-			l.B[k] += look - lg
+			l.B[k] += float32(mu*vNew) - lg
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestSumChunksBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	vals := make([]float64, n)
 	x := 1.0
 	for i := range vals {
-		x = x*1.0000001 + 1e-7
+		x = float64(x*1.0000001) + 1e-7
 		vals[i] = x * float64(1+i%17)
 	}
 	body := func(lo, hi int) float64 {

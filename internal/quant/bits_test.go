@@ -21,7 +21,7 @@ func TestQuantizeBitsRoundTripErrorBound(t *testing.T) {
 		}
 		d := q.Dequantize()
 		for i := range m.Data {
-			if math.Abs(float64(m.Data[i]-d.Data[i])) > float64(q.Scale)/2+1e-6 {
+			if math.Abs(float64(m.Data[i]-d.Data[i])) > float64(float64(q.Scale)/2)+1e-6 {
 				return false
 			}
 		}

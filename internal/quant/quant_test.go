@@ -29,7 +29,7 @@ func TestQuantizeRoundTripErrorBound(t *testing.T) {
 		d := q.Dequantize()
 		for i := range m.Data {
 			e := math.Abs(float64(m.Data[i] - d.Data[i]))
-			if e > float64(q.Scale)/2+1e-6 {
+			if e > float64(float64(q.Scale)/2)+1e-6 {
 				return false
 			}
 		}
@@ -127,7 +127,7 @@ func TestMaxAbsErrorWithinHalfScale(t *testing.T) {
 			worst = e
 		}
 	}
-	if worst > q.Scale/2+1e-6 {
+	if worst > float32(q.Scale/2)+1e-6 {
 		t.Fatalf("max abs error %v exceeds scale/2 = %v", worst, q.Scale/2)
 	}
 }

@@ -31,7 +31,7 @@ func TestKCentersTwoApproximation(t *testing.T) {
 			}
 			randR := float64(CoverRadius(emb, cand, rnd.Selected))
 			// squared-distance 2-approx → factor 4 in squared space
-			if greedyR > 4*randR+1e-6 {
+			if greedyR > float64(4*randR)+1e-6 {
 				return false
 			}
 		}
@@ -47,7 +47,7 @@ func TestKCentersCoversClusters(t *testing.T) {
 	emb := tensor.NewMatrix(40, 2)
 	for i := 0; i < 40; i++ {
 		cluster := i / 10
-		emb.Set(i, 0, float32(cluster)*20+r.NormFloat32()*0.2)
+		emb.Set(i, 0, float32(float32(cluster)*20)+float32(r.NormFloat32()*0.2))
 		emb.Set(i, 1, r.NormFloat32()*0.2)
 	}
 	cand := make([]int, 40)

@@ -175,8 +175,8 @@ func TestGreedyPicksTheMedoidsOnClearClusters(t *testing.T) {
 	emb := tensor.NewMatrix(30, 2)
 	for i := 0; i < 30; i++ {
 		cluster := i / 10
-		emb.Set(i, 0, float32(cluster)*10+r.NormFloat32()*0.1)
-		emb.Set(i, 1, float32(cluster)*10+r.NormFloat32()*0.1)
+		emb.Set(i, 0, float32(float32(cluster)*10)+float32(r.NormFloat32()*0.1))
+		emb.Set(i, 1, float32(float32(cluster)*10)+float32(r.NormFloat32()*0.1))
 	}
 	cand := make([]int, 30)
 	for i := range cand {

@@ -22,7 +22,7 @@ func softmaxGrads(seed uint64, n, classes int) (*tensor.Matrix, []int) {
 	for i := 0; i < n; i++ {
 		c := centers.Row(rng.Intn(32))
 		for j := range z {
-			z[j] = c[j] + rng.NormFloat32()*0.5
+			z[j] = c[j] + float32(rng.NormFloat32()*0.5)
 		}
 		labels[i] = i % classes
 		z[labels[i]] += 4

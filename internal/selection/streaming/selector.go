@@ -203,7 +203,7 @@ func plan(cfg Config) (_ Config, budgets []int, rcap int, err error) {
 	}
 	// Bound Classes (and Dim) before any per-class slice is sized.
 	fixed1, perRow1 := classBytes(1, cfg.Dim, cfg.Eps)
-	if floor := fixed1 + minReservoir*perRow1; float64(cfg.Classes)*floor > float64(cfg.MemBudget) {
+	if floor := fixed1 + float64(minReservoir*perRow1); float64(cfg.Classes)*floor > float64(cfg.MemBudget) {
 		return cfg, nil, 0, fmt.Errorf("streaming: %d classes × %.0f bytes of minimal sieve state exceed the on-chip budget %d",
 			cfg.Classes, floor, cfg.MemBudget)
 	}
@@ -262,7 +262,8 @@ const minReservoir = 16
 // exact.
 func classBytes(kc, dim int, eps float64) (fixed, perRow float64) {
 	ml, k, d := float64(maxLadderLevels(kc, eps)), float64(kc), float64(dim)
-	return ml*k*(8+4*d) + k*(16+4*d), 8*d + 13 + 4*ml
+	row := float64(4 * d) // one float32 embedding
+	return float64(ml*k*(8+row)) + float64(k*(16+row)), float64(8*d) + 13 + float64(4*ml)
 }
 
 // planState picks the per-class reservoir rows and returns them with the
@@ -292,7 +293,7 @@ func planState(cfg Config, budgets []int) (rcap int, planned float64, err error)
 		return 0, 0, fmt.Errorf("streaming: on-chip budget %d bytes cannot hold the minimal selection state (fixed %.0f + %d·%.0f per-row bytes)",
 			cfg.MemBudget, fixed, minReservoir, perRow)
 	}
-	return rcap, fixed + float64(rcap)*perRow, nil
+	return rcap, fixed + float64(float64(rcap)*perRow), nil
 }
 
 // MemoryBytes reports the persistent selection-state bytes: every

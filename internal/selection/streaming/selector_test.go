@@ -28,7 +28,7 @@ func clusteredEmb(seed uint64, n, d, nClusters, classes int) (*tensor.Matrix, []
 		row := emb.Row(i)
 		copy(row, centers.Row(c))
 		for j := range row {
-			row[j] += rng.NormFloat32() * 0.08
+			row[j] += float32(rng.NormFloat32() * 0.08)
 		}
 		labels[i] = i % classes
 	}

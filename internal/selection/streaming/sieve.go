@@ -251,14 +251,17 @@ func (cs *classSieve) push(id int, emb []float32, sims []float32, v float64, top
 	// either bound cannot accept, so its reservoir scan is skipped; the
 	// second bound is what a saturated rung — coverage already near the
 	// ceiling on every slot — fails for almost every record.
-	span := float64(len(sims)) * float64(cs.ceil)
-	slack := span * saturationSlack
+	// float64(x*y) rounds each product before a later add takes it:
+	// gc may fuse a product into an add across statements, and only a
+	// conversion forbids it (also in need's τ/2, a product to gc).
+	span := float64(float64(len(sims)) * float64(cs.ceil))
+	slack := float64(span * saturationSlack)
 	var pruned, scans, accepts int64
 	for _, lv := range cs.levels {
 		if lv.count == cs.kc {
 			continue
 		}
-		need := (lv.tau/2 - lv.f) / float64(cs.kc-lv.count)
+		need := (float64(lv.tau/2) - lv.f) / float64(cs.kc-lv.count)
 		if need < 1e-12 {
 			// A level past τ/2 accepts anything; demand a real gain so
 			// duplicate and zero-norm records don't squat in buffers.

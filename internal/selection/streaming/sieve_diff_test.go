@@ -45,7 +45,7 @@ func refPush(cs *classSieve, id int, emb []float32, sims []float32, v float64) {
 		if lv.count == cs.kc {
 			continue
 		}
-		need := (lv.tau/2 - lv.f) / float64(cs.kc-lv.count)
+		need := (float64(lv.tau/2) - lv.f) / float64(cs.kc-lv.count)
 		if need < 1e-12 {
 			need = 1e-12
 		}

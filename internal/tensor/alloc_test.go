@@ -8,7 +8,7 @@ import (
 
 func fillDeterministic(m *Matrix, seed float32) {
 	for i := range m.Data {
-		m.Data[i] = seed + float32(i%17) - 8 + float32(i%5)*0.25
+		m.Data[i] = seed + float32(i%17) - 8 + float32(float32(i%5)*0.25)
 	}
 }
 

@@ -13,7 +13,7 @@ func refMatMul(dst, a, b *Matrix) {
 		for j := 0; j < b.Cols; j++ {
 			var sum float32
 			for k := 0; k < a.Cols; k++ {
-				sum += a.At(i, k) * b.At(k, j)
+				sum += float32(a.At(i, k) * b.At(k, j))
 			}
 			dst.Set(i, j, sum)
 		}
@@ -25,7 +25,7 @@ func refMatMulTransB(dst, a, b *Matrix) {
 		for j := 0; j < b.Rows; j++ {
 			var sum float32
 			for k := 0; k < a.Cols; k++ {
-				sum += a.At(i, k) * b.At(j, k)
+				sum += float32(a.At(i, k) * b.At(j, k))
 			}
 			dst.Set(i, j, sum)
 		}
@@ -37,7 +37,7 @@ func refMatMulTransA(dst, a, b *Matrix) {
 		for j := 0; j < b.Cols; j++ {
 			var sum float32
 			for k := 0; k < a.Rows; k++ {
-				sum += a.At(k, i) * b.At(k, j)
+				sum += float32(a.At(k, i) * b.At(k, j))
 			}
 			dst.Set(i, j, sum)
 		}

@@ -75,10 +75,10 @@ func TestNormFloat64Moments(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := r.NormFloat64()
 		sum += v
-		sumsq += v * v
+		sumsq += float64(v * v)
 	}
 	mean := sum / n
-	variance := sumsq/n - mean*mean
+	variance := sumsq/n - float64(mean*mean)
 	if math.Abs(mean) > 0.05 {
 		t.Errorf("normal mean = %v, want ~0", mean)
 	}

@@ -219,7 +219,7 @@ func (t *Trainer) TrainRows(x *tensor.Matrix, labels, rows []int, weights []floa
 			if bweights != nil {
 				w = float64(bweights[i])
 			}
-			lossSum += float64(l) * w
+			lossSum += float64(float64(l) * w)
 			wSum += w
 		}
 		t.grads.Zero()

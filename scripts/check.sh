@@ -48,20 +48,20 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 gate "nessa-vet"
-# The repo's own seven analyzers: determinism (no wall clock /
+# The repo's own six analyzers: determinism (no wall clock /
 # math/rand in device code), maporder (no order-sensitive folds over
 # map iteration), hotpath (//nessa:hotpath functions stay free of
 # allocating constructs, sync.Pool included — the GC drains pools, so
-# steady state keeps missing and allocating), fma (no fusable float
-# multiply-adds in the kernel packages), errhygiene (sentinel errors
-# compared with errors.Is, wrapped with %w), concurrency
+# steady state keeps missing and allocating), errhygiene (sentinel
+# errors compared with errors.Is, wrapped with %w), concurrency
 # (WaitGroup.Add inside a go statement's closure, Unlock on a path with
 # no Lock — captured-variable writes are the race gate's, below, and
 # copied locks go vet's, above) and scratchlife (//nessa:arena and
 # parallel.WorkerLocal scratch escaping its epoch). Seeds reaching
-# their streams are core.TestSeedReachesEveryStream's. Any finding
-# fails the gate; a deliberate exception is a //nessa:*-ok waiver at
-# the site.
+# their streams are core.TestSeedReachesEveryStream's; fused
+# multiply-adds are checked on what gc emits, below. Any finding fails
+# the gate; a deliberate exception is a //nessa:*-ok waiver at the
+# site.
 "$tmpdir/nessa-vet" ./...
 
 gate "nessa-vet -compiler"
@@ -79,6 +79,61 @@ gate "nessa-vet -compiler"
 # go1.22–go1.26. On any other toolchain nessa-vet warns and exits 0
 # instead of mis-parsing.
 "$tmpdir/nessa-vet" -compiler ./...
+
+gate "fused multiply-adds off amd64"
+# The cross-architecture contract: a run on any target selects and
+# trains bit for bit as on amd64. gc fuses x*y + z into one FMA
+# instruction, which rounds once where amd64 rounds twice, on every
+# target below (never on amd64). The spec lets it fuse across
+# statements, `t := x*y; s += t` included; only an explicit conversion,
+# float32(x*y) or float64(x*y), forbids it. So the check is what gc
+# emits: each target's -S listing of the module and of its test
+# binaries must hold no fused instruction at a module line. The two
+# lines of the frozen internal/bench/e2e/trace.go are the only
+# exemptions, until that package may change (ROADMAP 12b). A failed
+# build fails, and so does a listing with no instruction at a module
+# line at all, so a changed -S format cannot read as clean. The listing
+# replays from the build cache once compiled.
+fused_exempt="internal/bench/e2e/trace.go:156 internal/bench/e2e/trace.go:166"
+fused_found=0
+listing="$tmpdir/listing"
+for arch in arm64 ppc64le s390x riscv64 loong64; do
+	for build in "build" "test -c -o $tmpdir/testbin/"; do
+		# $build splits into words on purpose. -S writes to stderr; on
+		# failure, show what is not listing (whose lines start with # or
+		# a tab, or name a symbol with its size=).
+		if ! GOARCH="$arch" go $build -gcflags='nessa/...=-S' ./... >/dev/null 2>"$listing"; then
+			grep -vE '^[#[:space:]]| size=[0-9]' "$listing" | tail -n 20 >&2
+			echo "fused multiply-adds: GOARCH=$arch go ${build%% -o *} failed" >&2
+			exit 1
+		fi
+		rm -rf "$tmpdir/testbin"
+		# An instruction line reads "\t0x0040 00064 (/abs/f.go:12)\tOP\targs".
+		sites="$(awk -F '\t' -v root="$PWD/" -v exempt=" $fused_exempt " '
+			$2 ~ /^0x[0-9a-f]+ [0-9]+ \(/ {
+				pos = substr($2, index($2, "(") + 1)
+				pos = substr(pos, 1, length(pos) - 1)
+				if (index(pos, root) != 1) next
+				insns++
+				pos = substr(pos, length(root) + 1)
+				if ($3 ~ /^FN?M(ADD|SUB)[SDF]?$/ && index(exempt, " " pos " ") == 0)
+					print pos " " $3
+			}
+			END { if (!insns) exit 1 }' "$listing")" || {
+			echo "fused multiply-adds: GOARCH=$arch go ${build%% -o *} listed no instruction at a module line" >&2
+			exit 1
+		}
+		if [[ -n "$sites" ]]; then
+			echo "GOARCH=$arch go ${build%% -o *}: fused multiply-adds (wrap the product as float32(x*y) or float64(x*y)):" >&2
+			sort -u <<<"$sites" | sed 's/^/  /' >&2
+			fused_found=1
+		fi
+	done
+done
+rm -f "$listing"
+if ((fused_found)); then
+	exit 1
+fi
 
 gate "go test -race"
 # The check for writes to captured variables from concurrent closures
@@ -100,9 +155,9 @@ gate "portable kernels (purego)"
 # The purego tag drops the amd64 assembly, so the golden trajectories,
 # the selection equivalence tests and the e2e pins run on the portable
 # Go kernels that every other architecture uses, and the erasure and
-# cluster tests run on the row-table GF(256) loops. It does not stand in
-# for nessa-vet's fma analyzer: gc fuses float multiply-adds only on
-# arm64-class targets, never on amd64.
+# cluster tests run on the row-table GF(256) loops. They run them as
+# amd64 compiles them, unfused; that the other targets compile them
+# the same way is the fused multiply-add gate's check, above.
 go test -tags purego ./internal/core ./internal/trainer ./internal/selection/... \
 	./internal/bench/e2e ./internal/tensor ./internal/erasure ./internal/smartssd
 
