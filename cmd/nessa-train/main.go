@@ -30,9 +30,10 @@
 // the dataset is striped over k drives with m Reed–Solomon parity
 // stripes, and every candidate scan survives up to m whole-device
 // losses by reconstructing lost stripes from the survivors (DESIGN.md
-// §4.11); m may be 0 — plain sharding, where any loss is fatal.
-// -kill d@n scripts a permanent kill of device d after its
-// n-th completed scan; -spare attaches a hot spare and auto-rebuilds
+// §4.11); m may be 0 — plain sharding, where any loss is fatal — and
+// k+m may not exceed 255. -kill d@n scripts a permanent kill of device
+// d (a drive 0…k+m−1, or k+m for the -spare) after its n-th completed
+// scan, n ≥ 1; -spare attaches a hot spare and auto-rebuilds
 // onto it after the first degraded scan. -checkpoint writes the full
 // session state to a file every -checkpoint-every epochs (0 = every
 // epoch); -resume restores such a file and reproduces the remaining
@@ -71,6 +72,10 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "epochs between checkpoints (0 = every epoch; needs -checkpoint)")
 	resumePath := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
 	flag.Parse()
+	place, kills, err := parseCluster(*parity, *kill, *spareFlag)
+	if err != nil {
+		fatal(err)
+	}
 
 	spec, ok := nessa.LookupDataset(*dataset)
 	if !ok {
@@ -135,12 +140,7 @@ func main() {
 		if *noDevice {
 			fatal(fmt.Errorf("-parity needs the simulated devices (drop -no-device)"))
 		}
-		var k, m int
-		if _, err := fmt.Sscanf(*parity, "%d+%d", &k, &m); err != nil {
-			fatal(fmt.Errorf("-parity wants \"k+m\" (e.g. 3+1), got %q", *parity))
-		}
-		var err error
-		cluster, err = nessa.NewCluster(k + m)
+		cluster, err = nessa.NewCluster(place.Total())
 		if err != nil {
 			fatal(err)
 		}
@@ -148,8 +148,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if _, err := cluster.StripeDataset(spec.Name, img, spec.BytesPerImage,
-			nessa.Placement{DataShards: k, ParityShards: m}); err != nil {
+		if _, err := cluster.StripeDataset(spec.Name, img, spec.BytesPerImage, place); err != nil {
 			fatal(err)
 		}
 		if *spareFlag {
@@ -163,7 +162,6 @@ func main() {
 		opt.Cluster = cluster
 		opt.DatasetName = spec.Name
 	} else if !*noDevice {
-		var err error
 		dev, err = nessa.NewSmartSSD()
 		if err != nil {
 			fatal(err)
@@ -177,19 +175,6 @@ func main() {
 		}
 		opt.Device = dev
 		opt.DatasetName = spec.Name
-	}
-
-	var kills []nessa.DeviceKill
-	if *kill != "" {
-		if cluster == nil {
-			fatal(fmt.Errorf("-kill needs an erasure-coded cluster (set -parity)"))
-		}
-		var d int
-		var n int64
-		if _, err := fmt.Sscanf(*kill, "%d@%d", &d, &n); err != nil {
-			fatal(fmt.Errorf("-kill wants \"device@afterScans\" (e.g. 1@3), got %q", *kill))
-		}
-		kills = append(kills, nessa.DeviceKill{Device: d, AfterScans: n})
 	}
 
 	wantFaults := *chaos || *faultCorrupt > 0 || *faultTransient > 0 || *faultLatency > 0 || *faultLinkdown > 0
@@ -289,6 +274,37 @@ func main() {
 			fmt.Printf("  %-14s %12v\n", b.Name, b.Duration)
 		}
 	}
+}
+
+// parseCluster parses -parity "k+m" and -kill "d@n", each whole (the
+// newline makes Sscanf reject trailing input), before any drive is
+// built. It rejects a placement erasure.New cannot code (k ≥ 1,
+// m ≥ 0, k+m ≤ 255) and a kill that can never fire: one after n < 1
+// scans, or of a device d that is neither a drive 0…k+m−1 nor, with
+// spare, the spare k+m. With parity empty the Placement is zero.
+func parseCluster(parity, kill string, spare bool) (nessa.Placement, []nessa.DeviceKill, error) {
+	var k, m int
+	if parity != "" {
+		if _, err := fmt.Sscanf(parity+"\n", "%d+%d\n", &k, &m); err != nil || k < 1 || m < 0 || k > 255-m {
+			return nessa.Placement{}, nil, fmt.Errorf("-parity wants \"k+m\" with k ≥ 1, m ≥ 0 and k+m ≤ 255 (e.g. 3+1), got %q", parity)
+		}
+	}
+	place := nessa.Placement{DataShards: k, ParityShards: m}
+	if kill == "" {
+		return place, nil, nil
+	}
+	if parity == "" {
+		return place, nil, fmt.Errorf("-kill needs an erasure-coded cluster (set -parity)")
+	}
+	ids := place.Total()
+	if spare {
+		ids++
+	}
+	var d nessa.DeviceKill
+	if _, err := fmt.Sscanf(kill+"\n", "%d@%d\n", &d.Device, &d.AfterScans); err != nil || d.AfterScans < 1 || d.Device < 0 || d.Device >= ids {
+		return place, nil, fmt.Errorf("-kill wants \"d@n\" with a device d in 0…%d and n ≥ 1 scans (e.g. 1@3), got %q", ids-1, kill)
+	}
+	return place, []nessa.DeviceKill{d}, nil
 }
 
 func fatal(err error) {

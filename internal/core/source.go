@@ -182,7 +182,6 @@ func (s *storageSource) scan(cands []int, chunk int, stream bool, visit visitFun
 func (s *storageSource) scanCluster(cands []int, chunk int, visit visitFunc, rep *Report) error {
 	stripes, st, _, err := s.cluster.ParallelScan(s.name, s.rec)
 	rep.Faults.absorb(st.Read)
-	rep.Faults.Retries += st.Reissues
 	rep.Recovery.DegradedReads += st.DegradedReads
 	rep.Recovery.ReconstructedBytes += st.ReconstructedBytes
 	if err != nil {

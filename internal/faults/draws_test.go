@@ -107,75 +107,50 @@ func TestCorruptPayloadFixedDraws(t *testing.T) {
 	assertAligned(t, a, b, "CorruptPayload")
 }
 
-// TestDeviceLossDrawContract pins DeviceLoss's asymmetric contract:
-// exactly one draw per call when DeviceLossRate > 0 (sticky losses
-// included), exactly zero draws otherwise — so scripted kill schedules
-// and rate-free profiles never shift the shared stream.
+// TestDeviceLossDrawContract pins that DeviceLoss draws nothing: a
+// scripted kill schedule leaves the shared stream exactly where a
+// no-loss profile leaves it.
 func TestDeviceLossDrawContract(t *testing.T) {
 	const seed = 55
-	// Zero-draw side: a scripted kill schedule must leave the stream
-	// exactly where a no-loss profile leaves it.
 	quiet := NewInjector(Profile{Seed: seed})
 	scripted := NewInjector(Profile{Seed: seed, Kills: []DeviceKill{{Device: 2, AfterScans: 4}}})
 	for i := 0; i < 32; i++ {
-		if quiet.DeviceLoss(2, int64(i), 0) {
+		if quiet.DeviceLoss(2, int64(i)) {
 			t.Fatal("no-loss profile lost a device")
 		}
-		got := scripted.DeviceLoss(2, int64(i), 0)
+		got := scripted.DeviceLoss(2, int64(i))
 		if want := int64(i) >= 4; got != want {
 			t.Fatalf("scripted kill at scan %d: lost=%v, want %v", i, got, want)
 		}
 	}
 	assertAligned(t, quiet, scripted, "DeviceLoss scripted")
-
-	// One-draw side: rate 1 (everything dies instantly) and a tiny rate
-	// (nothing dies in 32 calls) must stay aligned, including calls on
-	// already-lost devices.
-	always := NewInjector(Profile{Seed: seed, DeviceLossRate: 1})
-	rarely := NewInjector(Profile{Seed: seed, DeviceLossRate: 1e-12})
-	for i := 0; i < 32; i++ {
-		if !always.DeviceLoss(0, int64(i), 0) {
-			t.Fatal("rate-1 profile kept the device alive")
-		}
-		if rarely.DeviceLoss(0, int64(i), 0) {
-			t.Fatal("rate-1e-12 profile lost the device")
-		}
-	}
-	assertAligned(t, always, rarely, "DeviceLoss rated")
 }
 
 // TestDeviceLossSticky verifies loss is permanent and counted once per
-// device, across both trigger kinds.
+// device, and that a zero or negative scan count never fires.
 func TestDeviceLossSticky(t *testing.T) {
 	in := NewInjector(Profile{Seed: 1, Kills: []DeviceKill{
 		{Device: 0, AfterScans: 2},
-		{Device: 1, At: 5 * time.Millisecond},
+		{Device: 1, AfterScans: 0},
+		{Device: 2, AfterScans: -3},
 	}})
-	if in.DeviceLoss(0, 1, 0) {
+	if in.DeviceLoss(0, 1) {
 		t.Fatal("device 0 died before its scan trigger")
 	}
-	if !in.DeviceLoss(0, 2, 0) {
+	if !in.DeviceLoss(0, 2) {
 		t.Fatal("device 0 survived its scan trigger")
 	}
 	// Sticky: trigger condition no longer holds, device stays dead.
-	if !in.DeviceLoss(0, 0, 0) {
+	if !in.DeviceLoss(0, 0) {
 		t.Fatal("device 0 came back from the dead")
 	}
-	if in.DeviceLoss(1, 0, 4*time.Millisecond) {
-		t.Fatal("device 1 died before its clock trigger")
+	if got := in.Count(ClassDeviceLost); got != 1 {
+		t.Fatalf("ClassDeviceLost count = %d, want 1 (once per device)", got)
 	}
-	if !in.DeviceLoss(1, 0, 5*time.Millisecond) {
-		t.Fatal("device 1 survived its clock trigger")
-	}
-	if got := in.Count(ClassDeviceLost); got != 2 {
-		t.Fatalf("ClassDeviceLost count = %d, want 2 (once per device)", got)
-	}
-	if got := in.LostDevices(); got != 2 {
-		t.Fatalf("LostDevices = %d, want 2", got)
-	}
-	// Untargeted device is unaffected.
-	if in.DeviceLoss(7, 100, time.Hour) {
-		t.Fatal("unscheduled device 7 was lost")
+	for _, d := range []int{1, 2, 7} {
+		if in.DeviceLoss(d, 100) {
+			t.Fatalf("device %d was lost without a positive scan trigger", d)
+		}
 	}
 }
 

@@ -44,8 +44,8 @@ const (
 	// transfer fails and the host-mediated path must take over.
 	ClassLinkDown Class = "linkdown"
 	// ClassStall is a straggling shard: a cluster shard scan completes
-	// but only after an extra Profile.StallFor of simulated time,
-	// tripping the per-shard deadline.
+	// but only after an extra Profile.StallFor of simulated time, which
+	// the scan's wall (the slowest device) absorbs.
 	ClassStall Class = "stall"
 	// ClassDeviceLost is a whole-device failure: the SmartSSD stops
 	// answering on every path (flash, P2P, host) and never comes back.
@@ -69,9 +69,6 @@ var (
 	ErrTransientIO = errors.New("transient I/O error")
 	// ErrLinkDown marks a failed P2P link transfer.
 	ErrLinkDown = errors.New("p2p link down")
-	// ErrShardTimeout marks a cluster shard that missed its scan
-	// deadline even after straggler re-issue.
-	ErrShardTimeout = errors.New("shard deadline exceeded")
 	// ErrDeviceLost marks a whole-device failure. It is permanent: the
 	// device fails every subsequent operation on every path, so it is
 	// deliberately NOT degradable — retry and host fallback cannot help.
@@ -87,13 +84,12 @@ var (
 
 // IsDegradable reports whether err is a fault the controller may
 // degrade around (retry exhausted on transient errors or corruption,
-// link loss, shard timeout) rather than a permanent configuration or
+// link loss) rather than a permanent configuration or
 // addressing error that must abort the run.
 func IsDegradable(err error) bool {
 	return errors.Is(err, ErrTransientIO) ||
 		errors.Is(err, ErrCorruptRecord) ||
-		errors.Is(err, ErrLinkDown) ||
-		errors.Is(err, ErrShardTimeout)
+		errors.Is(err, ErrLinkDown)
 }
 
 // Profile configures per-operation fault rates. All rates are
@@ -110,38 +106,24 @@ type Profile struct {
 	StallRate     float64       // per shard scan: add StallFor
 	StallFor      time.Duration // size of an injected shard stall
 
-	// DeviceLossRate is the per-operation probability that a device
-	// fails permanently (whole-device loss). Loss is sticky: once a
-	// device is lost, every later operation on it fails too.
-	DeviceLossRate float64
-	// Kills schedules deterministic whole-device losses for e2e tests
-	// and benchmarks. Scheduled kills consume no PRNG draws, so arming
-	// a schedule never shifts the other classes' fault schedule.
+	// Kills schedules whole-device losses. They consume no PRNG draws,
+	// so arming a schedule never shifts the other classes' faults.
 	Kills []DeviceKill
 }
 
 // DeviceKill is one scripted whole-device loss: device Device dies
-// once it has completed AfterScans cluster scans, or once its
-// simulated clock reaches At — whichever trigger is configured
-// (a zero trigger never fires; with both set, either suffices).
+// once it has completed AfterScans cluster scans. Zero or a negative
+// count never fires.
 type DeviceKill struct {
-	Device     int           // device ID to kill
-	AfterScans int64         // fire when the device's completed-scan count reaches this (0 = disabled)
-	At         time.Duration // fire when the device's simulated clock reaches this (0 = disabled)
-}
-
-// Zero reports whether the profile injects nothing.
-func (p Profile) Zero() bool {
-	return p.CorruptRate == 0 && p.TransientRate == 0 && p.LatencyRate == 0 &&
-		p.LinkDownRate == 0 && p.StallRate == 0 &&
-		p.DeviceLossRate == 0 && len(p.Kills) == 0
+	Device     int   // device ID to kill
+	AfterScans int64 // fire when the device's completed-scan count reaches this
 }
 
 // DefaultChaosProfile is the standard mixed fault schedule used by the
-// bench-faults artifact and the chaos end-to-end test: every class
-// fires at a rate high enough to exercise retry, fallback, and
-// straggler re-issue within a short run, yet low enough that the run
-// completes.
+// bench-faults artifact and the chaos end-to-end test: every rated
+// class fires often enough to exercise retry, host fallback and
+// stalled shards within a short run, yet rarely enough that the run
+// completes. It kills no device.
 func DefaultChaosProfile() Profile {
 	return Profile{
 		Seed:          42,
@@ -182,16 +164,6 @@ func NewInjector(prof Profile) *Injector {
 		counts: make(map[Class]int64),
 		lost:   make(map[int]bool),
 	}
-}
-
-// Profile returns the injector's configuration.
-func (in *Injector) Profile() Profile {
-	if in == nil {
-		return Profile{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.prof
 }
 
 // FlashRead decides the fate of one flash read command. It always
@@ -261,54 +233,28 @@ func (in *Injector) Stall() time.Duration {
 	return 0
 }
 
-// DeviceLoss decides whether the identified device is (or just
-// became) permanently lost, given its completed cluster-scan count and
-// its simulated clock. Loss is sticky: once this returns true for a
-// device ID it returns true forever after.
-//
-// Draw contract: the hook consumes exactly one PRNG draw per call when
-// DeviceLossRate > 0 — even for devices already lost — and exactly
-// zero draws otherwise. Scripted Kills are evaluated draw-free, so a
-// kill schedule perturbs nothing but the device it names.
-func (in *Injector) DeviceLoss(device int, scans int64, now time.Duration) bool {
+// DeviceLoss reports whether the identified device is (or just
+// became) permanently lost, given its completed cluster-scan count.
+// Loss is sticky: once this returns true for a device ID it returns
+// true forever after. It draws nothing from the PRNG, so a kill
+// schedule perturbs nothing but the device it names.
+func (in *Injector) DeviceLoss(device int, scans int64) bool {
 	if in == nil {
 		return false
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	dead := in.lost[device]
-	if in.prof.DeviceLossRate > 0 {
-		if in.rng.Float64() < in.prof.DeviceLossRate && !dead {
-			dead = true
+	if in.lost[device] {
+		return true
+	}
+	for _, k := range in.prof.Kills {
+		if k.Device == device && k.AfterScans > 0 && scans >= k.AfterScans {
+			in.lost[device] = true
+			in.counts[ClassDeviceLost]++
+			return true
 		}
 	}
-	if !dead {
-		for _, k := range in.prof.Kills {
-			if k.Device != device {
-				continue
-			}
-			if (k.AfterScans > 0 && scans >= k.AfterScans) || (k.At > 0 && now >= k.At) {
-				dead = true
-				break
-			}
-		}
-	}
-	if dead && !in.lost[device] {
-		in.lost[device] = true
-		in.counts[ClassDeviceLost]++
-	}
-	return dead
-}
-
-// LostDevices reports how many distinct devices the injector has
-// declared lost so far.
-func (in *Injector) LostDevices() int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.lost)
+	return false
 }
 
 // BackoffJitter maps a nominal backoff to a jittered one in
@@ -346,18 +292,4 @@ func (in *Injector) Counts() map[Class]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Total reports the total number of injected faults across classes.
-func (in *Injector) Total() int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var n int64
-	for _, v := range in.counts {
-		n += v
-	}
-	return n
 }

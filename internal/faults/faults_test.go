@@ -23,7 +23,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 		t.Fatalf("nil injector jittered backoff to %v", got)
 	}
 	in.CorruptPayload(make([]byte, 8)) // must not panic
-	if in.Total() != 0 || in.Counts() != nil {
+	if in.DeviceLoss(0, 1<<40) || in.Counts() != nil {
 		t.Fatal("nil injector counted faults")
 	}
 }
@@ -39,17 +39,11 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 			t.Fatalf("zero profile injected at op %d", i)
 		}
 	}
-	if in.Total() != 0 {
-		t.Fatalf("zero profile counted %d faults", in.Total())
+	if n := in.Counts(); len(n) != 0 {
+		t.Fatalf("zero profile counted faults: %v", n)
 	}
 	if !bytes.Equal(buf, make([]byte, 64)) {
 		t.Fatal("payload mutated")
-	}
-	if !(Profile{Seed: 3}).Zero() {
-		t.Fatal("rate-free profile not reported Zero")
-	}
-	if DefaultChaosProfile().Zero() {
-		t.Fatal("chaos profile reported Zero")
 	}
 }
 
@@ -135,16 +129,16 @@ func TestBackoffJitterBounded(t *testing.T) {
 }
 
 func TestErrorTaxonomy(t *testing.T) {
-	wrapped := fmt.Errorf("smartssd: shard 3: %w", ErrShardTimeout)
-	if !errors.Is(wrapped, ErrShardTimeout) {
+	wrapped := fmt.Errorf("smartssd: shard 3: %w", ErrLinkDown)
+	if !errors.Is(wrapped, ErrLinkDown) {
 		t.Fatal("wrapped sentinel not matched by errors.Is")
 	}
-	for _, err := range []error{ErrTransientIO, ErrCorruptRecord, ErrLinkDown, ErrShardTimeout} {
+	for _, err := range []error{ErrTransientIO, ErrCorruptRecord, ErrLinkDown} {
 		if !IsDegradable(fmt.Errorf("layer: %w", err)) {
 			t.Errorf("%v should be degradable", err)
 		}
 	}
-	for _, err := range []error{ErrOutOfRange, ErrNotFound, errors.New("boom")} {
+	for _, err := range []error{ErrDeviceLost, ErrOutOfRange, ErrNotFound, errors.New("boom")} {
 		if IsDegradable(fmt.Errorf("layer: %w", err)) {
 			t.Errorf("%v should be fatal", err)
 		}

@@ -1,6 +1,7 @@
 package smartssd
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -22,14 +23,6 @@ import (
 type Cluster struct {
 	Devices []*Device
 
-	// ShardDeadline, when positive, bounds the simulated time one
-	// shard may spend on its scan before the host declares it a
-	// straggler and re-issues the read (§4.6). Zero disables the
-	// deadline.
-	ShardDeadline time.Duration
-	// MaxReissue caps straggler re-issues per shard before the scan
-	// fails with faults.ErrShardTimeout. Zero means 2.
-	MaxReissue int
 	// Verify, when non-nil, validates every scanned (or reconstructed)
 	// data-shard payload — typically the codec's per-record CRC check.
 	// Parity stripes are raw coding bytes, never records, so Verify is
@@ -47,10 +40,10 @@ type Cluster struct {
 	lostEver int
 
 	// arena is the scan arena: one reusable buffer per device slot,
-	// grown lazily and never shrunk. Scans, degraded reconstruction and
-	// Rebuild all move their bytes through it (see slot), so a
-	// steady-state scan allocates only slice headers, and the payloads
-	// handed to the caller are views into it.
+	// each grown lazily and never shrunk. Scans, degraded
+	// reconstruction and Rebuild all move their bytes through it (see
+	// slot), so a steady-state scan allocates only slice headers, and
+	// the payloads handed to the caller are views into it.
 	arena [][]byte
 }
 
@@ -74,7 +67,10 @@ func NewCluster(n int) (*Cluster, error) {
 	}
 	c := &Cluster{
 		Acct:    simtime.NewAccountant(),
+		health:  make([]Health, n),
 		stripes: make(map[string]*stripeMeta),
+		nextID:  n,
+		arena:   make([][]byte, n),
 	}
 	for i := 0; i < n; i++ {
 		d, err := New()
@@ -84,13 +80,8 @@ func NewCluster(n int) (*Cluster, error) {
 		d.ID = i
 		c.Devices = append(c.Devices, d)
 	}
-	c.health = make([]Health, n)
-	c.nextID = n
 	return c, nil
 }
-
-// Size reports the number of devices.
-func (c *Cluster) Size() int { return len(c.Devices) }
 
 // SetInjector attaches one shared fault injector to every device (and
 // its flash array). Scans issue device operations in a fixed order, so
@@ -102,7 +93,7 @@ func (c *Cluster) SetInjector(in *faults.Injector) {
 }
 
 // ShardDataset splits a record-aligned dataset image across every
-// device with no redundancy — the k+0 placement, k = Size() — and
+// device with no redundancy — the k+0 placement, k = len(Devices) — and
 // returns the per-device record counts. A lost device takes its
 // records with it; give StripeDataset parity shards for a placement
 // that survives device loss.
@@ -111,22 +102,13 @@ func (c *Cluster) ShardDataset(name string, img []byte, recordSize int64) ([]int
 }
 
 // ScanStats aggregates what the recovery machinery did across one
-// cluster scan: the per-shard resilient-read stats summed, straggler
-// re-issues, and how much was served by parity reconstruction instead
-// of a lost device.
+// cluster scan: the per-shard resilient-read stats summed, and how much
+// was served by parity reconstruction instead of a lost device.
 type ScanStats struct {
 	Read               ReadStats // per-shard recovery-loop stats, summed
-	Reissues           int       // straggler re-issues across shards
+	Reissues           int       // always 0: a scan never re-issues a shard
 	DegradedReads      int       // stripes served via parity reconstruction
 	ReconstructedBytes int64     // payload bytes rebuilt from parity
-}
-
-// Add accumulates other into s.
-func (s *ScanStats) Add(other ScanStats) {
-	s.Read.Add(other.Read)
-	s.Reissues += other.Reissues
-	s.DegradedReads += other.DegradedReads
-	s.ReconstructedBytes += other.ReconstructedBytes
 }
 
 // ParallelScan reads every data stripe of name — placed by
@@ -145,11 +127,8 @@ func (s *ScanStats) Add(other ScanStats) {
 //
 // Each per-stripe read runs under the resilient recovery loop (retry on
 // transient faults, host-path fallback on link drops, Verify-driven
-// corruption re-reads). When ShardDeadline is set, a stripe whose scan
-// — including injected stalls — exceeds the deadline is treated as a
-// straggler and re-issued up to MaxReissue times; a stripe that still
-// misses its deadline fails the scan with an error wrapping
-// faults.ErrShardTimeout.
+// corruption re-reads); an injected stall lengthens its device's clock
+// and so the returned wall.
 //
 // A device lost mid-scan does not fail the scan while the placement's
 // parity covers it: its stripe is reconstructed from the surviving
@@ -159,14 +138,59 @@ func (s *ScanStats) Add(other ScanStats) {
 // — any loss at all under k+0 — the scan fails with an error wrapping
 // faults.ErrDeviceLost.
 func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanStats, time.Duration, error) {
+	var st ScanStats
 	if recordSize <= 0 {
-		return nil, ScanStats{}, 0, fmt.Errorf("smartssd: record size %d must be positive", recordSize)
+		return nil, st, 0, fmt.Errorf("smartssd: record size %d must be positive", recordSize)
 	}
 	meta := c.stripes[name]
 	if meta == nil {
-		return nil, ScanStats{}, 0, fmt.Errorf("smartssd: %q was not placed on this cluster", name)
+		return nil, st, 0, fmt.Errorf("smartssd: %q was not placed on this cluster", name)
 	}
-	return c.stripedScan(name, recordSize, meta)
+	if recordSize != meta.rec {
+		return nil, st, 0, fmt.Errorf("smartssd: scan of %q with record size %d, but it was striped at %d",
+			name, recordSize, meta.rec)
+	}
+	k, m := meta.place.DataShards, meta.place.ParityShards
+	group := k + m
+	starts := make([]time.Duration, group)
+	for gi := 0; gi < group; gi++ {
+		starts[gi] = c.Devices[gi].Clock.Now()
+	}
+	data := make([][]byte, k)
+	var lost []int
+	for i := 0; i < k; i++ {
+		if c.health[i] == HealthLost {
+			lost = append(lost, i)
+			continue
+		}
+		buf, err := c.scanShard(i, name, recordSize, meta.stripeLen, &st)
+		if err == nil {
+			data[i] = buf
+			continue
+		}
+		if !errors.Is(err, faults.ErrDeviceLost) {
+			return nil, st, 0, fmt.Errorf("smartssd: stripe %d: %w", i, err)
+		}
+		c.noteLost(i, name)
+		lost = append(lost, i)
+	}
+	var extra time.Duration
+	if len(lost) > 0 {
+		recT, err := c.reconstructStripes(name, meta, data, lost, &st)
+		if err != nil {
+			return nil, st, 0, err
+		}
+		extra = recT
+	}
+	var wall time.Duration
+	for gi := 0; gi < group; gi++ {
+		if dt := c.Devices[gi].Clock.Now() - starts[gi]; dt > wall {
+			wall = dt
+		}
+	}
+	wall += extra
+	c.bumpScans()
+	return data, st, wall, nil
 }
 
 // slot returns device slot gi's arena buffer, emptied, with capacity
@@ -176,21 +200,19 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 // slot last held; padInPlace re-zeroes them where the coding math reads
 // them.
 func (c *Cluster) slot(gi int, n int64) []byte {
-	if len(c.arena) < len(c.Devices) {
-		c.arena = append(c.arena, make([][]byte, len(c.Devices)-len(c.arena))...)
-	}
 	if int64(cap(c.arena[gi])) < n {
 		c.arena[gi] = make([]byte, 0, n)
 	}
 	return c.arena[gi][:0]
 }
 
-// scanShard runs one device's stripe scan under the deadline/re-issue
-// policy, accumulating recovery stats into st. The payload lands in
-// the device's arena slot, which is given at least minCap bytes of
+// scanShard runs device i's stripe scan, accumulating recovery stats
+// into st, then draws the shard's stall. The payload lands in the
+// device's arena slot, which is given at least minCap bytes of
 // capacity (the coding stripe length, so a short stripe can later be
 // padded in place).
-func (c *Cluster) scanShard(i int, d *Device, name string, recordSize, minCap int64, verify func([]byte) error, st *ScanStats) ([]byte, error) {
+func (c *Cluster) scanShard(i int, name string, recordSize, minCap int64, st *ScanStats) ([]byte, error) {
+	d := c.Devices[i]
 	size, err := d.SSD.Size(name)
 	if err != nil {
 		return nil, err
@@ -198,33 +220,16 @@ func (c *Cluster) scanShard(i int, d *Device, name string, recordSize, minCap in
 	if size > minCap {
 		minCap = size
 	}
-	reissues := c.MaxReissue
-	if reissues <= 0 {
-		reissues = 2
+	buf, rst, err := d.ReadResilientInto(c.slot(i, minCap), name, 0, size, int(size/recordSize), c.Verify, RetryPolicy{})
+	st.Read.Add(rst)
+	if err != nil {
+		return nil, err
 	}
-	for issue := 0; ; issue++ {
-		before := d.Clock.Now()
-		buf, rst, err := d.ReadResilientInto(c.slot(i, minCap), name, 0, size, int(size/recordSize), verify, RetryPolicy{})
-		st.Read.Add(rst)
-		if err != nil {
-			return nil, err
-		}
-		if stall := d.Injector.Stall(); stall > 0 {
-			d.Clock.Advance(stall)
-			d.Acct.AddTime("scan.stall", stall)
-		}
-		// The deadline applies per issue; the shard's wall cost still
-		// accumulates every abandoned straggler issue.
-		if dt := d.Clock.Now() - before; c.ShardDeadline <= 0 || dt <= c.ShardDeadline {
-			return buf, nil
-		}
-		if issue == reissues {
-			return nil, fmt.Errorf("smartssd: shard missed %v deadline on %d issues: %w",
-				c.ShardDeadline, issue+1, faults.ErrShardTimeout)
-		}
-		// Straggler: drop the slow issue and read the shard again.
-		st.Reissues++
+	if stall := d.inj.Stall(); stall > 0 {
+		d.Clock.Advance(stall)
+		d.Acct.AddTime("scan.stall", stall)
 	}
+	return buf, nil
 }
 
 // bumpScans records one completed cluster scan on every member device

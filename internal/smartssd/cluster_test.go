@@ -2,7 +2,6 @@ package smartssd
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -19,8 +18,8 @@ func TestNewClusterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 4 {
-		t.Fatalf("size = %d, want 4", c.Size())
+	if len(c.Devices) != 4 {
+		t.Fatalf("size = %d, want 4", len(c.Devices))
 	}
 }
 
@@ -168,95 +167,50 @@ func TestParallelScanValidatesRecordSize(t *testing.T) {
 	}
 }
 
+// TestParallelScanSurvivesStalls: a stalled shard completes, only
+// later. At a 50 % rate some stall time is charged; when every shard
+// stalls, each member is charged exactly one StallFor per scan.
 func TestParallelScanSurvivesStalls(t *testing.T) {
 	spec, _ := data.Lookup("CIFAR-10")
 	spec.SimTrain, spec.SimTest = 40, 5
 	train, _ := data.Generate(spec)
 	img, _ := data.Encode(train)
 
-	c, _ := NewCluster(4)
-	if _, err := c.ShardDataset("ds", img, spec.BytesPerImage); err != nil {
-		t.Fatal(err)
-	}
-	// Frequent stalls but no deadline: the scan completes, just slower,
-	// with the stall time visible in the accounting.
-	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 11, StallRate: 0.5, StallFor: 3 * time.Millisecond}))
-	shards, _, wall, err := c.ParallelScan("ds", spec.BytesPerImage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rebuilt []byte
-	for _, s := range shards {
-		rebuilt = append(rebuilt, s...)
-	}
-	if !bytes.Equal(rebuilt, img) {
-		t.Fatal("shards corrupted by stalls")
-	}
-	var stallT time.Duration
-	for _, d := range c.Devices {
-		stallT += d.Acct.Time("scan.stall")
-	}
-	if stallT <= 0 {
-		t.Fatal("no stall time charged despite 50% stall rate")
-	}
-	if wall <= 0 {
-		t.Fatal("wall time not positive")
-	}
-}
-
-func TestParallelScanReissuesStragglers(t *testing.T) {
-	spec, _ := data.Lookup("CIFAR-10")
-	spec.SimTrain, spec.SimTest = 40, 5
-	train, _ := data.Generate(spec)
-	img, _ := data.Encode(train)
-
-	c, _ := NewCluster(4)
-	if _, err := c.ShardDataset("ds", img, spec.BytesPerImage); err != nil {
-		t.Fatal(err)
-	}
-	// A clean shard scan takes well under 1 ms of simulated time; a 5 ms
-	// stall blows the 2 ms deadline, so stalled issues are abandoned and
-	// re-issued. With a 40% stall rate and 4 re-issues, every shard finds
-	// a stall-free issue under this seed.
-	c.ShardDeadline = 2 * time.Millisecond
-	c.MaxReissue = 4
-	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 3, StallRate: 0.4, StallFor: 5 * time.Millisecond}))
-	shards, st, _, err := c.ParallelScan("ds", spec.BytesPerImage)
-	if err != nil {
-		t.Fatalf("scan with straggler re-issue failed: %v", err)
-	}
-	var rebuilt []byte
-	for _, s := range shards {
-		rebuilt = append(rebuilt, s...)
-	}
-	if !bytes.Equal(rebuilt, img) {
-		t.Fatal("re-issued shards differ from the original image")
-	}
-	if st.Reissues == 0 {
-		t.Fatal("scan stats recorded no straggler re-issues despite 40% stalls")
-	}
-	if st.Read.Attempts == 0 {
-		t.Fatal("scan stats recorded no read attempts")
-	}
-}
-
-func TestParallelScanPersistentStallTimesOut(t *testing.T) {
-	spec, _ := data.Lookup("CIFAR-10")
-	spec.SimTrain, spec.SimTest = 16, 5
-	train, _ := data.Generate(spec)
-	img, _ := data.Encode(train)
-
-	c, _ := NewCluster(2)
-	if _, err := c.ShardDataset("ds", img, spec.BytesPerImage); err != nil {
-		t.Fatal(err)
-	}
-	c.ShardDeadline = 2 * time.Millisecond
-	c.MaxReissue = 2
-	// Every issue stalls past the deadline: the shard can never finish.
-	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 1, StallRate: 1, StallFor: 10 * time.Millisecond}))
-	_, _, _, err := c.ParallelScan("ds", spec.BytesPerImage)
-	if !errors.Is(err, faults.ErrShardTimeout) {
-		t.Fatalf("persistent stall error = %v, want wrapped ErrShardTimeout", err)
+	const stallFor = 3 * time.Millisecond
+	for _, rate := range []float64{0.5, 1} {
+		c, _ := NewCluster(4)
+		if _, err := c.ShardDataset("ds", img, spec.BytesPerImage); err != nil {
+			t.Fatal(err)
+		}
+		c.SetInjector(faults.NewInjector(faults.Profile{Seed: 11, StallRate: rate, StallFor: stallFor}))
+		shards, st, wall, err := c.ParallelScan("ds", spec.BytesPerImage)
+		if err != nil {
+			t.Fatalf("stall rate %v: %v", rate, err)
+		}
+		var rebuilt []byte
+		for _, s := range shards {
+			rebuilt = append(rebuilt, s...)
+		}
+		if !bytes.Equal(rebuilt, img) {
+			t.Fatalf("stall rate %v: shards corrupted by stalls", rate)
+		}
+		if st.Read.Attempts != len(c.Devices) || st.Reissues != 0 {
+			t.Fatalf("stall rate %v: stats %+v, want one attempt per shard and no re-issue", rate, st)
+		}
+		var stallT time.Duration
+		for i, d := range c.Devices {
+			got := d.Acct.Time("scan.stall")
+			if rate == 1 && got != stallFor {
+				t.Errorf("device %d scan.stall = %v, want %v", i, got, stallFor)
+			}
+			stallT += got
+		}
+		if stallT <= 0 {
+			t.Fatalf("stall rate %v: no stall time charged", rate)
+		}
+		if wall <= stallFor && rate == 1 {
+			t.Fatalf("wall %v does not include the %v stall", wall, stallFor)
+		}
 	}
 }
 
@@ -319,7 +273,7 @@ func TestShardedScanIsThePerDeviceReadSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Injector.Stall() // the scan's per-issue stall draw on the shared schedule
+		d.inj.Stall() // the scan's per-issue stall draw on the shared schedule
 		wantSt.Read.Add(rst)
 		if dt := d.Clock.Now() - before; dt > wantWall {
 			wantWall = dt

@@ -10,12 +10,11 @@ import (
 )
 
 // Spec holds the fixed hardware parameters of the SmartSSD card
-// (paper §2.2, §3.2.3): 4 GB of FPGA-attached DRAM, 4.32 MB of FPGA
-// on-chip memory, and a ~7.5 W FPGA power envelope.
+// (paper §2.2, §3.2.3): 4 GB of FPGA-attached DRAM and 4.32 MB of FPGA
+// on-chip memory.
 type Spec struct {
 	DRAMBytes   int64
 	OnChipBytes int64
-	FPGAWatts   float64
 }
 
 // DefaultSpec returns the paper's SmartSSD parameters.
@@ -23,7 +22,6 @@ func DefaultSpec() Spec {
 	return Spec{
 		DRAMBytes:   4 * 1024 * 1024 * 1024,
 		OnChipBytes: 4_320_000, // 4.32 MB of FPGA on-chip memory
-		FPGAWatts:   7.5,
 	}
 }
 
@@ -47,12 +45,11 @@ type Device struct {
 	// trigger for scripted DeviceKill{AfterScans: n} schedules.
 	Scans int64
 
-	// Injector, when non-nil, perturbs device operations with the
+	// inj, when non-nil, perturbs device operations with the
 	// configured fault schedule: the P2P link consults it for link
-	// drops, and SetInjector wires the same injector into the
-	// underlying flash array for NAND-level faults. Use SetInjector
-	// rather than assigning the field so both layers stay in sync.
-	Injector *faults.Injector
+	// drops, and the flash array holds the same injector for
+	// NAND-level faults.
+	inj *faults.Injector
 }
 
 // New assembles a SmartSSD with the default drive, links, and spec.
@@ -75,7 +72,7 @@ func New() (*Device, error) {
 // SetInjector attaches (or, with nil, detaches) a fault injector to
 // both the device links and the underlying flash array.
 func (d *Device) SetInjector(in *faults.Injector) {
-	d.Injector = in
+	d.inj = in
 	d.SSD.SetInjector(in)
 }
 
@@ -84,7 +81,7 @@ func (d *Device) SetInjector(in *faults.Injector) {
 // command setup — the host only learns of the loss when the command
 // times out — and then fails with a wrapped faults.ErrDeviceLost.
 func (d *Device) lostCheck(link LinkModel, bucket, op, name string) error {
-	if !d.Injector.DeviceLoss(d.ID, d.Scans, d.Clock.Now()) {
+	if !d.inj.DeviceLoss(d.ID, d.Scans) {
 		return nil
 	}
 	d.Clock.Advance(link.CommandLatency)
@@ -152,7 +149,7 @@ func (d *Device) read(dst []byte, name string, off, stride int64, recs []int, co
 	if err := d.lostCheck(link, errBucket, op, name); err != nil {
 		return nil, err
 	}
-	if !host && d.Injector.LinkDown() {
+	if !host && d.inj.LinkDown() {
 		// The DMA setup is spent before the link failure is observed.
 		d.Clock.Advance(d.P2P.CommandLatency)
 		d.Acct.AddTime("p2p.error", d.P2P.CommandLatency)
@@ -169,7 +166,7 @@ func (d *Device) read(dst []byte, name string, off, stride int64, recs []int, co
 	linkT := link.Duration(length, commands)
 	dur := flashT + linkT
 	if !host {
-		dur = maxDur(flashT, linkT)
+		dur = max(flashT, linkT)
 	}
 	d.Clock.Advance(dur)
 	d.Acct.AddTime(readBucket, dur)
@@ -205,10 +202,3 @@ func (d *Device) FitsOnChip(bytes int64) bool { return bytes <= d.Spec.OnChipByt
 // SpeedupP2PvsHost reports the theoretical peak-bandwidth advantage of
 // the P2P path over the host path: 3.0/1.4 ≈ 2.14× (paper §4.4).
 func (d *Device) SpeedupP2PvsHost() float64 { return d.P2P.PeakBW / d.Host.PeakBW }
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}

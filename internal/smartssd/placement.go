@@ -8,12 +8,11 @@ import (
 
 	"nessa/internal/erasure"
 	"nessa/internal/faults"
-	"nessa/internal/simtime"
 )
 
 // This file is the cluster's durability layer (DESIGN.md §4.11):
-// Reed–Solomon striped placement across devices, the per-device health
-// state machine, degraded scans that reconstruct a lost device's
+// Reed–Solomon striped placement across devices, the per-device loss
+// state, degraded scans that reconstruct a lost device's
 // stripe from its surviving peers, and background rebuild onto spares.
 
 // Placement configures striping: a dataset is split into DataShards
@@ -41,31 +40,22 @@ func (p Placement) validate(devices int) error {
 	return nil
 }
 
-// Health is a device's position in the loss state machine. A scan
-// error wrapping faults.ErrDeviceLost moves the device to
-// HealthSuspect; a host-path liveness probe then either clears it back
-// to HealthHealthy (the error was a fluke of a non-sticky fault
-// source) or confirms HealthLost, which is terminal until a Rebuild
-// swaps a spare into the slot.
+// Health is a device slot's loss state. A read error wrapping
+// faults.ErrDeviceLost moves the slot to HealthLost, which holds until
+// a Rebuild swaps a spare into it.
 type Health int
 
 const (
 	HealthHealthy Health = iota
-	HealthSuspect
 	HealthLost
 )
 
 // String renders the state for reports and errors.
 func (h Health) String() string {
-	switch h {
-	case HealthHealthy:
-		return "healthy"
-	case HealthSuspect:
-		return "suspect"
-	case HealthLost:
+	if h == HealthLost {
 		return "lost"
 	}
-	return fmt.Sprintf("health(%d)", int(h))
+	return "healthy"
 }
 
 // stripeMeta records how StripeDataset laid a dataset out.
@@ -149,7 +139,7 @@ func (c *Cluster) StripeDataset(name string, img []byte, recordSize int64, p Pla
 		if err := code.Encode(shards); err != nil {
 			return nil, fmt.Errorf("smartssd: encoding parity for %q: %w", name, err)
 		}
-		c.acct().AddTime("stripe.encode", gfTime(int64(k)*stripeLen*int64(p.ParityShards)))
+		c.Acct.AddTime("stripe.encode", gfTime(int64(k)*stripeLen*int64(p.ParityShards)))
 		parity = shards[k:]
 	}
 	for i := 0; i < k; i++ {
@@ -161,10 +151,6 @@ func (c *Cluster) StripeDataset(name string, img []byte, recordSize int64, p Pla
 		if err := c.Devices[k+r].StoreDataset(name, parity[r]); err != nil {
 			return nil, fmt.Errorf("smartssd: parity stripe %d: %w", r, err)
 		}
-	}
-	c.ensureHealth()
-	if c.stripes == nil {
-		c.stripes = make(map[string]*stripeMeta)
 	}
 	c.stripes[name] = &stripeMeta{place: p, rec: recordSize, counts: counts, stripeLen: stripeLen, code: code}
 	return counts, nil
@@ -182,10 +168,7 @@ func (c *Cluster) parityFor(name string) (*stripeMeta, error) {
 }
 
 // DeviceHealth reports device i's health state.
-func (c *Cluster) DeviceHealth(i int) Health {
-	c.ensureHealth()
-	return c.health[i]
-}
+func (c *Cluster) DeviceHealth(i int) Health { return c.health[i] }
 
 // LostCount reports how many devices the cluster has ever confirmed
 // lost (rebuilt slots stay counted — the loss happened).
@@ -203,97 +186,18 @@ func (c *Cluster) AttachSpare(d *Device) {
 	c.spares = append(c.spares, d)
 }
 
-func (c *Cluster) ensureHealth() {
-	if len(c.health) < len(c.Devices) {
-		h := make([]Health, len(c.Devices))
-		copy(h, c.health)
-		c.health = h
-	}
-}
-
-// noteLost runs the health state machine on a device that just failed
-// with faults.ErrDeviceLost: mark it suspect, probe it with a
-// zero-length host-path command, and either confirm the loss or clear
-// it. Returns true when the device is confirmed lost.
-func (c *Cluster) noteLost(i int, name string) bool {
-	c.ensureHealth()
+// noteLost marks device slot i lost after a read of it failed with
+// faults.ErrDeviceLost. The first time, the host also sends the slot a
+// zero-length liveness probe over the host path. A loss is sticky, so
+// the probe always fails; its error is dropped, but its command setup
+// stays on the device's clock, which DegradedScanBound prices.
+func (c *Cluster) noteLost(i int, name string) {
 	if c.health[i] == HealthLost {
-		return true
+		return
 	}
-	c.health[i] = HealthSuspect
-	d := c.Devices[i]
-	if _, err := d.read(nil, name, 0, 0, oneRecord, 1, true); err != nil {
-		if errors.Is(err, faults.ErrDeviceLost) {
-			c.health[i] = HealthLost
-			c.lostEver++
-			return true
-		}
-	}
-	c.health[i] = HealthHealthy
-	return false
-}
-
-// stripedScan is the body of ParallelScan: scan the data stripes, run
-// the health machine on any device-lost failure, and serve
-// confirmed-lost stripes by parity reconstruction. Only the data
-// stripes are returned — parity is an implementation detail of the
-// placement.
-func (c *Cluster) stripedScan(name string, recordSize int64, meta *stripeMeta) ([][]byte, ScanStats, time.Duration, error) {
-	var st ScanStats
-	if recordSize != meta.rec {
-		return nil, st, 0, fmt.Errorf("smartssd: scan of %q with record size %d, but it was striped at %d",
-			name, recordSize, meta.rec)
-	}
-	c.ensureHealth()
-	k, m := meta.place.DataShards, meta.place.ParityShards
-	group := k + m
-	starts := make([]time.Duration, group)
-	for gi := 0; gi < group; gi++ {
-		starts[gi] = c.Devices[gi].Clock.Now()
-	}
-	data := make([][]byte, k)
-	var lost []int
-	for i := 0; i < k; i++ {
-		if c.health[i] == HealthLost {
-			lost = append(lost, i)
-			continue
-		}
-		buf, err := c.scanShard(i, c.Devices[i], name, recordSize, meta.stripeLen, c.Verify, &st)
-		if err == nil {
-			data[i] = buf
-			continue
-		}
-		if !errors.Is(err, faults.ErrDeviceLost) {
-			return nil, st, 0, fmt.Errorf("smartssd: stripe %d: %w", i, err)
-		}
-		if c.noteLost(i, name) {
-			lost = append(lost, i)
-			continue
-		}
-		// The probe cleared the device; give the stripe one more scan.
-		buf, err = c.scanShard(i, c.Devices[i], name, recordSize, meta.stripeLen, c.Verify, &st)
-		if err != nil {
-			return nil, st, 0, fmt.Errorf("smartssd: stripe %d failed again after its probe cleared it: %w", i, err)
-		}
-		data[i] = buf
-	}
-	var extra time.Duration
-	if len(lost) > 0 {
-		recT, err := c.reconstructStripes(name, meta, data, lost, &st)
-		if err != nil {
-			return nil, st, 0, err
-		}
-		extra = recT
-	}
-	var wall time.Duration
-	for gi := 0; gi < group; gi++ {
-		if dt := c.Devices[gi].Clock.Now() - starts[gi]; dt > wall {
-			wall = dt
-		}
-	}
-	wall += extra
-	c.bumpScans()
-	return data, st, wall, nil
+	_, _ = c.Devices[i].read(nil, name, 0, 0, oneRecord, 1, true)
+	c.health[i] = HealthLost
+	c.lostEver++
 }
 
 // reconstructStripes serves the lost data stripes from parity: pull
@@ -347,7 +251,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 				return recT, fmt.Errorf("smartssd: parity stripe %d of %q: %w", r, name, err)
 			}
 			shards[pi] = buf
-			c.acct().AddBytes("recover.parity", meta.stripeLen)
+			c.Acct.AddBytes("recover.parity", meta.stripeLen)
 			needed--
 		}
 		if needed > 0 {
@@ -360,7 +264,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 		// Each missing stripe is a k-term GF dot product over the
 		// stripe length: k·stripeLen source bytes streamed per rebuild.
 		dur := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
-		c.acct().AddTime("recover.reconstruct", dur)
+		c.Acct.AddTime("recover.reconstruct", dur)
 		recT += dur
 		ok := true
 		if c.Verify != nil {
@@ -380,7 +284,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 			data[i] = shards[i][:meta.lenOf(i)]
 			st.DegradedReads++
 			st.ReconstructedBytes += meta.lenOf(i)
-			c.acct().AddBytes("recover.rebuilt", meta.lenOf(i))
+			c.Acct.AddBytes("recover.rebuilt", meta.lenOf(i))
 		}
 		return recT, nil
 	}
@@ -411,7 +315,6 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.ensureHealth()
 	k, m := meta.place.DataShards, meta.place.ParityShards
 	group := k + m
 	var lost []int
@@ -456,7 +359,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			readWall = dt
 		}
 		shards[gi] = padInPlace(buf, meta.stripeLen)
-		c.acct().AddBytes("recover.rebuild.read", length)
+		c.Acct.AddBytes("recover.rebuild.read", length)
 		sources++
 	}
 	if sources < k {
@@ -478,7 +381,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		return 0, fmt.Errorf("smartssd: rebuilding %q: %w", name, err)
 	}
 	recT := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
-	c.acct().AddTime("recover.reconstruct", recT)
+	c.Acct.AddTime("recover.reconstruct", recT)
 	var writeWall time.Duration
 	for _, gi := range lost {
 		payload := shards[gi][:meta.lenOf(gi)]
@@ -499,7 +402,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		if dt := spare.Clock.Now() - before; dt > writeWall {
 			writeWall = dt
 		}
-		c.acct().AddBytes("recover.rebuilt", int64(len(payload)))
+		c.Acct.AddBytes("recover.rebuilt", int64(len(payload)))
 		c.spares = c.spares[1:]
 		c.Devices[gi] = spare
 		c.health[gi] = HealthHealthy
@@ -532,15 +435,6 @@ func (c *Cluster) DegradedScanBound(name string, lostDevices int) (time.Duration
 // the modeled reconstruction bandwidth.
 func gfTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / DefaultReconstructBW * float64(time.Second))
-}
-
-// acct returns the cluster accountant, creating it for clusters built
-// as literals.
-func (c *Cluster) acct() *simtime.Accountant {
-	if c.Acct == nil {
-		c.Acct = simtime.NewAccountant()
-	}
-	return c.Acct
 }
 
 // padInPlace extends an arena-backed stripe to the n-byte coding length

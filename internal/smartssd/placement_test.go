@@ -313,9 +313,8 @@ func TestRebuildRestoresHealthyCluster(t *testing.T) {
 	}
 }
 
-// TestHealthStateMachine drives noteLost directly: a device whose
-// injector does not confirm the loss is cleared back to healthy via
-// the suspect probe; a confirmed loss is terminal.
+// TestHealthStateMachine drives noteLost directly: a loss is terminal
+// and counted once.
 func TestHealthStateMachine(t *testing.T) {
 	c, _ := NewCluster(2)
 	const rec = 64
@@ -323,29 +322,58 @@ func TestHealthStateMachine(t *testing.T) {
 	if _, err := c.StripeDataset("ds", img, rec, Placement{DataShards: 1, ParityShards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Injector never kills: a spurious device-lost classification is
-	// probed and cleared.
-	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 1}))
-	if c.noteLost(0, "ds") {
-		t.Fatal("healthy device confirmed lost")
-	}
-	if got := c.DeviceHealth(0); got != HealthHealthy {
-		t.Fatalf("health after cleared probe = %v, want healthy", got)
-	}
-	// Now a real kill: suspect → probe → lost, and sticky.
 	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 1, Kills: []faults.DeviceKill{{Device: 0, AfterScans: 1}}}))
 	c.bumpScans()
-	if !c.noteLost(0, "ds") {
-		t.Fatal("killed device not confirmed lost")
-	}
+	c.noteLost(0, "ds")
 	if got := c.DeviceHealth(0); got != HealthLost {
 		t.Fatalf("health = %v, want lost", got)
 	}
-	if !c.noteLost(0, "ds") {
-		t.Fatal("lost state not sticky")
+	c.noteLost(0, "ds")
+	if got := c.DeviceHealth(0); got != HealthLost {
+		t.Fatalf("health after a second loss = %v, want lost", got)
 	}
 	if c.LostCount() != 1 {
 		t.Fatalf("LostCount = %d, want 1 (no double count)", c.LostCount())
+	}
+}
+
+// TestLostMemberProbeCharge pins what a killed data member costs its
+// own clock: the scan that finds it gone charges one P2P command setup
+// to p2p.error (the failed read) and one host command setup to
+// host.error (the liveness probe); every later scan skips it and
+// charges it nothing.
+func TestLostMemberProbeCharge(t *testing.T) {
+	c, _ := NewCluster(4)
+	const rec = 64
+	if _, err := c.StripeDataset("ds", stripeImg(12, rec), rec, Placement{DataShards: 3, ParityShards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 5, Kills: []faults.DeviceKill{{Device: 1, AfterScans: 1}}}))
+	if _, _, _, err := c.ParallelScan("ds", rec); err != nil {
+		t.Fatal(err)
+	}
+	d := c.Devices[1]
+	if d.Acct.Time("host.error")+d.Acct.Time("p2p.error") != 0 {
+		t.Fatal("the clean scan charged an error bucket")
+	}
+	for scan := 1; scan <= 3; scan++ {
+		before := d.Clock.Now()
+		if _, st, _, err := c.ParallelScan("ds", rec); err != nil || st.DegradedReads != 1 {
+			t.Fatalf("degraded scan %d: err %v, stats %+v", scan, err, st)
+		}
+		if got := d.Acct.Time("host.error"); got != d.Host.CommandLatency {
+			t.Fatalf("after scan %d: host.error = %v, want one host command (%v)", scan, got, d.Host.CommandLatency)
+		}
+		if got := d.Acct.Time("p2p.error"); got != d.P2P.CommandLatency {
+			t.Fatalf("after scan %d: p2p.error = %v, want one P2P command (%v)", scan, got, d.P2P.CommandLatency)
+		}
+		want := time.Duration(0)
+		if scan == 1 {
+			want = d.Host.CommandLatency + d.P2P.CommandLatency
+		}
+		if got := d.Clock.Now() - before; got != want {
+			t.Fatalf("scan %d advanced the lost member's clock by %v, want %v", scan, got, want)
+		}
 	}
 }
 

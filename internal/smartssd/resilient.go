@@ -133,7 +133,7 @@ func (d *Device) readResilient(dst []byte, name string, off, stride int64, recs 
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			st.Retries++
-			if b := d.Injector.BackoffJitter(pol.backoff(attempt - 1)); b > 0 {
+			if b := d.inj.BackoffJitter(pol.backoff(attempt - 1)); b > 0 {
 				d.Clock.Advance(b)
 				d.Acct.AddTime("retry.backoff", b)
 			}

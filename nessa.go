@@ -170,7 +170,6 @@ var (
 	ErrCorruptRecord = faults.ErrCorruptRecord
 	ErrTransientIO   = faults.ErrTransientIO
 	ErrLinkDown      = faults.ErrLinkDown
-	ErrShardTimeout  = faults.ErrShardTimeout
 	ErrOutOfRange    = faults.ErrOutOfRange
 	ErrNotFound      = faults.ErrNotFound
 	ErrDeviceLost    = faults.ErrDeviceLost
@@ -187,13 +186,11 @@ type Placement = smartssd.Placement
 // degraded reads served by parity reconstruction.
 type ScanStats = smartssd.ScanStats
 
-// DeviceHealth is a cluster member's health state: healthy, suspect,
-// or lost.
+// DeviceHealth is a cluster member's health state: healthy or lost.
 type DeviceHealth = smartssd.Health
 
 // DeviceKill schedules a scripted whole-device kill in a FaultProfile:
-// device Device dies permanently after AfterScans completed scans or
-// at simulated time At, whichever trigger is set.
+// device Device dies permanently after AfterScans completed scans.
 type DeviceKill = faults.DeviceKill
 
 // RecoveryReport aggregates a run's device-loss recovery activity:
@@ -207,9 +204,9 @@ func NewFaultInjector(p FaultProfile) *FaultInjector { return faults.NewInjector
 // FaultClasses lists every injectable fault class.
 func FaultClasses() []FaultClass { return faults.AllClasses() }
 
-// DefaultChaosProfile returns the standard chaos profile: every fault
-// class active at moderate rates — the configuration the resilience
-// tests and bench-faults run under.
+// DefaultChaosProfile returns the standard chaos profile: every rated
+// fault class active at moderate rates, and no device killed — the
+// configuration the resilience tests and bench-faults run under.
 func DefaultChaosProfile() FaultProfile { return faults.DefaultChaosProfile() }
 
 // DefaultRetryPolicy returns the standard read-recovery policy: four
