@@ -281,7 +281,8 @@ func main() {
 // built. It rejects a placement erasure.New cannot code (k ≥ 1,
 // m ≥ 0, k+m ≤ 255) and a kill that can never fire: one after n < 1
 // scans, or of a device d that is neither a drive 0…k+m−1 nor, with
-// spare, the spare k+m. With parity empty the Placement is zero.
+// spare, the spare k+m. With parity empty the Placement is zero, and
+// a kill or a spare is an error: neither has a cluster to act on.
 func parseCluster(parity, kill string, spare bool) (nessa.Placement, []nessa.DeviceKill, error) {
 	var k, m int
 	if parity != "" {
@@ -290,11 +291,11 @@ func parseCluster(parity, kill string, spare bool) (nessa.Placement, []nessa.Dev
 		}
 	}
 	place := nessa.Placement{DataShards: k, ParityShards: m}
+	if parity == "" && (kill != "" || spare) {
+		return place, nil, fmt.Errorf("-kill and -spare need an erasure-coded cluster (set -parity)")
+	}
 	if kill == "" {
 		return place, nil, nil
-	}
-	if parity == "" {
-		return place, nil, fmt.Errorf("-kill needs an erasure-coded cluster (set -parity)")
 	}
 	ids := place.Total()
 	if spare {

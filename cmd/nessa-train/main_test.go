@@ -35,6 +35,7 @@ func TestParseCluster(t *testing.T) {
 		{"2000000000+0", "", false, nessa.Placement{}, nil, false},
 		{"9223372036854775807+9223372036854775807", "", false, nessa.Placement{}, nil, false},
 		{"", "1@3", false, nessa.Placement{}, nil, false},
+		{"", "", true, nessa.Placement{}, nil, false},
 		{"3+1", "1", false, nessa.Placement{}, nil, false},
 		{"3+1", "1@3,2@5", false, nessa.Placement{}, nil, false},
 		{"3+1", "1@0", false, nessa.Placement{}, nil, false},

@@ -1,6 +1,6 @@
-// Package analysis implements nessa-vet, the repository's custom
-// static-analysis suite. Six analyzers machine-check the source-level
-// contracts the test suite otherwise only samples at runtime:
+// Package analysis is the repository's custom static-analysis suite.
+// Six analyzers machine-check the source-level contracts the test
+// suite otherwise only samples at runtime:
 //
 //   - determinism: no wall-clock or math/rand in device/core code
 //   - maporder:    no order-sensitive accumulation over map iteration
@@ -13,16 +13,18 @@
 //   - scratchlife: arena and worker-local scratch must not outlive its
 //     epoch
 //
-// A second, compiler-evidence suite (inlinegate, bcecheck) runs under
-// nessa-vet -compiler against an instrumented build; see README's
+// A second, compiler-evidence suite (inlinegate, bcecheck) checks the
+// hot-path contracts against an instrumented build; see README's
 // analyzer reference table.
 //
-// Every analyzer reports position-accurate findings and honors a
-// source-level opt-out annotation (see the directive constants below
-// and DESIGN.md §4.7). The suite is built purely on the standard
-// library — go/parser, go/ast, go/token, go/types with a
-// source-loading importer — preserving the repository's
-// no-external-dependency rule.
+// The suite's one front end is its tests: TestRepoVetClean and
+// TestRepoCompilerClean run both suites over every package of the
+// module, so `go test ./internal/analysis` fails on any finding.
+// Every analyzer reports position-accurate findings; the directive
+// constants below are its opt-ins and site-level waivers (DESIGN.md
+// §4.7). The suite is built purely on the standard library — go/parser,
+// go/ast, go/token, go/types with a source-loading importer —
+// preserving the repository's no-external-dependency rule.
 package analysis
 
 import (
@@ -39,18 +41,9 @@ const (
 	// allocating and formatting constructs (opt-in for the hotpath
 	// analyzer).
 	DirHotpath = "hotpath"
-	// DirSortedIteration marks a map-range statement whose iteration
-	// order has been made irrelevant or whose keys are externally
-	// sorted (opt-out for maporder).
-	DirSortedIteration = "sorted-iteration"
 	// DirAllocOK exempts one flagged site inside a hotpath function
 	// (e.g. a pool-miss refill or a once-per-call dispatch closure).
 	DirAllocOK = "alloc-ok"
-	// DirWallclock exempts one wall-clock or math/rand use from the
-	// determinism analyzer.
-	DirWallclock = "wallclock"
-	// DirErrOK exempts one error-handling site from errhygiene.
-	DirErrOK = "err-ok"
 	// DirArena marks a type or struct field whose memory is
 	// epoch-scoped scratch (opt-in seed for the scratchlife analyzer):
 	// values read from it are valid only until the next epoch
@@ -61,75 +54,31 @@ const (
 	// to a caller that returns it, or a view with a documented
 	// lifetime), or a single flagged line.
 	DirScratchOK = "scratch-ok"
-	// DirSyncOK exempts one concurrency finding (e.g. an Add inside a
-	// goroutine whose Wait is ordered after it by other means).
-	DirSyncOK = "sync-ok"
 	// DirInline marks a leaf kernel that must stay within gc's inline
 	// budget and actually inline at hot call sites (opt-in for the
 	// inlinegate compiler-evidence analyzer).
 	DirInline = "inline"
-	// DirInlineOK exempts one call site to a //nessa:inline function
-	// from the must-inline rule (a cold or dispatch-amortized call).
-	DirInlineOK = "inline-ok"
 	// DirBCEOK exempts one surviving bounds check in a hot inner loop
 	// from the bcecheck compiler-evidence analyzer, with a
 	// justification for why it cannot (or need not) be eliminated.
 	DirBCEOK = "bce-ok"
 )
 
-// SeverityError is the severity every rule reports.
-const SeverityError = "error"
-
-// Finding is one diagnostic: where, which analyzer, how severe, and
-// why. Suggestion names the //nessa:* waiver directive applicable at
-// the site (empty when no directive can waive the rule), so editor and
-// CI integrations can render a quick-fix.
+// Finding is one diagnostic: where, which analyzer, and why.
 type Finding struct {
-	Analyzer   string
-	Pos        token.Position
-	Severity   string
-	Message    string
-	Suggestion string
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// JSONFinding is the wire form of a Finding emitted by nessa-vet
-// -json: one object per line.
-type JSONFinding struct {
-	Analyzer   string `json:"analyzer"`
-	Severity   string `json:"severity"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Message    string `json:"message"`
-	Suggestion string `json:"suggestion,omitempty"`
-}
-
-// ToJSON converts a Finding to its wire form.
-func ToJSON(f Finding) JSONFinding {
-	return JSONFinding{
-		Analyzer:   f.Analyzer,
-		Severity:   f.Severity,
-		File:       f.Pos.Filename,
-		Line:       f.Pos.Line,
-		Col:        f.Pos.Column,
-		Message:    f.Message,
-		Suggestion: f.Suggestion,
-	}
-}
-
-// Analyzer is one named check run over a type-checked package. Waiver
-// names the //nessa:* directive that exempts one flagged site (empty
-// when the analyzer has no site-level waiver); it is copied into every
-// finding's Suggestion.
+// Analyzer is one named check run over a type-checked package.
 type Analyzer struct {
-	Name   string
-	Doc    string
-	Waiver string
-	Run    func(*Pass)
+	Name string
+	Run  func(*Pass)
 }
 
 // All returns the full analyzer suite in a stable order.
@@ -145,50 +94,14 @@ func All() []*Analyzer {
 }
 
 // CompilerAll returns the compiler-evidence analyzer suite in a
-// stable order. These run only under nessa-vet -compiler, with an
-// Evidence attached to the pass; they are not part of All() because
-// they are inert without an instrumented build.
+// stable order. These run only through RunCompiler, with an Evidence
+// attached to the pass; they are not part of All() because they are
+// inert without an instrumented build.
 func CompilerAll() []*Analyzer {
 	return []*Analyzer{
 		InlineGateAnalyzer(),
 		BCECheckAnalyzer(),
 	}
-}
-
-// ByName returns the named analyzers, or an error naming the first
-// unknown one. Both the source-level and compiler-evidence suites are
-// addressable. Names are trimmed of surrounding whitespace (so
-// "maporder, hotpath" works) and deduplicated in first-occurrence order;
-// empty segments are ignored.
-func ByName(names []string) ([]*Analyzer, error) {
-	index := make(map[string]*Analyzer)
-	for _, a := range All() {
-		index[a.Name] = a
-	}
-	for _, a := range CompilerAll() {
-		index[a.Name] = a
-	}
-	seen := make(map[string]bool)
-	var out []*Analyzer
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" || seen[n] {
-			continue
-		}
-		seen[n] = true
-		a, ok := index[n]
-		if !ok {
-			valid := make([]string, 0, len(index))
-			for name := range index {
-				//nessa:sorted-iteration keys are sorted immediately below
-				valid = append(valid, name)
-			}
-			sort.Strings(valid)
-			return nil, fmt.Errorf("analysis: unknown analyzer %q (valid: %s)", n, strings.Join(valid, ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // Pass is the per-package context handed to an analyzer's Run.
@@ -200,7 +113,7 @@ type Pass struct {
 	// that line, for line-level opt-out lookup.
 	directives map[string]map[int][]string
 	// Evidence carries the parsed instrumented-build facts during a
-	// nessa-vet -compiler run; nil for source-level passes. The
+	// RunCompiler pass; nil for source-level passes. The
 	// compiler-evidence analyzers report nothing when it is nil.
 	Evidence *Evidence
 }
@@ -236,11 +149,9 @@ func (p *Pass) PosAt(file string, line, col int) token.Pos {
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
-		Analyzer:   p.analyzer.Name,
-		Pos:        p.Pkg.Fset.Position(pos),
-		Severity:   SeverityError,
-		Message:    fmt.Sprintf(format, args...),
-		Suggestion: p.analyzer.Waiver,
+		Analyzer: p.analyzer.Name,
+		Pos:      p.Pkg.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
 	})
 }
 

@@ -25,12 +25,7 @@ import (
 // documented tail case) takes a //nessa:bce-ok waiver with a
 // justification.
 func BCECheckAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "bcecheck",
-		Doc:    "prove inner-loop index expressions in //nessa:hotpath kernel functions are bounds-check-eliminated",
-		Waiver: DirBCEOK,
-		Run:    runBCECheck,
-	}
+	return &Analyzer{Name: "bcecheck", Run: runBCECheck}
 }
 
 // bceScoped is the numeric kernel packages, whose inner loops carry

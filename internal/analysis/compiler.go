@@ -1,7 +1,7 @@
-// Compiler-evidence collection for nessa-vet. The source-level
-// analyzers check what the code *says*; the compiler-evidence layer
-// checks what gc actually *emits*. One instrumented build of the
-// module —
+// Compiler-evidence collection for the analysis suite. The
+// source-level analyzers check what the code *says*; the
+// compiler-evidence layer checks what gc actually *emits*. One
+// instrumented build of the module —
 //
 //	go build -gcflags='-m=2 -d=ssa/check_bce/debug=1' ./...
 //

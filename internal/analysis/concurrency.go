@@ -27,17 +27,11 @@ import (
 // vet's copylocks; loop-variable capture is not a fault at the
 // module's go >= 1.22 floor, where loop variables are per-iteration.
 //
-// //nessa:sync-ok on the flagged line (or the line above) waives one
-// finding.
+// There is no site-level waiver.
 
 // ConcurrencyAnalyzer returns the concurrency analyzer.
 func ConcurrencyAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "concurrency",
-		Waiver: DirSyncOK,
-		Doc:    "WaitGroup.Add inside go statements, unlock-without-lock paths",
-		Run:    runConcurrency,
-	}
+	return &Analyzer{Name: "concurrency", Run: runConcurrency}
 }
 
 func runConcurrency(p *Pass) {
@@ -75,7 +69,7 @@ func checkAddInside(p *Pass, lit *ast.FuncLit) {
 		if !ok {
 			return true
 		}
-		if syncMethod(p.Pkg.Info, call) == "WaitGroup.Add" && !p.ExemptAt(call.Pos(), DirSyncOK) {
+		if syncMethod(p.Pkg.Info, call) == "WaitGroup.Add" {
 			p.Reportf(call.Pos(), "sync.WaitGroup.Add inside the spawned closure races with Wait; call Add before spawning")
 		}
 		return true
@@ -152,9 +146,6 @@ func checkLockState(p *Pass, body *ast.BlockStmt) {
 		state := spec.Copy(in[b])
 		for _, n := range b.Nodes {
 			applyLockOps(info, n, state, func(key string, call *ast.CallExpr) {
-				if p.ExemptAt(call.Pos(), DirSyncOK) {
-					return
-				}
 				p.Reportf(call.Pos(), "%s.Unlock may run without a preceding Lock on some path", strings.TrimPrefix(key, "r:"))
 			})
 		}

@@ -27,17 +27,10 @@ var wallClockFuncs = map[string]bool{
 // harness, command binaries, and examples. Core and device code must
 // use internal/simtime for time and the seeded SplitMix64 generators
 // (tensor.RNG) for randomness, so that selection subsets and training
-// trajectories replay bit-identically from a single seed.
-//
-// Opt-out: //nessa:wallclock on (or immediately above) the offending
-// line.
+// trajectories replay bit-identically from a single seed. There is no
+// site-level waiver.
 func DeterminismAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "determinism",
-		Waiver: DirWallclock,
-		Doc:    "forbid wall-clock and math/rand outside bench, cmd, and examples",
-		Run:    runDeterminism,
-	}
+	return &Analyzer{Name: "determinism", Run: runDeterminism}
 }
 
 // determinismExempt reports whether a package may legitimately touch
@@ -60,9 +53,6 @@ func runDeterminism(p *Pass) {
 		for _, imp := range f.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
 			if path == "math/rand" || path == "math/rand/v2" {
-				if p.ExemptAt(imp.Pos(), DirWallclock) {
-					continue
-				}
 				p.Reportf(imp.Pos(),
 					"import of %s: device/core code must use the seeded deterministic RNGs (tensor.RNG) so runs replay from a single seed", path)
 			}
@@ -78,9 +68,6 @@ func runDeterminism(p *Pass) {
 				return true
 			}
 			if !wallClockFuncs[fn.Name()] {
-				return true
-			}
-			if p.ExemptAt(sel.Pos(), DirWallclock) {
 				return true
 			}
 			p.Reportf(sel.Pos(),

@@ -25,14 +25,9 @@ import (
 //     in the format — the cause is stringified and falls out of the
 //     errors.Is/As chain.
 //
-// Opt-out: //nessa:err-ok on (or above) the line.
+// There is no site-level waiver.
 func ErrHygieneAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "errhygiene",
-		Waiver: DirErrOK,
-		Doc:    "enforce errors.Is / %w wrapping in the sentinel-error packages",
-		Run:    runErrHygiene,
-	}
+	return &Analyzer{Name: "errhygiene", Run: runErrHygiene}
 }
 
 // errHygieneScoped reports whether the package participates in the
@@ -67,17 +62,13 @@ func runErrHygiene(p *Pass) {
 					return true
 				}
 				if isErr(n.X) && isErr(n.Y) {
-					if !p.ExemptAt(n.Pos(), DirErrOK) {
-						p.Reportf(n.Pos(),
-							"error compared by identity (%s): wrapped sentinels no longer compare equal; use errors.Is", n.Op)
-					}
+					p.Reportf(n.Pos(),
+						"error compared by identity (%s): wrapped sentinels no longer compare equal; use errors.Is", n.Op)
 					return true
 				}
 				if isErrorText(p, n.X) || isErrorText(p, n.Y) {
-					if !p.ExemptAt(n.Pos(), DirErrOK) {
-						p.Reportf(n.Pos(),
-							"error matched by message text: messages are not API; use errors.Is against the sentinel")
-					}
+					p.Reportf(n.Pos(),
+						"error matched by message text: messages are not API; use errors.Is against the sentinel")
 				}
 			case *ast.CallExpr:
 				checkStringsMatch(p, n)
@@ -130,9 +121,6 @@ func checkStringsMatch(p *Pass, call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		if isErrorText(p, arg) {
-			if p.ExemptAt(call.Pos(), DirErrOK) {
-				return
-			}
 			p.Reportf(call.Pos(),
 				"strings.%s over err.Error(): error messages are not API; use errors.Is against the sentinel", obj.Name())
 			return
@@ -164,9 +152,6 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr, isErr func(ast.Expr) bool) {
 	}
 	for _, arg := range call.Args[1:] {
 		if isErr(arg) {
-			if p.ExemptAt(call.Pos(), DirErrOK) {
-				return
-			}
 			p.Reportf(call.Pos(),
 				"fmt.Errorf stringifies an error argument without %%w: the cause drops out of the errors.Is/As chain; wrap it with %%w")
 			return

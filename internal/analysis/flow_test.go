@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -17,11 +16,7 @@ func loadSrc(t *testing.T, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, "f.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(repoRoot(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir(dir, "nessa/internal/fixture/flowtest")
+	pkg, err := testLoader(t, repoRoot(t)).LoadDir(dir, "nessa/internal/fixture/flowtest")
 	if err != nil {
 		t.Fatalf("loading synthetic package: %v", err)
 	}
@@ -163,49 +158,6 @@ func f(c bool) int {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestByNameTrimsAndDeduplicates(t *testing.T) {
-	az, err := ByName([]string{" maporder", " hotpath ", "hotpath", ""})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(az) != 2 {
-		names := make([]string, 0, len(az))
-		for _, a := range az {
-			names = append(names, a.Name)
-		}
-		t.Fatalf("expected [maporder hotpath], got %v", names)
-	}
-	if az[0].Name != "maporder" || az[1].Name != "hotpath" {
-		t.Errorf("wrong analyzers: %s, %s", az[0].Name, az[1].Name)
-	}
-	if _, err := ByName([]string{"maporder", "nosuch"}); err == nil {
-		t.Error("unknown analyzer name must error")
-	}
-}
-
-// TestByNameErrorListsValidAnalyzers pins the -run typo experience:
-// the error enumerates every valid name from both suites.
-func TestByNameErrorListsValidAnalyzers(t *testing.T) {
-	_, err := ByName([]string{"hotpaht"})
-	if err == nil {
-		t.Fatal("ByName accepted an unknown analyzer name")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, `"hotpaht"`) {
-		t.Errorf("error does not quote the unknown name: %s", msg)
-	}
-	for _, a := range All() {
-		if !strings.Contains(msg, a.Name) {
-			t.Errorf("error does not list source analyzer %s: %s", a.Name, msg)
-		}
-	}
-	for _, a := range CompilerAll() {
-		if !strings.Contains(msg, a.Name) {
-			t.Errorf("error does not list compiler analyzer %s: %s", a.Name, msg)
 		}
 	}
 }

@@ -28,12 +28,7 @@ import (
 // line, with a justification (e.g. a pool-miss refill, or a
 // once-per-dispatch closure amortized over a whole banded GEMM).
 func HotPathAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "hotpath",
-		Waiver: DirAllocOK,
-		Doc:    "forbid allocating and formatting constructs in //nessa:hotpath functions",
-		Run:    runHotPath,
-	}
+	return &Analyzer{Name: "hotpath", Run: runHotPath}
 }
 
 func runHotPath(p *Pass) {

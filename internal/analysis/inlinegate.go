@@ -20,18 +20,13 @@ import (
 //     inside a //nessa:hotpath function must carry an "inlining call
 //     to" fact. A hot call the inliner skipped (wrapped in a method
 //     value, moved behind an interface, or demoted when the callee
-//     grew) is a finding unless waived with //nessa:inline-ok.
+//     grew) is a finding; there is no site-level waiver.
 //
 // Annotated declarations are indexed module-wide by RunCompiler, so
 // the call-site rule resolves callees across package boundaries
 // (nn's hot loops calling tensor.Dot, for example).
 func InlineGateAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "inlinegate",
-		Doc:    "prove //nessa:inline kernels stay inlinable and inline at //nessa:hotpath call sites",
-		Waiver: DirInlineOK,
-		Run:    runInlineGate,
-	}
+	return &Analyzer{Name: "inlinegate", Run: runInlineGate}
 }
 
 func runInlineGate(p *Pass) {
@@ -94,10 +89,10 @@ func checkHotCallSites(p *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		callPos := p.Pkg.Fset.Position(call.Pos())
-		if inlinedAt(p.Evidence, callPos.Filename, callPos.Line, name) || p.ExemptAt(call.Pos(), DirInlineOK) {
+		if inlinedAt(p.Evidence, callPos.Filename, callPos.Line, name) {
 			return true
 		}
-		p.Reportf(call.Pos(), "call to //nessa:inline function %s was not inlined in //nessa:hotpath function %s — the hot loop pays a call per iteration (annotate //nessa:inline-ok with a justification if this site is cold or dispatch-amortized)",
+		p.Reportf(call.Pos(), "call to //nessa:inline function %s was not inlined in //nessa:hotpath function %s — the hot loop pays a call per iteration",
 			name, fn.Name.Name)
 		return true
 	})

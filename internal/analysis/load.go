@@ -1,12 +1,12 @@
-// Package loading for nessa-vet. The loader resolves and type-checks
-// repository packages using only the standard library: go/build for
-// build-constraint evaluation, go/parser for syntax, and go/types for
-// type information. Imports within this module are resolved straight
-// from the repository tree; standard-library imports are delegated to
-// the stdlib source importer (go/importer, compiler "source"), so the
-// tool needs no pre-compiled export data and no golang.org/x/tools
-// dependency — the same stdlib-only rule the rest of the repository
-// follows.
+// Package loading for the analysis suite. The loader resolves and
+// type-checks repository packages using only the standard library:
+// go/build for build-constraint evaluation, go/parser for syntax, and
+// go/types for type information. Imports within this module are
+// resolved straight from the repository tree; standard-library imports
+// are delegated to the stdlib source importer (go/importer, compiler
+// "source"), so the suite needs no pre-compiled export data and no
+// golang.org/x/tools dependency — the same stdlib-only rule the rest of
+// the repository follows.
 package analysis
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -31,12 +30,10 @@ type Package struct {
 	// Analyzer scoping (exempt packages, per-package rule sets) keys off
 	// this path.
 	ImportPath string
-	// Dir is the absolute directory the package was loaded from.
-	Dir   string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+	Fset       *token.FileSet
+	Files      []*ast.File
+	Types      *types.Package
+	Info       *types.Info
 }
 
 // Loader loads and type-checks packages of a single module rooted at a
@@ -49,19 +46,11 @@ type Loader struct {
 	module string // module path from go.mod
 	std    types.Importer
 	pkgs   map[string]*Package
-	ctxt   build.Context
 }
 
-// NewLoader returns a loader for the module rooted at root. The module
-// path is read from root/go.mod.
-func NewLoader(root string) (*Loader, error) {
-	fset := token.NewFileSet()
-	return newLoader(root, fset, importer.ForCompiler(fset, "source", nil))
-}
-
-// newLoader is NewLoader over a caller-supplied file set and stdlib
-// importer (which must share that file set), so several loaders can
-// reuse one type-checked standard library.
+// newLoader returns a loader for the module rooted at root, whose
+// module path is read from root/go.mod. The stdlib importer must share
+// fset, so several loaders can reuse one type-checked standard library.
 func newLoader(root string, fset *token.FileSet, std types.Importer) (*Loader, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -71,33 +60,14 @@ func newLoader(root string, fset *token.FileSet, std types.Importer) (*Loader, e
 	if err != nil {
 		return nil, err
 	}
-	ctxt := build.Default
-	// The loader parses every file itself; go/build is used only to
-	// evaluate build constraints, so keep its behavior hermetic.
-	ctxt.UseAllFiles = false
 	return &Loader{
 		Fset:   fset,
 		root:   abs,
 		module: mod,
 		std:    std,
 		pkgs:   make(map[string]*Package),
-		ctxt:   ctxt,
 	}, nil
 }
-
-// Root reports the module root directory.
-func (l *Loader) Root() string { return l.root }
-
-// SetGOARCH overrides the architecture used for build-constraint
-// evaluation (file suffixes like _amd64.go and //go:build lines), so a
-// load can resolve a different port's file set than the host's — e.g.
-// the portable fallback kernels instead of the amd64 assembly ones.
-// Must be called before the first load; already-memoized packages keep
-// the constraint set they were loaded under.
-func (l *Loader) SetGOARCH(arch string) { l.ctxt.GOARCH = arch }
-
-// Module reports the module path.
-func (l *Loader) Module() string { return l.module }
 
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
@@ -142,14 +112,7 @@ func (l *Loader) dirFor(path string) string {
 
 // load loads (or returns the memoized) module package for path.
 func (l *Loader) load(path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	pkg, err := l.loadDir(l.dirFor(path), path)
-	if err != nil {
-		return nil, err
-	}
-	return pkg, nil
+	return l.LoadDir(l.dirFor(path), path)
 }
 
 // LoadDir parses and type-checks the non-test Go files of dir as the
@@ -158,14 +121,12 @@ func (l *Loader) load(path string) (*Package, error) {
 // fixtures, whose synthetic import paths place them inside whatever
 // analyzer scope the test wants to exercise.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	return l.loadDir(dir, importPath)
-}
-
-func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	if pkg, ok := l.pkgs[importPath]; ok {
 		return pkg, nil
 	}
-	bp, err := l.ctxt.ImportDir(dir, 0)
+	// go/build only evaluates build constraints; the loader parses
+	// every file itself.
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
 	}
@@ -193,7 +154,6 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	}
 	pkg := &Package{
 		ImportPath: importPath,
-		Dir:        dir,
 		Fset:       l.Fset,
 		Files:      files,
 		Types:      tpkg,
@@ -235,7 +195,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		if rel != "." {
 			path = l.module + "/" + filepath.ToSlash(rel)
 		}
-		if _, err := l.ctxt.ImportDir(dir, 0); err != nil {
+		if _, err := build.ImportDir(dir, 0); err != nil {
 			var noGo *build.NoGoError
 			if errors.As(err, &noGo) {
 				continue

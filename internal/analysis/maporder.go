@@ -13,24 +13,14 @@ import (
 // bits depend on visit order). Either breaks the repository's
 // bit-identical reproducibility contract.
 //
-// Two escapes:
-//
-//   - appending keys that are subsequently passed to a sort.* or
-//     slices.Sort* call in the same function is recognized as the
-//     collect-then-sort idiom and allowed;
-//   - //nessa:sorted-iteration on (or immediately above) the range
-//     statement asserts the order has been made irrelevant by other
-//     means.
+// One escape, and no site-level waiver: appending keys that are
+// subsequently passed to a sort.* or slices.Sort* call in the same
+// function is recognized as the collect-then-sort idiom and allowed.
 //
 // Integer accumulation is deliberately not flagged: integer addition
 // is exactly commutative, so visit order cannot change the result.
 func MapOrderAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "maporder",
-		Waiver: DirSortedIteration,
-		Doc:    "flag order-sensitive accumulation over map iteration",
-		Run:    runMapOrder,
-	}
+	return &Analyzer{Name: "maporder", Run: runMapOrder}
 }
 
 func runMapOrder(p *Pass) {
@@ -51,9 +41,6 @@ func runMapOrder(p *Pass) {
 					return true
 				}
 				if _, ok := t.Underlying().(*types.Map); !ok {
-					return true
-				}
-				if p.ExemptAt(rs.Pos(), DirSortedIteration) {
 					return true
 				}
 				checkMapRangeBody(p, rs, sorted)
@@ -84,22 +71,16 @@ func checkMapRangeBody(p *Pass, rs *ast.RangeStmt, sorted map[types.Object]bool)
 						}
 					}
 				}
-				if p.ExemptAt(call.Pos(), DirSortedIteration) {
-					continue
-				}
 				p.Reportf(call.Pos(),
-					"append inside map iteration: element order follows the randomized map order; sort the keys first (or sort the result, or annotate //nessa:sorted-iteration)")
+					"append inside map iteration: element order follows the randomized map order; sort the keys first (or sort the result)")
 			}
 			// x += <float>, x -= <float>, ...: float reduction order
 			// follows map order.
 			switch n.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				if len(n.Lhs) == 1 && isFloat(p.Pkg.Info.TypeOf(n.Lhs[0])) {
-					if p.ExemptAt(n.Pos(), DirSortedIteration) {
-						return true
-					}
 					p.Reportf(n.Pos(),
-						"floating-point accumulation inside map iteration: float addition is order-sensitive and map order is randomized; iterate sorted keys (or annotate //nessa:sorted-iteration)")
+						"floating-point accumulation inside map iteration: float addition is order-sensitive and map order is randomized; iterate sorted keys")
 				}
 			}
 		}

@@ -22,11 +22,7 @@ func analyzerFindings(t *testing.T, analyzer, dir, importPath string) []Finding 
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	az, err := ByName([]string{analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Run([]*Package{pkg}, az)
+	return Run([]*Package{pkg}, []*Analyzer{analyzerNamed(t, analyzer)})
 }
 
 // TestInjectedScratchLeakCaught is the scratchlife acceptance mutation:

@@ -32,12 +32,7 @@ import (
 
 // ScratchLifeAnalyzer returns the scratchlife analyzer.
 func ScratchLifeAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name:   "scratchlife",
-		Waiver: DirScratchOK,
-		Doc:    "arena and worker-local scratch memory escaping its epoch: returns, stores, channel sends",
-		Run:    runScratchLife,
-	}
+	return &Analyzer{Name: "scratchlife", Run: runScratchLife}
 }
 
 func runScratchLife(p *Pass) {

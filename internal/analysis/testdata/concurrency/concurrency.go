@@ -36,13 +36,14 @@ func PoolAdd(xs []float64) {
 	wg.Wait()
 }
 
-// WaivedAdd documents a counted handshake with the sync-ok escape
-// hatch: the caller's Wait starts only after ready is closed, and the
-// goroutine closes it after its Add.
-func WaivedAdd(wg *sync.WaitGroup, ready chan struct{}) {
+// HandshakeAdd is a counted handshake: the caller's Wait starts only
+// after ready is closed, and the goroutine closes it after its Add.
+// The ordering is not visible to the analyzer, which has no site-level
+// waiver, so the Add is still flagged.
+func HandshakeAdd(wg *sync.WaitGroup, ready chan struct{}) {
 	go func() {
-		//nessa:sync-ok the caller waits on ready before calling wg.Wait
-		wg.Add(1)
+		// the caller waits on ready before calling wg.Wait
+		wg.Add(1) // want "sync.WaitGroup.Add inside the spawned closure"
 		close(ready)
 		wg.Done()
 	}()

@@ -21,8 +21,9 @@ func Roll() int { return rand.Intn(6) }
 // timeline carry no wall-clock dependence and are not flagged.
 func SimulatedOnly(d time.Duration) time.Duration { return 2 * d }
 
-// Waived reads the clock under an explicit, justified waiver.
-func Waived() time.Time {
-	//nessa:wallclock fixture demonstrates the site-level opt-out
-	return time.Now()
+// Justified reads the clock with a justifying comment: the analyzer
+// has no site-level waiver, so it is still flagged.
+func Justified() time.Time {
+	// a comment is not an exemption
+	return time.Now() // want "call to time.Now reads the wall clock"
 }

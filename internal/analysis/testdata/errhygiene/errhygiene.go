@@ -44,10 +44,11 @@ func GoodWrap(err error) error { return fmt.Errorf("reading shard: %w", err) }
 // NoCause has no error argument at all: nothing to wrap.
 func NoCause(n int) error { return fmt.Errorf("bad shard count %d", n) }
 
-// Waived carries the site-level opt-out.
-func Waived(err error) bool {
-	//nessa:err-ok fixture demonstrates the opt-out
-	return err == ErrGone
+// Commented compares by identity under a justifying comment: there is
+// no site-level waiver, so it is still flagged.
+func Commented(err error) bool {
+	// a comment is not an exemption
+	return err == ErrGone // want "compared by identity"
 }
 
 // ErrDeviceGone mirrors faults.ErrDeviceLost: the permanent whole-
@@ -64,8 +65,9 @@ func LostIdentity(err error) bool {
 // LostIs is the sanctioned classification on the recovery paths.
 func LostIs(err error) bool { return errors.Is(err, ErrDeviceGone) }
 
-// LostWaived carries the opt-out where identity is deliberate.
-func LostWaived(err error) bool {
-	//nessa:err-ok recovery fixture demonstrates the opt-out
-	return err == ErrDeviceGone
+// LostCommented claims the identity check is deliberate; it is still
+// flagged.
+func LostCommented(err error) bool {
+	// identity claimed deliberate here
+	return err == ErrDeviceGone // want "compared by identity"
 }

@@ -46,14 +46,14 @@ func Huge(xs []float32) float32 { // want "gc cannot inline //nessa:inline funct
 }
 
 // Hot exercises the call-site rule: the Add call inlines (true
-// negative), the first Huge call cannot inline and is flagged, the
-// second is identical but waived.
+// negative) and both Huge calls cannot inline and are flagged, the
+// second under a justifying comment, which is no waiver.
 //
 //nessa:hotpath
 func Hot(xs []float32) {
 	s := Add(2, 3)
 	s += Huge(xs) // want "call to //nessa:inline function Huge was not inlined"
-	//nessa:inline-ok fixture: dispatch-amortized call, one per chunk
-	s += Huge(xs)
+	// dispatch-amortized call, one per chunk
+	s += Huge(xs) // want "call to //nessa:inline function Huge was not inlined"
 	Out = s
 }

@@ -1,6 +1,6 @@
 // Fixture for the maporder analyzer: order-sensitive accumulation
 // over randomized map iteration is a violation; the collect-then-sort
-// idiom and the //nessa:sorted-iteration annotation are escapes.
+// idiom is the one escape.
 package fixture
 
 import "sort"
@@ -34,12 +34,13 @@ func SortedKeys(m map[string]int) []string {
 	return keys
 }
 
-// MaxWeight is order-independent and carries the annotation saying so.
-func MaxWeight(w map[string]float64) float64 {
+// AnnotatedSum claims order independence in a comment above the
+// range: there is no site-level waiver, so it is still flagged.
+func AnnotatedSum(w map[string]float64) float64 {
 	var sum float64
-	//nessa:sorted-iteration max-style reduction rewritten as sum of positives is order-independent here
+	// the sum is claimed order-independent here
 	for _, v := range w {
-		sum += v
+		sum += v // want "floating-point accumulation inside map iteration"
 	}
 	return sum
 }

@@ -6,8 +6,10 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -165,17 +167,50 @@ func TestRepoVetClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree type check is slow; skipped in -short mode")
 	}
-	pkgs, err := testLoader(t, repoRoot(t)).LoadAll()
+	for _, f := range Run(loadModule(t, repoRoot(t)), All()) {
+		t.Errorf("%s", f.String())
+	}
+}
+
+// loadModule loads every package of the module at root and fails t
+// unless their import paths are exactly the ones `go list ./...`
+// prints, so a clean-tree gate cannot pass by loading less.
+func loadModule(t *testing.T, root string) []*Package {
+	t.Helper()
+	pkgs, err := testLoader(t, root).LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 5 {
-		t.Fatalf("LoadAll found only %d packages; loader is likely skipping the tree", len(pkgs))
+	cmd := exec.Command("go", "list", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
 	}
-	findings := Run(pkgs, All())
-	for _, f := range findings {
-		t.Errorf("%s", f.String())
+	want := strings.Fields(string(out))
+	got := make([]string, len(pkgs))
+	for i, pkg := range pkgs {
+		got[i] = pkg.ImportPath
 	}
+	missing := slices.DeleteFunc(slices.Clone(want), func(p string) bool { return slices.Contains(got, p) })
+	extra := slices.DeleteFunc(slices.Clone(got), func(p string) bool { return slices.Contains(want, p) })
+	if len(missing)+len(extra) > 0 {
+		t.Fatalf("LoadAll disagrees with go list ./...: missing %v, extra %v", missing, extra)
+	}
+	return pkgs
+}
+
+// analyzerNamed returns the analyzer of either suite with the given
+// name.
+func analyzerNamed(t *testing.T, name string) *Analyzer {
+	t.Helper()
+	for _, a := range append(All(), CompilerAll()...) {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no analyzer named %q", name)
+	return nil
 }
 
 // pinnedAnnotations lists, per directive and package, the functions

@@ -134,13 +134,6 @@ func (g GPU) Epoch(n int, bytesPerImage int64, fwdGFLOPs float64) EpochBreakdown
 // training runs Fig 1 samples.
 func (g GPU) EpochOverlapped(n int, bytesPerImage int64, fwdGFLOPs float64) EpochBreakdown {
 	b := g.Epoch(n, bytesPerImage, fwdGFLOPs)
-	b.Total = maxDur(b.Compute, b.Load)
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
+	b.Total = max(b.Compute, b.Load)
 	return b
 }

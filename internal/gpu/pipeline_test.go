@@ -10,7 +10,7 @@ func TestEpochOverlappedTakesMax(t *testing.T) {
 	g := V100()
 	plain := g.Epoch(50_000, 3*1024, 0.041)
 	over := g.EpochOverlapped(50_000, 3*1024, 0.041)
-	if over.Total != maxDur(plain.Compute, plain.Load) {
+	if over.Total != max(plain.Compute, plain.Load) {
 		t.Fatalf("overlapped total %v != max(compute %v, load %v)", over.Total, plain.Compute, plain.Load)
 	}
 	if over.Total > plain.Total {

@@ -31,54 +31,21 @@ GOARCH=arm64 go vet ./...
 
 gate "go build"
 go build ./...
-# The repo's own tools are built once and invoked as binaries below —
-# repeated `go run` pays the link step on every invocation.
-go build -o "$tmpdir/nessa-vet" ./cmd/nessa-vet
+# nessa-bench is built once and invoked as a binary below — repeated
+# `go run` pays the link step on every invocation.
 go build -o "$tmpdir/nessa-bench" ./cmd/nessa-bench
 
 gate "gofmt"
-# gofmt placement is load-bearing for nessa-vet: a mis-formatted
-# //nessa: directive (no blank // separator, wrong indentation) can
-# silently detach from its declaration and stop exempting anything.
+# gofmt placement is load-bearing for the analysis suite: a
+# mis-formatted //nessa: directive (no blank // separator, wrong
+# indentation) can silently detach from its declaration and stop
+# marking or exempting anything.
 unformatted="$(gofmt -l .)"
 if [[ -n "$unformatted" ]]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2
 	exit 1
 fi
-
-gate "nessa-vet"
-# The repo's own six analyzers: determinism (no wall clock /
-# math/rand in device code), maporder (no order-sensitive folds over
-# map iteration), hotpath (//nessa:hotpath functions stay free of
-# allocating constructs, sync.Pool included — the GC drains pools, so
-# steady state keeps missing and allocating), errhygiene (sentinel
-# errors compared with errors.Is, wrapped with %w), concurrency
-# (WaitGroup.Add inside a go statement's closure, Unlock on a path with
-# no Lock — captured-variable writes are the race gate's, below, and
-# copied locks go vet's, above) and scratchlife (//nessa:arena and
-# parallel.WorkerLocal scratch escaping its epoch). Seeds reaching
-# their streams are core.TestSeedReachesEveryStream's; fused
-# multiply-adds are checked on what gc emits, below. Any finding fails
-# the gate; a deliberate exception is a //nessa:*-ok waiver at the
-# site.
-"$tmpdir/nessa-vet" ./...
-
-gate "nessa-vet -compiler"
-# Machine-level verification: rebuild with gc diagnostics
-# (-gcflags='-m=2 -d=ssa/check_bce/debug=1' — cached after the first
-# compile) and check the hot-path contracts against what the compiler
-# actually emitted: inlinegate (//nessa:inline kernels stay within gc's
-# inline budget and inline at hot call sites) and bcecheck (no
-# IsInBounds survives an innermost hot loop in the kernel packages
-# without //nessa:bce-ok). Heap escapes in //nessa:hotpath functions
-# are the allocation tests' (the AllocsPerRun and epoch-alloc
-# assertions, below). Any finding fails the gate.
-#
-# Toolchain pin: the parsed diagnostic formats are validated for
-# go1.22–go1.26. On any other toolchain nessa-vet warns and exits 0
-# instead of mis-parsing.
-"$tmpdir/nessa-vet" -compiler ./...
 
 gate "fused multiply-adds off amd64"
 # The cross-architecture contract: a run on any target selects and
@@ -136,12 +103,31 @@ if ((fused_found)); then
 fi
 
 gate "go test -race"
-# The check for writes to captured variables from concurrent closures
-# (a go statement or a parallel.Pool body); nessa-vet has no such rule.
-# Its coverage of the pool does not depend on the host's CPU count:
-# the parallel-equivalence tests (internal/selection/parallel_test.go,
+# The whole test suite under the race detector, which is the check for
+# writes to captured variables from concurrent closures (a go statement
+# or a parallel.Pool body); no analyzer has that rule. Its coverage of
+# the pool does not depend on the host's CPU count: the
+# parallel-equivalence tests (internal/selection/parallel_test.go,
 # TestMaximizersParallelSerialEquivalence and
 # TestObjectiveParallelSerialEquivalence among them) pin 8 workers.
+#
+# This step is also the analysis gate. TestRepoVetClean
+# (internal/analysis) runs the repo's six source analyzers over every
+# package `go list ./...` names: determinism (no wall clock / math/rand
+# in device code), maporder (no order-sensitive folds over map
+# iteration), hotpath (//nessa:hotpath functions stay free of
+# allocating constructs), errhygiene (sentinel errors compared with
+# errors.Is, wrapped with %w), concurrency (WaitGroup.Add inside a go
+# statement's closure, Unlock on a path with no Lock) and scratchlife
+# (//nessa:arena and parallel.WorkerLocal scratch escaping its epoch).
+# TestRepoCompilerClean rebuilds the module with gc diagnostics and runs
+# inlinegate (//nessa:inline kernels inline at hot call sites) and
+# bcecheck (no IsInBounds survives an innermost hot loop of the kernel
+# packages); its parsed formats are validated for go1.22–go1.26, and on
+# any other toolchain it skips instead of mis-parsing. Each finding
+# fails the step with its file:line; the only exceptions are the
+# //nessa:alloc-ok, //nessa:scratch-ok and //nessa:bce-ok waivers at the
+# site.
 go test -race ./...
 
 gate "allocation assertions"
