@@ -34,8 +34,8 @@ type RecoveryBenchSpec struct {
 }
 
 // RecoveryCleanScanAllocGate bounds the bytes one steady-state clean
-// striped scan may allocate. The scan moves its payloads through the
-// cluster's arena, so what is left is slice headers; the quick spec's
+// striped scan may allocate. A clean stripe is a view of the bytes its
+// drive stores, so what is left is slice headers; the quick spec's
 // stripes are 87 KB, so a single stray stripe copy trips it.
 const RecoveryCleanScanAllocGate = 64 << 10
 
@@ -226,7 +226,7 @@ func gfDecodeMBps(stripe, lost, reps int) (float64, error) {
 
 // scanAllocBytes reports the bytes one steady-state scan of the spec's
 // striped cluster allocates, clean or with device 1 lost. The first
-// scan in each state grows the arena and is not counted.
+// scan in each state is not counted: a degraded one grows the arena.
 func scanAllocBytes(spec RecoveryBenchSpec, degraded bool) (int64, error) {
 	c, _, _, err := recoveryCluster(spec, true)
 	if err != nil {
@@ -366,7 +366,7 @@ func RunRecoveryBench(spec RecoveryBenchSpec) (*RecoveryBenchResult, []Gate, err
 		{Name: "degraded scan within the modeled reconstruction bound", OK: res.DegradedWithinBound,
 			Detail: fmt.Sprintf("Δ %.1f µs against %.1f µs", res.DegradedWallUS-res.CleanWallUS, res.BoundUS)},
 		res.scanOverhead.gate("parity placement"),
-		{Name: fmt.Sprintf("steady-state clean striped scan allocates ≤ %d bytes (payloads stay in the scan arena)", RecoveryCleanScanAllocGate),
+		{Name: fmt.Sprintf("steady-state clean striped scan allocates ≤ %d bytes (clean payloads are views of the stored stripes)", RecoveryCleanScanAllocGate),
 			OK: res.CleanScanAllocBytes <= RecoveryCleanScanAllocGate, Detail: fmt.Sprintf("%d bytes", res.CleanScanAllocBytes)},
 	}, nil
 }

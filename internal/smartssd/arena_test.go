@@ -3,6 +3,7 @@ package smartssd
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,16 +29,18 @@ func dirtyArena(c *Cluster) {
 
 // TestScanArenaLifetimeAndTailZeroing walks one cluster through its
 // whole life with uneven stripes (10 records over 3 data shards: 3, 3
-// and 4, so two slots hold payloads shorter than the coding stripe):
+// and 4, so two members store stripes shorter than the coding stripe):
 // clean scan, loss of a data device, two back-to-back degraded scans,
 // rebuild onto a spare, clean scan, loss of a second device, degraded
 // scan. Both losses take the drive holding the long stripe: GF math is
-// position-wise, so a short survivor's stale tail corrupts exactly the
-// bytes only the long stripe has. After every scan each payload must
-// equal the stripe that was stored — the arena is dirtied before most
-// of them, so a decode that pads a short stripe without re-zeroing its
-// tail reconstructs garbage — and every payload must sit where that
-// member's first payload sat.
+// position-wise, so a short survivor's stale padding corrupts exactly
+// the bytes only the long stripe has. After every scan each payload
+// must equal the stripe that was stored — the arena is dirtied before
+// most of them, so a decode that pads a short stripe without
+// re-zeroing its tail reconstructs garbage. Every stripe read clean
+// must be a capacity-clipped view of the bytes its drive stores, and
+// the reconstructed stripe must sit in the lost member's arena slot,
+// at the same address every time.
 func TestScanArenaLifetimeAndTailZeroing(t *testing.T) {
 	const rec = 64
 	place := Placement{DataShards: 3, ParityShards: 2}
@@ -51,9 +54,11 @@ func TestScanArenaLifetimeAndTailZeroing(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([][]byte, len(counts))
+	home := make([]*byte, len(counts)) // where a clean read of each member lands
 	off := int64(0)
 	for i, n := range counts {
 		want[i] = img[off : off+int64(n)*rec]
+		home[i] = &want[i][0]
 		off += int64(n) * rec
 	}
 	const long = 2 // the member whose stripe is longer than the others'
@@ -61,12 +66,16 @@ func TestScanArenaLifetimeAndTailZeroing(t *testing.T) {
 		t.Fatalf("stripe %d is not the long one (%v records)", long, counts)
 	}
 
-	home := make([]*byte, len(counts))
-	scan := func(step string, degraded int) {
+	var decoded *byte // where the lost member's stripe is reconstructed
+	scan := func(step string, lost int) {
 		t.Helper()
 		shards, st, _, err := c.ParallelScan("ds", rec)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
+		}
+		degraded := 0
+		if lost >= 0 {
+			degraded = 1
 		}
 		if st.DegradedReads != degraded {
 			t.Fatalf("%s: %d degraded reads, want %d", step, st.DegradedReads, degraded)
@@ -75,22 +84,29 @@ func TestScanArenaLifetimeAndTailZeroing(t *testing.T) {
 			if !bytes.Equal(s, want[i]) {
 				t.Fatalf("%s: stripe %d differs from what was stored", step, i)
 			}
-			if home[i] == nil {
-				home[i] = &s[0]
-			} else if home[i] != &s[0] {
-				t.Fatalf("%s: stripe %d moved to a different backing array", step, i)
+			switch {
+			case i != lost:
+				if &s[0] != home[i] || cap(s) != len(s) {
+					t.Fatalf("%s: stripe %d is not a capacity-clipped view of the bytes its drive stores", step, i)
+				}
+			case &s[0] != &c.arena[i][:1][0]:
+				t.Fatalf("%s: reconstructed stripe %d is not in its arena slot", step, i)
+			case decoded == nil:
+				decoded = &s[0]
+			case decoded != &s[0]:
+				t.Fatalf("%s: reconstructed stripe %d moved to a different backing array", step, i)
 			}
 		}
 	}
 
-	scan("first clean scan", 0)
+	scan("first clean scan", -1)
 	dirtyArena(c)
-	scan("clean scan over a dirty arena", 0)
+	scan("clean scan over a dirty arena", -1)
 
 	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 3, Kills: []faults.DeviceKill{{Device: long, AfterScans: 1}}}))
 	dirtyArena(c)
-	scan("first degraded scan", 1)
-	scan("second degraded scan, straight after", 1)
+	scan("first degraded scan", long)
+	scan("second degraded scan, straight after", long)
 
 	spare := newDevice(t)
 	c.AttachSpare(spare)
@@ -104,22 +120,93 @@ func TestScanArenaLifetimeAndTailZeroing(t *testing.T) {
 	// The rebuilt stripe was decoded into the arena, which the next
 	// scan overwrites: the spare must hold a copy of it, not the slot.
 	dirtyArena(c)
-	if got, _, err := spare.SSD.ReadAt("ds", 0, int64(len(want[long]))); err != nil || !bytes.Equal(got, want[long]) {
+	got, _, err := spare.SSD.ReadAt("ds", 0, int64(len(want[long])))
+	if err != nil || !bytes.Equal(got, want[long]) {
 		t.Fatalf("the spare does not hold stripe %d (err %v)", long, err)
 	}
-	scan("clean scan after rebuild", 0)
+	home[long] = &got[0]
+	scan("clean scan after rebuild", -1)
 
 	// The second loss is the spare that was just swapped in.
 	c.SetInjector(faults.NewInjector(faults.Profile{Seed: 3, Kills: []faults.DeviceKill{{Device: spare.ID, AfterScans: 1}}}))
 	dirtyArena(c)
-	scan("degraded scan after a second loss", 1)
-	scan("and once more", 1)
+	scan("degraded scan after a second loss", long)
+	scan("and once more", long)
 }
 
-// TestCleanScanAllocBudget: once the arena has grown, a clean striped
-// scan moves every byte through it and allocates only its few slice
-// headers. The stripes are 64 KB, so one stray stripe copy is sixteen
-// times the budget.
+// TestArenaGrowsOnlyForDecodeWrites: the arena holds only bytes the
+// host writes. A clean scan of a fresh 4+2 cluster grows no slot, since
+// every payload is a view of a stored stripe. A degraded scan over
+// even stripes grows only the lost members' slots, for their decode
+// outputs. With a record count that is not a multiple of k (4,097:
+// three stripes of 1,024 records and one of 1,025), each short
+// survivor's zero-padded copy grows its slot too, the full-length one
+// is read where it lies, and the decode stays bit-exact.
+func TestArenaGrowsOnlyForDecodeWrites(t *testing.T) {
+	const rec = 64
+	place := Placement{DataShards: 4, ParityShards: 2}
+	cases := []struct {
+		name    string
+		records int
+		lost    []int // data members killed after the clean scan
+		grown   []int // the slots the degraded scan must grow
+	}{
+		{"clean", 4096, nil, nil},
+		{"even stripes, two members lost", 4096, []int{1, 3}, []int{1, 3}},
+		{"short stripes, the long member lost", 4097, []int{3}, []int{0, 1, 2, 3}},
+		{"short stripes, two short members lost", 4097, []int{0, 1}, []int{0, 1, 2}},
+	}
+	grownSlots := func(c *Cluster) []int {
+		var gs []int
+		for gi, b := range c.arena {
+			if cap(b) > 0 {
+				gs = append(gs, gi)
+			}
+		}
+		return gs
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(place.Total())
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := stripeImg(tc.records, rec)
+			if _, err := c.StripeDataset("ds", img, rec, place); err != nil {
+				t.Fatal(err)
+			}
+			shards, _, _, err := c.ParallelScan("ds", rec)
+			if err != nil || !bytes.Equal(reassemble(shards), img) {
+				t.Fatalf("clean scan: err %v or payload differs from the image", err)
+			}
+			if gs := grownSlots(c); len(gs) != 0 {
+				t.Fatalf("a clean scan grew arena slots %v", gs)
+			}
+			if len(tc.lost) == 0 {
+				return
+			}
+			var kills []faults.DeviceKill
+			for _, i := range tc.lost {
+				kills = append(kills, faults.DeviceKill{Device: i, AfterScans: 1})
+			}
+			c.SetInjector(faults.NewInjector(faults.Profile{Seed: 4, Kills: kills}))
+			shards, st, _, err := c.ParallelScan("ds", rec)
+			if err != nil || st.DegradedReads != len(tc.lost) {
+				t.Fatalf("degraded scan: err %v, %d degraded reads, want %d", err, st.DegradedReads, len(tc.lost))
+			}
+			if !bytes.Equal(reassemble(shards), img) {
+				t.Fatal("the degraded scan did not reconstruct the image bit for bit")
+			}
+			if gs := grownSlots(c); !slices.Equal(gs, tc.grown) {
+				t.Fatalf("the degraded scan grew arena slots %v, want %v", gs, tc.grown)
+			}
+		})
+	}
+}
+
+// TestCleanScanAllocBudget: a clean striped scan returns views of the
+// stored stripes and allocates only its few slice headers. The stripes
+// are 64 KB, so one stray stripe copy is sixteen times the budget.
 func TestCleanScanAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are not measurable under the race detector")
@@ -139,7 +226,7 @@ func TestCleanScanAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scan() // grows the arena
+	scan() // warm-up
 	const runs = 16
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

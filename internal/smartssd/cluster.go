@@ -40,10 +40,10 @@ type Cluster struct {
 	lostEver int
 
 	// arena is the scan arena: one reusable buffer per device slot,
-	// each grown lazily and never shrunk. Scans, degraded
-	// reconstruction and Rebuild all move their bytes through it (see
-	// slot), so a steady-state scan allocates only slice headers, and
-	// the payloads handed to the caller are views into it.
+	// grown lazily, never shrunk, and only for bytes the host writes (a
+	// lost member's decode, a short survivor's padded copy; see slot).
+	// Clean reads are views of the stored stripes, so a steady-state
+	// scan allocates only slice headers.
 	arena [][]byte
 }
 
@@ -120,10 +120,10 @@ type ScanStats struct {
 // returns the per-stripe payloads (data only, never parity) and the
 // aggregated recovery stats.
 //
-// The payloads are views into the cluster's scan arena, not copies:
-// they stay valid until the next ParallelScan or Rebuild on this
-// cluster, which overwrite them in place. A caller that needs the bytes
-// longer copies them out.
+// The payloads are read-only views, not copies: of the bytes a device
+// stores when read clean, of the cluster's scan arena when rebuilt. An
+// arena view stays valid until the next ParallelScan or Rebuild on
+// this cluster; a caller that needs the bytes longer copies them out.
 //
 // Each per-stripe read runs under the resilient recovery loop (retry on
 // transient faults, host-path fallback on link drops, Verify-driven
@@ -163,7 +163,7 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 			lost = append(lost, i)
 			continue
 		}
-		buf, err := c.scanShard(i, name, recordSize, meta.stripeLen, &st)
+		buf, err := c.scanShard(i, name, recordSize, &st)
 		if err == nil {
 			data[i] = buf
 			continue
@@ -197,8 +197,8 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 // for at least n bytes. Slots are addressed by position in Devices, so
 // a spare swapped in by Rebuild inherits the slot of the drive it
 // replaces. Bytes past the returned slice's length are whatever the
-// slot last held; padInPlace re-zeroes them where the coding math reads
-// them.
+// slot last held. A read passes its slot with n = 0: a clean read
+// returns a view and never touches it.
 func (c *Cluster) slot(gi int, n int64) []byte {
 	if int64(cap(c.arena[gi])) < n {
 		c.arena[gi] = make([]byte, 0, n)
@@ -207,20 +207,14 @@ func (c *Cluster) slot(gi int, n int64) []byte {
 }
 
 // scanShard runs device i's stripe scan, accumulating recovery stats
-// into st, then draws the shard's stall. The payload lands in the
-// device's arena slot, which is given at least minCap bytes of
-// capacity (the coding stripe length, so a short stripe can later be
-// padded in place).
-func (c *Cluster) scanShard(i int, name string, recordSize, minCap int64, st *ScanStats) ([]byte, error) {
+// into st, then draws the shard's stall.
+func (c *Cluster) scanShard(i int, name string, recordSize int64, st *ScanStats) ([]byte, error) {
 	d := c.Devices[i]
 	size, err := d.SSD.Size(name)
 	if err != nil {
 		return nil, err
 	}
-	if size > minCap {
-		minCap = size
-	}
-	buf, rst, err := d.ReadResilientInto(c.slot(i, minCap), name, 0, size, int(size/recordSize), c.Verify, RetryPolicy{})
+	buf, rst, err := d.ReadResilientInto(c.slot(i, 0), name, 0, size, int(size/recordSize), c.Verify, RetryPolicy{})
 	st.Read.Add(rst)
 	if err != nil {
 		return nil, err

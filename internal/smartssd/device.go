@@ -129,11 +129,12 @@ func (d *Device) ReadToFPGA(name string, off, length int64, commands int) ([]byt
 var oneRecord = []int{0}
 
 // read fetches records recs — each stride bytes at off + rec·stride,
-// gathered by one flash command (storage.SSD.ReadRecordsInto, whose dst
-// contract it takes) — over the P2P link into FPGA DRAM or, with host
-// set, over the conventional path: the drive DMAs into host DRAM and
-// the host into the FPGA, so flash and the staged copies serialize at
-// the 1.4 GB/s effective host bandwidth instead of pipelining.
+// gathered by one flash command (storage.SSD.ReadRecordsInto, whose
+// payload contract it takes: a clean contiguous read is a view) — over
+// the P2P link into FPGA DRAM or, with host set, over the conventional
+// path: the drive DMAs into host DRAM and the host into the FPGA, so
+// flash and the staged copies serialize at the 1.4 GB/s effective host
+// bandwidth instead of pipelining.
 func (d *Device) read(dst []byte, name string, off, stride int64, recs []int, commands int, host bool) ([]byte, error) {
 	link, op, errBucket, readBucket := d.P2P, "p2p read", "p2p.error", "p2p.read"
 	if host {

@@ -207,11 +207,10 @@ func (c *Cluster) noteLost(i int, name string) {
 // retried once before giving up. Returns the simulated GF-math time
 // (the parity reads advance their own devices' clocks directly).
 //
-// Everything happens in the scan arena: the surviving data stripes are
-// zero-padded where the scan left them, each parity pull lands in its
-// parity member's slot, and each rebuilt stripe is decoded straight
-// into the lost member's slot — only the lost data stripes are decoded,
-// never the parity that was not pulled.
+// The decode reads survivors and parity pulls where they lie (a short
+// survivor through its padded copy) and writes each lost data stripe
+// straight into its member's arena slot; parity that was not pulled is
+// never decoded.
 func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byte, lost []int, st *ScanStats) (time.Duration, error) {
 	k, m := meta.place.DataShards, meta.place.ParityShards
 	if len(lost) > m {
@@ -228,7 +227,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 		}
 		for i := 0; i < k; i++ {
 			if data[i] != nil {
-				shards[i] = padInPlace(data[i], meta.stripeLen)
+				shards[i] = c.padded(i, data[i], meta.stripeLen)
 			}
 		}
 		for _, i := range lost {
@@ -241,7 +240,7 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 				continue
 			}
 			d := c.Devices[pi]
-			buf, rst, err := d.ReadResilientInto(c.slot(pi, meta.stripeLen), name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
+			buf, rst, err := d.ReadResilientInto(c.slot(pi, 0), name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
 			st.Read.Add(rst)
 			if err != nil {
 				if errors.Is(err, faults.ErrDeviceLost) {
@@ -301,9 +300,9 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 // spare. Returns the rebuild's simulated duration: the slowest
 // survivor read, plus the GF-math time, plus the slowest spare write.
 //
-// Rebuild works in the scan arena (survivor reads land in their own
-// slots, each rebuilt stripe in the lost member's), so it invalidates
-// the payloads of the preceding ParallelScan.
+// Rebuild works in the scan arena (a short survivor is padded in its
+// own slot, each rebuilt stripe is decoded into the lost member's), so
+// it invalidates the arena views of the preceding ParallelScan.
 //
 // A spare leaves the pool only in the step that puts it into Devices:
 // if writing a rebuilt stripe to the spare fails, Rebuild returns the
@@ -347,7 +346,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			verify = nil // parity stripes are not records
 		}
 		before := d.Clock.Now()
-		buf, _, err := d.ReadResilientInto(c.slot(gi, meta.stripeLen), name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
+		buf, _, err := d.ReadResilientInto(c.slot(gi, 0), name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
 		if err != nil {
 			if errors.Is(err, faults.ErrDeviceLost) {
 				c.noteLost(gi, name)
@@ -358,7 +357,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		if dt := d.Clock.Now() - before; dt > readWall {
 			readWall = dt
 		}
-		shards[gi] = padInPlace(buf, meta.stripeLen)
+		shards[gi] = c.padded(gi, buf, meta.stripeLen)
 		c.Acct.AddBytes("recover.rebuild.read", length)
 		sources++
 	}
@@ -437,14 +436,18 @@ func gfTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / DefaultReconstructBW * float64(time.Second))
 }
 
-// padInPlace extends an arena-backed stripe to the n-byte coding length
-// and zeroes the extension. The zeroing is not optional: the slot may
-// last have held something longer (another dataset's stripe, a parity
-// stripe), and the decode reads every byte up to n.
-func padInPlace(b []byte, n int64) []byte {
-	tail := b[len(b):n]
-	clear(tail)
-	return b[:n]
+// padded returns member gi's stripe b at the n-byte coding length: b
+// itself when full length, otherwise a copy zero-padded in gi's arena
+// slot, since b may be a view of the stored image. The zeroing is not
+// optional: the slot may last have held something longer, and the
+// decode reads every byte up to n.
+func (c *Cluster) padded(gi int, b []byte, n int64) []byte {
+	if int64(len(b)) == n {
+		return b
+	}
+	out := c.slot(gi, n)[:n]
+	clear(out[copy(out, b):])
+	return out
 }
 
 // padStripe zero-pads b to n bytes for the coding math by copying (no

@@ -97,12 +97,12 @@ func (d *Device) ReadResilient(name string, off, length int64, commands int, ver
 	return d.readResilient(nil, name, off, length, oneRecord, commands, verify, pol, false)
 }
 
-// ReadResilientInto is ReadResilient landing the payload in a buffer
-// the caller owns: when cap(dst) >= length the returned payload is
-// dst[:length] and nothing is allocated — every attempt, including a
-// re-read after a verify failure, overwrites the same bytes; with a
-// smaller (or nil) dst it allocates like ReadResilient. On error dst's
-// contents are unspecified.
+// ReadResilientInto is ReadResilient with a buffer the caller owns: a
+// clean read of a materialized object is a read-only view of the
+// stored bytes, but a virtual object's bytes and every corrupted
+// attempt land in dst[:length] when cap(dst) >= length (nothing is
+// allocated) and in a new buffer otherwise. On error dst's contents
+// are unspecified.
 func (d *Device) ReadResilientInto(dst []byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
 	return d.readResilient(dst, name, off, length, oneRecord, commands, verify, pol, false)
 }

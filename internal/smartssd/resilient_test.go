@@ -169,40 +169,76 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestReadResilientIntoLandsInCallerBuffer: on every recovery path the
-// payload is the caller's buffer, and the read costs exactly what
-// ReadResilient costs — same stats, same simulated clock — on a twin
-// device under the same fault schedule.
+// TestReadResilientIntoLandsInCallerBuffer: on every recovery path a
+// payload the host assembles is the caller's buffer — a virtual
+// object's synthesized bytes, a corrupted payload that no verify
+// rejected (one flipped bit) — while a clean read of a materialized
+// object is a view of the stored image, capacity clipped to its length,
+// that leaves the buffer untouched (only a rejected corrupted attempt
+// writes there). Either way the read costs exactly
+// what ReadResilient costs — same stats, same simulated clock — on a
+// twin device under the same fault schedule.
 func TestReadResilientIntoLandsInCallerBuffer(t *testing.T) {
 	cases := []struct {
-		name string
-		prof faults.Profile
-		pol  RetryPolicy
+		name       string
+		prof       faults.Profile
+		pol        RetryPolicy
+		virtual    bool
+		unverified bool
 	}{
-		{"clean", faults.Profile{}, RetryPolicy{}},
-		{"transient retries", faults.Profile{Seed: 7, TransientRate: 0.5}, RetryPolicy{}},
-		{"corruption re-reads", faults.Profile{Seed: 6, CorruptRate: 0.6}, RetryPolicy{MaxAttempts: 8}},
-		{"host fallback", faults.Profile{Seed: 7, LinkDownRate: 1}, RetryPolicy{}},
+		{"clean", faults.Profile{}, RetryPolicy{}, false, false},
+		{"transient retries", faults.Profile{Seed: 7, TransientRate: 0.5}, RetryPolicy{}, false, false},
+		{"corruption re-reads", faults.Profile{Seed: 6, CorruptRate: 0.6}, RetryPolicy{MaxAttempts: 8}, false, false},
+		{"host fallback", faults.Profile{Seed: 7, LinkDownRate: 1}, RetryPolicy{}, false, false},
+		{"virtual object", faults.Profile{Seed: 7, TransientRate: 0.5}, RetryPolicy{}, true, false},
+		{"corrupt and unverified", faults.Profile{Seed: 6, CorruptRate: 1}, RetryPolicy{MaxAttempts: 1}, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d, twin := newDevice(t), newDevice(t)
 			img, rec := storeImage(t, d)
 			storeImage(t, twin)
+			name := "ds"
+			if tc.virtual {
+				name = "virtual"
+				fill := func(off int64, buf []byte) { copy(buf, img[off:]) }
+				for _, dev := range []*Device{d, twin} {
+					if err := dev.StoreVirtualDataset(name, int64(len(img)), fill); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			verify := verifier(rec)
+			if tc.unverified {
+				verify = nil
+			}
 			d.SetInjector(faults.NewInjector(tc.prof))
 			twin.SetInjector(faults.NewInjector(tc.prof))
 			dst := make([]byte, 0, len(img)+16)
-			buf, st, err := d.ReadResilientInto(dst, "ds", 0, int64(len(img)), 24, verifier(rec), tc.pol)
+			buf, st, err := d.ReadResilientInto(dst, name, 0, int64(len(img)), 24, verify, tc.pol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(buf, img) {
-				t.Fatal("payload mismatch")
+			inDst := &buf[0] == &dst[:1][0]
+			switch {
+			case tc.unverified:
+				if !inDst || bytes.Equal(buf, img) {
+					t.Fatal("a corrupted payload must be flipped in the caller's buffer")
+				}
+			case tc.virtual:
+				if !inDst || !bytes.Equal(buf, img) {
+					t.Fatal("a virtual object's payload must be its bytes, in the caller's buffer")
+				}
+			default:
+				if &buf[0] != &img[0] || len(buf) != len(img) || cap(buf) != len(buf) {
+					t.Fatalf("a clean read is not a capacity-clipped view of the stored image (len %d, cap %d)", len(buf), cap(buf))
+				}
+				// A rejected corrupted attempt was assembled in dst.
+				if st.Corrupt == 0 && !bytes.Equal(dst[:cap(dst)], make([]byte, cap(dst))) {
+					t.Fatal("a clean read wrote into the caller's buffer")
+				}
 			}
-			if &buf[0] != &dst[:1][0] {
-				t.Fatal("payload is not the caller's buffer")
-			}
-			_, wantSt, err := twin.ReadResilient("ds", 0, int64(len(img)), 24, verifier(rec), tc.pol)
+			_, wantSt, err := twin.ReadResilient(name, 0, int64(len(img)), 24, verify, tc.pol)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -160,8 +160,8 @@ func (s *SSD) PutVirtual(name string, size int64, fill FillFunc) error {
 }
 
 // ReadAt reads length bytes of object name starting at off, returning
-// a freshly allocated payload and the simulated flash access time: the
-// one-record ReadRecordsInto with no destination.
+// the payload and the simulated flash access time: the one-record
+// ReadRecordsInto with no destination (so a clean read is a view).
 func (s *SSD) ReadAt(name string, off, length int64) ([]byte, time.Duration, error) {
 	return s.ReadRecordsInto(name, off, length, oneRecord, nil)
 }
@@ -173,10 +173,13 @@ var oneRecord = []int{0}
 // the stride bytes at off + recs[i]·stride — lands at [i·stride,
 // (i+1)·stride) of the payload, and the payload and the simulated flash
 // access time are returned. A contiguous read of [off, off+length) is
-// the one record {0} at stride length. When cap(dst) is at least the
-// payload's len(recs)·stride bytes the payload is dst[:len] — no
-// allocation, and whatever dst held is overwritten; otherwise (nil
-// included) a new buffer is allocated. The cost is one command latency
+// the one record {0} at stride length. A one-record read of a
+// materialized object that draws no corruption is a view of the stored
+// bytes, capacity clipped to its length, that the caller must not
+// write. Any other payload (a gather, a virtual object, a corrupted
+// draw) is dst[:len] when cap(dst) is at least len(recs)·stride bytes,
+// whatever dst held, and a new buffer otherwise (nil included).
+// The cost is one command latency
 // plus the payload's streaming time, whatever the list. Addressing
 // failures wrap faults.ErrOutOfRange / faults.ErrNotFound; with an
 // injector attached, the command may also fail with
@@ -209,6 +212,11 @@ func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, dst []
 			fmt.Errorf("storage: read %q: %w", name, faults.ErrTransientIO)
 	}
 	length := stride * int64(len(recs))
+	dur := s.transferTime(length, false) + f.Extra
+	if len(recs) == 1 && e.fill == nil && !f.Corrupt {
+		at := off + int64(recs[0])*stride
+		return e.data[at : at+stride : at+stride], dur, nil
+	}
 	var out []byte
 	if dst != nil && int64(cap(dst)) >= length {
 		out = dst[:length]
@@ -227,7 +235,7 @@ func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, dst []
 	if f.Corrupt {
 		s.inj.CorruptPayload(out) // silent: detection is the codec's CRC
 	}
-	return out, s.transferTime(length, false) + f.Extra, nil
+	return out, dur, nil
 }
 
 // Size reports the byte length of object name.

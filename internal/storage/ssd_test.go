@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -282,67 +283,139 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestReadIntoDestination pins ReadRecordsInto's buffer contract: a dst with
-// enough capacity is the payload's backing array (whatever its length
-// and prior contents), anything smaller — nil included — yields a fresh
-// allocation, and injected corruption lands in the buffer returned.
+// TestReadIntoDestination pins ReadRecordsInto's payload contract. A
+// one-record read of a materialized object that draws no corruption is
+// a view of the stored bytes: equal to them, aliasing them, with its
+// capacity clipped to its length, whatever dst is, and dst keeps what
+// it held. Every other read — a gather, a virtual object, a corrupted
+// draw (one flipped bit) — lands in dst when cap(dst) covers it,
+// whatever dst's length and prior contents, and in a fresh buffer
+// otherwise (nil included); either way it is the caller's to write. Every read is charged exactly what the
+// same read with no destination costs on a twin drive under the same
+// fault schedule.
 func TestReadIntoDestination(t *testing.T) {
-	s := newTestSSD(t)
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if _, err := s.Write("obj", payload); err != nil {
-		t.Fatal(err)
+	orig := bytes.Clone(payload)
+	drive := func(prof faults.Profile) *SSD {
+		s := newTestSSD(t)
+		if _, err := s.Write("obj", payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutVirtual("virt", 256, counterFill); err != nil {
+			t.Fatal(err)
+		}
+		s.SetInjector(faults.NewInjector(prof))
+		return s
 	}
-	stale := func(n, capacity int) []byte {
+	stored := func(obj string, at, n int64) []byte {
+		if obj == "virt" {
+			b := make([]byte, n)
+			counterFill(at, b)
+			return b
+		}
+		return payload[at : at+n]
+	}
+	const stale = 0xEE
+	dirty := func(n, capacity int) []byte {
 		b := make([]byte, n, capacity)
 		for i := range b[:capacity] {
-			b[:capacity][i] = 0xEE
+			b[:capacity][i] = stale
 		}
 		return b
 	}
-	cases := []struct {
-		name   string
-		dst    []byte
-		reused bool
+	reads := []struct {
+		name        string
+		obj         string
+		off, stride int64
+		recs        []int
 	}{
-		{"nil", nil, false},
-		{"empty with room", stale(0, 300), true},
-		{"longer than the read", stale(280, 300), true},
-		{"exact capacity", stale(3, 100), true},
-		{"one byte short", stale(99, 99), false},
+		{"contiguous", "obj", 50, 100, oneRecord},
+		{"one listed record", "obj", 6, 50, []int{3}},
+		{"gather", "obj", 6, 50, []int{3, 0}},
+		{"virtual", "virt", 50, 100, oneRecord},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, dur, err := s.ReadRecordsInto("obj", 50, 100, oneRecord, tc.dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, payload[50:150]) {
-				t.Fatal("payload differs from the stored bytes")
-			}
-			if _, want, _ := s.ReadAt("obj", 50, 100); dur != want {
-				t.Fatalf("ReadRecordsInto charged %v, ReadAt %v for the same read", dur, want)
-			}
-			reused := cap(tc.dst) > 0 && &got[0] == &tc.dst[:1][0]
-			if reused != tc.reused {
-				t.Fatalf("destination reused = %v, want %v (cap %d, read 100)", reused, tc.reused, cap(tc.dst))
+	dsts := []struct {
+		name string
+		dst  func(read int) []byte
+	}{
+		{"nil", func(int) []byte { return nil }},
+		{"empty with room", func(int) []byte { return dirty(0, 300) }},
+		{"longer than the read", func(int) []byte { return dirty(280, 300) }},
+		{"exact capacity", func(n int) []byte { return dirty(3, n) }},
+		{"one byte short", func(n int) []byte { return dirty(n-1, n-1) }},
+	}
+	profiles := []struct {
+		name    string
+		prof    faults.Profile
+		corrupt bool
+	}{
+		{"clean", faults.Profile{}, false},
+		{"corrupted", faults.Profile{Seed: 2, CorruptRate: 1}, true},
+	}
+	for _, dc := range dsts {
+		t.Run(dc.name, func(t *testing.T) {
+			for _, pc := range profiles {
+				s, twin := drive(pc.prof), drive(pc.prof)
+				for _, rd := range reads {
+					label := pc.name + " " + rd.name
+					n := int(rd.stride) * len(rd.recs)
+					dst := dc.dst(n)
+					got, dur, err := s.ReadRecordsInto(rd.obj, rd.off, rd.stride, rd.recs, dst)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if _, want, _ := twin.ReadRecordsInto(rd.obj, rd.off, rd.stride, rd.recs, nil); dur != want {
+						t.Fatalf("%s: charged %v, the same read with no destination %v", label, dur, want)
+					}
+					var want []byte
+					for _, r := range rd.recs {
+						want = append(want, stored(rd.obj, rd.off+int64(r)*rd.stride, rd.stride)...)
+					}
+					if flipped := bitsDiffering(got, want); flipped != 0 && !pc.corrupt || flipped != 1 && pc.corrupt {
+						t.Fatalf("%s: payload differs from the stored bytes in %d bits", label, flipped)
+					}
+					inDst := cap(dst) > 0 && &got[0] == &dst[:1][0]
+					if rd.obj == "obj" && len(rd.recs) == 1 && !pc.corrupt {
+						at := rd.off + int64(rd.recs[0])*rd.stride
+						if &got[0] != &payload[at] || cap(got) != len(got) {
+							t.Fatalf("%s: clean contiguous read is not a capacity-clipped view of the stored bytes (cap %d, len %d)", label, cap(got), len(got))
+						}
+						if dst != nil && slices.ContainsFunc(dst[:cap(dst)], func(b byte) bool { return b != stale }) {
+							t.Fatalf("%s: a view read wrote into dst", label)
+						}
+						continue
+					}
+					if fits := cap(dst) >= n; inDst != fits {
+						t.Fatalf("%s: payload in dst = %v, want %v (cap %d, read %d)", label, inDst, fits, cap(dst), n)
+					}
+					// An assembled payload is the caller's to write.
+					clear(got)
+					if !bytes.Equal(payload, orig) {
+						t.Fatalf("%s: an assembled payload aliases the stored bytes", label)
+					}
+				}
 			}
 		})
 	}
 
-	s.SetInjector(faults.NewInjector(faults.Profile{Seed: 2, CorruptRate: 1}))
-	dst := make([]byte, 0, 256)
-	got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &dst[:1][0] || bytes.Equal(got, payload) {
-		t.Fatal("corruption must act on the caller's buffer")
-	}
-	s.SetInjector(faults.NewInjector(faults.Profile{Seed: 2, TransientRate: 1}))
-	if got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, dst); !errors.Is(err, faults.ErrTransientIO) || got != nil {
+	s := drive(faults.Profile{Seed: 2, TransientRate: 1})
+	if got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, dirty(0, 256)); !errors.Is(err, faults.ErrTransientIO) || got != nil {
 		t.Fatalf("transient failure returned (%v, %v), want (nil, ErrTransientIO)", got, err)
 	}
+}
+
+// bitsDiffering counts the bits in which a and b differ; a length
+// mismatch counts as every bit of the longer one.
+func bitsDiffering(a, b []byte) int {
+	if len(a) != len(b) {
+		return 8 * max(len(a), len(b))
+	}
+	n := 0
+	for i := range a {
+		n += bits.OnesCount8(a[i] ^ b[i])
+	}
+	return n
 }

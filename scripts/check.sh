@@ -162,7 +162,11 @@ gate "fuzzing"
 # ragged row and column counts and NaN, ±Inf and ±0 values, and the
 # facility-gain target holds the four-candidate AVX2 gain scan to the
 # per-row loop on ragged draw and column counts with the same values,
-# denormals and repeated draws. `go test
+# denormals and repeated draws. The storage target holds the drive's
+# read to its payload contract: a clean contiguous read is a
+# capacity-clipped view of the stored bytes, every other read lands in
+# the caller's buffer when it has room, and no payload differs from
+# the stored bytes by more than the one injected bit flip. `go test
 # -fuzz` takes one target per invocation. A crasher fails the gate and
 # go test writes its input under testdata/fuzz/, where it belongs in
 # the commit that fixes it. -fuzzminimizetime 1x: the default spends up to a minute
@@ -175,7 +179,8 @@ for target in \
 	"FuzzGEMMMatchesPortable ./internal/tensor" \
 	"FuzzReconstructMatchesPortable ./internal/erasure" \
 	"FuzzTransformMatchesPortable ./internal/selection/streaming" \
-	"FuzzGainMatchesPortable ./internal/selection"; do
+	"FuzzGainMatchesPortable ./internal/selection" \
+	"FuzzReadRecordsInto ./internal/storage"; do
 	read -r name pkg <<<"$target"
 	go test -run '^$' -fuzz "^${name}\$" -fuzztime 3s -fuzzminimizetime 1x "$pkg"
 done
