@@ -88,10 +88,10 @@ func (memorySource) ship(int)                           {}
 func (memorySource) lost() int                          { return 0 }
 
 // storageSource serves reselections from the dataset image stored on
-// one drive (dev) or striped across a cluster. buf is the landing
-// buffer of the gathered device reads: the pool only shrinks, so the
-// first reselection sizes it for good. scanBufs are the chunk buffers
-// of the streaming device scan, sized by the first pass.
+// one drive (dev) or striped across a cluster. views holds a gathered
+// device read's payloads, one per candidate. buf and scanBufs (the
+// streaming scan's chunk buffers) hold what a read writes (a corrupted
+// draw), each sized by the first read that writes into it.
 type storageSource struct {
 	dev       *smartssd.Device
 	cluster   *smartssd.Cluster
@@ -102,6 +102,7 @@ type storageSource struct {
 	rebuild   bool // AutoRebuild
 	lostStart int  // cluster losses that predate the session
 	buf       []byte
+	views     [][]byte
 	scanBufs  streaming.ScanBuffers
 }
 
@@ -150,17 +151,11 @@ func (s *storageSource) scan(cands []int, chunk int, stream bool, visit visitFun
 		})
 		rep.Faults.absorb(st.Read)
 	default:
-		if need := int64(len(cands)) * s.rec; int64(cap(s.buf)) < need {
-			s.buf = make([]byte, need)
-		}
-		var buf []byte
 		var st smartssd.ReadStats
-		buf, st, err = s.dev.ReadRecordsInto(s.buf, s.name, cands, s.rec, s.verify, s.retry)
+		s.views, st, err = s.dev.ReadRecordsInto(&s.buf, s.views, s.name, cands, s.rec, s.verify, s.retry)
 		rep.Faults.absorb(st)
 		if err == nil {
-			err = eachChunk(len(cands), chunk, func(i int) []byte {
-				return buf[int64(i)*s.rec : int64(i+1)*s.rec]
-			}, visit)
+			err = eachChunk(len(cands), chunk, func(i int) []byte { return s.views[i] }, visit)
 		}
 	}
 	if err != nil {
@@ -217,7 +212,7 @@ func (s *storageSource) scanCluster(cands []int, chunk int, visit visitFunc, rep
 // path and ships them. A failure here is fatal: both the near-storage
 // and conventional paths are down.
 func (s *storageSource) fallback(selected []int, fr *FaultReport) error {
-	_, st, err := s.dev.ReadResilientHost(s.buf, s.name, selected, s.rec, verifyRecords(s.rec), s.retry)
+	_, st, err := s.dev.ReadResilientHost(&s.buf, s.views, s.name, selected, s.rec, verifyRecords(s.rec), s.retry)
 	fr.absorb(st)
 	if err != nil {
 		return fmt.Errorf("core: degraded-mode host read: %w", err)

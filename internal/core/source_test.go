@@ -124,13 +124,15 @@ func TestStoredImageMismatchIsAnError(t *testing.T) {
 	}
 }
 
-// TestReselectionAllocatesNoScanBuffer: on a batch device run the
-// session lands every gathered scan in one buffer, so a second
-// reselection allocates nothing that grows with |cands|·recBytes. Both
-// runs are measured with moduleAllocBytes, which counts only stacks
-// through module code: a TotalAlloc delta also counts the runtime's
-// thread spawns, and one landing in the 1-epoch run made the difference
-// negative, wrapping it to about 1.8e19.
+// TestReselectionAllocatesNoScanBuffer: a clean gathered scan hands
+// the selector views of the stored records, so on a batch device run
+// no reselection allocates anything that grows with |cands|·recBytes:
+// not the second, and not the first either, so the whole run allocates
+// less than one candidate scan. The runs are measured with
+// moduleAllocBytes, which counts only stacks through module code: a
+// TotalAlloc delta also counts the runtime's thread spawns, and one
+// landing in the 1-epoch run made the difference negative, wrapping it
+// to about 1.8e19.
 func TestReselectionAllocatesNoScanBuffer(t *testing.T) {
 	tr, te := data.Generate(tinySpec())
 	alloc := func(epochs int) int64 {
@@ -147,11 +149,15 @@ func TestReselectionAllocatesNoScanBuffer(t *testing.T) {
 		return int64(got)
 	}
 	alloc(2) // warm every lazily sized buffer outside the session
-	second := alloc(2) - alloc(1)
+	run := alloc(2)
+	second := run - alloc(1)
 	scan := int64(tr.Len()) * int64(tr.Spec.BytesPerImage)
-	t.Logf("second reselection epoch: %d bytes allocated; one candidate scan: %d", second, scan)
+	t.Logf("whole run: %d bytes allocated; second reselection epoch: %d; one candidate scan: %d", run, second, scan)
 	if second >= scan/2 {
 		t.Fatalf("the second reselection epoch allocated %d bytes; one candidate scan is %d", second, scan)
+	}
+	if run >= scan {
+		t.Fatalf("a clean two-epoch run allocated %d bytes; one candidate scan is %d", run, scan)
 	}
 }
 

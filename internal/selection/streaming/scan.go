@@ -29,8 +29,8 @@ type ScanConfig struct {
 	ChunkRecords int
 
 	// Buffers, when non-nil, holds those three chunk buffers across
-	// passes: a pass grows a buffer shorter than its longest span and
-	// leaves it there for the next. nil gives each pass its own.
+	// passes: a read that writes its span grows the buffer it lands in
+	// and leaves it there for the next. nil gives each pass its own.
 	Buffers *ScanBuffers
 
 	Verify func([]byte) error   // per-chunk payload verification (may be nil)
@@ -68,11 +68,12 @@ type ScanStats struct {
 // goroutine keeps the next chunk's NAND read in flight while the
 // current chunk is processed, mirroring the FPGA's DMA/compute
 // overlap. process runs serially in stream order, so a deterministic
-// consumer stays deterministic. buf is one of three buffers the pass
-// recycles: it is overwritten by a later chunk's read, so process must
-// not keep it (or a slice of it) past its return. Simulated time is
-// charged by the device read path; ScanStats reports how close it came
-// to the sequential bound.
+// consumer stays deterministic. buf is a read-only view of the stored
+// image or, when the read wrote, one of three buffers the pass
+// recycles and a later chunk's read overwrites, so process must not
+// write it or keep it (or a slice of it) past its return. Simulated
+// time is charged by the device read path; ScanStats reports how close
+// it came to the sequential bound.
 func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, hi int, base int64, buf []byte) error) (ScanStats, error) {
 	var st ScanStats
 	if cfg.RecordBytes <= 0 {
@@ -102,18 +103,6 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		chunkRecs = 8192
 	}
 
-	// span of candidate range [lo, hi): byte offset, length, and the
-	// record index of the first byte.
-	span := func(lo, hi int) (off, length int64, base int64) {
-		first, last := lo, hi-1
-		if cands != nil {
-			first, last = cands[lo], cands[hi-1]
-		}
-		off = int64(first) * cfg.RecordBytes
-		length = int64(last-first+1) * cfg.RecordBytes
-		return off, length, int64(first)
-	}
-
 	type chunkRead struct {
 		idx    int
 		lo, hi int
@@ -123,28 +112,11 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		stats  smartssd.ReadStats
 		err    error
 	}
-	chunks := (n + chunkRecs - 1) / chunkRecs
-	bounds := func(c int) (lo, hi int) {
-		lo = c * chunkRecs
-		hi = lo + chunkRecs
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
-	}
-	// Candidate spans differ in length; size every buffer for the
-	// longest so none is ever regrown mid-pass.
-	var maxLen int64
-	for c := 0; c < chunks; c++ {
-		if _, length, _ := span(bounds(c)); length > maxLen {
-			maxLen = length
-		}
-	}
 	// free holds the slots of the buffers not in flight. Three tokens:
 	// the chunk being processed, the one queued in out, and the one
-	// being read. A slot's buffer is grown on first use when it is too
-	// short, so a short pass allocates only what it needs. Only the
-	// prefetcher touches bufs until the pass ends.
+	// being read, which grows its slot only when it writes into it (a
+	// virtual object, a corrupted draw). Only the prefetcher touches
+	// bufs until the pass ends.
 	bufs := cfg.Buffers
 	if bufs == nil {
 		bufs = new(ScanBuffers)
@@ -160,15 +132,18 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 	go func() {
 		defer wg.Done()
 		defer close(out)
-		for c := 0; c < chunks; c++ {
-			lo, hi := bounds(c)
-			off, length, base := span(lo, hi)
-			slot := <-free
-			if int64(cap(bufs[slot])) < maxLen {
-				bufs[slot] = make([]byte, 0, maxLen)
+		for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunkRecs {
+			// Chunk c is candidates [lo, hi): the span from the first
+			// one's record to the last one's.
+			hi := min(lo+chunkRecs, n)
+			first, last := lo, hi-1
+			if cands != nil {
+				first, last = cands[lo], cands[hi-1]
 			}
-			buf, rs, err := dev.ReadResilientInto(bufs[slot][:0], cfg.Object, off, length, 1, cfg.Verify, cfg.Retry)
-			out <- chunkRead{idx: c, lo: lo, hi: hi, base: base, slot: slot, buf: buf, stats: rs, err: err}
+			off, length := int64(first)*cfg.RecordBytes, int64(last-first+1)*cfg.RecordBytes
+			slot := <-free
+			buf, rs, err := dev.ReadResilientInto(&bufs[slot], cfg.Object, off, length, 1, cfg.Verify, cfg.Retry)
+			out <- chunkRead{idx: c, lo: lo, hi: hi, base: int64(first), slot: slot, buf: buf, stats: rs, err: err}
 			if err != nil {
 				return
 			}

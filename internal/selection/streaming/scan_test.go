@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nessa/internal/data"
+	"nessa/internal/faults"
 	"nessa/internal/smartssd"
 )
 
@@ -179,25 +180,35 @@ func TestScanRecordsRecyclesBuffers(t *testing.T) {
 
 var errStop = errors.New("stop")
 
-// TestScanRecordsReusesCallerBuffers: with ScanConfig.Buffers a second
-// pass reads into the first pass's buffers and allocates none, a later
-// pass with longer spans grows them, and every pass reports the stats
-// and hands process the payloads of a pass with no caller buffers.
+// TestScanRecordsReusesCallerBuffers: a chunk buffer in
+// ScanConfig.Buffers grows only when a read writes into it. Clean passes
+// over a stored image — two dense, then a sparser one with longer spans
+// — read views and leave every slot at cap 0, allocating next to
+// nothing. Under a corruption injector (no verify, so every corrupted
+// span reaches process) the slots that grow are exactly the ones a read
+// wrote into, and a second corrupted pass reuses them, growing only a
+// slot it writes for the first time. Every pass reports the stats and
+// hands process the payloads of the same pass with no caller buffers
+// on a twin drive under the same fault schedule.
 func TestScanRecordsReusesCallerBuffers(t *testing.T) {
-	const n = 6000
+	const n = 6144 // every(2) is 12 full chunks: every span is as long
 	_, rs := scanDevice(t, n)
 	rec := rs.RecordBytes()
 	// A stored image, not the virtual one: synthesizing records on read
-	// allocates on its own.
+	// writes every span.
 	img := make([]byte, rs.Size())
 	rs.Fill(0, img)
-	dev, err := smartssd.New()
-	if err != nil {
-		t.Fatal(err)
+	drive := func() *smartssd.Device {
+		dev, err := smartssd.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.StoreDataset("ds", img); err != nil {
+			t.Fatal(err)
+		}
+		return dev
 	}
-	if err := dev.StoreDataset("ds", img); err != nil {
-		t.Fatal(err)
-	}
+	dev, twin := drive(), drive()
 	every := func(step int) []int {
 		var cands []int
 		for i := 0; i < n; i += step {
@@ -205,14 +216,19 @@ func TestScanRecordsReusesCallerBuffers(t *testing.T) {
 		}
 		return cands
 	}
-	// pass scans cands and returns its stats with a digest of every
-	// payload byte process saw, in order.
-	pass := func(cands []int, bufs *ScanBuffers) (ScanStats, uint64) {
+	// pass scans cands on d and returns its stats, a digest of every
+	// payload byte process saw, in order, and the first byte of every
+	// payload that is not a view of the image.
+	pass := func(d *smartssd.Device, cands []int, bufs *ScanBuffers) (ScanStats, uint64, map[*byte]bool) {
 		t.Helper()
 		h := fnv.New64a()
-		st, err := ScanRecords(dev, ScanConfig{
+		written := map[*byte]bool{}
+		st, err := ScanRecords(d, ScanConfig{
 			Object: "ds", RecordBytes: rec, Candidates: cands, ChunkRecords: 256, Buffers: bufs,
 		}, func(_, lo, hi int, base int64, buf []byte) error {
+			if &buf[0] != &img[base*rec] {
+				written[&buf[0]] = true
+			}
 			for ci := lo; ci < hi; ci++ {
 				off := (int64(cands[ci]) - base) * rec
 				h.Write(buf[off : off+rec])
@@ -222,36 +238,69 @@ func TestScanRecordsReusesCallerBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, h.Sum64()
+		return st, h.Sum64(), written
 	}
+	span := int64(511) * rec // a dense chunk's span
 	var bufs ScanBuffers
 	dense, sparse := every(2), every(5)
 	for i, cands := range [][]int{dense, dense, sparse} {
-		wantSt, wantSum := pass(cands, nil)
+		wantSt, wantSum, _ := pass(twin, cands, nil)
+		var st ScanStats
+		var sum uint64
+		var written map[*byte]bool
+		got := allocatedBy(func() { st, sum, written = pass(dev, cands, &bufs) })
+		if st != wantSt || sum != wantSum {
+			t.Fatalf("clean pass %d: stats %+v digest %#x with caller buffers, %+v %#x without", i, st, sum, wantSt, wantSum)
+		}
+		if len(written) != 0 || cap(bufs[0])+cap(bufs[1])+cap(bufs[2]) != 0 {
+			t.Fatalf("clean pass %d wrote %d spans and left buffers of cap %d, %d, %d; want views only",
+				i, len(written), cap(bufs[0]), cap(bufs[1]), cap(bufs[2]))
+		}
+		if i > 0 && got > uint64(span)/4 {
+			t.Fatalf("clean pass %d allocated %d bytes; a span is %d", i, got, span)
+		}
+	}
+
+	prof := faults.Profile{Seed: 5, CorruptRate: 0.3}
+	dev.SetInjector(faults.NewInjector(prof))
+	twin.SetInjector(faults.NewInjector(prof))
+	for i := 0; i < 2; i++ {
+		wantSt, wantSum, _ := pass(twin, dense, nil)
 		before := bufs
 		var st ScanStats
 		var sum uint64
-		got := allocatedBy(func() { st, sum = pass(cands, &bufs) })
+		var written map[*byte]bool
+		got := allocatedBy(func() { st, sum, written = pass(dev, dense, &bufs) })
 		if st != wantSt || sum != wantSum {
-			t.Fatalf("pass %d: stats %+v digest %#x with caller buffers, %+v %#x without", i, st, sum, wantSt, wantSum)
+			t.Fatalf("corrupted pass %d: stats %+v digest %#x with caller buffers, %+v %#x without", i, st, sum, wantSt, wantSum)
 		}
-		longest := int64(255*5+1) * rec // a sparse chunk's span
-		switch i {
-		case 1:
-			if got > uint64(cap(bufs[0]))/4 {
-				t.Fatalf("second pass allocated %d bytes; its %d-byte buffers were there to reuse", got, cap(bufs[0]))
-			}
-			for j := range bufs {
-				if &bufs[j][:1][0] != &before[j][:1][0] {
-					t.Fatalf("second pass replaced buffer %d", j)
+		if len(written) == 0 || len(written) == 12 {
+			t.Fatalf("corrupted pass %d wrote %d of 12 spans; the schedule must mix views and writes", i, len(written))
+		}
+		grown, landed := 0, 0
+		for j, b := range bufs {
+			wrote := cap(b) > 0 && written[&b[:1][0]]
+			switch {
+			case cap(before[j]) > 0:
+				if &b[:1][0] != &before[j][:1][0] {
+					t.Fatalf("corrupted pass %d replaced buffer %d, which already held a span", i, j)
+				}
+			case cap(b) > 0:
+				grown++
+				if !wrote {
+					t.Fatalf("corrupted pass %d grew buffer %d, which no read wrote into", i, j)
 				}
 			}
-		case 2:
-			for j := range bufs {
-				if int64(cap(bufs[j])) < longest {
-					t.Fatalf("buffer %d holds %d bytes after a pass with %d-byte spans", j, cap(bufs[j]), longest)
-				}
+			if wrote {
+				landed++
 			}
+		}
+		t.Logf("corrupted pass %d: %d of 12 spans written, %d buffers grown, %d bytes allocated", i, len(written), grown, got)
+		if landed != len(written) {
+			t.Fatalf("corrupted pass %d wrote spans at %d places, %d of them caller buffers", i, len(written), landed)
+		}
+		if limit := uint64(int64(grown)*span + span/4); got > limit {
+			t.Fatalf("corrupted pass %d grew %d buffers and allocated %d bytes; want at most %d", i, grown, got, limit)
 		}
 	}
 }

@@ -197,8 +197,9 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 // for at least n bytes. Slots are addressed by position in Devices, so
 // a spare swapped in by Rebuild inherits the slot of the drive it
 // replaces. Bytes past the returned slice's length are whatever the
-// slot last held. A read passes its slot with n = 0: a clean read
-// returns a view and never touches it.
+// slot last held. A read gets a local copy of its slot with n = 0: a
+// clean read returns a view and never touches it, and a corrupted one
+// that outgrows the copy leaves the arena as it was.
 func (c *Cluster) slot(gi int, n int64) []byte {
 	if int64(cap(c.arena[gi])) < n {
 		c.arena[gi] = make([]byte, 0, n)
@@ -214,7 +215,8 @@ func (c *Cluster) scanShard(i int, name string, recordSize int64, st *ScanStats)
 	if err != nil {
 		return nil, err
 	}
-	buf, rst, err := d.ReadResilientInto(c.slot(i, 0), name, 0, size, int(size/recordSize), c.Verify, RetryPolicy{})
+	slot := c.slot(i, 0)
+	buf, rst, err := d.ReadResilientInto(&slot, name, 0, size, int(size/recordSize), c.Verify, RetryPolicy{})
 	st.Read.Add(rst)
 	if err != nil {
 		return nil, err

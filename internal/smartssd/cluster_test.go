@@ -269,7 +269,7 @@ func TestShardedScanIsThePerDeviceReadSequence(t *testing.T) {
 	for i, d := range manual.Devices {
 		size, _ := d.SSD.Size("ds")
 		before := d.Clock.Now()
-		buf, rst, err := d.ReadResilientInto(nil, "ds", 0, size, int(size/rec), verify, RetryPolicy{})
+		buf, rst, err := d.ReadResilient("ds", 0, size, int(size/rec), verify, RetryPolicy{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -219,6 +219,6 @@ func hostRead(d *Device, name string, length int64, commands int) error {
 	for i := range recs {
 		recs[i] = i
 	}
-	_, _, err := d.ReadResilientHost(nil, name, recs, length/int64(commands), nil, RetryPolicy{MaxAttempts: 1})
+	_, _, err := d.ReadResilientHost(new([]byte), nil, name, recs, length/int64(commands), nil, RetryPolicy{MaxAttempts: 1})
 	return err
 }

@@ -195,7 +195,7 @@ func (c *Cluster) noteLost(i int, name string) {
 	if c.health[i] == HealthLost {
 		return
 	}
-	_, _ = c.Devices[i].read(nil, name, 0, 0, oneRecord, 1, true)
+	_, _ = c.Devices[i].read(new([]byte), nil, name, 0, 0, oneRecord, 1, true)
 	c.health[i] = HealthLost
 	c.lostEver++
 }
@@ -240,7 +240,8 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 				continue
 			}
 			d := c.Devices[pi]
-			buf, rst, err := d.ReadResilientInto(c.slot(pi, 0), name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
+			slot := c.slot(pi, 0)
+			buf, rst, err := d.ReadResilientInto(&slot, name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
 			st.Read.Add(rst)
 			if err != nil {
 				if errors.Is(err, faults.ErrDeviceLost) {
@@ -346,7 +347,8 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			verify = nil // parity stripes are not records
 		}
 		before := d.Clock.Now()
-		buf, _, err := d.ReadResilientInto(c.slot(gi, 0), name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
+		slot := c.slot(gi, 0)
+		buf, _, err := d.ReadResilientInto(&slot, name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
 		if err != nil {
 			if errors.Is(err, faults.ErrDeviceLost) {
 				c.noteLost(gi, name)

@@ -94,27 +94,34 @@ func (s *ReadStats) Add(other ReadStats) {
 // classify it with errors.Is (faults.ErrTransientIO,
 // faults.ErrCorruptRecord, ...).
 func (d *Device) ReadResilient(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(nil, name, off, length, oneRecord, commands, verify, pol, false)
+	var slot []byte
+	return d.ReadResilientInto(&slot, name, off, length, commands, verify, pol)
 }
 
-// ReadResilientInto is ReadResilient with a buffer the caller owns: a
-// clean read of a materialized object is a read-only view of the
-// stored bytes, but a virtual object's bytes and every corrupted
-// attempt land in dst[:length] when cap(dst) >= length (nothing is
-// allocated) and in a new buffer otherwise. On error dst's contents
-// are unspecified.
-func (d *Device) ReadResilientInto(dst []byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(dst, name, off, length, oneRecord, commands, verify, pol, false)
+// ReadResilientInto is ReadResilient with a slot the caller owns: a
+// clean read of a materialized object is a read-only view of the stored
+// bytes, and a virtual object's bytes and every corrupted attempt land
+// in *slot, grown to length bytes if shorter
+// (storage.SSD.ReadRecordsInto). On error *slot's contents are
+// unspecified.
+func (d *Device) ReadResilientInto(slot *[]byte, name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
+	var one [1][]byte
+	ps, st, err := d.readResilient(slot, one[:0], name, off, length, oneRecord, commands, verify, pol, false)
+	if err != nil {
+		return nil, st, err
+	}
+	return ps[0], st, nil
 }
 
-// ReadRecordsInto is ReadResilientInto over a record list: records recs
-// of a stride-byte record image land in dst in list order, gathered by
-// one flash command per attempt and charged as one read of
-// len(recs)·stride bytes issued as len(recs) transfer commands — what a
-// contiguous read of as many records costs. A retry policy of one
-// attempt with a nil verify is the raw P2P read of those records.
-func (d *Device) ReadRecordsInto(dst []byte, name string, recs []int, stride int64, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(dst, name, 0, stride, recs, len(recs), verify, pol, false)
+// ReadRecordsInto is ReadResilientInto over a record list: payload i,
+// appended to out[:0], is record recs[i] of a stride-byte record image,
+// verified on its own. The records are gathered by one flash command
+// per attempt and charged as one read of len(recs)·stride bytes issued
+// as len(recs) transfer commands — what a contiguous read of as many
+// records costs. A retry policy of one attempt with a nil verify is the
+// raw P2P read of those records. On error the list comes back empty.
+func (d *Device) ReadRecordsInto(slot *[]byte, out [][]byte, name string, recs []int, stride int64, verify func([]byte) error, pol RetryPolicy) ([][]byte, ReadStats, error) {
+	return d.readResilient(slot, out, name, 0, stride, recs, len(recs), verify, pol, false)
 }
 
 // ReadResilientHost is ReadRecordsInto pinned to the host-mediated path
@@ -122,11 +129,11 @@ func (d *Device) ReadRecordsInto(dst []byte, name string, recs []int, stride int
 // subset when the near-storage pipeline is unavailable. Link-down faults
 // do not apply; flash-level faults and verification retries behave
 // identically.
-func (d *Device) ReadResilientHost(dst []byte, name string, recs []int, stride int64, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
-	return d.readResilient(dst, name, 0, stride, recs, len(recs), verify, pol, true)
+func (d *Device) ReadResilientHost(slot *[]byte, out [][]byte, name string, recs []int, stride int64, verify func([]byte) error, pol RetryPolicy) ([][]byte, ReadStats, error) {
+	return d.readResilient(slot, out, name, 0, stride, recs, len(recs), verify, pol, true)
 }
 
-func (d *Device) readResilient(dst []byte, name string, off, stride int64, recs []int, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([]byte, ReadStats, error) {
+func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, stride int64, recs []int, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([][]byte, ReadStats, error) {
 	pol = pol.normalize()
 	var st ReadStats
 	var lastErr error
@@ -139,17 +146,18 @@ func (d *Device) readResilient(dst []byte, name string, off, stride int64, recs 
 			}
 		}
 		st.Attempts++
-		buf, err := d.read(dst, name, off, stride, recs, commands, hostPath)
+		var err error
+		out, err = d.read(slot, out, name, off, stride, recs, commands, hostPath)
 		switch {
 		case err == nil:
-			if verify != nil {
-				if verr := verify(buf); verr != nil {
-					st.Corrupt++
-					lastErr = verr
-					continue // corrupted payload: re-read the clean extent
-				}
+			for i := 0; verify != nil && i < len(out) && err == nil; i++ {
+				err = verify(out[i])
 			}
-			return buf, st, nil
+			if err == nil {
+				return out, st, nil
+			}
+			st.Corrupt++ // corrupted payload: re-read the clean extent
+			lastErr = err
 		case errors.Is(err, faults.ErrTransientIO):
 			st.Transient++
 			lastErr = err
@@ -160,9 +168,9 @@ func (d *Device) readResilient(dst []byte, name string, off, stride int64, recs 
 			st.HostFallback = true
 			lastErr = err
 		default:
-			return nil, st, err // permanent: out of range, not found, DRAM
+			return out, st, err // permanent: out of range, not found, DRAM
 		}
 	}
-	return nil, st, fmt.Errorf("smartssd: read of %d×%d bytes at %d of %q failed after %d attempts: %w",
+	return out[:0], st, fmt.Errorf("smartssd: read of %d×%d bytes at %d of %q failed after %d attempts: %w",
 		len(recs), stride, off, name, st.Attempts, lastErr)
 }

@@ -134,7 +134,7 @@ func TestReadResilientPermanentErrorNotRetried(t *testing.T) {
 	if _, _, err := d.ReadResilient("ds", -1, 64, 1, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
 		t.Fatalf("negative offset error = %v, want ErrOutOfRange", err)
 	}
-	if _, _, err := d.ReadResilientHost(nil, "ds", []int{0}, -5, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
+	if _, _, err := d.ReadResilientHost(new([]byte), nil, "ds", []int{0}, -5, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
 		t.Fatalf("host-path negative length error = %v, want ErrOutOfRange", err)
 	}
 }
@@ -147,11 +147,11 @@ func TestReadResilientHostIgnoresLinkDown(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	buf, st, err := d.ReadResilientHost(nil, "ds", all, rec, verifier(rec), RetryPolicy{})
+	ps, st, err := d.ReadResilientHost(new([]byte), nil, "ds", all, rec, verifier(rec), RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, img) || st.Attempts != 1 {
+	if !bytes.Equal(bytes.Join(ps, nil), img) || st.Attempts != 1 {
 		t.Fatalf("host-pinned read perturbed by P2P link faults: %+v", st)
 	}
 }
@@ -170,11 +170,11 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 // TestReadResilientIntoLandsInCallerBuffer: on every recovery path a
-// payload the host assembles is the caller's buffer — a virtual
+// payload the host assembles is in the caller's slot — a virtual
 // object's synthesized bytes, a corrupted payload that no verify
 // rejected (one flipped bit) — while a clean read of a materialized
 // object is a view of the stored image, capacity clipped to its length,
-// that leaves the buffer untouched (only a rejected corrupted attempt
+// that leaves the slot untouched (only a rejected corrupted attempt
 // writes there). Either way the read costs exactly
 // what ReadResilient costs — same stats, same simulated clock — on a
 // twin device under the same fault schedule.
@@ -215,9 +215,13 @@ func TestReadResilientIntoLandsInCallerBuffer(t *testing.T) {
 			d.SetInjector(faults.NewInjector(tc.prof))
 			twin.SetInjector(faults.NewInjector(tc.prof))
 			dst := make([]byte, 0, len(img)+16)
-			buf, st, err := d.ReadResilientInto(dst, name, 0, int64(len(img)), 24, verify, tc.pol)
+			slot := dst
+			buf, st, err := d.ReadResilientInto(&slot, name, 0, int64(len(img)), 24, verify, tc.pol)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if &slot[:1][0] != &dst[:1][0] {
+				t.Fatal("a read replaced a slot that had room")
 			}
 			inDst := &buf[0] == &dst[:1][0]
 			switch {
@@ -250,10 +254,13 @@ func TestReadResilientIntoLandsInCallerBuffer(t *testing.T) {
 }
 
 // TestReadRecordsIntoCostsTheContiguousRead: a gathered read of a
-// scattered record list returns exactly those records in list order,
-// and on every recovery path costs what a contiguous read of as many
-// records costs — same stats, same simulated clock, same P2P bytes — on
-// a twin device under the same fault schedule.
+// scattered record list returns exactly those records in list order —
+// each a capacity-clipped view of its stored record once the read comes
+// back clean, in the caller's list, with the slot written only by a
+// rejected corrupted attempt — and on every recovery path costs what a
+// contiguous read of as many records costs — same stats, same simulated
+// clock, same P2P bytes — on a twin device under the same fault
+// schedule.
 func TestReadRecordsIntoCostsTheContiguousRead(t *testing.T) {
 	recs := []int{17, 3, 4, 22, 0, 9}
 	cases := []struct {
@@ -273,18 +280,22 @@ func TestReadRecordsIntoCostsTheContiguousRead(t *testing.T) {
 			storeImage(t, twin)
 			d.SetInjector(faults.NewInjector(tc.prof))
 			twin.SetInjector(faults.NewInjector(tc.prof))
-			dst := make([]byte, 0, int64(len(recs))*rec)
-			buf, st, err := d.ReadRecordsInto(dst, "ds", recs, rec, verifier(rec), tc.pol)
+			var slot []byte
+			list := make([][]byte, 0, len(recs))
+			ps, st, err := d.ReadRecordsInto(&slot, list, "ds", recs, rec, verifier(rec), tc.pol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &buf[0] != &dst[:1][0] {
-				t.Fatal("payload is not the caller's buffer")
+			if len(ps) != len(recs) || &ps[0] != &list[:1][0] {
+				t.Fatalf("%d payloads for %d records, or not in the caller's list", len(ps), len(recs))
 			}
 			for i, r := range recs {
-				if !bytes.Equal(buf[int64(i)*rec:int64(i+1)*rec], img[int64(r)*rec:int64(r+1)*rec]) {
-					t.Fatalf("payload record %d is not stored record %d", i, r)
+				if &ps[i][0] != &img[int64(r)*rec] || len(ps[i]) != int(rec) || cap(ps[i]) != len(ps[i]) {
+					t.Fatalf("payload %d is not a capacity-clipped view of stored record %d", i, r)
 				}
+			}
+			if (slot != nil) != (st.Corrupt > 0) {
+				t.Fatalf("slot grown = %v after %d rejected corrupted attempts", slot != nil, st.Corrupt)
 			}
 			_, wantSt, err := twin.ReadResilient("ds", 0, int64(len(recs))*rec, len(recs), verifier(rec), tc.pol)
 			if err != nil {
@@ -298,7 +309,7 @@ func TestReadRecordsIntoCostsTheContiguousRead(t *testing.T) {
 	d := newDevice(t)
 	_, rec := storeImage(t, d)
 	for _, bad := range [][]int{{-1}, {24}, {0, 1 << 62}} {
-		if _, _, err := d.ReadRecordsInto(nil, "ds", bad, rec, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
+		if _, _, err := d.ReadRecordsInto(new([]byte), nil, "ds", bad, rec, nil, RetryPolicy{}); !errors.Is(err, faults.ErrOutOfRange) {
 			t.Errorf("records %v: err = %v, want wrapped faults.ErrOutOfRange", bad, err)
 		}
 	}

@@ -161,46 +161,51 @@ func (s *SSD) PutVirtual(name string, size int64, fill FillFunc) error {
 
 // ReadAt reads length bytes of object name starting at off, returning
 // the payload and the simulated flash access time: the one-record
-// ReadRecordsInto with no destination (so a clean read is a view).
+// ReadRecordsInto into a slot of its own (so a clean read is a view).
 func (s *SSD) ReadAt(name string, off, length int64) ([]byte, time.Duration, error) {
-	return s.ReadRecordsInto(name, off, length, oneRecord, nil)
+	var slot []byte
+	var one [1][]byte
+	ps, dur, err := s.ReadRecordsInto(name, off, length, oneRecord, &slot, one[:0])
+	if err != nil {
+		return nil, dur, err
+	}
+	return ps[0], dur, nil
 }
 
 // oneRecord is the record list of a contiguous read. Never written.
 var oneRecord = []int{0}
 
-// ReadRecordsInto is one flash command: record recs[i] of object name —
-// the stride bytes at off + recs[i]·stride — lands at [i·stride,
-// (i+1)·stride) of the payload, and the payload and the simulated flash
-// access time are returned. A contiguous read of [off, off+length) is
-// the one record {0} at stride length. A one-record read of a
-// materialized object that draws no corruption is a view of the stored
-// bytes, capacity clipped to its length, that the caller must not
-// write. Any other payload (a gather, a virtual object, a corrupted
-// draw) is dst[:len] when cap(dst) is at least len(recs)·stride bytes,
-// whatever dst held, and a new buffer otherwise (nil included).
-// The cost is one command latency
-// plus the payload's streaming time, whatever the list. Addressing
-// failures wrap faults.ErrOutOfRange / faults.ErrNotFound; with an
-// injector attached, the command may also fail with
-// faults.ErrTransientIO (dst untouched), return a payload with one
-// silently flipped bit, or take a latency spike.
-func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, dst []byte) ([]byte, time.Duration, error) {
+// ReadRecordsInto is one flash command: payload i, appended to out[:0],
+// is record recs[i] of object name — the stride bytes at off +
+// recs[i]·stride — capacity clipped to its length. A contiguous read of
+// [off, off+length) is the one record {0} at stride length. Only a
+// write grows the slot: a clean read of a materialized object returns
+// views of the stored records, which the caller must not write, and
+// leaves *slot untouched; a virtual object or a corrupted draw is
+// assembled in *slot, grown to len(recs)·stride bytes if shorter, one
+// window per record. The cost is one command latency plus the payload's
+// streaming time, whatever the list and the slot. Addressing failures
+// wrap faults.ErrOutOfRange / faults.ErrNotFound; with an injector
+// attached, the command may also fail with faults.ErrTransientIO (slot
+// untouched), flip one assembled bit silently, or take a latency spike.
+// On error the list comes back empty.
+func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, slot *[]byte, out [][]byte) ([][]byte, time.Duration, error) {
+	out = out[:0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("storage: object %q: %w", name, faults.ErrNotFound)
+		return out, 0, fmt.Errorf("storage: object %q: %w", name, faults.ErrNotFound)
 	}
 	// Bounds are checked overflow-safely: an address is never formed
 	// before its operands are known non-negative and in range.
 	if off < 0 || stride < 0 || off > e.size {
-		return nil, 0, fmt.Errorf("storage: read [%d,+%d) of %q (%d bytes): %w",
+		return out, 0, fmt.Errorf("storage: read [%d,+%d) of %q (%d bytes): %w",
 			off, stride, name, e.size, faults.ErrOutOfRange)
 	}
 	for _, r := range recs {
 		if r < 0 || stride > 0 && int64(r) > (e.size-off)/stride || stride > e.size-off-int64(r)*stride {
-			return nil, 0, fmt.Errorf("storage: read [%d,+%d) of %q (%d bytes): %w",
+			return out, 0, fmt.Errorf("storage: read [%d,+%d) of %q (%d bytes): %w",
 				off+int64(r)*stride, stride, name, e.size, faults.ErrOutOfRange)
 		}
 	}
@@ -208,32 +213,34 @@ func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, dst []
 	if f.Transient {
 		// The failed command still costs its setup latency (plus any
 		// spike) so retry storms advance simulated time.
-		return nil, s.cfg.CommandLatency + f.Extra,
+		return out, s.cfg.CommandLatency + f.Extra,
 			fmt.Errorf("storage: read %q: %w", name, faults.ErrTransientIO)
 	}
 	length := stride * int64(len(recs))
 	dur := s.transferTime(length, false) + f.Extra
-	if len(recs) == 1 && e.fill == nil && !f.Corrupt {
-		at := off + int64(recs[0])*stride
-		return e.data[at : at+stride : at+stride], dur, nil
+	if e.fill == nil && !f.Corrupt {
+		for _, r := range recs {
+			at := off + int64(r)*stride
+			out = append(out, e.data[at:at+stride:at+stride])
+		}
+		return out, dur, nil
 	}
-	var out []byte
-	if dst != nil && int64(cap(dst)) >= length {
-		out = dst[:length]
-	} else {
-		out = make([]byte, length)
+	if int64(cap(*slot)) < length {
+		*slot = make([]byte, length)
 	}
+	buf := (*slot)[:length]
 	for i, r := range recs {
 		at := off + int64(r)*stride
-		seg := out[int64(i)*stride : int64(i+1)*stride]
+		seg := buf[int64(i)*stride : int64(i+1)*stride : int64(i+1)*stride]
 		if e.fill != nil {
 			e.fill(at, seg)
 		} else {
 			copy(seg, e.data[at:at+stride])
 		}
+		out = append(out, seg)
 	}
 	if f.Corrupt {
-		s.inj.CorruptPayload(out) // silent: detection is the codec's CRC
+		s.inj.CorruptPayload(buf) // silent: detection is the codec's CRC
 	}
 	return out, dur, nil
 }

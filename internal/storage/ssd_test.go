@@ -283,16 +283,18 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestReadIntoDestination pins ReadRecordsInto's payload contract. A
-// one-record read of a materialized object that draws no corruption is
-// a view of the stored bytes: equal to them, aliasing them, with its
-// capacity clipped to its length, whatever dst is, and dst keeps what
-// it held. Every other read — a gather, a virtual object, a corrupted
-// draw (one flipped bit) — lands in dst when cap(dst) covers it,
-// whatever dst's length and prior contents, and in a fresh buffer
-// otherwise (nil included); either way it is the caller's to write. Every read is charged exactly what the
-// same read with no destination costs on a twin drive under the same
-// fault schedule.
+// TestReadIntoDestination pins ReadRecordsInto's slot and payload
+// contract. A read of a materialized object that draws no corruption,
+// contiguous or gathered, writes nothing: each payload is a view of its
+// stored record, equal to it, aliasing it, with its capacity clipped to
+// its length, whatever the slot is, and the slot keeps what it held.
+// A virtual object and a corrupted draw (one flipped bit) are assembled
+// in the slot — in place when its capacity covers the read, whatever
+// its length and prior contents, and in a slot grown to the read's
+// length otherwise (nil included) — one stride-byte window per record,
+// the caller's to write. The payloads land in the caller's list. Every
+// read is charged exactly what the same read into an empty slot costs
+// on a twin drive under the same fault schedule.
 func TestReadIntoDestination(t *testing.T) {
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -336,6 +338,7 @@ func TestReadIntoDestination(t *testing.T) {
 		{"one listed record", "obj", 6, 50, []int{3}},
 		{"gather", "obj", 6, 50, []int{3, 0}},
 		{"virtual", "virt", 50, 100, oneRecord},
+		{"virtual gather", "virt", 6, 50, []int{3, 0}},
 	}
 	dsts := []struct {
 		name string
@@ -363,36 +366,54 @@ func TestReadIntoDestination(t *testing.T) {
 					label := pc.name + " " + rd.name
 					n := int(rd.stride) * len(rd.recs)
 					dst := dc.dst(n)
-					got, dur, err := s.ReadRecordsInto(rd.obj, rd.off, rd.stride, rd.recs, dst)
+					slot := dst
+					list := make([][]byte, 1, 4)
+					got, dur, err := s.ReadRecordsInto(rd.obj, rd.off, rd.stride, rd.recs, &slot, list)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if _, want, _ := twin.ReadRecordsInto(rd.obj, rd.off, rd.stride, rd.recs, nil); dur != want {
-						t.Fatalf("%s: charged %v, the same read with no destination %v", label, dur, want)
+					if _, want, _ := twin.ReadRecordsInto(rd.obj, rd.off, rd.stride, rd.recs, new([]byte), nil); dur != want {
+						t.Fatalf("%s: charged %v, the same read into an empty slot %v", label, dur, want)
+					}
+					if len(got) != len(rd.recs) || &got[0] != &list[0] {
+						t.Fatalf("%s: %d payloads for %d records, or not in the caller's list", label, len(got), len(rd.recs))
 					}
 					var want []byte
 					for _, r := range rd.recs {
 						want = append(want, stored(rd.obj, rd.off+int64(r)*rd.stride, rd.stride)...)
 					}
-					if flipped := bitsDiffering(got, want); flipped != 0 && !pc.corrupt || flipped != 1 && pc.corrupt {
+					if flipped := bitsDiffering(bytes.Join(got, nil), want); flipped != 0 && !pc.corrupt || flipped != 1 && pc.corrupt {
 						t.Fatalf("%s: payload differs from the stored bytes in %d bits", label, flipped)
 					}
-					inDst := cap(dst) > 0 && &got[0] == &dst[:1][0]
-					if rd.obj == "obj" && len(rd.recs) == 1 && !pc.corrupt {
-						at := rd.off + int64(rd.recs[0])*rd.stride
-						if &got[0] != &payload[at] || cap(got) != len(got) {
-							t.Fatalf("%s: clean contiguous read is not a capacity-clipped view of the stored bytes (cap %d, len %d)", label, cap(got), len(got))
+					for i, p := range got {
+						if cap(p) != len(p) || len(p) != int(rd.stride) {
+							t.Fatalf("%s: payload %d has len %d, cap %d for a %d-byte record", label, i, len(p), cap(p), rd.stride)
 						}
-						if dst != nil && slices.ContainsFunc(dst[:cap(dst)], func(b byte) bool { return b != stale }) {
-							t.Fatalf("%s: a view read wrote into dst", label)
+					}
+					if rd.obj == "obj" && !pc.corrupt {
+						for i, r := range rd.recs {
+							if &got[i][0] != &payload[rd.off+int64(r)*rd.stride] {
+								t.Fatalf("%s: clean payload %d is not a view of stored record %d", label, i, r)
+							}
+						}
+						if len(slot) != len(dst) || cap(slot) != cap(dst) || dst != nil && slices.ContainsFunc(dst[:cap(dst)], func(b byte) bool { return b != stale }) {
+							t.Fatalf("%s: a clean read wrote into the slot", label)
 						}
 						continue
 					}
-					if fits := cap(dst) >= n; inDst != fits {
-						t.Fatalf("%s: payload in dst = %v, want %v (cap %d, read %d)", label, inDst, fits, cap(dst), n)
+					kept := cap(dst) > 0 && &slot[:1][0] == &dst[:1][0]
+					if fits := cap(dst) >= n; kept != fits || cap(slot) < n {
+						t.Fatalf("%s: slot kept = %v with cap(dst) %d for a %d-byte read (now cap %d)", label, kept, cap(dst), n, cap(slot))
+					}
+					for i, p := range got {
+						if &p[0] != &slot[:n][i*int(rd.stride)] {
+							t.Fatalf("%s: assembled payload %d is not window %d of the slot", label, i, i)
+						}
 					}
 					// An assembled payload is the caller's to write.
-					clear(got)
+					for _, p := range got {
+						clear(p)
+					}
 					if !bytes.Equal(payload, orig) {
 						t.Fatalf("%s: an assembled payload aliases the stored bytes", label)
 					}
@@ -402,8 +423,9 @@ func TestReadIntoDestination(t *testing.T) {
 	}
 
 	s := drive(faults.Profile{Seed: 2, TransientRate: 1})
-	if got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, dirty(0, 256)); !errors.Is(err, faults.ErrTransientIO) || got != nil {
-		t.Fatalf("transient failure returned (%v, %v), want (nil, ErrTransientIO)", got, err)
+	slot := dirty(0, 256)
+	if got, _, err := s.ReadRecordsInto("obj", 0, 256, oneRecord, &slot, nil); !errors.Is(err, faults.ErrTransientIO) || len(got) != 0 || slot[:1][0] != stale {
+		t.Fatalf("transient failure returned (%v, %v), want (no payload, ErrTransientIO) and the slot untouched", got, err)
 	}
 }
 
