@@ -67,30 +67,32 @@ func TestInjectedScratchLeakCaught(t *testing.T) {
 }
 
 // TestInjectedUnlockWithoutLockCaught is the concurrency acceptance
-// mutation: WorkerLocal.Range taking its lock only when a slot table
-// exists leaves an Unlock reachable without a Lock. go test, go test
-// -race and go vet all pass that mutation; the analyzer must flag it
-// and nothing else, and the pristine package stays silent.
+// mutation: engageHelpers, which every parallel dispatch runs, taking
+// the helper-pool lock only when it has a helper to engage leaves its
+// Unlock reachable without a Lock. No dispatch asks for zero helpers,
+// so go test, go test -race and go vet all pass that mutation; the
+// analyzer must flag it and nothing else, and the pristine package
+// stays silent.
 func TestInjectedUnlockWithoutLockCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("package copies and repeated type checks are slow; skipped in -short mode")
 	}
 	srcDir := filepath.Join(repoRoot(t), "internal", "parallel")
-	const locked = "\tl.mu.Lock()\n\tp := l.slots.Load()\n\tl.mu.Unlock()\n"
-	const mutated = "\tp := l.slots.Load()\n\tif p != nil {\n\t\tl.mu.Lock()\n\t\tp = l.slots.Load()\n\t}\n\tl.mu.Unlock()\n"
+	const locked = "\thp := &helperPool\n\thp.mu.Lock()\n"
+	const mutated = "\thp := &helperPool\n\tif want > 0 {\n\t\thp.mu.Lock()\n\t}\n"
 
 	t.Run("conditional lock is flagged", func(t *testing.T) {
 		dir := copyPkg(t, srcDir, func(name string, src []byte) []byte {
-			if name != "workerlocal.go" {
+			if name != "pool.go" {
 				return src
 			}
-			if !strings.Contains(string(src), locked) {
-				t.Fatalf("WorkerLocal.Range no longer holds the mutated shape:\n%s", locked)
+			if strings.Count(string(src), locked) != 1 {
+				t.Fatalf("engageHelpers no longer holds the mutated shape:\n%s", locked)
 			}
 			return []byte(strings.Replace(string(src), locked, mutated, 1))
 		})
 		findings := analyzerFindings(t, "concurrency", dir, "nessa/internal/parallel")
-		if len(findings) != 1 || !strings.Contains(findings[0].Message, "l.mu.Unlock may run without a preceding Lock") {
+		if len(findings) != 1 || !strings.Contains(findings[0].Message, "hp.mu.Unlock may run without a preceding Lock") {
 			t.Fatalf("want exactly the injected unlock-without-lock finding, got %v", findings)
 		}
 	})

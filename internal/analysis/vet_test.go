@@ -1,15 +1,18 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -167,9 +170,142 @@ func TestRepoVetClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree type check is slow; skipped in -short mode")
 	}
-	for _, f := range Run(loadModule(t, repoRoot(t)), All()) {
+	root := repoRoot(t)
+	pkgs := loadModule(t, root)
+	for _, f := range Run(pkgs, All()) {
 		t.Errorf("%s", f.String())
 	}
+	for _, u := range uncalledFuncs(t, root, pkgs) {
+		t.Errorf("%s", u)
+	}
+}
+
+// callerExempt lists the functions of internal/... and cmd/... that no
+// non-test file names but that stay, keyed "importpath.Func" or
+// "importpath.Type.Method", each with its reason.
+var callerExempt = map[string]string{
+	"nessa/internal/selection.NaiveGreedy": "the reference greedy the lazy and stochastic maximizers are tested against",
+	"nessa/internal/tensor.Matrix.At":      "other packages' tests read matrix elements with it",
+	"nessa/internal/tensor.Matrix.Set":     "other packages' tests build matrices with it",
+	"nessa/internal/tensor.FromRows":       "other packages' tests build matrices with it",
+	"nessa/internal/nn.MLP.Clone":          "other packages' tests snapshot a model with it",
+	"nessa/internal/nn.SGD.LR":             "other packages' tests read the optimizer's step size with it",
+}
+
+// uncalledFuncs returns one "file:line: name" line for each function or
+// method declared in a non-test file of internal/... or cmd/... that no
+// non-test file of the module names (through Info.Uses, Info.Selections
+// or a generic instance's Origin) outside its own body. Exempt are main
+// and init, methods that satisfy an interface declared in the module or
+// error, fmt.Stringer, sort.Interface or heap.Interface, the analysis
+// package (its front end is its tests), the root facade (the public
+// API), and callerExempt, whose every entry must still be an uncalled
+// function.
+func uncalledFuncs(t *testing.T, root string, pkgs []*Package) []string {
+	t.Helper()
+	type span struct{ lo, hi token.Pos }
+	decls := make(map[*types.Func]span)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
+						decls[obj] = span{fn.Pos(), fn.End()}
+					}
+				}
+			}
+		}
+	}
+	named := make(map[*types.Func]bool)
+	use := func(id *ast.Ident, obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			return
+		}
+		fn = fn.Origin()
+		if s, ok := decls[fn]; ok && id.Pos() >= s.lo && id.Pos() < s.hi {
+			return // a recursive call keeps nothing alive
+		}
+		named[fn] = true
+	}
+	var ifaces []*types.Interface
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			use(id, obj)
+		}
+		for sel, s := range pkg.Info.Selections {
+			use(sel.Sel, s.Obj())
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
+			}
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, ref := range []struct{ path, name string }{{"fmt", "Stringer"}, {"sort", "Interface"}, {"container/heap", "Interface"}} {
+		p, err := testStd.Import(ref.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(ref.name).Type().Underlying().(*types.Interface))
+	}
+	satisfies := func(recv types.Type, fn *types.Func) bool {
+		for _, iface := range ifaces {
+			if m, _ := types.MissingMethod(types.NewPointer(recv), iface, true); m == nil {
+				if obj, _, _ := types.LookupFieldOrMethod(iface, false, fn.Pkg(), fn.Name()); obj != nil {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var out []string
+	exempted := make(map[string]bool)
+	for _, pkg := range pkgs {
+		rel := strings.TrimPrefix(pkg.ImportPath, "nessa/")
+		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") || rel == "internal/analysis" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				obj := pkg.Info.Defs[fn.Name].(*types.Func)
+				name := obj.Name()
+				if fn.Recv == nil && (name == "main" || name == "init") || named[obj] {
+					continue
+				}
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+					rt := recv.Type()
+					if ptr, ok := rt.(*types.Pointer); ok {
+						rt = ptr.Elem()
+					}
+					if satisfies(rt, obj) {
+						continue
+					}
+					name = rt.(*types.Named).Obj().Name() + "." + name
+				}
+				if key := pkg.ImportPath + "." + name; callerExempt[key] != "" {
+					exempted[key] = true
+					continue
+				}
+				pos := pkg.Fset.Position(fn.Pos())
+				file, _ := filepath.Rel(root, pos.Filename)
+				out = append(out, fmt.Sprintf("%s:%d: %s.%s is named by no non-test file", file, pos.Line, pkg.Types.Name(), name))
+			}
+		}
+	}
+	for key := range callerExempt {
+		if !exempted[key] {
+			out = append(out, fmt.Sprintf("callerExempt: %s is called or gone; drop its entry", key))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // loadModule loads every package of the module at root and fails t
@@ -220,7 +356,7 @@ func analyzerNamed(t *testing.T, name string) *Analyzer {
 // inlinegate's on the leaf kernels of the GEMM and similarity loops.
 var pinnedAnnotations = map[string]map[string][]string{
 	DirHotpath: {
-		"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransA", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "Softmax"},
+		"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "Softmax"},
 		"internal/nn":      {"Forward", "ForwardInto", "Backward", "SoftmaxCEInto"},
 		"internal/trainer": {"TrainEpoch"},
 	},

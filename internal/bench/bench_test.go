@@ -220,9 +220,9 @@ func TestQuickAccuracyRunPipeline(t *testing.T) {
 	if len(s43.Rows) != 2 { // dataset + average
 		t.Fatalf("section4.3 rows = %d, want 2", len(s43.Rows))
 	}
-	fr := AvgSubsetFracs([]DatasetRun{r})
+	fr := FinalSubsetFracs([]DatasetRun{r})
 	if fr["CIFAR-10"] <= 0 || fr["CIFAR-10"] > 1 {
-		t.Fatalf("bad avg subset frac %v", fr["CIFAR-10"])
+		t.Fatalf("bad final subset frac %v", fr["CIFAR-10"])
 	}
 }
 

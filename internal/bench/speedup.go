@@ -86,16 +86,6 @@ func FinalSubsetFracs(runs []DatasetRun) map[string]float64 {
 	return m
 }
 
-// AvgSubsetFracs extracts the per-dataset average subset fractions from
-// completed runs, the input Section44 needs.
-func AvgSubsetFracs(runs []DatasetRun) map[string]float64 {
-	m := make(map[string]float64, len(runs))
-	for _, r := range runs {
-		m[r.Spec.Name] = r.NeSSA.AvgSubsetFrac
-	}
-	return m
-}
-
 func epochsOr(e, fallback int) int {
 	if e <= 0 {
 		return fallback

@@ -60,9 +60,10 @@ func TestSeedReachesEveryStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			labels := make([]int, s.Len())
+			labels := make([]int, s.N)
+			feats := make([]float32, spec.FeatureDim)
 			for i := range labels {
-				labels[i] = s.Label(i)
+				labels[i] = s.Sample(i, feats)
 			}
 			return labels
 		}},

@@ -71,20 +71,6 @@ func putRecord(rec []byte, label int, features []float32) {
 	binary.LittleEndian.PutUint32(rec[crcOff:crcOff+4], recordCRC(rec))
 }
 
-// EncodeSample serializes sample i of d into a fresh record buffer.
-func EncodeSample(d *Dataset, i int) ([]byte, error) {
-	size, err := RecordSize(d.Spec)
-	if err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= d.Len() {
-		return nil, fmt.Errorf("data: sample index %d out of range [0,%d)", i, d.Len())
-	}
-	buf := make([]byte, size)
-	putRecord(buf, d.Labels[i], d.X.Row(i))
-	return buf, nil
-}
-
 // VerifyRecord checks a record's CRC32C without decoding it. A mismatch
 // returns an error wrapping faults.ErrCorruptRecord.
 func VerifyRecord(buf []byte) error {
@@ -130,23 +116,6 @@ func featureCount(buf []byte) (int, error) {
 		return 0, fmt.Errorf("data: record truncated: %d features need %d bytes, have %d", n, need, len(buf))
 	}
 	return int(n), nil
-}
-
-// DecodeSample parses a record buffer into a label and feature vector,
-// verifying the record CRC first: a corrupted record fails with an
-// error wrapping faults.ErrCorruptRecord rather than silently decoding
-// flipped bits into training data.
-func DecodeSample(buf []byte) (label int, features []float32, err error) {
-	if err := VerifyRecord(buf); err != nil {
-		return 0, nil, err
-	}
-	n, err := featureCount(buf)
-	if err != nil {
-		return 0, nil, err
-	}
-	features = make([]float32, n)
-	label, err = DecodeRecordInto(buf, features)
-	return label, features, err
 }
 
 // DecodeRecordInto parses a record's label and features into the given

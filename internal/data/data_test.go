@@ -243,15 +243,31 @@ func TestDecodeBadImage(t *testing.T) {
 }
 
 func TestDecodeTruncatedRecord(t *testing.T) {
-	if _, _, err := DecodeSample([]byte{1, 2, 3}); err == nil {
+	if _, _, err := decodeRecord([]byte{1, 2, 3}); err == nil {
 		t.Fatal("expected error for short record")
 	}
 	// Header claims more features than the buffer holds.
 	buf := make([]byte, recordHeader+4)
 	buf[2] = 200
-	if _, _, err := DecodeSample(buf); err == nil {
+	reseal(buf)
+	if _, _, err := decodeRecord(buf); err == nil {
 		t.Fatal("expected error for truncated features")
 	}
+}
+
+// decodeRecord is the record path of a scan: VerifyRecord, then
+// DecodeRecordInto into a slice sized by the checked featureCount.
+func decodeRecord(buf []byte) (label int, features []float32, err error) {
+	if err := VerifyRecord(buf); err != nil {
+		return 0, nil, err
+	}
+	n, err := featureCount(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	features = make([]float32, n)
+	label, err = DecodeRecordInto(buf, features)
+	return label, features, err
 }
 
 // reseal rewrites a record's CRC after a test edited its bytes: CRC-32C
@@ -262,7 +278,7 @@ func reseal(rec []byte) {
 }
 
 // TestDecodersRejectHostileRecords covers the three record-codec
-// holes: DecodeSample sizing its slice from an unchecked count, and
+// holes: a slice sized from an unchecked feature count, and
 // Decode accepting a record of another width or a label the spec has
 // no class for.
 func TestDecodersRejectHostileRecords(t *testing.T) {
@@ -296,14 +312,14 @@ func TestDecodersRejectHostileRecords(t *testing.T) {
 			t.Errorf("Decode, %s: allocated %d bytes", c.name, got)
 		}
 	}
-	// DecodeSample on its own: a resealed count must fail before it
-	// sizes the feature slice (4 GiB at the parent).
+	// One record on its own: a resealed count must fail before a
+	// caller sizes the feature slice from it (4 GiB unchecked).
 	huge := append([]byte(nil), img[:spec.BytesPerImage]...)
 	binary.LittleEndian.PutUint32(huge[2:], 0x3fffffff)
 	reseal(huge)
-	got := allocatedBy(func() { _, _, err = DecodeSample(huge) })
+	got := allocatedBy(func() { _, _, err = decodeRecord(huge) })
 	if err == nil || got >= 1<<20 {
-		t.Errorf("DecodeSample, count 0x3fffffff: err = %v after allocating %d bytes", err, got)
+		t.Errorf("decodeRecord, count 0x3fffffff: err = %v after allocating %d bytes", err, got)
 	}
 }
 
@@ -316,13 +332,14 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzDecodeRecord: a record either fails to decode or re-encodes to
-// the same bytes; neither decoder panics or allocates more than a
-// small multiple of the input.
+// FuzzDecodeRecord runs a scan's record path (decodeRecord) and a
+// decode into a caller-sized slice: a record either fails to decode or
+// re-encodes to the same bytes; no step panics or allocates more than
+// a small multiple of the input.
 func FuzzDecodeRecord(f *testing.F) {
-	spec := Spec{Name: "fuzz", Classes: 3, BytesPerImage: 64, SimTrain: 2, SimTest: 1, FeatureDim: 5, Spread: 0.5, Seed: 1}
+	spec := Spec{Name: "fuzz", Classes: 3, BytesPerImage: 64, SimTrain: 1, SimTest: 1, FeatureDim: 5, Spread: 0.5, Seed: 1}
 	tr, _ := Generate(spec)
-	rec, err := EncodeSample(tr, 1)
+	rec, err := Encode(tr)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -338,7 +355,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		var features []float32
 		var err, intoErr error
 		got := allocatedBy(func() {
-			label, features, err = DecodeSample(b)
+			label, features, err = decodeRecord(b)
 			_, intoErr = DecodeRecordInto(b, into)
 		})
 		if got > 16<<10+4*uint64(len(b)) {
@@ -364,10 +381,11 @@ func TestCRCDetectsEveryByteFlip(t *testing.T) {
 	spec, _ := Lookup("CIFAR-10")
 	spec.SimTrain, spec.SimTest = 2, 1
 	tr, _ := Generate(spec)
-	rec, err := EncodeSample(tr, 0)
+	img, err := Encode(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := img[:spec.BytesPerImage]
 	if err := VerifyRecord(rec); err != nil {
 		t.Fatalf("fresh record failed verification: %v", err)
 	}
@@ -378,8 +396,8 @@ func TestCRCDetectsEveryByteFlip(t *testing.T) {
 		if err := VerifyRecord(rec); !errors.Is(err, faults.ErrCorruptRecord) {
 			t.Fatalf("flip at byte %d undetected (err=%v)", i, err)
 		}
-		if _, _, err := DecodeSample(rec); !errors.Is(err, faults.ErrCorruptRecord) {
-			t.Fatalf("DecodeSample accepted corrupt record (flip at %d)", i)
+		if _, err := Decode(spec, img); !errors.Is(err, faults.ErrCorruptRecord) {
+			t.Fatalf("Decode accepted corrupt record (flip at %d)", i)
 		}
 		rec[i] ^= 0x40
 	}

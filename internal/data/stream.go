@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 
-	"nessa/internal/parallel"
 	"nessa/internal/tensor"
 )
 
@@ -57,9 +56,6 @@ func NewRecordStream(spec Spec, n int) (*RecordStream, error) {
 	}, nil
 }
 
-// Len reports the number of records in the stream.
-func (s *RecordStream) Len() int { return s.N }
-
 // RecordBytes reports the on-disk size of one record.
 func (s *RecordStream) RecordBytes() int64 { return s.size }
 
@@ -94,12 +90,6 @@ func (s *RecordStream) drawLabel(i int, rng *tensor.RNG) (label, cls, mode, hard
 		label = flip
 	}
 	return label, cls, mode, hardOther
-}
-
-// Label reports the label of record i without synthesizing features.
-func (s *RecordStream) Label(i int) int {
-	label, _, _, _ := s.drawLabel(i, s.recordRNG(i))
-	return label
 }
 
 // Sample synthesizes record i's features into the given slice (which
@@ -149,27 +139,4 @@ func (s *RecordStream) Fill(off int64, buf []byte) {
 		off += int64(n)
 		buf = buf[n:]
 	}
-}
-
-// CountLabels tallies the exact per-class record counts of the stream
-// with a parallel label-only pass (no feature synthesis). The chunk
-// grid is fixed, and each chunk's tally lands in its own slot, so the
-// result is identical at any worker count.
-func (s *RecordStream) CountLabels() []int {
-	pool := parallel.Default()
-	chunks := parallel.Chunks(s.N)
-	partial := make([]int, chunks*s.Spec.Classes)
-	pool.ForChunks(s.N, func(_, c, lo, hi int) {
-		row := partial[c*s.Spec.Classes : (c+1)*s.Spec.Classes]
-		for i := lo; i < hi; i++ {
-			row[s.Label(i)]++
-		}
-	})
-	counts := make([]int, s.Spec.Classes)
-	for c := 0; c < chunks; c++ {
-		for y := 0; y < s.Spec.Classes; y++ {
-			counts[y] += partial[c*s.Spec.Classes+y]
-		}
-	}
-	return counts
 }

@@ -3,8 +3,6 @@ package data
 import (
 	"encoding/binary"
 	"testing"
-
-	"nessa/internal/parallel"
 )
 
 func streamSpec() Spec {
@@ -43,7 +41,7 @@ func TestRecordStreamFillDeterministic(t *testing.T) {
 }
 
 // TestRecordStreamRecordsValid: every synthesized record passes the
-// codec's CRC and carries the label that Label(i) predicts.
+// codec's CRC and carries the label that Sample(i) draws.
 func TestRecordStreamRecordsValid(t *testing.T) {
 	rs, err := NewRecordStream(streamSpec(), 200)
 	if err != nil {
@@ -51,45 +49,14 @@ func TestRecordStreamRecordsValid(t *testing.T) {
 	}
 	rec := make([]byte, rs.RecordBytes())
 	feats := make([]float32, rs.Spec.FeatureDim)
-	for i := 0; i < rs.Len(); i++ {
+	for i := 0; i < rs.N; i++ {
 		rs.EncodeRecord(i, rec)
 		if err := VerifyRecord(rec); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		label := int(binary.LittleEndian.Uint16(rec[0:2]))
-		if want := rs.Label(i); label != want {
-			t.Fatalf("record %d encodes label %d, Label says %d", i, label, want)
-		}
 		if got := rs.Sample(i, feats); got != label {
 			t.Fatalf("record %d: Sample label %d, encoded %d", i, got, label)
-		}
-	}
-}
-
-// TestRecordStreamCountLabels: the parallel tally matches a serial
-// count and is worker-count invariant.
-func TestRecordStreamCountLabels(t *testing.T) {
-	rs, err := NewRecordStream(streamSpec(), 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := make([]int, rs.Spec.Classes)
-	for i := 0; i < rs.Len(); i++ {
-		serial[rs.Label(i)]++
-	}
-	for _, w := range []int{1, 4} {
-		parallel.SetDefaultWorkers(w)
-		counts := rs.CountLabels()
-		parallel.SetDefaultWorkers(0)
-		total := 0
-		for y, c := range counts {
-			if c != serial[y] {
-				t.Fatalf("workers=%d: class %d count %d, want %d", w, y, c, serial[y])
-			}
-			total += c
-		}
-		if total != rs.Len() {
-			t.Fatalf("workers=%d: counts sum %d, want %d", w, total, rs.Len())
 		}
 	}
 }

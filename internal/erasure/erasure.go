@@ -119,12 +119,6 @@ func New(dataShards, parityShards int) (*Code, error) {
 	return &Code{data: dataShards, parity: parityShards, matrix: m}, nil
 }
 
-// DataShards returns the data shard count k.
-func (c *Code) DataShards() int { return c.data }
-
-// ParityShards returns the parity shard count m.
-func (c *Code) ParityShards() int { return c.parity }
-
 // Encode fills shards[data:] with parity computed from shards[:data].
 // All data+parity shards must be present and the same length.
 func (c *Code) Encode(shards [][]byte) error {

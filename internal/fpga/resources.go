@@ -1,15 +1,10 @@
 // Package fpga models the Kintex KU15P FPGA on the SmartSSD: the
 // device resource budget the paper reports against (Table 4), a
 // bottom-up resource estimator for the NeSSA selection kernel, and a
-// cycle-level time model used to cost near-storage selection (Fig 4)
-// and to check the low-operational-intensity condition for in-storage
-// workloads (paper §2.2, citing the EISC analysis).
+// cycle-level time model used to cost near-storage selection (Fig 4).
 package fpga
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Budget is the available resource pool of an FPGA. PaperKU15P returns
 // the budget row of Table 4.
@@ -144,17 +139,6 @@ func (c KernelConfig) AvailableBufferBytes(b Budget) int64 {
 	return int64(free) * bramBytesEach
 }
 
-// Validate checks the kernel against a budget.
-func (c KernelConfig) Validate(b Budget) error {
-	if c.PEs <= 0 || c.DistUnits <= 0 || c.ClockMHz <= 0 {
-		return fmt.Errorf("fpga: invalid kernel config %+v", c)
-	}
-	if u := c.Estimate(); !u.Fits(b) {
-		return fmt.Errorf("fpga: kernel %+v does not fit budget %+v (needs %+v)", c, b, u)
-	}
-	return nil
-}
-
 // ForwardTime models the quantized selection forward pass: n samples
 // through a model with macsPerSample multiply-accumulates, spread over
 // the PE array at the kernel clock.
@@ -218,20 +202,6 @@ func logInv(eps float64) float64 {
 func (c KernelConfig) cycles(n float64) time.Duration {
 	sec := n / (c.ClockMHz * 1e6)
 	return time.Duration(sec * float64(time.Second))
-}
-
-// OperationalIntensity reports kernel cycles spent per byte read from
-// storage for a selection pass over n samples of recordBytes each.
-// The EISC criterion (paper §2.2) wants this LOW so the kernel can
-// saturate drive bandwidth; the training-dynamics selection model
-// satisfies it because it only runs a small quantized forward pass and
-// C-dimensional distance comparisons per record.
-func (c KernelConfig) OperationalIntensity(n int, recordBytes, macsPerSample int64, k, dim int) float64 {
-	if n <= 0 || recordBytes <= 0 {
-		return 0
-	}
-	totalCycles := (c.ForwardTime(n, macsPerSample) + c.SelectionTime(n, k, dim, 0.1)).Seconds() * c.ClockMHz * 1e6
-	return totalCycles / float64(int64(n)*recordBytes)
 }
 
 // PowerWatts reports the FPGA power envelope (paper §2.2: ~7.5 W,

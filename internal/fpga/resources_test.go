@@ -22,24 +22,16 @@ func TestTable4Reproduction(t *testing.T) {
 }
 
 func TestKernelFitsKU15P(t *testing.T) {
-	if err := DefaultKernel().Validate(PaperKU15P()); err != nil {
-		t.Fatalf("default kernel does not fit: %v", err)
+	if u := DefaultKernel().Estimate(); !u.Fits(PaperKU15P()) {
+		t.Fatalf("default kernel does not fit: needs %+v", u)
 	}
 }
 
 func TestOversizedKernelRejected(t *testing.T) {
 	c := DefaultKernel()
 	c.PEs = 5000 // DSP blowout
-	if err := c.Validate(PaperKU15P()); err == nil {
-		t.Fatal("expected oversized kernel to fail validation")
-	}
-}
-
-func TestInvalidKernelRejected(t *testing.T) {
-	c := DefaultKernel()
-	c.ClockMHz = 0
-	if err := c.Validate(PaperKU15P()); err == nil {
-		t.Fatal("expected zero-clock kernel to fail validation")
+	if c.Estimate().Fits(PaperKU15P()) {
+		t.Fatal("expected oversized kernel not to fit")
 	}
 }
 
@@ -134,13 +126,18 @@ func TestLogInv(t *testing.T) {
 }
 
 func TestOperationalIntensityIsLow(t *testing.T) {
-	// EISC criterion: cycles/byte must stay low (well under the ~10
-	// cycles/byte at which a 250 MHz kernel can no longer saturate a
-	// 3 GB/s link — 250e6·10/3e9 < 1).
+	// EISC criterion (paper §2.2): kernel cycles per byte read from
+	// storage must stay low (well under the ~10 cycles/byte at which a
+	// 250 MHz kernel can no longer saturate a 3 GB/s link —
+	// 250e6·10/3e9 < 1). The training-dynamics selection model meets it
+	// because it runs only a small quantized forward pass and
+	// C-dimensional distance comparisons per record.
 	c := DefaultKernel()
 	// CIFAR-10-like: 50 K records of 3 KB, ResNet-20-proxy forward of
 	// ~50 K MACs on the selection model, k = 15 K, 10-dim embeddings.
-	oi := c.OperationalIntensity(50_000, 3*1024, 50_000, 15_000, 10)
+	const n, recordBytes = 50_000, 3 * 1024
+	busy := c.ForwardTime(n, 50_000) + c.SelectionTime(n, 15_000, 10, 0.1)
+	oi := busy.Seconds() * c.ClockMHz * 1e6 / (n * recordBytes)
 	if oi <= 0 {
 		t.Fatal("operational intensity should be positive")
 	}

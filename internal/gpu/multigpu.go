@@ -54,18 +54,3 @@ func (d *DataParallel) EpochTime(n int, fwdGFLOPs float64, paramBytes int64, bat
 	sync := time.Duration(steps) * d.AllReduceTime(paramBytes)
 	return compute + sync
 }
-
-// Speedup reports the parallel efficiency of the group on the
-// workload versus a single GPU.
-func (d *DataParallel) Speedup(n int, fwdGFLOPs float64, paramBytes int64, batch int) float64 {
-	single, err := NewDataParallel(d.GPU, 1)
-	if err != nil {
-		return 0
-	}
-	t1 := single.EpochTime(n, fwdGFLOPs, paramBytes, batch)
-	tn := d.EpochTime(n, fwdGFLOPs, paramBytes, batch)
-	if tn <= 0 {
-		return 0
-	}
-	return t1.Seconds() / tn.Seconds()
-}

@@ -117,18 +117,3 @@ func GradEmbeddingsInto(emb, logits *tensor.Matrix, labels []int) {
 		row[labels[i]] -= 1
 	}
 }
-
-// Accuracy reports the fraction of rows whose argmax logit equals the
-// label.
-func Accuracy(logits *tensor.Matrix, labels []int) float64 {
-	if logits.Rows == 0 {
-		return 0
-	}
-	correct := 0
-	for i := 0; i < logits.Rows; i++ {
-		if tensor.Argmax(logits.Row(i)) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(logits.Rows)
-}

@@ -158,21 +158,6 @@ func TestGradEmbeddingNormReflectsDifficulty(t *testing.T) {
 	}
 }
 
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromRows([][]float32{
-		{2, 1, 0},
-		{0, 3, 1},
-		{1, 0, 5},
-		{9, 0, 0},
-	})
-	if got := Accuracy(logits, []int{0, 1, 2, 1}); got != 0.75 {
-		t.Fatalf("Accuracy = %v, want 0.75", got)
-	}
-	if got := Accuracy(tensor.NewMatrix(0, 3), nil); got != 0 {
-		t.Fatalf("empty Accuracy = %v, want 0", got)
-	}
-}
-
 func TestSGDReducesLossOnToyProblem(t *testing.T) {
 	r := tensor.NewRNG(7)
 	// Linearly separable 2-class blobs.
@@ -211,7 +196,13 @@ func TestSGDReducesLossOnToyProblem(t *testing.T) {
 	if after >= before/2 {
 		t.Fatalf("SGD failed to optimize: loss %v -> %v", before, after)
 	}
-	if acc := Accuracy(m.Forward(x), labels); acc < 0.95 {
+	logits, correct := m.Forward(x), 0
+	for i, y := range labels {
+		if tensor.Argmax(logits.Row(i)) == y {
+			correct++
+		}
+	}
+	if acc := float64(correct) / float64(n); acc < 0.95 {
 		t.Fatalf("training accuracy = %v, want >= 0.95 on separable blobs", acc)
 	}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,7 @@ func TestWorkerIDsReusedAcrossLoops(t *testing.T) {
 
 // TestWorkerLocalSlotsAreStable verifies Get returns the same slot for
 // the same ID every time, creates independent slots per ID, and that
-// Range visits exactly the created slots.
+// the slot table holds exactly the created slots.
 func TestWorkerLocalSlotsAreStable(t *testing.T) {
 	type scratch struct{ buf []float64 }
 	created := 0
@@ -89,10 +90,14 @@ func TestWorkerLocalSlotsAreStable(t *testing.T) {
 	if created != 2 {
 		t.Fatalf("newFn ran %d times, want 2", created)
 	}
-	seen := map[int]bool{}
-	wl.Range(func(w int, v *scratch) { seen[w] = true })
-	if !seen[0] || !seen[3] || len(seen) != 2 {
-		t.Fatalf("Range visited %v, want exactly {0, 3}", seen)
+	var held []int
+	for w, v := range *wl.slots.Load() {
+		if v != nil {
+			held = append(held, w)
+		}
+	}
+	if !slices.Equal(held, []int{0, 3}) {
+		t.Fatalf("slot table holds %v, want exactly [0 3]", held)
 	}
 	if nilNew := NewWorkerLocal[int](nil).Get(2); nilNew == nil {
 		t.Fatal("nil newFn must fall back to new(T)")
@@ -116,7 +121,9 @@ func TestWorkerLocalConcurrentGrow(t *testing.T) {
 	}
 	wg.Wait()
 	total := int64(0)
-	wl.Range(func(w int, v *atomic.Int64) { total += v.Load() })
+	for _, v := range *wl.slots.Load() {
+		total += v.Load()
+	}
 	if total != 16*200 {
 		t.Fatalf("counted %d increments, want %d", total, 16*200)
 	}

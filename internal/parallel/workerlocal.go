@@ -78,20 +78,3 @@ func (l *WorkerLocal[T]) getSlow(w int) *T {
 	l.slots.Store(&grown)
 	return v
 }
-
-// Range calls f for every slot created so far, in worker-ID order.
-// It must not run concurrently with loops using this WorkerLocal: it
-// is for post-loop reduction, test inspection, and resets.
-func (l *WorkerLocal[T]) Range(f func(w int, v *T)) {
-	l.mu.Lock()
-	p := l.slots.Load()
-	l.mu.Unlock()
-	if p == nil {
-		return
-	}
-	for w, v := range *p {
-		if v != nil {
-			f(w, v)
-		}
-	}
-}

@@ -15,11 +15,8 @@ func TestQuantizeBitsRoundTripErrorBound(t *testing.T) {
 		bits := 2 + r.Intn(15)
 		m := tensor.NewMatrix(1+r.Intn(6), 1+r.Intn(6))
 		m.FillNormal(r, 2)
-		q, err := QuantizeBits(m, bits)
-		if err != nil {
-			return false
-		}
-		d := q.Dequantize()
+		q := quantizeInto(nil, m, bits)
+		d := q.dequantizeInto(nil)
 		for i := range m.Data {
 			if math.Abs(float64(m.Data[i]-d.Data[i])) > float64(float64(q.Scale)/2)+1e-6 {
 				return false
@@ -87,9 +84,9 @@ func TestQuantizeBitsMatchesInt8AtEight(t *testing.T) {
 }
 
 func TestQuantizeBitsRejectsBadWidths(t *testing.T) {
-	m := tensor.NewMatrix(2, 2)
+	m := nn.NewMLP(tensor.NewRNG(1), 2, nil, 2)
 	for _, bits := range []int{0, 1, 17, -3} {
-		if _, err := QuantizeBits(m, bits); err == nil {
+		if _, err := QuantizeModelBits(m, bits); err == nil {
 			t.Errorf("bit width %d accepted", bits)
 		}
 	}
@@ -101,11 +98,8 @@ func TestBitErrorShrinksWithWidth(t *testing.T) {
 	m.FillNormal(r, 1)
 	var prev float64 = math.Inf(1)
 	for _, bits := range []int{2, 4, 8, 12, 16} {
-		q, err := QuantizeBits(m, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := q.Dequantize()
+		q := quantizeInto(nil, m, bits)
+		d := q.dequantizeInto(nil)
 		var worst float64
 		for i := range m.Data {
 			if e := math.Abs(float64(m.Data[i] - d.Data[i])); e > worst {
@@ -121,12 +115,12 @@ func TestBitErrorShrinksWithWidth(t *testing.T) {
 
 func TestBitSizePacking(t *testing.T) {
 	m := tensor.NewMatrix(4, 4) // 16 elements
-	q4, _ := QuantizeBits(m, 4)
+	q4 := quantizeInto(nil, m, 4)
 	// 16 × 4 bits = 8 bytes + 4-byte scale.
 	if got := q4.SizeBytes(); got != 12 {
 		t.Fatalf("4-bit size = %d, want 12", got)
 	}
-	q8, _ := QuantizeBits(m, 8)
+	q8 := quantizeInto(nil, m, 8)
 	if got := q8.SizeBytes(); got != 20 {
 		t.Fatalf("8-bit size = %d, want 20", got)
 	}

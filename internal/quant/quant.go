@@ -26,15 +26,6 @@ type Tensor struct {
 	Data       []int16
 }
 
-// QuantizeBits converts m to signed fixed point at the given width, the
-// largest-magnitude element mapping to the largest code (±127 at 8 bits).
-func QuantizeBits(m *tensor.Matrix, bits int) (*Tensor, error) {
-	if err := checkBits(bits); err != nil {
-		return nil, err
-	}
-	return quantizeInto(nil, m, bits), nil
-}
-
 func checkBits(bits int) error {
 	if bits < 2 || bits > 16 {
 		return fmt.Errorf("quant: bit width %d out of [2,16]", bits)
@@ -42,8 +33,10 @@ func checkBits(bits int) error {
 	return nil
 }
 
-// quantizeInto is QuantizeBits into q's storage (nil allocates), for a
-// width already checked to lie in [2,16].
+// quantizeInto converts m to signed fixed point at the given width into
+// q's storage (nil allocates), the largest-magnitude element mapping to
+// the largest code (±127 at 8 bits). bits must already be checked to
+// lie in [2,16].
 func quantizeInto(q *Tensor, m *tensor.Matrix, bits int) *Tensor {
 	if q == nil {
 		q = &Tensor{}
@@ -80,11 +73,6 @@ func quantizeInto(q *Tensor, m *tensor.Matrix, bits int) *Tensor {
 		q.Data[i] = int16(r)
 	}
 	return q
-}
-
-// Dequantize expands q back to float32.
-func (q *Tensor) Dequantize() *tensor.Matrix {
-	return q.dequantizeInto(nil)
 }
 
 // dequantizeInto expands q into dst, reusing dst's storage when it is

@@ -12,11 +12,7 @@ import (
 
 // quantize8 is the paper's width on one tensor.
 func quantize8(m *tensor.Matrix) *Tensor {
-	q, err := QuantizeBits(m, 8)
-	if err != nil {
-		panic(err)
-	}
-	return q
+	return quantizeInto(nil, m, 8)
 }
 
 func TestQuantizeRoundTripErrorBound(t *testing.T) {
@@ -26,7 +22,7 @@ func TestQuantizeRoundTripErrorBound(t *testing.T) {
 		m := tensor.NewMatrix(1+r.Intn(8), 1+r.Intn(8))
 		m.FillNormal(r, 3)
 		q := quantize8(m)
-		d := q.Dequantize()
+		d := q.dequantizeInto(nil)
 		for i := range m.Data {
 			e := math.Abs(float64(m.Data[i] - d.Data[i]))
 			if e > float64(float64(q.Scale)/2)+1e-6 {
@@ -43,7 +39,7 @@ func TestQuantizeRoundTripErrorBound(t *testing.T) {
 func TestQuantizeZeroMatrix(t *testing.T) {
 	m := tensor.NewMatrix(3, 3)
 	q := quantize8(m)
-	d := q.Dequantize()
+	d := q.dequantizeInto(nil)
 	for _, v := range d.Data {
 		if v != 0 {
 			t.Fatalf("zero matrix round-trip produced %v", v)
@@ -68,7 +64,9 @@ func TestQuantizeSignSymmetry(t *testing.T) {
 		m := tensor.NewMatrix(2, 4)
 		m.FillNormal(r, 1)
 		neg := m.Clone()
-		neg.Scale(-1)
+		for i := range neg.Data {
+			neg.Data[i] = -neg.Data[i]
+		}
 		qa, qb := quantize8(m), quantize8(neg)
 		for i := range qa.Data {
 			if qa.Data[i] != -qb.Data[i] {
@@ -120,7 +118,7 @@ func TestMaxAbsErrorWithinHalfScale(t *testing.T) {
 	m := tensor.NewMatrix(10, 10)
 	m.FillNormal(r, 2)
 	q := quantize8(m)
-	d := q.Dequantize()
+	d := q.dequantizeInto(nil)
 	var worst float32
 	for i := range m.Data {
 		if e := float32(math.Abs(float64(m.Data[i] - d.Data[i]))); e > worst {

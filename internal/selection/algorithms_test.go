@@ -9,6 +9,24 @@ import (
 	"nessa/internal/tensor"
 )
 
+// coverRadius reports the maximum squared distance from any candidate
+// to its nearest selected center — the quantity k-centers minimizes.
+func coverRadius(emb *tensor.Matrix, cand, selected []int) float32 {
+	var worst float32
+	for _, gi := range cand {
+		best := float32(1e30)
+		for _, s := range selected {
+			if d := tensor.SqDist(emb.Row(gi), emb.Row(s)); d < best {
+				best = d
+			}
+		}
+		if best > worst {
+			worst = best
+		}
+	}
+	return worst
+}
+
 func TestKCentersTwoApproximation(t *testing.T) {
 	// Greedy farthest-point is a 2-approximation of the optimal cover
 	// radius; we verify the weaker but checkable property that the
@@ -23,13 +41,13 @@ func TestKCentersTwoApproximation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		greedyR := float64(CoverRadius(emb, cand, res.Selected))
+		greedyR := float64(coverRadius(emb, cand, res.Selected))
 		for trial := 0; trial < 20; trial++ {
 			rnd, err := Random(cand, k, r)
 			if err != nil {
 				return false
 			}
-			randR := float64(CoverRadius(emb, cand, rnd.Selected))
+			randR := float64(coverRadius(emb, cand, rnd.Selected))
 			// squared-distance 2-approx → factor 4 in squared space
 			if greedyR > float64(4*randR)+1e-6 {
 				return false

@@ -92,22 +92,3 @@ func KCenters(emb *tensor.Matrix, cand []int, k int) (Result, error) {
 	}
 	return res, nil
 }
-
-// CoverRadius reports the maximum squared distance from any candidate
-// to its nearest selected center — the quantity k-centers minimizes.
-// Exposed for the 2-approximation property test.
-func CoverRadius(emb *tensor.Matrix, cand, selected []int) float32 {
-	var worst float32
-	for _, gi := range cand {
-		best := float32(1e30)
-		for _, s := range selected {
-			if d := tensor.SqDist(emb.Row(gi), emb.Row(s)); d < best {
-				best = d
-			}
-		}
-		if best > worst {
-			worst = best
-		}
-	}
-	return worst
-}

@@ -37,6 +37,11 @@ func scanDevice(t *testing.T, n int) (*smartssd.Device, *data.RecordStream) {
 
 // TestScanRecordsFull: a dense scan touches every record exactly once,
 // in order, with the right payload, at near the sequential bound.
+// recordLabel is the label rs draws for record i.
+func recordLabel(rs *data.RecordStream, i int) int {
+	return rs.Sample(i, make([]float32, rs.Spec.FeatureDim))
+}
+
 func TestScanRecordsFull(t *testing.T) {
 	const n = 1000
 	dev, rs := scanDevice(t, n)
@@ -55,7 +60,7 @@ func TestScanRecordsFull(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			off := (int64(i) - base) * rec
 			label := int(binary.LittleEndian.Uint16(buf[off : off+2]))
-			if want := rs.Label(i); label != want {
+			if want := recordLabel(rs, i); label != want {
 				t.Fatalf("record %d label %d, want %d", i, label, want)
 			}
 		}
@@ -100,7 +105,7 @@ func TestScanRecordsCandidates(t *testing.T) {
 				t.Fatalf("candidate %d (record %d) outside span buf (base %d, %d bytes)", ci, g, base, len(buf))
 			}
 			label := int(binary.LittleEndian.Uint16(buf[off : off+2]))
-			if want := rs.Label(g); label != want {
+			if want := recordLabel(rs, g); label != want {
 				t.Fatalf("record %d label %d, want %d", g, label, want)
 			}
 			visited++
@@ -149,8 +154,8 @@ func TestScanRecordsRecyclesBuffers(t *testing.T) {
 		seen[&buf[0]] = true
 		for ci := lo; ci < hi; ci++ {
 			off := (int64(cands[ci]) - base) * rec
-			if label := int(binary.LittleEndian.Uint16(buf[off : off+2])); label != rs.Label(cands[ci]) {
-				t.Fatalf("record %d carries label %d, want %d: a recycled buffer was overwritten early", cands[ci], label, rs.Label(cands[ci]))
+			if label := int(binary.LittleEndian.Uint16(buf[off : off+2])); label != recordLabel(rs, cands[ci]) {
+				t.Fatalf("record %d carries label %d, want %d: a recycled buffer was overwritten early", cands[ci], label, recordLabel(rs, cands[ci]))
 			}
 		}
 		return nil

@@ -43,14 +43,6 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	return c.now
 }
 
-// Reset rewinds the clock to instant zero. Intended for reusing a clock
-// between independent experiment runs.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}
-
 // Accountant aggregates simulated time and simulated bytes moved into
 // named buckets (e.g. "p2p.read", "gpu.compute"). It is how experiments
 // answer questions such as "what fraction of epoch time was data
@@ -103,28 +95,6 @@ func (a *Accountant) Bytes(name string) int64 {
 	return a.bytes[name]
 }
 
-// TotalTime reports the sum over every time bucket.
-func (a *Accountant) TotalTime() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var t time.Duration
-	for _, d := range a.time {
-		t += d
-	}
-	return t
-}
-
-// TotalBytes reports the sum over every byte bucket.
-func (a *Accountant) TotalBytes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n int64
-	for _, b := range a.bytes {
-		n += b
-	}
-	return n
-}
-
 // TimeBuckets returns the time buckets sorted by name, for stable
 // reporting.
 func (a *Accountant) TimeBuckets() []TimeBucket {
@@ -148,14 +118,6 @@ func (a *Accountant) ByteBuckets() []ByteBucket {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Reset clears every bucket.
-func (a *Accountant) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.time = make(map[string]time.Duration)
-	a.bytes = make(map[string]int64)
 }
 
 // TimeBucket is a named accumulation of simulated time.

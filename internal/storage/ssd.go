@@ -8,7 +8,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -254,20 +253,6 @@ func (s *SSD) Size(name string) (int64, error) {
 		return 0, fmt.Errorf("storage: object %q: %w", name, faults.ErrNotFound)
 	}
 	return e.size, nil
-}
-
-// Objects lists stored object names in allocation order.
-func (s *SSD) Objects() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.objects))
-	for n := range s.objects {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return s.objects[names[i]].off < s.objects[names[j]].off
-	})
-	return names
 }
 
 // transferTime models one flash access: a fixed command latency plus

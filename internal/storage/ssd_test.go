@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -187,27 +186,6 @@ func TestPageAlignment(t *testing.T) {
 	s.Write("a", []byte{1})
 	if s.Used() != DefaultConfig().PageSize {
 		t.Fatalf("1-byte object used %d bytes, want one page (%d)", s.Used(), DefaultConfig().PageSize)
-	}
-}
-
-// Objects() folds a map into a slice, so only its sort makes the order
-// stable. The test stores enough objects to leave the runtime's
-// single-group small-map layout (up to 8 entries, iterated as a rotation
-// of insertion order — three objects came back "sorted" three times in
-// four with the sort deleted): past it the iteration follows the
-// per-process hash seed and an unsorted listing cannot pass by luck.
-func TestObjectsSortedByAllocation(t *testing.T) {
-	s := newTestSSD(t)
-	var want []string
-	for i := 0; i < 32; i++ {
-		name := fmt.Sprintf("obj-%02d", (i*7)%32) // allocation order is not name order
-		want = append(want, name)
-		if _, err := s.Write(name, []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Objects(); !slices.Equal(got, want) {
-		t.Fatalf("Objects() = %v, want allocation order %v", got, want)
 	}
 }
 

@@ -37,12 +37,11 @@ func TestGEMMSteadyStateAllocs(t *testing.T) {
 	sparsify(ats)
 	dst := NewMatrix(n, m)
 	loops := map[string]func(){
-		"MatMul":              func() { MatMul(dst, a, b) },
-		"MatMulTransB":        func() { MatMulTransB(dst, a, bt) },
-		"MatMulTransA":        func() { MatMulTransA(dst, at, b) },
-		"MatMulTransAAcc":     func() { MatMulTransAAcc(dst, at, b) },
-		"MatMul/sparse":       func() { MatMul(dst, as, b) },
-		"MatMulTransA/sparse": func() { MatMulTransA(dst, ats, b) },
+		"MatMul":                 func() { MatMul(dst, a, b) },
+		"MatMulTransB":           func() { MatMulTransB(dst, a, bt) },
+		"MatMulTransAAcc":        func() { MatMulTransAAcc(dst, at, b) },
+		"MatMul/sparse":          func() { MatMul(dst, as, b) },
+		"MatMulTransAAcc/sparse": func() { MatMulTransAAcc(dst, ats, b) },
 	}
 	for name, loop := range loops {
 		for i := 0; i < 3; i++ {

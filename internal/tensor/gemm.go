@@ -1,7 +1,7 @@
 // Blocked GEMM kernels: cache-blocked, register-tiled matrix products
 // behind the deterministic row-band parallel dispatch.
 //
-// All three layouts (MatMul, MatMulTransA, MatMulTransB) share one
+// All three layouts (MatMul, MatMulTransAAcc, MatMulTransB) share one
 // structure and one tile loop (denseBand):
 //
 //   - The B-side operand is packed once per call into k-interleaved,
@@ -12,7 +12,7 @@
 //     multiple of 8.
 //   - The A side is never packed: a kernel reads its four A rows
 //     through a row stride and a k stride, which also covers the
-//     columns of MatMulTransA's transposed operand.
+//     columns of MatMulTransAAcc's transposed operand.
 //   - Destination rows are computed by register micro-kernels: 4×16
 //     (two adjacent panels, eight accumulators), 4×8 for an odd last
 //     panel, 1×8 for the < 4 rows a band leaves over. Each dst element
@@ -30,7 +30,7 @@
 //   - The padded last panel (the < 8 column tail) runs the same
 //     kernels through a scratch tile of which only the real columns
 //     are copied back.
-//   - MatMul and MatMulTransA additionally carry a *sparsity-adaptive*
+//   - MatMul and MatMulTransAAcc additionally carry a *sparsity-adaptive*
 //     path: when the A-side operand has a meaningful fraction of exact
 //     zeros — which ReLU-masked gradient matrices always do — a band
 //     that skips zero A elements beats the dense micro-kernels,
@@ -134,7 +134,7 @@ func workerSkipList(w, n int) ([]int, []float32) {
 // closure.
 type gemmTask struct {
 	kind   uint8
-	trans  bool // a is the transposed operand of MatMulTransA
+	trans  bool // a is the transposed operand of MatMulTransAAcc
 	acc    bool
 	dst    *Matrix
 	a      *Matrix
@@ -259,23 +259,14 @@ func MatMulTransB(dst, a, b *Matrix) {
 	gemm(dst, a, b, tkPackRow, false, false)
 }
 
-// MatMulTransA computes dst = aᵀ·b where a is (k×n) and b is (k×m).
-// dst must be n×m and must not alias a or b. Used for weight
-// gradients: dW = dOutᵀ·X. Bands cover dst rows (columns of a); within
-// a band every element accumulates in ascending k, matching the serial
-// order exactly.
-//
-//nessa:hotpath
-func MatMulTransA(dst, a, b *Matrix) {
-	matMulTransAInto(dst, a, b, false)
-}
-
-// MatMulTransAAcc computes dst += aᵀ·b: the accumulating form backprop
-// uses to add weight gradients directly into a freshly zeroed gradient
-// tensor with no temporary and no extra pass. When dst is zero the
-// result is bit-identical to MatMulTransA. For nonzero dst the terms
-// still arrive in ascending k; the dense path sums them first and adds
-// the sum once, the skip path
+// MatMulTransAAcc computes dst += aᵀ·b where a is (k×n) and b is
+// (k×m); dst must be n×m and must not alias a or b. Backprop uses it to
+// add weight gradients (dW += dOutᵀ·X) directly into a freshly zeroed
+// gradient tensor with no temporary and no extra pass. Bands cover dst
+// rows (columns of a); within a band every element accumulates in
+// ascending k, so from a zero dst the result is the serial product bit
+// for bit. For nonzero dst the terms still arrive in ascending k; the
+// dense path sums them first and adds the sum once, the skip path
 // folds them in one by one. Every row of dst takes the same path
 // whatever band it lands in, and the path choice depends only on
 // operand data, so the output is deterministic and worker-count
@@ -283,20 +274,15 @@ func MatMulTransA(dst, a, b *Matrix) {
 //
 //nessa:hotpath
 func MatMulTransAAcc(dst, a, b *Matrix) {
-	matMulTransAInto(dst, a, b, true)
-}
-
-//nessa:hotpath
-func matMulTransAInto(dst, a, b *Matrix, acc bool) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch: (%dx%d)ᵀ·(%dx%d) -> %dx%d",
+		panic(fmt.Sprintf("tensor: MatMulTransAAcc shape mismatch: (%dx%d)ᵀ·(%dx%d) -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	gemm(dst, a, b, tkPackCol, true, acc)
+	gemm(dst, a, b, tkPackCol, true, true)
 }
 
 // gemm dispatches one shape-checked product. pack names how b is read:
-// tkPackCol packs b's columns (MatMul, MatMulTransA), tkPackRow its
+// tkPackCol packs b's columns (MatMul, MatMulTransAAcc), tkPackRow its
 // rows (MatMulTransB). A product of the first kind whose a is sparse
 // runs the skip bands, which read b's rows in place; every other one
 // packs the B panels and runs the dense bands.
@@ -409,7 +395,7 @@ func zeroRows(dst *Matrix, lo, hi int) {
 // denseBand computes dst rows [lo,hi) of a·b (or aᵀ·b when trans) from
 // the packed B panels; dst += the product when acc, else dst = it.
 // Row i's A values are a.Data[i·rs + kk·ks]: natural rows for MatMul
-// and MatMulTransB, the columns of a for MatMulTransA. Every row runs
+// and MatMulTransB, the columns of a for MatMulTransAAcc. Every row runs
 // the same chain whether it lands in a 4-row tile or in the band's row
 // tail, and band boundaries move with the worker count — so the output
 // cannot depend on it.

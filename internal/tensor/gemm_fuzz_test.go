@@ -35,7 +35,6 @@ func FuzzGEMMMatchesPortable(f *testing.F) {
 		}{
 			{"MatMul", func(d *Matrix) { MatMul(d, a, b) }},
 			{"MatMulTransB", func(d *Matrix) { MatMulTransB(d, a, bt) }},
-			{"MatMulTransA", func(d *Matrix) { MatMulTransA(d, at, b) }},
 			{"MatMulTransAAcc", func(d *Matrix) { d.Zero(); MatMulTransAAcc(d, at, b) }},
 		}
 		for _, op := range ops {

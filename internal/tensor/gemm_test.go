@@ -32,6 +32,13 @@ func refMatMulTransB(dst, a, b *Matrix) {
 	}
 }
 
+// matMulTransA is dst = aᵀ·b: MatMulTransAAcc into a cleared dst, as
+// backprop runs it on a freshly zeroed gradient.
+func matMulTransA(dst, a, b *Matrix) {
+	dst.Zero()
+	MatMulTransAAcc(dst, a, b)
+}
+
 func refMatMulTransA(dst, a, b *Matrix) {
 	for i := 0; i < a.Cols; i++ {
 		for j := 0; j < b.Cols; j++ {
@@ -106,9 +113,9 @@ func TestBlockedGEMMMatchesReference(t *testing.T) {
 				refMatMulTransB(want, a, bt)
 				compare(t, name+"/MatMulTransB", s.n, s.k, s.m, got, want)
 
-				MatMulTransA(got, at, b)
+				matMulTransA(got, at, b)
 				refMatMulTransA(want, at, b)
-				compare(t, name+"/MatMulTransA", s.n, s.k, s.m, got, want)
+				compare(t, name+"/MatMulTransAAcc", s.n, s.k, s.m, got, want)
 			}
 		})
 	}
@@ -146,7 +153,7 @@ func TestBlockedGEMMWorkerCountInvariant(t *testing.T) {
 	}{
 		{"MatMul", func(d *Matrix) { MatMul(d, a, b) }, a.Rows},
 		{"MatMulTransB", func(d *Matrix) { MatMulTransB(d, a, bt) }, a.Rows},
-		{"MatMulTransA", func(d *Matrix) { MatMulTransA(d, at, b) }, at.Cols},
+		{"MatMulTransAAcc", func(d *Matrix) { matMulTransA(d, at, b) }, at.Cols},
 	}
 	defer parallel.SetDefaultWorkers(0)
 	for _, kc := range kernels {
@@ -177,7 +184,7 @@ func sparsify(m *Matrix) {
 	}
 }
 
-// TestSparseGEMMMatchesReference drives MatMul and MatMulTransA with
+// TestSparseGEMMMatchesReference drives MatMul and MatMulTransAAcc with
 // ReLU-like sparse A operands — the regime where the zero-skipping
 // bands take over — and checks them against the dense ascending-k
 // reference, bit for bit on finite data.
@@ -203,14 +210,10 @@ func TestSparseGEMMMatchesReference(t *testing.T) {
 		refMatMul(want, a, b)
 		compare(t, "MatMul/sparse", s.n, s.k, s.m, got, want)
 
-		MatMulTransA(got, at, b)
+		// The accumulating form into a zeroed dst is bit-identical to
+		// the plain product — the contract backprop relies on.
+		matMulTransA(got, at, b)
 		refMatMulTransA(want, at, b)
-		compare(t, "MatMulTransA/sparse", s.n, s.k, s.m, got, want)
-
-		// Accumulating form into a zeroed dst is bit-identical to the
-		// plain product — the contract backprop relies on.
-		got.Zero()
-		MatMulTransAAcc(got, at, b)
 		compare(t, "MatMulTransAAcc/sparse", s.n, s.k, s.m, got, want)
 	}
 }
@@ -269,7 +272,7 @@ func TestSparseGEMMWorkerCountInvariant(t *testing.T) {
 			rows int
 		}{
 			{"MatMul", func(d *Matrix) { MatMul(d, a, b) }, a.Rows},
-			{"MatMulTransA", func(d *Matrix) { MatMulTransA(d, at, b) }, at.Cols},
+			{"MatMulTransAAcc", func(d *Matrix) { matMulTransA(d, at, b) }, at.Cols},
 		}
 		for _, kc := range kernels {
 			parallel.SetDefaultWorkers(1)
@@ -372,7 +375,7 @@ func BenchmarkGEMMKernels(b *testing.B) {
 	b.Run("TransA", func(b *testing.B) {
 		b.SetBytes(flops)
 		for i := 0; i < b.N; i++ {
-			MatMulTransA(dw, d, x)
+			MatMulTransAAcc(dw, d, x)
 		}
 	})
 	ds := d.Clone()
@@ -380,7 +383,7 @@ func BenchmarkGEMMKernels(b *testing.B) {
 	b.Run("TransA-sparse", func(b *testing.B) {
 		b.SetBytes(flops)
 		for i := 0; i < b.N; i++ {
-			MatMulTransA(dw, ds, x)
+			MatMulTransAAcc(dw, ds, x)
 		}
 	})
 	b.Run("MatMul", func(b *testing.B) {

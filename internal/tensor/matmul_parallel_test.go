@@ -27,7 +27,7 @@ func TestGEMMParallelSerialBitIdentical(t *testing.T) {
 	cases := []gemm{
 		{"MatMul", func(d *Matrix) { MatMul(d, a, b) }, a.Rows, b.Cols},
 		{"MatMulTransB", func(d *Matrix) { MatMulTransB(d, a, bt) }, a.Rows, bt.Rows},
-		{"MatMulTransA", func(d *Matrix) { MatMulTransA(d, b, b) }, b.Cols, b.Cols},
+		{"MatMulTransAAcc", func(d *Matrix) { matMulTransA(d, b, b) }, b.Cols, b.Cols},
 	}
 	for _, tc := range cases {
 		serial := NewMatrix(tc.rows, tc.cols)

@@ -150,10 +150,3 @@ func AddRowVecReLU(m *Matrix, v []float32) {
 		}
 	}
 }
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}

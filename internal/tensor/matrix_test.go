@@ -82,10 +82,10 @@ func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 	want := NewMatrix(3, 4)
 	MatMul(want, at, b)
 	got := NewMatrix(3, 4)
-	MatMulTransA(got, a, b)
+	MatMulTransAAcc(got, a, b)
 	for i := range want.Data {
 		if !almostEq(got.Data[i], want.Data[i], 1e-4) {
-			t.Fatalf("MatMulTransA mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("MatMulTransAAcc mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }

@@ -92,15 +92,3 @@ func Softmax(out, logits []float32) {
 		out[i] *= inv
 	}
 }
-
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float32) float32 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += float64(x)
-	}
-	return float32(s / float64(len(v)))
-}

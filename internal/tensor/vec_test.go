@@ -2,26 +2,6 @@ package tensor
 
 import "testing"
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float32{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("empty Mean = %v, want 0", got)
-	}
-}
-
-func TestScale(t *testing.T) {
-	m := FromRows([][]float32{{1, -2}, {3, 0}})
-	m.Scale(-2)
-	want := []float32{-2, 4, -6, 0}
-	for i, v := range want {
-		if m.Data[i] != v {
-			t.Fatalf("Scale result[%d] = %v, want %v", i, m.Data[i], v)
-		}
-	}
-}
-
 func TestCloneDeep(t *testing.T) {
 	m := FromRows([][]float32{{1, 2}})
 	c := m.Clone()

@@ -150,7 +150,9 @@ go test -tags purego ./internal/core ./internal/trainer ./internal/selection/...
 gate "fuzzing"
 # Every decoder of bytes from outside the program — the NSCP
 # checkpoint, the model and optimizer blobs inside it, the on-SSD
-# record — runs its fuzz target for 3 s from the committed corpus
+# record as a scan reads it (VerifyRecord, then DecodeRecordInto into
+# a slice sized by the checked feature count) — runs its fuzz target
+# for 3 s from the committed corpus
 # (testdata/fuzz/<target>/). The property is the same for all four:
 # error or byte-exact round trip, never a panic, never an allocation
 # beyond a small multiple of the input. The GEMM target differentially
