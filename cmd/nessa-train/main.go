@@ -12,6 +12,7 @@
 //	            [-fault-latency 0] [-fault-linkdown 0]
 //	            [-parity 3+1] [-kill 1@3] [-spare]
 //	            [-checkpoint ckpt.bin] [-checkpoint-every 0] [-resume ckpt.bin]
+//	            [-cpuprofile cpu.prof]
 //
 // -streaming selects each subset with the single-pass sieve pipeline
 // (one sequential scan of the candidates in fixed on-chip memory,
@@ -37,13 +38,16 @@
 // onto it after the first degraded scan. -checkpoint writes the full
 // session state to a file every -checkpoint-every epochs (0 = every
 // epoch); -resume restores such a file and reproduces the remaining
-// epochs bit-identically.
+// epochs bit-identically. -cpuprofile writes a runtime/pprof CPU
+// profile of the whole run, from data generation on, to a file (read it
+// with `go tool pprof`); it changes nothing the run prints.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"nessa"
@@ -71,7 +75,15 @@ func main() {
 	checkpointPath := flag.String("checkpoint", "", "write session checkpoints to this file")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "epochs between checkpoints (0 = every epoch; needs -checkpoint)")
 	resumePath := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof)")
 	flag.Parse()
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		defer stop()
+	}
 	place, kills, err := parseCluster(*parity, *kill, *spareFlag)
 	if err != nil {
 		fatal(err)
@@ -308,7 +320,27 @@ func parseCluster(parity, kill string, spare bool) (nessa.Placement, []nessa.Dev
 	return place, []nessa.DeviceKill{d}, nil
 }
 
+// startCPUProfile starts a CPU profile into a new file at path; stop
+// ends it and closes the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, nil
+}
+
+// fatal ends a -cpuprofile profile (a no-op without one), so the file
+// holds the run up to the error, and exits 1.
 func fatal(err error) {
+	pprof.StopCPUProfile()
 	fmt.Fprintln(os.Stderr, "nessa-train:", err)
 	os.Exit(1)
 }

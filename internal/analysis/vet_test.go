@@ -356,8 +356,8 @@ func analyzerNamed(t *testing.T, name string) *Analyzer {
 // inlinegate's on the leaf kernels of the GEMM and similarity loops.
 var pinnedAnnotations = map[string]map[string][]string{
 	DirHotpath: {
-		"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "Softmax"},
-		"internal/nn":      {"Forward", "ForwardInto", "Backward", "SoftmaxCEInto"},
+		"internal/tensor":  {"MatMul", "MatMulTransB", "MatMulTransAAcc", "micro4x16", "micro4x8", "skipRow", "axpyRow", "Dot", "SoftmaxRows"},
+		"internal/nn":      {"Forward", "ForwardInto", "Backward", "SoftmaxCEInto", "LossAndGradEmbeddingsInto"},
 		"internal/trainer": {"TrainEpoch"},
 	},
 	DirInline: {

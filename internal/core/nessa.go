@@ -305,7 +305,6 @@ type session struct {
 	embView tensor.Matrix
 	labels  []int
 	losses  []float32
-	probs   []float32
 	fwd     nn.FwdScratch
 
 	// The selection pass's storage, sized by the first reselection and
@@ -368,7 +367,6 @@ func newSession(train, test *data.Dataset, tcfg trainer.Config, opt Options) (*s
 	s.emb = *tensor.NewMatrix(rows, classes)
 	s.labels = make([]int, pool)
 	s.losses = make([]float32, pool)
-	s.probs = make([]float32, classes)
 	s.pos = positions(pool)
 	return s, nil
 }
@@ -548,8 +546,7 @@ func (s *session) embedChunk(m *nn.MLP, at func(int) []byte, lo, hi int, emb *te
 		return err
 	}
 	logits := m.ForwardInto(&s.fwd, feats)
-	nn.SoftmaxCEInto(s.losses[lo:hi], s.probs, logits, labels, nil, nil)
-	nn.GradEmbeddingsInto(emb, logits, labels)
+	nn.LossAndGradEmbeddingsInto(s.losses[lo:hi], emb, logits, labels)
 	return nil
 }
 

@@ -27,7 +27,7 @@ func softmaxGrads(seed uint64, n, classes int) (*tensor.Matrix, []int) {
 		labels[i] = i % classes
 		z[labels[i]] += 4
 		row := emb.Row(i)
-		tensor.Softmax(row, z)
+		tensor.SoftmaxRows(row, z, classes)
 		row[labels[i]]--
 	}
 	return emb, labels

@@ -108,7 +108,7 @@ func TestSoftmaxProperties(t *testing.T) {
 			logits[i] = r.NormFloat32() * 10
 		}
 		out := make([]float32, n)
-		Softmax(out, logits)
+		SoftmaxRows(out, logits, n)
 		var sum float64
 		for _, p := range out {
 			if p < 0 || p > 1 || math.IsNaN(float64(p)) {
@@ -126,7 +126,7 @@ func TestSoftmaxProperties(t *testing.T) {
 func TestSoftmaxStableUnderLargeLogits(t *testing.T) {
 	logits := []float32{1000, 1001, 999}
 	out := make([]float32, 3)
-	Softmax(out, logits)
+	SoftmaxRows(out, logits, 3)
 	if Argmax(out) != 1 {
 		t.Errorf("argmax = %d, want 1", Argmax(out))
 	}

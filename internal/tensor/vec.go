@@ -67,28 +67,94 @@ func Argmax(v []float32) int {
 	return best
 }
 
-// Softmax writes the softmax of logits into out (which may alias
-// logits). It is numerically stabilized by max subtraction.
+// softmaxBlock is the length, in elements, of the float64 scratch
+// SoftmaxRows runs the exponential over. A block spans row boundaries,
+// so the vector kernel sees long arrays and not one short row at a
+// time: over one 10-class row its ~40-operation dependent chain leaves
+// it latency-bound. The scratch is a stack array zeroed on every call,
+// so it is no longer than it needs to be: at 1,024 elements a caller
+// that passes one 10-class row at a time ran 15 % slower than with
+// math.Exp, at 256 it runs as fast, and 256-row blocks run the same at
+// either size.
+const softmaxBlock = 256
+
+// SoftmaxRows writes the softmax of each cols-wide row of logits into
+// the matching row of out (which may alias logits), stabilized by max
+// subtraction. Per row, with m the row's max (`>` from the first
+// element, so a NaN there wins and later NaNs are skipped):
+//
+//	eⱼ = expPortable(float64(xⱼ − m)),  s = Σⱼ eⱼ ascending in float64,
+//	outⱼ = float32(eⱼ) · float32(1/s)
+//
+// The exponentials run over whole blocks of rows at once (elementwise,
+// so in any lane order); each row's sum stays one scalar float64 added
+// in ascending j, as DESIGN.md §4.10 requires. It allocates nothing.
 //
 //nessa:hotpath
-func Softmax(out, logits []float32) {
+func SoftmaxRows(out, logits []float32, cols int) {
 	if len(out) != len(logits) {
-		panic("tensor: Softmax length mismatch")
+		panic("tensor: SoftmaxRows length mismatch")
 	}
-	maxv := logits[0]
-	for _, x := range logits[1:] {
-		if x > maxv {
-			maxv = x
+	if len(logits) == 0 {
+		return
+	}
+	if cols <= 0 || len(logits)%cols != 0 {
+		panic("tensor: SoftmaxRows length is not a whole number of rows")
+	}
+	var buf [softmaxBlock]float64
+	var maxv float32 // the max of the row being filled in
+	var sum float64  // the sum of the row being drained
+	col := 0         // the column of the block's first element
+	for start := 0; start < len(logits); start += softmaxBlock {
+		x := logits[start:min(start+softmaxBlock, len(logits))]
+		blk := buf[:len(x)]
+		// Fill the block with x − m, a row segment at a time.
+		c := col
+		for i := 0; i < len(x); {
+			if c == 0 {
+				maxv = rowMax(logits[start+i : start+i+cols])
+			}
+			src := x[i:min(len(x), i+cols-c)]
+			dst := blk[i:][:len(src)]
+			for k, v := range src {
+				dst[k] = float64(v - maxv)
+			}
+			i += len(src)
+			if c += len(src); c == cols {
+				c = 0
+			}
+		}
+		expInPlace(blk)
+		// Drain it over the same segments, closing each row it ends.
+		y := out[start:][:len(x)]
+		for i := 0; i < len(blk); {
+			src := blk[i:min(len(blk), i+cols-col)]
+			dst := y[i:][:len(src)]
+			for k, e := range src {
+				dst[k] = float32(e)
+				sum += e
+			}
+			i += len(src)
+			if col += len(src); col == cols {
+				row := out[start+i-cols : start+i]
+				inv := float32(1 / sum)
+				for k := range row {
+					row[k] *= inv
+				}
+				col, sum = 0, 0
+			}
 		}
 	}
-	var sum float64
-	for i, x := range logits {
-		e := math.Exp(float64(x - maxv))
-		out[i] = float32(e)
-		sum += e
+}
+
+// rowMax returns the largest element of the non-empty v by `>` from
+// v[0]: a NaN at v[0] is the result, a NaN after it never is.
+func rowMax(v []float32) float32 {
+	m := v[0]
+	for _, x := range v[1:] {
+		if x > m {
+			m = x
+		}
 	}
-	inv := float32(1 / sum)
-	for i := range out {
-		out[i] *= inv
-	}
+	return m
 }

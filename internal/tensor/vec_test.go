@@ -78,5 +78,5 @@ func TestSoftmaxLengthPanics(t *testing.T) {
 			t.Fatal("expected panic on length mismatch")
 		}
 	}()
-	Softmax(make([]float32, 2), make([]float32, 3))
+	SoftmaxRows(make([]float32, 2), make([]float32, 3), 3)
 }

@@ -145,7 +145,7 @@ gate "portable kernels (purego)"
 # amd64 compiles them, unfused; that the other targets compile them
 # the same way is the fused multiply-add gate's check, above.
 go test -tags purego ./internal/core ./internal/trainer ./internal/selection/... \
-	./internal/bench/e2e ./internal/tensor ./internal/erasure ./internal/smartssd
+	./internal/bench/e2e ./internal/tensor ./internal/nn ./internal/erasure ./internal/smartssd
 
 gate "fuzzing"
 # Every decoder of bytes from outside the program — the NSCP
@@ -164,7 +164,12 @@ gate "fuzzing"
 # ragged row and column counts and NaN, ±Inf and ±0 values, and the
 # facility-gain target holds the four-candidate AVX2 gain scan to the
 # per-row loop on ragged draw and column counts with the same values,
-# denormals and repeated draws. The storage target holds the drive's
+# denormals and repeated draws. The softmax target holds the block
+# softmax, with the AVX2 exponential on and off, to the per-row
+# reference on ragged shapes of rows with NaN, ±Inf, ±0, denormals and
+# spreads that reach the exponential's denormal and underflow branches,
+# and the exponential kernel to its portable sequence on raw float64
+# bits. The storage target holds the drive's
 # read to its payload contract: a clean contiguous read is a
 # capacity-clipped view of the stored bytes, every other read lands in
 # the caller's buffer when it has room, and no payload differs from
@@ -179,6 +184,7 @@ for target in \
 	"FuzzUnmarshalSGDInto ./internal/nn" \
 	"FuzzDecodeRecord ./internal/data" \
 	"FuzzGEMMMatchesPortable ./internal/tensor" \
+	"FuzzSoftmaxMatchesPortable ./internal/tensor" \
 	"FuzzReconstructMatchesPortable ./internal/erasure" \
 	"FuzzTransformMatchesPortable ./internal/selection/streaming" \
 	"FuzzGainMatchesPortable ./internal/selection" \
