@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("write time:     %v (simulated)\n", dev.Acct.Time("ssd.write"))
 
 	if *verify {
-		buf, err := dev.ReadToFPGA(spec.Name, 0, int64(len(img)), train.Len())
+		buf, _, err := dev.ReadResilient(spec.Name, 0, int64(len(img)), train.Len(), nil, nessa.RetryPolicy{MaxAttempts: 1})
 		if err != nil {
 			fatal(err)
 		}

@@ -46,7 +46,7 @@ func ExampleNewSmartSSD() {
 		fmt.Println("error:", err)
 		return
 	}
-	buf, _ := dev.ReadToFPGA("mnist", 0, int64(len(img)), train.Len())
+	buf, _, _ := dev.ReadResilient("mnist", 0, int64(len(img)), train.Len(), nil, nessa.RetryPolicy{MaxAttempts: 1})
 	back, _ := nessa.DecodeDataset(spec, buf)
 	fmt.Println("round-tripped", back.Len(), "records; P2P bytes:", dev.Acct.Bytes("p2p.read"))
 	// Output: round-tripped 100 records; P2P bytes: 51200

@@ -1,9 +1,8 @@
 // Package analysis is the repository's custom static-analysis suite.
-// Six analyzers machine-check the source-level contracts the test
+// Five analyzers machine-check the source-level contracts the test
 // suite otherwise only samples at runtime:
 //
 //   - determinism: no wall-clock or math/rand in device/core code
-//   - maporder:    no order-sensitive accumulation over map iteration
 //   - hotpath:     no allocating or formatting constructs in functions
 //     annotated //nessa:hotpath
 //   - errhygiene:  sentinel errors compared with errors.Is and wrapped
@@ -85,7 +84,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
-		MapOrderAnalyzer(),
 		HotPathAnalyzer(),
 		ErrHygieneAnalyzer(),
 		ConcurrencyAnalyzer(),
@@ -300,4 +298,15 @@ func pathIn(importPath string, prefixes ...string) bool {
 		}
 	}
 	return false
+}
+
+// unparen strips any number of enclosing parentheses.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		pe, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = pe.X
+	}
 }

@@ -178,3 +178,13 @@ func isConstant(p *Pass, e ast.Expr) bool {
 	tv, ok := p.Pkg.Info.Types[e]
 	return ok && tv.Value != nil
 }
+
+// isBuiltin reports whether fun denotes the named predeclared builtin.
+func isBuiltin(p *Pass, fun ast.Expr, name string) bool {
+	id, ok := unparen(fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = p.Pkg.Info.Uses[id].(*types.Builtin)
+	return ok
+}

@@ -148,10 +148,6 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determinism", "determinism", "nessa/internal/fixture/determinism")
 }
 
-func TestMapOrderFixture(t *testing.T) {
-	runFixture(t, "maporder", "maporder", "nessa/internal/fixture/maporder")
-}
-
 func TestHotPathFixture(t *testing.T) {
 	runFixture(t, "hotpath", "hotpath", "nessa/internal/fixture/hotpath")
 }

@@ -179,8 +179,9 @@ func runOnce(spec FaultBenchSpec, mutate func(*core.Options)) (*core.Report, tim
 }
 
 // scanDelta measures the per-scan cost the resilience machinery adds
-// on the clean path: per-record CRC verification plus the injector and
-// stats hooks.
+// on the clean path. Both reads run the one recovery loop, the raw one
+// under the one-attempt policy with no verify, so on a clean scan the
+// delta is the per-record CRC verification alone.
 func scanDelta(spec FaultBenchSpec) (time.Duration, error) {
 	dev, _, _, length, err := faultDevice(spec)
 	if err != nil {
@@ -190,7 +191,7 @@ func scanDelta(spec FaultBenchSpec) (time.Duration, error) {
 	n := int(length / rec)
 	verify := func(b []byte) error { return data.VerifyImage(b, rec) }
 	return perCallDelta(spec.Reps, func() error {
-		_, err := dev.ReadToFPGA(deviceRunDataset, 0, length, n)
+		_, _, err := dev.ReadResilient(deviceRunDataset, 0, length, n, nil, smartssd.RetryPolicy{MaxAttempts: 1})
 		return err
 	}, func() error {
 		_, _, err := dev.ReadResilient(deviceRunDataset, 0, length, n, verify, smartssd.RetryPolicy{})

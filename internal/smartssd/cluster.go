@@ -163,16 +163,21 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 			lost = append(lost, i)
 			continue
 		}
-		buf, err := c.scanShard(i, name, recordSize, &st)
-		if err == nil {
+		buf, rst, err := c.readStripe(i, name, meta.lenOf(i), recordSize, c.Verify)
+		st.Read.Add(rst)
+		switch {
+		case err == nil:
 			data[i] = buf
-			continue
-		}
-		if !errors.Is(err, faults.ErrDeviceLost) {
+			d := c.Devices[i] // a served stripe draws its shard's stall
+			if stall := d.inj.Stall(); stall > 0 {
+				d.Clock.Advance(stall)
+				d.Acct.AddTime("scan.stall", stall)
+			}
+		case errors.Is(err, faults.ErrDeviceLost):
+			lost = append(lost, i)
+		default:
 			return nil, st, 0, fmt.Errorf("smartssd: stripe %d: %w", i, err)
 		}
-		c.noteLost(i, name)
-		lost = append(lost, i)
 	}
 	var extra time.Duration
 	if len(lost) > 0 {
@@ -197,35 +202,13 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 // for at least n bytes. Slots are addressed by position in Devices, so
 // a spare swapped in by Rebuild inherits the slot of the drive it
 // replaces. Bytes past the returned slice's length are whatever the
-// slot last held. A read gets a local copy of its slot with n = 0: a
-// clean read returns a view and never touches it, and a corrupted one
-// that outgrows the copy leaves the arena as it was.
+// slot last held. A stripe read takes its slot with n = 0
+// (readStripe).
 func (c *Cluster) slot(gi int, n int64) []byte {
 	if int64(cap(c.arena[gi])) < n {
 		c.arena[gi] = make([]byte, 0, n)
 	}
 	return c.arena[gi][:0]
-}
-
-// scanShard runs device i's stripe scan, accumulating recovery stats
-// into st, then draws the shard's stall.
-func (c *Cluster) scanShard(i int, name string, recordSize int64, st *ScanStats) ([]byte, error) {
-	d := c.Devices[i]
-	size, err := d.SSD.Size(name)
-	if err != nil {
-		return nil, err
-	}
-	slot := c.slot(i, 0)
-	buf, rst, err := d.ReadResilientInto(&slot, name, 0, size, int(size/recordSize), c.Verify, RetryPolicy{})
-	st.Read.Add(rst)
-	if err != nil {
-		return nil, err
-	}
-	if stall := d.inj.Stall(); stall > 0 {
-		d.Clock.Advance(stall)
-		d.Acct.AddTime("scan.stall", stall)
-	}
-	return buf, nil
 }
 
 // bumpScans records one completed cluster scan on every member device

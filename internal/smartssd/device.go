@@ -115,72 +115,6 @@ func (d *Device) StoreVirtualDataset(name string, size int64, fill storage.FillF
 	return d.SSD.PutVirtual(name, size, fill)
 }
 
-// ReadToFPGA reads [off, off+length) of object name into FPGA DRAM over
-// the P2P link, issuing commands transfer commands (one per image when
-// streaming a batch). Flash access and link streaming are pipelined, so
-// the charged time is the maximum of the two plus the flash command
-// setup.
-func (d *Device) ReadToFPGA(name string, off, length int64, commands int) ([]byte, error) {
-	var slot []byte
-	var one [1][]byte
-	ps, err := d.read(&slot, one[:0], name, off, length, oneRecord, commands, false)
-	if err != nil {
-		return nil, err
-	}
-	return ps[0], nil
-}
-
-// oneRecord is the record list of a contiguous read: [off, off+length)
-// is record 0 at stride length. Never written.
-var oneRecord = []int{0}
-
-// read fetches records recs — each stride bytes at off + rec·stride,
-// gathered by one flash command (storage.SSD.ReadRecordsInto, whose
-// slot and payload contract it takes) — over the P2P link into FPGA
-// DRAM or, with host set, over the conventional path: the drive DMAs
-// into host DRAM and the host into the FPGA, so flash and the staged
-// copies serialize at the 1.4 GB/s effective host bandwidth instead of
-// pipelining.
-func (d *Device) read(slot *[]byte, out [][]byte, name string, off, stride int64, recs []int, commands int, host bool) ([][]byte, error) {
-	link, op, errBucket, readBucket := d.P2P, "p2p read", "p2p.error", "p2p.read"
-	if host {
-		link, op, errBucket, readBucket = d.Host, "host read", "host.error", "host.read"
-	}
-	if off < 0 || stride < 0 {
-		return out[:0], fmt.Errorf("smartssd: %s [%d,+%d) of %q: %w", op, off, stride, name, faults.ErrOutOfRange)
-	}
-	length := stride * int64(len(recs))
-	if !host && length > d.Spec.DRAMBytes {
-		return out[:0], fmt.Errorf("smartssd: transfer of %d bytes exceeds FPGA DRAM (%d)", length, d.Spec.DRAMBytes)
-	}
-	if err := d.lostCheck(link, errBucket, op, name); err != nil {
-		return out[:0], err
-	}
-	if !host && d.inj.LinkDown() {
-		// The DMA setup is spent before the link failure is observed.
-		d.Clock.Advance(d.P2P.CommandLatency)
-		d.Acct.AddTime("p2p.error", d.P2P.CommandLatency)
-		return out[:0], fmt.Errorf("smartssd: p2p read of %q: %w", name, faults.ErrLinkDown)
-	}
-	out, flashT, err := d.SSD.ReadRecordsInto(name, off, stride, recs, slot, out)
-	if err != nil {
-		// A failed flash command still advances simulated time by its
-		// reported setup cost, so retry storms are visible on the clock.
-		d.Clock.Advance(flashT)
-		d.Acct.AddTime(errBucket, flashT)
-		return out, err
-	}
-	linkT := link.Duration(length, commands)
-	dur := flashT + linkT
-	if !host {
-		dur = max(flashT, linkT)
-	}
-	d.Clock.Advance(dur)
-	d.Acct.AddTime(readBucket, dur)
-	d.Acct.AddBytes(readBucket, length)
-	return out, nil
-}
-
 // SendToGPU charges the transfer of length bytes (the selected subset)
 // from the FPGA to the GPU over the host interconnect.
 func (d *Device) SendToGPU(length int64, commands int) time.Duration {

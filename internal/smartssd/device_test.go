@@ -2,12 +2,17 @@ package smartssd
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"nessa/internal/data"
+	"nessa/internal/faults"
 )
+
+// rawPolicy is the raw read: one issue, no backoff, no retry.
+var rawPolicy = RetryPolicy{MaxAttempts: 1}
 
 func newDevice(t *testing.T) *Device {
 	t.Helper()
@@ -79,7 +84,7 @@ func TestP2PFasterThanHostPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := d.Clock.Now()
-	if _, err := d.ReadToFPGA("ds", 0, int64(len(img)), 128); err != nil {
+	if _, _, err := d.ReadResilient("ds", 0, int64(len(img)), 128, nil, rawPolicy); err != nil {
 		t.Fatal(err)
 	}
 	p2pT := d.Clock.Now() - t0
@@ -111,7 +116,7 @@ func TestReadReturnsStoredBytes(t *testing.T) {
 	}
 	// Read back records 3..7 and decode them.
 	rec := spec.BytesPerImage
-	buf, err := d.ReadToFPGA("cifar", 3*rec, 4*rec, 4)
+	buf, _, err := d.ReadResilient("cifar", 3*rec, 4*rec, 4, nil, rawPolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +140,39 @@ func TestDRAMCapacityEnforced(t *testing.T) {
 	if err := d.StoreDataset("ds", make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadToFPGA("ds", 0, 4096, 1); err == nil {
+	if _, _, err := d.ReadResilient("ds", 0, 4096, 1, nil, rawPolicy); err == nil {
 		t.Fatal("expected DRAM-capacity error")
+	}
+}
+
+// TestRawReadLinkDropFailsOnce: under the raw policy a dropped P2P
+// link fails the read after its one attempt, with an error wrapping
+// ErrLinkDown. It pays the P2P command setup to p2p.error and nothing
+// else: no backoff, and no host-path read.
+func TestRawReadLinkDropFailsOnce(t *testing.T) {
+	d := newDevice(t)
+	if err := d.StoreDataset("ds", make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	d.SetInjector(faults.NewInjector(faults.Profile{Seed: 3, LinkDownRate: 1}))
+	before := d.Clock.Now()
+	buf, st, err := d.ReadResilient("ds", 0, 4096, 4, nil, rawPolicy)
+	if !errors.Is(err, faults.ErrLinkDown) || buf != nil {
+		t.Fatalf("raw read over a dropped link: buf %v, err %v; want nil and a wrapped ErrLinkDown", buf, err)
+	}
+	if st.Attempts != 1 || st.Retries != 0 {
+		t.Fatalf("stats %+v, want exactly one attempt", st)
+	}
+	if got := d.Acct.Time("p2p.error"); got != d.P2P.CommandLatency {
+		t.Fatalf("p2p.error = %v, want one P2P command setup (%v)", got, d.P2P.CommandLatency)
+	}
+	if got := d.Clock.Now() - before; got != d.P2P.CommandLatency {
+		t.Fatalf("clock advanced %v, want only the P2P command setup", got)
+	}
+	for _, b := range []string{"host.read", "host.error", "p2p.read", "retry.backoff"} {
+		if d.Acct.Time(b) != 0 || d.Acct.Bytes(b) != 0 {
+			t.Fatalf("raw read over a dropped link charged %s", b)
+		}
 	}
 }
 
@@ -145,7 +181,7 @@ func TestAccountingByPath(t *testing.T) {
 	if err := d.StoreDataset("ds", make([]byte, 1024*1024)); err != nil {
 		t.Fatal(err)
 	}
-	d.ReadToFPGA("ds", 0, 1024*1024, 16)
+	d.ReadResilient("ds", 0, 1024*1024, 16, nil, rawPolicy)
 	hostRead(d, "ds", 512*1024, 8)
 	d.SendToGPU(256*1024, 4)
 	d.ReceiveFeedback(64 * 1024)

@@ -188,14 +188,15 @@ func (c *Cluster) AttachSpare(d *Device) {
 
 // noteLost marks device slot i lost after a read of it failed with
 // faults.ErrDeviceLost. The first time, the host also sends the slot a
-// zero-length liveness probe over the host path. A loss is sticky, so
-// the probe always fails; its error is dropped, but its command setup
-// stays on the device's clock, which DegradedScanBound prices.
+// zero-length liveness probe: a one-attempt host-path read. A loss is
+// sticky, so the probe always fails; its error is dropped, but its
+// command setup stays on the device's clock, which DegradedScanBound
+// prices.
 func (c *Cluster) noteLost(i int, name string) {
 	if c.health[i] == HealthLost {
 		return
 	}
-	_, _ = c.Devices[i].read(new([]byte), nil, name, 0, 0, oneRecord, 1, true)
+	_, _, _ = c.Devices[i].ReadResilientHost(new([]byte), nil, name, oneRecord, 0, nil, RetryPolicy{MaxAttempts: 1})
 	c.health[i] = HealthLost
 	c.lostEver++
 }
@@ -209,8 +210,8 @@ func (c *Cluster) noteLost(i int, name string) {
 //
 // The decode reads survivors and parity pulls where they lie (a short
 // survivor through its padded copy) and writes each lost data stripe
-// straight into its member's arena slot; parity that was not pulled is
-// never decoded.
+// straight into its member's arena slot (decodeLost); parity that was
+// not pulled is never decoded.
 func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byte, lost []int, st *ScanStats) (time.Duration, error) {
 	k, m := meta.place.DataShards, meta.place.ParityShards
 	if len(lost) > m {
@@ -222,16 +223,11 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 	const attempts = 2
 	shards := make([][]byte, k+m)
 	for attempt := 0; attempt < attempts; attempt++ {
-		for gi := range shards {
-			shards[gi] = nil
-		}
+		clear(shards)
 		for i := 0; i < k; i++ {
 			if data[i] != nil {
 				shards[i] = c.padded(i, data[i], meta.stripeLen)
 			}
-		}
-		for _, i := range lost {
-			shards[i] = c.slot(i, meta.stripeLen) // decode output
 		}
 		needed := len(lost)
 		for r := 0; r < m && needed > 0; r++ {
@@ -239,13 +235,10 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 			if c.health[pi] == HealthLost {
 				continue
 			}
-			d := c.Devices[pi]
-			slot := c.slot(pi, 0)
-			buf, rst, err := d.ReadResilientInto(&slot, name, 0, meta.stripeLen, int(meta.stripeLen/meta.rec), nil, RetryPolicy{})
+			buf, rst, err := c.readStripe(pi, name, meta.stripeLen, meta.rec, nil)
 			st.Read.Add(rst)
 			if err != nil {
 				if errors.Is(err, faults.ErrDeviceLost) {
-					c.noteLost(pi, name)
 					continue
 				}
 				return recT, fmt.Errorf("smartssd: parity stripe %d of %q: %w", r, name, err)
@@ -258,13 +251,10 @@ func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byt
 			return recT, fmt.Errorf("smartssd: %q is short %d surviving stripes for reconstruction: %w",
 				name, needed, faults.ErrDeviceLost)
 		}
-		if err := meta.code.ReconstructData(shards); err != nil {
+		dur, err := c.decodeLost(meta, shards, lost)
+		if err != nil {
 			return recT, fmt.Errorf("smartssd: reconstructing %q: %w", name, err)
 		}
-		// Each missing stripe is a k-term GF dot product over the
-		// stripe length: k·stripeLen source bytes streamed per rebuild.
-		dur := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
-		c.Acct.AddTime("recover.reconstruct", dur)
 		recT += dur
 		ok := true
 		if c.Verify != nil {
@@ -347,11 +337,9 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			verify = nil // parity stripes are not records
 		}
 		before := d.Clock.Now()
-		slot := c.slot(gi, 0)
-		buf, _, err := d.ReadResilientInto(&slot, name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
+		buf, _, err := c.readStripe(gi, name, length, meta.rec, verify)
 		if err != nil {
 			if errors.Is(err, faults.ErrDeviceLost) {
-				c.noteLost(gi, name)
 				continue
 			}
 			return 0, fmt.Errorf("smartssd: rebuild source stripe %d of %q: %w", gi, name, err)
@@ -367,22 +355,10 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		return 0, fmt.Errorf("smartssd: rebuilding %q needs %d surviving stripes, found %d: %w",
 			name, k, sources, faults.ErrDeviceLost)
 	}
-	// Decode only what was lost, each stripe into its own slot: the
-	// data-only decode unless a parity stripe is among them. (The full
-	// decode also re-derives, into a temporary, a healthy parity stripe
-	// that was not needed as a source — the price of that rarer case.)
-	for _, gi := range lost {
-		shards[gi] = c.slot(gi, meta.stripeLen)
-	}
-	decode := meta.code.ReconstructData
-	if lost[len(lost)-1] >= k { // lost is ascending
-		decode = meta.code.Reconstruct
-	}
-	if err := decode(shards); err != nil {
+	recT, err := c.decodeLost(meta, shards, lost)
+	if err != nil {
 		return 0, fmt.Errorf("smartssd: rebuilding %q: %w", name, err)
 	}
-	recT := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
-	c.Acct.AddTime("recover.reconstruct", recT)
 	var writeWall time.Duration
 	for _, gi := range lost {
 		payload := shards[gi][:meta.lenOf(gi)]
@@ -409,6 +385,46 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 		c.health[gi] = HealthHealthy
 	}
 	return readWall + recT + writeWall, nil
+}
+
+// readStripe reads group member gi's whole stripe of name — length
+// bytes, issued as one command per rec-byte record — under the default
+// retry policy, and marks the member lost (noteLost) when the read
+// finds it gone. The read gets an unsized local copy of gi's arena slot
+// (arena rule 2): a clean read returns a view of the stored stripe and
+// never touches the slot, and a corrupted one that outgrows the copy
+// leaves the arena as it was.
+func (c *Cluster) readStripe(gi int, name string, length, rec int64, verify func([]byte) error) ([]byte, ReadStats, error) {
+	slot := c.slot(gi, 0)
+	buf, st, err := c.Devices[gi].ReadResilientInto(&slot, name, 0, length, int(length/rec), verify, RetryPolicy{})
+	if errors.Is(err, faults.ErrDeviceLost) {
+		c.noteLost(gi, name)
+	}
+	return buf, st, err
+}
+
+// decodeLost decodes the stripes of the lost members (ascending) from
+// the surviving shards, each straight into its member's arena slot: the
+// data-only decode unless a parity member is lost. (The full decode
+// also re-derives, into a temporary, a healthy parity stripe that was
+// not pulled — the price of that rarer case.) Each lost stripe is a
+// k-term GF dot product over the stripe length, k·stripeLen source
+// bytes streamed, charged to recover.reconstruct; it returns that time.
+func (c *Cluster) decodeLost(meta *stripeMeta, shards [][]byte, lost []int) (time.Duration, error) {
+	for _, gi := range lost {
+		shards[gi] = c.slot(gi, meta.stripeLen)
+	}
+	k := meta.place.DataShards
+	decode := meta.code.ReconstructData
+	if lost[len(lost)-1] >= k {
+		decode = meta.code.Reconstruct
+	}
+	if err := decode(shards); err != nil {
+		return 0, err
+	}
+	dur := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
+	c.Acct.AddTime("recover.reconstruct", dur)
+	return dur, nil
 }
 
 // DegradedScanBound models the worst-case extra simulated time one

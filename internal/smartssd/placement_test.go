@@ -387,3 +387,101 @@ func TestStripedScanRejectsMismatchedRecordSize(t *testing.T) {
 		t.Fatal("scan with the wrong record size accepted")
 	}
 }
+
+// TestLossesDuringRecovery kills members of a 4+2 placement while the
+// cluster is already recovering, and requires every payload to equal
+// the clean scan's. A parity member that dies in the scan that loses a
+// data member is skipped for the second parity stripe; a Rebuild source
+// that dies during the Rebuild is skipped for the next healthy member.
+func TestLossesDuringRecovery(t *testing.T) {
+	const rec = 64
+	img := stripeImg(22, rec) // stripes of 5, 6, 5 and 6 records
+	place := Placement{DataShards: 4, ParityShards: 2}
+	setup := func(t *testing.T, kills ...faults.DeviceKill) (*Cluster, []byte) {
+		t.Helper()
+		c, _ := NewCluster(place.Total())
+		if _, err := c.StripeDataset("ds", img, rec, place); err != nil {
+			t.Fatal(err)
+		}
+		c.SetInjector(faults.NewInjector(faults.Profile{Seed: 5, Kills: kills}))
+		shards, _, _, err := c.ParallelScan("ds", rec)
+		if err != nil {
+			t.Fatalf("clean scan: %v", err)
+		}
+		clean := reassemble(shards) // a copy: views do not outlive the arena
+		if !bytes.Equal(clean, img) {
+			t.Fatal("clean scan differs from the source image")
+		}
+		return c, clean
+	}
+	scanEquals := func(t *testing.T, c *Cluster, clean []byte, degraded int) {
+		t.Helper()
+		shards, st, _, err := c.ParallelScan("ds", rec)
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		if !bytes.Equal(reassemble(shards), clean) {
+			t.Fatal("scan payload differs from the clean scan's")
+		}
+		if st.DegradedReads != degraded {
+			t.Fatalf("DegradedReads = %d, want %d", st.DegradedReads, degraded)
+		}
+	}
+	health := func(t *testing.T, c *Cluster, lost ...int) {
+		t.Helper()
+		want := make([]Health, place.Total())
+		for _, gi := range lost {
+			want[gi] = HealthLost
+		}
+		for gi, w := range want {
+			if got := c.DeviceHealth(gi); got != w {
+				t.Fatalf("device %d health = %v, want %v", gi, got, w)
+			}
+		}
+		if c.LostCount() != 2 {
+			t.Fatalf("LostCount = %d, want 2", c.LostCount())
+		}
+	}
+
+	t.Run("data and first parity member together", func(t *testing.T) {
+		c, clean := setup(t, faults.DeviceKill{Device: 1, AfterScans: 1}, faults.DeviceKill{Device: 4, AfterScans: 1})
+		scanEquals(t, c, clean, 1)
+		health(t, c, 1, 4)
+		meta := c.stripes["ds"]
+		if got := c.Acct.Bytes("recover.parity"); got != meta.stripeLen {
+			t.Fatalf("recover.parity = %d bytes, want the second parity stripe alone (%d)", got, meta.stripeLen)
+		}
+		if c.Devices[5].Acct.Bytes("p2p.read") != meta.stripeLen {
+			t.Fatal("the second parity member was not read")
+		}
+		scanEquals(t, c, clean, 1) // both losses are sticky
+		health(t, c, 1, 4)
+	})
+
+	t.Run("rebuild source dies during rebuild", func(t *testing.T) {
+		// Device 0 dies once it has completed two scans: after the
+		// degraded scan, so the first read that finds it gone is the
+		// Rebuild's.
+		c, clean := setup(t, faults.DeviceKill{Device: 1, AfterScans: 1}, faults.DeviceKill{Device: 0, AfterScans: 2})
+		scanEquals(t, c, clean, 1)
+		if c.DeviceHealth(0) != HealthHealthy || c.LostCount() != 1 {
+			t.Fatalf("device 0 lost before the rebuild (LostCount %d)", c.LostCount())
+		}
+		spare, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AttachSpare(spare)
+		if _, err := c.Rebuild("ds"); err != nil {
+			t.Fatalf("rebuild with a source lost mid-rebuild: %v", err)
+		}
+		if c.Devices[1] != spare || c.Spares() != 0 {
+			t.Fatal("the spare was not swapped into slot 1")
+		}
+		if got, err := spare.SSD.Size("ds"); err != nil || got != int64(c.stripes["ds"].counts[1])*rec {
+			t.Fatalf("spare holds %d bytes (err %v), want stripe 1", got, err)
+		}
+		health(t, c, 0)
+		scanEquals(t, c, clean, 1) // stripe 0 from parity, stripe 1 from the spare
+	})
+}

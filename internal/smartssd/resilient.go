@@ -78,7 +78,8 @@ func (s *ReadStats) Add(other ReadStats) {
 }
 
 // ReadResilient reads [off, off+length) of object name into FPGA DRAM
-// with the §4.6 recovery policy wrapped around the raw P2P path:
+// over the P2P link, issued as commands transfer commands (one per
+// image when streaming a batch), with the §4.6 recovery policy:
 //
 //   - transient flash errors are retried with exponential backoff and
 //     jitter, each backoff charged to the simulated clock;
@@ -90,12 +91,20 @@ func (s *ReadStats) Add(other ReadStats) {
 //   - addressing and capacity errors are permanent and returned
 //     immediately.
 //
+// RetryPolicy{MaxAttempts: 1} with a nil verify is the raw read: one
+// issue, no backoff draw, and the first failure returned.
+//
 // On exhaustion the returned error wraps the last failure, so callers
 // classify it with errors.Is (faults.ErrTransientIO,
 // faults.ErrCorruptRecord, ...).
 func (d *Device) ReadResilient(name string, off, length int64, commands int, verify func([]byte) error, pol RetryPolicy) ([]byte, ReadStats, error) {
 	var slot []byte
-	return d.ReadResilientInto(&slot, name, off, length, commands, verify, pol)
+	var one [1][]byte
+	ps, st, err := d.readResilient(&slot, one[:0], name, off, length, oneRecord, commands, verify, pol, false)
+	if err != nil {
+		return nil, st, err
+	}
+	return ps[0], st, nil
 }
 
 // ReadResilientInto is ReadResilient with a slot the caller owns: a
@@ -112,6 +121,10 @@ func (d *Device) ReadResilientInto(slot *[]byte, name string, off, length int64,
 	}
 	return ps[0], st, nil
 }
+
+// oneRecord is the record list of a contiguous read: [off, off+length)
+// is record 0 at stride length. Never written.
+var oneRecord = []int{0}
 
 // ReadRecordsInto is ReadResilientInto over a record list: payload i,
 // appended to out[:0], is record recs[i] of a stride-byte record image,
@@ -133,9 +146,25 @@ func (d *Device) ReadResilientHost(slot *[]byte, out [][]byte, name string, recs
 	return d.readResilient(slot, out, name, 0, stride, recs, len(recs), verify, pol, true)
 }
 
-func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, stride int64, recs []int, commands int, verify func([]byte) error, pol RetryPolicy, hostPath bool) ([][]byte, ReadStats, error) {
+// readResilient is every device read: records recs — each stride bytes
+// at off + rec·stride, gathered per attempt by one flash command
+// (storage.SSD.ReadRecordsInto, whose slot and payload contract it
+// takes) — over the P2P link into FPGA DRAM or, with host set, over the
+// conventional path: the drive DMAs into host DRAM and the host into
+// the FPGA, so flash and the staged copies serialize at the 1.4 GB/s
+// effective host bandwidth instead of pipelining. Each attempt makes
+// the lost-device check, the link-down draw (P2P only), the flash read
+// and its charges; pol bounds the attempts (see ReadResilient).
+func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, stride int64, recs []int, commands int, verify func([]byte) error, pol RetryPolicy, host bool) ([][]byte, ReadStats, error) {
 	pol = pol.normalize()
 	var st ReadStats
+	if off < 0 || stride < 0 {
+		return out[:0], st, fmt.Errorf("smartssd: read [%d,+%d) of %q: %w", off, stride, name, faults.ErrOutOfRange)
+	}
+	length := stride * int64(len(recs))
+	if !host && length > d.Spec.DRAMBytes {
+		return out[:0], st, fmt.Errorf("smartssd: transfer of %d bytes exceeds FPGA DRAM (%d)", length, d.Spec.DRAMBytes)
+	}
 	var lastErr error
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -146,30 +175,56 @@ func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, str
 			}
 		}
 		st.Attempts++
+		link, op, errBucket, readBucket := d.P2P, "p2p read", "p2p.error", "p2p.read"
+		if host {
+			link, op, errBucket, readBucket = d.Host, "host read", "host.error", "host.read"
+		}
+		if err := d.lostCheck(link, errBucket, op, name); err != nil {
+			return out[:0], st, err
+		}
+		if !host && d.inj.LinkDown() {
+			// The DMA setup is spent before the link failure is
+			// observed. P2P → host fallback: the rest of this read stays
+			// on the host path rather than probing a dead link again.
+			d.Clock.Advance(link.CommandLatency)
+			d.Acct.AddTime(errBucket, link.CommandLatency)
+			host, st.HostFallback = true, true
+			lastErr = fmt.Errorf("smartssd: p2p read of %q: %w", name, faults.ErrLinkDown)
+			continue
+		}
+		var flashT time.Duration
 		var err error
-		out, err = d.read(slot, out, name, off, stride, recs, commands, hostPath)
-		switch {
-		case err == nil:
-			for i := 0; verify != nil && i < len(out) && err == nil; i++ {
-				err = verify(out[i])
+		out, flashT, err = d.SSD.ReadRecordsInto(name, off, stride, recs, slot, out)
+		if err != nil {
+			// A failed flash command still advances simulated time by its
+			// reported setup cost, so retry storms are visible on the clock.
+			d.Clock.Advance(flashT)
+			d.Acct.AddTime(errBucket, flashT)
+			if !errors.Is(err, faults.ErrTransientIO) {
+				return out, st, err // permanent: out of range, not found
 			}
-			if err == nil {
-				return out, st, nil
-			}
-			st.Corrupt++ // corrupted payload: re-read the clean extent
-			lastErr = err
-		case errors.Is(err, faults.ErrTransientIO):
 			st.Transient++
 			lastErr = err
-		case errors.Is(err, faults.ErrLinkDown):
-			// P2P → host fallback: stay on the host path for the rest of
-			// this read rather than probing a dead link again.
-			hostPath = true
-			st.HostFallback = true
-			lastErr = err
-		default:
-			return out, st, err // permanent: out of range, not found, DRAM
+			continue
 		}
+		// The P2P path pipelines flash access with link streaming; the
+		// host path serializes them.
+		linkT := link.Duration(length, commands)
+		dur := flashT + linkT
+		if !host {
+			dur = max(flashT, linkT)
+		}
+		d.Clock.Advance(dur)
+		d.Acct.AddTime(readBucket, dur)
+		d.Acct.AddBytes(readBucket, length)
+		for i := 0; verify != nil && i < len(out) && err == nil; i++ {
+			err = verify(out[i])
+		}
+		if err == nil {
+			return out, st, nil
+		}
+		st.Corrupt++ // corrupted payload: re-read the clean extent
+		lastErr = err
 	}
 	return out[:0], st, fmt.Errorf("smartssd: read of %d×%d bytes at %d of %q failed after %d attempts: %w",
 		len(recs), stride, off, name, st.Attempts, lastErr)

@@ -112,10 +112,9 @@ gate "go test -race"
 # TestObjectiveParallelSerialEquivalence among them) pin 8 workers.
 #
 # This step is also the analysis gate. TestRepoVetClean
-# (internal/analysis) runs the repo's six source analyzers over every
+# (internal/analysis) runs the repo's five source analyzers over every
 # package `go list ./...` names: determinism (no wall clock / math/rand
-# in device code), maporder (no order-sensitive folds over map
-# iteration), hotpath (//nessa:hotpath functions stay free of
+# in device code), hotpath (//nessa:hotpath functions stay free of
 # allocating constructs), errhygiene (sentinel errors compared with
 # errors.Is, wrapped with %w), concurrency (WaitGroup.Add inside a go
 # statement's closure, Unlock on a path with no Lock) and scratchlife
