@@ -152,10 +152,7 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 	}
 	k, m := meta.place.DataShards, meta.place.ParityShards
 	group := k + m
-	starts := make([]time.Duration, group)
-	for gi := 0; gi < group; gi++ {
-		starts[gi] = c.Devices[gi].Clock.Now()
-	}
+	starts := c.clocks(group)
 	data := make([][]byte, k)
 	var lost []int
 	for i := 0; i < k; i++ {
@@ -163,7 +160,7 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 			lost = append(lost, i)
 			continue
 		}
-		buf, rst, err := c.readStripe(i, name, meta.lenOf(i), recordSize, c.Verify)
+		buf, rst, err := c.readStripe(i, name, meta)
 		st.Read.Add(rst)
 		switch {
 		case err == nil:
@@ -179,23 +176,47 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 			return nil, st, 0, fmt.Errorf("smartssd: stripe %d: %w", i, err)
 		}
 	}
-	var extra time.Duration
+	var recT time.Duration
 	if len(lost) > 0 {
-		recT, err := c.reconstructStripes(name, meta, data, lost, &st)
-		if err != nil {
+		if len(lost) > m {
+			return nil, st, 0, fmt.Errorf("smartssd: %d data stripes of %q lost with only %d parity stripes: %w",
+				len(lost), name, m, faults.ErrDeviceLost)
+		}
+		shards := make([][]byte, group)
+		copy(shards, data)
+		var err error
+		if lost, recT, err = c.recoverStripes(name, meta, shards, lost, "recover.parity", &st); err != nil {
 			return nil, st, 0, err
 		}
-		extra = recT
-	}
-	var wall time.Duration
-	for gi := 0; gi < group; gi++ {
-		if dt := c.Devices[gi].Clock.Now() - starts[gi]; dt > wall {
-			wall = dt
+		for _, i := range lost {
+			data[i] = shards[i][:meta.lenOf(i)]
+			st.DegradedReads++
+			st.ReconstructedBytes += meta.lenOf(i)
+			c.Acct.AddBytes("recover.rebuilt", meta.lenOf(i))
 		}
 	}
-	wall += extra
+	wall := c.since(starts) + recT
 	c.bumpScans()
 	return data, st, wall, nil
+}
+
+// clocks snapshots the clocks of the first n device slots.
+func (c *Cluster) clocks(n int) []time.Duration {
+	starts := make([]time.Duration, n)
+	for gi := range starts {
+		starts[gi] = c.Devices[gi].Clock.Now()
+	}
+	return starts
+}
+
+// since reports the furthest any of those slots' clocks has advanced
+// from its snapshot: the wall of the work the devices did in parallel.
+func (c *Cluster) since(starts []time.Duration) time.Duration {
+	var wall time.Duration
+	for gi, t0 := range starts {
+		wall = max(wall, c.Devices[gi].Clock.Now()-t0)
+	}
+	return wall
 }
 
 // slot returns device slot gi's arena buffer, emptied, with capacity
@@ -203,7 +224,7 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 // a spare swapped in by Rebuild inherits the slot of the drive it
 // replaces. Bytes past the returned slice's length are whatever the
 // slot last held. A stripe read takes its slot with n = 0
-// (readStripe).
+// (readStripe); a decode takes it at the stripe length (recoverStripes).
 func (c *Cluster) slot(gi int, n int64) []byte {
 	if int64(cap(c.arena[gi])) < n {
 		c.arena[gi] = make([]byte, 0, n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"nessa/internal/erasure"
@@ -201,95 +202,21 @@ func (c *Cluster) noteLost(i int, name string) {
 	c.lostEver++
 }
 
-// reconstructStripes serves the lost data stripes from parity: pull
-// enough surviving parity stripes, run the RS decode, and verify the
-// rebuilt payloads. A verification failure means a parity read was
-// silently corrupted in flight, so the parity pull and decode are
-// retried once before giving up. Returns the simulated GF-math time
-// (the parity reads advance their own devices' clocks directly).
-//
-// The decode reads survivors and parity pulls where they lie (a short
-// survivor through its padded copy) and writes each lost data stripe
-// straight into its member's arena slot (decodeLost); parity that was
-// not pulled is never decoded.
-func (c *Cluster) reconstructStripes(name string, meta *stripeMeta, data [][]byte, lost []int, st *ScanStats) (time.Duration, error) {
-	k, m := meta.place.DataShards, meta.place.ParityShards
-	if len(lost) > m {
-		return 0, fmt.Errorf("smartssd: %d data stripes of %q lost with only %d parity stripes: %w",
-			len(lost), name, m, faults.ErrDeviceLost)
-	}
-	var recT time.Duration
-	var lastErr error
-	const attempts = 2
-	shards := make([][]byte, k+m)
-	for attempt := 0; attempt < attempts; attempt++ {
-		clear(shards)
-		for i := 0; i < k; i++ {
-			if data[i] != nil {
-				shards[i] = c.padded(i, data[i], meta.stripeLen)
-			}
-		}
-		needed := len(lost)
-		for r := 0; r < m && needed > 0; r++ {
-			pi := k + r
-			if c.health[pi] == HealthLost {
-				continue
-			}
-			buf, rst, err := c.readStripe(pi, name, meta.stripeLen, meta.rec, nil)
-			st.Read.Add(rst)
-			if err != nil {
-				if errors.Is(err, faults.ErrDeviceLost) {
-					continue
-				}
-				return recT, fmt.Errorf("smartssd: parity stripe %d of %q: %w", r, name, err)
-			}
-			shards[pi] = buf
-			c.Acct.AddBytes("recover.parity", meta.stripeLen)
-			needed--
-		}
-		if needed > 0 {
-			return recT, fmt.Errorf("smartssd: %q is short %d surviving stripes for reconstruction: %w",
-				name, needed, faults.ErrDeviceLost)
-		}
-		dur, err := c.decodeLost(meta, shards, lost)
-		if err != nil {
-			return recT, fmt.Errorf("smartssd: reconstructing %q: %w", name, err)
-		}
-		recT += dur
-		ok := true
-		if c.Verify != nil {
-			for _, i := range lost {
-				if err := c.Verify(shards[i][:meta.lenOf(i)]); err != nil {
-					st.Read.Corrupt++
-					lastErr = err
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			continue // corrupted parity pull: re-read and decode again
-		}
-		for _, i := range lost {
-			data[i] = shards[i][:meta.lenOf(i)]
-			st.DegradedReads++
-			st.ReconstructedBytes += meta.lenOf(i)
-			c.Acct.AddBytes("recover.rebuilt", meta.lenOf(i))
-		}
-		return recT, nil
-	}
-	return recT, fmt.Errorf("smartssd: reconstructed stripes of %q failed verification after %d attempts: %w",
-		name, attempts, lastErr)
-}
-
 // Rebuild re-materializes every confirmed-lost device's stripe of the
 // named striped dataset onto attached spares, swapping each spare into
 // the lost slot (back to HealthHealthy). It reads DataShards surviving
-// stripes — advancing those devices' simulated clocks, which is
-// exactly how a background rebuild races foreground scans for link
-// bandwidth — decodes the missing stripes, and writes each onto its
-// spare. Returns the rebuild's simulated duration: the slowest
-// survivor read, plus the GF-math time, plus the slowest spare write.
+// stripes through recoverStripes — advancing those devices' simulated
+// clocks, which is exactly how a background rebuild races foreground
+// scans for link bandwidth — decodes the missing stripes, and writes
+// each onto its spare. Returns the rebuild's simulated duration: the
+// furthest any member's clock advanced in the reads (a failed read of
+// a member found lost included), plus the GF-math time, plus the
+// slowest spare write.
+//
+// A data member a source read finds lost joins the stripes the Rebuild
+// decodes and charges; it takes a spare when one is left after the
+// members lost before the Rebuild took theirs, and otherwise stays lost
+// for the next Rebuild, as does a parity member found lost.
 //
 // Rebuild works in the scan arena (a short survivor is padded in its
 // own slot, each rebuilt stripe is decoded into the lost member's), so
@@ -323,50 +250,16 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 	if len(lost) > len(c.spares) {
 		return 0, fmt.Errorf("smartssd: rebuilding %q needs %d spares, %d attached", name, len(lost), len(c.spares))
 	}
+	starts := c.clocks(group)
 	shards := make([][]byte, group)
-	sources := 0
-	var readWall time.Duration
-	for gi := 0; gi < group && sources < k; gi++ {
-		if c.health[gi] != HealthHealthy {
-			continue
-		}
-		d := c.Devices[gi]
-		length := meta.lenOf(gi)
-		verify := c.Verify
-		if gi >= k {
-			verify = nil // parity stripes are not records
-		}
-		before := d.Clock.Now()
-		buf, _, err := c.readStripe(gi, name, length, meta.rec, verify)
-		if err != nil {
-			if errors.Is(err, faults.ErrDeviceLost) {
-				continue
-			}
-			return 0, fmt.Errorf("smartssd: rebuild source stripe %d of %q: %w", gi, name, err)
-		}
-		if dt := d.Clock.Now() - before; dt > readWall {
-			readWall = dt
-		}
-		shards[gi] = c.padded(gi, buf, meta.stripeLen)
-		c.Acct.AddBytes("recover.rebuild.read", length)
-		sources++
-	}
-	if sources < k {
-		return 0, fmt.Errorf("smartssd: rebuilding %q needs %d surviving stripes, found %d: %w",
-			name, k, sources, faults.ErrDeviceLost)
-	}
-	recT, err := c.decodeLost(meta, shards, lost)
+	lost, recT, err := c.recoverStripes(name, meta, shards, lost, "recover.rebuild.read", new(ScanStats))
 	if err != nil {
-		return 0, fmt.Errorf("smartssd: rebuilding %q: %w", name, err)
+		return 0, err
 	}
+	readWall := c.since(starts)
 	var writeWall time.Duration
-	for _, gi := range lost {
+	for _, gi := range lost[:min(len(lost), len(c.spares))] {
 		payload := shards[gi][:meta.lenOf(gi)]
-		if gi < k && c.Verify != nil {
-			if err := c.Verify(payload); err != nil {
-				return 0, fmt.Errorf("smartssd: rebuilt stripe %d of %q failed verification: %w", gi, name, err)
-			}
-		}
 		spare := c.spares[0]
 		before := spare.Clock.Now()
 		// payload is a view into the scan arena, which the next scan
@@ -376,9 +269,7 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 			return 0, fmt.Errorf("smartssd: writing rebuilt stripe %d of %q to spare device %d: %w",
 				gi, name, spare.ID, err)
 		}
-		if dt := spare.Clock.Now() - before; dt > writeWall {
-			writeWall = dt
-		}
+		writeWall = max(writeWall, spare.Clock.Now()-before)
 		c.Acct.AddBytes("recover.rebuilt", int64(len(payload)))
 		c.spares = c.spares[1:]
 		c.Devices[gi] = spare
@@ -387,44 +278,108 @@ func (c *Cluster) Rebuild(name string) (time.Duration, error) {
 	return readWall + recT + writeWall, nil
 }
 
-// readStripe reads group member gi's whole stripe of name — length
-// bytes, issued as one command per rec-byte record — under the default
-// retry policy, and marks the member lost (noteLost) when the read
-// finds it gone. The read gets an unsized local copy of gi's arena slot
-// (arena rule 2): a clean read returns a view of the stored stripe and
-// never touches the slot, and a corrupted one that outgrows the copy
-// leaves the arena as it was.
-func (c *Cluster) readStripe(gi int, name string, length, rec int64, verify func([]byte) error) ([]byte, ReadStats, error) {
+// recoverStripes is the one recovery path of ParallelScan and Rebuild:
+// it decodes the stripes of the lost members (all HealthLost) of name
+// into their arena slots. shards holds, by member, the stripes the
+// caller already has; recoverStripes pads those (padded) and reads the
+// healthy members it does not hold, in member order, until DataShards
+// are held, charging each read's bytes to bucket and its stats to st.
+// A data member a read finds lost joins the end of lost, since the
+// decode writes its stripe anyway; a parity member found lost is
+// skipped and waits for the next Rebuild (the full decode treats a
+// parity stripe it did not read alike: a temporary, never charged).
+//
+// The decode is the data-only one unless a parity member is lost. Each
+// lost stripe is a k-term GF dot product over the stripe length,
+// k·stripeLen source bytes streamed, charged to recover.reconstruct.
+// Every decoded data stripe is then verified: a failure means a parity
+// read was silently corrupted in flight (a data read is verified
+// itself), so the parity is re-read and the decode repeated once before
+// giving up. It returns lost and the GF-math time; the reads advance
+// their own devices' clocks.
+func (c *Cluster) recoverStripes(name string, meta *stripeMeta, shards [][]byte, lost []int, bucket string, st *ScanStats) ([]int, time.Duration, error) {
+	k := meta.place.DataShards
+	var recT time.Duration
+	const attempts = 2
+	for attempt := 1; ; attempt++ {
+		held := 0
+		for gi := 0; gi < len(shards) && held < k; gi++ {
+			if c.health[gi] == HealthLost {
+				continue
+			}
+			if shards[gi] == nil {
+				buf, rst, err := c.readStripe(gi, name, meta)
+				st.Read.Add(rst)
+				if errors.Is(err, faults.ErrDeviceLost) {
+					if gi < k {
+						lost = append(lost, gi)
+					}
+					continue
+				}
+				if err != nil {
+					return lost, recT, fmt.Errorf("smartssd: stripe %d of %q: %w", gi, name, err)
+				}
+				shards[gi] = buf
+				c.Acct.AddBytes(bucket, meta.lenOf(gi))
+			}
+			shards[gi] = c.padded(gi, shards[gi], meta.stripeLen)
+			held++
+		}
+		if held < k {
+			return lost, recT, fmt.Errorf("smartssd: %q has %d of the %d surviving stripes a decode needs: %w",
+				name, held, k, faults.ErrDeviceLost)
+		}
+		for _, gi := range lost {
+			shards[gi] = c.slot(gi, meta.stripeLen)
+		}
+		decode := meta.code.ReconstructData
+		if slices.Max(lost) >= k {
+			decode = meta.code.Reconstruct
+		}
+		if err := decode(shards); err != nil {
+			return lost, recT, fmt.Errorf("smartssd: reconstructing %q: %w", name, err)
+		}
+		dur := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
+		c.Acct.AddTime("recover.reconstruct", dur)
+		recT += dur
+		var err error
+		for _, gi := range lost {
+			if gi < k && c.Verify != nil && err == nil {
+				err = c.Verify(shards[gi][:meta.lenOf(gi)])
+			}
+		}
+		if err == nil {
+			return lost, recT, nil
+		}
+		st.Read.Corrupt++
+		if attempt == attempts {
+			return lost, recT, fmt.Errorf("smartssd: reconstructed stripes of %q failed verification after %d attempts: %w",
+				name, attempts, err)
+		}
+		clear(shards[k:]) // corrupted parity read: re-read it and decode again
+	}
+}
+
+// readStripe reads group member gi's whole stripe of name — one
+// command per record, under the default retry policy, verified by
+// Cluster.Verify when gi holds data (parity stripes are not records) —
+// and marks the member lost (noteLost) when the read finds it gone. The
+// read gets an unsized local copy of gi's arena slot (arena rule 2): a
+// clean read returns a view of the stored stripe and never touches the
+// slot, and a corrupted one that outgrows the copy leaves the arena as
+// it was.
+func (c *Cluster) readStripe(gi int, name string, meta *stripeMeta) ([]byte, ReadStats, error) {
+	length := meta.lenOf(gi)
+	verify := c.Verify
+	if gi >= meta.place.DataShards {
+		verify = nil
+	}
 	slot := c.slot(gi, 0)
-	buf, st, err := c.Devices[gi].ReadResilientInto(&slot, name, 0, length, int(length/rec), verify, RetryPolicy{})
+	buf, st, err := c.Devices[gi].ReadResilientInto(&slot, name, 0, length, int(length/meta.rec), verify, RetryPolicy{})
 	if errors.Is(err, faults.ErrDeviceLost) {
 		c.noteLost(gi, name)
 	}
 	return buf, st, err
-}
-
-// decodeLost decodes the stripes of the lost members (ascending) from
-// the surviving shards, each straight into its member's arena slot: the
-// data-only decode unless a parity member is lost. (The full decode
-// also re-derives, into a temporary, a healthy parity stripe that was
-// not pulled — the price of that rarer case.) Each lost stripe is a
-// k-term GF dot product over the stripe length, k·stripeLen source
-// bytes streamed, charged to recover.reconstruct; it returns that time.
-func (c *Cluster) decodeLost(meta *stripeMeta, shards [][]byte, lost []int) (time.Duration, error) {
-	for _, gi := range lost {
-		shards[gi] = c.slot(gi, meta.stripeLen)
-	}
-	k := meta.place.DataShards
-	decode := meta.code.ReconstructData
-	if lost[len(lost)-1] >= k {
-		decode = meta.code.Reconstruct
-	}
-	if err := decode(shards); err != nil {
-		return 0, err
-	}
-	dur := gfTime(int64(k) * meta.stripeLen * int64(len(lost)))
-	c.Acct.AddTime("recover.reconstruct", dur)
-	return dur, nil
 }
 
 // DegradedScanBound models the worst-case extra simulated time one

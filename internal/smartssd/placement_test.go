@@ -225,6 +225,34 @@ func TestStripedScanUnrecoverableLoss(t *testing.T) {
 	if !errors.Is(err, faults.ErrDeviceLost) {
 		t.Fatalf("two losses with one parity: err = %v, want wrapped ErrDeviceLost", err)
 	}
+	noRecovery := func(t *testing.T, call string) {
+		t.Helper()
+		for _, b := range []string{"recover.parity", "recover.rebuild.read"} {
+			if got := c.Acct.Bytes(b); got != 0 {
+				t.Fatalf("%s past the parity budget charged %d bytes to %s", call, got, b)
+			}
+		}
+		if got := c.Acct.Time("recover.reconstruct"); got != 0 {
+			t.Fatalf("%s past the parity budget charged %v to recover.reconstruct", call, got)
+		}
+	}
+	noRecovery(t, "the scan")
+
+	// The Rebuild row: both losses are confirmed, spares for both are
+	// attached, and the Rebuild must still fail before it reads.
+	c.AttachSpare(newDevice(t))
+	c.AttachSpare(newDevice(t))
+	starts := c.clocks(len(c.Devices))
+	if _, err := c.Rebuild("ds"); !errors.Is(err, faults.ErrDeviceLost) {
+		t.Fatalf("rebuild of two losses with one parity: err = %v, want wrapped ErrDeviceLost", err)
+	}
+	noRecovery(t, "the rebuild")
+	if wall := c.since(starts); wall != 0 {
+		t.Fatalf("the refused rebuild advanced a member's clock by %v", wall)
+	}
+	if c.Spares() != 2 {
+		t.Fatalf("Spares = %d after a refused rebuild, want 2", c.Spares())
+	}
 }
 
 func TestPlainShardLossIsFatal(t *testing.T) {
@@ -391,8 +419,11 @@ func TestStripedScanRejectsMismatchedRecordSize(t *testing.T) {
 // TestLossesDuringRecovery kills members of a 4+2 placement while the
 // cluster is already recovering, and requires every payload to equal
 // the clean scan's. A parity member that dies in the scan that loses a
-// data member is skipped for the second parity stripe; a Rebuild source
-// that dies during the Rebuild is skipped for the next healthy member.
+// data member is skipped for the second parity stripe. A Rebuild source
+// that dies during the Rebuild is skipped for the next healthy member,
+// and, being a data member, is decoded into its arena slot, charged,
+// and rebuilt when a second spare is attached. recover.reconstruct
+// always counts exactly the stripes the decodes write.
 func TestLossesDuringRecovery(t *testing.T) {
 	const rec = 64
 	img := stripeImg(22, rec) // stripes of 5, 6, 5 and 6 records
@@ -443,6 +474,20 @@ func TestLossesDuringRecovery(t *testing.T) {
 		}
 	}
 
+	// decoded requires recover.reconstruct to hold one charge per decode
+	// so far, each for the number of stripes that decode wrote.
+	decoded := func(t *testing.T, c *Cluster, stripes ...int) {
+		t.Helper()
+		meta := c.stripes["ds"]
+		var want time.Duration
+		for _, n := range stripes {
+			want += gfTime(int64(place.DataShards) * meta.stripeLen * int64(n))
+		}
+		if got := c.Acct.Time("recover.reconstruct"); got != want {
+			t.Fatalf("recover.reconstruct = %v, want %v for decodes of %v stripes", got, want, stripes)
+		}
+	}
+
 	t.Run("data and first parity member together", func(t *testing.T) {
 		c, clean := setup(t, faults.DeviceKill{Device: 1, AfterScans: 1}, faults.DeviceKill{Device: 4, AfterScans: 1})
 		scanEquals(t, c, clean, 1)
@@ -454,8 +499,10 @@ func TestLossesDuringRecovery(t *testing.T) {
 		if c.Devices[5].Acct.Bytes("p2p.read") != meta.stripeLen {
 			t.Fatal("the second parity member was not read")
 		}
+		decoded(t, c, 1)
 		scanEquals(t, c, clean, 1) // both losses are sticky
 		health(t, c, 1, 4)
+		decoded(t, c, 1, 1)
 	})
 
 	t.Run("rebuild source dies during rebuild", func(t *testing.T) {
@@ -472,8 +519,19 @@ func TestLossesDuringRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.AttachSpare(spare)
+		dirtyArena(c)
 		if _, err := c.Rebuild("ds"); err != nil {
 			t.Fatalf("rebuild with a source lost mid-rebuild: %v", err)
+		}
+		// Member 0 joined the decode: its stripe is in its arena slot,
+		// and the Rebuild charged two stripes, not one.
+		meta := c.stripes["ds"]
+		if s0 := c.arena[0]; int64(cap(s0)) < meta.stripeLen || !bytes.Equal(s0[:meta.lenOf(0)], clean[:meta.lenOf(0)]) {
+			t.Fatal("member 0 was not decoded into arena slot 0")
+		}
+		decoded(t, c, 1, 2)
+		if got, want := c.Acct.Bytes("recover.rebuild.read"), meta.lenOf(2)+meta.lenOf(3)+2*meta.stripeLen; got != want {
+			t.Fatalf("recover.rebuild.read = %d bytes, want members 2 to 5 (%d)", got, want)
 		}
 		if c.Devices[1] != spare || c.Spares() != 0 {
 			t.Fatal("the spare was not swapped into slot 1")
@@ -483,5 +541,119 @@ func TestLossesDuringRecovery(t *testing.T) {
 		}
 		health(t, c, 0)
 		scanEquals(t, c, clean, 1) // stripe 0 from parity, stripe 1 from the spare
+	})
+
+	t.Run("rebuild source dies during rebuild, two spares", func(t *testing.T) {
+		c, clean := setup(t, faults.DeviceKill{Device: 1, AfterScans: 1}, faults.DeviceKill{Device: 0, AfterScans: 2})
+		scanEquals(t, c, clean, 1)
+		first, second := newDevice(t), newDevice(t)
+		c.AttachSpare(first)
+		c.AttachSpare(second)
+		if _, err := c.Rebuild("ds"); err != nil {
+			t.Fatalf("rebuild with a source lost mid-rebuild: %v", err)
+		}
+		// The member lost first takes the first spare.
+		if c.Devices[1] != first || c.Devices[0] != second || c.Spares() != 0 {
+			t.Fatalf("slots 1 and 0 did not take the two spares in order (%d left)", c.Spares())
+		}
+		decoded(t, c, 1, 2)
+		health(t, c)
+		scanEquals(t, c, clean, 0)
+	})
+}
+
+// TestDecodeVerifyFailureRereadsParityOnce: the degraded scan and
+// Rebuild share one rule for a decoded stripe that fails Verify — the
+// parity that fed the decode may have been corrupted in flight, so it
+// is read again and the decode repeated once. The Verify hook rejects
+// the first decoded stripe it is handed, and each call must succeed
+// after one extra parity read, charged to its own bucket.
+func TestDecodeVerifyFailureRereadsParityOnce(t *testing.T) {
+	const rec = 64
+	img := stripeImg(22, rec)
+	place := Placement{DataShards: 4, ParityShards: 2}
+	setup := func(t *testing.T) (*Cluster, *stripeMeta, *bool) {
+		t.Helper()
+		c, _ := NewCluster(place.Total())
+		if _, err := c.StripeDataset("ds", img, rec, place); err != nil {
+			t.Fatal(err)
+		}
+		meta := c.stripes["ds"]
+		stripe1 := img[meta.lenOf(0) : meta.lenOf(0)+meta.lenOf(1)]
+		armed := new(bool) // reject the next decoded stripe 1
+		c.Verify = func(b []byte) error {
+			if *armed && bytes.Equal(b, stripe1) {
+				*armed = false
+				return faults.ErrCorruptRecord
+			}
+			return nil
+		}
+		c.SetInjector(faults.NewInjector(faults.Profile{Seed: 5, Kills: []faults.DeviceKill{{Device: 1, AfterScans: 1}}}))
+		if _, _, _, err := c.ParallelScan("ds", rec); err != nil {
+			t.Fatalf("clean scan: %v", err)
+		}
+		// Member 1 is lost from here on, so Verify sees its bytes only
+		// as a decode output.
+		return c, meta, armed
+	}
+	// twoDecodes requires the call to have decoded twice and read parity
+	// member 4 twice, given the two ledgers before it.
+	twoDecodes := func(t *testing.T, c *Cluster, meta *stripeMeta, recBefore time.Duration, parityBefore int64) {
+		t.Helper()
+		want := 2 * gfTime(int64(place.DataShards)*meta.stripeLen)
+		if got := c.Acct.Time("recover.reconstruct") - recBefore; got != want {
+			t.Fatalf("recover.reconstruct grew by %v, want two one-stripe decodes (%v)", got, want)
+		}
+		if got := c.Devices[4].Acct.Bytes("p2p.read") - parityBefore; got != 2*meta.stripeLen {
+			t.Fatalf("parity member 4 read %d bytes, want its stripe twice (%d)", got, 2*meta.stripeLen)
+		}
+	}
+
+	t.Run("degraded scan", func(t *testing.T) {
+		c, meta, armed := setup(t)
+		*armed = true
+		shards, st, _, err := c.ParallelScan("ds", rec)
+		if err != nil {
+			t.Fatalf("degraded scan with one rejected decode: %v", err)
+		}
+		if *armed {
+			t.Fatal("Verify never saw the decoded stripe")
+		}
+		if !bytes.Equal(reassemble(shards), img) || st.DegradedReads != 1 || st.Read.Corrupt != 1 {
+			t.Fatalf("degraded scan: payload equal %v, stats %+v, want one degraded read and one corrupt",
+				bytes.Equal(reassemble(shards), img), st)
+		}
+		if got := c.Acct.Bytes("recover.parity"); got != 2*meta.stripeLen {
+			t.Fatalf("recover.parity = %d bytes, want the parity stripe twice (%d)", got, 2*meta.stripeLen)
+		}
+		twoDecodes(t, c, meta, 0, 0)
+	})
+
+	t.Run("rebuild", func(t *testing.T) {
+		c, meta, armed := setup(t)
+		if _, st, _, err := c.ParallelScan("ds", rec); err != nil || st.Read.Corrupt != 0 {
+			t.Fatalf("degraded scan: err %v, stats %+v", err, st)
+		}
+		recBefore, parityBefore := c.Acct.Time("recover.reconstruct"), c.Devices[4].Acct.Bytes("p2p.read")
+		spare := newDevice(t)
+		c.AttachSpare(spare)
+		*armed = true
+		if _, err := c.Rebuild("ds"); err != nil {
+			t.Fatalf("rebuild with one rejected decode: %v", err)
+		}
+		if *armed {
+			t.Fatal("Verify never saw the decoded stripe")
+		}
+		if got, want := c.Acct.Bytes("recover.rebuild.read"), meta.lenOf(0)+meta.lenOf(2)+meta.lenOf(3)+2*meta.stripeLen; got != want {
+			t.Fatalf("recover.rebuild.read = %d bytes, want the data sources once and the parity twice (%d)", got, want)
+		}
+		twoDecodes(t, c, meta, recBefore, parityBefore)
+		if c.Devices[1] != spare {
+			t.Fatal("the spare was not swapped into slot 1")
+		}
+		shards, st, _, err := c.ParallelScan("ds", rec)
+		if err != nil || st.DegradedReads != 0 || !bytes.Equal(reassemble(shards), img) {
+			t.Fatalf("scan after the rebuild: err %v, stats %+v", err, st)
+		}
 	})
 }
