@@ -113,21 +113,9 @@ func main() {
 	switch *method {
 	case "nessa":
 	case "craig":
-		opt.Selector = nessa.SelectorFacility
-		opt.QuantFeedback = false
-		opt.SelectEvery = 5
-		opt.SubsetBias = false
-		opt.Partition = false
-		opt.DynamicSizing = false
-		opt.SubsetFrac = 0.30
+		opt = opt.Baseline(nessa.SelectorFacility)
 	case "kcenters":
-		opt.Selector = nessa.SelectorKCenters
-		opt.QuantFeedback = false
-		opt.SelectEvery = 5
-		opt.SubsetBias = false
-		opt.Partition = false
-		opt.DynamicSizing = false
-		opt.SubsetFrac = 0.30
+		opt = opt.Baseline(nessa.SelectorKCenters)
 	case "random":
 		opt.Selector = nessa.SelectorRandom
 		opt.SubsetBias = false

@@ -88,7 +88,7 @@ func AblationPartition() *Table {
 		t.AddRow("error", err.Error(), "", "")
 		return t
 	}
-	dev, _ := smartssd.New()
+	onChip := smartssd.DefaultSpec().OnChipBytes
 	for _, m := range []int{4, 8, 16, 32, 64} {
 		res, err := selection.PerClassWith(emb, classes, k, func(ci int) selection.Maximizer {
 			return selection.PartitionedMaximizer(m, selection.ClassStream(1, ci), selection.LazyGreedy)
@@ -115,7 +115,7 @@ func AblationPartition() *Table {
 		t.AddRow(fmt.Sprintf("%d", m),
 			fmt.Sprintf("%.4f", res.Objective/exact.Objective),
 			fmt.Sprintf("%d", bytes),
-			fmt.Sprintf("%t", dev.FitsOnChip(bytes)))
+			fmt.Sprintf("%t", bytes <= onChip))
 	}
 	return t
 }
@@ -186,14 +186,9 @@ func AblationCluster() *Table {
 		Note:   "ideal record-sharded parallel scan at paper scale (50 K × 3 KB)",
 		Header: []string{"Drives", "Scan wall time", "Speed-up"},
 	}
+	link := smartssd.P2PLink()
 	var base float64
 	for _, n := range []int{1, 2, 4, 8} {
-		c, err := smartssd.NewCluster(n)
-		if err != nil {
-			t.AddRow(fmt.Sprintf("%d", n), "error: "+err.Error(), "")
-			continue
-		}
-		link := c.Devices[0].P2P
 		per := link.Duration(spec.PaperBytes()/int64(n), spec.Train/n)
 		if n == 1 {
 			base = per.Seconds()
@@ -215,28 +210,21 @@ func AblationCluster() *Table {
 func AblationEnergy() *Table {
 	spec, _ := data.Lookup("CIFAR-10")
 	w := fpga.Workload{N: spec.Train, MACsPerSample: 1_000_000, K: 15_000, Dim: 10, RecordBytes: spec.BytesPerImage}
-	kernel := fpga.DefaultKernel()
-	p2p := smartssd.P2PLink()
-	host := smartssd.HostLink()
-	totalBytes := spec.PaperBytes()
-
 	t := &Table{
 		ID:     "ablation-energy",
 		Title:  "Selection energy by device incl. data staging (CIFAR-10 workload, §2.2)",
 		Note:   "GPU selection must stage all candidates over the 1.4 GB/s host path at full power",
 		Header: []string{"Device", "Power (W)", "Stage+select time", "Energy (J)"},
 	}
-	// FPGA: P2P scan pipelined with the int8 forward pass.
-	fpgaT := max(p2p.Duration(totalBytes, w.N), kernel.ForwardTime(w.N, w.MACsPerSample)) +
-		kernel.SelectionTime(w.N, w.K, w.Dim, 0.1)
+	fpgaT := priceNeSSA(w).sel
 	t.AddRow("SmartSSD FPGA", fmt.Sprintf("%.1f", fpga.PowerWatts()),
 		fpgaT.Round(time.Millisecond).String(),
 		fmt.Sprintf("%.2f", fpga.EnergyJoules(fpga.PowerWatts(), fpgaT)))
 
 	flops := float64(float64(w.N)*float64(w.MACsPerSample)) * 2
+	stage := smartssd.HostLink().Duration(spec.PaperBytes(), w.N)
 	for _, g := range []gpu.GPU{gpu.K1200(), gpu.A100()} {
 		compute := time.Duration(flops / g.SustainedFLOPS * float64(time.Second))
-		stage := host.Duration(totalBytes, w.N)
 		d := stage + compute
 		t.AddRow(g.Name, fmt.Sprintf("%.0f", g.Watts),
 			d.Round(time.Millisecond).String(),

@@ -69,30 +69,15 @@ func AccuracyRun(spec data.Spec, quick bool) (DatasetRun, error) {
 	if err != nil {
 		return DatasetRun{}, fmt.Errorf("bench: %s: %w", spec.Name, err)
 	}
-	craig, err := core.Run(train, test, cfg, baselineOptions(core.SelectorFacility, quick))
+	craig, err := core.Run(train, test, cfg, runOptions(quick).Baseline(core.SelectorFacility))
 	if err != nil {
 		return DatasetRun{}, fmt.Errorf("bench: %s craig: %w", spec.Name, err)
 	}
-	kc, err := core.Run(train, test, cfg, baselineOptions(core.SelectorKCenters, quick))
+	kc, err := core.Run(train, test, cfg, runOptions(quick).Baseline(core.SelectorKCenters))
 	if err != nil {
 		return DatasetRun{}, fmt.Errorf("bench: %s kcenters: %w", spec.Name, err)
 	}
 	return DatasetRun{Spec: spec, Full: full, NeSSA: rep, CRAIG: craig, KC: kc}, nil
-}
-
-// baselineOptions configures the prior-work baselines: fixed 30 %
-// subsets, no biasing/partitioning/dynamic sizing, selection refreshed
-// only every 5 epochs (host staging cost), no quantized feedback loop.
-func baselineOptions(sel core.Selector, quick bool) core.Options {
-	opt := runOptions(quick)
-	opt.Selector = sel
-	opt.SubsetFrac = 0.30
-	opt.DynamicSizing = false
-	opt.SubsetBias = false
-	opt.Partition = false
-	opt.QuantFeedback = false
-	opt.SelectEvery = 5
-	return opt
 }
 
 // AccuracyRuns trains every Table 1 dataset both ways. With quick=false

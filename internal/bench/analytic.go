@@ -139,6 +139,44 @@ func Figure4Rows(subsetFrac float64) []EpochTime {
 	return MethodEpochTimes(spec, subsetFrac)
 }
 
+// The near-storage epoch at paper scale (§3, Fig 4): the FPGA scans
+// every candidate over the P2P link, pipelined with the int8 proxy
+// forward pass, and runs stochastic greedy (ε = 0.1) on its distance
+// lanes; the chosen subset ships to the GPU as decoded tensors (no host
+// decode cost) in DMA bursts, and the quantized feedback comes back as
+// one small transfer.
+const (
+	shipBurst     = 128        // subset records per DMA burst to the GPU
+	feedbackBytes = 300 * 1024 // quantized target-model weights
+)
+
+// nessaEpoch is one near-storage epoch's device time by stage.
+type nessaEpoch struct {
+	sel      time.Duration // P2P scan ∥ proxy forward, then stochastic greedy
+	ship     time.Duration // the w.K selected records to the GPU
+	feedback time.Duration // the quantized weights back to the FPGA
+}
+
+// priceNeSSA prices the near-storage epoch of workload w: w.N records
+// of w.RecordBytes, w.MACsPerSample proxy-forward MACs each, w.K of
+// them selected over w.Dim-dimensional embeddings.
+func priceNeSSA(w fpga.Workload) nessaEpoch {
+	kernel := fpga.DefaultKernel()
+	gpuLink := smartssd.GPULink()
+	scan := smartssd.P2PLink().Duration(int64(w.N)*w.RecordBytes, w.N)
+	return nessaEpoch{
+		sel:      max(scan, kernel.ForwardTime(w.N, w.MACsPerSample)) + kernel.SelectionTime(w.N, w.K, w.Dim, 0.1),
+		ship:     gpuLink.Duration(int64(w.K)*w.RecordBytes, w.K/shipBurst+1),
+		feedback: gpuLink.Duration(feedbackBytes, 1),
+	}
+}
+
+// proxyMACs is the int8 proxy forward pass's MACs per record: the
+// gpu.ProxyFwdFrac share of net's forward FLOPs, two per MAC.
+func proxyMACs(net gpu.ModelProfile) int64 {
+	return int64(net.ForwardGFLOPs * 1e9 / 2 * gpu.ProxyFwdFrac)
+}
+
 // MethodEpochTimes decomposes the per-epoch wall time of the four
 // training regimes (NeSSA, CPU CRAIG, CPU k-Centers, full data) for
 // any Table 1 dataset at paper scale.
@@ -146,9 +184,6 @@ func MethodEpochTimes(spec data.Spec, subsetFrac float64) []EpochTime {
 	net, _ := gpu.DatasetNetwork(spec.Name, spec.Network)
 	g := gpu.V100()
 	cpuHost := gpu.DefaultHostCPU()
-	kernel := fpga.DefaultKernel()
-	p2p := smartssd.P2PLink()
-	gpuLink := smartssd.GPULink()
 
 	n := spec.Train
 	k := int(subsetFrac * float64(n))
@@ -162,21 +197,11 @@ func MethodEpochTimes(spec data.Spec, subsetFrac float64) []EpochTime {
 	computeK := time.Duration(int64(k)) * g.ComputeTimePerImage(net.ForwardGFLOPs)
 	loadK := time.Duration(int64(k)) * g.LoadTimePerImage(rec, int64(n)*rec)
 
-	// NeSSA: the FPGA scans all candidates over the P2P link, pipelined
-	// with the int8 selection forward pass; stochastic-greedy selection
-	// runs on the distance lanes; the chosen subset ships to the GPU as
-	// decoded tensors (no host decode cost).
-	selMACs := int64(net.ForwardGFLOPs * 1e9 / 2 * 0.05) // int8 proxy pass: 5% of target fwd MACs
-	scan := p2p.Duration(int64(n)*rec, n)
-	fwd := kernel.ForwardTime(n, selMACs)
-	sel := max(scan, fwd) + kernel.SelectionTime(n, k, gradDim, 0.1)
-	// Subset ships in 128-image DMA bursts; the quantized feedback is
-	// one small transfer.
-	nessaTransfer := gpuLink.Duration(int64(k)*rec, k/128+1) + gpuLink.Duration(300*1024, 1)
+	p := priceNeSSA(fpga.Workload{N: n, MACsPerSample: proxyMACs(net), K: k, Dim: gradDim, RecordBytes: rec})
 	nessa := EpochTime{
 		Method:    "NeSSA",
-		Selection: sel,
-		Transfer:  nessaTransfer,
+		Selection: p.sel,
+		Transfer:  p.ship + p.feedback,
 		Train:     computeK,
 	}
 	nessa.Total = nessa.Selection + nessa.Transfer + nessa.Train
@@ -244,7 +269,6 @@ func Section44(avgSubsetFrac map[string]float64) *Table {
 		Note:   "host-interconnect bytes: full = N·img; NeSSA = subset·img + quantized feedback",
 		Header: []string{"Dataset", "Full GB/epoch", "NeSSA GB/epoch", "Reduction"},
 	}
-	dev, _ := smartssd.New()
 	var sumRatio float64
 	var count int
 	for _, spec := range data.Registry() {
@@ -253,8 +277,7 @@ func Section44(avgSubsetFrac map[string]float64) *Table {
 			frac = 0.30
 		}
 		fullBytes := float64(spec.PaperBytes())
-		feedback := 300.0 * 1024 // quantized target-model weights
-		nessaBytes := float64(fullBytes*frac) + feedback
+		nessaBytes := float64(fullBytes*frac) + feedbackBytes
 		ratio := fullBytes / nessaBytes
 		sumRatio += ratio
 		count++
@@ -264,6 +287,6 @@ func Section44(avgSubsetFrac map[string]float64) *Table {
 			fmt.Sprintf("%.2fx", ratio))
 	}
 	t.AddRow("AVERAGE", "", "", fmt.Sprintf("%.2fx", sumRatio/float64(count)))
-	t.AddRow("P2P vs host bandwidth", "", "", fmt.Sprintf("%.2fx", dev.SpeedupP2PvsHost()))
+	t.AddRow("P2P vs host bandwidth", "", "", fmt.Sprintf("%.2fx", smartssd.P2PLink().PeakBW/smartssd.HostLink().PeakBW))
 	return t
 }

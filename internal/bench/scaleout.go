@@ -7,7 +7,6 @@ import (
 	"nessa/internal/data"
 	"nessa/internal/fpga"
 	"nessa/internal/gpu"
-	"nessa/internal/smartssd"
 )
 
 // AblationScaleOut models the full §5 future-work deployment: D
@@ -18,17 +17,15 @@ import (
 func AblationScaleOut() *Table {
 	spec, _ := data.Lookup("ImageNet-100")
 	net, _ := gpu.DatasetNetwork(spec.Name, spec.Network)
-	kernel := fpga.DefaultKernel()
-	p2p := smartssd.P2PLink()
-	gpuLink := smartssd.GPULink()
 	g := gpu.V100()
 
 	const subsetFrac = 0.28
 	n := spec.Train
 	k := int(subsetFrac * float64(n))
-	rec := spec.BytesPerImage
-	selMACs := int64(net.ForwardGFLOPs * 1e9 / 2 * 0.05)
+	whole := fpga.Workload{N: n, MACsPerSample: proxyMACs(net), K: k, Dim: spec.Classes, RecordBytes: spec.BytesPerImage}
 	paramBytes := int64(net.MParams * 1e6 * 4)
+	// The whole subset ships to the GPUs however many drives chose it.
+	transfer := priceNeSSA(whole).ship
 
 	t := &Table{
 		ID:     "ablation-scaleout",
@@ -39,11 +36,10 @@ func AblationScaleOut() *Table {
 	var base float64
 	for _, drives := range []int{1, 2, 4} {
 		for _, gpus := range []int{1, 2, 4} {
-			// Per-drive shard: scan pipelined with the int8 forward.
-			shardN := n / drives
-			scan := p2p.Duration(int64(shardN)*rec, shardN)
-			fwd := kernel.ForwardTime(shardN, selMACs)
-			sel := max(scan, fwd) + kernel.SelectionTime(shardN, k/drives, spec.Classes, 0.1)
+			// Each drive selects its share from its own shard.
+			shard := whole
+			shard.N, shard.K = n/drives, k/drives
+			sel := priceNeSSA(shard).sel
 
 			dp, err := gpu.NewDataParallel(g, gpus)
 			if err != nil {
@@ -51,7 +47,6 @@ func AblationScaleOut() *Table {
 				continue
 			}
 			train := dp.EpochTime(k, net.ForwardGFLOPs, paramBytes, 128)
-			transfer := gpuLink.Duration(int64(k)*rec, k/128+1)
 			total := sel + transfer + train
 			if base == 0 {
 				base = total.Seconds()

@@ -30,7 +30,6 @@ func Table3Variants() []Table3Variant {
 // sizing is off everywhere).
 func variantOptions(v Table3Variant, frac float64, quick bool) core.Options {
 	opt := runOptions(quick)
-	opt.SubsetFrac = frac
 	opt.DynamicSizing = false
 	opt.SubsetBias = false
 	opt.Partition = false
@@ -44,16 +43,11 @@ func variantOptions(v Table3Variant, frac float64, quick bool) core.Options {
 		opt.SubsetBias = true
 		opt.Partition = true
 	case VariantCRAIG:
-		// CRAIG re-selects only every 5 epochs (staging data to the
-		// host each epoch is prohibitive) and has no quantized
-		// feedback loop keeping the selection model fresh.
-		opt.QuantFeedback = false
-		opt.SelectEvery = 5
+		opt = opt.Baseline(core.SelectorFacility)
 	case VariantKCenters:
-		opt.Selector = core.SelectorKCenters
-		opt.QuantFeedback = false
-		opt.SelectEvery = 5
+		opt = opt.Baseline(core.SelectorKCenters)
 	}
+	opt.SubsetFrac = frac
 	return opt
 }
 

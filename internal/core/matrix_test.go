@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strings"
 	"testing"
+	"time"
 
 	"nessa/internal/data"
 	"nessa/internal/faults"
@@ -224,7 +225,24 @@ func TestInvariantMatrix(t *testing.T) {
 					name, c.got.series, c.got.clocks, c.got.p2p, want, ok)
 			}
 			checkCondition(t, name, c.rep)
+			checkClocks(t, c.devs)
 		})
+	}
+}
+
+// checkClocks requires each drive's simulated clock to equal the sum
+// of its time buckets: every charge a drive takes advances its clock
+// and books the same duration to one bucket.
+func checkClocks(t *testing.T, devs []*smartssd.Device) {
+	t.Helper()
+	for i, d := range devs {
+		var booked time.Duration
+		for _, b := range d.Acct.TimeBuckets() {
+			booked += b.Duration
+		}
+		if now := d.Clock.Now(); now != booked {
+			t.Errorf("drive %d: clock at %v, time buckets sum to %v", i, now, booked)
+		}
 	}
 }
 

@@ -104,7 +104,7 @@ type Options struct {
 	// BitExact is ignored: internal/tensor has one kernel tier, and
 	// every run is bit-exact (DESIGN.md §4.9). It selected a fused
 	// AVX2/FMA kernel tier that no longer exists and stays only because
-	// the frozen internal/bench/e2e sets it; ROADMAP item 9b deletes it.
+	// the frozen internal/bench/e2e sets it; ROADMAP item 12b deletes it.
 	BitExact bool
 
 	// Storage (§4.4). With Device or Cluster set, the selector's input
@@ -195,6 +195,24 @@ func DefaultOptions() Options {
 		Seed:           7,
 		Workers:        runtime.NumCPU(),
 	}
+}
+
+// Baseline returns o configured as one of the prior-work baselines of
+// §4.3 and Table 3, CRAIG (sel = SelectorFacility) or k-Centers (sel =
+// SelectorKCenters): a fixed 30 % subset with no subset biasing,
+// partitioning or dynamic sizing, no quantized feedback keeping the
+// selection model fresh, and a reselection only every 5 epochs, since
+// staging the candidates to the host each epoch is what CPU-side
+// selection cannot afford.
+func (o Options) Baseline(sel Selector) Options {
+	o.Selector = sel
+	o.SubsetFrac = 0.30
+	o.DynamicSizing = false
+	o.SubsetBias = false
+	o.Partition = false
+	o.QuantFeedback = false
+	o.SelectEvery = 5
+	return o
 }
 
 // Report is the outcome of a run.

@@ -40,10 +40,11 @@ func (c HostCPU) SelectionComputeTime(flops float64) time.Duration {
 // ε = 0.1 (Mirzasoleiman et al. 2015).
 const stochasticGreedyFactor = 2.302585
 
-// proxyFwdFrac is the fraction of the target network's forward cost
+// ProxyFwdFrac is the fraction of the target network's forward cost
 // that the selection-side proxy forward pass costs (last stage +
-// classifier head re-evaluated on cached activations).
-const proxyFwdFrac = 0.05
+// classifier head re-evaluated on cached activations), on the CPU and
+// as the FPGA's int8 pass alike.
+const ProxyFwdFrac = 0.05
 
 // CRAIGSelectionFLOPs estimates the per-epoch selection cost of
 // CPU-side CRAIG over n candidates selecting k medoids: a proxy
@@ -54,7 +55,7 @@ func CRAIGSelectionFLOPs(n, k, gradDim int, targetFwdGFLOPs float64) float64 {
 	if n <= 0 || k <= 0 {
 		return 0
 	}
-	fwd := float64(float64(n) * targetFwdGFLOPs * 1e9 * proxyFwdFrac)
+	fwd := float64(float64(n) * targetFwdGFLOPs * 1e9 * ProxyFwdFrac)
 	dist := float64(float64(n) * stochasticGreedyFactor * 3 * float64(gradDim))
 	return fwd + dist
 }
@@ -72,7 +73,7 @@ func KCentersSelectionFLOPs(n, k, featDim int, targetFwdGFLOPs float64) float64 
 	if n <= 0 || k <= 0 {
 		return 0
 	}
-	fwd := float64(float64(n) * targetFwdGFLOPs * 1e9 * proxyFwdFrac)
+	fwd := float64(float64(n) * targetFwdGFLOPs * 1e9 * ProxyFwdFrac)
 	dist := float64(float64(n) * float64(k) * 3 * float64(featDim))
 	return fwd + dist
 }

@@ -150,8 +150,6 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		}
 	}()
 
-	ssdCfg := dev.SSD.Config()
-	internalBW := dev.SSD.InternalBWFor(false)
 	consume := func(cr chunkRead) error {
 		st.Read.Add(cr.stats)
 		if cr.err != nil {
@@ -159,14 +157,11 @@ func ScanRecords(dev *smartssd.Device, cfg ScanConfig, process func(chunk, lo, h
 		}
 		st.Chunks++
 		st.Records += cr.hi - cr.lo
-		st.Bytes += int64(len(cr.buf))
-		flashT := ssdCfg.CommandLatency + time.Duration(float64(len(cr.buf))/internalBW*float64(time.Second))
-		linkT := dev.P2P.Duration(int64(len(cr.buf)), 1)
-		if linkT > flashT {
-			st.BoundTime += linkT
-		} else {
-			st.BoundTime += flashT
-		}
+		size := int64(len(cr.buf))
+		st.Bytes += size
+		// The flash read and its P2P transfer pipeline: the slower one is
+		// the clean chunk's floor.
+		st.BoundTime += max(dev.SSD.ReadTime(size), dev.P2P.Duration(size, 1))
 		if process != nil {
 			if err := process(cr.idx, cr.lo, cr.hi, cr.base, cr.buf); err != nil {
 				return fmt.Errorf("streaming: scan chunk %d: %w", cr.idx, err)

@@ -56,7 +56,7 @@ type Config struct {
 
 	// SketchEvery is ignored. It configured a gradient sketch this
 	// package no longer has and stays only because the frozen
-	// internal/bench/e2e sets it; ROADMAP item 5b deletes it.
+	// internal/bench/e2e sets it; ROADMAP item 12b deletes it.
 	SketchEvery int
 
 	Seed uint64
@@ -315,7 +315,7 @@ func (s *Selector) MemoryBytes() int64 {
 // class of each. Batches may vary in size; records are identified by
 // their global stream position. x is ignored: it fed a gradient sketch
 // this package no longer has and stays only because the frozen
-// internal/bench/e2e passes it; ROADMAP item 5b deletes it.
+// internal/bench/e2e passes it; ROADMAP item 12b deletes it.
 func (s *Selector) Push(emb, x *tensor.Matrix, labels []int) error {
 	n := emb.Rows
 	if len(labels) != n {

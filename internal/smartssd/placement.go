@@ -189,15 +189,15 @@ func (c *Cluster) AttachSpare(d *Device) {
 
 // noteLost marks device slot i lost after a read of it failed with
 // faults.ErrDeviceLost. The first time, the host also sends the slot a
-// zero-length liveness probe: a one-attempt host-path read. A loss is
-// sticky, so the probe always fails; its error is dropped, but its
-// command setup stays on the device's clock, which DegradedScanBound
-// prices.
+// liveness probe over the host path. A loss is sticky, so the probe
+// always fails; its error is dropped, but its command setup stays on
+// the device's clock (host.error), which DegradedScanBound prices.
 func (c *Cluster) noteLost(i int, name string) {
 	if c.health[i] == HealthLost {
 		return
 	}
-	_, _, _ = c.Devices[i].ReadResilientHost(new([]byte), nil, name, oneRecord, 0, nil, RetryPolicy{MaxAttempts: 1})
+	d := c.Devices[i]
+	_ = d.lostCheck(d.Host, "host.error", "host read", name)
 	c.health[i] = HealthLost
 	c.lostEver++
 }

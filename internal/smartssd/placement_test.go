@@ -3,6 +3,7 @@ package smartssd
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -435,6 +436,8 @@ func TestLossesDuringRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.SetInjector(faults.NewInjector(faults.Profile{Seed: 5, Kills: kills}))
+		members := slices.Clone(c.Devices) // Rebuild swaps spares in
+		t.Cleanup(func() { checkClocks(t, append(members, c.Devices...)) })
 		shards, _, _, err := c.ParallelScan("ds", rec)
 		if err != nil {
 			t.Fatalf("clean scan: %v", err)
@@ -560,6 +563,21 @@ func TestLossesDuringRecovery(t *testing.T) {
 		health(t, c)
 		scanEquals(t, c, clean, 0)
 	})
+}
+
+// checkClocks requires each device's simulated clock to equal the sum
+// of its time buckets: every charge goes through Device.charge.
+func checkClocks(t *testing.T, devs []*Device) {
+	t.Helper()
+	for _, d := range devs {
+		var booked time.Duration
+		for _, b := range d.Acct.TimeBuckets() {
+			booked += b.Duration
+		}
+		if now := d.Clock.Now(); now != booked {
+			t.Errorf("device %d: clock at %v, time buckets sum to %v", d.ID, now, booked)
+		}
+	}
 }
 
 // TestDecodeVerifyFailureRereadsParityOnce: the degraded scan and

@@ -170,8 +170,7 @@ func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, str
 		if attempt > 1 {
 			st.Retries++
 			if b := d.inj.BackoffJitter(pol.backoff(attempt - 1)); b > 0 {
-				d.Clock.Advance(b)
-				d.Acct.AddTime("retry.backoff", b)
+				d.charge("retry.backoff", b)
 			}
 		}
 		st.Attempts++
@@ -186,8 +185,7 @@ func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, str
 			// The DMA setup is spent before the link failure is
 			// observed. P2P → host fallback: the rest of this read stays
 			// on the host path rather than probing a dead link again.
-			d.Clock.Advance(link.CommandLatency)
-			d.Acct.AddTime(errBucket, link.CommandLatency)
+			d.charge(errBucket, link.CommandLatency)
 			host, st.HostFallback = true, true
 			lastErr = fmt.Errorf("smartssd: p2p read of %q: %w", name, faults.ErrLinkDown)
 			continue
@@ -198,8 +196,7 @@ func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, str
 		if err != nil {
 			// A failed flash command still advances simulated time by its
 			// reported setup cost, so retry storms are visible on the clock.
-			d.Clock.Advance(flashT)
-			d.Acct.AddTime(errBucket, flashT)
+			d.charge(errBucket, flashT)
 			if !errors.Is(err, faults.ErrTransientIO) {
 				return out, st, err // permanent: out of range, not found
 			}
@@ -214,8 +211,7 @@ func (d *Device) readResilient(slot *[]byte, out [][]byte, name string, off, str
 		if !host {
 			dur = max(flashT, linkT)
 		}
-		d.Clock.Advance(dur)
-		d.Acct.AddTime(readBucket, dur)
+		d.charge(readBucket, dur)
 		d.Acct.AddBytes(readBucket, length)
 		for i := 0; verify != nil && i < len(out) && err == nil; i++ {
 			err = verify(out[i])

@@ -83,9 +83,6 @@ func New(cfg Config) (*SSD, error) {
 	return &SSD{cfg: cfg, objects: make(map[string]*extent)}, nil
 }
 
-// Config returns the device configuration.
-func (s *SSD) Config() Config { return s.cfg }
-
 // SetInjector attaches a fault injector to the flash array. Every
 // subsequent read consults it for NAND-level faults (silent payload
 // corruption, transient command failures, latency spikes). A nil
@@ -216,7 +213,7 @@ func (s *SSD) ReadRecordsInto(name string, off, stride int64, recs []int, slot *
 			fmt.Errorf("storage: read %q: %w", name, faults.ErrTransientIO)
 	}
 	length := stride * int64(len(recs))
-	dur := s.transferTime(length, false) + f.Extra
+	dur := s.ReadTime(length) + f.Extra
 	if e.fill == nil && !f.Corrupt {
 		for _, r := range recs {
 			at := off + int64(r)*stride
@@ -255,6 +252,11 @@ func (s *SSD) Size(name string) (int64, error) {
 	return e.size, nil
 }
 
+// ReadTime is the time one flash read of bytes takes when it draws no
+// fault: every read that completes is charged it, plus any latency
+// spike.
+func (s *SSD) ReadTime(bytes int64) time.Duration { return s.transferTime(bytes, false) }
+
 // transferTime models one flash access: a fixed command latency plus
 // streaming the pages across the channel array. Pages stripe across
 // channels, so throughput is the aggregate array bandwidth. Writes pay
@@ -263,17 +265,10 @@ func (s *SSD) transferTime(bytes int64, write bool) time.Duration {
 	if bytes <= 0 {
 		return s.cfg.CommandLatency
 	}
-	bw := s.InternalBWFor(write)
-	sec := float64(bytes) / bw
-	return s.cfg.CommandLatency + time.Duration(sec*float64(time.Second))
-}
-
-// InternalBWFor reports the effective internal bandwidth for the
-// direction.
-func (s *SSD) InternalBWFor(write bool) float64 {
 	bw := s.cfg.InternalBW()
 	if write && s.cfg.WriteAmplFactor > 0 {
 		bw /= s.cfg.WriteAmplFactor
 	}
-	return bw
+	sec := float64(bytes) / bw
+	return s.cfg.CommandLatency + time.Duration(sec*float64(time.Second))
 }

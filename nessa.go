@@ -92,7 +92,8 @@ func DefaultTrainConfig() TrainConfig { return trainer.Default() }
 
 // DefaultOptions returns the full NeSSA configuration (quantized
 // feedback + subset biasing + partitioning + dynamic sizing) with the
-// paper's constants.
+// paper's constants; Options.Baseline turns it into the CRAIG or
+// k-Centers baseline.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Train runs the NeSSA controller (or a baseline, per opt.Selector)
